@@ -30,8 +30,10 @@ pub const MAGIC: [u8; 4] = *b"DCPI";
 
 const CRC32_POLY: u32 = 0xedb8_8320;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic bytewise table and
+/// `[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -44,21 +46,49 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// Feeds `data` into a running CRC-32 state (start from `!0`).
-#[must_use]
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_bytewise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
-        state = (state >> 8) ^ CRC32_TABLE[((state ^ u32::from(b)) & 0xff) as usize];
+        state = (state >> 8) ^ CRC32_TABLES[0][((state ^ u32::from(b)) & 0xff) as usize];
     }
     state
+}
+
+/// Feeds `data` into a running CRC-32 state (start from `!0`), eight
+/// bytes per step.
+#[must_use]
+pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        state = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    crc32_bytewise(state, chunks.remainder())
 }
 
 /// CRC-32 (IEEE) of `data`.
@@ -102,6 +132,7 @@ impl Format {
 }
 
 /// Appends `value` to `buf` as an unsigned LEB128 varint.
+#[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
@@ -181,13 +212,19 @@ pub fn encode_profile(profile: &Profile, event: Event, format: Format) -> Vec<u8
             }
         }
     }
+    frame(format, event, &payload)
+}
+
+/// Wraps a record payload in the file frame: magic, version, event,
+/// payload length and CRC.
+fn frame(format: Format, event: Event, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + payload.len());
     buf.extend_from_slice(&MAGIC);
     buf.push(format.version());
     buf.push(event.code());
     put_varint(&mut buf, payload.len() as u64);
-    buf.extend_from_slice(&frame_crc(format.version(), event.code(), &payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(&frame_crc(format.version(), event.code(), payload).to_le_bytes());
+    buf.extend_from_slice(payload);
     buf
 }
 
@@ -197,8 +234,9 @@ pub fn encode_profile(profile: &Profile, event: Event, format: Format) -> Vec<u8
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`] on bad magic, truncation, a frame-length or
-/// checksum mismatch, or unsorted offsets; [`Error::UnsupportedVersion`]
-/// on an unknown version byte.
+/// checksum mismatch, or a record whose offset overflows, does not
+/// increase or carries a zero count; [`Error::UnsupportedVersion`] on an
+/// unknown version byte.
 pub fn decode_profile(mut data: &[u8]) -> Result<(Profile, Event)> {
     let buf = &mut data;
     if buf.len() < 6 {
@@ -228,47 +266,48 @@ pub fn decode_profile(mut data: &[u8]) -> Result<(Profile, Event)> {
         return Err(Error::Corrupt("checksum mismatch".into()));
     }
     let n = get_varint(buf)?;
-    let mut profile = Profile::new();
-    match format {
-        Format::V1 => {
-            let mut prev: Option<u64> = None;
-            for _ in 0..n {
+    // A record is 8 bytes in V1 and at least 2 in V2, so the payload
+    // bounds the reservation whatever the header's `n` claims.
+    let min_record = match format {
+        Format::V1 => 8,
+        Format::V2 => 2,
+    };
+    let cap = (buf.len() / min_record).min(usize::try_from(n).unwrap_or(usize::MAX));
+    let mut run = Vec::with_capacity(cap);
+    let mut prev: Option<u64> = None;
+    for _ in 0..n {
+        let (off, cnt) = match format {
+            Format::V1 => {
                 let (Some(off), Some(cnt)) = (take_u32_le(buf), take_u32_le(buf)) else {
                     return Err(Error::Corrupt("record truncated".into()));
                 };
-                let (off, cnt) = (u64::from(off), u64::from(cnt));
-                if prev.is_some_and(|p| off <= p) {
-                    return Err(Error::Corrupt("offsets not strictly increasing".into()));
-                }
-                prev = Some(off);
-                profile.add(off, cnt);
+                (Some(u64::from(off)), u64::from(cnt))
             }
-        }
-        Format::V2 => {
-            let mut prev = 0u64;
-            let mut first = true;
-            for _ in 0..n {
+            Format::V2 => {
                 let tag = get_varint(buf)?;
                 let delta = if tag & 1 == 1 {
-                    tag >> 1
+                    Some(tag >> 1)
                 } else {
-                    (tag >> 1) * 4
+                    (tag >> 1).checked_mul(4)
                 };
-                if !first && delta == 0 {
-                    return Err(Error::Corrupt("zero delta between records".into()));
-                }
-                let off = prev + delta;
-                let cnt = get_varint(buf)?;
-                profile.add(off, cnt);
-                prev = off;
-                first = false;
+                let off = delta.and_then(|d| prev.unwrap_or(0).checked_add(d));
+                (off, get_varint(buf)?)
             }
+        };
+        let off = off.ok_or_else(|| Error::Corrupt("offset overflows u64".into()))?;
+        if prev.is_some_and(|p| off <= p) {
+            return Err(Error::Corrupt("offsets not strictly increasing".into()));
         }
+        if cnt == 0 {
+            return Err(Error::Corrupt("zero count record".into()));
+        }
+        run.push((off, cnt));
+        prev = Some(off);
     }
     if !buf.is_empty() {
         return Err(Error::Corrupt("trailing bytes after records".into()));
     }
-    Ok((profile, event))
+    Ok((Profile::from_sorted_run(run), event))
 }
 
 #[cfg(test)]
@@ -390,6 +429,89 @@ mod tests {
         // The standard CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slicing_matches_the_bytewise_loop() {
+        let mut rng = crate::prng::CartaRng::new(0xc4c32);
+        for len in 0..=64usize {
+            let data: Vec<u8> = (0..len).map(|_| rng.uniform(0, 255) as u8).collect();
+            let seed = rng.next_u31();
+            let want = crc32_bytewise(seed, &data);
+            assert_eq!(crc32_update(seed, &data), want, "len {len}");
+            // Streaming: any split point gives the same state.
+            for cut in 0..=len {
+                let (head, tail) = data.split_at(cut);
+                let got = crc32_update(crc32_update(seed, head), tail);
+                assert_eq!(got, want, "len {len} cut {cut}");
+            }
+        }
+    }
+
+    /// Frames `payload` as a CRC-valid profile file, so a decode failure
+    /// can only come from the record checks.
+    fn framed(format: Format, payload: &[u8]) -> Vec<u8> {
+        frame(format, Event::Cycles, payload)
+    }
+
+    fn v2_payload(records: &[(u64, u64)]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, records.len() as u64);
+        for &(tag, cnt) in records {
+            put_varint(&mut payload, tag);
+            put_varint(&mut payload, cnt);
+        }
+        payload
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match decode_profile(bytes) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains(what), "{msg:?} lacks {what:?}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v2_aligned_delta_overflow_is_rejected() {
+        // An even tag means (tag >> 1) * 4, which overflows here.
+        let bytes = framed(Format::V2, &v2_payload(&[(u64::MAX - 1, 1)]));
+        assert_corrupt(&bytes, "overflows");
+    }
+
+    #[test]
+    fn v2_offset_sum_overflow_is_rejected() {
+        // Odd tags carry the delta as is: u64::MAX >> 1 twice reaches
+        // u64::MAX - 1, and a further delta of 2 (tag 5) would wrap to a
+        // smaller offset.
+        let big = u64::MAX;
+        let bytes = framed(Format::V2, &v2_payload(&[(big, 1), (big, 1), (5, 1)]));
+        assert_corrupt(&bytes, "overflows");
+    }
+
+    #[test]
+    fn zero_count_records_are_rejected() {
+        let v2 = framed(Format::V2, &v2_payload(&[(0, 3), (2, 0)]));
+        assert_corrupt(&v2, "zero count");
+        let mut v1 = vec![2u8];
+        for (off, cnt) in [(0u32, 3u32), (4, 0)] {
+            v1.extend_from_slice(&off.to_le_bytes());
+            v1.extend_from_slice(&cnt.to_le_bytes());
+        }
+        assert_corrupt(&framed(Format::V1, &v1), "zero count");
+    }
+
+    #[test]
+    fn entry_count_beyond_the_payload_reserves_nothing() {
+        // A header claiming 2^60 records over an empty payload must
+        // fail on the first missing record, not try to reserve for them.
+        for format in [Format::V1, Format::V2] {
+            let mut payload = Vec::new();
+            put_varint(&mut payload, 1 << 60);
+            assert!(matches!(
+                decode_profile(&framed(format, &payload)),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! initiated at any time; the daemon merges in-memory profile data into the
 //! current epoch periodically.
 //!
+//! A file holds one sorted run and decodes straight into a
+//! [`Profile`], which is the same run in memory. Reads therefore move
+//! whole decoded profiles into the [`ProfileSet`] and merges are
+//! merge-joins of two runs; nothing here works entry by entry.
+//!
 //! Layout on disk:
 //!
 //! ```text
@@ -26,12 +31,42 @@ use crate::types::{Event, ImageId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::thread;
 
 /// Identifies one epoch in a database.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct EpochId(pub u32);
+
+/// Files one [`ProfileDb::merge`] writes, syncs and renames as a group;
+/// bounds the descriptors and threads a large flush holds at once.
+const SYNC_BATCH: usize = 16;
+
+/// `sync_all` on every file, issued concurrently and all finished on
+/// return. A journaling filesystem commits concurrent syncs together, so
+/// a batch waits for the device about once instead of once per file; that
+/// wait is the slowest and least repeatable step of a flush.
+fn sync_together(files: &[fs::File]) -> io::Result<()> {
+    if let [one] = files {
+        return one.sync_all();
+    }
+    thread::scope(|s| {
+        let started: Vec<_> = files
+            .iter()
+            .map(|f| thread::Builder::new().spawn_scoped(s, || f.sync_all()))
+            .collect();
+        started
+            .into_iter()
+            .zip(files)
+            .map(|(handle, f)| match handle {
+                Ok(h) => h.join().expect("sync_all does not panic"),
+                // No thread to be had: sync on this one.
+                Err(_) => f.sync_all(),
+            })
+            .fold(Ok(()), io::Result::and)
+    })
+}
 
 /// Damage discovered — and contained — while recovering or reading a
 /// database: torn merges swept at [`ProfileDb::open`] and corrupt profile
@@ -234,45 +269,59 @@ impl ProfileDb {
 
     /// Merges a set of in-memory profiles into the current epoch,
     /// read-modify-writing each affected file. Writes are crash-safe
-    /// (write `.tmp`, sync, rename); an existing file that fails
-    /// validation is quarantined and the merge proceeds from empty rather
-    /// than aborting the flush.
+    /// (write `.tmp`, sync, rename), [`SYNC_BATCH`] files at a time: a
+    /// batch's temporaries are all written, synced together, then renamed,
+    /// so no file is renamed before its bytes are durable. An existing file
+    /// that fails validation is quarantined and the merge proceeds from
+    /// empty rather than aborting the flush.
     ///
     /// # Errors
     ///
     /// Returns an I/O error if an existing file cannot be read or a new
     /// one cannot be written.
     pub fn merge(&mut self, set: &ProfileSet) -> Result<()> {
-        for key in set.sorted_keys() {
-            let incoming = set
-                .get(key.image, key.event)
-                .expect("sorted_keys returned a missing key");
-            let path = self.profile_path(self.current, key);
-            let mut merged = if path.exists() {
-                let data = fs::read(&path)?;
-                match decode_profile(&data) {
-                    Ok((existing, ev)) if ev == key.event => existing,
-                    // Corrupt or mislabeled: quarantine the old file and
-                    // keep this flush's samples; the lost counts stay
-                    // recoverable from the quarantined copy.
-                    Ok(_) | Err(Error::Corrupt(_)) | Err(Error::UnsupportedVersion(_)) => {
-                        self.quarantine(&path);
-                        Profile::new()
+        for batch in set.sorted_keys().chunks(SYNC_BATCH) {
+            let (mut files, mut paths) = (Vec::new(), Vec::new());
+            for &key in batch {
+                let incoming = set
+                    .get(key.image, key.event)
+                    .expect("sorted_keys returned a missing key");
+                let path = self.profile_path(self.current, key);
+                let existing = if path.exists() {
+                    let data = fs::read(&path)?;
+                    match decode_profile(&data) {
+                        Ok((existing, ev)) if ev == key.event => Some(existing),
+                        // Corrupt or mislabeled: quarantine the old file and
+                        // keep this flush's samples; the lost counts stay
+                        // recoverable from the quarantined copy.
+                        Ok(_) | Err(Error::Corrupt(_)) | Err(Error::UnsupportedVersion(_)) => {
+                            self.quarantine(&path);
+                            None
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                Profile::new()
-            };
-            merged.merge(incoming);
-            let bytes = encode_profile(&merged, key.event, self.format);
-            let tmp = path.with_extension("tmp");
-            {
+                } else {
+                    None
+                };
+                // A fresh file is the incoming run as it stands.
+                let bytes = match existing {
+                    Some(mut merged) => {
+                        merged.merge(incoming);
+                        encode_profile(&merged, key.event, self.format)
+                    }
+                    None => encode_profile(incoming, key.event, self.format),
+                };
+                let tmp = path.with_extension("tmp");
                 let mut f = fs::File::create(&tmp)?;
                 f.write_all(&bytes)?;
-                f.sync_all()?;
+                files.push(f);
+                paths.push((tmp, path));
             }
-            fs::rename(&tmp, &path)?;
+            sync_together(&files)?;
+            drop(files);
+            for (tmp, path) in paths {
+                fs::rename(&tmp, &path)?;
+            }
         }
         Ok(())
     }
@@ -304,11 +353,18 @@ impl ProfileDb {
     /// Returns [`Error::NotFound`] for a missing epoch or an I/O error if
     /// the directory cannot be read.
     pub fn read_epoch(&self, epoch: EpochId) -> Result<ProfileSet> {
+        let mut set = ProfileSet::new();
+        self.read_epoch_into(epoch, &mut set)?;
+        Ok(set)
+    }
+
+    /// Decodes every profile file of `epoch` and moves (or, for a key
+    /// already present, merge-joins) each whole profile into `set`.
+    fn read_epoch_into(&self, epoch: EpochId, set: &mut ProfileSet) -> Result<()> {
         let dir = self.epoch_dir(epoch);
         if !dir.exists() {
             return Err(Error::NotFound(dir.display().to_string()));
         }
-        let mut set = ProfileSet::new();
         for entry in fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -326,7 +382,7 @@ impl ProfileDb {
                 Err(e) => return Err(e),
             }
         }
-        Ok(set)
+        Ok(())
     }
 
     /// Loads and merges the profiles of *all* epochs. Corrupt files are
@@ -339,7 +395,7 @@ impl ProfileDb {
     pub fn read_all(&self) -> Result<ProfileSet> {
         let mut set = ProfileSet::new();
         for epoch in self.epochs()? {
-            set.merge(&self.read_epoch(epoch)?);
+            self.read_epoch_into(epoch, &mut set)?;
         }
         Ok(set)
     }
@@ -473,6 +529,36 @@ mod tests {
         db.merge(&sample_set()).unwrap();
         let back = db.read_epoch(EpochId(0)).unwrap();
         assert_eq!(back.get(ImageId(3), Event::Cycles).unwrap().get(0), 20);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn merge_spanning_sync_batches_lands_every_file() {
+        let root = temp_root("batches");
+        let mut db = ProfileDb::create(&root, Format::V2).unwrap();
+        let mut set = ProfileSet::new();
+        let images = 2 * SYNC_BATCH as u32 + 3;
+        for i in 0..images {
+            set.add(
+                ImageId(i),
+                Event::Cycles,
+                u64::from(i) * 4,
+                u64::from(i) + 1,
+            );
+        }
+        db.merge(&set).unwrap();
+        db.merge(&set).unwrap();
+        let names: Vec<String> = fs::read_dir(db.epoch_path(EpochId(0)))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), images as usize);
+        assert!(names.iter().all(|n| n.ends_with(".prof")), "{names:?}");
+        let back = db.read_epoch(EpochId(0)).unwrap();
+        for i in 0..images {
+            let p = back.get(ImageId(i), Event::Cycles).unwrap();
+            assert_eq!(p.get(u64::from(i) * 4), 2 * (u64::from(i) + 1));
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -6,7 +6,9 @@
 //! (§4.3.3); [`ProfileKey`] mirrors that organization in memory.
 
 use crate::types::{Event, ImageId};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Identifies one profile: an executable image and an event type.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -17,15 +19,19 @@ pub struct ProfileKey {
     pub event: Event,
 }
 
-/// An aggregated profile: a sorted map from image offset (in bytes from the
-/// start of the image text) to the accumulated sample count at that offset.
+/// An aggregated profile: one sorted run of `(offset, count)` pairs, the
+/// offset in bytes from the start of the image text and the count the
+/// samples accumulated there.
 ///
-/// Offsets are kept sorted so that the on-disk codec can delta-encode them
-/// compactly; most executables have large never-executed regions, so
-/// profiles are much smaller than their images (§4.3.3).
+/// Invariant: offsets strictly increase and no count is zero. That is the
+/// shape the on-disk codec delta-encodes (most executables have large
+/// never-executed regions, so profiles are much smaller than their
+/// images, §4.3.3), so decode, merge and encode are each one linear pass.
+/// [`Profile::add`], [`Profile::merge`], `FromIterator` and the decoder
+/// establish the invariant; everything else assumes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
-    counts: BTreeMap<u64, u64>,
+    run: Vec<(u64, u64)>,
 }
 
 impl Profile {
@@ -35,47 +41,96 @@ impl Profile {
         Profile::default()
     }
 
-    /// Adds `count` samples at `offset`.
+    /// Wraps a run the caller has checked: offsets strictly increasing,
+    /// no zero count (the decoder's path).
+    pub(crate) fn from_sorted_run(run: Vec<(u64, u64)>) -> Profile {
+        debug_assert!(run.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(run.iter().all(|&(_, c)| c > 0));
+        Profile { run }
+    }
+
+    /// Adds `count` samples at `offset`. O(1) at or past the last offset;
+    /// a new offset elsewhere shifts the tail, O(len).
     pub fn add(&mut self, offset: u64, count: u64) {
-        if count > 0 {
-            *self.counts.entry(offset).or_insert(0) += count;
+        if count == 0 {
+            return;
+        }
+        match self.run.last_mut() {
+            Some(last) if last.0 == offset => last.1 += count,
+            Some(last) if last.0 > offset => {
+                match self.run.binary_search_by_key(&offset, |&(o, _)| o) {
+                    Ok(i) => self.run[i].1 += count,
+                    Err(i) => self.run.insert(i, (offset, count)),
+                }
+            }
+            _ => self.run.push((offset, count)),
         }
     }
 
     /// Returns the count at `offset` (zero if absent).
     #[must_use]
     pub fn get(&self, offset: u64) -> u64 {
-        self.counts.get(&offset).copied().unwrap_or(0)
+        self.run
+            .binary_search_by_key(&offset, |&(o, _)| o)
+            .map_or(0, |i| self.run[i].1)
     }
 
-    /// Merges another profile into this one, adding counts pointwise.
+    /// Merges another profile into this one, adding counts pointwise: a
+    /// two-pointer merge-join of the two runs.
     pub fn merge(&mut self, other: &Profile) {
-        for (&off, &cnt) in &other.counts {
-            self.add(off, cnt);
+        if self.run.is_empty() {
+            self.run.clone_from(&other.run);
+            return;
         }
+        if other.run.is_empty() {
+            return;
+        }
+        let (a, b) = (std::mem::take(&mut self.run), &other.run);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        self.run = out;
     }
 
     /// Total samples across all offsets.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.run.iter().map(|&(_, c)| c).sum()
     }
 
     /// Number of distinct offsets with nonzero counts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.run.len()
     }
 
     /// True if the profile holds no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.run.is_empty()
     }
 
     /// Iterates `(offset, count)` pairs in increasing offset order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&o, &c)| (o, c))
+        self.run.iter().copied()
     }
 
     /// Sums the counts over the half-open offset range `[lo, hi)`.
@@ -84,7 +139,12 @@ impl Profile {
     /// block.
     #[must_use]
     pub fn range_total(&self, lo: u64, hi: u64) -> u64 {
-        self.counts.range(lo..hi).map(|(_, &c)| c).sum()
+        let start = self.run.partition_point(|&(o, _)| o < lo);
+        self.run[start..]
+            .iter()
+            .take_while(|&&(o, _)| o < hi)
+            .map(|&(_, c)| c)
+            .sum()
     }
 }
 
@@ -249,13 +309,27 @@ impl ProfileSet {
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &ProfileSet) {
         for (key, prof) in &other.profiles {
-            self.profiles.entry(*key).or_default().merge(prof);
+            self.merge_profile(key.image, key.event, prof);
         }
     }
 
-    /// Inserts or merges a whole profile under `key`.
+    /// Merges one whole profile into the one held for `(image, event)`.
+    pub fn merge_profile(&mut self, image: ImageId, event: Event, profile: &Profile) {
+        self.profiles
+            .entry(ProfileKey { image, event })
+            .or_default()
+            .merge(profile);
+    }
+
+    /// Inserts or merges a whole profile under `key`; a profile for a
+    /// vacant key is moved in, not copied.
     pub fn insert(&mut self, key: ProfileKey, profile: Profile) {
-        self.profiles.entry(key).or_default().merge(&profile);
+        match self.profiles.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().merge(&profile),
+            Entry::Vacant(e) => {
+                e.insert(profile);
+            }
+        }
     }
 
     /// Iterates all `(key, profile)` pairs in unspecified order.

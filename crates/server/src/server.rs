@@ -233,7 +233,11 @@ impl IngestServer {
         // anywhere between intent append and merge completion leaves
         // at most that one epoch partial.
         let db = if let Some((epoch, entries)) = intents.last() {
-            rebuild_epoch(&cfg, *epoch, entries, &batches)?
+            let group: Vec<&EpochBatch> =
+                entries.iter().filter_map(|key| batches.get(key)).collect();
+            let mut db = reset_epoch(&cfg, *epoch)?;
+            apply_merge_group(&mut db, *epoch, &group)?;
+            db
         } else {
             // No merge ever happened; start a fresh database (sweeping
             // any partial epoch 0 from a crash before the first merge).
@@ -262,18 +266,18 @@ impl IngestServer {
             replay_note: None,
             cfg,
         };
-        for key @ (agent, seq) in &order {
-            let batch = &batches[key];
-            let s = server.sessions.entry(*agent).or_default();
-            s.last_seq = s.last_seq.max(*seq);
+        for key @ (agent, seq) in order {
+            let batch = batches.remove(&key).expect("order lists journaled keys");
+            let s = server.sessions.entry(agent).or_default();
+            s.last_seq = s.last_seq.max(seq);
             s.uploads += 1;
             ledger_add(&mut s.samples, batch.sample_total());
             s.live = false; // everyone must re-register or heartbeat
-            if merged.contains(key) {
-                server.account_merged(batch);
+            if merged.contains(&key) {
+                server.account_merged(&batch);
             } else {
                 ledger_add(&mut server.ledger.server_journal, batch.sample_total());
-                server.queue.push_back((*agent, *seq, batch.clone()));
+                server.queue.push_back((agent, seq, batch));
                 server.stats.replayed_batches += 1;
             }
         }
@@ -434,7 +438,7 @@ impl IngestServer {
                 incarnation,
                 seq,
                 batch,
-            } => self.on_upload(now, frame, agent, incarnation, seq, &batch),
+            } => self.on_upload(now, frame, agent, incarnation, seq, batch),
             // Server-to-agent messages arriving here are misrouted.
             Msg::RegisterAck { .. }
             | Msg::Ack { .. }
@@ -453,7 +457,7 @@ impl IngestServer {
         agent: u32,
         incarnation: u32,
         seq: u64,
-        batch: &EpochBatch,
+        batch: EpochBatch,
     ) -> Vec<Vec<u8>> {
         let s = self.sessions.entry(agent).or_default();
         if incarnation < s.incarnation {
@@ -526,9 +530,10 @@ impl IngestServer {
         }
         s.last_seq = seq;
         s.uploads += 1;
-        ledger_add(&mut s.samples, batch.sample_total());
-        ledger_add(&mut self.ledger.server_journal, batch.sample_total());
-        self.queue.push_back((agent, seq, batch.clone()));
+        let (samples, seal_cycle) = (batch.sample_total(), batch.seal_cycle);
+        ledger_add(&mut s.samples, samples);
+        ledger_add(&mut self.ledger.server_journal, samples);
+        self.queue.push_back((agent, seq, batch));
         self.stats.accepted += 1;
         let backpressure = self.backpressure();
         if backpressure {
@@ -536,9 +541,7 @@ impl IngestServer {
         }
         if self.obs.is_enabled() {
             self.obs.counter("server.accepted").inc(0);
-            self.obs
-                .counter("server.journaled_samples")
-                .add(0, batch.sample_total());
+            self.obs.counter("server.journaled_samples").add(0, samples);
             self.obs
                 .gauge("server.queue_depth")
                 .set(self.queue.len() as u64);
@@ -555,7 +558,7 @@ impl IngestServer {
                 "server.ack",
                 now,
                 span_id(agent, seq),
-                now.saturating_sub(batch.seal_cycle),
+                now.saturating_sub(seal_cycle),
             );
         }
         vec![encode_msg(&Msg::Ack {
@@ -616,32 +619,10 @@ impl IngestServer {
         entries.sort_unstable();
         let epoch = self.merges_done;
         self.wal.append_intent(epoch, &entries)?;
-        if epoch > 0 {
-            // Epoch 0 exists from create; later merges open a new one.
-            while self.db.current_epoch().0 < epoch {
-                self.db.new_epoch().map_err(db_err)?;
-            }
-        }
-        let set = build_profile_set(group.iter().map(|(_, _, b)| b));
-        self.db.merge(&set).map_err(db_err)?;
-        // Calling-context sections ride the same batches: fold them
-        // into this merge epoch's sidecar and the in-memory fleet view.
-        // Stack-less (v1) agents contribute empty sections and cost
-        // nothing here.
-        let mut epoch_stacks = StackProfile::new();
-        for (_, _, batch) in &group {
-            if !batch.stacks.is_empty() {
-                epoch_stacks.merge(&batch.stacks);
-            }
-        }
-        if !epoch_stacks.is_empty() {
-            write_epoch_stacks(&self.db, self.db.current_epoch(), &epoch_stacks).map_err(db_err)?;
-            self.fleet_stacks.merge(&epoch_stacks);
-        }
+        let batches: Vec<&EpochBatch> = group.iter().map(|(_, _, b)| b).collect();
+        let epoch_stacks = apply_merge_group(&mut self.db, epoch, &batches)?;
+        self.fleet_stacks.merge(&epoch_stacks);
         for (agent, seq, batch) in &group {
-            for (image, name) in &batch.image_names {
-                self.db.record_image_name(*image, name).map_err(db_err)?;
-            }
             let total = batch.sample_total();
             let j = &mut self.ledger.server_journal;
             debug_assert!(*j >= total, "journal bucket underflow");
@@ -690,63 +671,56 @@ impl IngestServer {
     }
 }
 
-/// Groups batch profiles into one [`ProfileSet`] for a database merge.
-fn build_profile_set<'a>(batches: impl Iterator<Item = &'a EpochBatch>) -> ProfileSet {
+/// Applies one merge group to the fleet database: opens `epoch`, merges
+/// the batches' profiles into it profile by profile, writes the epoch's
+/// calling-context sidecar and records first-seen image names. Returns
+/// the group's folded stacks. Live ingest and WAL replay both land here,
+/// so one merge intent always produces the same bytes. Stack-less (v1)
+/// agents contribute empty sections and cost nothing.
+fn apply_merge_group(
+    db: &mut ProfileDb,
+    epoch: u32,
+    batches: &[&EpochBatch],
+) -> io::Result<StackProfile> {
+    // Epoch 0 exists from create; later merges open a new one.
+    while db.current_epoch().0 < epoch {
+        db.new_epoch().map_err(db_err)?;
+    }
     let mut set = ProfileSet::new();
+    let mut stacks = StackProfile::new();
     for batch in batches {
         for (image, event, profile) in &batch.profiles {
-            for (offset, count) in profile.iter() {
-                set.add(*image, *event, offset, count);
-            }
-        }
-    }
-    set
-}
-
-/// Rebuilds fleet-database epoch `epoch` from the journaled batches
-/// listed in the last merge intent, deleting whatever partial state a
-/// crash left there. Deterministic: the same WAL always produces the
-/// same bytes.
-fn rebuild_epoch(
-    cfg: &ServerConfig,
-    epoch: u32,
-    entries: &[(u32, u64)],
-    batches: &BTreeMap<(u32, u64), EpochBatch>,
-) -> io::Result<ProfileDb> {
-    let db_path = cfg.db_path();
-    let epoch_dir = db_path.join(format!("epoch_{epoch:04}"));
-    if epoch_dir.exists() {
-        std::fs::remove_dir_all(&epoch_dir)?;
-    }
-    // Sweep any epochs past the intent (cannot exist in a correct log,
-    // but a half-written directory from foul play should not survive).
-    let mut db = if epoch == 0 {
-        ProfileDb::create(&db_path, cfg.format).map_err(db_err)?
-    } else {
-        let mut db = ProfileDb::open(&db_path, cfg.format).map_err(db_err)?;
-        while db.current_epoch().0 < epoch {
-            db.new_epoch().map_err(db_err)?;
-        }
-        db
-    };
-    let group: Vec<&EpochBatch> = entries.iter().filter_map(|key| batches.get(key)).collect();
-    let set = build_profile_set(group.iter().copied());
-    db.merge(&set).map_err(db_err)?;
-    let mut stacks = StackProfile::new();
-    for batch in &group {
-        for (image, name) in &batch.image_names {
-            db.record_image_name(*image, name).map_err(db_err)?;
+            set.merge_profile(*image, *event, profile);
         }
         if !batch.stacks.is_empty() {
             stacks.merge(&batch.stacks);
         }
     }
+    db.merge(&set).map_err(db_err)?;
     if !stacks.is_empty() {
-        // The epoch directory was swept above, so this rewrite of the
-        // calling-context sidecar is from-scratch and deterministic.
-        write_epoch_stacks(&db, db.current_epoch(), &stacks).map_err(db_err)?;
+        write_epoch_stacks(db, db.current_epoch(), &stacks).map_err(db_err)?;
     }
-    Ok(db)
+    for (image, name) in batches.iter().flat_map(|b| &b.image_names) {
+        db.record_image_name(*image, name).map_err(db_err)?;
+    }
+    Ok(stacks)
+}
+
+/// Opens the fleet database for a replay of merge epoch `epoch`,
+/// deleting whatever partial state a crash left in that epoch so the
+/// rebuild is from scratch and deterministic: the same WAL always
+/// produces the same bytes.
+fn reset_epoch(cfg: &ServerConfig, epoch: u32) -> io::Result<ProfileDb> {
+    let db_path = cfg.db_path();
+    let epoch_dir = db_path.join(format!("epoch_{epoch:04}"));
+    if epoch_dir.exists() {
+        std::fs::remove_dir_all(&epoch_dir)?;
+    }
+    if epoch == 0 {
+        ProfileDb::create(&db_path, cfg.format).map_err(db_err)
+    } else {
+        ProfileDb::open(&db_path, cfg.format).map_err(db_err)
+    }
 }
 
 fn db_err(e: dcpi_core::Error) -> io::Error {

@@ -14,6 +14,7 @@
 //! seeded runs) merge in a deterministic order.
 
 use crate::table::{Frame, StackTable};
+use dcpi_core::codec::put_varint;
 use dcpi_core::{Event, ImageId, Pid};
 use std::collections::BTreeMap;
 
@@ -174,19 +175,6 @@ impl StackProfile {
             return Err("trailing bytes after stack profile".into());
         }
         Ok(StackProfile { table, counts })
-    }
-}
-
-/// LEB128-style varint append.
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
     }
 }
 
