@@ -203,7 +203,9 @@ impl Msg {
     }
 }
 
-fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
+/// Appends a ledger as six varints (the `Upload` payload's encoding; the
+/// server's WAL checkpoint reuses it).
+pub fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
     codec::put_varint(buf, l.generated);
     codec::put_varint(buf, l.attributed);
     codec::put_varint(buf, l.unknown);
@@ -212,7 +214,13 @@ fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
     codec::put_varint(buf, l.quarantined);
 }
 
-fn get_ledger(buf: &mut &[u8]) -> Result<LossLedger> {
+/// Reads a ledger written by [`put_ledger`], advancing `buf`.
+///
+/// # Errors
+///
+/// Returns [`Error::Corrupt`](dcpi_core::Error::Corrupt) on a truncated
+/// or overlong varint.
+pub fn get_ledger(buf: &mut &[u8]) -> Result<LossLedger> {
     Ok(LossLedger {
         generated: codec::get_varint(buf)?,
         attributed: codec::get_varint(buf)?,

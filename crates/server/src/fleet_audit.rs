@@ -1,37 +1,40 @@
 //! Offline audit of a fleet server root — the `dcpicheck fleet` layer.
 //!
 //! Everything the server promises is re-derivable from its root
-//! directory: the WAL names every accepted batch and every merge, the
+//! directory: the WAL's checkpoint records what every landed merge left
+//! behind and the records after it name every batch accepted since, the
 //! database holds the merges' results, and `fleet.json` (when present)
 //! records the harness's own accounting. [`check_fleet`] re-derives all
 //! of it independently and reports disagreements:
 //!
-//! * **WAL structure** — records parse, journaled frames decode as
-//!   `Upload` messages, the tail is clean (a torn tail is a warning:
-//!   it is exactly what a crash mid-append leaves, and reopening
-//!   repairs it).
-//! * **Sequence discipline** — per agent, journaled sequence numbers
-//!   are exactly `1..=max` with no duplicates: a gap means an acked
-//!   epoch vanished; a duplicate means dedup failed and a batch could
-//!   double-count.
-//! * **Merge intents** — epochs numbered `0, 1, 2, …` in order, every
-//!   entry backed by a journaled batch, no batch claimed twice.
-//! * **Database agreement** — each completed intent's epoch exists and
-//!   its sample total matches the journaled batches named by the
-//!   intent (the last intent is warning-only: a crash between intent
-//!   and merge is recoverable by replay).
-//! * **Conservation** — the summed per-epoch ledger deltas obey
-//!   `generated = attributed + unknown + driver_dropped + crash_lost +
-//!   quarantined`, and `fleet.json`'s totals match the WAL's.
+//! * **WAL structure** — records parse in the order `checkpoint? frame*
+//!   intent?`, journaled frames decode as `Upload` messages, the tail is
+//!   clean (a torn tail is a warning: it is exactly what a crash
+//!   mid-append leaves, and reopening repairs it).
+//! * **Sequence discipline** — per agent, the sequence numbers journaled
+//!   since the checkpoint are exactly `last_seq+1 ..= max`: a gap means
+//!   an acked epoch vanished; a repeat means dedup failed and a batch
+//!   could double-count.
+//! * **Merge intent** — at most one, last, targeting the epoch after the
+//!   checkpoint's and naming exactly the journaled batches, each once.
+//! * **Database agreement** — the newest epoch is the one the checkpoint
+//!   says merged last (anything else is a damaged log head or a foreign
+//!   database) and each merged epoch holds the sample total the
+//!   checkpoint recorded for it. The trailing intent's epoch is
+//!   warning-only: a crash between intent and rotation is recoverable by
+//!   replay.
+//! * **Conservation** — the checkpoint's ledger plus the journaled
+//!   deltas obeys `generated = attributed + unknown + driver_dropped +
+//!   crash_lost + quarantined`, the checkpoint's own totals agree with
+//!   each other, and `fleet.json`'s totals match the WAL's.
 
-use crate::journal::{self, WalRecord, WAL_FILE};
+use crate::journal::{self, Checkpoint, WAL_FILE};
+use crate::server::epochs_disagree;
 use dcpi_check::{Category, Report, Severity};
 use dcpi_collect::faults::LossLedger;
-use dcpi_collect::wire::{decode_msg, EpochBatch, Msg};
 use dcpi_core::codec::Format;
 use dcpi_core::db::{EpochId, ProfileDb};
-use dcpi_core::UNKNOWN_IMAGE;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Audits a fleet server root (the directory holding `wal.log`, `db/`,
@@ -41,21 +44,31 @@ use std::path::Path;
 pub fn check_fleet(root: &Path) -> Report {
     let mut report = Report::new();
     let wal_path = root.join(WAL_FILE);
+    let ctx = root.display().to_string();
+    let unreadable = |report: &mut Report, e: std::io::Error| {
+        report.push(
+            Severity::Error,
+            Category::WalStructure,
+            wal_path.display().to_string(),
+            None,
+            None,
+            format!("WAL unreadable: {e}"),
+        );
+    };
     let scan = match journal::scan(&wal_path) {
         Ok(s) => s,
         Err(e) => {
-            report.push(
-                Severity::Error,
-                Category::WalStructure,
-                wal_path.display().to_string(),
-                None,
-                None,
-                format!("WAL unreadable: {e}"),
-            );
+            unreadable(&mut report, e);
             return report;
         }
     };
-    let ctx = root.display().to_string();
+    let tail = match scan.tail() {
+        Ok(t) => t,
+        Err(e) => {
+            unreadable(&mut report, e);
+            return report;
+        }
+    };
     if !scan.is_clean_tail() {
         report.push(
             Severity::Warning,
@@ -70,131 +83,87 @@ pub fn check_fleet(root: &Path) -> Report {
             ),
         );
     }
+    let ckpt = tail.checkpoint.cloned().unwrap_or_default();
 
-    // Decode journaled frames; collect intents.
-    let mut batches: BTreeMap<(u32, u64), EpochBatch> = BTreeMap::new();
-    let mut intents: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-    for (i, rec) in scan.records.iter().enumerate() {
-        match rec {
-            WalRecord::Frame(bytes) => match decode_msg(bytes) {
-                Ok(Msg::Upload {
-                    agent, seq, batch, ..
-                }) => {
-                    if batches.insert((agent, seq), batch).is_some() {
-                        report.push(
-                            Severity::Error,
-                            Category::SeqGap,
-                            &ctx,
-                            None,
-                            Some(i),
-                            format!(
-                                "agent {agent} seq {seq} journaled more than once \
-                                 (dedup failed; samples would double-count)"
-                            ),
-                        );
-                    }
+    // Decode the frames journaled since the checkpoint. Per agent they
+    // must continue its sequence exactly: last_seq+1, +2, …
+    let mut last_seq: BTreeMap<u32, u64> =
+        (ckpt.agents.iter().map(|(&agent, a)| (agent, a.last_seq))).collect();
+    // `(agent, seq)` → sample total of each journaled batch.
+    let mut batches: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+    let mut fleet = ckpt.ledger;
+    for (i, frame) in tail.frames.iter().enumerate() {
+        let record = Some(i + usize::from(tail.checkpoint.is_some()));
+        match journal::decode_upload(frame) {
+            Ok((agent, seq, batch)) => {
+                let last = last_seq.entry(agent).or_default();
+                if seq != *last + 1 {
+                    let what = if seq <= *last {
+                        "journaled more than once (dedup failed; samples would double-count)"
+                    } else {
+                        "journaled across a gap (an acked epoch vanished)"
+                    };
+                    report.push(
+                        Severity::Error,
+                        Category::SeqGap,
+                        &ctx,
+                        None,
+                        record,
+                        format!("agent {agent} seq {seq} {what}: expected seq {}", *last + 1),
+                    );
                 }
-                Ok(other) => report.push(
-                    Severity::Error,
-                    Category::WalStructure,
-                    &ctx,
-                    None,
-                    Some(i),
-                    format!(
-                        "journaled frame is not an Upload (type {})",
-                        other.type_code()
-                    ),
-                ),
-                Err(e) => report.push(
-                    Severity::Error,
-                    Category::WalStructure,
-                    &ctx,
-                    None,
-                    Some(i),
-                    format!("journaled frame fails to decode: {e}"),
-                ),
-            },
-            WalRecord::MergeIntent { epoch, entries } => {
-                intents.push((*epoch, entries.clone()));
+                *last = seq.max(*last);
+                fleet.merge(&batch.ledger);
+                batches.insert((agent, seq), batch.sample_total());
             }
+            Err(why) => report.push(
+                Severity::Error,
+                Category::WalStructure,
+                &ctx,
+                None,
+                record,
+                why,
+            ),
         }
     }
 
-    // Per-agent sequence contiguity: exactly 1..=max, no gaps.
-    let mut per_agent: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
-    for (agent, seq) in batches.keys() {
-        per_agent.entry(*agent).or_default().insert(*seq);
-    }
-    for (agent, seqs) in &per_agent {
-        let max = seqs.iter().next_back().copied().unwrap_or(0);
-        for want in 1..=max {
-            if !seqs.contains(&want) {
-                report.push(
-                    Severity::Error,
-                    Category::SeqGap,
-                    &ctx,
-                    None,
-                    None,
-                    format!(
-                        "agent {agent}: seq {want} missing from the journal \
-                         (acked epochs must be contiguous 1..={max})"
-                    ),
-                );
-            }
-        }
-    }
-
-    // Merge intents: epoch numbering, backing batches, no double claims.
-    let mut claimed: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-    for (i, (epoch, entries)) in intents.iter().enumerate() {
-        if *epoch != i as u32 {
+    // The trailing intent: next epoch, exactly the journaled batches.
+    let merged = ckpt.epochs_merged();
+    if let Some((epoch, entries)) = tail.intent {
+        let mut complain = |why: String| {
             report.push(
                 Severity::Error,
                 Category::MergeIntent,
                 &ctx,
                 None,
-                Some(i),
-                format!("merge intent {i} targets epoch {epoch} (want {i})"),
+                Some(merged as usize),
+                why,
             );
+        };
+        if epoch != merged {
+            complain(format!(
+                "merge intent targets epoch {epoch} (want {merged}, the one after \
+                 the checkpoint's)"
+            ));
         }
-        for key @ (agent, seq) in entries {
-            if !batches.contains_key(key) {
-                report.push(
-                    Severity::Error,
-                    Category::MergeIntent,
-                    &ctx,
-                    None,
-                    Some(i),
-                    format!(
-                        "intent for epoch {epoch} names agent {agent} seq {seq}, \
-                         which the journal does not hold"
-                    ),
-                );
-            }
-            if let Some(prev) = claimed.insert(*key, *epoch) {
-                report.push(
-                    Severity::Error,
-                    Category::MergeIntent,
-                    &ctx,
-                    None,
-                    Some(i),
-                    format!(
-                        "agent {agent} seq {seq} claimed by epoch {prev} and \
-                         epoch {epoch} (a batch must merge exactly once)"
-                    ),
-                );
-            }
+        if !entries.iter().eq(batches.keys()) {
+            complain(format!(
+                "intent for epoch {epoch} names {} batch(es), not exactly the {} \
+                 journaled since the checkpoint (a merge drains the whole queue, \
+                 each batch once)",
+                entries.len(),
+                batches.len()
+            ));
         }
     }
 
-    // Database agreement, per intent and in total.
-    check_db(&mut report, root, &ctx, &batches, &intents);
+    // Database agreement: newest epoch, then per-epoch totals.
+    let intent_total = tail
+        .intent
+        .map(|(_, entries)| entries.iter().filter_map(|key| batches.get(key)).sum());
+    check_db(&mut report, root, &ctx, &ckpt, intent_total);
 
-    // Conservation over the summed journaled deltas.
-    let mut fleet = LossLedger::default();
-    for batch in batches.values() {
-        fleet.merge(&batch.ledger);
-    }
+    // Conservation over the checkpoint plus the journaled deltas.
     if !fleet.conserves() {
         report.push(
             Severity::Error,
@@ -208,23 +177,38 @@ pub fn check_fleet(root: &Path) -> Report {
             ),
         );
     }
+    let by_epoch: u64 = ckpt.epoch_totals.iter().sum();
+    if by_epoch != ckpt.fleet_merged {
+        report.push(
+            Severity::Error,
+            Category::FleetConservation,
+            &ctx,
+            None,
+            Some(0),
+            format!(
+                "checkpoint records {} merged sample(s) but its epochs sum to {by_epoch}",
+                ckpt.fleet_merged
+            ),
+        );
+    }
     check_fleet_json(&mut report, root, &ctx, &fleet);
     report
 }
 
+/// `intent_total` is the sample total of the batches a trailing intent
+/// names, if the log ends in one.
 fn check_db(
     report: &mut Report,
     root: &Path,
     ctx: &str,
-    batches: &BTreeMap<(u32, u64), EpochBatch>,
-    intents: &[(u32, Vec<(u32, u64)>)],
+    ckpt: &Checkpoint,
+    intent_total: Option<u64>,
 ) {
-    let db_path = root.join("db");
-    if intents.is_empty() {
-        return; // Nothing merged yet; an absent or empty db is fine.
-    }
-    let db = match ProfileDb::open(&db_path, Format::V2) {
+    let merged = ckpt.epochs_merged();
+    let db = match ProfileDb::open(root.join("db"), Format::V2) {
         Ok(db) => db,
+        // Nothing merged yet; an absent or epoch-less db is fine.
+        Err(_) if merged == 0 && intent_total.is_none() => return,
         Err(e) => {
             report.push(
                 Severity::Error,
@@ -233,82 +217,49 @@ fn check_db(
                 None,
                 None,
                 format!(
-                    "{} merge intent(s) journaled but the fleet database \
-                     does not open: {e}",
-                    intents.len()
+                    "{merged} merged epoch(s) checkpointed but the fleet database \
+                     does not open: {e}"
                 ),
             );
             return;
         }
     };
-    let last = intents.len() - 1;
-    let mut named_images: BTreeSet<u32> = BTreeSet::new();
-    for (i, (epoch, entries)) in intents.iter().enumerate() {
-        // A crash between the last intent and its merge completing is
-        // recoverable by replay, so the last intent only warns.
-        let severity = if i == last {
-            Severity::Warning
-        } else {
-            Severity::Error
-        };
-        let expected: u64 = entries
-            .iter()
-            .filter_map(|key| batches.get(key))
-            .map(EpochBatch::sample_total)
-            .sum();
-        for key in entries {
-            if let Some(batch) = batches.get(key) {
-                named_images.extend(batch.image_names.iter().map(|(img, _)| img.0));
-            }
+    // Mid-merge the intent's epoch may or may not exist yet.
+    if let Some(why) = epochs_disagree(&db, merged) {
+        if intent_total.is_none() || epochs_disagree(&db, merged + 1).is_some() {
+            report.push(Severity::Error, Category::FleetDb, ctx, None, None, why);
         }
-        match db.read_epoch(EpochId(*epoch)) {
-            Ok(set) => {
-                let got = set.total_samples();
-                if got != expected {
-                    report.push(
-                        severity,
-                        Category::FleetDb,
-                        ctx,
-                        None,
-                        Some(i),
-                        format!(
-                            "epoch {epoch}: database holds {got} sample(s), the \
-                             journaled batches named by its intent hold {expected}"
-                        ),
-                    );
-                }
-            }
+    }
+    let settled = ckpt.epoch_totals.iter().map(|&t| (Severity::Error, t));
+    // A crash between the intent and the rotation is recoverable by
+    // replay, so the trailing intent only warns.
+    let pending = intent_total.map(|t| (Severity::Warning, t));
+    for (epoch, (severity, want)) in settled.chain(pending).enumerate() {
+        let source = match severity {
+            Severity::Error => "the checkpoint records",
+            _ => "the journaled batches named by its intent hold",
+        };
+        match db.read_epoch(EpochId(epoch as u32)) {
+            Ok(set) if set.total_samples() == want => {}
+            Ok(set) => report.push(
+                severity,
+                Category::FleetDb,
+                ctx,
+                None,
+                Some(epoch),
+                format!(
+                    "epoch {epoch}: database holds {} sample(s), {source} {want}",
+                    set.total_samples()
+                ),
+            ),
             Err(e) => report.push(
                 severity,
                 Category::FleetDb,
                 ctx,
                 None,
-                Some(i),
-                format!("epoch {epoch} named by a merge intent is unreadable: {e}"),
+                Some(epoch),
+                format!("epoch {epoch} is unreadable: {e}"),
             ),
-        }
-    }
-    // Every profiled image should be nameable (warning: names travel in
-    // epoch-0 batches and can be legitimately lost to an agent crash).
-    if let Ok(all) = db.read_all() {
-        for key in all.sorted_keys() {
-            if key.image != UNKNOWN_IMAGE
-                && db.image_name(key.image).is_none()
-                && named_images.contains(&key.image.0)
-            {
-                report.push(
-                    Severity::Warning,
-                    Category::FleetDb,
-                    ctx,
-                    None,
-                    None,
-                    format!(
-                        "image {} was profiled and a journaled batch names it, \
-                         but the database has no name record",
-                        key.image.0
-                    ),
-                );
-            }
         }
     }
 }
@@ -376,6 +327,7 @@ fn check_fleet_json(report: &mut Report, root: &Path, ctx: &str, wal_total: &Los
 mod tests {
     use super::*;
     use crate::fleet::{run_fleet, FleetConfig};
+    use crate::server::{IngestServer, ServerConfig};
     use dcpi_obs::Obs;
     use std::path::PathBuf;
 
@@ -431,6 +383,102 @@ mod tests {
             .diags
             .iter()
             .any(|d| d.category == Category::WalStructure));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// `reopen` must refuse the root and the audit must flag the database
+    /// with an error saying `needle`.
+    fn assert_refused(root: &Path, needle: &str) {
+        let err = IngestServer::reopen(ServerConfig::new(root), 0).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(needle), "{err}");
+        let audit = check_fleet(root);
+        assert!(
+            audit.diags.iter().any(|d| d.severity == Severity::Error
+                && d.category == Category::FleetDb
+                && d.message.contains(needle)),
+            "{}",
+            audit.render()
+        );
+    }
+
+    #[test]
+    fn damaged_log_head_is_refused_not_restarted_at_epoch_zero() {
+        let root = temp_root("head");
+        run_fleet(&FleetConfig::new(&root, 6, 17), &Obs::default()).unwrap();
+        let wal = root.join(WAL_FILE);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[7] ^= 0x40; // inside the checkpoint, the log's first record
+        std::fs::write(&wal, &bytes).unwrap();
+        let scan = journal::scan(&wal).unwrap();
+        assert!(scan.records.is_empty() && scan.torn_bytes > 0);
+        // Taking this for "no merge ever happened" would merge the next
+        // batches into epoch 0 a second time.
+        assert_refused(&root, "records 0 merged epoch(s)");
+        assert_refused(&root, "expected an empty epoch 0");
+        assert_eq!(
+            std::fs::read(&wal).unwrap(),
+            bytes,
+            "refusing wrote nothing"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_and_database_must_agree_on_the_newest_epoch() {
+        let root = temp_root("newest");
+        run_fleet(&FleetConfig::new(&root, 6, 19), &Obs::default()).unwrap();
+        let scan = journal::scan(&root.join(WAL_FILE)).unwrap();
+        let merged = scan.tail().unwrap().checkpoint.unwrap().epochs_merged();
+        assert!(merged >= 2, "{merged}");
+        let epoch_dir = |e: u32| root.join(format!("db/epoch_{e:04}"));
+        // An epoch the log knows nothing about.
+        std::fs::create_dir(epoch_dir(merged)).unwrap();
+        assert_refused(
+            &root,
+            &format!("newest is epoch {merged} (expected epoch {})", merged - 1),
+        );
+        std::fs::remove_dir(epoch_dir(merged)).unwrap();
+        assert!(check_fleet(&root).is_clean());
+        // The newest merged epoch gone.
+        std::fs::remove_dir_all(epoch_dir(merged - 1)).unwrap();
+        assert_refused(
+            &root,
+            &format!(
+                "newest is epoch {} (expected epoch {})",
+                merged - 2,
+                merged - 1
+            ),
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn trailing_intent_only_warns_but_must_name_the_journal() {
+        let root = temp_root("intent");
+        let cfg = FleetConfig::new(&root, 4, 23);
+        run_fleet(&cfg, &Obs::default()).unwrap();
+        let merged = {
+            let scan = journal::scan(&root.join(WAL_FILE)).unwrap();
+            scan.tail().unwrap().checkpoint.unwrap().epochs_merged()
+        };
+        // A well-formed intent for the next epoch over an empty queue: the
+        // crash-mid-merge shape. Its epoch does not exist yet — a warning.
+        let mut wal = journal::Journal::open(&root).unwrap();
+        wal.append_intent(merged, &[]).unwrap();
+        let audit = check_fleet(&root);
+        assert_eq!(audit.errors(), 0, "{}", audit.render());
+        assert!(audit
+            .diags
+            .iter()
+            .any(|d| d.severity == Severity::Warning && d.category == Category::FleetDb));
+        // A second intent is not a log this server writes.
+        wal.append_intent(merged + 1, &[(0, 99)]).unwrap();
+        let audit = check_fleet(&root);
+        assert!(audit
+            .diags
+            .iter()
+            .any(|d| d.severity == Severity::Error && d.category == Category::WalStructure));
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -4,9 +4,11 @@
 //! the building and ships profiles to a central repository. This crate
 //! is that repository's server side, grown onto the simulated stack:
 //!
-//! * [`journal`] — the append-only WAL. Accepted uploads are journaled
+//! * [`journal`] — the checkpointed WAL. Accepted uploads are journaled
 //!   *before* they are acked, so an ack is a durability promise that
-//!   survives any server crash point.
+//!   survives a crash of the server process at any point; every merge
+//!   rotates the log down to one checkpoint record, so recovery reads
+//!   what is unmerged, not the history.
 //! * [`server`] — [`server::IngestServer`]: per-agent sessions
 //!   (registration, leases, incarnation-based crash detection),
 //!   sequence-number dedup, a bounded ingest queue with backpressure,

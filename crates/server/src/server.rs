@@ -15,14 +15,16 @@
 //! epoch is merged exactly once, no matter how the network duplicates,
 //! reorders, or how often either side crashes.
 //!
-//! Crash recovery ([`IngestServer::reopen`]) replays the WAL: sessions
-//! are rebuilt from journaled frames, the last merge intent's epoch is
-//! rebuilt unconditionally (see [`crate::journal`]), and journaled but
-//! unmerged batches re-enter the ingest queue. Acked data therefore
-//! survives any crash point — the chaos suite's zero-acked-loss
-//! criterion.
+//! Every merge ends by rotating the WAL down to one checkpoint record
+//! (see [`crate::journal`]), so crash recovery ([`IngestServer::reopen`])
+//! costs what is unmerged, not what was ever uploaded: state starts from
+//! the checkpoint, the frames after it re-enter the ingest queue, and a
+//! log that ends in a merge intent — a crash mid-merge — has exactly
+//! that epoch rebuilt and checkpointed. Acked data therefore survives a
+//! process crash at any point — the chaos suite's zero-acked-loss
+//! criterion and `tests/crash_points.rs`, which visits every point.
 
-use crate::journal::{self, Journal, WalRecord};
+use crate::journal::{self, AgentTotals, Checkpoint, Journal};
 use dcpi_collect::daemon::{read_all_stacks, write_epoch_stacks};
 use dcpi_collect::faults::{ledger_add, FleetLedger};
 use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg};
@@ -32,7 +34,6 @@ use dcpi_core::profile::ProfileSet;
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
 use dcpi_obs::{span_id, Component, Obs};
 use dcpi_stacks::StackProfile;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
@@ -86,16 +87,14 @@ pub struct AgentSession {
     /// advertise none). Zero until the agent registers — including
     /// after a server reopen, when everyone must re-register anyway.
     pub features: u64,
-    /// Highest journaled sequence number.
-    pub last_seq: u64,
+    /// What the journal holds for this agent — `last_seq` is the dedup
+    /// high-water mark. The only part of a session that survives a
+    /// reopen (through the checkpoint and the frames after it).
+    pub journaled: AgentTotals,
     /// Last tick the agent was heard from.
     pub last_heard: u64,
-    /// Uploads journaled.
-    pub uploads: u64,
     /// Duplicate uploads discarded.
     pub duplicates: u64,
-    /// Samples journaled from this agent.
-    pub samples: u64,
     /// Times the agent re-registered with a new incarnation (crash
     /// recoveries observed).
     pub reincarnations: u64,
@@ -143,7 +142,9 @@ pub struct IngestServer {
     /// batches, `server_journal` the queue. `in_flight` is agent-side
     /// and stays zero here — the fleet harness fills it in.
     ledger: FleetLedger,
-    merges_done: u32,
+    /// Sample total of each merged epoch; its length is the next merge's
+    /// target epoch.
+    epoch_totals: Vec<u64>,
     next_merge: u64,
     /// Ingest lag (seal tick → fleet-db visibility tick) of every batch
     /// merged by this server incarnation, in merge order. The seal tick
@@ -154,10 +155,6 @@ pub struct IngestServer {
     lags: Vec<u64>,
     /// Last tick each agent had a batch become visible (freshness SLO).
     agent_visible: BTreeMap<u32, u64>,
-    /// Fleet-wide calling-context profile accumulated from merged
-    /// batches (only agents advertising `FEATURE_STACKS` contribute;
-    /// sample accounting stays with the flat profiles and the ledger).
-    fleet_stacks: StackProfile,
     /// Counters.
     pub stats: ServerStats,
     obs: Obs,
@@ -167,119 +164,101 @@ pub struct IngestServer {
 }
 
 impl IngestServer {
-    /// Creates a fresh server rooted at `cfg.root` (a new WAL and an
-    /// empty fleet database).
+    /// Creates a server rooted at `cfg.root` — an empty WAL and an empty
+    /// fleet database. Recovery is the normal path: this is
+    /// [`IngestServer::reopen`] of a root with nothing in it.
     ///
     /// # Errors
     ///
     /// Returns an I/O error if the root cannot be created.
     pub fn create(cfg: ServerConfig) -> io::Result<IngestServer> {
         std::fs::create_dir_all(&cfg.root)?;
-        let wal = Journal::open(&cfg.root)?;
-        let db = ProfileDb::create(cfg.db_path(), cfg.format).map_err(db_err)?;
-        let next_merge = cfg.merge_every;
-        Ok(IngestServer {
-            cfg,
-            wal,
-            db,
-            sessions: BTreeMap::new(),
-            queue: VecDeque::new(),
-            ledger: FleetLedger::default(),
-            merges_done: 0,
-            next_merge,
-            lags: Vec::new(),
-            agent_visible: BTreeMap::new(),
-            fleet_stacks: StackProfile::new(),
-            stats: ServerStats::default(),
-            obs: Obs::default(),
-            replay_note: None,
-        })
+        let mut server = IngestServer::reopen(cfg, 0)?;
+        server.replay_note = None;
+        Ok(server)
     }
 
-    /// Reopens a server after a crash: truncates any torn WAL tail,
-    /// rebuilds the last merge intent's epoch from journaled frames
-    /// (idempotent — see [`crate::journal`]), reconstructs per-agent
-    /// sessions and the ledger, and re-queues journaled-but-unmerged
-    /// batches. Nothing that was acked is lost.
+    /// Reopens a server after a crash from one scan of the WAL: state
+    /// starts from the checkpoint at its head (or empty), the frames after
+    /// it rebuild the sessions and re-enter the ingest queue, and a torn
+    /// tail is truncated. A log ending in a merge intent is a crash
+    /// mid-merge: that epoch is swept, rebuilt from the queue and
+    /// checkpointed. Nothing that was acked is lost, and a root that was
+    /// shut down cleanly is not written to.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the WAL or database cannot be read.
+    /// Returns `InvalidData` — before touching the root — if the log is
+    /// not one this build writes (see [`journal::WalScan::tail`]), a
+    /// journaled frame is not the next upload of its agent, the intent
+    /// does not name exactly the queued batches, or the database's newest
+    /// epoch is not the one the log says was merged last (which is also
+    /// what a damaged log head looks like). Returns other I/O errors if
+    /// the WAL or database cannot be read.
     pub fn reopen(cfg: ServerConfig, now: u64) -> io::Result<IngestServer> {
         let scan = journal::scan(&cfg.root.join(journal::WAL_FILE))?;
-        // Decode journaled frames and collect merge intents.
-        let mut batches: BTreeMap<(u32, u64), EpochBatch> = BTreeMap::new();
-        let mut order: Vec<(u32, u64)> = Vec::new();
-        let mut intents: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-        for rec in &scan.records {
-            match rec {
-                WalRecord::Frame(bytes) => {
-                    if let Ok(Msg::Upload {
-                        agent, seq, batch, ..
-                    }) = decode_msg(bytes)
-                    {
-                        if let Entry::Vacant(v) = batches.entry((agent, seq)) {
-                            v.insert(batch);
-                            order.push((agent, seq));
-                        }
-                    }
-                }
-                WalRecord::MergeIntent { epoch, entries } => {
-                    intents.push((*epoch, entries.clone()));
-                }
+        let tail = scan.tail()?;
+        let ckpt = tail.checkpoint.cloned().unwrap_or_default();
+        let mut sessions: BTreeMap<u32, AgentSession> = BTreeMap::new();
+        for (&agent, &journaled) in &ckpt.agents {
+            // `live` stays false: everyone must re-register or heartbeat.
+            let session = AgentSession {
+                journaled,
+                ..AgentSession::default()
+            };
+            sessions.insert(agent, session);
+        }
+        let mut ledger = FleetLedger {
+            base: ckpt.ledger,
+            fleet_merged: ckpt.fleet_merged,
+            ..FleetLedger::default()
+        };
+        let mut queue = VecDeque::with_capacity(tail.frames.len());
+        for frame in &tail.frames {
+            let (agent, seq, batch) = journal::decode_upload(frame).map_err(invalid)?;
+            let s = sessions.entry(agent).or_default();
+            if seq != s.journaled.last_seq + 1 {
+                return Err(invalid(format!(
+                    "agent {agent}: journaled seq {seq} follows seq {}",
+                    s.journaled.last_seq
+                )));
+            }
+            s.journaled.add(seq, &batch);
+            ledger_add(&mut ledger.server_journal, batch.sample_total());
+            queue.push_back((agent, seq, batch));
+        }
+        let merged = ckpt.epochs_merged();
+        if let Some((epoch, entries)) = tail.intent {
+            if epoch != merged || entries != queued_keys(&queue) {
+                return Err(invalid(format!(
+                    "merge intent for epoch {epoch} naming {} batch(es) follows {merged} \
+                     merged epoch(s) and {} journaled batch(es)",
+                    entries.len(),
+                    queue.len()
+                )));
             }
         }
-        // Rebuild the last intent's epoch unconditionally: a crash
-        // anywhere between intent append and merge completion leaves
-        // at most that one epoch partial.
-        let db = if let Some((epoch, entries)) = intents.last() {
-            let group: Vec<&EpochBatch> =
-                entries.iter().filter_map(|key| batches.get(key)).collect();
-            let mut db = reset_epoch(&cfg, *epoch)?;
-            apply_merge_group(&mut db, *epoch, &group)?;
-            db
-        } else {
-            // No merge ever happened; start a fresh database (sweeping
-            // any partial epoch 0 from a crash before the first merge).
-            ProfileDb::create(cfg.db_path(), cfg.format).map_err(db_err)?
-        };
-        let merged: std::collections::BTreeSet<(u32, u64)> = intents
-            .iter()
-            .flat_map(|(_, entries)| entries.iter().copied())
-            .collect();
-        // The merged calling-context view is exactly what the epoch
-        // sidecars hold (queued batches contribute at their merge).
-        let fleet_stacks = read_all_stacks(&db).unwrap_or_default();
+        let db = open_db(&cfg, merged, tail.intent.is_some())?;
         let mut server = IngestServer {
-            wal: Journal::open(&cfg.root)?,
+            wal: Journal::resume(&cfg.root, &scan)?,
             db,
-            sessions: BTreeMap::new(),
-            queue: VecDeque::new(),
-            ledger: FleetLedger::default(),
-            merges_done: intents.len() as u32,
+            sessions,
+            ledger,
+            epoch_totals: ckpt.epoch_totals,
             next_merge: now + cfg.merge_every,
             lags: Vec::new(),
             agent_visible: BTreeMap::new(),
-            fleet_stacks,
-            stats: ServerStats::default(),
+            stats: ServerStats {
+                replayed_batches: queue.len() as u64,
+                ..ServerStats::default()
+            },
+            queue,
             obs: Obs::default(),
             replay_note: None,
             cfg,
         };
-        for key @ (agent, seq) in order {
-            let batch = batches.remove(&key).expect("order lists journaled keys");
-            let s = server.sessions.entry(agent).or_default();
-            s.last_seq = s.last_seq.max(seq);
-            s.uploads += 1;
-            ledger_add(&mut s.samples, batch.sample_total());
-            s.live = false; // everyone must re-register or heartbeat
-            if merged.contains(&key) {
-                server.account_merged(&batch);
-            } else {
-                ledger_add(&mut server.ledger.server_journal, batch.sample_total());
-                server.queue.push_back((agent, seq, batch));
-                server.stats.replayed_batches += 1;
-            }
+        if tail.intent.is_some() {
+            server.land_merge(now)?;
         }
         server.replay_note = Some((now, server.stats.replayed_batches));
         Ok(server)
@@ -297,7 +276,7 @@ impl IngestServer {
                     "server.replay",
                     at,
                     replayed,
-                    self.merges_done.into(),
+                    self.epoch_totals.len() as u64,
                 );
             }
         }
@@ -315,13 +294,16 @@ impl IngestServer {
         &self.db
     }
 
-    /// Fleet-wide calling-context profile merged so far. Populated by
+    /// Fleet-wide calling-context profile merged so far, folded from the
+    /// epoch sidecars on each call — the server keeps no copy, so neither
+    /// its memory nor its recovery grows with the history. Populated by
     /// agents advertising [`dcpi_collect::wire::FEATURE_STACKS`];
     /// stack-less agents still ingest normally and simply add nothing
-    /// here. After a reopen this is rebuilt from the epoch sidecars.
+    /// here (sample accounting stays with the flat profiles and the
+    /// ledger). Queued batches contribute at their merge.
     #[must_use]
-    pub fn stack_profile(&self) -> &StackProfile {
-        &self.fleet_stacks
+    pub fn stack_profile(&self) -> StackProfile {
+        read_all_stacks(&self.db).unwrap_or_default()
     }
 
     /// Per-agent sessions (keyed by agent id).
@@ -374,11 +356,6 @@ impl IngestServer {
         self.wal.bytes()
     }
 
-    fn account_merged(&mut self, batch: &EpochBatch) {
-        self.ledger.base.merge(&batch.ledger);
-        ledger_add(&mut self.ledger.fleet_merged, batch.sample_total());
-    }
-
     fn backpressure(&self) -> bool {
         self.queue.len() >= self.cfg.backpressure_at
     }
@@ -406,7 +383,7 @@ impl IngestServer {
                 s.features = features;
                 s.last_heard = now;
                 s.live = true;
-                let last_seq = s.last_seq;
+                let last_seq = s.journaled.last_seq;
                 if self.obs.is_enabled() {
                     self.obs.counter("server.registrations").inc(0);
                     self.obs.event_at(
@@ -470,7 +447,7 @@ impl IngestServer {
         s.incarnation = incarnation;
         s.last_heard = now;
         s.live = true;
-        if seq <= s.last_seq {
+        if seq <= s.journaled.last_seq {
             // Retransmission of something already journaled: the ack
             // was lost. Re-ack; never re-journal.
             s.duplicates += 1;
@@ -493,11 +470,11 @@ impl IngestServer {
                 backpressure,
             })];
         }
-        if seq > s.last_seq + 1 {
+        if seq > s.journaled.last_seq + 1 {
             // A gap: an earlier epoch is missing (lost upload still
             // retrying, or reordering got ahead). Refuse so the agent
             // resends in order.
-            let expected = s.last_seq + 1;
+            let expected = s.journaled.last_seq + 1;
             self.stats.gap_nacks += 1;
             return vec![encode_msg(&Msg::Nack {
                 agent,
@@ -528,10 +505,8 @@ impl IngestServer {
             debug_assert!(false, "WAL append failed: {e}");
             return Vec::new();
         }
-        s.last_seq = seq;
-        s.uploads += 1;
+        s.journaled.add(seq, &batch);
         let (samples, seal_cycle) = (batch.sample_total(), batch.seal_cycle);
-        ledger_add(&mut s.samples, samples);
         ledger_add(&mut self.ledger.server_journal, samples);
         self.queue.push_back((agent, seq, batch));
         self.stats.accepted += 1;
@@ -601,7 +576,8 @@ impl IngestServer {
     }
 
     /// Merges everything queued into the fleet database, journaling the
-    /// merge intent first. Called by [`IngestServer::tick`] on schedule
+    /// merge intent first and rotating the WAL down to a checkpoint once
+    /// the merge has landed. Called by [`IngestServer::tick`] on schedule
     /// and by [`IngestServer::finish`] at quiesce.
     ///
     /// # Errors
@@ -614,20 +590,29 @@ impl IngestServer {
         if self.obs.is_enabled() {
             self.obs.begin(Component::Server, "server.merge");
         }
+        let epoch = self.epoch_totals.len() as u32;
+        self.wal.append_intent(epoch, &queued_keys(&self.queue))?;
+        self.land_merge(now)
+    }
+
+    /// The merge proper, shared by live ingest and crash replay: drains
+    /// the queue into the next epoch, moves the samples from the journal
+    /// bucket to the merged ones, and — the queue being empty and every
+    /// file of the epoch durable — replaces the log with one checkpoint.
+    fn land_merge(&mut self, now: u64) -> io::Result<()> {
         let group: Vec<(u32, u64, EpochBatch)> = self.queue.drain(..).collect();
-        let mut entries: Vec<(u32, u64)> = group.iter().map(|(a, s, _)| (*a, *s)).collect();
-        entries.sort_unstable();
-        let epoch = self.merges_done;
-        self.wal.append_intent(epoch, &entries)?;
+        let epoch = self.epoch_totals.len() as u32;
         let batches: Vec<&EpochBatch> = group.iter().map(|(_, _, b)| b).collect();
-        let epoch_stacks = apply_merge_group(&mut self.db, epoch, &batches)?;
-        self.fleet_stacks.merge(&epoch_stacks);
+        apply_merge_group(&mut self.db, epoch, &batches)?;
+        let mut epoch_total = 0;
         for (agent, seq, batch) in &group {
             let total = batch.sample_total();
             let j = &mut self.ledger.server_journal;
             debug_assert!(*j >= total, "journal bucket underflow");
             *j = j.saturating_sub(total);
-            self.account_merged(batch);
+            self.ledger.base.merge(&batch.ledger);
+            ledger_add(&mut self.ledger.fleet_merged, total);
+            ledger_add(&mut epoch_total, total);
             // The batch is now visible in the fleet database: close its
             // span and record seal→visible as this epoch's ingest lag.
             let lag = now.saturating_sub(batch.seal_cycle);
@@ -644,19 +629,45 @@ impl IngestServer {
                 );
             }
         }
-        self.merges_done += 1;
+        self.epoch_totals.push(epoch_total);
         self.stats.merges += 1;
+        let wal_bytes_dropped = self.wal.rotate(&self.checkpoint())?;
         if self.obs.is_enabled() {
             self.obs.counter("server.merges").inc(0);
             self.obs
                 .counter("server.merged_batches")
                 .add(0, group.len() as u64);
+            self.obs.counter("server.checkpoints").inc(0);
+            self.obs.event_at(
+                Component::Server,
+                "server.checkpoint",
+                now,
+                epoch.into(),
+                wal_bytes_dropped,
+            );
             self.obs.gauge("server.queue_depth").set(0);
             self.obs.gauge("server.wal_bytes").set(self.wal.bytes());
             self.obs
                 .end(Component::Server, "server.merge", now, group.len() as u64);
         }
         Ok(())
+    }
+
+    /// The settled state a landed merge leaves: only what the merged
+    /// uploads determine, so every crash history writes the same record.
+    fn checkpoint(&self) -> Checkpoint {
+        debug_assert!(self.queue.is_empty(), "checkpoint with unmerged batches");
+        Checkpoint {
+            epoch_totals: self.epoch_totals.clone(),
+            agents: self
+                .sessions
+                .iter()
+                .filter(|(_, s)| s.journaled.uploads > 0)
+                .map(|(&agent, s)| (agent, s.journaled))
+                .collect(),
+            ledger: self.ledger.base,
+            fleet_merged: self.ledger.fleet_merged,
+        }
     }
 
     /// Quiesce: merges anything still queued. After this, `ledger()`
@@ -673,15 +684,11 @@ impl IngestServer {
 
 /// Applies one merge group to the fleet database: opens `epoch`, merges
 /// the batches' profiles into it profile by profile, writes the epoch's
-/// calling-context sidecar and records first-seen image names. Returns
-/// the group's folded stacks. Live ingest and WAL replay both land here,
-/// so one merge intent always produces the same bytes. Stack-less (v1)
-/// agents contribute empty sections and cost nothing.
-fn apply_merge_group(
-    db: &mut ProfileDb,
-    epoch: u32,
-    batches: &[&EpochBatch],
-) -> io::Result<StackProfile> {
+/// calling-context sidecar and records first-seen image names. Live
+/// ingest and WAL replay both land here, so one merge intent always
+/// produces the same bytes. Stack-less (v1) agents contribute empty
+/// sections and cost nothing.
+fn apply_merge_group(db: &mut ProfileDb, epoch: u32, batches: &[&EpochBatch]) -> io::Result<()> {
     // Epoch 0 exists from create; later merges open a new one.
     while db.current_epoch().0 < epoch {
         db.new_epoch().map_err(db_err)?;
@@ -703,24 +710,73 @@ fn apply_merge_group(
     for (image, name) in batches.iter().flat_map(|b| &b.image_names) {
         db.record_image_name(*image, name).map_err(db_err)?;
     }
-    Ok(stacks)
+    Ok(())
 }
 
-/// Opens the fleet database for a replay of merge epoch `epoch`,
-/// deleting whatever partial state a crash left in that epoch so the
-/// rebuild is from scratch and deterministic: the same WAL always
-/// produces the same bytes.
-fn reset_epoch(cfg: &ServerConfig, epoch: u32) -> io::Result<ProfileDb> {
+/// `(agent, seq)` of every queued batch, sorted: what a merge intent
+/// for the queue names.
+fn queued_keys(queue: &VecDeque<(u32, u64, EpochBatch)>) -> Vec<(u32, u64)> {
+    let mut keys: Vec<(u32, u64)> = queue.iter().map(|(a, s, _)| (*a, *s)).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Opens the fleet database of a root whose log records `merged` landed
+/// merges. With `reset_epoch` (the log ends in an intent) whatever partial
+/// state a crash left in epoch `merged` is deleted, so the rebuild is
+/// from scratch and the same WAL always produces the same bytes.
+///
+/// Fails with `InvalidData`, deleting nothing, if the database's newest
+/// epoch is not the one the log implies: merging on would
+/// read-modify-write into settled data.
+fn open_db(cfg: &ServerConfig, merged: u32, reset_epoch: bool) -> io::Result<ProfileDb> {
     let db_path = cfg.db_path();
-    let epoch_dir = db_path.join(format!("epoch_{epoch:04}"));
-    if epoch_dir.exists() {
-        std::fs::remove_dir_all(&epoch_dir)?;
+    std::fs::create_dir_all(&db_path)?;
+    let open = || {
+        match ProfileDb::open(&db_path, cfg.format) {
+            // No epoch yet: a crash before the first merge, or epoch 0 reset.
+            Err(dcpi_core::Error::NotFound(_)) => ProfileDb::create(&db_path, cfg.format),
+            opened => opened,
+        }
+        .map_err(db_err)
+    };
+    let mut db = open()?;
+    if reset_epoch && db.current_epoch().0 == merged {
+        // The interrupted merge got as far as creating its epoch.
+        std::fs::remove_dir_all(db.epoch_path(db.current_epoch()))?;
+        db = open()?;
     }
-    if epoch == 0 {
-        ProfileDb::create(&db_path, cfg.format).map_err(db_err)
-    } else {
-        ProfileDb::open(&db_path, cfg.format).map_err(db_err)
+    match epochs_disagree(&db, merged) {
+        Some(why) => Err(invalid(why)),
+        None => Ok(db),
     }
+}
+
+/// Checks the database's newest epoch against the `merged` landed merges
+/// a WAL records: `epoch_{merged-1}`, or an empty `epoch_0000` when
+/// nothing has merged. Returns what is wrong, naming expected and actual.
+#[must_use]
+pub fn epochs_disagree(db: &ProfileDb, merged: u32) -> Option<String> {
+    let newest = db.current_epoch();
+    let (settled, expected) = match merged.checked_sub(1) {
+        Some(last) => (newest.0 == last, format!("epoch {last}")),
+        None => {
+            let empty =
+                std::fs::read_dir(db.epoch_path(newest)).map_or(true, |mut d| d.next().is_none());
+            (newest.0 == 0 && empty, "an empty epoch 0".to_owned())
+        }
+    };
+    (!settled).then(|| {
+        format!(
+            "the WAL records {merged} merged epoch(s) but the database's newest is \
+             epoch {} (expected {expected}); the log is damaged or not this database's",
+            newest.0
+        )
+    })
+}
+
+fn invalid(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
 fn db_err(e: dcpi_core::Error) -> io::Error {

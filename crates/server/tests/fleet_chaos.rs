@@ -227,10 +227,10 @@ fn acked_then_crashed_server_recovers_every_journaled_epoch() {
     for (agent, seq, _) in &acked {
         let s = revived.sessions()[agent];
         assert!(
-            s.last_seq >= *seq,
+            s.journaled.last_seq >= *seq,
             "agent {agent}: acked seq {seq} forgotten after crash \
              (last_seq {})",
-            s.last_seq
+            s.journaled.last_seq
         );
     }
     revived.finish(101).unwrap();

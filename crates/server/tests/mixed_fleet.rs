@@ -3,10 +3,9 @@
 //! one legacy agent speaks literal version-1 frames with no stacks.
 //! Both must ingest into the same server: flat profiles merge from
 //! both, the fleet stack profile comes only from the capable agent,
-//! and a crash-recovered server rebuilds the same stack view from its
-//! WAL.
+//! and a crash-recovered server serves the same stack view from the
+//! epoch sidecars its merges wrote.
 
-use dcpi_collect::daemon::read_all_stacks;
 use dcpi_collect::faults::LossLedger;
 use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg, FEATURE_STACKS};
 use dcpi_core::codec;
@@ -152,14 +151,9 @@ fn stack_capable_and_legacy_agents_share_one_server() {
     assert_eq!(stacks.total(), 80);
     assert_eq!(stacks.to_bytes(), expected_stacks.to_bytes());
     stacks.table.check_bijective().unwrap();
-    assert_eq!(
-        read_all_stacks(server.db()).unwrap().to_bytes(),
-        expected_stacks.to_bytes(),
-        "epoch sidecars agree with the in-memory view"
-    );
 
-    // Kill the server with no goodbye; recovery must rebuild the same
-    // stack view from the WAL-journaled frames alone.
+    // Kill the server with no goodbye; the recovered one must serve the
+    // same stack view (the log is one checkpoint: the sidecars hold it).
     drop(server);
     let recovered = IngestServer::reopen(cfg, 100).unwrap();
     assert_eq!(

@@ -1,0 +1,394 @@
+//! Mutation fuzzing of the WAL reader and of recovery.
+//!
+//! A server root is built whose log holds all three record kinds —
+//! `checkpoint frame frame frame frame intent` over a database with one
+//! merged epoch — remembering the live server's state after every record.
+//! Then 2 000 seeded mutants of that log (bit flips, truncations, byte
+//! splices, garbage tails, and record-aligned drops, repeats and swaps)
+//! are each scanned and reopened. For every one of them:
+//!
+//! * neither `scan` nor `reopen` panics;
+//! * neither allocates more than a small multiple of the log's length;
+//! * if what the scan keeps is a prefix of the original records, `reopen`
+//!   reproduces exactly the state the live server had after writing that
+//!   prefix — except the empty prefix, a damaged log head over a database
+//!   that holds data, which must be refused;
+//! * anything else is refused with the root left as it was, or — where a
+//!   record-aligned edit happens to yield another log the server could
+//!   have written — recovers to a state that conserves and audits clean.
+//!
+//! Seeds: 7 and 101, plus `DCPI_FLEET_SEED` if set (the CI sweep). The
+//! counting allocator needs `unsafe impl GlobalAlloc`, so this one test
+//! file opts out of the workspace `unsafe_code` deny.
+#![allow(unsafe_code)]
+
+use dcpi_collect::faults::FleetLedger;
+use dcpi_collect::wire::{decode_msg, encode_msg, Msg};
+use dcpi_core::prng::CartaRng;
+use dcpi_server::journal::{self, AgentTotals, Journal, WAL_FILE};
+use dcpi_server::{check_fleet, IngestServer, ServerConfig};
+use dcpi_workloads::fleet_feed::AgentScript;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Tracks live heap bytes and their high-water mark.
+struct PeakAlloc;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics and publish no other data.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Runs `f`, returning its result and the most heap it held at once
+/// beyond what was live when it started.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
+}
+
+fn temp_root(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dcpi-walfuzz-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dst = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &dst);
+        } else {
+            std::fs::copy(entry.path(), dst).unwrap();
+        }
+    }
+}
+
+fn tree(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                out.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// What recovery must reproduce.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct State {
+    ledger: FleetLedger,
+    agents: BTreeMap<u32, AgentTotals>,
+    queued: usize,
+    wal_bytes: u64,
+}
+
+fn state_of(server: &IngestServer) -> State {
+    State {
+        ledger: server.ledger(),
+        agents: server
+            .sessions()
+            .iter()
+            .map(|(&a, s)| (a, s.journaled))
+            .collect(),
+        queued: server.queue_depth(),
+        wal_bytes: server.wal_bytes(),
+    }
+}
+
+/// The pristine root, its log, the log's record boundaries, and the live
+/// server's state after each record (`states[k]` ↔ the first `k` records).
+struct Base {
+    root: PathBuf,
+    log: Vec<u8>,
+    bounds: Vec<usize>,
+    states: Vec<Option<State>>,
+}
+
+fn build_base(dir: &Path) -> Base {
+    let root = dir.join("base");
+    let cfg = ServerConfig::new(&root);
+    let mut server = IngestServer::create(cfg.clone()).unwrap();
+    let scripts: Vec<AgentScript> = (0..3)
+        .map(|a| AgentScript::generate(a, 9, 3, 128))
+        .collect();
+    let upload = |server: &mut IngestServer, agent: usize, seq: u64| {
+        let frame = encode_msg(&Msg::Upload {
+            agent: agent as u32,
+            incarnation: 1,
+            seq,
+            batch: scripts[agent].epochs[seq as usize - 1].clone(),
+        });
+        let replies = server.on_frame(seq, &frame);
+        assert!(matches!(
+            decode_msg(&replies[0]).unwrap(),
+            Msg::Ack {
+                duplicate: false,
+                ..
+            }
+        ));
+    };
+    for agent in 0..3 {
+        upload(&mut server, agent, 1);
+    }
+    server.merge_queue(10).unwrap();
+    // Zero records over a database that holds an epoch: refused.
+    let mut states = vec![None, Some(state_of(&server))];
+    let mut bounds = vec![0, server.wal_bytes() as usize];
+    let mut keys = Vec::new();
+    for (agent, seq) in [(0, 2), (1, 2), (2, 2), (0, 3)] {
+        upload(&mut server, agent, seq);
+        keys.push((agent as u32, seq));
+        states.push(Some(state_of(&server)));
+        bounds.push(server.wal_bytes() as usize);
+    }
+    drop(server);
+    // The crash-mid-merge log: the intent journaled, nothing else done.
+    keys.sort_unstable();
+    let mut wal = Journal::open(&root).unwrap();
+    wal.append_intent(1, &keys).unwrap();
+    bounds.push(wal.bytes() as usize);
+    drop(wal);
+    // What finishing that merge leaves, from a copy.
+    let done = dir.join("done");
+    copy_tree(&root, &done);
+    let finished = IngestServer::reopen(ServerConfig::new(&done), 20).unwrap();
+    assert_eq!(finished.stats.merges, 1, "reopen completed the merge");
+    states.push(Some(state_of(&finished)));
+    let log = std::fs::read(root.join(WAL_FILE)).unwrap();
+    assert_eq!(bounds.last(), Some(&log.len()));
+    Base {
+        root,
+        log,
+        bounds,
+        states,
+    }
+}
+
+fn mutate(rng: &mut CartaRng, base: &Base) -> Vec<u8> {
+    let mut log = base.log.clone();
+    let len = log.len() as u64;
+    let at = |rng: &mut CartaRng| rng.uniform(0, len - 1) as usize;
+    let records = base.bounds.len() - 1;
+    let record = |rng: &mut CartaRng| {
+        let i = rng.uniform(0, records as u64 - 1) as usize;
+        base.bounds[i]..base.bounds[i + 1]
+    };
+    match rng.uniform(0, 8) {
+        0 | 1 => {
+            for _ in 0..rng.uniform(1, 3) {
+                let i = at(rng);
+                log[i] ^= 1 << rng.uniform(0, 7);
+            }
+        }
+        2 => log.truncate(at(rng)),
+        3 => {
+            // Overwrite a span with bytes from elsewhere in the log.
+            let (from, to, n) = (at(rng), at(rng), rng.uniform(1, 64) as usize);
+            let n = n.min(log.len() - from.max(to));
+            log[to..to + n].copy_from_slice(&base.log[from..from + n]);
+        }
+        4 => {
+            // Cut a span out.
+            let (a, b) = (at(rng), at(rng));
+            log.drain(a.min(b)..a.max(b));
+        }
+        5 => {
+            for _ in 0..rng.uniform(1, 40) {
+                log.push(rng.uniform(0, 255) as u8);
+            }
+        }
+        6 => {
+            // Drop one whole record.
+            log.drain(record(rng));
+        }
+        7 => {
+            // Repeat one whole record at another record boundary.
+            let (rec, to) = (record(rng), record(rng).start);
+            let bytes = base.log[rec].to_vec();
+            log.splice(to..to, bytes);
+        }
+        _ => {
+            // Swap two whole records (rebuild the log in the new order).
+            let (i, j) = (
+                rng.uniform(0, records as u64 - 1) as usize,
+                rng.uniform(0, records as u64 - 1) as usize,
+            );
+            let mut order: Vec<usize> = (0..records).collect();
+            order.swap(i, j);
+            log = order
+                .iter()
+                .flat_map(|&r| &base.log[base.bounds[r]..base.bounds[r + 1]])
+                .copied()
+                .collect();
+        }
+    }
+    log
+}
+
+#[test]
+fn mutated_logs_never_panic_overallocate_or_recover_wrongly() {
+    let dir = temp_root("mutants");
+    let base = build_base(&dir);
+    let original = journal::scan(&base.root.join(WAL_FILE)).unwrap();
+    assert_eq!(original.records.len(), 6);
+    let mut seeds = vec![7u32, 101];
+    if let Some(extra) = std::env::var("DCPI_FLEET_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+    {
+        seeds.push(extra);
+    }
+
+    let work = dir.join("work");
+    let cfg = ServerConfig::new(&work);
+    let wal_path = work.join(WAL_FILE);
+    let mut dirty = true;
+    let (mut exact, mut refused, mut other_valid) = (0, 0, 0);
+    let (mut worst_scan, mut worst_reopen) = (0.0f64, 0.0f64);
+    for seed in seeds {
+        let mut rng = CartaRng::new(seed);
+        for n in 0..1000 {
+            let log = mutate(&mut rng, &base);
+            if dirty {
+                let _ = std::fs::remove_dir_all(&work);
+                copy_tree(&base.root, &work);
+            }
+            std::fs::write(&wal_path, &log).unwrap();
+            let before = tree(&work);
+            let budget = |multiple: usize| multiple * log.len() + (16 << 10);
+
+            let (scan, scan_peak) = peak_of(|| journal::scan(&wal_path).unwrap());
+            assert!(
+                scan_peak <= budget(2),
+                "seed {seed} mutant {n}: scan held {scan_peak} B for a {} B log",
+                log.len()
+            );
+            assert_eq!(scan.clean_bytes + scan.torn_bytes, log.len() as u64);
+            let kept = scan.records.len();
+            let is_prefix = kept <= original.records.len()
+                && scan.records.iter().zip(&original.records).all(|(a, b)| {
+                    use journal::WalRecord::Frame;
+                    match (a, b) {
+                        (Frame(x), Frame(y)) => scan.frame(x) == original.frame(y),
+                        _ => a == b,
+                    }
+                });
+
+            let (reopened, reopen_peak) = peak_of(|| IngestServer::reopen(cfg.clone(), 20));
+            // Decoded profiles are 16 B an entry from ~3 B on the wire,
+            // and recovery also holds the epoch sidecars and, mid-merge,
+            // the merged set: a bounded multiple, not the header's word.
+            assert!(
+                reopen_peak <= budget(24),
+                "seed {seed} mutant {n}: reopen held {reopen_peak} B for a {} B log",
+                log.len()
+            );
+            if log.len() >= 512 {
+                worst_scan = worst_scan.max(scan_peak as f64 / log.len() as f64);
+                worst_reopen = worst_reopen.max(reopen_peak as f64 / log.len() as f64);
+            }
+
+            match reopened {
+                Err(e) => {
+                    assert!(
+                        !is_prefix || kept == 0,
+                        "seed {seed} mutant {n}: a clean prefix of {kept} record(s) refused: {e}"
+                    );
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                    assert!(
+                        tree(&work) == before,
+                        "seed {seed} mutant {n}: refused, yet wrote"
+                    );
+                    dirty = false;
+                    refused += 1;
+                }
+                Ok(mut server) if is_prefix => {
+                    let want = base.states[kept].as_ref();
+                    assert_eq!(
+                        Some(&state_of(&server)),
+                        want,
+                        "seed {seed} mutant {n}: wrong state from a {kept}-record prefix"
+                    );
+                    server.finish(30).unwrap();
+                    dirty = true;
+                    exact += 1;
+                }
+                Ok(mut server) => {
+                    // Another log the server could have written (say, an
+                    // agent's last frame dropped): no original to compare
+                    // with, so hold it to the invariants.
+                    server.finish(30).unwrap();
+                    let ledger = server.ledger();
+                    assert!(
+                        ledger.conserves() && ledger.server_journal == 0,
+                        "seed {seed} mutant {n}: {}",
+                        ledger.render()
+                    );
+                    drop(server);
+                    let audit = check_fleet(&work);
+                    assert!(
+                        audit.is_clean(),
+                        "seed {seed} mutant {n}:\n{}",
+                        audit.render()
+                    );
+                    dirty = true;
+                    other_valid += 1;
+                }
+            }
+        }
+    }
+    // The mutator must reach all three outcomes, and mostly the first two.
+    assert!(
+        exact > 200 && refused > 200,
+        "{exact} exact, {refused} refused"
+    );
+    assert!(
+        other_valid > 0,
+        "no record-aligned edit produced a valid log"
+    );
+    eprintln!(
+        "wal_fuzz: {exact} exact, {refused} refused, {other_valid} other-valid; \
+         peak heap / log bytes: scan {worst_scan:.2}, reopen {worst_reopen:.2}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

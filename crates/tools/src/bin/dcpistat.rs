@@ -1,7 +1,9 @@
 //! `dcpistat <obs.json>` — one-shot profiler status from an exported
 //! observability snapshot (write one with `profile ... --obs PATH`):
 //! sample and drop rates, hash-table behavior, flush latencies, fault
-//! counts, and the overhead/sample ledgers.
+//! counts, and the overhead/sample ledgers. For a fleet server's export
+//! the `-- server --` section's `wal N bytes` is the log since the last
+//! checkpoint: it falls back to one record after every merge.
 
 use dcpi_obs::Snapshot;
 
@@ -9,6 +11,10 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(path) = args.get(1) else {
         eprintln!("usage: dcpistat <obs.json>");
+        eprintln!(
+            "  (-- server --: `wal N bytes` counts the log since the last checkpoint; \
+             it falls after every merge)"
+        );
         std::process::exit(2);
     };
     let text = match std::fs::read_to_string(path) {

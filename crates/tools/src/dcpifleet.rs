@@ -8,17 +8,16 @@
 //! * `top` — fleet-wide top-N images by samples (the Table 4 view, but
 //!   aggregated over every machine).
 //! * `agents` — per-agent upload accounting, re-derived from the WAL
-//!   alone (uploads, samples, duplicates are *journal* facts, not
-//!   in-memory state).
+//!   alone: the checkpoint's per-agent totals plus the frames journaled
+//!   since (uploads and samples are *journal* facts, not in-memory
+//!   state).
 //! * `image` — one image's per-event totals across the fleet.
 
-use dcpi_collect::wire::Msg;
 use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
 use dcpi_core::{ImageId, UNKNOWN_IMAGE};
-use dcpi_server::journal::{self, WalRecord, WAL_FILE};
+use dcpi_server::journal::{self, WAL_FILE};
 use dcpi_server::{image_event_totals, image_totals};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -92,42 +91,25 @@ pub fn dcpifleet_image(root: &Path, image: u32) -> Result<String, String> {
     Ok(out)
 }
 
-/// Per-agent accounting rebuilt from the WAL.
-#[derive(Clone, Copy, Debug, Default)]
-struct AgentRow {
-    uploads: u64,
-    samples: u64,
-    last_seq: u64,
-    generated: u64,
-    losses: u64,
-}
-
 /// `dcpifleet agents <root>`: per-agent upload accounting from the WAL.
 ///
 /// # Errors
 ///
 /// Returns a message if the WAL cannot be read.
 pub fn dcpifleet_agents(root: &Path) -> Result<String, String> {
-    let scan = journal::scan(&root.join(WAL_FILE))
-        .map_err(|e| format!("no WAL under {}: {e}", root.display()))?;
-    let mut rows: BTreeMap<u32, AgentRow> = BTreeMap::new();
-    for rec in &scan.records {
-        let WalRecord::Frame(bytes) = rec else {
-            continue;
-        };
-        let Ok(Msg::Upload {
-            agent, seq, batch, ..
-        }) = dcpi_collect::wire::decode_msg(bytes)
-        else {
-            continue;
-        };
-        let row = rows.entry(agent).or_default();
-        row.uploads += 1;
-        row.samples += batch.sample_total();
-        row.last_seq = row.last_seq.max(seq);
-        row.generated += batch.ledger.generated;
-        row.losses +=
-            batch.ledger.driver_dropped + batch.ledger.crash_lost + batch.ledger.quarantined;
+    let no_wal = |e: std::io::Error| format!("no WAL under {}: {e}", root.display());
+    let scan = journal::scan(&root.join(WAL_FILE)).map_err(no_wal)?;
+    let tail = scan.tail().map_err(no_wal)?;
+    let mut rows = tail
+        .checkpoint
+        .map(|c| c.agents.clone())
+        .unwrap_or_default();
+    for (agent, seq, batch) in tail
+        .frames
+        .iter()
+        .filter_map(|f| journal::decode_upload(f).ok())
+    {
+        rows.entry(agent).or_default().add(seq, &batch);
     }
     let mut out = String::new();
     let _ = writeln!(

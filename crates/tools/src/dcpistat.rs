@@ -103,7 +103,14 @@ pub fn dcpistat(snap: &Snapshot) -> String {
             g("server.agent_lag_max"),
             c("uploader.sent"),
         );
-        let _ = writeln!(out, "wal {} bytes", g("server.wal_bytes"));
+        // The log is rotated down to one checkpoint record by every
+        // merge, so this is the unmerged tail, not the upload history.
+        let _ = writeln!(
+            out,
+            "wal {} bytes since the last of {} checkpoint(s)",
+            g("server.wal_bytes"),
+            c("server.checkpoints"),
+        );
         if let Some(h) = snap.metrics.histograms.get("server.ingest_lag_cycles") {
             if h.count > 0 {
                 let _ = writeln!(

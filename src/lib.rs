@@ -15,6 +15,8 @@
 //!   CFGs, and analysis outputs (`dcpicheck`).
 //! * [`pgo`] — profile-guided optimization: rewrite an image from the
 //!   analysis estimates and measure the speedup (`dcpipgo`).
+//! * [`server`] — the fleet ingestion server: checkpointed WAL, sessions,
+//!   and the fleet-wide database (`dcpifleet`).
 //! * [`tools`] — dcpiprof / dcpicalc / dcpistats / dcpidiff / dcpisumm.
 //! * [`workloads`] — synthetic workloads and the experiment driver.
 
@@ -25,5 +27,6 @@ pub use dcpi_core as core;
 pub use dcpi_isa as isa;
 pub use dcpi_machine as machine;
 pub use dcpi_pgo as pgo;
+pub use dcpi_server as server;
 pub use dcpi_tools as tools;
 pub use dcpi_workloads as workloads;

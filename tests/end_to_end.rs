@@ -5,13 +5,18 @@ use dcpi::analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi::analyze::culprit::DynamicCause;
 use dcpi::check::{check_analysis, check_image, CheckConfig};
 use dcpi::collect::session::{ProfiledRun, SessionConfig};
+use dcpi::collect::wire::{encode_msg, Msg};
 use dcpi::core::db::ProfileDb;
 use dcpi::core::{codec, Event};
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::machine::counters::CounterConfig;
+use dcpi::server::journal::{Journal, WAL_FILE, WAL_TMP_FILE};
+use dcpi::server::{check_fleet, IngestServer, ServerConfig};
 use dcpi::tools::{dcpicalc, dcpiprof, dcpistats, ImageRegistry};
+use dcpi::workloads::fleet_feed::AgentScript;
 use dcpi::workloads::programs::StreamKind;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
+use std::path::Path;
 
 fn quick(scale: u32, period: (u64, u64)) -> RunOptions {
     RunOptions {
@@ -227,4 +232,118 @@ fn overhead_shrinks_with_period() {
         sparse_ovh < 0.05,
         "default-period overhead should be a few percent: {sparse_ovh:.3}"
     );
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let dst = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &dst);
+        } else {
+            std::fs::copy(&path, dst).unwrap();
+        }
+    }
+}
+
+/// `(path relative to root, contents)` of every file under `root`, sorted.
+fn tree(root: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().display().to_string();
+                out.push((rel, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The fleet path under the Tier-1 command: two agents upload two epochs
+/// each through an `IngestServer` that merges after each round. At three
+/// crash points of the second round — a frame journaled but not merged,
+/// the merge intent journaled, the merge landed and the checkpoint
+/// written but not yet renamed over the log — the root is reopened and
+/// the run finished; each must end byte-identical to the run that never
+/// crashed. (`crates/server/tests/crash_points.rs` visits every point.)
+#[test]
+fn fleet_server_recovers_identically_at_three_crash_points() {
+    let base = std::env::temp_dir().join(format!("dcpi-e2e-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let frame = |agent: u32, seq: u64| {
+        let script = AgentScript::generate(agent, 5, 2, 128);
+        encode_msg(&Msg::Upload {
+            agent,
+            incarnation: 1,
+            seq,
+            batch: script.epochs[seq as usize - 1].clone(),
+        })
+    };
+    let snap = |name: &str| base.join(name);
+    let live = snap("live");
+    let mut server = IngestServer::create(ServerConfig::new(&live)).unwrap();
+    for agent in 0..2 {
+        assert_eq!(server.on_frame(1, &frame(agent, 1)).len(), 1);
+    }
+    server.merge_queue(2).unwrap();
+    server.on_frame(3, &frame(0, 2));
+    copy_tree(&live, &snap("one-frame"));
+    server.on_frame(4, &frame(1, 2));
+    copy_tree(&live, &snap("queued"));
+    server.finish(5).unwrap();
+    let ledger = server.ledger();
+    drop(server);
+    let want = tree(&live);
+    assert!(ledger.conserves() && check_fleet(&live).is_clean());
+
+    // The intent journaled, the merge not begun.
+    copy_tree(&snap("queued"), &snap("intent"));
+    let journal_intent = |root: &Path| {
+        let mut wal = Journal::open(root).unwrap();
+        wal.append_intent(1, &[(0, 2), (1, 2)]).unwrap();
+    };
+    journal_intent(&snap("intent"));
+    // The merge landed, the checkpoint sits in the scratch file.
+    copy_tree(&live, &snap("scratch"));
+    std::fs::rename(
+        snap("scratch").join(WAL_FILE),
+        snap("scratch").join(WAL_TMP_FILE),
+    )
+    .unwrap();
+    std::fs::copy(
+        snap("queued").join(WAL_FILE),
+        snap("scratch").join(WAL_FILE),
+    )
+    .unwrap();
+    journal_intent(&snap("scratch"));
+
+    for (point, unsent) in [
+        ("one-frame", Some(frame(1, 2))),
+        ("intent", None),
+        ("scratch", None),
+    ] {
+        let root = snap(point);
+        let mut server = IngestServer::reopen(ServerConfig::new(&root), 4).unwrap();
+        if let Some(frame) = unsent {
+            assert_eq!(server.stats.replayed_batches, 1, "{point}");
+            server.on_frame(4, &frame);
+        }
+        server.finish(5).unwrap();
+        assert_eq!(server.ledger(), ledger, "{point}");
+        drop(server);
+        assert!(
+            tree(&root) == want,
+            "{point}: tree differs from the uncrashed run"
+        );
+        let audit = check_fleet(&root);
+        assert!(audit.is_clean(), "{point}:\n{}", audit.render());
+    }
+    std::fs::remove_dir_all(&base).unwrap();
 }
