@@ -194,11 +194,13 @@ pub fn analyze_procedure_extended(
         cfg.insns.len() as u64,
     );
     let n = cfg.insns.len();
+    // One walk over the procedure's slice of the profile's sorted run.
     let extract = |p: Option<&Profile>| -> Vec<u64> {
         let mut v = vec![0u64; n];
-        if let Some(p) = p {
-            for (i, slot) in v.iter_mut().enumerate() {
-                *slot = p.get(sym.offset + (i as u64) * 4);
+        let end = sym.offset + (n as u64) * 4;
+        for (offset, count) in p.into_iter().flat_map(|p| p.range(sym.offset, end)) {
+            if offset.is_multiple_of(4) {
+                v[((offset - sym.offset) / 4) as usize] = count;
             }
         }
         v
@@ -269,7 +271,7 @@ pub fn analyze_procedure_extended(
         itbmiss: itbmiss.as_deref(),
     };
     obs.begin(Component::Analyze, "analyze.culprit");
-    let culprits = find_culprits(
+    let mut culprits = find_culprits(
         &cfg,
         &schedules,
         &freqs,
@@ -285,6 +287,7 @@ pub fn analyze_procedure_extended(
         0,
     );
 
+    // Blocks partition the text in address order: this is program order.
     let mut insns = Vec::with_capacity(n);
     for (b, blk) in cfg.blocks.iter().enumerate() {
         let base = (blk.start_word - cfg.start_word) as usize;
@@ -302,11 +305,10 @@ pub fn analyze_procedure_extended(
                 confidence: freqs.block_freq[b].map(|e| e.confidence),
                 cpi: if f > 0.0 { samples[i] as f64 / f } else { 0.0 },
                 static_stalls: entry.stalls.clone(),
-                culprits: culprits[i].clone(),
+                culprits: std::mem::take(&mut culprits[i]),
             });
         }
     }
-    insns.sort_by_key(|ia| ia.offset);
     let summary = summarize(&insns);
     Ok(ProcAnalysis {
         name: sym.name.clone(),

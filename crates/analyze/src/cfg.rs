@@ -67,6 +67,42 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
+/// Items grouped by a small integer key, in input order within a group:
+/// one counting sort into two flat vectors (compressed sparse rows).
+#[derive(Clone, Debug)]
+pub(crate) struct Grouped<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Grouped<T> {
+    pub(crate) fn new(n_keys: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut start = vec![0; n_keys + 1];
+        for (key, _) in pairs.clone() {
+            start[key + 1] += 1;
+        }
+        for key in 0..n_keys {
+            start[key + 1] += start[key];
+        }
+        let mut items = vec![T::default(); start[n_keys]];
+        // `start[key]` is the fill cursor of group `key`; once every item
+        // is placed it has advanced to the start of group `key + 1`, so
+        // shifting the vector one place right restores the starts.
+        for (key, item) in pairs {
+            items[start[key]] = item;
+            start[key] += 1;
+        }
+        start.rotate_right(1);
+        start[0] = 0;
+        Grouped { start, items }
+    }
+
+    /// The items of group `key`.
+    pub(crate) fn of(&self, key: usize) -> &[T] {
+        &self.items[self.start[key]..self.start[key + 1]]
+    }
+}
+
 /// The control-flow graph of one procedure.
 #[derive(Clone, Debug)]
 pub struct Cfg {
@@ -78,13 +114,17 @@ pub struct Cfg {
     pub insns: Vec<Instruction>,
     /// Basic blocks, sorted by start word.
     pub blocks: Vec<Block>,
-    /// Edges between blocks.
+    /// Edges between blocks. [`Cfg::in_edges`] and [`Cfg::out_edges`]
+    /// index them as they stood when the graph was built.
     pub edges: Vec<Edge>,
     /// The entry block (always `BlockId(0)`).
     pub entry: BlockId,
     /// True if some indirect jump's targets could not be resolved; the
     /// frequency analysis then degrades to per-block classes (§6.1.2).
     pub missing_edges: bool,
+    /// Edge indices by endpoint: group `2b` enters block `b`, `2b + 1` leaves it.
+    adjacency: Grouped<usize>,
+    exits: Vec<BlockId>,
 }
 
 impl Cfg {
@@ -205,7 +245,7 @@ impl Cfg {
         }
 
         // Blocks from leaders.
-        let mut blocks = Vec::new();
+        let mut blocks = Vec::with_capacity(leader.iter().filter(|&&l| l).count());
         let mut block_of_idx = vec![0usize; n];
         for i in 0..n {
             if leader[i] {
@@ -221,8 +261,8 @@ impl Cfg {
         }
 
         // Edges from terminators.
-        let mut edges = Vec::new();
         let nb = blocks.len();
+        let mut edges = Vec::with_capacity(2 * nb);
         for (b, block) in blocks.iter_mut().enumerate() {
             let last_idx = (block.end_word() - start_word - 1) as usize;
             let last = &insns[last_idx];
@@ -289,10 +329,19 @@ impl Cfg {
             }
         }
 
+        let ends = edges.iter().enumerate();
         Ok(Cfg {
             name: sym.name.clone(),
             start_word,
             insns,
+            adjacency: Grouped::new(
+                2 * nb,
+                ends.flat_map(|(e, edge)| [(2 * edge.to.0, e), (2 * edge.from.0 + 1, e)]),
+            ),
+            exits: (0..nb)
+                .filter(|&b| blocks[b].is_exit)
+                .map(BlockId)
+                .collect(),
             blocks,
             edges,
             entry: BlockId(0),
@@ -318,29 +367,22 @@ impl Cfg {
         &self.insns[s..s + blk.len as usize]
     }
 
-    /// Incoming edge indices of a block.
+    /// Incoming edge indices of a block, ascending.
     #[must_use]
-    pub fn in_edges(&self, b: BlockId) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&i| self.edges[i].to == b)
-            .collect()
+    pub fn in_edges(&self, b: BlockId) -> &[usize] {
+        self.adjacency.of(2 * b.0)
     }
 
-    /// Outgoing edge indices of a block.
+    /// Outgoing edge indices of a block, ascending.
     #[must_use]
-    pub fn out_edges(&self, b: BlockId) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&i| self.edges[i].from == b)
-            .collect()
+    pub fn out_edges(&self, b: BlockId) -> &[usize] {
+        self.adjacency.of(2 * b.0 + 1)
     }
 
-    /// Blocks from which the procedure can be left.
+    /// Blocks from which the procedure can be left, ascending.
     #[must_use]
-    pub fn exit_blocks(&self) -> Vec<BlockId> {
-        (0..self.blocks.len())
-            .filter(|&i| self.blocks[i].is_exit)
-            .map(BlockId)
-            .collect()
+    pub fn exit_blocks(&self) -> &[BlockId] {
+        &self.exits
     }
 }
 

@@ -396,7 +396,8 @@ fn significant_preds(
     cc: &CulpritConfig,
 ) -> Vec<usize> {
     cfg.in_edges(crate::cfg::BlockId(b))
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&e| freqs.edge_freq[e].is_none_or(|est| est.value >= cc.freq_ignore_frac * f))
         .map(|e| cfg.edges[e].from.0)
         .collect()

@@ -10,18 +10,47 @@
 //! contains both or neither — exactly when their execution counts must be
 //! equal on every complete walk.
 //!
-//! The paper cites the linear-time cycle-equivalence algorithm of
-//! Johnson, Pearson, and Pingali \[14\]; we use the equivalent cut-pair
-//! formulation (two non-bridge edges are cycle equivalent iff removing
-//! both disconnects the graph), computed by bridge-finding on each
-//! edge-deleted subgraph — O(E·(V+E)), entirely adequate for
-//! procedure-sized graphs and much easier to validate.
-//!
 //! The paper's extension for CFGs with infinite loops (e.g. an OS idle
-//! loop, §6.1.2) is implemented by connecting one block of each exit-free
-//! terminal region to EXIT with a pseudo edge.
+//! loop, §6.1.2) connects one block of each exit-free terminal region to
+//! EXIT with a pseudo edge: scanning blocks from the highest index down,
+//! a reachable block that cannot yet reach EXIT gets one. Blocks the
+//! entry cannot reach, and the edges touching them, are left out of the
+//! graph and get singleton classes.
+//!
+//! **Algorithm.** The linear-time bracket-list algorithm of Johnson,
+//! Pearson and Pingali \[14\]. One depth-first search of the undirected
+//! graph makes every non-tree edge a *backedge* between a node and one of
+//! its ancestors; a backedge is a *bracket* of each tree edge it spans.
+//! Two tree edges are cycle equivalent iff their bracket sets are equal,
+//! and a backedge is equivalent to a tree edge iff it is that edge's only
+//! bracket. Visiting nodes in reverse preorder, a node's bracket list is
+//! the concatenation of its children's, minus the backedges that end at
+//! the node, plus those that start there; a set is named in O(1) by its
+//! topmost bracket and its size, which identify it among the sets on one
+//! root path. Where two subtrees join, brackets of the subtree that
+//! reaches less high would sit below the other's and go unnoticed, so a
+//! *capping backedge* is pushed from the node to that subtree's highest
+//! target (`hi`) and deleted there. Lists are doubly linked through one
+//! index arena, so concatenate, delete and push are O(1).
+//!
+//! **No bridges.** A tree edge that no backedge spans would have an empty
+//! list. That cannot happen: every edge kept in the graph lies on a
+//! directed ENTRY→…→EXIT→ENTRY cycle, because its blocks are reachable
+//! from the entry and, after the pseudo edges, reach EXIT.
+//!
+//! **Multi-edges.** A branch to its own fall-through gives parallel CFG
+//! edges, and a self-looping block an edge parallel to its internal edge.
+//! Edges are told apart by id, never by endpoints: the search skips only
+//! the parent *edge*, so a parallel edge is an ordinary backedge (and the
+//! split graph has no self-loops).
+//!
+//! **Complexity.** O(blocks + edges) time and space: two floods, one
+//! search and one reverse sweep, each touching every adjacency entry a
+//! constant number of times.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, Grouped};
+
+const NONE: usize = usize::MAX;
 
 /// The computed equivalence classes.
 #[derive(Clone, Debug)]
@@ -32,15 +61,24 @@ pub struct EquivClasses {
     pub edge_class: Vec<usize>,
     /// Total number of classes.
     pub n_classes: usize,
+    members: Grouped<usize>,
 }
 
 impl EquivClasses {
+    fn new(block_class: Vec<usize>, edge_class: Vec<usize>, n_classes: usize) -> EquivClasses {
+        let members = Grouped::new(n_classes, block_class.iter().copied().zip(0..));
+        EquivClasses {
+            block_class,
+            edge_class,
+            n_classes,
+            members,
+        }
+    }
+
     /// Blocks belonging to `class`, in index order.
     #[must_use]
-    pub fn blocks_in(&self, class: usize) -> Vec<usize> {
-        (0..self.block_class.len())
-            .filter(|&b| self.block_class[b] == class)
-            .collect()
+    pub fn blocks_in(&self, class: usize) -> &[usize] {
+        self.members.of(class)
     }
 }
 
@@ -51,20 +89,81 @@ pub fn frequency_classes(cfg: &Cfg) -> EquivClasses {
     let nb = cfg.blocks.len();
     let ne = cfg.edges.len();
     if cfg.missing_edges {
-        return EquivClasses {
-            block_class: (0..nb).collect(),
-            edge_class: (nb..nb + ne).collect(),
-            n_classes: nb + ne,
-        };
+        return EquivClasses::new((0..nb).collect(), (nb..nb + ne).collect(), nb + ne);
     }
     let edges: Vec<(usize, usize)> = cfg.edges.iter().map(|e| (e.from.0, e.to.0)).collect();
     let exits: Vec<usize> = cfg.exit_blocks().iter().map(|b| b.0).collect();
     classes_raw(nb, &edges, 0, &exits)
 }
 
+/// DFS state of a split-graph node, and its bracket list.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Preorder number (`NONE` until visited).
+    num: usize,
+    /// The tree edge to the parent (`NONE` at the root).
+    parent_edge: usize,
+    /// Lowest preorder number a backedge from this subtree reaches.
+    hi: usize,
+    top: usize,
+    bottom: usize,
+    size: usize,
+    /// Head of the chain of capping backedges that end here.
+    caps: usize,
+}
+
+/// A split-graph edge or capping backedge, as a bracket-list element.
+#[derive(Clone, Copy)]
+struct Bracket {
+    above: usize,
+    below: usize,
+    /// Size of the last list this bracket topped, and that list's class.
+    recent_size: usize,
+    recent_class: usize,
+    class: usize,
+    next_cap: usize,
+}
+
+fn push(list: &mut Node, brackets: &mut [Bracket], b: usize) {
+    (brackets[b].above, brackets[b].below) = (NONE, list.top);
+    match list.top {
+        NONE => list.bottom = b,
+        top => brackets[top].above = b,
+    }
+    list.top = b;
+    list.size += 1;
+}
+
+fn delete(list: &mut Node, brackets: &mut [Bracket], b: usize) {
+    let Bracket { above, below, .. } = brackets[b];
+    match above {
+        NONE => list.top = below,
+        a => brackets[a].below = below,
+    }
+    match below {
+        NONE => list.bottom = above,
+        w => brackets[w].above = above,
+    }
+    list.size -= 1;
+}
+
+/// Appends `child`'s list underneath `list`.
+fn concat(list: &mut Node, brackets: &mut [Bracket], child: &Node) {
+    if child.size == 0 {
+        return;
+    }
+    match list.bottom {
+        NONE => list.top = child.top,
+        bottom => (brackets[bottom].below, brackets[child.top].above) = (child.top, bottom),
+    }
+    list.bottom = child.bottom;
+    list.size += child.size;
+}
+
 /// Computes classes for a raw block graph: `edges` are directed block
 /// pairs, `entry` the entry block, `exits` the blocks that can leave the
-/// procedure.
+/// procedure. Class ids are numbered by first appearance over the blocks,
+/// then the edges.
 #[must_use]
 pub fn classes_raw(
     n_blocks: usize,
@@ -73,212 +172,177 @@ pub fn classes_raw(
     exits: &[usize],
 ) -> EquivClasses {
     assert!(n_blocks > 0, "graph needs at least one block");
-    // --- reachability and the infinite-loop extension ----------------------
-    let mut succ = vec![Vec::new(); n_blocks];
-    let mut pred = vec![Vec::new(); n_blocks];
-    for &(f, t) in edges {
-        succ[f].push(t);
-        pred[t].push(f);
-    }
-    let reachable = bfs(n_blocks, entry, &succ);
-    let mut pseudo_exits: Vec<usize> = Vec::new();
-    loop {
-        // Blocks that can reach some exit (real or pseudo).
-        let mut seeds: Vec<usize> = exits.to_vec();
-        seeds.extend_from_slice(&pseudo_exits);
-        let can_exit = multi_bfs(n_blocks, &seeds, &pred);
-        let Some(bad) = (0..n_blocks)
-            .filter(|&b| reachable[b] && !can_exit[b])
-            .max()
-        else {
-            break;
-        };
-        pseudo_exits.push(bad);
-    }
-
-    // --- split-graph construction ------------------------------------------
-    // Nodes: 2b (in), 2b+1 (out) per block; ENTRY = 2nb; EXIT = 2nb+1.
-    let entry_node = 2 * n_blocks;
-    let exit_node = 2 * n_blocks + 1;
-    let n_nodes = 2 * n_blocks + 2;
-    // Edge ids: 0..n_blocks are internal (block) edges; then CFG edges;
-    // then pseudo/virtual edges.
-    let mut g: Vec<(usize, usize)> = Vec::new();
-    for b in 0..n_blocks {
-        g.push((2 * b, 2 * b + 1));
-    }
-    for &(f, t) in edges {
-        g.push((2 * f + 1, 2 * t));
-    }
-    g.push((entry_node, 2 * entry));
+    // --- split graph ---------------------------------------------------------
+    // Nodes: 2b (in), 2b+1 (out) per block; then ENTRY and EXIT. Edge ids:
+    // block b's internal edge is b, CFG edge e is n_blocks + e, block b's
+    // edge to EXIT (live only for exits and pseudo exits) is exit_edge + b;
+    // then ENTRY→in(entry) and EXIT→ENTRY.
+    let (entry_node, exit_node, n_nodes) = (2 * n_blocks, 2 * n_blocks + 1, 2 * n_blocks + 2);
+    let exit_edge = n_blocks + edges.len();
+    let mut g: Vec<(usize, usize)> = Vec::with_capacity(exit_edge + n_blocks + 2);
+    g.extend((0..n_blocks).map(|b| (2 * b, 2 * b + 1)));
+    g.extend(edges.iter().map(|&(f, t)| (2 * f + 1, 2 * t)));
+    g.extend((0..n_blocks).map(|b| (2 * b + 1, exit_node)));
+    g.extend([(entry_node, 2 * entry), (exit_node, entry_node)]);
+    let mut live = vec![true; g.len()];
+    live[exit_edge..exit_edge + n_blocks].fill(false);
     for &x in exits {
-        g.push((2 * x + 1, exit_node));
+        live[exit_edge + x] = true;
     }
-    for &x in &pseudo_exits {
-        g.push((2 * x + 1, exit_node));
-    }
-    g.push((exit_node, entry_node));
-    // Drop edges touching unreachable blocks: they get their own classes.
-    let live = |n: usize| -> bool {
-        if n >= 2 * n_blocks {
-            return true;
-        }
-        reachable[n / 2]
-    };
-    let active: Vec<bool> = g.iter().map(|&(u, v)| live(u) && live(v)).collect();
+    let ends = g.iter().enumerate();
+    let adj = Grouped::new(
+        n_nodes,
+        ends.flat_map(|(id, &(u, v))| [(u, (v, id)), (v, (u, id))]),
+    );
 
-    // --- cut-pair cycle equivalence -----------------------------------------
-    let mut dsu = Dsu::new(g.len());
-    let adj = build_adj(n_nodes, &g, &active);
-    let base_bridges = find_bridges(n_nodes, g.len(), &adj, usize::MAX);
-    for e in 0..g.len() {
-        if !active[e] || base_bridges[e] {
-            continue;
-        }
-        let bridges = find_bridges(n_nodes, g.len(), &adj, e);
-        for (b, &is_b) in bridges.iter().enumerate() {
-            if is_b && b != e && active[b] && !base_bridges[b] {
-                dsu.union(e, b);
+    // --- reachability and the infinite-loop extension ----------------------
+    let flood = |from: usize, forwards: bool, seen: &mut [bool]| {
+        let mut stack = vec![from];
+        seen[from] = true;
+        while let Some(x) = stack.pop() {
+            for &(y, id) in adj.of(x) {
+                if live[id] && (g[id].0 == x) == forwards && !seen[y] {
+                    seen[y] = true;
+                    stack.push(y);
+                }
             }
         }
+    };
+    let mut reachable = vec![false; n_nodes];
+    flood(entry_node, true, &mut reachable);
+    reachable[exit_node] = true; // through a real or a pseudo exit
+    let mut can_exit = vec![false; n_nodes];
+    flood(exit_node, false, &mut can_exit);
+    let mut pseudo_exits = Vec::new();
+    for b in (0..n_blocks).rev() {
+        if reachable[2 * b] && !can_exit[2 * b] {
+            pseudo_exits.push(b);
+            flood(2 * b + 1, false, &mut can_exit);
+        }
+    }
+    for b in pseudo_exits {
+        live[exit_edge + b] = true;
+    }
+    // Drop edges touching unreachable blocks: they get their own classes.
+    for (id, &(u, v)) in g.iter().enumerate() {
+        live[id] &= reachable[u] && reachable[v];
+    }
+
+    // --- depth-first search --------------------------------------------------
+    let unvisited = Node {
+        num: NONE,
+        parent_edge: NONE,
+        hi: NONE,
+        top: NONE,
+        bottom: NONE,
+        size: 0,
+        caps: NONE,
+    };
+    let mut nodes = vec![unvisited; n_nodes];
+    let mut order = vec![entry_node];
+    nodes[entry_node].num = 0;
+    // (node, how many of its adjacency entries have been tried)
+    let mut stack = vec![(entry_node, 0)];
+    while let Some(&mut (u, ref mut tried)) = stack.last_mut() {
+        let Some(&(v, id)) = adj.of(u).get(*tried) else {
+            stack.pop();
+            continue;
+        };
+        *tried += 1;
+        if live[id] && nodes[v].num == NONE {
+            (nodes[v].num, nodes[v].parent_edge) = (order.len(), id);
+            order.push(v);
+            stack.push((v, 0));
+        }
+    }
+
+    // --- bracket lists, in reverse preorder ----------------------------------
+    // Bracket ids: the edge ids, then node n's capping backedge g.len() + n.
+    let fresh = Bracket {
+        above: NONE,
+        below: NONE,
+        recent_size: 0,
+        recent_class: NONE,
+        class: NONE,
+        next_cap: NONE,
+    };
+    let mut brackets = vec![fresh; g.len() + n_nodes];
+    let mut n_raw = 0;
+    let mut new_class = || {
+        n_raw += 1;
+        n_raw - 1
+    };
+    for &n in order.iter().rev() {
+        let mut me = nodes[n];
+        // hi0: own backedges; hi1, hi2: the two highest-reaching children.
+        let (mut hi0, mut hi1, mut hi2) = (NONE, NONE, NONE);
+        for &(v, id) in adj.of(n) {
+            let other = nodes[v];
+            if !live[id] || id == me.parent_edge {
+            } else if other.parent_edge == id {
+                hi2 = hi2.min(other.hi.max(hi1));
+                hi1 = hi1.min(other.hi);
+                concat(&mut me, &mut brackets, &other);
+            } else if other.num < me.num {
+                hi0 = hi0.min(other.num);
+            }
+        }
+        me.hi = hi0.min(hi1);
+        let mut cap = me.caps;
+        while cap != NONE {
+            delete(&mut me, &mut brackets, cap);
+            cap = brackets[cap].next_cap;
+        }
+        for &(v, id) in adj.of(n) {
+            let other = nodes[v];
+            if !live[id] || id == me.parent_edge || other.parent_edge == id {
+            } else if other.num < me.num {
+                push(&mut me, &mut brackets, id);
+            } else {
+                delete(&mut me, &mut brackets, id);
+                if brackets[id].class == NONE {
+                    brackets[id].class = new_class();
+                }
+            }
+        }
+        if hi2 < hi0 {
+            let (cap, target) = (g.len() + n, order[hi2]);
+            push(&mut me, &mut brackets, cap);
+            brackets[cap].next_cap = nodes[target].caps;
+            nodes[target].caps = cap;
+        }
+        if me.parent_edge != NONE {
+            assert!(me.top != NONE, "the live split graph has no bridges");
+            let top = &mut brackets[me.top];
+            if top.recent_size != me.size {
+                (top.recent_size, top.recent_class) = (me.size, new_class());
+            }
+            let class = top.recent_class;
+            if me.size == 1 {
+                top.class = class;
+            }
+            brackets[me.parent_edge].class = class;
+        }
+        nodes[n] = me;
     }
 
     // --- map back ------------------------------------------------------------
-    let mut class_ids = std::collections::HashMap::new();
-    let mut next = 0usize;
-    let mut id_of = |root: usize, class_ids: &mut std::collections::HashMap<usize, usize>| {
-        *class_ids.entry(root).or_insert_with(|| {
-            let v = next;
-            next += 1;
-            v
-        })
+    let mut canonical = vec![NONE; n_raw];
+    let mut next = 0;
+    let mut id_of = |x: usize| {
+        // An element outside the live graph is alone in a class of its own.
+        if live[x] && canonical[brackets[x].class] != NONE {
+            return canonical[brackets[x].class];
+        }
+        if live[x] {
+            canonical[brackets[x].class] = next;
+        }
+        next += 1;
+        next - 1
     };
-    let mut block_class = Vec::with_capacity(n_blocks);
-    for b in 0..n_blocks {
-        let root = dsu.find(b);
-        block_class.push(id_of(root, &mut class_ids));
-    }
-    let mut edge_class = Vec::with_capacity(edges.len());
-    for e in 0..edges.len() {
-        let root = dsu.find(n_blocks + e);
-        edge_class.push(id_of(root, &mut class_ids));
-    }
-    EquivClasses {
-        block_class,
-        edge_class,
-        n_classes: next,
-    }
-}
-
-fn bfs(n: usize, start: usize, succ: &[Vec<usize>]) -> Vec<bool> {
-    multi_bfs(n, &[start], succ)
-}
-
-fn multi_bfs(n: usize, starts: &[usize], succ: &[Vec<usize>]) -> Vec<bool> {
-    let mut seen = vec![false; n];
-    let mut stack: Vec<usize> = starts.to_vec();
-    for &s in starts {
-        seen[s] = true;
-    }
-    while let Some(x) = stack.pop() {
-        for &y in &succ[x] {
-            if !seen[y] {
-                seen[y] = true;
-                stack.push(y);
-            }
-        }
-    }
-    seen
-}
-
-fn build_adj(n_nodes: usize, g: &[(usize, usize)], active: &[bool]) -> Vec<Vec<(usize, usize)>> {
-    let mut adj = vec![Vec::new(); n_nodes];
-    for (id, &(u, v)) in g.iter().enumerate() {
-        if active[id] {
-            adj[u].push((v, id));
-            adj[v].push((u, id));
-        }
-    }
-    adj
-}
-
-/// Iterative bridge finding (Tarjan low-link) over the undirected
-/// multigraph, skipping edge `skip`. Returns a bridge flag per edge id.
-fn find_bridges(
-    n_nodes: usize,
-    n_edges: usize,
-    adj: &[Vec<(usize, usize)>],
-    skip: usize,
-) -> Vec<bool> {
-    let mut is_bridge = vec![false; n_edges];
-    let mut num = vec![usize::MAX; n_nodes];
-    let mut low = vec![0usize; n_nodes];
-    let mut counter = 0usize;
-    // Iterative DFS with explicit stack: (node, parent_edge, child_iter).
-    let mut stack: Vec<(usize, usize, usize)> = Vec::new();
-    for root in 0..n_nodes {
-        if num[root] != usize::MAX {
-            continue;
-        }
-        num[root] = counter;
-        low[root] = counter;
-        counter += 1;
-        stack.push((root, usize::MAX, 0));
-        while let Some(top) = stack.last_mut() {
-            let (u, pedge) = (top.0, top.1);
-            if top.2 < adj[u].len() {
-                let (v, id) = adj[u][top.2];
-                top.2 += 1;
-                if id == skip || id == pedge {
-                    continue;
-                }
-                if num[v] == usize::MAX {
-                    num[v] = counter;
-                    low[v] = counter;
-                    counter += 1;
-                    stack.push((v, id, 0));
-                } else {
-                    low[u] = low[u].min(num[v]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _, _)) = stack.last() {
-                    low[p] = low[p].min(low[u]);
-                    if low[u] > num[p] && pedge != usize::MAX {
-                        is_bridge[pedge] = true;
-                    }
-                }
-            }
-        }
-    }
-    is_bridge
-}
-
-struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Dsu {
-        Dsu {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let r = self.find(self.parent[x]);
-            self.parent[x] = r;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
+    let block_class = (0..n_blocks).map(&mut id_of).collect();
+    let edge_class = (n_blocks..exit_edge).map(&mut id_of).collect();
+    EquivClasses::new(block_class, edge_class, next)
 }
 
 #[cfg(test)]

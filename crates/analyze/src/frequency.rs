@@ -138,15 +138,16 @@ pub fn estimate_frequencies_with_edges(
     let mut class_freq: Vec<Option<FrequencyEstimate>> = vec![None; nc];
 
     // --- per-class direct estimates -----------------------------------------
+    let mut ratios: Vec<f64> = Vec::new();
     for (class, slot) in class_freq.iter_mut().enumerate() {
         let blocks = classes.blocks_in(class);
         if blocks.is_empty() {
             continue; // edge-only classes are filled by propagation
         }
-        let mut ratios: Vec<f64> = Vec::new();
+        ratios.clear();
         let mut sum_s = 0u64;
         let mut sum_m = 0u64;
-        for &b in &blocks {
+        for &b in blocks {
             let sched = &schedules[b];
             let base = (cfg.blocks[b].start_word - cfg.start_word) as usize;
             for (k, e) in sched.entries.iter().enumerate() {
@@ -193,7 +194,7 @@ pub fn estimate_frequencies_with_edges(
             *slot = class_sum();
             continue;
         }
-        *slot = cluster_estimate(&ratios, sum_s, cfg_est, &blocks, schedules, samples, cfg)
+        *slot = cluster_estimate(&mut ratios, sum_s, cfg_est, blocks, schedules, samples, cfg)
             .or_else(class_sum);
     }
 
@@ -223,9 +224,9 @@ pub fn estimate_frequencies_with_edges(
     }
 }
 
-/// The ratio-clustering heuristic of §6.1.3.
+/// The ratio-clustering heuristic of §6.1.3. Sorts `ratios` in place.
 fn cluster_estimate(
-    ratios: &[f64],
+    ratios: &mut [f64],
     class_samples: u64,
     cfg_est: &EstimatorConfig,
     blocks: &[usize],
@@ -233,23 +234,21 @@ fn cluster_estimate(
     samples: &[u64],
     cfg: &Cfg,
 ) -> Option<FrequencyEstimate> {
-    let mut sorted: Vec<f64> = ratios.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
+    let sorted = &*ratios;
     let n = sorted.len();
+    let min_size = ((n as f64 * cfg_est.min_cluster_frac).ceil() as usize).max(1);
     // Greedy clusters over the sorted ratios.
-    let mut clusters: Vec<&[f64]> = Vec::new();
     let mut start = 0;
     for i in 1..=n {
         let open_new = i == n
             || (sorted[start] > 0.0 && sorted[i] > sorted[start] * cfg_est.cluster_spread)
             || (sorted[start] == 0.0 && sorted[i] > 0.0);
-        if open_new {
-            clusters.push(&sorted[start..i]);
-            start = i;
+        if !open_new {
+            continue;
         }
-    }
-    let min_size = ((n as f64 * cfg_est.min_cluster_frac).ceil() as usize).max(1);
-    for cluster in clusters {
+        let cluster = &sorted[start..i];
+        start = i;
         if cluster.len() < min_size {
             continue;
         }
@@ -321,7 +320,7 @@ fn apply_branch_directions(
             continue;
         };
         let frac_taken = taken as f64 / (taken + fall) as f64;
-        for e in cfg.out_edges(crate::cfg::BlockId(b)) {
+        for &e in cfg.out_edges(crate::cfg::BlockId(b)) {
             let share = match cfg.edges[e].kind {
                 crate::cfg::EdgeKind::Taken => frac_taken,
                 crate::cfg::EdgeKind::FallThrough => 1.0 - frac_taken,
@@ -365,26 +364,27 @@ fn propagate(cfg: &Cfg, classes: &EquivClasses, class_freq: &mut [Option<Frequen
                     continue;
                 }
                 let mut known_sum = 0.0;
-                let mut unknown: Vec<usize> = Vec::new();
                 let mut lowest = Confidence::High;
-                for &e in &edges {
+                // Several incident edges may share one unknown class; the
+                // class value then appears `multiplicity` times in the
+                // flow sum.
+                let (mut unknown, mut multiplicity, mut one_class) = (None, 0.0, true);
+                for &e in edges {
                     let ec = classes.edge_class[e];
                     match class_freq[ec] {
                         Some(est) => {
                             known_sum += est.value;
                             lowest = lowest.min(est.confidence);
                         }
-                        None => unknown.push(ec),
+                        None => {
+                            one_class &= unknown.is_none_or(|u| u == ec);
+                            unknown = Some(ec);
+                            multiplicity += 1.0;
+                        }
                     }
                 }
-                // Several incident edges may share one unknown class; the
-                // class value then appears `multiplicity` times in the
-                // flow sum.
-                let multiplicity = unknown.len() as f64;
-                unknown.sort_unstable();
-                unknown.dedup();
-                match (class_freq[bc], unknown.len()) {
-                    (None, 0) if !edges.is_empty() => {
+                match (class_freq[bc], unknown) {
+                    (None, None) if !edges.is_empty() => {
                         class_freq[bc] = Some(FrequencyEstimate {
                             value: known_sum.max(0.0),
                             confidence: demote(lowest),
@@ -392,9 +392,9 @@ fn propagate(cfg: &Cfg, classes: &EquivClasses, class_freq: &mut [Option<Frequen
                         });
                         changed = true;
                     }
-                    (Some(bf), 1) => {
+                    (Some(bf), Some(ec)) if one_class => {
                         let missing = ((bf.value - known_sum) / multiplicity).max(0.0);
-                        class_freq[unknown[0]] = Some(FrequencyEstimate {
+                        class_freq[ec] = Some(FrequencyEstimate {
                             value: missing,
                             confidence: demote(bf.confidence.min(lowest)),
                             source: EstimateSource::Propagated,

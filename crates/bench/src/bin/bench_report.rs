@@ -12,23 +12,35 @@
 //! falls below half of it — a gross-regression guard (the tolerance is
 //! generous because CI hardware varies). The CI chaos job runs it to
 //! show that the collection pipeline's fault-injection hooks cost
-//! nothing when no `FaultPlan` is armed.
+//! nothing when no `FaultPlan` is armed. The `analyze` row (host time per
+//! analysed gcc procedure and per rendered `dcpicalc` row) has its own
+//! ceiling, [`ANALYZE_SLACK`].
 
+use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_bench::{parse_baseline, run_merged, ExpOptions, ACCURACY_PERIOD};
+use dcpi_core::Event;
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::uop::{chain_length_histogram, compile_uops};
 use dcpi_machine::DispatchStats;
+use dcpi_tools::dcpicalc;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Timed repetitions per workload row. Simulated output is deterministic,
 /// so repetitions differ only by wall-clock noise; the minimum is the
 /// best estimator of the true cost.
 const REPS: u32 = 3;
+
+/// `--check` ceiling for the `analyze` row's two costs, as a multiple of
+/// the committed baseline. The per-edge cycle-equivalence search this row
+/// was added to keep out cost 3.9x per procedure, and per-row `String`
+/// temporaries 2.8x per listing row; shared CI runners wander by up to 1.5x.
+const ANALYZE_SLACK: f64 = 2.5;
 
 struct WorkloadRow {
     name: &'static str,
@@ -74,6 +86,18 @@ struct TvRow {
     segments: usize,
     proved: usize,
     wall_s: f64,
+}
+
+/// Host time of the analysis tools over the gcc image: every sampled
+/// procedure analysed, then rendered by `dcpicalc`.
+struct AnalyzeRow {
+    procs: usize,
+    listing_rows: usize,
+    /// Best batch, and worst over best across the batches.
+    analyze_us_per_proc: f64,
+    analyze_spread: f64,
+    dcpicalc_ns_per_row: f64,
+    dcpicalc_spread: f64,
 }
 
 struct FleetRow {
@@ -335,6 +359,18 @@ fn main() {
         }
     }
 
+    let analyze_row = analyze_row(&opts);
+    println!(
+        "analyze gcc: {} procs at {:.1} us/proc (spread {:.2}x), {} dcpicalc rows at \
+         {:.0} ns/row (spread {:.2}x)",
+        analyze_row.procs,
+        analyze_row.analyze_us_per_proc,
+        analyze_row.analyze_spread,
+        analyze_row.listing_rows,
+        analyze_row.dcpicalc_ns_per_row,
+        analyze_row.dcpicalc_spread
+    );
+
     // One representative multi-run experiment: the accuracy suite's
     // McCalpin copy cell, merged across `opts.runs` runs — the shape every
     // figure-8/9/10 binary fans out.
@@ -415,6 +451,7 @@ fn main() {
         &overhead_rows,
         &pgo_rows,
         &tv_rows,
+        &analyze_row,
         &fleet_row,
         &experiment,
         &opts,
@@ -444,8 +481,76 @@ fn main() {
         Ok(()) => println!("wrote {dpath}"),
         Err(e) => eprintln!("warning: could not write {dpath}: {e}"),
     }
-    if opts.check && !check_against_baseline(&rows, &fleet_row, baseline.as_deref()) {
+    if opts.check && !check_against_baseline(&rows, &analyze_row, &fleet_row, baseline.as_deref()) {
         std::process::exit(1);
+    }
+}
+
+/// Seconds per call of `f`: the best of `REPS` batches, each repeated until
+/// it has run for 200 ms, and the worst batch over the best.
+fn time_per_call(mut f: impl FnMut()) -> (f64, f64) {
+    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let mut calls = 0u32;
+        while t.elapsed().as_secs_f64() < 0.2 {
+            f();
+            calls += 1;
+        }
+        let per_call = t.elapsed().as_secs_f64() / f64::from(calls);
+        best = best.min(per_call);
+        worst = worst.max(per_call);
+    }
+    (best, worst / best)
+}
+
+/// Profiles gcc once, then times `analyze_procedure` over every sampled
+/// procedure and `dcpicalc` over the analyses.
+fn analyze_row(opts: &ExpOptions) -> AnalyzeRow {
+    let ro = RunOptions {
+        scale: 2 * opts.scale,
+        period: (20_000, 21_600),
+        seed: opts.seed,
+        ..RunOptions::default()
+    };
+    let r = run_workload(Workload::Gcc, ProfConfig::Default, &ro);
+    let model = PipelineModel::default();
+    let aopts = AnalysisOptions::default();
+    let mut sampled = Vec::new();
+    for (id, image) in &r.images {
+        let Some(cycles) = r.profiles.get(*id, Event::Cycles) else {
+            continue;
+        };
+        for sym in image.symbols() {
+            if cycles.range_total(sym.offset, sym.offset + sym.size) > 0 {
+                sampled.push((*id, image, sym));
+            }
+        }
+    }
+    let analyse = || -> Vec<ProcAnalysis> {
+        let each = sampled.iter().map(|&(id, image, sym)| {
+            analyze_procedure(image, sym, &r.profiles, id, &model, &aopts)
+                .expect("sampled procedure analyses")
+        });
+        each.collect()
+    };
+    let analyses = analyse();
+    let (analyze_s, analyze_spread) = time_per_call(|| {
+        black_box(analyse());
+    });
+    let (dcpicalc_s, dcpicalc_spread) = time_per_call(|| {
+        for pa in &analyses {
+            black_box(dcpicalc(pa, dcpi_machine::os::MAIN_BASE.0));
+        }
+    });
+    let listing_rows = analyses.iter().map(|pa| pa.insns.len()).sum::<usize>();
+    AnalyzeRow {
+        procs: analyses.len(),
+        listing_rows,
+        analyze_us_per_proc: analyze_s * 1e6 / analyses.len() as f64,
+        analyze_spread,
+        dcpicalc_ns_per_row: dcpicalc_s * 1e9 / listing_rows as f64,
+        dcpicalc_spread,
     }
 }
 
@@ -454,7 +559,12 @@ fn main() {
 /// independent, so `--quick` runs compare against a full-scale baseline;
 /// the 2x slack absorbs both that and CI hardware variance. Returns
 /// false on a regression.
-fn check_against_baseline(rows: &[WorkloadRow], fleet: &FleetRow, baseline: Option<&str>) -> bool {
+fn check_against_baseline(
+    rows: &[WorkloadRow],
+    analyze: &AnalyzeRow,
+    fleet: &FleetRow,
+    baseline: Option<&str>,
+) -> bool {
     let mut ok = fleet.conserves;
     if !ok {
         println!("check {:<18} fleet ledger ** NOT CONSERVED **", fleet.name);
@@ -479,9 +589,31 @@ fn check_against_baseline(rows: &[WorkloadRow], fleet: &FleetRow, baseline: Opti
             None => println!("check {:<18} has no baseline row; skipping", r.name),
         }
     }
+    // Analyzer costs are host time per item, lower is better: a ceiling.
+    for (key, now, unit) in [
+        (
+            "analyze_us_per_proc",
+            analyze.analyze_us_per_proc,
+            "us/proc",
+        ),
+        ("dcpicalc_ns_per_row", analyze.dcpicalc_ns_per_row, "ns/row"),
+    ] {
+        match baseline_field::<f64>(baseline, "analyze-gcc", key) {
+            Some(was) => {
+                let pass = now <= was * ANALYZE_SLACK;
+                println!(
+                    "check {:<18} {now:7.1} {unit} vs baseline {was:7.1}  {}",
+                    "analyze-gcc",
+                    if pass { "ok" } else { "** REGRESSED **" }
+                );
+                ok &= pass;
+            }
+            None => println!("check analyze-gcc        has no baseline {key}; skipping"),
+        }
+    }
     // Fleet throughput is samples/s, not simulated cycles/s, so it gets
     // its own baseline key with the same 2x slack.
-    match baseline_fleet_rate(baseline, &fleet.name) {
+    match baseline_field::<f64>(baseline, &fleet.name, "samples_per_s") {
         Some(was) => {
             let now = fleet.samples as f64 / fleet.wall_s;
             let pass = now >= was / 2.0;
@@ -499,7 +631,7 @@ fn check_against_baseline(rows: &[WorkloadRow], fleet: &FleetRow, baseline: Opti
     // means the pipeline itself got slower (more retries, later merges),
     // not that CI hardware jittered. Baselines from before the lag
     // metric existed simply skip.
-    match baseline_fleet_lag(baseline, &fleet.name) {
+    match baseline_field::<u64>(baseline, &fleet.name, "lag_p95_cycles") {
         Some(was) => {
             let now = fleet.lag_p95_cycles;
             let pass = was == 0 || now <= was * 2;
@@ -518,28 +650,14 @@ fn check_against_baseline(rows: &[WorkloadRow], fleet: &FleetRow, baseline: Opti
     ok
 }
 
-/// Pulls `lag_p95_cycles` for the named fleet row out of the committed
-/// baseline, line-oriented like [`baseline_fleet_rate`].
-fn baseline_fleet_lag(json: &str, name: &str) -> Option<u64> {
-    let line = json
-        .lines()
-        .find(|l| l.contains(&format!("\"name\": \"{name}\"")) && l.contains("lag_p95_cycles"))?;
-    let rest = &line[line.find("\"lag_p95_cycles\":")? + "\"lag_p95_cycles\":".len()..];
-    let rest = rest.trim_start();
-    rest[..rest.find([',', '}']).unwrap_or(rest.len())]
-        .trim()
-        .parse()
-        .ok()
-}
-
-/// Pulls `samples_per_s` for the named fleet row out of the committed
+/// Pulls field `key` of the row named `name` out of the committed
 /// baseline, line-oriented like [`parse_baseline`].
-fn baseline_fleet_rate(json: &str, name: &str) -> Option<f64> {
+fn baseline_field<T: std::str::FromStr>(json: &str, name: &str, key: &str) -> Option<T> {
+    let (name, key) = (format!("\"name\": \"{name}\""), format!("\"{key}\":"));
     let line = json
         .lines()
-        .find(|l| l.contains(&format!("\"name\": \"{name}\"")) && l.contains("samples_per_s"))?;
-    let rest = &line[line.find("\"samples_per_s\":")? + "\"samples_per_s\":".len()..];
-    let rest = rest.trim_start();
+        .find(|l| l.contains(&name) && l.contains(&key))?;
+    let rest = line[line.find(&key)? + key.len()..].trim_start();
     rest[..rest.find([',', '}']).unwrap_or(rest.len())]
         .trim()
         .parse()
@@ -578,11 +696,13 @@ fn render_dispatch_json(rows: &[DispatchRow]) -> String {
     s
 }
 
+#[allow(clippy::too_many_arguments)]
 fn render_json(
     rows: &[WorkloadRow],
     overhead: &[OverheadRow],
     pgo: &[PgoRow],
     tv: &[TvRow],
+    analyze: &AnalyzeRow,
     fleet: &FleetRow,
     exp: &ExperimentRow,
     opts: &ExpOptions,
@@ -656,6 +776,22 @@ fn render_json(
             r.name, r.segments, r.proved, r.wall_s
         );
     }
+    let _ = writeln!(s, "  ],");
+    // Host time of the analysis tools; `--check` holds both costs under
+    // `ANALYZE_SLACK` times the baseline.
+    let _ = writeln!(s, "  \"analyze\": [");
+    let _ = writeln!(
+        s,
+        "    {{\"name\": \"analyze-gcc\", \"procs\": {}, \"rows\": {}, \
+         \"analyze_us_per_proc\": {:.2}, \"analyze_spread\": {:.2}, \
+         \"dcpicalc_ns_per_row\": {:.1}, \"dcpicalc_spread\": {:.2}}}",
+        analyze.procs,
+        analyze.listing_rows,
+        analyze.analyze_us_per_proc,
+        analyze.analyze_spread,
+        analyze.dcpicalc_ns_per_row,
+        analyze.dcpicalc_spread
+    );
     let _ = writeln!(s, "  ],");
     // Fleet rows carry `samples_per_s` instead of `mcycles_per_s`:
     // wall time here is ingest + WAL + merge work, not simulation, and

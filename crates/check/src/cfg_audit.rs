@@ -6,12 +6,16 @@
 //! terminator, and fall-through/exit flags must be mutually consistent.
 //!
 //! Equivalence: `dcpi-analyze` computes frequency-equivalence classes
-//! with bridge-finding over edge-deleted subgraphs (§6.1.2). Here the
-//! same cut-pair definition is evaluated *from scratch* with a different
-//! mechanism — plain connected-component counting on the split graph —
-//! and the resulting partition is compared against
-//! [`frequency_classes`]. On small procedures this brute force is cheap
-//! and catches any drift between the two implementations.
+//! with the linear-time bracket-list algorithm of Johnson, Pearson and
+//! Pingali (§6.1.2): one depth-first search, never deleting an edge. Here
+//! cycle equivalence is evaluated *from scratch* from its cut-pair
+//! characterisation — two edges of a bridgeless graph are cycle
+//! equivalent iff deleting both disconnects it — by plain
+//! connected-component counting on the split graph, and the resulting
+//! partition is compared against [`frequency_classes`]. The two share no
+//! mechanism, so agreement is evidence for both; the brute force is cubic
+//! in the edges, about a millisecond for a 27-block procedure, and runs
+//! on procedures up to [`CheckConfig::max_bruteforce_blocks`].
 
 use crate::diag::{Category, Report, Severity};
 use crate::CheckConfig;
@@ -254,7 +258,7 @@ fn check_equivalence(sym: &Symbol, cfg: &Cfg, config: &CheckConfig, report: &mut
         return;
     }
     if nb > config.max_bruteforce_blocks {
-        return; // brute force is quadratic in edges; skip big procedures
+        return; // brute force is cubic in edges; skip big procedures
     }
     let edges: Vec<(usize, usize)> = cfg.edges.iter().map(|e| (e.from.0, e.to.0)).collect();
     let exits: Vec<usize> = cfg.exit_blocks().iter().map(|b| b.0).collect();
@@ -312,9 +316,10 @@ fn check_equivalence(sym: &Symbol, cfg: &Cfg, config: &CheckConfig, report: &mut
 ///
 /// Two active non-bridge edges are cycle equivalent iff deleting both
 /// disconnects the graph; equivalence is decided by counting connected
-/// components with union-find, not by bridge-finding DFS, so the result
-/// is derived independently of `dcpi-analyze`'s implementation.
-pub(crate) fn brute_force_classes(
+/// components with union-find, with no depth-first search and no bracket
+/// lists, so the result is derived independently of `dcpi-analyze`'s
+/// implementation (whose differential tests call this too).
+pub fn brute_force_classes(
     n_blocks: usize,
     edges: &[(usize, usize)],
     entry: usize,

@@ -168,7 +168,7 @@ fn check_flow_conservation(pa: &ProcAnalysis, config: &CheckConfig, report: &mut
             }
             let mut sum = 0.0;
             let mut all_known = true;
-            for &e in &edges {
+            for &e in edges {
                 match f.edge_freq[e] {
                     Some(est) => sum += est.value,
                     None => all_known = false,

@@ -14,8 +14,8 @@
 //! 2. **CFG audits** ([`cfg_audit`]) — blocks must partition the text,
 //!    edges must land on block heads and agree with their terminators,
 //!    and the cycle-equivalence classes of §6.1.2 are re-derived by brute
-//!    force (connectivity counting instead of bridge-finding) and
-//!    compared.
+//!    force (connectivity counting instead of the analyzer's bracket
+//!    lists) and compared.
 //! 3. **Estimate audits** ([`estimate_audit`]) — flow conservation at
 //!    each block (§6.1.4), confidence-label invariants (§6.1.5), culprit
 //!    completeness against the dynamic-stall threshold (§6.3), and an
@@ -65,7 +65,7 @@ use dcpi_isa::image::{Image, Symbol};
 /// Tuning for the checks.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
-    /// Brute-force equivalence re-derivation is quadratic in split-graph
+    /// Brute-force equivalence re-derivation is cubic in split-graph
     /// edges; procedures with more blocks than this skip it.
     pub max_bruteforce_blocks: usize,
     /// Flow sums below this frequency carry too few samples to compare.
@@ -85,7 +85,7 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> CheckConfig {
         CheckConfig {
-            max_bruteforce_blocks: 14,
+            max_bruteforce_blocks: 64,
             min_flow_freq: 2.0,
             flow_warn_rel: 0.35,
             flow_error_rel: 0.9,

@@ -91,8 +91,8 @@ fn bit(r: Reg) -> u64 {
 
 fn successors(cfg: &Cfg, b: usize) -> Vec<usize> {
     cfg.out_edges(BlockId(b))
-        .into_iter()
-        .map(|e| cfg.edges[e].to.0)
+        .iter()
+        .map(|&e| cfg.edges[e].to.0)
         .collect()
 }
 

@@ -133,18 +133,23 @@ impl Profile {
         self.run.iter().copied()
     }
 
+    /// Iterates the `(offset, count)` pairs with `lo <= offset < hi`, in
+    /// increasing offset order: one binary search, then a walk.
+    pub fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let start = self.run.partition_point(|&(o, _)| o < lo);
+        self.run[start..]
+            .iter()
+            .copied()
+            .take_while(move |&(o, _)| o < hi)
+    }
+
     /// Sums the counts over the half-open offset range `[lo, hi)`.
     ///
     /// Used by the analyzer to total the samples of a procedure or basic
     /// block.
     #[must_use]
     pub fn range_total(&self, lo: u64, hi: u64) -> u64 {
-        let start = self.run.partition_point(|&(o, _)| o < lo);
-        self.run[start..]
-            .iter()
-            .take_while(|&&(o, _)| o < hi)
-            .map(|&(_, c)| c)
-            .sum()
+        self.range(lo, hi).map(|(_, c)| c).sum()
     }
 }
 

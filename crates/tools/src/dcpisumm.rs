@@ -7,33 +7,14 @@ use std::fmt::Write as _;
 /// Renders the Figure 4 summary for an analyzed procedure.
 #[must_use]
 pub fn dcpisumm(pa: &ProcAnalysis) -> String {
-    let freq_sum: f64 = pa.insns.iter().map(|i| i.freq).sum();
-    let best = pa.best_case_cpi();
-    let actual = pa.actual_cpi();
-    let mut out = String::new();
-    let _ = writeln!(out, "*** Procedure {}", pa.name);
-    let _ = writeln!(
-        out,
-        "*** Best-case {:.0}/{:.0} = {:.2}CPI,",
-        best * freq_sum.max(1.0),
-        freq_sum.max(1.0),
-        best
-    );
-    let _ = writeln!(
-        out,
-        "*** Actual    {:.0}/{:.0} = {:.2}CPI",
-        actual * freq_sum.max(1.0),
-        freq_sum.max(1.0),
-        actual
-    );
-    out.push_str(&render_summary(&pa.summary));
+    let mut out = String::with_capacity(1536);
+    crate::dcpicalc::write_cpi_header(&mut out, pa, ",");
+    write_summary(&mut out, &pa.summary);
     out
 }
 
-/// Renders just the category table of a [`ProcSummary`].
-#[must_use]
-pub fn render_summary(s: &ProcSummary) -> String {
-    let mut out = String::new();
+/// Appends the category table of a [`ProcSummary`].
+fn write_summary(out: &mut String, s: &ProcSummary) {
     let _ = writeln!(out, "***");
     for &cause in &DYNAMIC_ORDER {
         if cause == dcpi_analyze::culprit::DynamicCause::Unexplained {
@@ -67,14 +48,7 @@ pub fn render_summary(s: &ProcSummary) -> String {
         "Subtotal dynamic", s.subtotal_dynamic_pct
     );
     let _ = writeln!(out, "***");
-    for &(ref cause, pct) in s
-        .static_
-        .iter()
-        .filter(|(c, _)| STATIC_ORDER.contains(c))
-        .collect::<Vec<_>>()
-        .iter()
-        .copied()
-    {
+    for (cause, pct) in s.static_.iter().filter(|(c, _)| STATIC_ORDER.contains(c)) {
         let _ = writeln!(out, "***  {:<22} {:>14.1}%", cause.label(), pct);
     }
     let _ = writeln!(out, "*** {:-^44}", "");
@@ -109,7 +83,6 @@ pub fn render_summary(s: &ProcSummary) -> String {
         s.tallied_samples,
         s.tallied_fraction() * 100.0
     );
-    out
 }
 
 #[cfg(test)]

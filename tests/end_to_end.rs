@@ -12,7 +12,7 @@ use dcpi::isa::pipeline::PipelineModel;
 use dcpi::machine::counters::CounterConfig;
 use dcpi::server::journal::{Journal, WAL_FILE, WAL_TMP_FILE};
 use dcpi::server::{check_fleet, IngestServer, ServerConfig};
-use dcpi::tools::{dcpicalc, dcpiprof, dcpistats, ImageRegistry};
+use dcpi::tools::{dcpicalc, dcpiprof, dcpistats, dcpisumm, ImageRegistry};
 use dcpi::workloads::fleet_feed::AgentScript;
 use dcpi::workloads::programs::StreamKind;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
@@ -346,4 +346,57 @@ fn fleet_server_recovers_identically_at_three_crash_points() {
         assert!(audit.is_clean(), "{point}:\n{}", audit.render());
     }
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// The listings of the three hottest x11perf procedures of a fixed-seed
+/// run match a committed golden byte for byte: the Tier-1 slice of
+/// `crates/tools/tests/calc_golden.rs`, which pins every sampled
+/// procedure of gcc and x11perf. Regenerate with `DCPI_BLESS=1`.
+#[test]
+fn three_procedure_listings_match_the_committed_golden() {
+    let opts = RunOptions {
+        seed: 11,
+        period: (6_000, 6_400),
+        limit: 400_000_000,
+        ..RunOptions::default()
+    };
+    let r = run_workload(Workload::X11Perf, ProfConfig::Default, &opts);
+    let mut procs = Vec::new();
+    for (id, image) in &r.images {
+        let Some(profile) = r.profiles.get(*id, Event::Cycles) else {
+            continue;
+        };
+        for sym in image.symbols() {
+            let samples = profile.range_total(sym.offset, sym.offset + sym.size);
+            procs.push((std::cmp::Reverse(samples), *id, image, sym));
+        }
+    }
+    procs.sort_by_key(|&(samples, id, _, sym)| (samples, id, sym.offset));
+    let mut text = String::new();
+    for &(_, id, image, sym) in &procs[..3] {
+        let pa = analyze_procedure(
+            image,
+            sym,
+            &r.profiles,
+            id,
+            &PipelineModel::default(),
+            &AnalysisOptions::default(),
+        )
+        .expect("analysis");
+        text.push_str(&format!("=== {} {}\n", image.name(), sym.name));
+        text.push_str(&dcpicalc(&pa, dcpi::machine::os::MAIN_BASE.0));
+        text.push_str(&dcpisumm(&pa));
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/calc-x11perf-top3.txt");
+    if std::env::var("DCPI_BLESS").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &text).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("committed golden file");
+    assert!(
+        text == golden,
+        "listings drifted from {}; if intentional, regenerate with DCPI_BLESS=1",
+        path.display()
+    );
 }
