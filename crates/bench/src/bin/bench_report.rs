@@ -14,15 +14,20 @@
 //! show that the collection pipeline's fault-injection hooks cost
 //! nothing when no `FaultPlan` is armed. The `analyze` row (host time per
 //! analysed gcc procedure and per rendered `dcpicalc` row) has its own
-//! ceiling, [`ANALYZE_SLACK`].
+//! ceiling, [`ANALYZE_SLACK`], and so has the `collect` row (host time per
+//! daemon entry and per interned stack), [`COLLECT_SLACK`].
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_bench::{parse_baseline, run_merged, ExpOptions, ACCURACY_PERIOD};
-use dcpi_core::Event;
+use dcpi_collect::daemon::{Daemon, DaemonConfig};
+use dcpi_collect::driver::{CostModel, CpuDriver, DriverConfig};
+use dcpi_core::{Event, Pid};
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::uop::{chain_length_histogram, compile_uops};
+use dcpi_machine::os::{OsEvent, KERNEL_BASE, MAIN_BASE};
 use dcpi_machine::DispatchStats;
+use dcpi_stacks::StackProfile;
 use dcpi_tools::dcpicalc;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
@@ -41,6 +46,12 @@ const REPS: u32 = 3;
 /// was added to keep out cost 3.9x per procedure, and per-row `String`
 /// temporaries 2.8x per listing row; shared CI runners wander by up to 1.5x.
 const ANALYZE_SLACK: f64 = 2.5;
+
+/// `--check` ceiling for the `collect` row's two costs, as a multiple of
+/// the committed baseline. Attributing into a sorted run instead of a hash
+/// map cost 5.3x per entry and interning every frame from the root 5.7x
+/// per stack; the same runner wander as above applies.
+const COLLECT_SLACK: f64 = 2.0;
 
 struct WorkloadRow {
     name: &'static str,
@@ -98,6 +109,19 @@ struct AnalyzeRow {
     analyze_spread: f64,
     dcpicalc_ns_per_row: f64,
     dcpicalc_spread: f64,
+}
+
+/// Host time of the daemon's two hot loops on recorded input: a gcc sample
+/// trace (many short-lived processes) aggregated by a real `CpuDriver`,
+/// and dispatch-server and deep-recursion call stacks.
+struct CollectRow {
+    entries: usize,
+    stacks: usize,
+    /// Best batch, and worst over best across the batches.
+    entry_ns: f64,
+    entry_spread: f64,
+    stack_record_ns: f64,
+    stack_record_spread: f64,
 }
 
 struct FleetRow {
@@ -371,6 +395,18 @@ fn main() {
         analyze_row.dcpicalc_spread
     );
 
+    let collect_row = collect_row(&opts);
+    println!(
+        "collect gcc: {} entries at {:.1} ns/entry (spread {:.2}x), {} recorded stacks at \
+         {:.0} ns/record (spread {:.2}x)",
+        collect_row.entries,
+        collect_row.entry_ns,
+        collect_row.entry_spread,
+        collect_row.stacks,
+        collect_row.stack_record_ns,
+        collect_row.stack_record_spread
+    );
+
     // One representative multi-run experiment: the accuracy suite's
     // McCalpin copy cell, merged across `opts.runs` runs — the shape every
     // figure-8/9/10 binary fans out.
@@ -452,6 +488,7 @@ fn main() {
         &pgo_rows,
         &tv_rows,
         &analyze_row,
+        &collect_row,
         &fleet_row,
         &experiment,
         &opts,
@@ -481,7 +518,15 @@ fn main() {
         Ok(()) => println!("wrote {dpath}"),
         Err(e) => eprintln!("warning: could not write {dpath}: {e}"),
     }
-    if opts.check && !check_against_baseline(&rows, &analyze_row, &fleet_row, baseline.as_deref()) {
+    if opts.check
+        && !check_against_baseline(
+            &rows,
+            &analyze_row,
+            &collect_row,
+            &fleet_row,
+            baseline.as_deref(),
+        )
+    {
         std::process::exit(1);
     }
 }
@@ -554,6 +599,97 @@ fn analyze_row(opts: &ExpOptions) -> AnalyzeRow {
     }
 }
 
+/// Records a gcc sample trace and two workloads' call stacks, then times
+/// `Daemon::process_entries` over the trace's driver output and
+/// `StackProfile::record` over the stacks, both warm (every key and every
+/// stack seen before), which is the state a running daemon is in.
+fn collect_row(opts: &ExpOptions) -> CollectRow {
+    let ro = RunOptions {
+        scale: 2 * opts.scale,
+        period: (2_000, 2_200),
+        seed: opts.seed,
+        trace_limit: 8_000,
+        ..RunOptions::default()
+    };
+    let r = run_workload(Workload::Gcc, ProfConfig::Mux, &ro);
+    let mut driver = CpuDriver::new(DriverConfig::default(), CostModel::default());
+    let mut entries = Vec::new();
+    let mut daemon = Daemon::new(DaemonConfig::default()).expect("in-memory daemon");
+    let mut pids = std::collections::BTreeSet::new();
+    for &sample in &r.trace {
+        if pids.insert(sample.pid) {
+            daemon.handle_events(loader_events(&r, sample.pid));
+        }
+        driver.record(sample);
+        if driver.buffer_full {
+            entries.extend(driver.drain_overflow());
+        }
+    }
+    entries.extend(driver.flush());
+    daemon.process_entries(&entries);
+    assert_eq!(
+        daemon.stats.unknown_samples, 0,
+        "every recorded sample attributes"
+    );
+    let (entry_s, entry_spread) = time_per_call(|| {
+        daemon.process_entries(black_box(&entries));
+    });
+
+    let ro = RunOptions {
+        scale: 2 * opts.scale,
+        period: (3_000, 3_300),
+        seed: opts.seed,
+        stack_walk: true,
+        ..RunOptions::default()
+    };
+    // Dispatch-server's stacks are shallow and bushy, deep-recursion's
+    // forty-odd frames deep and nearly identical: the two ends of what an
+    // interner sees.
+    let mut stacks = Vec::new();
+    for w in [Workload::DispatchServer, Workload::DeepRecursion] {
+        let r = run_workload(w, ProfConfig::Cycles, &ro);
+        for (&(event, pid, id), &count) in &r.stacks.counts {
+            stacks.push((event, Pid(pid), r.stacks.table.frames(id), count));
+        }
+    }
+    let mut profile = StackProfile::new();
+    let mut record = || {
+        for (event, pid, frames, count) in &stacks {
+            profile.record(*event, *pid, black_box(frames), *count);
+        }
+    };
+    record();
+    let (record_s, stack_record_spread) = time_per_call(record);
+    CollectRow {
+        entries: entries.len(),
+        stacks: stacks.len(),
+        entry_ns: entry_s * 1e9 / entries.len() as f64,
+        entry_spread,
+        stack_record_ns: record_s * 1e9 / stacks.len() as f64,
+        stack_record_spread,
+    }
+}
+
+/// What `Os::spawn` announces for a process of a single-image workload:
+/// the kernel at `KERNEL_BASE`, the user image at `MAIN_BASE`.
+fn loader_events(r: &dcpi_workloads::RunResult, pid: Pid) -> Vec<OsEvent> {
+    let mut events = vec![OsEvent::ProcessCreated { pid }];
+    for (id, image) in &r.images {
+        events.push(OsEvent::ImageLoaded {
+            pid,
+            image: *id,
+            base: if *id == r.kernel_image {
+                KERNEL_BASE
+            } else {
+                MAIN_BASE
+            },
+            size: image.text_bytes(),
+            path: image.name().to_string(),
+        });
+    }
+    events
+}
+
 /// The `--check` guard: every workload must reach at least half the
 /// committed baseline's throughput. `mcycles_per_s` is (roughly) scale-
 /// independent, so `--quick` runs compare against a full-scale baseline;
@@ -562,6 +698,7 @@ fn analyze_row(opts: &ExpOptions) -> AnalyzeRow {
 fn check_against_baseline(
     rows: &[WorkloadRow],
     analyze: &AnalyzeRow,
+    collect: &CollectRow,
     fleet: &FleetRow,
     baseline: Option<&str>,
 ) -> bool {
@@ -589,26 +726,48 @@ fn check_against_baseline(
             None => println!("check {:<18} has no baseline row; skipping", r.name),
         }
     }
-    // Analyzer costs are host time per item, lower is better: a ceiling.
-    for (key, now, unit) in [
+    // Analyzer and daemon costs are host time per item, lower is better:
+    // a ceiling each.
+    for (row, key, now, unit, slack) in [
         (
+            "analyze-gcc",
             "analyze_us_per_proc",
             analyze.analyze_us_per_proc,
             "us/proc",
+            ANALYZE_SLACK,
         ),
-        ("dcpicalc_ns_per_row", analyze.dcpicalc_ns_per_row, "ns/row"),
+        (
+            "analyze-gcc",
+            "dcpicalc_ns_per_row",
+            analyze.dcpicalc_ns_per_row,
+            "ns/row",
+            ANALYZE_SLACK,
+        ),
+        (
+            "collect-gcc",
+            "entry_ns",
+            collect.entry_ns,
+            "ns/entry",
+            COLLECT_SLACK,
+        ),
+        (
+            "collect-gcc",
+            "stack_record_ns",
+            collect.stack_record_ns,
+            "ns/record",
+            COLLECT_SLACK,
+        ),
     ] {
-        match baseline_field::<f64>(baseline, "analyze-gcc", key) {
+        match baseline_field::<f64>(baseline, row, key) {
             Some(was) => {
-                let pass = now <= was * ANALYZE_SLACK;
+                let pass = now <= was * slack;
                 println!(
-                    "check {:<18} {now:7.1} {unit} vs baseline {was:7.1}  {}",
-                    "analyze-gcc",
+                    "check {row:<18} {now:7.1} {unit} vs baseline {was:7.1}  {}",
                     if pass { "ok" } else { "** REGRESSED **" }
                 );
                 ok &= pass;
             }
-            None => println!("check analyze-gcc        has no baseline {key}; skipping"),
+            None => println!("check {row:<18} has no baseline {key}; skipping"),
         }
     }
     // Fleet throughput is samples/s, not simulated cycles/s, so it gets
@@ -703,6 +862,7 @@ fn render_json(
     pgo: &[PgoRow],
     tv: &[TvRow],
     analyze: &AnalyzeRow,
+    collect: &CollectRow,
     fleet: &FleetRow,
     exp: &ExperimentRow,
     opts: &ExpOptions,
@@ -791,6 +951,22 @@ fn render_json(
         analyze.analyze_spread,
         analyze.dcpicalc_ns_per_row,
         analyze.dcpicalc_spread
+    );
+    let _ = writeln!(s, "  ],");
+    // Host time of the daemon's hot loops; `--check` holds both costs
+    // under `COLLECT_SLACK` times the baseline.
+    let _ = writeln!(s, "  \"collect\": [");
+    let _ = writeln!(
+        s,
+        "    {{\"name\": \"collect-gcc\", \"entries\": {}, \"stacks\": {}, \
+         \"entry_ns\": {:.2}, \"entry_spread\": {:.2}, \
+         \"stack_record_ns\": {:.1}, \"stack_record_spread\": {:.2}}}",
+        collect.entries,
+        collect.stacks,
+        collect.entry_ns,
+        collect.entry_spread,
+        collect.stack_record_ns,
+        collect.stack_record_spread
     );
     let _ = writeln!(s, "  ],");
     // Fleet rows carry `samples_per_s` instead of `mcycles_per_s`:

@@ -3,27 +3,36 @@
 //!
 //! The daemon learns where images are loaded from loader notifications and
 //! a startup scan (§4.3.2), converts each aggregated sample entry's
-//! `(PID, PC)` to an `(image, offset)` pair, merges it into in-memory
-//! profiles per `(image, event)`, and periodically writes those to the
-//! on-disk database (§4.3.3). Samples it cannot attribute are aggregated
-//! into the special *unknown* profile; the paper reports these are well
-//! under 1% (typically 0.05%).
+//! `(PID, PC)` to an `(image, offset)` pair, bumps that pair's count in a
+//! hash map, and periodically writes the counts, sorted into one run per
+//! `(image, event)`, to the on-disk database (§4.3.3). Samples it cannot
+//! attribute are aggregated into the special *unknown* profile; the paper
+//! reports these are well under 1% (typically 0.05%).
+//!
+//! *Hash while hot, sort when cold.* Nearly every entry bumps an offset
+//! that is already there, so the accumulator is a hash map and nothing is
+//! ordered until somebody asks for a [`ProfileSet`]: the flush, the memory
+//! model and [`Daemon::profiles`] share one sorted view ([`Tally`]), built
+//! on demand and dropped by the next mutation.
 //!
 //! Processing costs are modeled in cycles and reported so experiment
 //! harnesses can charge them to the simulated machine (the daemon's
 //! per-sample cost column of Table 4).
 
 use dcpi_core::db::{EpochId, ProfileDb};
+use dcpi_core::hash::FastMap;
 use dcpi_core::{
-    codec, Addr, EdgeProfiles, Error, ImageId, PathProfiles, Pid, ProfileSet, Result, SampleEntry,
-    UNKNOWN_IMAGE,
+    codec, Addr, EdgeProfiles, Error, Event, ImageId, PathProfiles, Pid, ProfileKey, ProfileSet,
+    Result, SampleEntry, UNKNOWN_IMAGE,
 };
 use dcpi_machine::os::OsEvent;
 use dcpi_machine::proc::Mapping;
 use dcpi_machine::Os;
 use dcpi_obs::{Component, Counter, Obs};
 use dcpi_stacks::{Frame, RawStackSample, StackProfile};
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -138,18 +147,56 @@ impl DaemonStats {
     }
 }
 
+/// Sample counts keyed `(image, event, offset)`, with the sorted-run
+/// [`ProfileSet`] of the same counts as a memoised view.
+///
+/// The keys are Fx-hashed: PIDs, PCs and offsets reach the daemon only from
+/// the local driver, never from a file or the wire (`dcpi_core::hash`).
+/// The view is what every reader wants and what the database merges;
+/// [`Tally::counts_mut`] is the only way to the map and drops it, so it can
+/// never be stale.
+#[derive(Debug, Default)]
+struct Tally {
+    counts: FastMap<(ImageId, Event, u64), u64>,
+    view: OnceCell<ProfileSet>,
+}
+
+impl Tally {
+    fn counts_mut(&mut self) -> &mut FastMap<(ImageId, Event, u64), u64> {
+        self.view.take();
+        &mut self.counts
+    }
+
+    /// The counts as profiles: one sort of the distinct keys, then each
+    /// `(image, event)` group moves into the set as a ready run.
+    fn view(&self) -> &ProfileSet {
+        self.view.get_or_init(|| {
+            let mut cells: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
+            cells.sort_unstable();
+            let mut set = ProfileSet::new();
+            for run in cells.chunk_by(|a, b| (a.0 .0, a.0 .1) == (b.0 .0, b.0 .1)) {
+                let (image, event, _) = run[0].0;
+                let run = run.iter().map(|&((_, _, offset), count)| (offset, count));
+                set.insert(ProfileKey { image, event }, run.collect());
+            }
+            set
+        })
+    }
+}
+
 /// The user-mode daemon.
 #[derive(Debug)]
 pub struct Daemon {
     cfg: DaemonConfig,
-    loadmaps: HashMap<Pid, Vec<Mapping>>,
+    loadmaps: FastMap<Pid, Vec<Mapping>>,
     exited: Vec<Pid>,
-    profiles: ProfileSet,
+    /// Samples since the last successful flush.
+    totals: Tally,
     edge_profiles: EdgeProfiles,
     path_profiles: PathProfiles,
     stacks: StackProfile,
     frame_scratch: Vec<Frame>,
-    per_process: HashMap<Pid, ProfileSet>,
+    per_process: FastMap<Pid, Tally>,
     db: Option<ProfileDb>,
     /// Statistics.
     pub stats: DaemonStats,
@@ -203,14 +250,14 @@ impl Daemon {
     fn with_db(cfg: DaemonConfig, db: Option<ProfileDb>) -> Daemon {
         Daemon {
             cfg,
-            loadmaps: HashMap::new(),
+            loadmaps: FastMap::default(),
             exited: Vec::new(),
-            profiles: ProfileSet::new(),
+            totals: Tally::default(),
             edge_profiles: EdgeProfiles::new(),
             path_profiles: PathProfiles::new(),
             stacks: StackProfile::new(),
             frame_scratch: Vec::new(),
-            per_process: HashMap::new(),
+            per_process: FastMap::default(),
             db,
             stats: DaemonStats::default(),
             accrued_cycles: 0,
@@ -283,17 +330,20 @@ impl Daemon {
                     size,
                     ..
                 } => {
-                    self.loadmaps
-                        .entry(pid)
-                        .or_default()
-                        .push(Mapping { base, size, image });
-                    self.loadmaps
-                        .get_mut(&pid)
-                        .expect("just inserted")
-                        .sort_by_key(|m| m.base.0);
+                    let maps = self.loadmaps.entry(pid).or_default();
+                    let at = maps.partition_point(|m| m.base.0 <= base.0);
+                    maps.insert(at, Mapping { base, size, image });
                 }
                 OsEvent::ProcessCreated { pid } => {
-                    self.loadmaps.entry(pid).or_default();
+                    let maps = self.loadmaps.entry(pid).or_default();
+                    // A PID still awaiting the reap names a new process
+                    // now: it starts from an empty loadmap, and the reap
+                    // must not take the live process's mappings with it.
+                    let awaiting = self.exited.len();
+                    self.exited.retain(|&p| p != pid);
+                    if self.exited.len() != awaiting {
+                        maps.clear();
+                    }
                 }
                 OsEvent::ProcessExited { pid } => {
                     // Keep the loadmap until the periodic reap so late
@@ -308,6 +358,7 @@ impl Daemon {
     /// driver.
     pub fn process_entries(&mut self, entries: &[SampleEntry]) {
         let before = self.stats;
+        let totals = self.totals.counts_mut();
         for e in entries {
             self.stats.entries += 1;
             self.stats.samples += e.count;
@@ -322,12 +373,11 @@ impl Daemon {
                     (UNKNOWN_IMAGE, s.pc.0)
                 }
             };
-            self.profiles.add(image, s.event, offset, e.count);
+            let key = (image, s.event, offset);
+            *totals.entry(key).or_insert(0) += e.count;
             if self.cfg.per_process.contains(&s.pid) {
-                self.per_process
-                    .entry(s.pid)
-                    .or_default()
-                    .add(image, s.event, offset, e.count);
+                let own = self.per_process.entry(s.pid).or_default().counts_mut();
+                *own.entry(key).or_insert(0) += e.count;
             }
         }
         if self.obs.is_enabled() {
@@ -360,7 +410,8 @@ impl Daemon {
             .map(|m| 64 + 48 * m.len() as u64)
             .sum();
         let profile_bytes: u64 = self
-            .profiles
+            .totals
+            .view()
             .iter()
             .map(|(_, p)| 64 + 24 * p.len() as u64)
             .sum();
@@ -379,10 +430,11 @@ impl Daemon {
         }
     }
 
-    /// The accumulated in-memory profiles.
+    /// The accumulated in-memory profiles (sorted on first use after a
+    /// change; see [`Tally`]).
     #[must_use]
     pub fn profiles(&self) -> &ProfileSet {
-        &self.profiles
+        self.totals.view()
     }
 
     /// Processes interpreted branch-direction samples (§7 extension),
@@ -465,7 +517,7 @@ impl Daemon {
     /// Per-process profiles, if requested for `pid`.
     #[must_use]
     pub fn per_process_profiles(&self, pid: Pid) -> Option<&ProfileSet> {
-        self.per_process.get(&pid)
+        self.per_process.get(&pid).map(Tally::view)
     }
 
     /// Merges in-memory profiles to disk (the paper's 10-minute flush) and
@@ -478,9 +530,10 @@ impl Daemon {
         if let Some(db) = &mut self.db {
             let start = self.obs.is_enabled().then(std::time::Instant::now);
             self.obs.begin(Component::Daemon, "daemon.flush");
-            let flushed = self.profiles.iter().count() as u64;
-            db.merge(&self.profiles)?;
-            self.profiles.clear();
+            let profiles = self.totals.view();
+            let flushed = profiles.len() as u64;
+            db.merge(profiles)?;
+            self.totals.counts_mut().clear();
             if !self.stacks.is_empty() {
                 write_epoch_stacks(db, db.current_epoch(), &self.stacks)?;
                 // Counts flushed; the intern table stays warm so stack
@@ -600,8 +653,8 @@ pub fn read_all_stacks(db: &ProfileDb) -> Result<StackProfile> {
 /// Resolves one image id for a `(pid, pc)` against a loadmap table — a
 /// free function so tools and tests can share the daemon's mapping rule.
 #[must_use]
-pub fn resolve(
-    loadmaps: &HashMap<Pid, Vec<Mapping>>,
+pub fn resolve<S: BuildHasher>(
+    loadmaps: &HashMap<Pid, Vec<Mapping>, S>,
     pid: Pid,
     pc: dcpi_core::Addr,
 ) -> Option<(ImageId, u64)> {
@@ -691,6 +744,57 @@ mod tests {
         d.reap();
         d.process_entries(&[entry(7, 0x10000, 1)]);
         assert_eq!(d.stats.unknown_samples, 1);
+    }
+
+    #[test]
+    fn pid_reused_before_the_reap_starts_a_fresh_loadmap() {
+        let mut d = daemon_with_map();
+        d.handle_events(vec![
+            OsEvent::ProcessExited { pid: Pid(7) },
+            OsEvent::ProcessCreated { pid: Pid(7) },
+            OsEvent::ImageLoaded {
+                pid: Pid(7),
+                image: ImageId(4),
+                base: Addr(0x10000),
+                size: 0x1000,
+                path: "/bin/other".into(),
+            },
+        ]);
+        assert_eq!(d.tracked_processes(), 1);
+        d.process_entries(&[entry(7, 0x10010, 2)]);
+        // The pending reap belongs to the dead process, not this one.
+        d.reap();
+        assert_eq!(d.tracked_processes(), 1);
+        d.process_entries(&[entry(7, 0x10010, 3)]);
+        assert_eq!(d.stats.unknown_samples, 0);
+        let new = d.profiles().get(ImageId(4), Event::Cycles).unwrap();
+        assert_eq!(new.get(0x10), 5);
+        assert!(d.profiles().get(ImageId(3), Event::Cycles).is_none());
+        // libm was the old process's mapping; the new one never loaded it.
+        d.process_entries(&[entry(7, 0x50004, 1)]);
+        assert!(d.profiles().get(ImageId(9), Event::Cycles).is_none());
+        assert_eq!(d.stats.unknown_samples, 1);
+    }
+
+    #[test]
+    fn image_loads_keep_the_loadmap_sorted_by_base() {
+        let mut d = Daemon::new(DaemonConfig::default()).unwrap();
+        let load = |image, base| OsEvent::ImageLoaded {
+            pid: Pid(1),
+            image: ImageId(image),
+            base: Addr(base),
+            size: 0x100,
+            path: String::new(),
+        };
+        d.handle_events(vec![load(1, 0x3000), load(2, 0x1000), load(3, 0x2000)]);
+        let bases: Vec<u64> = d.loadmaps[&Pid(1)].iter().map(|m| m.base.0).collect();
+        assert_eq!(bases, [0x1000, 0x2000, 0x3000]);
+        d.process_entries(&[
+            entry(1, 0x2010, 1),
+            entry(1, 0x1010, 1),
+            entry(1, 0x3010, 1),
+        ]);
+        assert_eq!(d.stats.unknown_samples, 0);
     }
 
     #[test]

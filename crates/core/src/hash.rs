@@ -1,14 +1,25 @@
-//! A fast, deterministic hasher for hot simulator maps.
+//! A fast, deterministic hasher for hot maps whose keys this process made.
 //!
 //! The cycle-level simulator performs a hash-map lookup per simulated
 //! memory access (the process page store) and per retired instruction
-//! (ground-truth counters). `std`'s default SipHash is DoS-resistant but
-//! costs more than the rest of those operations combined; none of these
-//! maps hold attacker-controlled keys, so we use the Fx multiply-rotate
-//! hash (the rustc-internal hasher) instead. Unlike `RandomState` it is
-//! also deterministic across processes — nothing observable depends on
-//! iteration order, but determinism here removes a whole class of
-//! "works on my machine" ordering hazards.
+//! (ground-truth counters); the daemon performs two per aggregated sample
+//! entry (the PID's loadmap, the `(image, event, offset)` count). `std`'s
+//! default SipHash is DoS-resistant but costs more than the rest of those
+//! operations combined; none of these maps hold attacker-controlled keys,
+//! so we use the Fx multiply-rotate hash (the rustc-internal hasher)
+//! instead. Unlike `RandomState` it is also deterministic across
+//! processes — nothing observable depends on iteration order, but
+//! determinism here removes a whole class of "works on my machine"
+//! ordering hazards.
+//!
+//! **Never for keys a decoder reads from disk or the wire.** Fx has no
+//! secret: anyone who can choose the keys can make them all collide and
+//! turn a map into a list. The simulator's addresses and the PIDs, PCs and
+//! offsets the local driver hands the daemon are ours; the `(image, event)`
+//! keys of a `ProfileSet` (filled by `decode_profile` from profile files
+//! and DCPF frames) and the `(parent, frame)` keys of a `StackTable`'s
+//! index (filled by `from_nodes` from DCST bytes) are not, and stay on
+//! SipHash.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -14,7 +14,7 @@
 //! seeded runs) merge in a deterministic order.
 
 use crate::table::{Frame, StackTable};
-use dcpi_core::codec::put_varint;
+use dcpi_core::codec::{get_varint, put_varint};
 use dcpi_core::{Event, ImageId, Pid};
 use std::collections::BTreeMap;
 
@@ -132,19 +132,20 @@ impl StackProfile {
     /// Returns a descriptive error on truncation, trailing bytes, cyclic
     /// parents, or counts referencing unknown stack IDs.
     pub fn from_bytes(data: &[u8]) -> Result<StackProfile, String> {
-        let mut r = Cursor { data, pos: 0 };
-        if r.take(5)? != b"DCST\x01" {
-            return Err("bad stack-profile magic/version".into());
-        }
-        let n = usize::try_from(r.varint()?).map_err(|_| "node count overflow")?;
+        let mut r = data
+            .strip_prefix(b"DCST\x01")
+            .ok_or("bad stack-profile magic/version")?;
+        let n = usize::try_from(varint(&mut r)?).map_err(|_| "node count overflow")?;
         if n > (1 << 28) {
             return Err("unreasonable node count".into());
         }
-        let mut pairs = Vec::with_capacity(n.min(1 << 20));
+        // A node is at least three varint bytes: the header cannot make
+        // us reserve more than the input could hold.
+        let mut pairs = Vec::with_capacity(n.min(r.len() / 3));
         for _ in 0..n {
-            let parent = u32::try_from(r.varint()?).map_err(|_| "parent overflow")?;
-            let image = u32::try_from(r.varint()?).map_err(|_| "image id overflow")?;
-            let offset = r.varint()?;
+            let parent = u32::try_from(varint(&mut r)?).map_err(|_| "parent overflow")?;
+            let image = u32::try_from(varint(&mut r)?).map_err(|_| "image id overflow")?;
+            let offset = varint(&mut r)?;
             pairs.push((
                 parent,
                 Frame {
@@ -154,16 +155,16 @@ impl StackProfile {
             ));
         }
         let table = StackTable::from_nodes(pairs)?;
-        let nc = usize::try_from(r.varint()?).map_err(|_| "count overflow")?;
+        let nc = usize::try_from(varint(&mut r)?).map_err(|_| "count overflow")?;
         if nc > (1 << 28) {
             return Err("unreasonable count-entry count".into());
         }
         let mut counts = BTreeMap::new();
         for _ in 0..nc {
-            let event = u8::try_from(r.varint()?).map_err(|_| "event code overflow")?;
-            let pid = u32::try_from(r.varint()?).map_err(|_| "pid overflow")?;
-            let id = u32::try_from(r.varint()?).map_err(|_| "stack id overflow")?;
-            let count = r.varint()?;
+            let event = u8::try_from(varint(&mut r)?).map_err(|_| "event code overflow")?;
+            let pid = u32::try_from(varint(&mut r)?).map_err(|_| "pid overflow")?;
+            let id = u32::try_from(varint(&mut r)?).map_err(|_| "stack id overflow")?;
+            let count = varint(&mut r)?;
             if id as usize > table.len() {
                 return Err(format!("count references unknown stack id {id}"));
             }
@@ -171,46 +172,19 @@ impl StackProfile {
                 return Err("duplicate count key".into());
             }
         }
-        if r.pos != data.len() {
+        if !r.is_empty() {
             return Err("trailing bytes after stack profile".into());
         }
         Ok(StackProfile { table, counts })
     }
 }
 
-pub(crate) struct Cursor<'a> {
-    pub data: &'a [u8],
-    pub pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        match end {
-            Some(e) => {
-                let s = &self.data[self.pos..e];
-                self.pos = e;
-                Ok(s)
-            }
-            None => Err("truncated stack profile".into()),
-        }
-    }
-
-    pub fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.take(1)?[0];
-            if shift >= 63 && b > 1 {
-                return Err("varint overflow".into());
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
+/// The shared LEB128 reader, with this module's `String` errors.
+fn varint(r: &mut &[u8]) -> Result<u64, String> {
+    get_varint(r).map_err(|e| match e {
+        dcpi_core::Error::Corrupt(what) => format!("stack profile: {what}"),
+        other => other.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -258,6 +232,40 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(StackProfile::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn a_header_claiming_a_million_nodes_is_a_truncation() {
+        let mut bytes = b"DCST\x01".to_vec();
+        put_varint(&mut bytes, 1 << 20);
+        assert_eq!(bytes.len(), 8);
+        let err = StackProfile::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        // Same for the count section after a valid, empty table.
+        let mut bytes = b"DCST\x01\x00".to_vec();
+        put_varint(&mut bytes, 1 << 20);
+        let err = StackProfile::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected_wherever_they_sit() {
+        // Ten continuation bytes then a terminator: more than 64 bits.
+        let overlong = [[0xff; 10].as_slice(), &[0x01]].concat();
+        // As the node count, inside a node, and as a count value.
+        let node_count = [b"DCST\x01".as_slice(), &overlong].concat();
+        let node_field = [b"DCST\x01\x01\x00\x00".as_slice(), &overlong].concat();
+        let count_field = [b"DCST\x01\x00\x01\x00\x01\x00".as_slice(), &overlong].concat();
+        for bytes in [node_count, node_field, count_field] {
+            let err = StackProfile::from_bytes(&bytes).unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
+        // The largest value that does fit still decodes.
+        let mut ok = b"DCST\x01\x01\x00\x00".to_vec();
+        put_varint(&mut ok, u64::MAX);
+        ok.push(0);
+        let p = StackProfile::from_bytes(&ok).unwrap();
+        assert_eq!(p.table.frames(1), vec![f(0, u64::MAX)]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The canonical-stack cache: a parent-pointer tree interning frame
 //! lists into stable small integer stack IDs.
 //!
-//! Interning a stack of depth *d* costs *d* hash lookups and allocates
-//! nothing once every prefix of the stack has been seen (the "warm
-//! path"), which is what lets the driver capture calling context inside
-//! the interrupt handler's cycle budget. IDs are assigned densely in
+//! Interning a stack of depth *d* costs at most *d* hash lookups and
+//! allocates nothing once every prefix of the stack has been seen (the
+//! "warm path"), which is what lets the driver capture calling context
+//! inside the interrupt handler's cycle budget. Consecutive samples mostly
+//! share all but a frame or two, so the table remembers the stack it
+//! interned last with the ID of each of its prefixes and hashes only the
+//! frames past the shared prefix. IDs are assigned densely in
 //! first-encounter order, so a table filled from a deterministically
 //! ordered sample stream is itself deterministic.
 
@@ -37,7 +40,13 @@ pub struct Frame {
 pub struct StackTable<F> {
     /// `nodes[i]` holds `(parent, frame)` for the node with ID `i + 1`.
     nodes: Vec<(u32, F)>,
+    /// SipHash, not Fx: [`StackTable::from_nodes`] fills it from DCST
+    /// bytes off the disk or the wire.
     index: HashMap<(u32, F), u32>,
+    /// The stack interned last, outermost-first: `last[i]` is its frame
+    /// `i` and the ID of the stack `frames[..=i]`. Scratch state — nodes
+    /// are never removed, so a remembered ID cannot go stale.
+    last: Vec<(F, u32)>,
 }
 
 impl<F> Default for StackTable<F> {
@@ -45,11 +54,13 @@ impl<F> Default for StackTable<F> {
         StackTable {
             nodes: Vec::new(),
             index: HashMap::new(),
+            last: Vec::new(),
         }
     }
 }
 
-// Equality is over the node list alone: the index is a derived cache.
+// Equality is over the node list alone: the index is a derived cache and
+// the remembered stack is scratch.
 impl<F: PartialEq> PartialEq for StackTable<F> {
     fn eq(&self, other: &StackTable<F>) -> bool {
         self.nodes == other.nodes
@@ -62,10 +73,7 @@ impl<F: Copy + Eq + Hash + Ord> StackTable<F> {
     /// An empty table.
     #[must_use]
     pub fn new() -> StackTable<F> {
-        StackTable {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-        }
+        StackTable::default()
     }
 
     /// Number of interned nodes (the root is not counted).
@@ -101,19 +109,28 @@ impl<F: Copy + Eq + Hash + Ord> StackTable<F> {
 
     /// Interns a whole stack given outermost-first (caller before callee).
     pub fn intern(&mut self, frames: &[F]) -> u32 {
-        let mut id = ROOT;
-        for &f in frames {
-            id = self.child(id, f);
-        }
-        id
+        self.intern_outermost_first(frames.iter().copied())
     }
 
     /// Interns a whole stack given leaf-first (the order a stack walk
     /// produces). Allocation-free when every prefix is already interned.
     pub fn intern_leaf_first(&mut self, frames: &[F]) -> u32 {
-        let mut id = ROOT;
-        for &f in frames.iter().rev() {
+        self.intern_outermost_first(frames.iter().rev().copied())
+    }
+
+    /// Resumes from the deepest node the new stack shares with the one
+    /// interned last and walks [`StackTable::child`] over the rest.
+    fn intern_outermost_first(&mut self, frames: impl Iterator<Item = F> + Clone) -> u32 {
+        let shared = frames
+            .clone()
+            .zip(&self.last)
+            .take_while(|(f, (g, _))| f == g)
+            .count();
+        self.last.truncate(shared);
+        let mut id = self.last.last().map_or(ROOT, |&(_, id)| id);
+        for f in frames.skip(shared) {
             id = self.child(id, f);
+            self.last.push((f, id));
         }
         id
     }
