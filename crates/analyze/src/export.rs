@@ -4,15 +4,16 @@
 //! The estimate structs ([`ProcAnalysis`] and friends) are rich in-memory
 //! objects with no stable external shape; this module flattens the parts
 //! a transform needs — block/edge frequencies, per-instruction samples,
-//! CPI, and culprit letters — into the same hand-rolled, line-disciplined
-//! JSON the observability exports use (one object per line, every line
-//! independently scannable, no external dependencies), and parses it
-//! back. `export` → `parse` is a lossless round trip for everything in
-//! [`ExportedProc`].
+//! CPI, and culprit letters — into JSON laid out like the observability
+//! exports (one section per member, one row object per line, strings
+//! quoted by [`dcpi_core::json::quote`]) and reads it back through
+//! [`dcpi_core::json::parse`]. `export` → `parse` is a lossless round
+//! trip for everything in [`ExportedProc`], whatever the names hold.
 
 use crate::analysis::ProcAnalysis;
 use crate::cfg::EdgeKind;
 use crate::frequency::Confidence;
+use dcpi_core::json::{self, quote, Json};
 use dcpi_core::types::ImageId;
 use std::fmt::Write as _;
 
@@ -126,19 +127,6 @@ fn confidence_name(c: Option<Confidence>) -> &'static str {
     }
 }
 
-/// Strips characters that would break the line-disciplined format.
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if matches!(c, '"' | ',' | '{' | '}' | '\n' | '\r') {
-                '_'
-            } else {
-                c
-            }
-        })
-        .collect()
-}
-
 /// Flattens analysis results into [`ExportedProc`]s.
 #[must_use]
 pub fn flatten(items: &[(ImageId, &str, &ProcAnalysis)]) -> Vec<ExportedProc> {
@@ -186,8 +174,8 @@ pub fn flatten(items: &[(ImageId, &str, &ProcAnalysis)]) -> Vec<ExportedProc> {
                 .collect();
             ExportedProc {
                 image: id.0,
-                image_name: sanitize(image_name),
-                name: sanitize(&pa.name),
+                image_name: (*image_name).to_string(),
+                name: pa.name.clone(),
                 start_word: pa.cfg.start_word,
                 len_words: pa.cfg.insns.len() as u32,
                 missing_edges: pa.cfg.missing_edges,
@@ -200,7 +188,7 @@ pub fn flatten(items: &[(ImageId, &str, &ProcAnalysis)]) -> Vec<ExportedProc> {
         .collect()
 }
 
-/// Serializes flattened procedures as line-disciplined JSON.
+/// Serializes flattened procedures as JSON, one row object per line.
 #[must_use]
 pub fn render(procs: &[ExportedProc]) -> String {
     let mut out = String::new();
@@ -220,12 +208,12 @@ pub fn render(procs: &[ExportedProc]) -> String {
     let mut insn_rows = Vec::new();
     for (pi, p) in procs.iter().enumerate() {
         procs_rows.push(format!(
-            "    {{\"proc\": {pi}, \"image\": {}, \"image_name\": \"{}\", \
-             \"name\": \"{}\", \"start_word\": {}, \"len_words\": {}, \
+            "    {{\"proc\": {pi}, \"image\": {}, \"image_name\": {}, \
+             \"name\": {}, \"start_word\": {}, \"len_words\": {}, \
              \"missing_edges\": {}, \"total_samples\": {}}}",
             p.image,
-            sanitize(&p.image_name),
-            sanitize(&p.name),
+            quote(&p.image_name),
+            quote(&p.name),
             p.start_word,
             p.len_words,
             u8::from(p.missing_edges),
@@ -239,26 +227,26 @@ pub fn render(procs: &[ExportedProc]) -> String {
         }
         for e in &p.edges {
             edge_rows.push(format!(
-                "    {{\"proc\": {pi}, \"from\": {}, \"to\": {}, \"kind\": \"{}\", \
+                "    {{\"proc\": {pi}, \"from\": {}, \"to\": {}, \"kind\": {}, \
                  \"freq\": {:.6}}}",
                 e.from,
                 e.to,
-                kind_name(e.kind),
+                quote(kind_name(e.kind)),
                 e.freq
             ));
         }
         for i in &p.insns {
             insn_rows.push(format!(
                 "    {{\"proc\": {pi}, \"offset\": {}, \"samples\": {}, \"m\": {}, \
-                 \"freq\": {:.6}, \"cpi\": {:.6}, \"confidence\": \"{}\", \
-                 \"culprits\": \"{}\"}}",
+                 \"freq\": {:.6}, \"cpi\": {:.6}, \"confidence\": {}, \
+                 \"culprits\": {}}}",
                 i.offset,
                 i.samples,
                 i.m,
                 i.freq,
                 i.cpi,
-                i.confidence,
-                sanitize(&i.culprits)
+                quote(&i.confidence),
+                quote(&i.culprits)
             ));
         }
     }
@@ -280,92 +268,72 @@ pub fn export(items: &[(ImageId, &str, &ProcAnalysis)]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
-pub fn parse(json: &str) -> Result<Vec<ExportedProc>, String> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let rest = &line[line.find(&pat)? + pat.len()..];
-        let rest = rest.trim_start();
-        if let Some(stripped) = rest.strip_prefix('"') {
-            return Some(&stripped[..stripped.find('"')?]);
-        }
-        Some(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim())
-    }
-    fn num<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        field(line, key)
-            .ok_or_else(|| format!("missing {key}: {line}"))?
-            .parse()
-            .map_err(|e| format!("{key}: {e}"))
-    }
+/// Text that is not JSON, not an export of this [`SCHEMA`], or holds a
+/// malformed, out-of-order or orphaned row; the message names the
+/// offending member.
+pub fn parse(text: &str) -> Result<Vec<ExportedProc>, String> {
+    let doc = json::parse(text)?;
+    doc.expect_schema("estimates export", SCHEMA)?;
     let mut procs: Vec<ExportedProc> = Vec::new();
-    let mut section = "";
-    for line in json.lines() {
-        let t = line.trim();
-        for s in ["procs", "blocks", "edges", "insns"] {
-            if t.starts_with(&format!("\"{s}\":")) {
-                section = s;
-            }
+    doc.each("procs", |row| {
+        let pi: usize = row.int("proc")?;
+        if pi != procs.len() {
+            return Err(format!("out-of-order proc index {pi}"));
         }
-        if !t.starts_with('{') || !t.contains("\"proc\":") {
-            continue;
-        }
-        let pi: usize = num(t, "proc")?;
-        match section {
-            "procs" => {
-                if pi != procs.len() {
-                    return Err(format!("out-of-order proc index {pi}"));
-                }
-                procs.push(ExportedProc {
-                    image: num(t, "image")?,
-                    image_name: field(t, "image_name").unwrap_or("").to_string(),
-                    name: field(t, "name").unwrap_or("").to_string(),
-                    start_word: num(t, "start_word")?,
-                    len_words: num(t, "len_words")?,
-                    missing_edges: num::<u8>(t, "missing_edges")? != 0,
-                    total_samples: num(t, "total_samples")?,
-                    blocks: Vec::new(),
-                    edges: Vec::new(),
-                    insns: Vec::new(),
-                });
-            }
-            "blocks" => {
-                let p = procs.get_mut(pi).ok_or("block before proc")?;
-                p.blocks.push(ExportedBlock {
-                    start_word: num(t, "start_word")?,
-                    len: num(t, "len")?,
-                    freq: num(t, "freq")?,
-                });
-            }
-            "edges" => {
-                let p = procs.get_mut(pi).ok_or("edge before proc")?;
-                let kind = field(t, "kind")
-                    .and_then(kind_parse)
-                    .ok_or_else(|| format!("bad edge kind: {t}"))?;
-                p.edges.push(ExportedEdge {
-                    from: num(t, "from")?,
-                    to: num(t, "to")?,
-                    kind,
-                    freq: num(t, "freq")?,
-                });
-            }
-            "insns" => {
-                let p = procs.get_mut(pi).ok_or("insn before proc")?;
-                p.insns.push(ExportedInsn {
-                    offset: num(t, "offset")?,
-                    samples: num(t, "samples")?,
-                    m: num(t, "m")?,
-                    freq: num(t, "freq")?,
-                    cpi: num(t, "cpi")?,
-                    confidence: field(t, "confidence").unwrap_or("none").to_string(),
-                    culprits: field(t, "culprits").unwrap_or("").to_string(),
-                });
-            }
-            _ => return Err(format!("row outside a known section: {t}")),
-        }
+        procs.push(ExportedProc {
+            image: row.int("image")?,
+            image_name: row.string("image_name")?.into(),
+            name: row.string("name")?.into(),
+            start_word: row.int("start_word")?,
+            len_words: row.int("len_words")?,
+            missing_edges: row.int::<u8>("missing_edges")? != 0,
+            total_samples: row.int("total_samples")?,
+            blocks: Vec::new(),
+            edges: Vec::new(),
+            insns: Vec::new(),
+        });
+        Ok(())
+    })?;
+    // The procedure a block/edge/insn row belongs to.
+    fn owner<'a>(
+        procs: &'a mut [ExportedProc],
+        row: &Json,
+    ) -> Result<&'a mut ExportedProc, String> {
+        let pi: usize = row.int("proc")?;
+        procs
+            .get_mut(pi)
+            .ok_or_else(|| format!("row for proc {pi}, which has no header"))
     }
+    doc.each("blocks", |row| {
+        owner(&mut procs, row)?.blocks.push(ExportedBlock {
+            start_word: row.int("start_word")?,
+            len: row.int("len")?,
+            freq: row.float("freq")?,
+        });
+        Ok(())
+    })?;
+    doc.each("edges", |row| {
+        owner(&mut procs, row)?.edges.push(ExportedEdge {
+            from: row.int("from")?,
+            to: row.int("to")?,
+            kind: kind_parse(row.string("kind")?)
+                .ok_or("\"kind\" is not fall, taken or indirect")?,
+            freq: row.float("freq")?,
+        });
+        Ok(())
+    })?;
+    doc.each("insns", |row| {
+        owner(&mut procs, row)?.insns.push(ExportedInsn {
+            offset: row.int("offset")?,
+            samples: row.int("samples")?,
+            m: row.int("m")?,
+            freq: row.float("freq")?,
+            cpi: row.float("cpi")?,
+            confidence: row.string("confidence")?.into(),
+            culprits: row.string("culprits")?.into(),
+        });
+        Ok(())
+    })?;
     Ok(procs)
 }
 
@@ -453,15 +421,41 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_defuses_separators() {
-        assert_eq!(sanitize("a\"b,c{d}e\nf"), "a_b_c_d_e_f");
+    fn hostile_names_roundtrip_exactly() {
+        let mut procs = sample_procs();
+        procs[0].image_name = "a\"b,c{d}e\nf\\".into();
+        procs[0].name = "\\\"}],\u{1}\t".into();
+        procs[0].insns[0].culprits = "{\"".into();
+        procs[0].insns[0].offset = u64::MAX;
+        let json = render(&procs);
+        assert_eq!(parse(&json).unwrap(), procs);
+        assert_eq!(render(&parse(&json).unwrap()), json);
     }
 
     #[test]
-    fn parse_rejects_orphan_rows() {
-        let json = "{\n  \"blocks\": [\n    {\"proc\": 0, \"start_word\": 0, \
-                    \"len\": 1, \"freq\": 1.0}\n  ]\n}\n";
-        assert!(parse(json).is_err());
+    fn parse_rejects_what_is_not_an_export() {
+        assert!(parse("garbage").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("{}").unwrap_err().contains("schema"));
+        let other_schema = render(&sample_procs()).replacen("\"schema\": 1", "\"schema\": 2", 1);
+        assert!(parse(&other_schema).unwrap_err().contains("schema 2"));
+        // A section gone missing is not an empty section.
+        assert_eq!(parse("{\"schema\": 1}").unwrap_err(), "missing \"procs\"");
+    }
+
+    #[test]
+    fn parse_rejects_orphan_and_out_of_order_rows() {
+        let orphan = "{\n  \"schema\": 1,\n  \"procs\": [],\n  \"blocks\": [\n    \
+                      {\"proc\": 0, \"start_word\": 0, \"len\": 1, \"freq\": 1.0}\n  ],\n  \
+                      \"edges\": [],\n  \"insns\": []\n}\n";
+        assert!(parse(orphan).unwrap_err().contains("no header"));
+        let json = render(&sample_procs());
+        let swapped = json.replacen("{\"proc\": 0,", "{\"proc\": 9,", 1).replacen(
+            "{\"proc\": 1,",
+            "{\"proc\": 0,",
+            1,
+        );
+        assert!(parse(&swapped).unwrap_err().contains("out-of-order"));
     }
 
     #[test]

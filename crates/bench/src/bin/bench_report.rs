@@ -18,9 +18,10 @@
 //! daemon entry and per interned stack), [`COLLECT_SLACK`].
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
-use dcpi_bench::{parse_baseline, run_merged, ExpOptions, ACCURACY_PERIOD};
+use dcpi_bench::{run_merged, ExpOptions, ACCURACY_PERIOD};
 use dcpi_collect::daemon::{Daemon, DaemonConfig};
 use dcpi_collect::driver::{CostModel, CpuDriver, DriverConfig};
+use dcpi_core::json::{self, quote, Json};
 use dcpi_core::{Event, Pid};
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
@@ -314,7 +315,7 @@ fn main() {
     // cycle reduction and the architectural-equivalence verdict; the CI
     // `pgo` job enforces a ≥3% floor on altavista and dss, this report
     // just tracks the trajectory. Rows carry no `mcycles_per_s`, so the
-    // `--check` baseline scanner skips them.
+    // `--check` throughput guard skips them.
     let mut pgo_rows = Vec::new();
     let mut tv_rows = Vec::new();
     for (w, name) in [
@@ -710,11 +711,20 @@ fn check_against_baseline(
         eprintln!("warning: --check but no committed BENCH_perf.json; nothing to compare");
         return ok;
     };
-    let base = parse_baseline(baseline);
+    // A committed baseline nobody can read must not pass for "nothing to
+    // compare": every guard below would skip.
+    let baseline = match json::parse(baseline) {
+        Ok(doc) => doc,
+        Err(e) => {
+            println!("check BENCH_perf.json     baseline does not parse: {e}  ** FAILED **");
+            return false;
+        }
+    };
+    let baseline_num = |row: &str, key: &str| baseline_field(&baseline, row, key)?.num();
     for r in rows {
         let now = r.cycles as f64 / r.wall_s / 1e6;
-        match base.iter().find(|(n, _)| n == r.name) {
-            Some((_, was)) => {
+        match baseline_num(r.name, "mcycles_per_s") {
+            Some(was) => {
                 let pass = now >= was / 2.0;
                 println!(
                     "check {:<18} {now:7.1}M cyc/s vs baseline {was:7.1}M  {}",
@@ -758,7 +768,7 @@ fn check_against_baseline(
             COLLECT_SLACK,
         ),
     ] {
-        match baseline_field::<f64>(baseline, row, key) {
+        match baseline_num(row, key) {
             Some(was) => {
                 let pass = now <= was * slack;
                 println!(
@@ -772,7 +782,7 @@ fn check_against_baseline(
     }
     // Fleet throughput is samples/s, not simulated cycles/s, so it gets
     // its own baseline key with the same 2x slack.
-    match baseline_field::<f64>(baseline, &fleet.name, "samples_per_s") {
+    match baseline_num(&fleet.name, "samples_per_s") {
         Some(was) => {
             let now = fleet.samples as f64 / fleet.wall_s;
             let pass = now >= was / 2.0;
@@ -790,7 +800,7 @@ fn check_against_baseline(
     // means the pipeline itself got slower (more retries, later merges),
     // not that CI hardware jittered. Baselines from before the lag
     // metric existed simply skip.
-    match baseline_field::<u64>(baseline, &fleet.name, "lag_p95_cycles") {
+    match baseline_field(&baseline, &fleet.name, "lag_p95_cycles").and_then(Json::as_u64) {
         Some(was) => {
             let now = fleet.lag_p95_cycles;
             let pass = was == 0 || now <= was * 2;
@@ -809,18 +819,18 @@ fn check_against_baseline(
     ok
 }
 
-/// Pulls field `key` of the row named `name` out of the committed
-/// baseline, line-oriented like [`parse_baseline`].
-fn baseline_field<T: std::str::FromStr>(json: &str, name: &str, key: &str) -> Option<T> {
-    let (name, key) = (format!("\"name\": \"{name}\""), format!("\"{key}\":"));
-    let line = json
-        .lines()
-        .find(|l| l.contains(&name) && l.contains(&key))?;
-    let rest = line[line.find(&key)? + key.len()..].trim_start();
-    rest[..rest.find([',', '}']).unwrap_or(rest.len())]
-        .trim()
-        .parse()
-        .ok()
+/// Member `key` of the first row object named `row` that has one, in
+/// whichever top-level section of the committed baseline it sits.
+fn baseline_field<'a>(doc: &'a Json, row: &str, key: &str) -> Option<&'a Json> {
+    let Json::Obj(sections) = doc else {
+        return None;
+    };
+    sections
+        .iter()
+        .filter_map(|(_, rows)| rows.items())
+        .flatten()
+        .filter(|r| r.get("name").and_then(Json::as_str) == Some(row))
+        .find_map(|r| r.get(key))
 }
 
 /// Renders `BENCH_dispatch.json`: per-workload dynamic dispatch-path
@@ -841,9 +851,9 @@ fn render_dispatch_json(rows: &[DispatchRow]) -> String {
             .join(", ");
         let _ = writeln!(
             s,
-            "    {{\"name\": \"{}\", \"chain_groups\": {}, \"classic_groups\": {}, \
+            "    {{\"name\": {}, \"chain_groups\": {}, \"classic_groups\": {}, \
              \"chain_entries\": {}, \"fallback_rate\": {:.6}, \"histogram\": {{{hist}}}}}{comma}",
-            r.name,
+            quote(r.name),
             r.stats.chain_groups,
             r.stats.classic_groups,
             r.stats.chain_entries,
@@ -877,9 +887,9 @@ fn render_json(
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"name\": \"{}\", \"scale\": {}, \"cycles\": {}, \"samples\": {}, \
+            "    {{\"name\": {}, \"scale\": {}, \"cycles\": {}, \"samples\": {}, \
              \"retired\": {}, \"wall_s\": {:.4}, \"mcycles_per_s\": {:.2}}}{comma}",
-            r.name,
+            quote(r.name),
             r.scale,
             r.cycles,
             r.samples,
@@ -889,19 +899,18 @@ fn render_json(
         );
     }
     let _ = writeln!(s, "  ],");
-    // Overhead rows carry no `mcycles_per_s` on purpose: the baseline
-    // scanner keys throughput comparisons on that field and must skip
-    // these.
+    // Overhead rows carry no `mcycles_per_s` on purpose: `--check` keys
+    // throughput comparisons on that member and must skip these.
     let _ = writeln!(s, "  \"overhead\": [");
     for (i, r) in overhead.iter().enumerate() {
         let comma = if i + 1 < overhead.len() { "," } else { "" };
         let l = &r.ledger;
         let _ = writeln!(
             s,
-            "    {{\"name\": \"{}\", \"total_cycles\": {}, \"handler_cycles\": {}, \
+            "    {{\"name\": {}, \"total_cycles\": {}, \"handler_cycles\": {}, \
              \"daemon_cycles\": {}, \"walk_cycles\": {}, \"samples\": {}, \
              \"fraction\": {:.5}, \"in_band\": {}}}{comma}",
-            r.name,
+            quote(r.name),
             l.total_cycles,
             l.handler_cycles,
             l.daemon_cycles,
@@ -912,16 +921,20 @@ fn render_json(
         );
     }
     let _ = writeln!(s, "  ],");
-    // Like overhead rows, pgo rows omit `mcycles_per_s` so the baseline
-    // scanner ignores them.
+    // Like overhead rows, pgo rows omit `mcycles_per_s` so `--check`
+    // ignores them.
     let _ = writeln!(s, "  \"pgo\": [");
     for (i, r) in pgo.iter().enumerate() {
         let comma = if i + 1 < pgo.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"name\": \"pgo-{}\", \"base_cycles\": {}, \"opt_cycles\": {}, \
+            "    {{\"name\": {}, \"base_cycles\": {}, \"opt_cycles\": {}, \
              \"speedup_pct\": {:.4}, \"equivalent\": {}}}{comma}",
-            r.name, r.base_cycles, r.opt_cycles, r.speedup_pct, r.equivalent
+            quote(&format!("pgo-{}", r.name)),
+            r.base_cycles,
+            r.opt_cycles,
+            r.speedup_pct,
+            r.equivalent
         );
     }
     let _ = writeln!(s, "  ],");
@@ -931,9 +944,12 @@ fn render_json(
         let comma = if i + 1 < tv.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"name\": \"tv-{}\", \"segments\": {}, \"proved\": {}, \
+            "    {{\"name\": {}, \"segments\": {}, \"proved\": {}, \
              \"wall_s\": {:.4}}}{comma}",
-            r.name, r.segments, r.proved, r.wall_s
+            quote(&format!("tv-{}", r.name)),
+            r.segments,
+            r.proved,
+            r.wall_s
         );
     }
     let _ = writeln!(s, "  ],");
@@ -975,10 +991,10 @@ fn render_json(
     let _ = writeln!(s, "  \"fleet\": [");
     let _ = writeln!(
         s,
-        "    {{\"name\": \"{}\", \"agents\": {}, \"epochs\": {}, \"samples\": {}, \
+        "    {{\"name\": {}, \"agents\": {}, \"epochs\": {}, \"samples\": {}, \
          \"wall_s\": {:.4}, \"epochs_per_s\": {:.1}, \"samples_per_s\": {:.1}, \
          \"lag_p95_cycles\": {}, \"conserves\": {}}}",
-        fleet.name,
+        quote(&fleet.name),
         fleet.agents,
         fleet.epochs,
         fleet.samples,
@@ -992,11 +1008,94 @@ fn render_json(
     let _ = writeln!(s, "  \"experiments\": [");
     let _ = writeln!(
         s,
-        "    {{\"name\": \"{}\", \"runs\": {}, \"threads\": {}, \"samples\": {}, \
+        "    {{\"name\": {}, \"runs\": {}, \"threads\": {}, \"samples\": {}, \
          \"wall_s\": {:.4}}}",
-        exp.name, exp.runs, exp.threads, exp.samples, exp.wall_s
+        quote(&exp.name),
+        exp.runs,
+        exp.threads,
+        exp.samples,
+        exp.wall_s
     );
     let _ = writeln!(s, "  ]");
     let _ = write!(s, "}}");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One of everything `--check` compares, with round numbers.
+    fn check(mcycles_per_s: f64, lag_p95_cycles: u64, baseline: &str) -> bool {
+        let workload = WorkloadRow {
+            name: "gcc",
+            scale: 1,
+            cycles: (mcycles_per_s * 1e6) as u64,
+            samples: 0,
+            retired: 0,
+            wall_s: 1.0,
+        };
+        let analyze = AnalyzeRow {
+            procs: 1,
+            listing_rows: 1,
+            analyze_us_per_proc: 10.0,
+            analyze_spread: 1.0,
+            dcpicalc_ns_per_row: 10.0,
+            dcpicalc_spread: 1.0,
+        };
+        let collect = CollectRow {
+            entries: 1,
+            stacks: 1,
+            entry_ns: 10.0,
+            entry_spread: 1.0,
+            stack_record_ns: 10.0,
+            stack_record_spread: 1.0,
+        };
+        let fleet = FleetRow {
+            name: "fleet-24".into(),
+            agents: 24,
+            epochs: 1,
+            samples: 1000,
+            wall_s: 1.0,
+            conserves: true,
+            lag_p95_cycles,
+        };
+        check_against_baseline(&[workload], &analyze, &collect, &fleet, Some(baseline))
+    }
+
+    const BASELINE: &str = concat!(
+        "{\n  \"schema\": 1,\n  \"workloads\": [\n",
+        "    {\"name\": \"gcc\", \"scale\": 8, \"wall_s\": 0.5407, \"mcycles_per_s\": 100.00},\n",
+        "    {\"name\": \"wave5\", \"mcycles_per_s\": 78.58}\n  ],\n",
+        "  \"overhead\": [\n    {\"name\": \"gcc\", \"fraction\": 0.02}\n  ],\n",
+        "  \"fleet\": [\n    {\"name\": \"fleet-24\", \"samples_per_s\": 1000.0, \
+         \"lag_p95_cycles\": 4, \"conserves\": true}\n  ]\n}",
+    );
+
+    #[test]
+    fn baseline_rows_are_found_by_name_and_key_wherever_they_sit() {
+        let doc = json::parse(BASELINE).unwrap();
+        let num = |row, key| baseline_field(&doc, row, key).and_then(Json::num);
+        assert_eq!(num("gcc", "mcycles_per_s"), Some(100.0));
+        assert_eq!(num("wave5", "mcycles_per_s"), Some(78.58));
+        assert_eq!(num("gcc", "fraction"), Some(0.02), "second row named gcc");
+        assert_eq!(num("fleet-24", "lag_p95_cycles"), Some(4.0));
+        assert_eq!(num("wave5", "wall_s"), None, "absent key");
+        assert_eq!(num("x11perf", "mcycles_per_s"), None, "absent row");
+        assert_eq!(baseline_field(&Json::Null, "gcc", "mcycles_per_s"), None);
+    }
+
+    #[test]
+    fn absent_rows_and_keys_skip_but_an_unreadable_baseline_fails() {
+        assert!(check(100.0, 4, BASELINE));
+        assert!(check(51.0, 8, BASELINE), "inside the 2x slack");
+        assert!(!check(49.0, 4, BASELINE), "throughput halved");
+        assert!(!check(100.0, 9, BASELINE), "lag p95 more than doubled");
+        // Nothing to compare against: every guard skips, as before.
+        assert!(check(1.0, 1000, "{\"schema\": 1, \"workloads\": []}"));
+        // A baseline nobody can read is a failure, not "nothing to compare".
+        assert!(!check(100.0, 4, &BASELINE[..BASELINE.len() - 1]));
+        assert!(!check(100.0, 4, "not json at all"));
+        assert!(!check(100.0, 4, ""));
+    }
 }

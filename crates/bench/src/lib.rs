@@ -123,26 +123,6 @@ impl ExpOptions {
     }
 }
 
-/// Extracts `(name, mcycles_per_s)` per workload from a committed
-/// `BENCH_perf.json` baseline. The file is our own single-line-per-row
-/// output (see `bench_report`), so a line scan suffices — no JSON
-/// dependency. Rows without both fields are skipped.
-#[must_use]
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
-        let rest = rest.trim_start();
-        Some(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim())
-    }
-    json.lines()
-        .filter_map(|line| {
-            let name = field(line, "name")?.trim_matches('"').to_string();
-            let thru: f64 = field(line, "mcycles_per_s")?.parse().ok()?;
-            Some((name, thru))
-        })
-        .collect()
-}
-
 /// Mean and 95% confidence half-interval of a sample.
 #[must_use]
 pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
@@ -410,25 +390,6 @@ pub fn run_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_baseline_extracts_throughput_rows() {
-        let json = concat!(
-            "{\n  \"workloads\": [\n",
-            "    {\"name\": \"gcc\", \"scale\": 8, \"wall_s\": 0.5407, \"mcycles_per_s\": 26.23},\n",
-            "    {\"name\": \"wave5\", \"mcycles_per_s\": 78.58}\n",
-            "  ],\n",
-            "  \"experiments\": [\n",
-            "    {\"name\": \"run_merged\", \"samples\": 22172, \"wall_s\": 14.5}\n",
-            "  ]\n}",
-        );
-        let rows = parse_baseline(json);
-        assert_eq!(
-            rows,
-            vec![("gcc".to_string(), 26.23), ("wave5".to_string(), 78.58)]
-        );
-        assert!(parse_baseline("not json at all").is_empty());
-    }
 
     #[test]
     fn mean_ci_basics() {

@@ -1,6 +1,7 @@
 //! Diagnostic types: everything `dcpicheck` reports is a [`Diagnostic`]
 //! collected into a [`Report`].
 
+use dcpi_core::json::quote;
 use std::fmt;
 
 /// How bad a finding is.
@@ -390,15 +391,11 @@ impl Report {
             .filter(move |d| d.category.layer() == layer)
     }
 
-    /// Line-disciplined JSON for machine consumers (`--json`): the
-    /// tallies plus one object per finding. Strings are sanitized the
-    /// same way the other hand-rolled emitters in this workspace do it.
+    /// JSON for machine consumers (`--json`): the tallies plus one
+    /// object per finding, one per line.
     #[must_use]
     pub fn to_json(&self) -> String {
         use fmt::Write as _;
-        fn sanitize(s: &str) -> String {
-            s.replace(['"', '\\', '\r', '\n'], "_")
-        }
         fn opt(v: Option<u64>) -> String {
             v.map_or_else(|| "null".to_string(), |v| v.to_string())
         }
@@ -412,15 +409,15 @@ impl Report {
             let comma = if i + 1 < self.diags.len() { "," } else { "" };
             let _ = writeln!(
                 s,
-                "    {{\"severity\": \"{}\", \"layer\": \"{}\", \"category\": \"{}\", \
-                 \"context\": \"{}\", \"pc\": {}, \"block\": {}, \"message\": \"{}\"}}{comma}",
-                d.severity,
-                d.category.layer(),
-                d.category.name(),
-                sanitize(&d.context),
+                "    {{\"severity\": {}, \"layer\": {}, \"category\": {}, \
+                 \"context\": {}, \"pc\": {}, \"block\": {}, \"message\": {}}}{comma}",
+                quote(&d.severity.to_string()),
+                quote(&d.category.layer().to_string()),
+                quote(d.category.name()),
+                quote(&d.context),
                 opt(d.pc),
                 opt(d.block.map(|b| b as u64)),
-                sanitize(&d.message),
+                quote(&d.message),
             );
         }
         let _ = writeln!(s, "  ]");
@@ -556,9 +553,23 @@ mod tests {
         assert!(j.contains("\"errors\": 1"), "{j}");
         assert!(j.contains("\"category\": \"tv-state\""), "{j}");
         assert!(j.contains("\"pc\": 16"), "{j}");
-        assert!(
-            !j.contains("seg \"weird\""),
-            "quotes must be sanitized: {j}"
+        // Strings are escaped, not mangled: an independent read gives
+        // back exactly what was pushed.
+        let hostile = "a\"b,c{d}e\nf\\";
+        r.push(
+            Severity::Warning,
+            Category::TvState,
+            hostile,
+            None,
+            None,
+            hostile,
         );
+        let doc = dcpi_core::json::parse(&r.to_json()).unwrap();
+        let diags = doc.array("diags").unwrap();
+        assert_eq!(diags[0].string("context"), Ok("seg \"weird\""));
+        assert_eq!(diags[0].int::<u64>("block"), Ok(3));
+        assert_eq!(diags[1].string("context"), Ok(hostile));
+        assert_eq!(diags[1].string("message"), Ok(hostile));
+        assert_eq!(diags[1].get("pc"), Some(&dcpi_core::json::Json::Null));
     }
 }

@@ -485,7 +485,7 @@ fn check_ledgers(snap: &Snapshot, config: &ObsCheckConfig, report: &mut Report) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, SampleLedger};
+    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger};
 
     fn sample_snapshot() -> Snapshot {
         let obs = Obs::new(&ObsConfig::on());
@@ -503,7 +503,7 @@ mod tests {
             walk_cycles: 0,
             samples: 20,
         });
-        snap.samples = Some(SampleLedger {
+        snap.samples = Some(LossLedger {
             generated: 20,
             attributed: 18,
             unknown: 1,

@@ -17,6 +17,9 @@
 use dcpi_core::prng::CartaRng;
 use dcpi_core::{codec, fsfault};
 use dcpi_machine::os::OsEvent;
+/// The one sample ledger and its overflow rule live in `dcpi-obs`, the
+/// crate the collector and the offline tools both depend on.
+pub use dcpi_obs::ledger::{ledger_add, ledger_sum, LossLedger};
 use dcpi_obs::{Component, Obs};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -175,101 +178,6 @@ pub struct CrashRecord {
     /// Cycles since the last successful disk flush: the recovery window
     /// the paper's epoch scheme promises to bound (§4.3.3).
     pub since_flush: u64,
-}
-
-/// End-to-end sample accounting. Valid after the session's final drain
-/// ([`crate::ProfiledRun::finish`]); every generated sample must appear
-/// in exactly one bucket.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LossLedger {
-    /// Counter-overflow samples the machine generated.
-    pub generated: u64,
-    /// Samples attributed to a real image (on disk plus surviving
-    /// daemon memory).
-    pub attributed: u64,
-    /// Samples in the unknown profile (§4.3.2).
-    pub unknown: u64,
-    /// Samples dropped in the kernel because both overflow buffers were
-    /// full (§4.2.1).
-    pub driver_dropped: u64,
-    /// Samples lost from daemon memory across crashes (§4.3.3 bounds
-    /// these to one flush interval each).
-    pub crash_lost: u64,
-    /// Samples sealed inside quarantined (corrupt) profile files.
-    pub quarantined: u64,
-}
-
-/// Adds `add` into a ledger counter. Fleet-scale totals sum ledgers from
-/// hundreds of agents over long horizons, where a silent wrap would turn
-/// a conservation violation into a false pass (or vice versa); debug
-/// builds assert, release builds saturate so the mismatch stays visible.
-#[inline]
-pub fn ledger_add(slot: &mut u64, add: u64) {
-    debug_assert!(
-        slot.checked_add(add).is_some(),
-        "ledger counter overflow: {slot} + {add}"
-    );
-    *slot = slot.saturating_add(add);
-}
-
-/// Sums ledger buckets with the same overflow discipline as
-/// [`ledger_add`].
-#[inline]
-#[must_use]
-pub fn ledger_sum(parts: &[u64]) -> u64 {
-    let mut total = 0u64;
-    for &p in parts {
-        ledger_add(&mut total, p);
-    }
-    total
-}
-
-impl LossLedger {
-    /// Samples accounted for across all loss and retention buckets.
-    #[must_use]
-    pub fn accounted(&self) -> u64 {
-        ledger_sum(&[
-            self.attributed,
-            self.unknown,
-            self.driver_dropped,
-            self.crash_lost,
-            self.quarantined,
-        ])
-    }
-
-    /// The conservation law: nothing vanished without a line item.
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.generated == self.accounted()
-    }
-
-    /// A one-line summary for session reports.
-    #[must_use]
-    pub fn render(&self) -> String {
-        format!(
-            "samples: generated {} = attributed {} + unknown {} + dropped {} + crash-lost {} + quarantined {}{}",
-            self.generated,
-            self.attributed,
-            self.unknown,
-            self.driver_dropped,
-            self.crash_lost,
-            self.quarantined,
-            if self.conserves() { "" } else { "  ** NOT CONSERVED **" }
-        )
-    }
-
-    /// Merges another run's ledger (plain sums on every bucket, so the
-    /// conservation law survives the merge iff both inputs conserve).
-    /// This is the one correct way to combine ledgers from independent
-    /// `Machine` runs in the grid experiments.
-    pub fn merge(&mut self, other: &LossLedger) {
-        ledger_add(&mut self.generated, other.generated);
-        ledger_add(&mut self.attributed, other.attributed);
-        ledger_add(&mut self.unknown, other.unknown);
-        ledger_add(&mut self.driver_dropped, other.driver_dropped);
-        ledger_add(&mut self.crash_lost, other.crash_lost);
-        ledger_add(&mut self.quarantined, other.quarantined);
-    }
 }
 
 /// End-to-end fleet accounting: the [`LossLedger`] identity extended
@@ -950,23 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_conservation_law() {
-        let mut l = LossLedger {
-            generated: 100,
-            attributed: 80,
-            unknown: 5,
-            driver_dropped: 10,
-            crash_lost: 3,
-            quarantined: 2,
-        };
-        assert!(l.conserves());
-        assert!(!l.render().contains("NOT CONSERVED"));
-        l.quarantined = 1;
-        assert!(!l.conserves());
-        assert!(l.render().contains("NOT CONSERVED"));
-    }
-
-    #[test]
     fn corruption_decodes_victim_totals_before_damage() {
         let dir = std::env::temp_dir().join(format!("dcpi-faults-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1014,24 +905,6 @@ mod tests {
         );
         assert_eq!(inj.quarantined_samples, 0);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ledger_add_saturates_and_asserts_in_debug() {
-        let mut x = 40u64;
-        ledger_add(&mut x, 2);
-        assert_eq!(x, 42);
-        assert_eq!(ledger_sum(&[1, 2, 3]), 6);
-        let saturating = std::panic::catch_unwind(|| {
-            let mut x = u64::MAX - 1;
-            ledger_add(&mut x, 5);
-            x
-        });
-        if cfg!(debug_assertions) {
-            assert!(saturating.is_err(), "debug builds assert on overflow");
-        } else {
-            assert_eq!(saturating.unwrap(), u64::MAX, "release builds saturate");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use dcpi_core::{ImageId, Pid, ProfileSet, Result, Sample};
 use dcpi_isa::image::Image;
 use dcpi_machine::machine::{Machine, SampleSink};
 use dcpi_machine::MachineConfig;
-use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, SampleLedger, Snapshot};
+use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, Snapshot};
 
 /// A driver wrapper that optionally logs the raw sample trace for the
 /// §5.4 hash-table sweep.
@@ -483,15 +483,7 @@ impl ProfiledRun {
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = self.obs.snapshot();
         snap.overhead = Some(self.overhead_ledger());
-        let l = self.ledger();
-        snap.samples = Some(SampleLedger {
-            generated: l.generated,
-            attributed: l.attributed,
-            unknown: l.unknown,
-            driver_dropped: l.driver_dropped,
-            crash_lost: l.crash_lost,
-            quarantined: l.quarantined,
-        });
+        snap.samples = Some(self.ledger());
         snap
     }
 

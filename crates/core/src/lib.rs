@@ -10,6 +10,8 @@
 //! * in-memory profiles keyed by image offset ([`Profile`], [`ProfileKey`]),
 //! * the compact on-disk profile database ([`db::ProfileDb`]) with its
 //!   varint-delta codec ([`codec`]),
+//! * the one JSON reader and string-escaping rule every artifact writer
+//!   and offline tool shares ([`json`]),
 //! * the Carta minimal-standard pseudo-random number generator used by the
 //!   paper to randomize sampling periods ([`prng::CartaRng`]).
 //!
@@ -22,6 +24,7 @@ pub mod db;
 pub mod error;
 pub mod fsfault;
 pub mod hash;
+pub mod json;
 pub mod prng;
 pub mod profile;
 pub mod types;

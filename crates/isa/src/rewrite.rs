@@ -13,7 +13,7 @@
 
 use crate::insn::{BrCond, Instruction};
 use crate::reg::Reg;
-use std::collections::BTreeMap;
+use dcpi_core::json::{self, quote};
 use std::fmt::Write as _;
 
 /// Schema version stamped into serialized address maps.
@@ -210,27 +210,15 @@ impl AddressMap {
         Ok(())
     }
 
-    /// Serializes the map as line-disciplined JSON (one `{"old": …}`
-    /// object per line, the same hand-rolled style as the observability
-    /// exports).
+    /// Serializes the map as JSON: a header, then one `{"old": …}` row
+    /// per line in old-word order.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let sanitize = |s: &str| -> String {
-            s.chars()
-                .map(|c| {
-                    if matches!(c, '"' | ',' | '{' | '}' | '\n' | '\r') {
-                        '_'
-                    } else {
-                        c
-                    }
-                })
-                .collect()
-        };
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {MAP_SCHEMA},");
-        let _ = writeln!(out, "  \"old_image\": \"{}\",", sanitize(&self.old_name));
-        let _ = writeln!(out, "  \"new_image\": \"{}\",", sanitize(&self.new_name));
+        let _ = writeln!(out, "  \"old_image\": {},", quote(&self.old_name));
+        let _ = writeln!(out, "  \"new_image\": {},", quote(&self.new_name));
         let _ = writeln!(out, "  \"old_words\": {},", self.entries.len());
         let _ = writeln!(out, "  \"new_words\": {},", self.new_words);
         out.push_str("  \"map\": [\n");
@@ -249,52 +237,33 @@ impl AddressMap {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
-    pub fn parse(json: &str) -> Result<AddressMap, String> {
-        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-            let pat = format!("\"{key}\":");
-            let rest = &line[line.find(&pat)? + pat.len()..];
-            let rest = rest.trim_start();
-            Some(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim())
-        }
-        let mut old_name = String::new();
-        let mut new_name = String::new();
-        let mut new_words: u32 = 0;
-        let mut old_words: Option<usize> = None;
-        let mut pairs: BTreeMap<u32, u32> = BTreeMap::new();
-        for line in json.lines() {
-            if let Some(v) = field(line, "old_image") {
-                old_name = v.trim_matches('"').to_string();
+    /// Text that is not JSON or not a map of [`MAP_SCHEMA`], a missing
+    /// or mistyped member, an `old_words` that is not the number of
+    /// `map` rows, or rows that are not `old = 0, 1, 2, …` in order.
+    pub fn parse(text: &str) -> Result<AddressMap, String> {
+        let doc = json::parse(text)?;
+        doc.expect_schema("address map", MAP_SCHEMA)?;
+        // Sized by the rows that parsed, never by the count the file claims.
+        let mut entries = Vec::with_capacity(doc.array("map")?.len());
+        doc.each("map", |row| {
+            let old: u64 = row.int("old")?;
+            if old != entries.len() as u64 {
+                return Err(format!("row for old word {old}"));
             }
-            if let Some(v) = field(line, "new_image") {
-                new_name = v.trim_matches('"').to_string();
-            }
-            if let Some(v) = field(line, "old_words") {
-                old_words = Some(v.parse().map_err(|e| format!("old_words: {e}"))?);
-            }
-            if let Some(v) = field(line, "new_words") {
-                new_words = v.parse().map_err(|e| format!("new_words: {e}"))?;
-            }
-            if let (Some(o), Some(n)) = (field(line, "old"), field(line, "new")) {
-                let o: u32 = o.parse().map_err(|e| format!("old: {e}"))?;
-                let n: u32 = n.parse().map_err(|e| format!("new: {e}"))?;
-                pairs.insert(o, n);
-            }
-        }
-        let n = old_words.ok_or_else(|| "missing old_words".to_string())?;
-        let mut entries = Vec::with_capacity(n);
-        for w in 0..n as u32 {
-            entries.push(
-                pairs
-                    .get(&w)
-                    .copied()
-                    .ok_or_else(|| format!("missing map entry for old word {w}"))?,
-            );
+            entries.push(row.int("new")?);
+            Ok(())
+        })?;
+        let old_words: u64 = doc.int("old_words")?;
+        if old_words != entries.len() as u64 {
+            return Err(format!(
+                "old_words {old_words} disagrees with the {} map rows",
+                entries.len()
+            ));
         }
         Ok(AddressMap {
-            old_name,
-            new_name,
-            new_words,
+            old_name: doc.string("old_image")?.into(),
+            new_name: doc.string("new_image")?.into(),
+            new_words: doc.int("new_words")?,
             entries,
         })
     }
@@ -419,10 +388,64 @@ mod tests {
     }
 
     #[test]
+    fn hostile_names_roundtrip_exactly() {
+        let mut m = AddressMap::identity("a\"b,c{d}e\nf\\", "\\\"}],\u{1}\t", 3);
+        m.set(0, 2);
+        m.set(2, 0);
+        let json = m.to_json();
+        assert_eq!(AddressMap::parse(&json).unwrap(), m);
+        assert_eq!(AddressMap::parse(&json).unwrap().to_json(), json);
+        let empty = AddressMap::identity("a", "b", 0);
+        assert_eq!(AddressMap::parse(&empty.to_json()).unwrap(), empty);
+    }
+
+    #[test]
     fn parse_rejects_incomplete_maps() {
         assert!(AddressMap::parse("{}").is_err());
-        let mut m = AddressMap::identity("a", "b", 2).to_json();
-        m = m.replace("{\"old\": 1, \"new\": 1}", "");
-        assert!(AddressMap::parse(&m).is_err());
+        assert!(AddressMap::parse("not a map").is_err());
+        let json = AddressMap::identity("a", "b", 3).to_json();
+        let parse = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from}");
+            AddressMap::parse(&json.replacen(from, to, 1))
+        };
+        // A missing, duplicated or out-of-order row.
+        assert!(parse("    {\"old\": 1, \"new\": 1},\n", "").is_err());
+        assert!(parse("{\"old\": 1,", "{\"old\": 0,").is_err());
+        let err = parse("{\"old\": 1, \"new\": 1}", "{\"old\": 2, \"new\": 1}").unwrap_err();
+        assert_eq!(err, "map[1]: row for old word 2");
+        assert!(parse("\"schema\": 1", "\"schema\": 2")
+            .unwrap_err()
+            .contains("schema 2"));
+        assert!(parse("  \"new_words\": 3,\n", "")
+            .unwrap_err()
+            .contains("new_words"));
+        assert!(parse("\"new\": 2", "\"new\": 4294967296")
+            .unwrap_err()
+            .contains("\"new\""));
+    }
+
+    /// `old_words` comes from the file: it is checked against the rows
+    /// that parsed and never used to reserve memory.
+    #[test]
+    fn a_lying_old_words_is_an_error_not_an_allocation() {
+        let json = AddressMap::identity("a", "b", 42).to_json();
+        for lie in [
+            "1152921504606846976",
+            "3000000000",
+            "41",
+            "43",
+            "-1",
+            "42.0",
+        ] {
+            let forged = json.replacen("\"old_words\": 42", &format!("\"old_words\": {lie}"), 1);
+            assert_ne!(forged, json);
+            let err = AddressMap::parse(&forged).unwrap_err();
+            assert!(err.contains("old_words"), "{lie}: {err}");
+        }
+        let err = AddressMap::parse(&json.replacen("42,", "1152921504606846976,", 1)).unwrap_err();
+        assert_eq!(
+            err,
+            "old_words 1152921504606846976 disagrees with the 42 map rows"
+        );
     }
 }

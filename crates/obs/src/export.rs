@@ -1,16 +1,18 @@
-//! Line-disciplined JSON export/import for observability snapshots.
+//! JSON export/import for observability snapshots.
 //!
-//! Same hand-rolled style as the rest of the repo (no external crates):
-//! the writer emits exactly one JSON object per line inside each section,
-//! so the reader is a simple line scanner with a `field` helper rather
-//! than a full JSON parser. String values are sanitised on write (no
-//! quotes, commas, braces, or newlines) to keep that discipline sound.
+//! The writer owns the layout — one section per top-level member, one
+//! row object per line, maps packed as `name:value` pairs in one string —
+//! and quotes every string through [`dcpi_core::json::quote`]; the
+//! reader walks the value [`dcpi_core::json::parse`] returns, so any
+//! name round-trips exactly (the one exception: a name inside a packed
+//! map must not hold a space, which is its separator).
 //! `dcpistat`, `dcpitrace`, and `dcpicheck obs` all consume this format.
 
-use crate::ledger::{OverheadLedger, SampleLedger};
+use crate::ledger::{LossLedger, OverheadLedger};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::timeseries::{SeriesSnapshot, TimePoint};
 use crate::trace::{EventKind, EventRecord, RingSnapshot};
+use dcpi_core::json::{self, quote, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -21,7 +23,7 @@ pub const SCHEMA: u32 = 1;
 /// (when the producing layer owns them) the overhead and sample ledgers.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
-    /// Free-form metadata (seed, workload, …). Values are sanitised.
+    /// Free-form metadata (seed, workload, …).
     pub meta: BTreeMap<String, String>,
     /// Metrics registry snapshot.
     pub metrics: MetricsSnapshot,
@@ -32,19 +34,7 @@ pub struct Snapshot {
     /// Cycles charged to collection vs. total simulated cycles.
     pub overhead: Option<OverheadLedger>,
     /// End-to-end sample conservation.
-    pub samples: Option<SampleLedger>,
-}
-
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if matches!(c, '"' | ',' | '{' | '}' | '\n' | '\r') {
-                '_'
-            } else {
-                c
-            }
-        })
-        .collect()
+    pub samples: Option<LossLedger>,
 }
 
 impl Snapshot {
@@ -76,7 +66,7 @@ impl Snapshot {
         }
     }
 
-    /// Render the snapshot as line-disciplined JSON.
+    /// Render the snapshot as JSON, one row object per line.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -86,13 +76,7 @@ impl Snapshot {
         let metas: Vec<String> = self
             .meta
             .iter()
-            .map(|(k, v)| {
-                format!(
-                    "    {{\"key\": \"{}\", \"value\": \"{}\"}}",
-                    sanitize(k),
-                    sanitize(v)
-                )
-            })
+            .map(|(k, v)| format!("    {{\"key\": {}, \"value\": {}}}", quote(k), quote(v)))
             .collect();
         out.push_str(&metas.join(",\n"));
         if !metas.is_empty() {
@@ -105,7 +89,7 @@ impl Snapshot {
             .metrics
             .counters
             .iter()
-            .map(|(k, v)| format!("    {{\"name\": \"{}\", \"value\": {}}}", sanitize(k), v))
+            .map(|(k, v)| format!("    {{\"name\": {}, \"value\": {}}}", quote(k), v))
             .collect();
         out.push_str(&rows.join(",\n"));
         if !rows.is_empty() {
@@ -118,7 +102,7 @@ impl Snapshot {
             .metrics
             .gauges
             .iter()
-            .map(|(k, v)| format!("    {{\"name\": \"{}\", \"value\": {}}}", sanitize(k), v))
+            .map(|(k, v)| format!("    {{\"name\": {}, \"value\": {}}}", quote(k), v))
             .collect();
         out.push_str(&rows.join(",\n"));
         if !rows.is_empty() {
@@ -135,11 +119,11 @@ impl Snapshot {
                 let buckets: Vec<String> =
                     h.buckets.iter().map(|(i, n)| format!("{i}:{n}")).collect();
                 format!(
-                    "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"buckets\": \"{}\"}}",
-                    sanitize(k),
+                    "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"buckets\": {}}}",
+                    quote(k),
                     h.count,
                     h.sum,
-                    buckets.join(" "),
+                    quote(&buckets.join(" ")),
                 )
             })
             .collect();
@@ -153,17 +137,17 @@ impl Snapshot {
         let mut rows: Vec<String> = Vec::new();
         for ring in &self.rings {
             rows.push(format!(
-                "    {{\"component\": \"{}\", \"capacity\": {}, \"recorded\": {}, \"overwritten\": {}}}",
-                sanitize(&ring.component),
+                "    {{\"component\": {}, \"capacity\": {}, \"recorded\": {}, \"overwritten\": {}}}",
+                quote(&ring.component),
                 ring.capacity,
                 ring.recorded,
                 ring.overwritten,
             ));
             for ev in &ring.events {
                 rows.push(format!(
-                    "    {{\"event\": \"{}\", \"kind\": \"{}\", \"cycle\": {}, \"wall_ns\": {}, \"a\": {}, \"b\": {}}}",
-                    sanitize(&ev.name),
-                    ev.kind.name(),
+                    "    {{\"event\": {}, \"kind\": {}, \"cycle\": {}, \"wall_ns\": {}, \"a\": {}, \"b\": {}}}",
+                    quote(&ev.name),
+                    quote(ev.kind.name()),
                     ev.cycle,
                     ev.wall_ns,
                     ev.a,
@@ -178,8 +162,8 @@ impl Snapshot {
         out.push_str("  ],\n");
 
         // Time series: one header row (ring accounting) then one row per
-        // surviving point. Maps are packed `name:value` pairs inside one
-        // quoted string to keep the one-object-per-line discipline.
+        // surviving point. Maps are packed `name:value` pairs, separated
+        // by single spaces, inside one string.
         out.push_str("  \"timeseries\": [\n");
         let ts = &self.timeseries;
         let mut rows: Vec<String> = vec![format!(
@@ -189,15 +173,15 @@ impl Snapshot {
         for p in &ts.points {
             let pack = |m: &BTreeMap<String, u64>| {
                 m.iter()
-                    .map(|(k, v)| format!("{}:{v}", sanitize(k)))
+                    .map(|(k, v)| format!("{k}:{v}"))
                     .collect::<Vec<_>>()
                     .join(" ")
             };
             rows.push(format!(
-                "    {{\"tick\": {}, \"counters\": \"{}\", \"gauges\": \"{}\"}}",
+                "    {{\"tick\": {}, \"counters\": {}, \"gauges\": {}}}",
                 p.tick,
-                pack(&p.counters),
-                pack(&p.gauges),
+                quote(&pack(&p.counters)),
+                quote(&pack(&p.gauges)),
             ));
         }
         out.push_str(&rows.join(",\n"));
@@ -228,194 +212,138 @@ impl Snapshot {
         out
     }
 
-    /// Parse an export produced by [`Snapshot::to_json`].
+    /// Parse an export produced by [`Snapshot::to_json`]. An absent
+    /// section is empty; a present one must be well-formed.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
+        let doc = json::parse(text)?;
+        doc.expect_schema("obs export", SCHEMA)?;
         let mut snap = Snapshot::default();
-        let mut section = "";
-        let mut saw_schema = false;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line == "{" || line == "}" || line == "]," || line == "]" {
-                continue;
-            }
-            if let Some(v) = field(line, "schema") {
-                let v: u32 = v.parse().map_err(|_| bad(lineno, "schema"))?;
-                if v != SCHEMA {
-                    return Err(format!("unsupported obs schema {v} (expected {SCHEMA})"));
-                }
-                saw_schema = true;
-                continue;
-            }
-            if let Some(sec) = section_header(line) {
-                section = sec;
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("\"overhead\": ") {
-                if rest.trim_end_matches(',') == "null" {
-                    continue;
-                }
-                snap.overhead = Some(OverheadLedger {
-                    total_cycles: num(rest, "total_cycles", lineno)?,
-                    handler_cycles: num(rest, "handler_cycles", lineno)?,
-                    daemon_cycles: num(rest, "daemon_cycles", lineno)?,
-                    // Absent in exports written before the stack-walk
-                    // extension: default to zero rather than reject.
-                    walk_cycles: num(rest, "walk_cycles", lineno).unwrap_or(0),
-                    samples: num(rest, "samples", lineno)?,
+        section(&doc, "meta", |row| {
+            snap.meta
+                .insert(row.string("key")?.into(), row.string("value")?.into());
+            Ok(())
+        })?;
+        section(&doc, "counters", |row| {
+            snap.metrics
+                .counters
+                .insert(row.string("name")?.into(), row.int("value")?);
+            Ok(())
+        })?;
+        section(&doc, "gauges", |row| {
+            snap.metrics
+                .gauges
+                .insert(row.string("name")?.into(), row.int("value")?);
+            Ok(())
+        })?;
+        section(&doc, "histograms", |row| {
+            snap.metrics.histograms.insert(
+                row.string("name")?.into(),
+                HistogramSnapshot {
+                    count: row.int("count")?,
+                    sum: row.int("sum")?,
+                    buckets: unpack(row, "buckets")?,
+                },
+            );
+            Ok(())
+        })?;
+        section(&doc, "rings", |row| {
+            if row.get("component").is_some() {
+                snap.rings.push(RingSnapshot {
+                    component: row.string("component")?.into(),
+                    capacity: row.int("capacity")?,
+                    recorded: row.int("recorded")?,
+                    overwritten: row.int("overwritten")?,
+                    events: Vec::new(),
                 });
-                continue;
+                return Ok(());
             }
-            if let Some(rest) = line.strip_prefix("\"samples\": ") {
-                if rest.trim_end_matches(',') == "null" {
-                    continue;
-                }
-                snap.samples = Some(SampleLedger {
-                    generated: num(rest, "generated", lineno)?,
-                    attributed: num(rest, "attributed", lineno)?,
-                    unknown: num(rest, "unknown", lineno)?,
-                    driver_dropped: num(rest, "driver_dropped", lineno)?,
-                    crash_lost: num(rest, "crash_lost", lineno)?,
-                    quarantined: num(rest, "quarantined", lineno)?,
+            let ring = snap
+                .rings
+                .last_mut()
+                .ok_or("event before any ring header")?;
+            ring.events.push(EventRecord {
+                cycle: row.int("cycle")?,
+                wall_ns: row.int("wall_ns")?,
+                name: row.string("event")?.into(),
+                kind: EventKind::parse(row.string("kind")?)
+                    .ok_or("\"kind\" is not instant, begin or end")?,
+                a: row.int("a")?,
+                b: row.int("b")?,
+            });
+            Ok(())
+        })?;
+        section(&doc, "timeseries", |row| {
+            if row.get("capacity").is_some() {
+                snap.timeseries.capacity = row.int("capacity")?;
+                snap.timeseries.recorded = row.int("recorded")?;
+                snap.timeseries.overwritten = row.int("overwritten")?;
+            } else {
+                snap.timeseries.points.push(TimePoint {
+                    tick: row.int("tick")?,
+                    counters: unpack(row, "counters")?,
+                    gauges: unpack(row, "gauges")?,
                 });
-                continue;
             }
-            match section {
-                "meta" => {
-                    let k = field(line, "key").ok_or_else(|| bad(lineno, "key"))?;
-                    let v = field(line, "value").ok_or_else(|| bad(lineno, "value"))?;
-                    snap.meta.insert(k.to_string(), v.to_string());
-                }
-                "counters" => {
-                    let k = field(line, "name").ok_or_else(|| bad(lineno, "name"))?;
-                    snap.metrics
-                        .counters
-                        .insert(k.to_string(), num(line, "value", lineno)?);
-                }
-                "gauges" => {
-                    let k = field(line, "name").ok_or_else(|| bad(lineno, "name"))?;
-                    snap.metrics
-                        .gauges
-                        .insert(k.to_string(), num(line, "value", lineno)?);
-                }
-                "histograms" => {
-                    let k = field(line, "name").ok_or_else(|| bad(lineno, "name"))?;
-                    let spec = field(line, "buckets").ok_or_else(|| bad(lineno, "buckets"))?;
-                    let mut buckets = Vec::new();
-                    for part in spec.split_whitespace() {
-                        let (i, n) = part.split_once(':').ok_or_else(|| bad(lineno, "buckets"))?;
-                        buckets.push((
-                            i.parse().map_err(|_| bad(lineno, "buckets"))?,
-                            n.parse().map_err(|_| bad(lineno, "buckets"))?,
-                        ));
-                    }
-                    snap.metrics.histograms.insert(
-                        k.to_string(),
-                        HistogramSnapshot {
-                            count: num(line, "count", lineno)?,
-                            sum: num(line, "sum", lineno)?,
-                            buckets,
-                        },
-                    );
-                }
-                "rings" => {
-                    if let Some(comp) = field(line, "component") {
-                        snap.rings.push(RingSnapshot {
-                            component: comp.to_string(),
-                            capacity: num(line, "capacity", lineno)?,
-                            recorded: num(line, "recorded", lineno)?,
-                            overwritten: num(line, "overwritten", lineno)?,
-                            events: Vec::new(),
-                        });
-                    } else if let Some(name) = field(line, "event") {
-                        let kind = field(line, "kind")
-                            .and_then(EventKind::parse)
-                            .ok_or_else(|| bad(lineno, "kind"))?;
-                        let ring = snap.rings.last_mut().ok_or_else(|| {
-                            format!("line {}: event before any ring header", lineno + 1)
-                        })?;
-                        ring.events.push(EventRecord {
-                            cycle: num(line, "cycle", lineno)?,
-                            wall_ns: num(line, "wall_ns", lineno)?,
-                            name: name.to_string(),
-                            kind,
-                            a: num(line, "a", lineno)?,
-                            b: num(line, "b", lineno)?,
-                        });
-                    } else {
-                        return Err(format!("line {}: unrecognised ring row", lineno + 1));
-                    }
-                }
-                "timeseries" => {
-                    if let Some(cap) = field(line, "capacity") {
-                        snap.timeseries.capacity =
-                            cap.parse().map_err(|_| bad(lineno, "capacity"))?;
-                        snap.timeseries.recorded = num(line, "recorded", lineno)?;
-                        snap.timeseries.overwritten = num(line, "overwritten", lineno)?;
-                    } else if field(line, "tick").is_some() {
-                        let unpack = |key: &str| -> Result<BTreeMap<String, u64>, String> {
-                            let spec = field(line, key).ok_or_else(|| bad(lineno, key))?;
-                            let mut map = BTreeMap::new();
-                            for part in spec.split_whitespace() {
-                                let (k, v) =
-                                    part.rsplit_once(':').ok_or_else(|| bad(lineno, key))?;
-                                map.insert(k.to_string(), v.parse().map_err(|_| bad(lineno, key))?);
-                            }
-                            Ok(map)
-                        };
-                        snap.timeseries.points.push(TimePoint {
-                            tick: num(line, "tick", lineno)?,
-                            counters: unpack("counters")?,
-                            gauges: unpack("gauges")?,
-                        });
-                    } else {
-                        return Err(format!("line {}: unrecognised series row", lineno + 1));
-                    }
-                }
-                _ => return Err(format!("line {}: row outside any section", lineno + 1)),
-            }
+            Ok(())
+        })?;
+        if let Some(o) = doc.get("overhead").filter(|o| **o != Json::Null) {
+            snap.overhead = Some(OverheadLedger {
+                total_cycles: o.int("total_cycles")?,
+                handler_cycles: o.int("handler_cycles")?,
+                daemon_cycles: o.int("daemon_cycles")?,
+                // Absent in exports written before the stack-walk
+                // extension: default to zero rather than reject.
+                walk_cycles: match o.get("walk_cycles") {
+                    Some(_) => o.int("walk_cycles")?,
+                    None => 0,
+                },
+                samples: o.int("samples")?,
+            });
         }
-        if !saw_schema {
-            return Err("missing \"schema\" field (not an obs export?)".to_string());
+        if let Some(s) = doc.get("samples").filter(|s| **s != Json::Null) {
+            snap.samples = Some(LossLedger {
+                generated: s.int("generated")?,
+                attributed: s.int("attributed")?,
+                unknown: s.int("unknown")?,
+                driver_dropped: s.int("driver_dropped")?,
+                crash_lost: s.int("crash_lost")?,
+                quarantined: s.int("quarantined")?,
+            });
         }
         Ok(snap)
     }
 }
 
-/// Extract `"key": value` from a one-object line; quotes are stripped.
-/// This is the same line-scanning discipline `dcpi-bench` uses for its
-/// committed baseline.
-pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-fn num(line: &str, key: &str, lineno: usize) -> Result<u64, String> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(lineno, key))
-}
-
-fn bad(lineno: usize, key: &str) -> String {
-    format!("line {}: missing or malformed \"{key}\"", lineno + 1)
-}
-
-fn section_header(line: &str) -> Option<&'static str> {
-    for sec in [
-        "meta",
-        "counters",
-        "gauges",
-        "histograms",
-        "rings",
-        "timeseries",
-    ] {
-        if line.starts_with(&format!("\"{sec}\": [")) {
-            return Some(sec);
-        }
+/// Runs `f` on each row object of section `key`; an absent section
+/// has none.
+fn section<'a>(
+    doc: &'a Json,
+    key: &str,
+    f: impl FnMut(&'a Json) -> Result<(), String>,
+) -> Result<(), String> {
+    match doc.get(key) {
+        Some(_) => doc.each(key, f),
+        None => Ok(()),
     }
-    None
+}
+
+/// Unpacks a `name:value name:value` string member. Names may hold
+/// colons (the value follows the last one) but not spaces.
+fn unpack<K, V, C>(row: &Json, key: &str) -> Result<C, String>
+where
+    K: std::str::FromStr,
+    V: std::str::FromStr,
+    C: FromIterator<(K, V)>,
+{
+    let bad = || format!("\"{key}\" is not a packed name:value list");
+    row.string(key)?
+        .split(' ')
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            let (k, v) = part.rsplit_once(':').ok_or_else(bad)?;
+            Ok((k.parse().map_err(|_| bad())?, v.parse().map_err(|_| bad())?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -489,7 +417,7 @@ mod tests {
             walk_cycles: 2_500,
             samples: 16,
         });
-        s.samples = Some(SampleLedger {
+        s.samples = Some(LossLedger {
             generated: 16,
             attributed: 14,
             unknown: 1,
@@ -539,18 +467,54 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(Snapshot::parse("hello world").is_err());
+        assert!(Snapshot::parse("{}").unwrap_err().contains("schema"));
         assert!(Snapshot::parse("{\n  \"schema\": 99\n}\n").is_err());
         let truncated = "{\n  \"schema\": 1,\n  \"rings\": [\n    {\"event\": \"x\", \"kind\": \"instant\", \"cycle\": 1, \"wall_ns\": 0, \"a\": 0, \"b\": 0}\n  ]\n}\n";
         let err = Snapshot::parse(truncated).unwrap_err();
         assert!(err.contains("ring header"), "{err}");
+        // A present section must be well-formed, and the error names the member.
+        let err =
+            Snapshot::parse("{\"schema\": 1, \"counters\": [{\"name\": \"c\"}]}").unwrap_err();
+        assert_eq!(err, "counters[0]: missing \"value\"");
+        assert!(Snapshot::parse("{\"schema\": 1, \"counters\": 3}").is_err());
+        assert!(Snapshot::parse("{\"schema\": 1, \"samples\": {\"generated\": -1}}").is_err());
     }
 
     #[test]
-    fn sanitizer_keeps_line_discipline() {
-        let mut s = Snapshot::default();
-        s.meta.insert("note".into(), "a,b\"c{d}e\nf".into());
+    fn absent_sections_are_empty_and_old_overhead_rows_load() {
+        assert_eq!(
+            Snapshot::parse("{\"schema\": 1}").unwrap(),
+            Snapshot::default()
+        );
+        let old = "{\"schema\": 1, \"overhead\": {\"total_cycles\": 9, \"handler_cycles\": 2, \
+                   \"daemon_cycles\": 1, \"samples\": 4}, \"samples\": null}";
+        let snap = Snapshot::parse(old).unwrap();
+        assert_eq!(snap.overhead.unwrap().walk_cycles, 0);
+        assert_eq!(snap.overhead.unwrap().total_cycles, 9);
+        assert_eq!(snap.samples, None);
+    }
+
+    #[test]
+    fn hostile_names_and_full_range_stamps_roundtrip_exactly() {
+        let hostile = "a\"b,c{d}e\nf\\";
+        let mut s = sample_snapshot();
+        s.meta.insert(hostile.into(), hostile.into());
+        s.metrics.counters.insert(hostile.into(), u64::MAX);
+        s.metrics.gauges.insert(hostile.into(), (1 << 53) + 1);
+        let h = s.metrics.histograms["daemon.flush_ns"].clone();
+        s.metrics.histograms.insert(hostile.into(), h);
+        s.rings[0].component = hostile.into();
+        s.rings[0].events[0].name = hostile.into();
+        s.rings[0].events[0].wall_ns = u64::MAX;
+        s.rings[0].events[0].a = u64::MAX - 1;
+        // Packed maps: anything but the separating space.
+        let packed = "a\"b,c:{d}e\nf\\";
+        s.timeseries.points[0]
+            .counters
+            .insert(packed.into(), u64::MAX);
+        s.timeseries.points[0].gauges.insert(packed.into(), 0);
         let text = s.to_json();
-        let back = Snapshot::parse(&text).unwrap();
-        assert_eq!(back.meta["note"], "a_b_c_d_e_f");
+        assert_eq!(Snapshot::parse(&text).unwrap(), s);
+        assert_eq!(Snapshot::parse(&text).unwrap().to_json(), text);
     }
 }

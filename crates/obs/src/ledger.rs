@@ -5,10 +5,12 @@
 //! sample at the default 60–64K-cycle period) and a fraction of a percent
 //! for the daemon. [`OverheadLedger`] reconciles the cycles our simulator
 //! actually charged to collection against total simulated cycles so the
-//! claim is *measured*, not asserted. [`SampleLedger`] mirrors the
-//! collection layer's loss accounting (`generated = attributed + unknown +
-//! driver-dropped + crash-lost + quarantined`) in a crate the tools can
-//! depend on without pulling in the collector.
+//! claim is *measured*, not asserted. [`LossLedger`] is the workspace's
+//! one sample ledger (`generated = attributed + unknown + driver-dropped +
+//! crash-lost + quarantined`): the collector fills it, the wire and the
+//! server's checkpoint carry it, and the tools read it back from an obs
+//! export — it lives here, in the crate all of them already depend on.
+//! [`ledger_add`] is its one overflow rule.
 
 /// Cycles charged to profiling, reconciled against total simulated time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,13 +66,13 @@ impl OverheadLedger {
         self.collection_cycles() <= self.total_cycles && self.walk_cycles <= self.handler_cycles
     }
 
-    /// Merge another run's ledger (plain sums; fractions re-derive).
+    /// Merge another run's ledger (checked sums; fractions re-derive).
     pub fn merge(&mut self, other: &OverheadLedger) {
-        self.total_cycles += other.total_cycles;
-        self.handler_cycles += other.handler_cycles;
-        self.daemon_cycles += other.daemon_cycles;
-        self.walk_cycles += other.walk_cycles;
-        self.samples += other.samples;
+        ledger_add(&mut self.total_cycles, other.total_cycles);
+        ledger_add(&mut self.handler_cycles, other.handler_cycles);
+        ledger_add(&mut self.daemon_cycles, other.daemon_cycles);
+        ledger_add(&mut self.walk_cycles, other.walk_cycles);
+        ledger_add(&mut self.samples, other.samples);
     }
 
     /// One-line human rendering.
@@ -92,57 +94,98 @@ impl OverheadLedger {
     }
 }
 
-/// End-to-end sample conservation, mirroring the collector's loss ledger.
+/// End-to-end sample accounting: every generated sample must appear in
+/// exactly one bucket. For a collection session it is valid after the
+/// final drain (`ProfiledRun::finish`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SampleLedger {
-    /// Samples generated by the machine's performance counters.
+pub struct LossLedger {
+    /// Counter-overflow samples the machine generated.
     pub generated: u64,
-    /// Samples attributed to a known image in the profile database.
+    /// Samples attributed to a real image (on disk plus surviving
+    /// daemon memory).
     pub attributed: u64,
-    /// Samples filed under the unknown image.
+    /// Samples in the unknown profile (§4.3.2).
     pub unknown: u64,
-    /// Samples dropped by the driver (overflow buffers full).
+    /// Samples dropped in the kernel because both overflow buffers were
+    /// full (§4.2.1).
     pub driver_dropped: u64,
-    /// Samples lost to daemon crashes (since the last disk flush).
+    /// Samples lost from daemon memory across crashes (§4.3.3 bounds
+    /// these to one flush interval each).
     pub crash_lost: u64,
-    /// Samples quarantined with corrupt database files.
+    /// Samples sealed inside quarantined (corrupt) profile files.
     pub quarantined: u64,
 }
 
-impl SampleLedger {
-    /// Samples accounted for across all sinks.
+/// Adds `add` into a ledger counter. Fleet-scale totals sum ledgers from
+/// hundreds of agents over long horizons, where a silent wrap would turn
+/// a conservation violation into a false pass (or vice versa); debug
+/// builds assert, release builds saturate so the mismatch stays visible.
+#[inline]
+pub fn ledger_add(slot: &mut u64, add: u64) {
+    debug_assert!(
+        slot.checked_add(add).is_some(),
+        "ledger counter overflow: {slot} + {add}"
+    );
+    *slot = slot.saturating_add(add);
+}
+
+/// Sums ledger buckets with the same overflow discipline as
+/// [`ledger_add`].
+#[inline]
+#[must_use]
+pub fn ledger_sum(parts: &[u64]) -> u64 {
+    let mut total = 0u64;
+    for &p in parts {
+        ledger_add(&mut total, p);
+    }
+    total
+}
+
+impl LossLedger {
+    /// Samples accounted for across all loss and retention buckets.
+    #[must_use]
     pub fn accounted(&self) -> u64 {
-        self.attributed + self.unknown + self.driver_dropped + self.crash_lost + self.quarantined
+        ledger_sum(&[
+            self.attributed,
+            self.unknown,
+            self.driver_dropped,
+            self.crash_lost,
+            self.quarantined,
+        ])
     }
 
-    /// Does the ledger conserve every generated sample?
+    /// The conservation law: nothing vanished without a line item.
+    #[must_use]
     pub fn conserves(&self) -> bool {
         self.generated == self.accounted()
     }
 
-    /// Merge another run's ledger (plain sums; conservation is preserved
-    /// iff both inputs conserve).
-    pub fn merge(&mut self, other: &SampleLedger) {
-        self.generated += other.generated;
-        self.attributed += other.attributed;
-        self.unknown += other.unknown;
-        self.driver_dropped += other.driver_dropped;
-        self.crash_lost += other.crash_lost;
-        self.quarantined += other.quarantined;
-    }
-
-    /// One-line human rendering.
+    /// A one-line summary for session reports.
+    #[must_use]
     pub fn render(&self) -> String {
         format!(
-            "samples: generated {} = attributed {} + unknown {} + dropped {} + crash-lost {} + quarantined {} ({})",
+            "samples: generated {} = attributed {} + unknown {} + dropped {} + crash-lost {} + quarantined {}{}",
             self.generated,
             self.attributed,
             self.unknown,
             self.driver_dropped,
             self.crash_lost,
             self.quarantined,
-            if self.conserves() { "conserved" } else { "NOT CONSERVED" },
+            if self.conserves() { "" } else { "  ** NOT CONSERVED **" }
         )
+    }
+
+    /// Merges another run's ledger (checked sums on every bucket, so the
+    /// conservation law survives the merge iff both inputs conserve).
+    /// This is the one correct way to combine ledgers from independent
+    /// `Machine` runs in the grid experiments.
+    pub fn merge(&mut self, other: &LossLedger) {
+        ledger_add(&mut self.generated, other.generated);
+        ledger_add(&mut self.attributed, other.attributed);
+        ledger_add(&mut self.unknown, other.unknown);
+        ledger_add(&mut self.driver_dropped, other.driver_dropped);
+        ledger_add(&mut self.crash_lost, other.crash_lost);
+        ledger_add(&mut self.quarantined, other.quarantined);
     }
 }
 
@@ -189,7 +232,7 @@ mod tests {
 
     #[test]
     fn sample_ledger_conservation() {
-        let mut l = SampleLedger {
+        let mut l = LossLedger {
             generated: 10,
             attributed: 6,
             unknown: 1,
@@ -211,6 +254,60 @@ mod tests {
         let l = OverheadLedger::default();
         assert_eq!(l.fraction(), 0.0);
         assert_eq!(l.cycles_per_sample(), 0.0);
-        assert!(SampleLedger::default().conserves());
+        assert!(LossLedger::default().conserves());
+    }
+
+    #[test]
+    fn ledger_conservation_law() {
+        let mut l = LossLedger {
+            generated: 100,
+            attributed: 80,
+            unknown: 5,
+            driver_dropped: 10,
+            crash_lost: 3,
+            quarantined: 2,
+        };
+        assert!(l.conserves());
+        assert!(!l.render().contains("NOT CONSERVED"));
+        l.quarantined = 1;
+        assert!(!l.conserves());
+        assert!(l.render().contains("NOT CONSERVED"));
+    }
+
+    #[test]
+    fn ledger_add_saturates_and_asserts_in_debug() {
+        let mut x = 40u64;
+        ledger_add(&mut x, 2);
+        assert_eq!(x, 42);
+        assert_eq!(ledger_sum(&[1, 2, 3]), 6);
+        let saturating = std::panic::catch_unwind(|| {
+            let mut x = u64::MAX - 1;
+            ledger_add(&mut x, 5);
+            x
+        });
+        if cfg!(debug_assertions) {
+            assert!(saturating.is_err(), "debug builds assert on overflow");
+        } else {
+            assert_eq!(saturating.unwrap(), u64::MAX, "release builds saturate");
+        }
+    }
+
+    /// The one overflow rule, through `merge`. Were the sum to wrap,
+    /// `generated` would come out as 1 and a ledger that lost every
+    /// sample but one would conserve.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "ledger counter overflow"))]
+    fn merge_overflow_asserts_in_debug_and_stays_visible_in_release() {
+        let mut l = LossLedger {
+            generated: u64::MAX,
+            attributed: 1,
+            ..LossLedger::default()
+        };
+        l.merge(&LossLedger {
+            generated: 2,
+            ..LossLedger::default()
+        });
+        assert_eq!(l.generated, u64::MAX, "saturated, not wrapped");
+        assert!(!l.conserves());
     }
 }

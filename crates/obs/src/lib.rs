@@ -12,10 +12,11 @@
 //!   wall time;
 //! * an [`ledger::OverheadLedger`] reconciling cycles charged to
 //!   collection (interrupt handler + daemon) against total simulated
-//!   cycles, and a [`ledger::SampleLedger`] mirroring the collection
-//!   layer's loss accounting;
-//! * a hand-rolled line-oriented JSON [`export`] (no external crates)
-//!   consumed by `dcpistat`, `dcpitrace`, and `dcpicheck obs`;
+//!   cycles, and the [`ledger::LossLedger`] every layer accounts its
+//!   samples in;
+//! * a JSON [`export`] (written one row per line, read through
+//!   `dcpi_core::json`) consumed by `dcpistat`, `dcpitrace`, and
+//!   `dcpicheck obs`;
 //! * a [`report::Reporter`] giving every CLI one text/JSON/quiet
 //!   formatting path.
 //!
@@ -32,7 +33,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use export::Snapshot;
-pub use ledger::{OverheadLedger, SampleLedger};
+pub use ledger::{LossLedger, OverheadLedger};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use report::Reporter;
 pub use timeseries::{SeriesRing, SeriesSnapshot, TimePoint};

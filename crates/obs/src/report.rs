@@ -6,6 +6,8 @@
 //! flag), warnings go to stderr (suppressed by `--quiet`), and structured
 //! records become one-line JSON objects when `--json` is set.
 
+use dcpi_core::json::{self, quote, Json};
+
 /// Output policy shared by the CLI tools.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Reporter {
@@ -63,22 +65,12 @@ impl Reporter {
 
     /// JSON rendering of a record (also used by tests).
     pub fn render_json(name: &str, fields: &[(&str, String)]) -> String {
-        let mut out = format!("{{\"record\": \"{name}\"");
+        let mut out = format!("{{\"record\": {}", quote(name));
         for (k, v) in fields {
             if is_bare_json(v) {
-                out.push_str(&format!(", \"{k}\": {v}"));
+                out.push_str(&format!(", {}: {v}", quote(k)));
             } else {
-                let clean: String = v
-                    .chars()
-                    .map(|c| {
-                        if matches!(c, '"' | '\n' | '\r') {
-                            '_'
-                        } else {
-                            c
-                        }
-                    })
-                    .collect();
-                out.push_str(&format!(", \"{k}\": \"{clean}\""));
+                out.push_str(&format!(", {}: {}", quote(k), quote(v)));
             }
         }
         out.push('}');
@@ -87,10 +79,7 @@ impl Reporter {
 }
 
 fn is_bare_json(v: &str) -> bool {
-    !v.is_empty()
-        && v.chars()
-            .all(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        && v.parse::<f64>().is_ok()
+    matches!(json::parse(v), Ok(Json::Int(_) | Json::Num(_)))
 }
 
 #[cfg(test)]
@@ -117,17 +106,20 @@ mod tests {
                 ("workload", "gcc".to_string()),
                 ("samples", "120".to_string()),
                 ("overhead", "1.25".to_string()),
+                ("not_json_numbers", "1. +5 007".to_string()),
+                ("dot", "1.".to_string()),
             ],
         );
         assert_eq!(
             s,
-            "{\"record\": \"profiled\", \"workload\": \"gcc\", \"samples\": 120, \"overhead\": 1.25}"
+            "{\"record\": \"profiled\", \"workload\": \"gcc\", \"samples\": 120, \"overhead\": 1.25, \
+             \"not_json_numbers\": \"1. +5 007\", \"dot\": \"1.\"}"
         );
     }
 
     #[test]
-    fn json_record_sanitises_strings() {
-        let s = Reporter::render_json("r", &[("msg", "a\"b".to_string())]);
-        assert_eq!(s, "{\"record\": \"r\", \"msg\": \"a_b\"}");
+    fn json_record_escapes_strings() {
+        let s = Reporter::render_json("r", &[("msg", "a\"b\\".to_string())]);
+        assert_eq!(s, "{\"record\": \"r\", \"msg\": \"a\\\"b\\\\\"}");
     }
 }

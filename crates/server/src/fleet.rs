@@ -261,8 +261,8 @@ impl FleetReport {
             && self.ledger.base.generated == self.expected_generated
     }
 
-    /// Renders the report as JSON (hand-rolled; numbers and booleans
-    /// only, so no escaping is needed).
+    /// Renders the report as JSON (numbers and booleans only, so there
+    /// is no string to quote).
     #[must_use]
     pub fn to_json(&self) -> String {
         let l = &self.ledger;

@@ -34,6 +34,7 @@ use dcpi_check::{Category, Report, Severity};
 use dcpi_collect::faults::LossLedger;
 use dcpi_core::codec::Format;
 use dcpi_core::db::{EpochId, ProfileDb};
+use dcpi_core::json;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -264,32 +265,35 @@ fn check_db(
     }
 }
 
-/// Pulls `"field": N` out of the hand-rolled `fleet.json`.
-fn json_u64(text: &str, field: &str) -> Option<u64> {
-    let pat = format!("\"{field}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
+/// Cross-checks `fleet.json` (when present) against the WAL's totals,
+/// reading `conserves` and `ledger.*` by path.
 fn check_fleet_json(report: &mut Report, root: &Path, ctx: &str, wal_total: &LossLedger) {
-    let path = root.join("fleet.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
+    let Ok(text) = std::fs::read_to_string(root.join("fleet.json")) else {
         return; // No report file: the run never quiesced here. Fine.
     };
-    if text.contains("\"conserves\": false") {
+    let mut fail = |message: String| {
         report.push(
             Severity::Error,
             Category::FleetConservation,
             ctx,
             None,
             None,
-            "fleet.json records a failed conservation check".to_owned(),
+            message,
         );
+    };
+    let doc = match json::parse(&text) {
+        Ok(doc) => doc,
+        Err(e) => return fail(format!("fleet.json is not a JSON document: {e}")),
+    };
+    match doc.flag("conserves") {
+        Ok(true) => {}
+        Ok(false) => fail("fleet.json records a failed conservation check".to_owned()),
+        Err(e) => fail(format!("fleet.json: expected \"conserves\": true, but {e}")),
     }
+    let ledger = match doc.member("ledger") {
+        Ok(ledger) => ledger,
+        Err(e) => return fail(format!("fleet.json: expected a \"ledger\" object, but {e}")),
+    };
     for (field, want) in [
         ("generated", wal_total.generated),
         ("attributed", wal_total.attributed),
@@ -298,27 +302,15 @@ fn check_fleet_json(report: &mut Report, root: &Path, ctx: &str, wal_total: &Los
         ("crash_lost", wal_total.crash_lost),
         ("quarantined", wal_total.quarantined),
     ] {
-        match json_u64(&text, field) {
-            Some(got) if got == want => {}
-            Some(got) => report.push(
-                Severity::Error,
-                Category::FleetConservation,
-                ctx,
-                None,
-                None,
-                format!(
-                    "fleet.json says {field} = {got}, summing the journaled \
-                     deltas gives {want}"
-                ),
-            ),
-            None => report.push(
-                Severity::Error,
-                Category::FleetConservation,
-                ctx,
-                None,
-                None,
-                format!("fleet.json is missing the \"{field}\" field"),
-            ),
+        match ledger.int::<u64>(field) {
+            Ok(got) if got == want => {}
+            Ok(got) => fail(format!(
+                "fleet.json says {field} = {got}, summing the journaled \
+                 deltas gives {want}"
+            )),
+            Err(e) => fail(format!(
+                "fleet.json: expected ledger.{field} = {want}, but {e}"
+            )),
         }
     }
 }
@@ -357,21 +349,47 @@ mod tests {
         // Rewrite fleet.json's generated count: conservation mismatch.
         let json_path = root.join("fleet.json");
         let text = std::fs::read_to_string(&json_path).unwrap();
-        let g = json_u64(&text, "generated").unwrap();
-        std::fs::write(
-            &json_path,
-            text.replace(
-                &format!("\"generated\": {g}"),
-                &format!("\"generated\": {}", g + 1),
-            ),
-        )
-        .unwrap();
-        let audit = check_fleet(&root);
-        assert!(!audit.is_clean());
-        assert!(audit
-            .diags
-            .iter()
-            .any(|d| d.category == Category::FleetConservation));
+        let doc = json::parse(&text).unwrap();
+        let g: u64 = doc.member("ledger").unwrap().int("generated").unwrap();
+        let conservation_errors = |tampered: String| {
+            assert_ne!(tampered, text);
+            std::fs::write(&json_path, tampered).unwrap();
+            let audit = check_fleet(&root);
+            let hits: Vec<String> = audit
+                .diags
+                .iter()
+                .filter(|d| d.category == Category::FleetConservation)
+                .map(|d| d.message.clone())
+                .collect();
+            assert_eq!(audit.errors(), hits.len(), "{}", audit.render());
+            hits
+        };
+        assert!(conservation_errors(text.clone() + " ").is_empty());
+        let generated = format!("\"generated\": {g}");
+        let hits =
+            conservation_errors(text.replace(&generated, &format!("\"generated\": {}", g + 1)));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        // A failed check is a failed check however the file is spaced.
+        for spacing in [
+            "\"conserves\": false",
+            "\"conserves\":  false",
+            "\"conserves\":false",
+        ] {
+            let hits = conservation_errors(text.replace("\"conserves\": true", spacing));
+            assert_eq!(hits, ["fleet.json records a failed conservation check"]);
+        }
+        // Unreadable, or missing what the audit reads: errors that say
+        // what was expected.
+        let hits = conservation_errors(text.replace("\"conserves\": true,", ""));
+        assert!(hits[0].contains("expected \"conserves\": true"), "{hits:?}");
+        let hits = conservation_errors(text.replace(&format!("{generated},"), ""));
+        assert!(
+            hits[0].contains(&format!("expected ledger.generated = {g}")),
+            "{hits:?}"
+        );
+        let hits = conservation_errors(text[..text.len() / 2].to_owned());
+        assert!(hits[0].contains("not a JSON document"), "{hits:?}");
+        std::fs::write(&json_path, &text).unwrap();
         // Chop the WAL mid-record: torn-tail warning.
         let wal = root.join(WAL_FILE);
         let len = std::fs::metadata(&wal).unwrap().len();

@@ -12,9 +12,9 @@
 //!
 //! Downstream, [`CallTree`] folds stack counts into a merged call tree
 //! with inclusive/exclusive estimates, and [`speedscope`] serializes a
-//! profile to the speedscope JSON schema (hand-written: the workspace is
-//! dependency-free), so any stack profile opens directly in
-//! <https://www.speedscope.app>.
+//! profile to the speedscope JSON schema (strings quoted by, and the
+//! schema audit reading through, `dcpi_core::json`), so any stack profile
+//! opens directly in <https://www.speedscope.app>.
 //!
 //! The design invariants the `dcpicheck stacks` audit enforces live here:
 //!

@@ -3,9 +3,10 @@
 //! Serializes a [`StackProfile`] to the speedscope file format
 //! (<https://www.speedscope.app/file-format-schema.json>), `"sampled"`
 //! profile type: a shared frame table plus one `(samples, weights)` pair
-//! per exported event. The workspace is dependency-free, so both the
-//! writer and the small JSON reader used by tests and the `dcpicheck
-//! stacks` audit are hand-written here.
+//! per exported event. The writer owns the layout; strings are quoted by
+//! and documents read back through [`dcpi_core::json`], whose reader is
+//! re-exported here as [`parse_json`]/[`Json`] for the schema audit's
+//! callers.
 //!
 //! Output is byte-deterministic for a given profile: frames appear in
 //! first-use order over ascending stack IDs, samples in stack-ID order,
@@ -13,9 +14,13 @@
 
 use crate::profile::StackProfile;
 use crate::table::Frame;
+use dcpi_core::json::quote;
+pub use dcpi_core::json::{parse as parse_json, Json};
 use dcpi_core::Event;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+
+const SCHEMA_URL: &str = "https://www.speedscope.app/file-format-schema.json";
 
 /// Serializes `profile`'s counts for `event` (summed across processes)
 /// to a speedscope JSON document. `frame_name` symbolizes frames; equal
@@ -68,7 +73,7 @@ pub fn export(
     let total: u64 = weights.iter().sum();
 
     let mut out = String::new();
-    out.push_str("{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",");
+    let _ = write!(out, "{{\"$schema\":{},", quote(SCHEMA_URL));
     out.push_str("\"shared\":{\"frames\":[");
     for (i, f) in frames.iter().enumerate() {
         if i > 0 {
@@ -111,237 +116,6 @@ pub fn export(
     out
 }
 
-/// JSON string literal with escaping.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value — the minimal reader used by the export tests and
-/// the `dcpicheck stacks` schema audit.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true`/`false`.
-    Bool(bool),
-    /// Any number (parsed as f64; the exporter only writes integers).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member lookup.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    #[must_use]
-    pub fn items(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    #[must_use]
-    pub fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document.
-///
-/// # Errors
-///
-/// Returns a position-tagged message on malformed input or trailing
-/// content.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key must be a string at byte {pos}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                members.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(out));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let s = std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                let n = u32::from_str_radix(s, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(
-                                    char::from_u32(n).ok_or("non-scalar \\u escape".to_string())?,
-                                );
-                                *pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {pos}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Collect one UTF-8 sequence.
-                        let start = *pos;
-                        let len = match c {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let chunk = b.get(start..start + len).ok_or("truncated utf-8")?;
-                        out.push_str(
-                            std::str::from_utf8(chunk).map_err(|_| "bad utf-8".to_string())?,
-                        );
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).expect("ascii");
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {s:?}"))
-        }
-        Some(_) if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(_) if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(_) if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}")),
-    }
-}
-
 /// Structural audit of an exported speedscope document: schema URL,
 /// frame-index bounds, and samples/weights length agreement.
 ///
@@ -350,42 +124,22 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// Returns the first structural violation found.
 pub fn check_schema(doc: &str) -> Result<(), String> {
     let v = parse_json(doc)?;
-    let schema = v.get("$schema").ok_or("missing $schema")?;
-    if *schema != Json::Str("https://www.speedscope.app/file-format-schema.json".into()) {
+    if v.string("$schema")? != SCHEMA_URL {
         return Err("wrong $schema URL".into());
     }
-    let frames = v
-        .get("shared")
-        .and_then(|s| s.get("frames"))
-        .and_then(Json::items)
-        .ok_or("missing shared.frames")?;
-    for f in frames {
-        f.get("name")
-            .and_then(|n| match n {
-                Json::Str(_) => Some(()),
-                _ => None,
-            })
-            .ok_or("frame without a string name")?;
-    }
-    let profiles = v
-        .get("profiles")
-        .and_then(Json::items)
-        .ok_or("missing profiles")?;
+    let shared = v.member("shared")?;
+    let frames = shared.array("frames")?;
+    shared.each("frames", |f| f.string("name").map(drop))?;
+    let profiles = v.array("profiles")?;
     if profiles.is_empty() {
         return Err("no profiles".into());
     }
     for p in profiles {
-        if p.get("type") != Some(&Json::Str("sampled".into())) {
+        if p.string("type")? != "sampled" {
             return Err("profile type must be \"sampled\"".into());
         }
-        let samples = p
-            .get("samples")
-            .and_then(Json::items)
-            .ok_or("missing samples")?;
-        let weights = p
-            .get("weights")
-            .and_then(Json::items)
-            .ok_or("missing weights")?;
+        let samples = p.array("samples")?;
+        let weights = p.array("weights")?;
         if samples.len() != weights.len() {
             return Err(format!(
                 "samples ({}) and weights ({}) disagree",
@@ -393,22 +147,22 @@ pub fn check_schema(doc: &str) -> Result<(), String> {
                 weights.len()
             ));
         }
-        let mut total = 0.0;
+        let mut total = 0u64;
         for w in weights {
-            total += w.num().ok_or("non-numeric weight")?;
+            total = w
+                .as_u64()
+                .and_then(|w| total.checked_add(w))
+                .ok_or("weights are not unsigned integers summing within u64")?;
         }
-        let end = p
-            .get("endValue")
-            .and_then(Json::num)
-            .ok_or("missing endValue")?;
-        if (total - end).abs() > 0.5 {
+        let end: u64 = p.int("endValue")?;
+        if total != end {
             return Err(format!("endValue {end} != total weight {total}"));
         }
         for s in samples {
             for idx in s.items().ok_or("sample is not an array")? {
-                let i = idx.num().ok_or("non-numeric frame index")?;
-                if i < 0.0 || i as usize >= frames.len() {
-                    return Err(format!("frame index {i} out of bounds"));
+                match idx.as_u64() {
+                    Some(i) if i < frames.len() as u64 => {}
+                    _ => return Err(format!("frame index {idx:?} out of bounds")),
                 }
             }
         }
@@ -466,7 +220,7 @@ mod tests {
         assert_eq!(samples.len(), 3);
         assert_eq!(weights.len(), 3);
         // Pids merge: the [f0,f16] stack appears once with weight 4.
-        assert!(weights.contains(&Json::Num(4.0)));
+        assert!(weights.contains(&Json::Int(4)));
     }
 
     #[test]
@@ -476,6 +230,8 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("{\"a\"1}").is_err());
+        // Nesting is capped by the reader, not by the stack.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

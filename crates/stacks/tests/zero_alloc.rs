@@ -4,47 +4,65 @@
 //! its hot path (re-interning an already-seen stack) must not touch the
 //! allocator. This test wraps the global allocator in a counter and
 //! proves the warm path allocation-free, and that decoding a sidecar
-//! reserves no more than its input could hold. The counter is global to
-//! the process and the harness runs tests on parallel threads, so the
-//! guards are sections of one `#[test]`. The counting allocator needs
-//! `unsafe impl GlobalAlloc`, so this one test file opts out of the
-//! workspace `unsafe_code` deny.
+//! reserves no more than its input could hold. Only the measuring
+//! thread's allocations count (libtest's main thread allocates whenever
+//! it likes), the way `crates/machine/tests/zero_alloc.rs` does it. The
+//! counting allocator needs `unsafe impl GlobalAlloc`, so this one test
+//! file opts out of the workspace `unsafe_code` deny.
 #![allow(unsafe_code)]
 
 use dcpi_stacks::{StackProfile, StackTable};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Wraps the system allocator and counts what threads that opted in via
+/// [`COUNTING`] request. `try_with` keeps the hook safe during thread
+/// teardown, when the TLS slot may already be gone.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+fn note(bytes: usize) {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOC_COUNT.try_with(|n| n.set(n.get() + 1));
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
+        note(layout.size());
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// Runs `f` and returns how many times, and for how many bytes, this
+/// thread went to the allocator meanwhile.
+fn allocations_during(f: impl FnOnce()) -> (u64, u64) {
+    ALLOC_COUNT.with(|n| n.set(0));
+    ALLOC_BYTES.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    COUNTING.with(|on| on.set(false));
+    (ALLOC_COUNT.with(Cell::get), ALLOC_BYTES.with(Cell::get))
 }
 
 #[test]
@@ -61,7 +79,7 @@ fn warm_intern_path_is_allocation_free() {
     table.intern_leaf_first(&other);
     let nodes = table.len();
 
-    let allocated = allocations_during(|| {
+    let (allocated, _) = allocations_during(|| {
         for _ in 0..10_000 {
             for depth in 1..=spine.len() {
                 std::hint::black_box(table.intern(&spine[..depth]));
@@ -81,7 +99,7 @@ fn warm_intern_path_is_allocation_free() {
     let fork_id = table.intern(&fork);
     let spine_id = table.intern(&spine);
     let nodes = nodes + 40;
-    let allocated = allocations_during(|| {
+    let (allocated, _) = allocations_during(|| {
         for _ in 0..10_000 {
             assert_eq!(table.intern(&fork), fork_id);
             assert_eq!(table.intern(&spine), spine_id);
@@ -97,8 +115,8 @@ fn warm_intern_path_is_allocation_free() {
     // An 8-byte sidecar whose header claims 2^20 nodes: what the decoder
     // reserves is bounded by the bytes that follow, not by the claim.
     let header_only = b"DCST\x01\x80\x80\x40";
-    let before = BYTES.load(Ordering::Relaxed);
-    assert!(StackProfile::from_bytes(header_only).is_err());
-    let reserved = BYTES.load(Ordering::Relaxed) - before;
+    let (_, reserved) = allocations_during(|| {
+        assert!(StackProfile::from_bytes(header_only).is_err());
+    });
     assert!(reserved < 1024, "header-only decode allocated {reserved} B");
 }

@@ -8,6 +8,7 @@
 //! single reproducible command.
 
 use dcpi_check::Report;
+use dcpi_core::json::quote;
 use dcpi_workloads::{PgoOutcome, Workload};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -18,21 +19,16 @@ pub fn parse_workload(name: &str) -> Option<Workload> {
     Workload::ALL.into_iter().find(|w| w.name() == name)
 }
 
-fn sanitize(s: &str) -> String {
-    s.replace(['"', ',', '{', '}', '\r', '\n'], "_")
-}
-
-/// The delta artifact: one line-disciplined JSON object describing what
-/// the loop measured. Deliberately carries no `mcycles_per_s` field so
-/// benchmark baseline scanners never mistake it for a throughput row.
+/// The delta artifact: one JSON object, a member per line, describing
+/// what the loop measured.
 #[must_use]
 pub fn delta_json(out: &PgoOutcome) -> String {
     let r = &out.report;
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": 1,");
-    let _ = writeln!(s, "  \"workload\": \"{}\",", sanitize(&out.workload.name()));
-    let _ = writeln!(s, "  \"image\": \"{}\",", sanitize(&out.image_name));
+    let _ = writeln!(s, "  \"workload\": {},", quote(&out.workload.name()));
+    let _ = writeln!(s, "  \"image\": {},", quote(&out.image_name));
     let _ = writeln!(s, "  \"procs_analyzed\": {},", out.procs_analyzed);
     let _ = writeln!(s, "  \"base_cycles\": {},", out.base_cycles);
     let _ = writeln!(s, "  \"opt_cycles\": {},", out.opt_cycles);

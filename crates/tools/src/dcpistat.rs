@@ -182,7 +182,7 @@ pub fn dcpistat(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, SampleLedger};
+    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger};
 
     #[test]
     fn status_renders_rates_and_ledgers() {
@@ -201,7 +201,7 @@ mod tests {
             walk_cycles: 0,
             samples: 1,
         });
-        snap.samples = Some(SampleLedger {
+        snap.samples = Some(LossLedger {
             generated: 1000,
             attributed: 990,
             unknown: 0,

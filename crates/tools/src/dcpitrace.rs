@@ -1,6 +1,7 @@
 //! dcpitrace: dump and filter the cycle-stamped trace rings of an
 //! exported observability snapshot, as a compact text timeline or JSON.
 
+use dcpi_core::json::quote;
 use dcpi_obs::{EventRecord, Snapshot};
 use std::fmt::Write as _;
 
@@ -128,7 +129,7 @@ pub fn dcpitrace_merged(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u64)>) 
     out
 }
 
-/// The merged timeline as line-disciplined JSON.
+/// The merged timeline as JSON (one event object per line).
 #[must_use]
 pub fn dcpitrace_merged_json(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u64)>) -> String {
     let mut out = String::new();
@@ -139,12 +140,12 @@ pub fn dcpitrace_merged_json(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u6
         let comma = if i + 1 < lines.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "{{\"cycle\": {}, \"source\": \"{}\", \"kind\": \"{}\", \"event\": \"{}\", \
+            "{{\"cycle\": {}, \"source\": {}, \"kind\": {}, \"event\": {}, \
              \"wall_ns\": {}, \"a\": {}, \"b\": {}}}{comma}",
             e.cycle,
-            source,
-            e.kind.name(),
-            e.name,
+            quote(source),
+            quote(e.kind.name()),
+            quote(&e.name),
             e.wall_ns,
             e.a,
             e.b
@@ -155,7 +156,7 @@ pub fn dcpitrace_merged_json(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u6
     out
 }
 
-/// The timeline as line-disciplined JSON (one event object per line).
+/// The timeline as JSON (one event object per line).
 #[must_use]
 pub fn dcpitrace_json(snap: &Snapshot, component: Option<&str>) -> String {
     let mut out = String::new();
@@ -167,12 +168,12 @@ pub fn dcpitrace_json(snap: &Snapshot, component: Option<&str>) -> String {
         let e = l.event;
         let _ = writeln!(
             out,
-            "{{\"cycle\": {}, \"component\": \"{}\", \"kind\": \"{}\", \"event\": \"{}\", \
+            "{{\"cycle\": {}, \"component\": {}, \"kind\": {}, \"event\": {}, \
              \"wall_ns\": {}, \"a\": {}, \"b\": {}}}{comma}",
             e.cycle,
-            l.component,
-            e.kind.name(),
-            e.name,
+            quote(l.component),
+            quote(e.kind.name()),
+            quote(&e.name),
             e.wall_ns,
             e.a,
             e.b

@@ -322,6 +322,27 @@ fn static_analysis_cli_works_end_to_end() {
     assert_eq!(out.status.code(), Some(1), "{text}");
     assert!(text.contains("tv-"), "{text}");
 
+    // A map whose `old_words` lies about its rows is a diagnostic and
+    // exit 1 — not an attempt to reserve what it claims.
+    let claim = format!("\"old_words\": {},", old.words().len());
+    assert!(map.to_json().contains(&claim));
+    let lying = map
+        .to_json()
+        .replacen(&claim, "\"old_words\": 1152921504606846976,", 1);
+    let lying_path = put("lying-map.json", lying.into_bytes());
+    for cmd in ["pgo", "tv"] {
+        let out = bin("dcpicheck")
+            .args([cmd, app_arg, new_arg, lying_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {text}");
+        assert!(
+            text.contains("old_words 1152921504606846976 disagrees with the"),
+            "{cmd}: {text}"
+        );
+    }
+
     // Usage errors exit 2.
     let out = bin("dcpicheck").args(["tv", app_arg]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
