@@ -503,8 +503,8 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
     // Per-workload dispatch accounting, uploaded by CI alongside the perf
-    // baseline: how long the precompiled chains are and how often the
-    // walker fell back to classic dispatch.
+    // baseline: how long the precompiled chains are and how the groups
+    // divide between superblock walks and one-group walks.
     for d in &dispatch_rows {
         println!(
             "dispatch {:<18} {} chain groups, {} classic, fallback {:.4}",
@@ -519,14 +519,16 @@ fn main() {
         Ok(()) => println!("wrote {dpath}"),
         Err(e) => eprintln!("warning: could not write {dpath}: {e}"),
     }
+    // `&`, not `&&`: a failed dispatch guard must not hide the others.
     if opts.check
-        && !check_against_baseline(
-            &rows,
-            &analyze_row,
-            &collect_row,
-            &fleet_row,
-            baseline.as_deref(),
-        )
+        && !(check_dispatch(&dispatch_rows)
+            & check_against_baseline(
+                &rows,
+                &analyze_row,
+                &collect_row,
+                &fleet_row,
+                baseline.as_deref(),
+            ))
     {
         std::process::exit(1);
     }
@@ -833,6 +835,25 @@ fn baseline_field<'a>(doc: &'a Json, row: &str, key: &str) -> Option<&'a Json> {
         .find_map(|r| r.get(key))
 }
 
+/// The suite runs under `DispatchMode::Superblock`, whose walks are never
+/// held to one group, so `classic_groups` must be 0 on every row; anything
+/// else means a second way of retiring a group has crept back in. Needs no
+/// baseline: the expected value is a constant.
+fn check_dispatch(rows: &[DispatchRow]) -> bool {
+    let mut ok = true;
+    for r in rows.iter().filter(|r| r.stats.classic_groups != 0) {
+        println!(
+            "check {:<18} machine/dispatch: {} of {} issue groups retired by one-group walks \
+             under Superblock, expected 0  ** FAILED **",
+            r.name,
+            r.stats.classic_groups,
+            r.stats.classic_groups + r.stats.chain_groups
+        );
+        ok = false;
+    }
+    ok
+}
+
 /// Renders `BENCH_dispatch.json`: per-workload dynamic dispatch-path
 /// accounting plus the static chain-length histogram of the workload's
 /// images (`"histogram"` maps chain length to number of chains).
@@ -1071,6 +1092,21 @@ mod tests {
         "  \"fleet\": [\n    {\"name\": \"fleet-24\", \"samples_per_s\": 1000.0, \
          \"lag_p95_cycles\": 4, \"conserves\": true}\n  ]\n}",
     );
+
+    #[test]
+    fn a_superblock_row_with_one_group_walks_fails_the_check() {
+        let row = |classic_groups| DispatchRow {
+            name: "gcc",
+            stats: DispatchStats {
+                classic_groups,
+                chain_groups: 1_530_614,
+                chain_entries: 35,
+            },
+            hist: BTreeMap::new(),
+        };
+        assert!(check_dispatch(&[row(0), row(0)]));
+        assert!(!check_dispatch(&[row(0), row(14)]));
+    }
 
     #[test]
     fn baseline_rows_are_found_by_name_and_key_wherever_they_sit() {

@@ -1,14 +1,15 @@
-//! Precomputed per-instruction metadata: the simulator's decoded side
-//! table.
+//! Precomputed per-instruction issue metadata: the input of the micro-op
+//! compiler.
 //!
-//! The cycle-level simulator consults an instruction's issue class, read
+//! The simulator's issue logic needs an instruction's issue class, read
 //! and write register sets, and memory/control flags on every issue group.
-//! Deriving those from the [`Instruction`] enum on the hot path is
-//! wasteful — [`Instruction::reads`] in particular allocates a `Vec` per
-//! call. [`InsnMeta`] packs everything the issue logic needs into a small
-//! `Copy` record computed **once per image at load time** (alongside the
-//! decoded text), so the hot loop does plain array reads instead of
-//! re-deriving metadata per issue group.
+//! Deriving those from the [`Instruction`] enum there would be wasteful —
+//! [`Instruction::reads`] in particular allocates a `Vec` per call.
+//! [`InsnMeta`] packs them into a small `Copy` record computed **once per
+//! image at load time** (alongside the decoded text);
+//! [`compile_uops`](crate::uop::compile_uops) copies each row into the
+//! [`Uop`](crate::uop::Uop) the simulator executes, so the table itself is
+//! not kept.
 //!
 //! The table also carries a latency hint from the [`PipelineModel`]: the
 //! register-result latency the scoreboard charges when the instruction
@@ -18,7 +19,8 @@
 //! Invariant: `InsnMeta::new(insn, model)` agrees exactly with
 //! `classify(insn)`, `insn.reads()`, `insn.writes()`, and the `is_*`
 //! predicates — asserted for every encodable instruction in the tests
-//! below, so the fast path cannot drift from the canonical derivations.
+//! below, so the executable form cannot drift from the canonical
+//! derivations.
 
 use crate::insn::Instruction;
 use crate::pipeline::{classify, InsnClass, PipelineModel};
@@ -140,13 +142,14 @@ pub fn side_table(insns: &[Instruction], model: &PipelineModel) -> Vec<InsnMeta>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::insn::{BrCond, FpOp, IntOp, PalFunc, RegOrLit};
 
     /// A generator covering every instruction shape with assorted
-    /// registers, including zero-register corner cases.
-    fn samples() -> Vec<Instruction> {
+    /// registers, including zero-register corner cases. Shared with the
+    /// micro-op tests in `uop.rs`.
+    pub(crate) fn samples() -> Vec<Instruction> {
         let mut v = Vec::new();
         let regs = [Reg::V0, Reg::T0, Reg::ZERO, Reg::SP, Reg::fp(2), Reg::FZERO];
         for &ra in &regs {

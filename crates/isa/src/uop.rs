@@ -1,12 +1,12 @@
-//! Flat pre-decoded micro-op encoding: the handler chains behind
-//! superblock threaded dispatch.
+//! Flat pre-decoded micro-op encoding: the one executable form of an
+//! instruction, and the only one the simulator issues, times and retires.
 //!
-//! [`InsnMeta`] (PR 2) removed the per-step metadata derivations from the
-//! simulator's hot loop, but execution itself still re-matched the nested
-//! [`Instruction`] enum — register fields, displacement sign-extension,
-//! and the literal/register operand split were re-decoded every retire.
-//! A [`Uop`] packs the *complete* executable form of one instruction into
-//! a flat `Copy` record computed once per image at registration time:
+//! Matching the nested [`Instruction`] enum per retire would re-decode
+//! register fields, displacement sign-extension and the literal/register
+//! operand split every time. A [`Uop`] packs the *complete* executable
+//! form of one instruction into a flat `Copy` record computed once per
+//! image at registration time (from the decoded text and its [`InsnMeta`]
+//! side table, which exists only as this compiler's input):
 //!
 //! * operand registers as raw unified indices (`a`, `b`, `w`),
 //! * the displacement pre-extended to the exact 64-bit value the ALU adds
@@ -16,16 +16,17 @@
 //! * the issue class, memory/control flags, scoreboard read indices, and
 //!   result latency copied from the side table.
 //!
-//! `call_pal` compiles to [`UopKind::Fallback`]: the dispatch loop hands
-//! those groups to the classic single-step path (they serialize into the
-//! OS anyway), and its class stays `Pal` so the pairing rules reject it as
-//! a junior exactly as the canonical path does.
+//! `call_pal` compiles to [`UopKind::Pal`] carrying its function: the
+//! walker retires the group like any other and then acts on the function
+//! (end the walk, charge the kernel's time). Its class stays `Pal` and it
+//! is flagged as control, so it never pairs, neither as senior nor as
+//! junior.
 //!
 //! Invariant: `compile_uops` agrees field-for-field with the canonical
 //! `Instruction` accessors and `InsnMeta` — asserted over every encodable
-//! instruction shape in the tests below, mirroring `meta.rs`.
+//! instruction shape in the tests below, on the generator `meta.rs` uses.
 
-use crate::insn::{BrCond, FpOp, Instruction, IntOp, RegOrLit};
+use crate::insn::{BrCond, FpOp, Instruction, IntOp, PalFunc, RegOrLit};
 use crate::meta::InsnMeta;
 use crate::pipeline::InsnClass;
 use crate::reg::Reg;
@@ -77,9 +78,9 @@ pub enum UopKind {
     Br,
     /// Indirect jump through `regs[b]`, return address to `w`.
     Jmp,
-    /// Not chain-executable (`call_pal`): the dispatch loop must delegate
-    /// this group to the classic single-step path.
-    Fallback,
+    /// `call_pal`: no architectural effect inside the group; the walker
+    /// acts on the function once the group has retired.
+    Pal(PalFunc),
 }
 
 /// One pre-decoded micro-op (32 bytes, `Copy`), positional with the
@@ -132,7 +133,8 @@ impl Uop {
             flags |= uflag::CONTROL;
         }
         let mut op = Uop {
-            kind: UopKind::Fallback,
+            // Placeholder: every arm of the match below sets the kind.
+            kind: UopKind::Pal(PalFunc::Noop),
             class: meta.class,
             flags,
             a: Reg::ZERO.index() as u8,
@@ -223,7 +225,7 @@ impl Uop {
                 op.kind = UopKind::Jmp;
                 op.b = rb.index() as u8;
             }
-            Instruction::CallPal { .. } => op.kind = UopKind::Fallback,
+            Instruction::CallPal { func } => op.kind = UopKind::Pal(func),
         }
         op
     }
@@ -304,67 +306,8 @@ pub fn chain_length_histogram(ops: &[Uop]) -> std::collections::BTreeMap<usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::PalFunc;
-    use crate::meta::side_table;
+    use crate::meta::{side_table, tests::samples};
     use crate::pipeline::PipelineModel;
-
-    /// Every instruction shape with assorted registers, including the
-    /// zero-register corner cases (mirrors `meta.rs`).
-    fn samples() -> Vec<Instruction> {
-        let mut v = Vec::new();
-        let regs = [Reg::V0, Reg::T0, Reg::ZERO, Reg::SP, Reg::fp(2), Reg::FZERO];
-        for &ra in &regs {
-            for &rb in &regs {
-                v.push(Instruction::Lda { ra, rb, disp: -8 });
-                v.push(Instruction::Ldah { ra, rb, disp: -2 });
-                v.push(Instruction::Ldq { ra, rb, disp: 16 });
-                v.push(Instruction::Ldl { ra, rb, disp: -4 });
-                v.push(Instruction::Ldt {
-                    fa: ra,
-                    rb,
-                    disp: 8,
-                });
-                v.push(Instruction::Stq { ra, rb, disp: -16 });
-                v.push(Instruction::Stl { ra, rb, disp: 4 });
-                v.push(Instruction::Stt {
-                    fa: ra,
-                    rb,
-                    disp: 8,
-                });
-                v.push(Instruction::Jmp { ra, rb });
-                for op in IntOp::ALL {
-                    v.push(Instruction::IntOp {
-                        op,
-                        ra,
-                        rb: RegOrLit::Reg(rb),
-                        rc: Reg::T2,
-                    });
-                    v.push(Instruction::IntOp {
-                        op,
-                        ra,
-                        rb: RegOrLit::Lit(7),
-                        rc: Reg::ZERO,
-                    });
-                }
-                for op in FpOp::ALL {
-                    v.push(Instruction::FpOp {
-                        op,
-                        fa: ra,
-                        fb: rb,
-                        fc: Reg::fp(5),
-                    });
-                }
-            }
-            for cond in BrCond::ALL {
-                v.push(Instruction::CondBr { cond, ra, disp: -3 });
-            }
-            v.push(Instruction::Br { ra, disp: 9 });
-        }
-        for func in PalFunc::ALL {
-            v.push(Instruction::CallPal { func });
-        }
-        v
-    }
 
     #[test]
     fn uops_match_canonical_derivations() {
@@ -392,12 +335,11 @@ mod tests {
                 Some(w) => assert_eq!(op.w as usize, w, "{insn}"),
                 None => assert_eq!(op.w, NO_WRITE, "{insn}"),
             }
-            // `call_pal` is the only fallback.
-            assert_eq!(
-                op.kind == UopKind::Fallback,
-                matches!(insn, Instruction::CallPal { .. }),
-                "{insn}"
-            );
+            // `call_pal` keeps its function and nothing else becomes one.
+            match *insn {
+                Instruction::CallPal { func } => assert_eq!(op.kind, UopKind::Pal(func)),
+                _ => assert!(!matches!(op.kind, UopKind::Pal(_)), "{insn}"),
+            }
         }
     }
 

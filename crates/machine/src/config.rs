@@ -3,18 +3,20 @@
 use crate::counters::CounterConfig;
 use dcpi_isa::pipeline::PipelineModel;
 
-/// How the execution core dispatches instructions.
+/// How far the execution core walks a handler chain before handing
+/// control back to the machine loop. Both modes run the same walker
+/// (`dispatch.rs`) over the same precompiled micro-ops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// One issue group at a time through the generic `Instruction` match
-    /// (the reference path; every fast path is validated against it).
+    /// One issue group per walk: every memo starts cold, so every cache
+    /// and TLB access is the full probe. The slow, plain reading of the
+    /// model that `Superblock` is compared against.
     Classic,
-    /// Superblock threaded dispatch: precompiled per-image handler chains
-    /// walked in straight-line runs, with memoized cache/TLB fast paths.
-    /// Produces bit-identical outputs to `Classic` (the parity suite and
-    /// the golden-triple determinism tests are the oracle); falls back to
-    /// the classic path at `call_pal` boundaries and whenever the page
-    /// size is not a power of two.
+    /// Superblock threaded dispatch: a walk runs on through straight-line
+    /// code and taken branches until a boundary, with memoized cache/TLB
+    /// fast paths. Produces bit-identical outputs to `Classic` (the parity
+    /// suite, its recorded fingerprints and the golden-triple determinism
+    /// tests are the oracle).
     #[default]
     Superblock,
 }
@@ -52,7 +54,8 @@ pub struct MachineConfig {
     pub itb_entries: usize,
     /// Data TLB entries.
     pub dtb_entries: usize,
-    /// Page size in bytes (power of two).
+    /// Page size in bytes. Must be a power of two (`Machine::with_kernel`
+    /// asserts it).
     pub page_bytes: u64,
     /// Branch predictor table entries (power of two).
     pub bp_entries: usize,

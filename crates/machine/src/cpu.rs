@@ -1,4 +1,4 @@
-//! The per-CPU cycle-level timing core.
+//! Per-CPU state and interrupt delivery.
 //!
 //! The simulator advances one *issue group* (one or two instructions) at a
 //! time rather than one cycle at a time, which is exact for an in-order
@@ -10,20 +10,23 @@
 //! exactly the instruction that was at the head of the issue queue when
 //! the (skidded) interrupt was delivered — the property the paper's
 //! analysis depends on.
+//!
+//! The code that issues, times, executes and retires a group is the
+//! micro-op walker in [`crate::dispatch`], and only that. This module
+//! holds what the walker works on: the processor state ([`CpuState`]),
+//! the installed process with its translation caches ([`RunningProc`]),
+//! the interrupt handler's interface ([`SampleSink`]), and `deliver_due`,
+//! which hands due overflows to the sink at the end of a group.
 
 use crate::branch::BranchPredictor;
-use crate::cache::{Cache, Probe};
+use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::counters::{CounterSet, Overflow};
 use crate::dispatch::DispatchStats;
 use crate::os::Os;
 use crate::proc::Process;
-use crate::stats::GroundTruth;
 use crate::tlb::Tlb;
 use dcpi_core::{Addr, CpuId, Event, ImageId, Pid, Sample};
-use dcpi_isa::insn::{Instruction, PalFunc, RegOrLit};
-use dcpi_isa::meta::InsnMeta;
-use dcpi_isa::pipeline::{pipes_compatible, InsnClass};
 use dcpi_isa::reg::Reg;
 use dcpi_isa::uop::Uop;
 use dcpi_obs::{Component, Counter, Obs};
@@ -79,16 +82,16 @@ impl SampleSink for NullSink {
     }
 }
 
-/// Why a step ended.
+/// Why a walk ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Outcome {
-    /// An issue group retired.
+    /// Issue groups retired and the process goes on.
     Ran,
     /// The process executed `call_pal halt`.
     Halted,
     /// The process yielded the CPU.
     Yielded,
-    /// The PC left all mapped text (the process is killed).
+    /// The PC left all mapped, decoded text (the process is killed).
     Fault,
     /// No process is installed.
     NoProcess,
@@ -114,14 +117,12 @@ pub struct RunningProc {
     pub(crate) cur_base: u64,
     pub(crate) cur_end: u64,
     pub(crate) cur_image: ImageId,
-    pub(crate) cur_insns: Arc<Vec<Instruction>>,
-    pub(crate) cur_meta: Arc<Vec<InsnMeta>>,
-    /// Precompiled handler chain of the current image (positional with
-    /// `cur_insns`), walked by superblock dispatch.
+    /// Precompiled handler chain of the current image (one micro-op per
+    /// text word), which the dispatch walker executes.
     pub(crate) cur_uops: Arc<Vec<Uop>>,
     /// OS image epoch the caches above were refreshed at; a mismatch
     /// (image hot-swapped via `Os::replace_image`) forces a refresh so no
-    /// stale decoded metadata or handler chain ever executes.
+    /// stale handler chain ever executes.
     pub(crate) seen_epoch: u64,
     pub(crate) fetch_vpage: u64,
     pub(crate) fetch_pbase: u64,
@@ -136,8 +137,6 @@ impl RunningProc {
             cur_base: 1,
             cur_end: 0,
             cur_image: ImageId(u32::MAX),
-            cur_insns: Arc::new(Vec::new()),
-            cur_meta: Arc::new(Vec::new()),
             cur_uops: Arc::new(Vec::new()),
             seen_epoch: u64::MAX,
             fetch_vpage: NO_VPAGE,
@@ -147,53 +146,27 @@ impl RunningProc {
         }
     }
 
-    /// Resolves `pc` to `(image, word index within image)`, refreshing the
-    /// mapping cache from the OS if needed.
-    pub(crate) fn lookup(&mut self, os: &Os, pc: Addr) -> Option<(ImageId, u32)> {
+    /// Points the mapping cache (`cur_*`) at the mapping holding `pc`,
+    /// refreshing it from the OS if needed; `None` if `pc` is unmapped.
+    pub(crate) fn lookup(&mut self, os: &Os, pc: Addr) -> Option<()> {
         if pc.0 < self.cur_base || pc.0 >= self.cur_end || self.seen_epoch != os.epoch() {
             let m = self.proc.mapping_at(pc)?;
             let li = os.image(m.image)?;
             self.cur_base = m.base.0;
             self.cur_end = m.base.0 + m.size;
             self.cur_image = m.image;
-            self.cur_insns = Arc::clone(&li.insns);
-            self.cur_meta = Arc::clone(&li.meta);
             self.cur_uops = Arc::clone(&li.uops);
             self.seen_epoch = os.epoch();
         }
-        Some((self.cur_image, ((pc.0 - self.cur_base) / 4) as u32))
+        Some(())
     }
 
     /// Translates an instruction-fetch address through the one-entry
     /// fetch cache, falling back to [`Os::translate`] on a page change.
+    /// Pages are a power of two (`Machine::with_kernel` asserts it):
+    /// `page_bytes == 1 << shift`, `mask == page_bytes - 1`.
     #[inline]
-    fn translate_fetch(&mut self, os: &mut Os, vaddr: u64, page_bytes: u64) -> u64 {
-        let vpage = vaddr / page_bytes;
-        let off = vaddr % page_bytes;
-        if vpage != self.fetch_vpage {
-            self.fetch_pbase = os.translate(&mut self.proc, vaddr) - off;
-            self.fetch_vpage = vpage;
-        }
-        self.fetch_pbase + off
-    }
-
-    /// Translates a data address through the one-entry data cache.
-    #[inline]
-    fn translate_data(&mut self, os: &mut Os, vaddr: u64, page_bytes: u64) -> u64 {
-        let vpage = vaddr / page_bytes;
-        let off = vaddr % page_bytes;
-        if vpage != self.data_vpage {
-            self.data_pbase = os.translate(&mut self.proc, vaddr) - off;
-            self.data_vpage = vpage;
-        }
-        self.data_pbase + off
-    }
-
-    /// Power-of-two-page variant of [`RunningProc::translate_fetch`] for
-    /// the superblock dispatch loop (`page_bytes == 1 << shift`, `mask ==
-    /// page_bytes - 1`): value-identical, shift/mask instead of div/mod.
-    #[inline]
-    pub(crate) fn translate_fetch_p2(
+    pub(crate) fn translate_fetch(
         &mut self,
         os: &mut Os,
         vaddr: u64,
@@ -209,15 +182,9 @@ impl RunningProc {
         self.fetch_pbase + off
     }
 
-    /// Power-of-two-page variant of [`RunningProc::translate_data`].
+    /// Translates a data address through the one-entry data cache.
     #[inline]
-    pub(crate) fn translate_data_p2(
-        &mut self,
-        os: &mut Os,
-        vaddr: u64,
-        shift: u32,
-        mask: u64,
-    ) -> u64 {
+    pub(crate) fn translate_data(&mut self, os: &mut Os, vaddr: u64, shift: u32, mask: u64) -> u64 {
         let vpage = vaddr >> shift;
         let off = vaddr & mask;
         if vpage != self.data_vpage {
@@ -284,11 +251,11 @@ pub struct CpuState {
     pub insns_retired: u64,
     /// Issue groups where two instructions dual-issued.
     pub dual_issues: u64,
-    /// Dispatch-path accounting (chain vs classic groups, chain entries).
+    /// Dispatch-path accounting (groups per walk shape, walks entered).
     /// Pure telemetry: never read by the simulation itself.
     pub dstats: DispatchStats,
     /// Observability handle (disabled by default: every probe is a single
-    /// `AtomicBool` load + branch, off the `step_inner` path entirely).
+    /// `AtomicBool` load + branch, off the per-group path entirely).
     pub obs: Obs,
     /// Cached `machine.samples` counter handle (no registry lookup in the
     /// interrupt path).
@@ -395,204 +362,15 @@ impl CpuState {
     }
 }
 
-/// What a control instruction decided.
-enum Next {
-    Seq,
-    Jump(Addr),
-    Halt,
-    Yield,
-    Syscall,
-}
-
-/// Executes one issue group on `cpu`. See module docs for the timing
-/// discipline.
-pub fn step<S: SampleSink>(
-    cpu: &mut CpuState,
-    os: &mut Os,
-    gt: &mut GroundTruth,
-    sink: &mut S,
-    cfg: &MachineConfig,
-) -> Outcome {
-    // Detach the running process so `cpu` and `run` can be borrowed
-    // independently by the helpers below.
-    let Some(mut run) = cpu.current.take() else {
-        return Outcome::NoProcess;
-    };
-    let outcome = step_inner(cpu, &mut run, os, gt, sink, cfg);
-    cpu.current = Some(run);
-    outcome
-}
-
-pub(crate) fn step_inner<S: SampleSink>(
-    cpu: &mut CpuState,
-    run: &mut RunningProc,
-    os: &mut Os,
-    gt: &mut GroundTruth,
-    sink: &mut S,
-    cfg: &MachineConfig,
-) -> Outcome {
-    let model = &cfg.model;
-    let pc = run.proc.pc;
-    // Resolve an armed double sample: this PC is the next one executed
-    // after the delivery that armed it (§7).
-    if let Some((dpid, pc1)) = cpu.double_armed.take() {
-        if dpid == run.proc.pid {
-            sink.double_sample(cpu.id, dpid, pc1, pc);
-        }
-    }
-    let Some((image, word)) = run.lookup(os, pc) else {
-        return Outcome::Fault;
-    };
-    let Some(insn) = run.cur_insns.get(word as usize).copied() else {
-        return Outcome::Fault;
-    };
-    let m = run.cur_meta[word as usize];
-    let class = m.class;
-    let head_base0 = (cpu.prev_issue + 1).max(cpu.resume_at).max(cpu.fetch_ready);
-
-    // --- instruction fetch: ITB and I-cache -------------------------------
-    let mut fetch_pen = 0;
-    let ivpage = pc.0 / cfg.page_bytes;
-    if !cpu.itb.access(ivpage) {
-        fetch_pen += model.itb_miss_penalty;
-        if let Some(o) = cpu.counters.count(Event::ItbMiss, head_base0) {
-            cpu.overflow_scratch.push(o);
-        }
-    }
-    let ipaddr = run.translate_fetch(os, pc.0, cfg.page_bytes);
-    if cpu.icache.access(ipaddr) == Probe::Miss {
-        if let Some(o) = cpu.counters.count(Event::IMiss, head_base0) {
-            cpu.overflow_scratch.push(o);
-        }
-        fetch_pen += if cpu.bcache.access(ipaddr) == Probe::Hit {
-            model.icache_miss_penalty
-        } else {
-            model.icache_memory_penalty
-        };
-    }
-    let head_base = head_base0 + fetch_pen;
-
-    // --- senior issue time -------------------------------------------------
-    let mut issue = head_base;
-    for r in m.reads() {
-        issue = issue.max(cpu.ready[r.index()]);
-    }
-    if let Some(w) = m.write_index() {
-        issue = issue.max(cpu.ready[w]);
-    }
-    match class {
-        InsnClass::IntMul => issue = issue.max(cpu.imul_free),
-        InsnClass::FpDiv => issue = issue.max(cpu.fdiv_free),
-        _ => {}
-    }
-    // Memory timing for the senior.
-    if m.is_memory() {
-        issue = mem_timing(cpu, os, run, &insn, &m, issue, cfg, true);
-    }
-
-    // --- senior semantics ---------------------------------------------------
-    let next = exec_semantics(&mut run.proc, &insn, pc);
-    commit_result(cpu, &m, issue, model);
-    if cfg.ground_truth {
-        gt.count_insn(image, word);
-    }
-    cpu.insns_retired += 1;
-
-    // Branch resolution, prediction, and ground-truth edges.
-    let mut new_pc = match &next {
-        Next::Seq | Next::Syscall => pc.next(),
-        Next::Jump(t) => *t,
-        Next::Halt | Next::Yield => pc.next(),
-    };
-    resolve_control(cpu, run, &insn, pc, &next, image, word, issue, cfg, gt);
-
-    // --- junior: aligned-pair dual issue ------------------------------------
-    let mut retired: u64 = 1;
-    if !m.is_control()
-        && class != InsnClass::Pal
-        && (pc.0 / 4).is_multiple_of(2)
-        && new_pc == pc.next()
-    {
-        if let Some((jimage, jword)) = run.lookup(os, new_pc) {
-            if let Some(junior) = run.cur_insns.get(jword as usize).copied() {
-                let jm = run.cur_meta[jword as usize];
-                if try_pair(cpu, run, &m, &junior, &jm, issue, cfg) {
-                    // Junior memory timing first (the effective address
-                    // uses pre-execution register values).
-                    if jm.is_memory() {
-                        let _ = mem_timing(cpu, os, run, &junior, &jm, issue, cfg, false);
-                    }
-                    let jnext = exec_semantics(&mut run.proc, &junior, new_pc);
-                    commit_result(cpu, &jm, issue, model);
-                    if cfg.ground_truth {
-                        gt.count_insn(jimage, jword);
-                    }
-                    cpu.insns_retired += 1;
-                    cpu.dual_issues += 1;
-                    retired = 2;
-                    let jpc = new_pc;
-                    new_pc = match &jnext {
-                        Next::Seq => jpc.next(),
-                        Next::Jump(t) => *t,
-                        _ => jpc.next(),
-                    };
-                    resolve_control(
-                        cpu, run, &junior, jpc, &jnext, jimage, jword, issue, cfg, gt,
-                    );
-                    debug_assert!(
-                        !matches!(jnext, Next::Halt | Next::Yield | Next::Syscall),
-                        "PAL never pairs"
-                    );
-                }
-            }
-        }
-    }
-    let _ = retired;
-    let pid = run.proc.pid;
-    run.proc.pc = new_pc;
-    // Edge-sample interpretation (§7): samples attributed to a
-    // conditional branch also learn its direction.
-    let senior_taken = match (&insn, &next) {
-        (Instruction::CondBr { .. }, Next::Jump(_)) => Some(true),
-        (Instruction::CondBr { .. }, _) => Some(false),
-        _ => None,
-    };
-
-    // --- counters and sampling ----------------------------------------------
-    // Before the next CYCLES overflow / mux rotation, and with no discrete
-    // overflows collected this group, the drain below is a provable no-op.
-    if issue >= cpu.counters.next_event_cycle() || !cpu.overflow_scratch.is_empty() {
-        let mut scratch = std::mem::take(&mut cpu.overflow_scratch);
-        cpu.counters.advance_cycles(issue, &mut scratch);
-        for o in scratch.drain(..) {
-            cpu.pending
-                .push((o.at_cycle + model.interrupt_skid, o.event));
-        }
-        cpu.overflow_scratch = scratch;
-    }
-    if !cpu.pending.is_empty() {
-        deliver_due(cpu, sink, run, os, cfg, pc, pid, issue, senior_taken);
-    }
-
-    cpu.prev_issue = issue;
-    cpu.dstats.classic_groups += 1;
-
-    match next {
-        Next::Halt => Outcome::Halted,
-        Next::Yield => Outcome::Yielded,
-        Next::Syscall => {
-            cpu.resume_at = cpu.resume_at.max(issue) + SYSCALL_COST;
-            Outcome::Ran
-        }
-        _ => Outcome::Ran,
-    }
-}
-
 /// Delivers pending interrupts due by `issue`, attributing the sample to
 /// the instruction currently at the head of the issue queue (`head_pc`).
 /// With [`MachineConfig::stack_walk`] on, the first delivery in the
 /// batch also walks the interrupted call stack (one walk, charged once,
 /// shared by every sample in the batch).
+///
+/// Kept out of line: a group with a delivery due is rare, and the
+/// walker's loop is measurably faster without this body inlined into it.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deliver_due<S: SampleSink>(
     cpu: &mut CpuState,
@@ -660,319 +438,5 @@ pub(crate) fn deliver_due<S: SampleSink>(
         } else {
             i += 1;
         }
-    }
-}
-
-/// Computes a memory instruction's timing: DTB, D-cache/board-cache, and
-/// write-buffer effects. Returns the (possibly delayed) issue cycle for
-/// seniors; for juniors (`is_senior == false`) the issue cycle is fixed
-/// and only latencies/events apply.
-#[allow(clippy::too_many_arguments)]
-fn mem_timing(
-    cpu: &mut CpuState,
-    os: &mut Os,
-    run: &mut RunningProc,
-    insn: &Instruction,
-    m: &InsnMeta,
-    mut issue: u64,
-    cfg: &MachineConfig,
-    is_senior: bool,
-) -> u64 {
-    let model = &cfg.model;
-    let vaddr = mem_vaddr(&run.proc, insn);
-    let vpage = vaddr / cfg.page_bytes;
-    if !cpu.dtb.access(vpage) {
-        if let Some(o) = cpu.counters.count(Event::DtbMiss, issue) {
-            cpu.overflow_scratch.push(o);
-        }
-        if is_senior {
-            // The fill trap stalls the pipeline at this instruction.
-            issue += model.dtb_miss_penalty;
-        }
-    }
-    let paddr = run.translate_data(os, vaddr, cfg.page_bytes);
-    if m.is_load() {
-        let extra = if cpu.dcache.access(paddr) == Probe::Miss {
-            if let Some(o) = cpu.counters.count(Event::DMiss, issue) {
-                cpu.overflow_scratch.push(o);
-            }
-            if cpu.bcache.access(paddr) == Probe::Hit {
-                model.bcache_latency
-            } else {
-                model.memory_latency
-            }
-        } else {
-            0
-        };
-        if let Some(w) = m.write_index() {
-            // Loads commit their latency here; `commit_result` will not
-            // override a later ready time.
-            cpu.ready[w] = issue + model.load_latency + extra;
-        }
-    } else {
-        // Store: consume a write-buffer entry; stall on overflow.
-        while cpu.wb.front().is_some_and(|&t| t <= issue) {
-            cpu.wb.pop_front();
-        }
-        if cpu.wb.len() >= model.write_buffer_entries {
-            let head = cpu.wb.pop_front().expect("nonempty buffer");
-            if is_senior {
-                issue = issue.max(head);
-            }
-        }
-        let retire_base = cpu.wb.back().copied().unwrap_or(issue).max(issue);
-        cpu.wb.push_back(retire_base + model.write_retire_cycles);
-    }
-    issue
-}
-
-fn mem_vaddr(proc: &Process, insn: &Instruction) -> u64 {
-    match *insn {
-        Instruction::Ldq { rb, disp, .. }
-        | Instruction::Ldl { rb, disp, .. }
-        | Instruction::Ldt { rb, disp, .. }
-        | Instruction::Stq { rb, disp, .. }
-        | Instruction::Stl { rb, disp, .. }
-        | Instruction::Stt { rb, disp, .. } => proc.reg(rb).wrapping_add(disp as i64 as u64),
-        _ => unreachable!("not a memory instruction"),
-    }
-}
-
-/// Records the senior's (or junior's) register-result timing and unit
-/// occupancy.
-fn commit_result(
-    cpu: &mut CpuState,
-    m: &InsnMeta,
-    issue: u64,
-    model: &dcpi_isa::pipeline::PipelineModel,
-) {
-    if !m.is_load() {
-        if let Some(w) = m.write_index() {
-            cpu.ready[w] = issue + m.result_latency;
-        }
-    }
-    match m.class {
-        InsnClass::IntMul => cpu.imul_free = issue + model.imul_busy,
-        InsnClass::FpDiv => cpu.fdiv_free = issue + model.fdiv_busy,
-        _ => {}
-    }
-}
-
-/// Decides whether the junior can dual-issue with the senior at `issue`.
-fn try_pair(
-    cpu: &CpuState,
-    run: &RunningProc,
-    sm: &InsnMeta,
-    junior: &Instruction,
-    jm: &InsnMeta,
-    issue: u64,
-    cfg: &MachineConfig,
-) -> bool {
-    if !pipes_compatible(sm.class, jm.class) {
-        return false;
-    }
-    // Same-cycle data conflicts with the senior.
-    if let Some(w) = sm.writes() {
-        if jm.reads().contains(&w) || jm.writes() == Some(w) {
-            return false;
-        }
-    }
-    // Junior operands and destination must be ready.
-    if jm.reads().iter().any(|r| cpu.ready[r.index()] > issue) {
-        return false;
-    }
-    if let Some(w) = jm.write_index() {
-        if cpu.ready[w] > issue {
-            return false;
-        }
-    }
-    match jm.class {
-        InsnClass::IntMul if cpu.imul_free > issue => return false,
-        InsnClass::FpDiv if cpu.fdiv_free > issue => return false,
-        _ => {}
-    }
-    // Junior must already be fetchable without a miss (side-effect-free
-    // peeks; if it would miss, it issues alone next step and pays there).
-    let jpc = run.proc.pc.next();
-    let jvpage = jpc.0 / cfg.page_bytes;
-    if !cpu.itb.peek(jvpage) {
-        return false;
-    }
-    let jpaddr = if jvpage == run.fetch_vpage {
-        // Fast path: the junior is on the senior's (already translated)
-        // fetch page, which is the common case.
-        run.fetch_pbase + jpc.0 % cfg.page_bytes
-    } else if let Some(&ppage) = run.proc.page_table.get(&jvpage) {
-        ppage * cfg.page_bytes + jpc.0 % cfg.page_bytes
-    } else {
-        return false;
-    };
-    if !cpu.icache.peek(jpaddr) {
-        return false;
-    }
-    // Junior memory preconditions.
-    if jm.is_memory() {
-        let vaddr = mem_vaddr(&run.proc, junior);
-        if !cpu.dtb.peek(vaddr / cfg.page_bytes) {
-            return false;
-        }
-        if jm.is_store() {
-            let occupied = cpu.wb.iter().filter(|&&t| t > issue).count();
-            if occupied >= cfg.model.write_buffer_entries {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Applies branch prediction effects and records ground-truth edges for a
-/// control instruction.
-#[allow(clippy::too_many_arguments)]
-fn resolve_control(
-    cpu: &mut CpuState,
-    run: &RunningProc,
-    insn: &Instruction,
-    pc: Addr,
-    next: &Next,
-    image: ImageId,
-    word: u32,
-    issue: u64,
-    cfg: &MachineConfig,
-    gt: &mut GroundTruth,
-) {
-    let model = &cfg.model;
-    match insn {
-        Instruction::CondBr { .. } => {
-            let taken = matches!(next, Next::Jump(_));
-            if cpu.bp.cond_branch(pc, taken) {
-                if let Some(o) = cpu.counters.count(Event::BranchMp, issue) {
-                    cpu.overflow_scratch.push(o);
-                }
-                cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
-            }
-            if cfg.ground_truth {
-                let target = match next {
-                    Next::Jump(t) => *t,
-                    _ => pc.next(),
-                };
-                record_edge(run, gt, image, word, target);
-            }
-        }
-        Instruction::Br { .. } if cfg.ground_truth => {
-            if let Next::Jump(t) = next {
-                record_edge(run, gt, image, word, *t);
-            }
-        }
-        Instruction::Jmp { .. } => {
-            if let Next::Jump(t) = next {
-                if cpu.bp.indirect(pc, *t) {
-                    if let Some(o) = cpu.counters.count(Event::BranchMp, issue) {
-                        cpu.overflow_scratch.push(o);
-                    }
-                    cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
-                }
-                if cfg.ground_truth {
-                    record_edge(run, gt, image, word, *t);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Records a CFG edge if the target lies in the same image mapping.
-pub(crate) fn record_edge(
-    run: &RunningProc,
-    gt: &mut GroundTruth,
-    image: ImageId,
-    word: u32,
-    target: Addr,
-) {
-    if target.0 >= run.cur_base && target.0 < run.cur_end {
-        gt.count_edge(image, word, ((target.0 - run.cur_base) / 4) as u32);
-    }
-}
-
-/// Executes an instruction's architectural semantics and reports the
-/// control decision.
-fn exec_semantics(proc: &mut Process, insn: &Instruction, pc: Addr) -> Next {
-    match *insn {
-        Instruction::Lda { ra, rb, disp } => {
-            let v = proc.reg(rb).wrapping_add(disp as i64 as u64);
-            proc.set_reg(ra, v);
-            Next::Seq
-        }
-        Instruction::Ldah { ra, rb, disp } => {
-            let v = proc.reg(rb).wrapping_add(((disp as i64) << 16) as u64);
-            proc.set_reg(ra, v);
-            Next::Seq
-        }
-        Instruction::Ldq { ra, rb, disp } => {
-            let v = proc.read_u64(proc.reg(rb).wrapping_add(disp as i64 as u64) & !7);
-            proc.set_reg(ra, v);
-            Next::Seq
-        }
-        Instruction::Ldl { ra, rb, disp } => {
-            let v = proc.read_u32_sext(proc.reg(rb).wrapping_add(disp as i64 as u64) & !3);
-            proc.set_reg(ra, v);
-            Next::Seq
-        }
-        Instruction::Ldt { fa, rb, disp } => {
-            let v = proc.read_u64(proc.reg(rb).wrapping_add(disp as i64 as u64) & !7);
-            proc.set_reg(fa, v);
-            Next::Seq
-        }
-        Instruction::Stq { ra, rb, disp } => {
-            let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !7;
-            proc.write_u64(addr, proc.reg(ra));
-            Next::Seq
-        }
-        Instruction::Stl { ra, rb, disp } => {
-            let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !3;
-            proc.write_u32(addr, proc.reg(ra) as u32);
-            Next::Seq
-        }
-        Instruction::Stt { fa, rb, disp } => {
-            let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !7;
-            proc.write_u64(addr, proc.reg(fa));
-            Next::Seq
-        }
-        Instruction::IntOp { op, ra, rb, rc } => {
-            let b = match rb {
-                RegOrLit::Reg(r) => proc.reg(r),
-                RegOrLit::Lit(l) => u64::from(l),
-            };
-            let v = op.eval(proc.reg(ra), b);
-            proc.set_reg(rc, v);
-            Next::Seq
-        }
-        Instruction::FpOp { op, fa, fb, fc } => {
-            let v = op.eval(proc.reg(fa), proc.reg(fb));
-            proc.set_reg(fc, v);
-            Next::Seq
-        }
-        Instruction::CondBr { cond, ra, disp } => {
-            if cond.test(proc.reg(ra)) {
-                Next::Jump(pc.offset_insns(1 + i64::from(disp)))
-            } else {
-                Next::Seq
-            }
-        }
-        Instruction::Br { ra, disp } => {
-            proc.set_reg(ra, pc.next().0);
-            Next::Jump(pc.offset_insns(1 + i64::from(disp)))
-        }
-        Instruction::Jmp { ra, rb } => {
-            let target = proc.reg(rb) & !3;
-            proc.set_reg(ra, pc.next().0);
-            Next::Jump(Addr(target))
-        }
-        Instruction::CallPal { func } => match func {
-            PalFunc::Halt => Next::Halt,
-            PalFunc::Yield => Next::Yield,
-            PalFunc::Syscall => Next::Syscall,
-            PalFunc::Noop => Next::Seq,
-        },
     }
 }

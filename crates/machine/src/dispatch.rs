@@ -1,11 +1,15 @@
-//! Superblock threaded dispatch: the fast execution path.
+//! The issue-group walker: the one piece of code that issues, times,
+//! executes and retires instructions.
 //!
 //! [`chain_step`] walks the current image's precompiled handler chain
-//! ([`Uop`] array, built at `register_image`) for as long as execution
-//! stays straight-line inside one mapping, instead of re-entering the
-//! machine loop and re-matching `Instruction` variants per issue group.
-//! On top of the pre-decoded operands it layers *memoized* fast paths for
-//! the memory-system model:
+//! ([`Uop`] array, built at `register_image`) one issue group after
+//! another for as long as execution stays inside one mapping and the outer
+//! machine loop has no reason to regain control. Both dispatch modes are
+//! this walker. Under [`DispatchMode::Superblock`] a walk runs until a
+//! boundary; under [`DispatchMode::Classic`] it is held to one group.
+//!
+//! On top of the pre-decoded operands the walk layers *memoized* fast
+//! paths for the memory-system model:
 //!
 //! * **I-TLB / I-cache per block**: straight-line runs stay on one page
 //!   and usually one line; the walk memoizes the last page/line accessed
@@ -13,40 +17,46 @@
 //!   `access` (a linear probe plus an LRU rotate that is a no-op at MRU)
 //!   collapses to a single counter bump ([`Tlb::hit_mru`],
 //!   [`Cache::hit_mru`]). The memo is *walk-local* — it starts cold at
-//!   every chain entry — so interleaved classic-path groups can never
-//!   leave it stale.
+//!   every walk entry, so a one-group walk performs the full probe for
+//!   every access.
 //! * **D-TLB / D-cache coalescing**: the same memo trick through the
-//!   existing one-entry translation caches, with page math strength-
-//!   reduced to shift/mask (the walk only runs when the configured page
-//!   size is a power of two).
+//!   one-entry translation caches, with page math as shift/mask (pages
+//!   are a power of two; `Machine::with_kernel` asserts it).
 //!
-//! **Exactness contract.** Every stateful model — cache LRU and counters,
-//! TLBs, branch predictor, write buffer, performance-counter countdowns
-//! and their seeded period draws, first-touch page allocation — observes
-//! the *identical operation sequence* as the classic path; the fast paths
-//! only make operations cheaper, never skip or reorder them. Counter
-//! overflows are collected and delivered once per issue group in the same
-//! order, so samples land on the same head PCs at the same skidded
-//! cycles. The walk exits exactly where the outer machine loop would have
-//! regained control: when `now()` reaches the run target or the timeslice
-//! end, when the PC leaves the current mapping, or when a double-sample
-//! arms — and it *delegates* to the classic `step_inner` any group it
-//! cannot prove equivalent (`call_pal`, text-boundary pairing, decoded
-//! text shorter than the mapping). Delegated groups are correct by
-//! definition: they run the reference code. Fixed-seed outputs are
-//! therefore bit-identical (the dispatch-parity suite and the golden
-//! triples enforce this).
+//! **Boundaries.** A walk ends exactly where the outer machine loop has
+//! something to decide: when `now()` reaches the run target or the
+//! timeslice end, when the PC leaves the current mapping, when a double
+//! sample arms (the next walk's entry resolves it against its first PC),
+//! and at `call_pal halt` / `yield`. `call_pal` is an ordinary group that
+//! never pairs; `syscall` adds the kernel's time to the busy period before
+//! the boundary test and `noop` does nothing.
+//!
+//! **Exactness contract.** There is one group body, so the two modes can
+//! differ in two things only, and each has its own check:
+//!
+//! * *memoized `hit_mru` vs the full probe* — a memoized access must leave
+//!   the cache or TLB exactly as `access` would. `hit_mru` debug-asserts
+//!   its precondition (the entry is present at MRU position), so every
+//!   test run in a debug build checks every memoized access;
+//! * *where walks end* — counter overflows are collected and delivered
+//!   once per group in both modes, so a boundary moves no sample; what it
+//!   could move is when the machine loop reschedules. The dispatch-parity
+//!   suite (`crates/workloads/tests/dispatch_parity.rs`) compares the two
+//!   modes on every workload and holds both to fingerprints recorded from
+//!   the instruction-level interpreter this walker replaced; `stale_chain`
+//!   and the machine unit tests compare them on hot-swaps and PAL calls.
 //!
 //! [`Uop`]: dcpi_isa::uop::Uop
 //! [`Tlb::hit_mru`]: crate::tlb::Tlb::hit_mru
 //! [`Cache::hit_mru`]: crate::cache::Cache::hit_mru
 
 use crate::cache::Probe;
-use crate::config::MachineConfig;
-use crate::cpu::{deliver_due, step_inner, CpuState, Outcome, RunningProc, SampleSink};
+use crate::config::{DispatchMode, MachineConfig};
+use crate::cpu::{deliver_due, CpuState, Outcome, RunningProc, SampleSink, SYSCALL_COST};
 use crate::os::Os;
 use crate::stats::{edge_key, GroundTruth};
 use dcpi_core::{Addr, Event, FastMap};
+use dcpi_isa::insn::PalFunc;
 use dcpi_isa::pipeline::{pipes_compatible, InsnClass};
 use dcpi_isa::uop::{Uop, UopKind, NO_WRITE};
 use std::sync::Arc;
@@ -55,17 +65,17 @@ use std::sync::Arc;
 /// rate = `classic_groups / (classic_groups + chain_groups)`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DispatchStats {
-    /// Issue groups retired through the classic single-step path
-    /// (including groups the chain walker delegated).
+    /// Issue groups retired by one-group walks ([`DispatchMode::Classic`]);
+    /// 0 under `Superblock`.
     pub classic_groups: u64,
-    /// Issue groups retired inside a superblock chain walk.
+    /// Issue groups retired inside superblock walks.
     pub chain_groups: u64,
-    /// Chain walks that retired at least one group.
+    /// Superblock walks that retired at least one group.
     pub chain_entries: u64,
 }
 
 impl DispatchStats {
-    /// Fraction of issue groups that fell back to classic dispatch.
+    /// Fraction of issue groups retired by one-group walks.
     #[must_use]
     pub fn fallback_rate(&self) -> f64 {
         let total = self.classic_groups + self.chain_groups;
@@ -84,7 +94,7 @@ impl DispatchStats {
     }
 }
 
-/// Derived shift/mask geometry, computed once per chain entry.
+/// Derived shift/mask geometry, computed once per walk.
 #[derive(Clone, Copy)]
 struct Geom {
     page_shift: u32,
@@ -103,10 +113,9 @@ struct Memo {
 }
 
 /// Executes issue groups on `cpu` along the precompiled handler chain
-/// until a boundary (see module docs). Drop-in replacement for
-/// [`crate::cpu::step`] when superblock dispatch is enabled: the outer
-/// machine loop observes the same `Outcome` sequence at the same clock
-/// readings as it would stepping classically.
+/// until a boundary (see module docs) — one group under
+/// [`DispatchMode::Classic`]. `target` is the clock reading at which the
+/// outer machine loop wants control back.
 pub fn chain_step<S: SampleSink>(
     cpu: &mut CpuState,
     os: &mut Os,
@@ -115,6 +124,8 @@ pub fn chain_step<S: SampleSink>(
     cfg: &MachineConfig,
     target: u64,
 ) -> Outcome {
+    // Detach the running process so `cpu` and `run` can be borrowed
+    // independently by the helpers below.
     let Some(mut run) = cpu.current.take() else {
         return Outcome::NoProcess;
     };
@@ -133,10 +144,13 @@ fn chain_inner<S: SampleSink>(
     cfg: &MachineConfig,
     target: u64,
 ) -> Outcome {
-    // An armed double sample must resolve against this PC through the
-    // reference path (it precedes even the fault check there).
-    if cpu.double_armed.is_some() {
-        return step_inner(cpu, run, os, gt, sink, cfg);
+    // Resolve an armed double sample: this PC is the next one executed
+    // after the delivery that armed it (§7), mapped or not. A walk ends at
+    // the group that arms one, so entry is the only place one is pending.
+    if let Some((dpid, pc1)) = cpu.double_armed.take() {
+        if dpid == run.proc.pid {
+            sink.double_sample(cpu.id, dpid, pc1, run.proc.pc);
+        }
     }
     if run.lookup(os, run.proc.pc).is_none() {
         return Outcome::Fault;
@@ -144,11 +158,9 @@ fn chain_inner<S: SampleSink>(
     // The mapping cannot change mid-walk (the walk breaks when the PC
     // leaves it), so these stay valid for the whole chain.
     let ops = Arc::clone(&run.cur_uops);
-    let len = ops.len();
     let cur_base = run.cur_base;
     let cur_end = run.cur_end;
     let image = run.cur_image;
-    debug_assert!(cfg.page_bytes.is_power_of_two());
     let geom = Geom {
         page_shift: cfg.page_bytes.trailing_zeros(),
         page_mask: cfg.page_bytes - 1,
@@ -162,37 +174,20 @@ fn chain_inner<S: SampleSink>(
         dline: u64::MAX,
     };
     let model = &cfg.model;
+    let one_group = cfg.dispatch == DispatchMode::Classic;
     // Detach the image's ground-truth counts and edges for direct
-    // updates; every exit path below reattaches them.
+    // updates; the single exit below reattaches them.
     let mut counts = gt.take_counts(image);
     let mut edges = gt.take_edges(image);
     let mut executed = 0u64;
-    loop {
+    let outcome = loop {
         let pc = run.proc.pc;
         let w = ((pc.0 - cur_base) >> 2) as usize;
-        // Groups the chain cannot prove equivalent go to the classic
-        // path: decoded text shorter than the mapping (classic faults),
-        // `call_pal` (OS entry / serialization), and an even-slot
-        // non-control senior at the end of text (classic would probe an
-        // adjacent mapping for the junior).
-        let delegate = match ops.get(w) {
-            None => true,
-            Some(op) => {
-                op.kind == UopKind::Fallback || (!op.is_control() && pc.0 & 4 == 0 && w + 1 >= len)
-            }
+        // Mappings are created with the text's exact size, so a mapped PC
+        // without a micro-op means the text was swapped for a shorter one.
+        let Some(op) = ops.get(w) else {
+            break Outcome::Fault;
         };
-        if delegate {
-            // Delegating with groups already retired just ends the walk;
-            // the machine loop re-enters and the fresh walk delegates
-            // with `executed == 0`, running the group classically.
-            if executed > 0 {
-                break;
-            }
-            gt.put_counts(image, counts);
-            gt.put_edges(image, edges);
-            return step_inner(cpu, run, os, gt, sink, cfg);
-        }
-        let op = &ops[w];
         let head_base0 = (cpu.prev_issue + 1).max(cpu.resume_at).max(cpu.fetch_ready);
 
         // --- instruction fetch: ITB and I-cache (memoized) ---------------
@@ -210,7 +205,7 @@ fn chain_inner<S: SampleSink>(
             // Hit or fill, the page is now the MRU entry.
             memo.ivpage = ivpage;
         }
-        let ipaddr = run.translate_fetch_p2(os, pc.0, geom.page_shift, geom.page_mask);
+        let ipaddr = run.translate_fetch(os, pc.0, geom.page_shift, geom.page_mask);
         let iline = ipaddr >> geom.iline_shift;
         if iline == memo.iline {
             cpu.icache.hit_mru(ipaddr);
@@ -272,12 +267,16 @@ fn chain_inner<S: SampleSink>(
         );
 
         // --- junior: aligned-pair dual issue -----------------------------
+        // The junior is the next micro-op of this chain or nobody:
+        // mapping bases are 8-byte aligned (`Process::map_image` asserts
+        // it), so an even-slot senior's junior, at `4 mod 8`, can never be
+        // the first word of another mapping.
         if !op.is_control() && pc.0 & 4 == 0 {
             debug_assert_eq!(new_pc, pc.next(), "non-control seniors fall through");
-            // The delegate guard above proved `w + 1 < len`, so the
-            // junior comes from this chain.
-            let jop = &ops[w + 1];
-            if try_pair_uop(cpu, run, op, jop, pc, issue, cfg, geom, &memo) {
+            if let Some(jop) = ops
+                .get(w + 1)
+                .filter(|jop| try_pair_uop(cpu, run, op, jop, pc, issue, cfg, geom, &memo))
+            {
                 if jop.is_memory() {
                     let _ = uop_mem_timing(cpu, os, run, jop, issue, cfg, false, geom, &mut memo);
                 }
@@ -316,12 +315,17 @@ fn chain_inner<S: SampleSink>(
 
         let pid = run.proc.pid;
         run.proc.pc = new_pc;
+        // Edge-sample interpretation (§7): samples attributed to a
+        // conditional branch also learn its direction.
         let senior_taken = match op.kind {
             UopKind::Cond(_) => Some(jump.is_some()),
             _ => None,
         };
 
-        // --- counters and sampling (same drain point as the classic path)
+        // --- counters and sampling ---------------------------------------
+        // Before the next CYCLES overflow / mux rotation, and with no
+        // discrete overflows collected this group, the drain is a provable
+        // no-op.
         if issue >= cpu.counters.next_event_cycle() || !cpu.overflow_scratch.is_empty() {
             let mut scratch = std::mem::take(&mut cpu.overflow_scratch);
             cpu.counters.advance_cycles(issue, &mut scratch);
@@ -335,29 +339,46 @@ fn chain_inner<S: SampleSink>(
             deliver_due(cpu, sink, run, os, cfg, pc, pid, issue, senior_taken);
         }
         cpu.prev_issue = issue;
-        cpu.dstats.chain_groups += 1;
         executed += 1;
 
-        // Boundaries where the outer machine loop must regain control —
-        // exactly the points at which it would have, stepping classically.
-        if cpu.double_armed.is_some()
+        // `call_pal` took effect in nothing above; act on it now that its
+        // group (and any delivery charged to it) has retired.
+        match op.kind {
+            UopKind::Pal(PalFunc::Halt) => break Outcome::Halted,
+            UopKind::Pal(PalFunc::Yield) => break Outcome::Yielded,
+            UopKind::Pal(PalFunc::Syscall) => {
+                cpu.resume_at = cpu.resume_at.max(issue) + SYSCALL_COST;
+            }
+            _ => {}
+        }
+
+        // Boundaries where the outer machine loop must regain control.
+        if one_group
+            || cpu.double_armed.is_some()
             || new_pc.0 < cur_base
             || new_pc.0 >= cur_end
             || cpu.now() >= target
             || cpu.now() >= cpu.slice_end
         {
-            break;
+            break Outcome::Ran;
         }
-    }
+    };
     gt.put_counts(image, counts);
     gt.put_edges(image, edges);
-    cpu.dstats.chain_entries += 1;
-    Outcome::Ran
+    if one_group {
+        cpu.dstats.classic_groups += executed;
+    } else {
+        cpu.dstats.chain_groups += executed;
+        cpu.dstats.chain_entries += u64::from(executed > 0);
+    }
+    outcome
 }
 
-/// Memory timing along the chain: transcription of the classic
-/// `mem_timing` with memoized D-TLB/D-cache fast paths and shift/mask
-/// page math. Counter-overflow order and every stall cycle are identical.
+/// Computes a memory micro-op's timing: DTB, D-cache/board-cache and
+/// write-buffer effects, through the walk's D-TLB/D-cache memos. Returns
+/// the (possibly delayed) issue cycle for seniors; for juniors
+/// (`is_senior == false`) the issue cycle is fixed and only latencies and
+/// events apply.
 #[allow(clippy::too_many_arguments)]
 fn uop_mem_timing(
     cpu: &mut CpuState,
@@ -377,18 +398,18 @@ fn uop_mem_timing(
         cpu.dtb.hit_mru(vpage);
     } else {
         if !cpu.dtb.access(vpage) {
-            // Counted at the pre-penalty issue cycle, as in the classic
-            // path.
+            // Counted at the pre-penalty issue cycle.
             if let Some(o) = cpu.counters.count(Event::DtbMiss, issue) {
                 cpu.overflow_scratch.push(o);
             }
             if is_senior {
+                // The fill trap stalls the pipeline at this instruction.
                 issue += model.dtb_miss_penalty;
             }
         }
         memo.dvpage = vpage;
     }
-    let paddr = run.translate_data_p2(os, vaddr, geom.page_shift, geom.page_mask);
+    let paddr = run.translate_data(os, vaddr, geom.page_shift, geom.page_mask);
     if op.is_load() {
         let dline = paddr >> geom.dline_shift;
         let extra = if dline == memo.dline {
@@ -413,9 +434,12 @@ fn uop_mem_timing(
             e
         };
         if op.w != NO_WRITE {
+            // Loads commit their latency here; the walk's commit step
+            // skips them.
             cpu.ready[op.w as usize] = issue + model.load_latency + extra;
         }
     } else {
+        // Store: consume a write-buffer entry; stall on overflow.
         while cpu.wb.front().is_some_and(|&t| t <= issue) {
             cpu.wb.pop_front();
         }
@@ -431,10 +455,10 @@ fn uop_mem_timing(
     issue
 }
 
-/// Dual-issue admission along the chain: transcription of the classic
-/// `try_pair`, with the pure peeks short-circuited by the walk memos
-/// (the memoized page/line is provably present, so the probe's answer is
-/// known without the scan).
+/// Decides whether the junior can dual-issue with the senior at `issue`.
+/// The pure peeks are short-circuited by the walk memos (the memoized
+/// page/line is provably present, so the probe's answer is known without
+/// the scan).
 #[allow(clippy::too_many_arguments)]
 fn try_pair_uop(
     cpu: &CpuState,
@@ -472,13 +496,16 @@ fn try_pair_uop(
         InsnClass::FpDiv if cpu.fdiv_free > issue => return false,
         _ => {}
     }
-    // Junior must already be fetchable without a miss.
+    // Junior must already be fetchable without a miss (side-effect-free
+    // peeks; if it would miss, it issues alone next group and pays there).
     let jpc = pc.next();
     let jvpage = jpc.0 >> geom.page_shift;
     if jvpage != memo.ivpage && !cpu.itb.peek(jvpage) {
         return false;
     }
     let jpaddr = if jvpage == run.fetch_vpage {
+        // The junior is on the senior's (already translated) fetch page,
+        // which is the common case.
         run.fetch_pbase + (jpc.0 & geom.page_mask)
     } else if let Some(&ppage) = run.proc.page_table.get(&jvpage) {
         (ppage << geom.page_shift) + (jpc.0 & geom.page_mask)
@@ -505,8 +532,7 @@ fn try_pair_uop(
 }
 
 /// Records a CFG edge into the walk's detached edge map if the target
-/// lies in the current mapping — the fast-path twin of the classic
-/// `record_edge`.
+/// lies in the current mapping.
 #[inline]
 fn record_edge_fast(run: &RunningProc, edges: &mut FastMap<u64, u64>, word: u32, target: Addr) {
     if target.0 >= run.cur_base && target.0 < run.cur_end {
@@ -517,7 +543,11 @@ fn record_edge_fast(run: &RunningProc, edges: &mut FastMap<u64, u64>, word: u32,
 
 /// Branch prediction effects and ground-truth edges, per micro-op kind.
 /// `new_pc` is the edge target in every case: the jump target when taken,
-/// the fall-through otherwise — matching the classic `resolve_control`.
+/// the fall-through otherwise.
+///
+/// Inlined by force: left to itself the optimizer outlines it from the
+/// walk's loop, which costs a call per group for the two sites.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn resolve_control_uop(
     cpu: &mut CpuState,
@@ -565,7 +595,8 @@ fn resolve_control_uop(
 
 /// Architectural semantics of one micro-op. Returns the jump target for
 /// taken control transfers, `None` for sequential flow. `call_pal`
-/// ([`UopKind::Fallback`]) never reaches here — the walk delegates it.
+/// changes no register or memory; the walk acts on its function after the
+/// group retires.
 fn exec_uop(proc: &mut crate::proc::Process, op: &Uop, pc: Addr) -> Option<Addr> {
     match op.kind {
         UopKind::Lda | UopKind::Ldah => {
@@ -625,7 +656,7 @@ fn exec_uop(proc: &mut crate::proc::Process, op: &Uop, pc: Addr) -> Option<Addr>
         UopKind::Cond(cond) => {
             if cond.test(proc.reg_i(op.a)) {
                 // `disp` is the pre-multiplied byte delta; wrapping add in
-                // two's complement equals the classic `offset_insns`.
+                // two's complement equals `Addr::offset_insns`.
                 Some(Addr(pc.0.wrapping_add(op.disp)))
             } else {
                 None
@@ -646,6 +677,284 @@ fn exec_uop(proc: &mut crate::proc::Process, op: &Uop, pc: Addr) -> Option<Addr>
             }
             Some(Addr(target))
         }
-        UopKind::Fallback => unreachable!("Fallback groups delegate to the classic path"),
+        UopKind::Pal(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proc::Process;
+    use dcpi_core::prng::CartaRng;
+    use dcpi_core::Pid;
+    use dcpi_isa::encode::{decode, encode};
+    use dcpi_isa::insn::{BrCond, FpOp, Instruction, IntOp, RegOrLit};
+    use dcpi_isa::meta::side_table;
+    use dcpi_isa::pipeline::PipelineModel;
+    use dcpi_isa::reg::Reg;
+    use dcpi_isa::uop::compile_uops;
+
+    /// What an instruction decided about control, in the reference's terms.
+    #[derive(Debug, PartialEq)]
+    enum Next {
+        Seq,
+        Jump(Addr),
+        Halt,
+        Yield,
+        Syscall,
+    }
+
+    /// Reference semantics, straight off the `Instruction` enum: the
+    /// architectural half of the instruction-level interpreter the walker
+    /// replaced, kept as the oracle [`exec_uop`] is tested against. It goes
+    /// through the guarded `Process::reg`/`set_reg` and the memo-less
+    /// `read_u64`, so it shares nothing with the micro-op path but the
+    /// operation tables (`IntOp::eval` and friends).
+    fn exec_semantics(proc: &mut Process, insn: &Instruction, pc: Addr) -> Next {
+        let ldl = |proc: &Process, addr: u64| {
+            let q = proc.read_u64(addr & !7);
+            let half = if addr & 4 != 0 { q >> 32 } else { q } as u32;
+            half as i32 as i64 as u64
+        };
+        match *insn {
+            Instruction::Lda { ra, rb, disp } => {
+                let v = proc.reg(rb).wrapping_add(disp as i64 as u64);
+                proc.set_reg(ra, v);
+                Next::Seq
+            }
+            Instruction::Ldah { ra, rb, disp } => {
+                let v = proc.reg(rb).wrapping_add(((disp as i64) << 16) as u64);
+                proc.set_reg(ra, v);
+                Next::Seq
+            }
+            Instruction::Ldq { ra, rb, disp } => {
+                let v = proc.read_u64(proc.reg(rb).wrapping_add(disp as i64 as u64) & !7);
+                proc.set_reg(ra, v);
+                Next::Seq
+            }
+            Instruction::Ldl { ra, rb, disp } => {
+                let v = ldl(proc, proc.reg(rb).wrapping_add(disp as i64 as u64) & !3);
+                proc.set_reg(ra, v);
+                Next::Seq
+            }
+            Instruction::Ldt { fa, rb, disp } => {
+                let v = proc.read_u64(proc.reg(rb).wrapping_add(disp as i64 as u64) & !7);
+                proc.set_reg(fa, v);
+                Next::Seq
+            }
+            Instruction::Stq { ra, rb, disp } => {
+                let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !7;
+                proc.write_u64(addr, proc.reg(ra));
+                Next::Seq
+            }
+            Instruction::Stl { ra, rb, disp } => {
+                let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !3;
+                proc.write_u32(addr, proc.reg(ra) as u32);
+                Next::Seq
+            }
+            Instruction::Stt { fa, rb, disp } => {
+                let addr = proc.reg(rb).wrapping_add(disp as i64 as u64) & !7;
+                proc.write_u64(addr, proc.reg(fa));
+                Next::Seq
+            }
+            Instruction::IntOp { op, ra, rb, rc } => {
+                let b = match rb {
+                    RegOrLit::Reg(r) => proc.reg(r),
+                    RegOrLit::Lit(l) => u64::from(l),
+                };
+                let v = op.eval(proc.reg(ra), b);
+                proc.set_reg(rc, v);
+                Next::Seq
+            }
+            Instruction::FpOp { op, fa, fb, fc } => {
+                let v = op.eval(proc.reg(fa), proc.reg(fb));
+                proc.set_reg(fc, v);
+                Next::Seq
+            }
+            Instruction::CondBr { cond, ra, disp } => {
+                if cond.test(proc.reg(ra)) {
+                    Next::Jump(pc.offset_insns(1 + i64::from(disp)))
+                } else {
+                    Next::Seq
+                }
+            }
+            Instruction::Br { ra, disp } => {
+                proc.set_reg(ra, pc.next().0);
+                Next::Jump(pc.offset_insns(1 + i64::from(disp)))
+            }
+            Instruction::Jmp { ra, rb } => {
+                let target = proc.reg(rb) & !3;
+                proc.set_reg(ra, pc.next().0);
+                Next::Jump(Addr(target))
+            }
+            Instruction::CallPal { func } => match func {
+                PalFunc::Halt => Next::Halt,
+                PalFunc::Yield => Next::Yield,
+                PalFunc::Syscall => Next::Syscall,
+                PalFunc::Noop => Next::Seq,
+            },
+        }
+    }
+
+    /// Base of the populated data pages of the differential test.
+    const DATA: u64 = 0x1000_0000;
+    /// Bytes of populated data (two 8 KB process pages).
+    const DATA_BYTES: u64 = 2 * 8192;
+    /// Number of instruction shapes (`Instruction` variants).
+    const SHAPES: usize = 14;
+
+    fn pick<T: Copy>(rng: &mut CartaRng, all: &[T]) -> T {
+        all[rng.uniform(0, all.len() as u64 - 1) as usize]
+    }
+
+    /// A register of one file; one draw in four is the file's zero.
+    fn reg(rng: &mut CartaRng, fp: bool) -> Reg {
+        let n = if rng.uniform(0, 3) == 0 {
+            31
+        } else {
+            rng.uniform(0, 31) as u8
+        };
+        if fp {
+            Reg::fp(n)
+        } else {
+            Reg::int(n)
+        }
+    }
+
+    fn word64(rng: &mut CartaRng) -> u64 {
+        (u64::from(rng.next_u31()) << 40)
+            ^ (u64::from(rng.next_u31()) << 20)
+            ^ u64::from(rng.next_u31())
+    }
+
+    /// One random instruction of the given shape, every field drawn.
+    fn random_insn(shape: usize, rng: &mut CartaRng) -> Instruction {
+        let ra = reg(rng, false);
+        let rb = reg(rng, false);
+        let fa = reg(rng, true);
+        let disp = rng.uniform(0, 0xffff) as u16 as i16;
+        let bdisp = rng.uniform(0, (1 << 21) - 1) as i32 - (1 << 20);
+        match shape {
+            0 => Instruction::Lda { ra, rb, disp },
+            1 => Instruction::Ldah { ra, rb, disp },
+            2 => Instruction::Ldq { ra, rb, disp },
+            3 => Instruction::Ldl { ra, rb, disp },
+            4 => Instruction::Ldt { fa, rb, disp },
+            5 => Instruction::Stq { ra, rb, disp },
+            6 => Instruction::Stl { ra, rb, disp },
+            7 => Instruction::Stt { fa, rb, disp },
+            8 => Instruction::IntOp {
+                op: pick(rng, &IntOp::ALL),
+                ra,
+                rb: if rng.uniform(0, 1) == 0 {
+                    RegOrLit::Reg(rb)
+                } else {
+                    RegOrLit::Lit(rng.uniform(0, 255) as u8)
+                },
+                rc: reg(rng, false),
+            },
+            9 => Instruction::FpOp {
+                op: pick(rng, &FpOp::ALL),
+                fa,
+                fb: reg(rng, true),
+                fc: reg(rng, true),
+            },
+            10 => Instruction::CondBr {
+                cond: pick(rng, &BrCond::ALL),
+                ra,
+                disp: bdisp,
+            },
+            11 => Instruction::Br { ra, disp: bdisp },
+            // One jump in four links into its own target register.
+            12 if rng.uniform(0, 3) == 0 => Instruction::Jmp { ra, rb: ra },
+            12 => Instruction::Jmp { ra, rb },
+            13 => Instruction::CallPal {
+                func: pick(rng, &PalFunc::ALL),
+            },
+            _ => unreachable!("{SHAPES} shapes"),
+        }
+    }
+
+    /// A register value: mostly an (unaligned) address inside the
+    /// populated pages, else one of the values branches and shifts care
+    /// about, else noise.
+    fn reg_value(rng: &mut CartaRng) -> u64 {
+        match rng.uniform(0, 9) {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            3 => 1 << 63,
+            4 | 5 => word64(rng),
+            _ => DATA + rng.uniform(0, DATA_BYTES - 1),
+        }
+    }
+
+    #[test]
+    fn exec_uop_matches_the_instruction_level_reference() {
+        let mut rng = CartaRng::new(0x0dcf_1997);
+        let model = PipelineModel::default();
+        let mut base = Process::new(Pid(7));
+        for off in (0..DATA_BYTES).step_by(8) {
+            base.write_u64(DATA + off, word64(&mut rng));
+        }
+        // Corner cases random draws could starve, counted so that the test
+        // fails if they do.
+        let (mut halves, mut zero_dest, mut self_jumps, mut lits) = ([0u32; 2], 0u32, 0u32, 0u32);
+        for shape in 0..SHAPES {
+            for case in 0..1_000 {
+                let insn = random_insn(shape, &mut rng);
+                assert_eq!(decode(encode(insn)), Ok(insn), "encoding round-trips");
+                let op = compile_uops(&[insn], &side_table(&[insn], &model))[0];
+                let mut want = base.clone();
+                for i in 0..Reg::COUNT as u8 {
+                    want.set_reg(Reg::from_index(i), reg_value(&mut rng));
+                }
+                let mut got = want.clone();
+                let pc = Addr(0x1_0000 + 4 * rng.uniform(0, 1 << 20));
+                // Pre-execution effective address of the memory shapes
+                // (they may store anywhere); any address for the others.
+                let ea = if op.is_memory() {
+                    got.reg_i(op.b).wrapping_add(op.disp)
+                } else {
+                    DATA
+                };
+
+                let want_next = exec_semantics(&mut want, &insn, pc);
+                let jump = exec_uop(&mut got, &op, pc);
+                let got_next = match op.kind {
+                    UopKind::Pal(PalFunc::Halt) => Next::Halt,
+                    UopKind::Pal(PalFunc::Yield) => Next::Yield,
+                    UopKind::Pal(PalFunc::Syscall) => Next::Syscall,
+                    _ => jump.map_or(Next::Seq, Next::Jump),
+                };
+                let ctx = format!("shape {shape} case {case}: {insn} at {pc:?}");
+                assert_eq!(got_next, want_next, "{ctx}: control");
+                for i in 0..Reg::COUNT as u8 {
+                    let r = Reg::from_index(i);
+                    assert_eq!(got.reg(r), want.reg(r), "{ctx}: {r}");
+                }
+                assert_eq!(got.resident_pages(), want.resident_pages(), "{ctx}");
+                assert_eq!(got.read_u64(ea), want.read_u64(ea), "{ctx}: [{ea:#x}]");
+                for off in (0..DATA_BYTES).step_by(8) {
+                    let a = DATA + off;
+                    assert_eq!(got.read_u64(a), want.read_u64(a), "{ctx}: [{a:#x}]");
+                }
+
+                if matches!(op.kind, UopKind::Ldl | UopKind::Stl) {
+                    halves[(ea >> 2 & 1) as usize] += 1;
+                }
+                // A shape with a destination field that names a zero register.
+                zero_dest += u32::from(!op.is_store() && !op.is_control() && op.w == NO_WRITE);
+                self_jumps += u32::from(matches!(insn, Instruction::Jmp { ra, rb } if ra == rb));
+                lits += u32::from(op.is_lit());
+            }
+        }
+        assert!(
+            halves[0] > 500 && halves[1] > 500,
+            "ldl/stl halves {halves:?}"
+        );
+        assert!(zero_dest > 1_000, "zero-register destinations {zero_dest}");
+        assert!(self_jumps > 100, "jmp ra,(ra) {self_jumps}");
+        assert!((300..700).contains(&lits), "literal operands {lits}");
     }
 }

@@ -1,7 +1,7 @@
 //! The machine facade: CPUs + OS + ground truth + the sample sink.
 
-use crate::config::{DispatchMode, MachineConfig};
-use crate::cpu::{step, CpuState, Outcome};
+use crate::config::MachineConfig;
+use crate::cpu::{CpuState, Outcome};
 use crate::dispatch::{chain_step, DispatchStats};
 use crate::os::{default_kernel, Os};
 use crate::stats::GroundTruth;
@@ -53,8 +53,18 @@ impl<S: SampleSink> Machine<S> {
 
     /// Builds a machine with a custom kernel image (must contain an
     /// `_idle_loop` procedure).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.page_bytes` is not a power of two: address
+    /// translation is shift/mask throughout.
     #[must_use]
     pub fn with_kernel(cfg: MachineConfig, kernel: Image, sink: S) -> Machine<S> {
+        assert!(
+            cfg.page_bytes.is_power_of_two(),
+            "page_bytes must be a power of two, got {}",
+            cfg.page_bytes
+        );
         let page_seed = cfg
             .page_alloc_random
             .then_some(cfg.seed.wrapping_mul(7919).max(1));
@@ -116,9 +126,6 @@ impl<S: SampleSink> Machine<S> {
     /// past: issue groups are atomic).
     pub fn run_cpu_until(&mut self, cpu: usize, target: u64) {
         let cfg = &self.cfg;
-        // Superblock chains strength-reduce page math to shift/mask, so
-        // they require power-of-two pages; otherwise run classically.
-        let chains = cfg.dispatch == DispatchMode::Superblock && cfg.page_bytes.is_power_of_two();
         let cpu_state = &mut self.cpus[cpu];
         while cpu_state.now() < target {
             if cpu_state.current.is_none() {
@@ -132,18 +139,14 @@ impl<S: SampleSink> Machine<S> {
                     }
                 }
             }
-            let outcome = if chains {
-                chain_step(
-                    cpu_state,
-                    &mut self.os,
-                    &mut self.gt,
-                    &mut self.sink,
-                    cfg,
-                    target,
-                )
-            } else {
-                step(cpu_state, &mut self.os, &mut self.gt, &mut self.sink, cfg)
-            };
+            let outcome = chain_step(
+                cpu_state,
+                &mut self.os,
+                &mut self.gt,
+                &mut self.sink,
+                cfg,
+                target,
+            );
             match outcome {
                 Outcome::Ran => {
                     if cpu_state.slice_expired() {
@@ -258,10 +261,12 @@ impl<S: SampleSink> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DispatchMode;
     use crate::counters::CounterConfig;
     use crate::os::MAIN_BASE;
     use dcpi_core::{Event, Sample};
     use dcpi_isa::asm::Asm;
+    use dcpi_isa::insn::{Instruction, PalFunc};
     use dcpi_isa::reg::Reg;
 
     /// A sink that records every sample at a fixed handler cost.
@@ -290,8 +295,13 @@ mod tests {
     }
 
     fn small_machine(counters: CounterConfig) -> Machine<RecordingSink> {
+        small_machine_in(DispatchMode::default(), counters)
+    }
+
+    fn small_machine_in(dispatch: DispatchMode, counters: CounterConfig) -> Machine<RecordingSink> {
         let mut cfg = MachineConfig::with_counters(counters);
         cfg.timeslice = 100_000;
+        cfg.dispatch = dispatch;
         Machine::new(cfg, RecordingSink::default())
     }
 
@@ -442,34 +452,139 @@ mod tests {
         assert!(m.cpus[1].insns_retired > 10_000);
     }
 
-    #[test]
-    fn yield_rotates_processes() {
-        let mut a = Asm::new("/bin/yielder");
+    /// Everything a run of [`pal_image`] lets a test observe.
+    type PalRun = (
+        u64,
+        u64,
+        u64,
+        Vec<u64>,
+        Vec<(u64, u64, u64)>,
+        Vec<(CpuId, Sample, u64)>,
+    );
+
+    /// A loop with every `call_pal` function between straight-line runs,
+    /// in even slots (a senior that must not take a junior) and odd ones
+    /// (a junior that must not be taken).
+    fn pal_image() -> Image {
+        let pal = |a: &mut Asm, func| a.emit(Instruction::CallPal { func });
+        let mut a = Asm::new("/bin/pals");
         a.proc("main");
-        a.li(Reg::T0, 100);
+        a.li(Reg::T0, 200); // w0
         let top = a.here();
-        a.yield_();
+        for _ in 0..3 {
+            a.addq_lit(Reg::T1, 1, Reg::T1); // w1-w3
+        }
+        pal(&mut a, PalFunc::Noop); // w4, even slot
+        for _ in 0..2 {
+            a.addq_lit(Reg::T2, 1, Reg::T2); // w5-w6
+        }
+        a.syscall(); // w7, odd slot
+        for _ in 0..3 {
+            a.addq_lit(Reg::T3, 1, Reg::T3); // w8-w10
+        }
+        a.yield_(); // w11, odd slot
         a.subq_lit(Reg::T0, 1, Reg::T0);
         a.bne(Reg::T0, top);
+        a.halt(); // w14, even slot
+        a.finish()
+    }
+
+    #[test]
+    fn yield_rotates_processes() {
+        let run = |dispatch: DispatchMode| -> (PalRun, DispatchStats) {
+            let mut m = small_machine_in(dispatch, CounterConfig::cycles_only((500, 600)));
+            m.sink.cost = 120;
+            let img = m.register_image(pal_image());
+            m.spawn(0, img, &[], |_| {});
+            m.spawn(0, img, &[], |_| {});
+            m.run_to_completion(100_000, 1_000_000_000);
+            assert_eq!(m.os.live_processes(), 0);
+            let counts = (0..15).map(|w| m.gt.insn_count(img, w * 4)).collect();
+            let observed = (
+                m.time(),
+                m.last_exit,
+                m.total_retired(),
+                counts,
+                m.gt.edges_of(img),
+                std::mem::take(&mut m.sink.samples),
+            );
+            (observed, m.dispatch_stats())
+        };
+        let (superblock, sstats) = run(DispatchMode::Superblock);
+        let (classic, cstats) = run(DispatchMode::Classic);
+        assert_eq!(superblock, classic);
+        assert_eq!((sstats.classic_groups, cstats.chain_groups), (0, 0));
+        // The walker got past the PAL calls without handing each group
+        // back: fewer walks than `noop`s and `syscall`s retired.
+        assert!(sstats.chain_entries < 2 * 2 * 200, "{sstats:?}");
+
+        let (time, _, _, counts, _, samples) = superblock;
+        assert_eq!(
+            counts[4..=14],
+            [400, 400, 400, 400, 400, 400, 400, 400, 400, 400, 2]
+        );
+        // Every yield handed the CPU to the other process, and every
+        // syscall charged the kernel's time.
+        let cfg = MachineConfig::default();
+        assert!(time >= 400 * (cfg.ctx_switch_cost + crate::cpu::SYSCALL_COST));
+        assert!(samples.len() > 1_000, "{} samples", samples.len());
+    }
+
+    /// A countdown whose body opens with an aligned pair of adds:
+    /// independent, or — the twin — the second reading the first's
+    /// result, which can never share its cycle.
+    fn pair_loop_image(independent: bool) -> Image {
+        let mut a = Asm::new("/bin/pairs");
+        a.proc("main");
+        a.li(Reg::T0, 30_000); // w0
+        a.align_even(); // w1
+        let top = a.here();
+        a.addq_lit(Reg::T1, 1, Reg::T1);
+        a.addq_lit(if independent { Reg::T2 } else { Reg::T1 }, 1, Reg::T2);
+        a.subq_lit(Reg::T0, 1, Reg::T0);
+        a.bne(Reg::T0, top); // reads the subq's result: no pair
         a.halt();
-        let mut m = small_machine(CounterConfig::off());
-        let img = m.register_image(a.finish());
-        m.spawn(0, img, &[], |_| {});
-        m.spawn(0, img, &[], |_| {});
-        m.run_to_completion(100_000, 1_000_000_000);
-        assert_eq!(m.os.live_processes(), 0);
+        a.finish()
     }
 
     #[test]
     fn dual_issue_happens() {
-        let mut m = small_machine(CounterConfig::off());
-        let img = m.register_image(countdown_image(10_000));
-        m.spawn(0, img, &[], |_| {});
-        m.run_to_completion(100_000, 100_000_000);
-        // subq (even slot) + bne (odd slot) pair: t0 dependency! subq
-        // writes t0, bne reads t0 — they can NOT pair. But li + first subq
-        // can. At minimum some dual issue occurred across the run.
-        let _ = m.cpus[0].dual_issues;
+        // (dual issues, iterations begun, time, retired) after 40 000
+        // cycles — mid-loop, so the kernel idle loop's own aligned pair
+        // never enters the count.
+        let run = |independent: bool, dispatch: DispatchMode| {
+            let mut m = small_machine_in(dispatch, CounterConfig::off());
+            let img = m.register_image(pair_loop_image(independent));
+            m.spawn(0, img, &[], |_| {});
+            m.run_cpu_until(0, 40_000);
+            assert_eq!(m.os.live_processes(), 1, "still inside the loop");
+            (
+                m.cpus[0].dual_issues,
+                m.gt.insn_count(img, 8),
+                m.time(),
+                m.total_retired(),
+            )
+        };
+        let pairs = run(true, DispatchMode::Superblock);
+        let twin = run(false, DispatchMode::Superblock);
+        assert_eq!(pairs, run(true, DispatchMode::Classic));
+        assert_eq!(twin, run(false, DispatchMode::Classic));
+        assert!(pairs.1 > 5_000, "{pairs:?}");
+        assert!(twin.0 <= 1, "only `li` and its padding can pair: {twin:?}");
+        assert!(
+            pairs.0 >= twin.0 + pairs.1,
+            "one dual issue per iteration: {pairs:?} against {twin:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "page_bytes must be a power of two, got 12288")]
+    fn non_power_of_two_pages_are_rejected() {
+        let cfg = MachineConfig {
+            page_bytes: 12_288,
+            ..MachineConfig::default()
+        };
+        let _ = Machine::new(cfg, NullSink);
     }
 
     #[test]

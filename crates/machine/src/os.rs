@@ -14,7 +14,7 @@ use dcpi_core::{Addr, ImageId, Pid};
 use dcpi_isa::asm::Asm;
 use dcpi_isa::image::Image;
 use dcpi_isa::insn::Instruction;
-use dcpi_isa::meta::{side_table, InsnMeta};
+use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::reg::Reg;
 use dcpi_isa::uop::{compile_uops, Uop};
@@ -41,14 +41,10 @@ pub struct LoadedImage {
     pub id: ImageId,
     /// The image file.
     pub image: Arc<Image>,
-    /// Pre-decoded text.
+    /// Pre-decoded text (what the stack walker inspects).
     pub insns: Arc<Vec<Instruction>>,
-    /// Precomputed per-instruction issue metadata (positional with
-    /// `insns`), so the simulator's hot loop never re-derives classes,
-    /// register sets, or latency hints.
-    pub meta: Arc<Vec<InsnMeta>>,
     /// Precompiled handler chain (positional with `insns`): the fully
-    /// pre-decoded micro-op form walked by superblock dispatch.
+    /// pre-decoded micro-op form the dispatch walker executes.
     pub uops: Arc<Vec<Uop>>,
 }
 
@@ -111,7 +107,7 @@ impl Os {
     /// Creates the OS with `cpus` processors, using `kernel` as the kernel
     /// image (see [`default_kernel`]) and the given page-placement policy.
     /// `model` is the pipeline model of the CPUs the OS will run on; it is
-    /// used to precompute per-image instruction metadata at registration.
+    /// used to compile each image's micro-ops at registration.
     #[must_use]
     pub fn new(
         cpus: usize,
@@ -174,8 +170,7 @@ impl Os {
         let id = ImageId(self.next_image);
         self.next_image += 1;
         let insns = image.decode_all().expect("image text must decode");
-        let meta = side_table(&insns, &self.model);
-        let uops = compile_uops(&insns, &meta);
+        let uops = compile_uops(&insns, &side_table(&insns, &self.model));
         self.by_name.insert(image.name().to_string(), id);
         self.images.insert(
             id,
@@ -183,7 +178,6 @@ impl Os {
                 id,
                 image: Arc::new(image),
                 insns: Arc::new(insns),
-                meta: Arc::new(meta),
                 uops: Arc::new(uops),
             },
         );
@@ -192,7 +186,7 @@ impl Os {
 
     /// Replaces the contents of an already-registered image in place (the
     /// PGO hot-swap: same id, rewritten text), rebuilding the decoded
-    /// side tables and handler chains and bumping the invalidation
+    /// text and handler chain and bumping the invalidation
     /// [`epoch`](Os::epoch) so every CPU's cached chain pointers refresh
     /// before the next instruction executes.
     ///
@@ -202,14 +196,12 @@ impl Os {
     pub fn replace_image(&mut self, id: ImageId, image: Image) {
         let slot = self.images.get_mut(&id).expect("replace_image: unknown id");
         let insns = image.decode_all().expect("image text must decode");
-        let meta = side_table(&insns, &self.model);
-        let uops = compile_uops(&insns, &meta);
+        let uops = compile_uops(&insns, &side_table(&insns, &self.model));
         let old_name = slot.image.name().to_string();
         *slot = LoadedImage {
             id,
             image: Arc::new(image),
             insns: Arc::new(insns),
-            meta: Arc::new(meta),
             uops: Arc::new(uops),
         };
         let new_name = self.images[&id].image.name().to_string();
@@ -589,7 +581,6 @@ mod tests {
         let li = os.image(id).unwrap();
         assert_eq!(li.insns.len(), 2, "new text decoded");
         assert_eq!(li.uops.len(), 2, "chains rebuilt");
-        assert_eq!(li.meta.len(), 2, "side table rebuilt");
         // Name-keyed dedup still resolves to the same id.
         let mut c = Asm::new("/bin/x");
         c.proc("main");

@@ -101,8 +101,8 @@ impl Process {
     /// Reads a register by raw unified index, without the zero-register
     /// guard. Equivalent to [`Process::reg`] because the zero registers'
     /// slots are never written (both write paths discard them), so they
-    /// always read 0. Used by the superblock dispatch loop, whose
-    /// micro-ops carry pre-decoded register indices.
+    /// always read 0. Used by the dispatch walker, whose micro-ops carry
+    /// pre-decoded register indices.
     #[inline]
     pub(crate) fn reg_i(&self, i: u8) -> u64 {
         self.regs[i as usize]
@@ -124,8 +124,16 @@ impl Process {
     ///
     /// # Panics
     ///
-    /// Panics if the new mapping overlaps an existing one.
+    /// Panics if the new mapping overlaps an existing one, or if `base` is
+    /// not 8-byte aligned: instructions dual-issue as aligned pairs, and
+    /// the alignment is what guarantees a pair never straddles two
+    /// mappings.
     pub fn map_image(&mut self, base: Addr, size: u64, image: ImageId) {
+        assert!(
+            base.0.is_multiple_of(8),
+            "mapping base must be 8-byte aligned, got {:#x}",
+            base.0
+        );
         let m = Mapping { base, size, image };
         assert!(
             !self
@@ -198,8 +206,7 @@ impl Process {
     }
 
     /// Reads the 32-bit longword at `vaddr` through the page memo,
-    /// sign-extended — the fast-path equivalent of
-    /// [`Process::read_u32_sext`].
+    /// sign-extended (Alpha `ldl`).
     #[inline]
     pub(crate) fn read_u32_sext_fast(&mut self, vaddr: u64) -> u64 {
         let q = self.read_u64_fast(vaddr & !7);
@@ -223,18 +230,6 @@ impl Process {
             self.read_memo = None;
         }
         self.page_mut(vpage)[off] = value;
-    }
-
-    /// Reads the 32-bit longword at `vaddr`, sign-extended (Alpha `ldl`).
-    #[must_use]
-    pub fn read_u32_sext(&self, vaddr: u64) -> u64 {
-        let q = self.read_u64(vaddr & !7);
-        let half = if vaddr & 4 != 0 {
-            (q >> 32) as u32
-        } else {
-            q as u32
-        };
-        half as i32 as i64 as u64
     }
 
     /// Writes the 32-bit longword at `vaddr` (Alpha `stl`).
@@ -291,15 +286,15 @@ mod tests {
         proc.write_u32(0x100, 0x1111_1111);
         proc.write_u32(0x104, 0x2222_2222);
         assert_eq!(proc.read_u64(0x100), 0x2222_2222_1111_1111);
-        assert_eq!(proc.read_u32_sext(0x100), 0x1111_1111);
-        assert_eq!(proc.read_u32_sext(0x104), 0x2222_2222);
+        assert_eq!(proc.read_u32_sext_fast(0x100), 0x1111_1111);
+        assert_eq!(proc.read_u32_sext_fast(0x104), 0x2222_2222);
     }
 
     #[test]
     fn ldl_sign_extends() {
         let mut proc = p();
         proc.write_u32(0x100, 0xffff_fffe);
-        assert_eq!(proc.read_u32_sext(0x100) as i64, -2);
+        assert_eq!(proc.read_u32_sext_fast(0x100) as i64, -2);
     }
 
     #[test]
@@ -330,6 +325,12 @@ mod tests {
         let mut proc = p();
         proc.map_image(Addr(0x10000), 0x1000, ImageId(1));
         proc.map_image(Addr(0x10800), 0x1000, ImageId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "8-byte aligned, got 0x10004")]
+    fn misaligned_mapping_base_panics() {
+        p().map_image(Addr(0x10004), 0x1000, ImageId(1));
     }
 
     #[test]

@@ -50,11 +50,11 @@ impl GroundTruth {
         }
     }
 
-    /// Detaches an image's count vector so the superblock walk can index
+    /// Detaches an image's count vector so the dispatch walk can index
     /// it directly (one bounds-checked index per retired instruction
     /// instead of a map lookup); restore it with
     /// [`GroundTruth::put_counts`]. An unregistered image detaches an
-    /// empty vector, preserving `count_insn`'s ignore-missing semantics.
+    /// empty vector, so counting into it is ignored.
     pub(crate) fn take_counts(&mut self, image: ImageId) -> Vec<u64> {
         self.insns
             .get_mut(&image)
@@ -69,30 +69,7 @@ impl GroundTruth {
         }
     }
 
-    /// Records the retirement of the instruction at `word` in `image`.
-    #[inline]
-    pub fn count_insn(&mut self, image: ImageId, word: u32) {
-        if let Some(v) = self.insns.get_mut(&image) {
-            if let Some(c) = v.get_mut(word as usize) {
-                *c += 1;
-            }
-        }
-    }
-
-    /// Records a control-flow edge traversal from the instruction at
-    /// `from_word` to the instruction at `to_word` (taken branches, falls
-    /// through of conditional branches, and indirect jumps).
-    #[inline]
-    pub fn count_edge(&mut self, image: ImageId, from_word: u32, to_word: u32) {
-        *self
-            .edges
-            .entry(image)
-            .or_default()
-            .entry(edge_key(from_word, to_word))
-            .or_insert(0) += 1;
-    }
-
-    /// Detaches an image's edge map for direct updates in the superblock
+    /// Detaches an image's edge map for direct updates in the dispatch
     /// walk; restore it with [`GroundTruth::put_edges`].
     pub(crate) fn take_edges(&mut self, image: ImageId) -> FastMap<u64, u64> {
         self.edges
@@ -208,6 +185,27 @@ mod tests {
     use super::*;
 
     const IMG: ImageId = ImageId(1);
+
+    /// What the walker does through `take_counts`/`take_edges`, one event
+    /// at a time: fixtures for the tests below.
+    impl GroundTruth {
+        fn count_insn(&mut self, image: ImageId, word: u32) {
+            if let Some(v) = self.insns.get_mut(&image) {
+                if let Some(c) = v.get_mut(word as usize) {
+                    *c += 1;
+                }
+            }
+        }
+
+        fn count_edge(&mut self, image: ImageId, from_word: u32, to_word: u32) {
+            *self
+                .edges
+                .entry(image)
+                .or_default()
+                .entry(edge_key(from_word, to_word))
+                .or_insert(0) += 1;
+        }
+    }
 
     #[test]
     fn insn_counts_accumulate() {

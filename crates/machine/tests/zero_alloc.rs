@@ -17,7 +17,7 @@ use dcpi_isa::image::Image;
 use dcpi_isa::reg::Reg;
 use dcpi_machine::counters::CounterConfig;
 use dcpi_machine::machine::{Machine, SampleSink};
-use dcpi_machine::MachineConfig;
+use dcpi_machine::{DispatchMode, MachineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -96,30 +96,36 @@ fn countdown_image(n: i64) -> Image {
 
 #[test]
 fn steady_state_stepping_does_not_allocate_with_obs_disabled() {
-    let mut cfg = MachineConfig::with_counters(CounterConfig::cycles_only((5_000, 5_400)));
-    // No reschedule inside the measured window: context switches may
-    // legitimately allocate (scheduler queues, OS events).
-    cfg.timeslice = 1_000_000_000;
-    let mut m = Machine::new(cfg, NopSink);
-    let img = m.register_image(countdown_image(20_000_000));
-    m.spawn(0, img, &[], |_| {});
+    // One-group walks pay the walk's entry and exit per group — cloning
+    // the chain's `Arc`, detaching and reattaching the ground-truth
+    // counts and edges — and none of that may allocate either.
+    for dispatch in [DispatchMode::Superblock, DispatchMode::Classic] {
+        let mut cfg = MachineConfig::with_counters(CounterConfig::cycles_only((5_000, 5_400)));
+        cfg.dispatch = dispatch;
+        // No reschedule inside the measured window: context switches may
+        // legitimately allocate (scheduler queues, OS events).
+        cfg.timeslice = 1_000_000_000;
+        let mut m = Machine::new(cfg, NopSink);
+        let img = m.register_image(countdown_image(20_000_000));
+        m.spawn(0, img, &[], |_| {});
 
-    // Warm up: process install, page tables, TLB fills, and the first
-    // few sample deliveries all get their lazy allocations out of the
-    // way here.
-    m.run_all_until(2_000_000);
-    assert!(m.total_samples() > 10, "sampling must be live");
-    let warm_samples = m.total_samples();
+        // Warm up: process install, page tables, TLB fills, and the first
+        // few sample deliveries all get their lazy allocations out of the
+        // way here.
+        m.run_all_until(2_000_000);
+        assert!(m.total_samples() > 10, "sampling must be live");
+        let warm_samples = m.total_samples();
 
-    // Steady state: a few million cycles of fetch/issue/counter
-    // overflow/delivery must stay off the heap entirely.
-    let allocs = count_allocs(|| m.run_all_until(6_000_000));
-    assert!(
-        m.total_samples() > warm_samples + 100,
-        "window must contain many deliveries"
-    );
-    assert_eq!(
-        allocs, 0,
-        "hot loop allocated {allocs} times with obs disabled"
-    );
+        // Steady state: a few million cycles of fetch/issue/counter
+        // overflow/delivery must stay off the heap entirely.
+        let allocs = count_allocs(|| m.run_all_until(6_000_000));
+        assert!(
+            m.total_samples() > warm_samples + 100,
+            "window must contain many deliveries"
+        );
+        assert_eq!(
+            allocs, 0,
+            "{dispatch:?}: hot loop allocated {allocs} times with obs disabled"
+        );
+    }
 }

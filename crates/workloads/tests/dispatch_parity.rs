@@ -207,11 +207,15 @@ fn all_workloads_are_bit_identical_across_dispatch_modes() {
         let (classic, cstats) = run(DispatchMode::Classic);
         let (superblock, sstats) = run(DispatchMode::Superblock);
         // The two modes really are different walks of the same program:
-        // one group per walk against straight-line runs.
+        // one group per walk against runs of them, nothing in between.
         assert_eq!(cstats.chain_groups, 0, "{label}: classic walked chains");
+        assert_eq!(
+            sstats.classic_groups, 0,
+            "{label}: superblock retired one-group walks ({sstats:?})"
+        );
         assert!(
-            sstats.chain_groups > sstats.classic_groups,
-            "{label}: superblock barely engaged ({sstats:?})"
+            sstats.chain_groups > sstats.chain_entries,
+            "{label}: superblock walks never got past one group ({sstats:?})"
         );
         assert!(
             classic == superblock,
