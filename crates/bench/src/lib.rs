@@ -24,9 +24,11 @@
 //! | `ablation_freq` | estimator ablations |
 //! | `ablation_skid` | interrupt-skid ablation |
 //!
-//! All binaries accept `--runs N`, `--scale N`, `--seed N`, and `--quick`.
+//! All binaries accept `--runs N`, `--scale N`, `--seed N`, `--threads N`,
+//! `--quick`, `--json` and `--check`, and refuse to start on anything else.
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
+use dcpi_core::cli::{Args, Stop};
 use dcpi_core::{Event, ImageId};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::pipeline::PipelineModel;
@@ -56,70 +58,43 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `--runs`, `--scale`, `--seed`, `--threads`, `--quick`, and
-    /// `--json` from `std::env`, printing a warning to stderr for unknown
-    /// flags, missing values, and unparsable values.
+    /// Reads the process's command line ([`ExpOptions::parse`]) and
+    /// `DCPI_QUICK`. A mistyped experiment does not start: anything not
+    /// understood is reported with the usage line and exit code 2.
     #[must_use]
     pub fn from_args(default_runs: usize) -> ExpOptions {
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let quick_env = std::env::var("DCPI_QUICK").is_ok();
-        let (opts, warnings) = ExpOptions::parse(&args, default_runs, quick_env);
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        opts
+        ExpOptions::parse(Args::from_env(), default_runs, quick_env).unwrap_or_else(|stop| {
+            let usage = "usage: <experiment> [--runs N] [--scale N] [--seed N] [--threads N] \
+                 [--quick] [--json] [--check]";
+            std::process::exit(stop.report("dcpi-bench", usage).into())
+        })
     }
 
-    /// Parses an argument slice (without the program name). Returns the
-    /// options plus warnings for anything not understood: unknown flags,
-    /// flags missing their value, and unparsable values (which keep the
-    /// default instead of being silently swallowed).
-    #[must_use]
-    pub fn parse(args: &[String], default_runs: usize, quick: bool) -> (ExpOptions, Vec<String>) {
+    /// Takes `--runs`, `--scale`, `--seed`, `--threads`, `--quick`,
+    /// `--json` and `--check` out of `args`.
+    ///
+    /// # Errors
+    ///
+    /// [`Stop::Usage`] for anything else on the command line, a flag
+    /// missing its value, or a value that does not parse.
+    pub fn parse(mut args: Args, default_runs: usize, quick: bool) -> Result<ExpOptions, Stop> {
         let mut opts = ExpOptions {
-            runs: default_runs,
-            scale: 1,
-            seed: 1,
-            quick,
-            threads: dcpi_workloads::default_threads(),
-            json: false,
-            check: false,
+            runs: args.value("--runs")?.unwrap_or(default_runs),
+            scale: args.value("--scale")?.unwrap_or(1),
+            seed: args.value("--seed")?.unwrap_or(1),
+            quick: args.flag("--quick") || quick,
+            threads: args
+                .value("--threads")?
+                .unwrap_or_else(dcpi_workloads::default_threads),
+            json: args.flag("--json"),
+            check: args.flag("--check"),
         };
-        let mut warnings = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            match flag {
-                "--quick" => opts.quick = true,
-                "--json" => opts.json = true,
-                "--check" => opts.check = true,
-                "--runs" | "--scale" | "--seed" | "--threads" => {
-                    // A following flag is not a value: warn and reparse it.
-                    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                        None => warnings.push(format!("flag {flag} expects a value")),
-                        Some(v) => {
-                            let parsed = match flag {
-                                "--runs" => v.parse().map(|x| opts.runs = x).is_ok(),
-                                "--scale" => v.parse().map(|x| opts.scale = x).is_ok(),
-                                "--seed" => v.parse().map(|x| opts.seed = x).is_ok(),
-                                _ => v.parse().map(|x| opts.threads = x).is_ok(),
-                            };
-                            if !parsed {
-                                warnings
-                                    .push(format!("ignoring unparsable value {v:?} for {flag}"));
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                other => warnings.push(format!("unknown flag {other:?}")),
-            }
-            i += 1;
-        }
+        args.finish()?;
         if opts.quick {
             opts.runs = opts.runs.min(2);
         }
-        (opts, warnings)
+        Ok(opts)
     }
 }
 
@@ -497,28 +472,20 @@ mod tests {
         assert_eq!(serial.stacks.to_bytes(), threaded.stacks.to_bytes());
     }
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(ToString::to_string).collect()
-    }
-
     #[test]
     fn parse_known_flags() {
-        let (o, warnings) = ExpOptions::parse(
-            &argv(&[
-                "--runs",
-                "7",
-                "--scale",
-                "3",
-                "--seed",
-                "42",
-                "--threads",
-                "2",
-                "--json",
-            ]),
-            10,
-            false,
-        );
-        assert!(warnings.is_empty(), "{warnings:?}");
+        let args = Args::new([
+            "--runs",
+            "7",
+            "--scale",
+            "3",
+            "--seed",
+            "42",
+            "--threads",
+            "2",
+            "--json",
+        ]);
+        let o = ExpOptions::parse(args, 10, false).unwrap();
         assert_eq!(o.runs, 7);
         assert_eq!(o.scale, 3);
         assert_eq!(o.seed, 42);
@@ -529,8 +496,7 @@ mod tests {
 
     #[test]
     fn parse_defaults() {
-        let (o, warnings) = ExpOptions::parse(&[], 10, false);
-        assert!(warnings.is_empty());
+        let o = ExpOptions::parse(Args::default(), 10, false).unwrap();
         assert_eq!(o.runs, 10);
         assert_eq!(o.scale, 1);
         assert_eq!(o.seed, 1);
@@ -540,37 +506,28 @@ mod tests {
 
     #[test]
     fn quick_clamps_runs() {
-        let (o, _) = ExpOptions::parse(&argv(&["--quick", "--runs", "50"]), 10, false);
+        let o = ExpOptions::parse(Args::new(["--quick", "--runs", "50"]), 10, false).unwrap();
         assert!(o.quick);
         assert_eq!(o.runs, 2);
         // DCPI_QUICK arrives via the `quick` parameter and clamps too.
-        let (o, _) = ExpOptions::parse(&[], 10, true);
+        let o = ExpOptions::parse(Args::default(), 10, true).unwrap();
         assert!(o.quick);
         assert_eq!(o.runs, 2);
     }
 
     #[test]
-    fn unknown_flag_warns() {
-        let (o, warnings) = ExpOptions::parse(&argv(&["--bogus", "--runs", "3"]), 10, false);
-        assert_eq!(o.runs, 3, "later flags still parse");
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("--bogus"), "{warnings:?}");
-    }
-
-    #[test]
-    fn unparsable_value_warns_and_keeps_default() {
-        let (o, warnings) = ExpOptions::parse(&argv(&["--runs", "lots"]), 10, false);
-        assert_eq!(o.runs, 10);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("lots"), "{warnings:?}");
-    }
-
-    #[test]
-    fn missing_value_warns_without_eating_next_flag() {
-        let (o, warnings) = ExpOptions::parse(&argv(&["--runs", "--quick"]), 10, false);
-        assert!(o.quick, "--quick must not be consumed as --runs' value");
-        assert_eq!(o.runs, 2, "default runs, then quick-clamped");
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("expects a value"), "{warnings:?}");
+    fn a_mistyped_experiment_does_not_start() {
+        // An unknown flag, an unparsable value, and a flag given another
+        // flag where its value belongs: each names the offending word.
+        for (argv, word) in [
+            (&["--bogus", "--runs", "3"][..], "--bogus"),
+            (&["--runs", "lots"], "lots"),
+            (&["--runs", "--quick"], "--runs"),
+        ] {
+            match ExpOptions::parse(Args::new(argv.iter().copied()), 10, false) {
+                Err(Stop::Usage(msg)) => assert!(msg.contains(word), "{argv:?}: {msg}"),
+                other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 }

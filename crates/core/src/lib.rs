@@ -12,6 +12,8 @@
 //!   varint-delta codec ([`codec`]),
 //! * the one JSON reader and string-escaping rule every artifact writer
 //!   and offline tool shares ([`json`]),
+//! * the one command-line reader and exit-code rule every binary shares
+//!   ([`cli`]),
 //! * the Carta minimal-standard pseudo-random number generator used by the
 //!   paper to randomize sampling periods ([`prng::CartaRng`]).
 //!
@@ -19,6 +21,7 @@
 //! Cycles Gone?* (SOSP 1997). Section references in doc comments throughout
 //! the workspace refer to that paper.
 
+pub mod cli;
 pub mod codec;
 pub mod db;
 pub mod error;

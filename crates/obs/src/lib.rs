@@ -17,8 +17,8 @@
 //! * a JSON [`export`] (written one row per line, read through
 //!   `dcpi_core::json`) consumed by `dcpistat`, `dcpitrace`, and
 //!   `dcpicheck obs`;
-//! * a [`report::Reporter`] giving every CLI one text/JSON/quiet
-//!   formatting path.
+//! * a [`report::Reporter`] giving `profile`'s status output one
+//!   text/JSON/quiet formatting path.
 //!
 //! The central handle is [`Obs`]: a cheap clone (one `Arc`) that every
 //! instrumented component holds. A **disabled** probe costs exactly one

@@ -1,14 +1,17 @@
-//! One formatting path for CLI status output.
+//! One formatting path for CLI *status* output.
 //!
-//! Every binary that used to sprinkle `println!`/`eprintln!` goes through
-//! a [`Reporter`] instead, so `--quiet` and `--json` behave identically
-//! everywhere: text status lines go to stdout (suppressed by either
-//! flag), warnings go to stderr (suppressed by `--quiet`), and structured
-//! records become one-line JSON objects when `--json` is set.
+//! `profile` — the one binary whose stdout is a report about a run
+//! rather than the run's product — prints through a [`Reporter`], which
+//! is what `--quiet` and `--json` mean there: text status lines go to
+//! stdout (suppressed by either flag), warnings go to stderr (suppressed
+//! by `--quiet`), and structured records become one-line JSON objects
+//! when `--json` is set. The `dcpi*` tools do not use it: a tool's
+//! output is its product (a listing, a DOT graph, a diagnostic report),
+//! and how a binary fails is `dcpi_core::cli`'s business.
 
 use dcpi_core::json::{self, quote, Json};
 
-/// Output policy shared by the CLI tools.
+/// `profile`'s output policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Reporter {
     /// Suppress all non-essential output.

@@ -1,35 +1,19 @@
 //! `dcpicalc <db-dir> <procedure>` — instruction-level CPI and stall
 //! bubbles for one procedure, from an on-disk database (§3.2, Figure 2).
 
-use dcpi_analyze::analysis::{analyze_procedure_with_edges, AnalysisOptions};
-use dcpi_isa::pipeline::PipelineModel;
-use dcpi_tools::{dcpicalc, find_procedure, load_db};
+use dcpi_core::cli::run;
+use dcpi_tools::{analyze_named, dcpicalc};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(dir), Some(proc_name)) = (args.get(1), args.get(2)) else {
-        eprintln!("usage: dcpicalc <db-dir> <procedure>");
-        std::process::exit(2);
-    };
-    let run = || -> Result<String, Box<dyn std::error::Error>> {
-        let db = load_db(dir)?;
-        let (id, image, sym) = find_procedure(&db.registry, proc_name)?;
-        let pa = analyze_procedure_with_edges(
-            &image,
-            &sym,
-            &db.profiles,
-            None,
-            id,
-            &PipelineModel::default(),
-            &AnalysisOptions::default(),
-        )?;
-        Ok(dcpicalc(&pa, dcpi_machine::os::MAIN_BASE.0))
-    };
-    match run() {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("dcpicalc: {e}");
-            std::process::exit(1);
-        }
-    }
+const USAGE: &str = "usage: dcpicalc <db-dir> <procedure>";
+
+fn main() -> ExitCode {
+    run("dcpicalc", USAGE, |mut args| {
+        let dir = args.positional("<db-dir>")?;
+        let name = args.positional("<procedure>")?;
+        args.finish()?;
+        let pa = analyze_named(&dir, &name)?;
+        print!("{}", dcpicalc(&pa, dcpi_machine::os::MAIN_BASE.0));
+        Ok(())
+    })
 }

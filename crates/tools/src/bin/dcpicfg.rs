@@ -1,34 +1,18 @@
 //! `dcpicfg <db-dir> <procedure>` — emit an annotated control-flow graph
 //! in Graphviz DOT format (render with `dot -Tsvg`).
 
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
-use dcpi_isa::pipeline::PipelineModel;
-use dcpi_tools::{dcpicfg, find_procedure, load_db};
+use dcpi_core::cli::run;
+use dcpi_tools::{analyze_named, dcpicfg};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(dir), Some(proc_name)) = (args.get(1), args.get(2)) else {
-        eprintln!("usage: dcpicfg <db-dir> <procedure>");
-        std::process::exit(2);
-    };
-    let run = || -> Result<String, Box<dyn std::error::Error>> {
-        let db = load_db(dir)?;
-        let (id, image, sym) = find_procedure(&db.registry, proc_name)?;
-        let pa = analyze_procedure(
-            &image,
-            &sym,
-            &db.profiles,
-            id,
-            &PipelineModel::default(),
-            &AnalysisOptions::default(),
-        )?;
-        Ok(dcpicfg(&pa))
-    };
-    match run() {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("dcpicfg: {e}");
-            std::process::exit(1);
-        }
-    }
+const USAGE: &str = "usage: dcpicfg <db-dir> <procedure>";
+
+fn main() -> ExitCode {
+    run("dcpicfg", USAGE, |mut args| {
+        let dir = args.positional("<db-dir>")?;
+        let name = args.positional("<procedure>")?;
+        args.finish()?;
+        print!("{}", dcpicfg(&analyze_named(&dir, &name)?));
+        Ok(())
+    })
 }

@@ -35,92 +35,84 @@
 //! export a schema-clean speedscope document. Stack-vs-flat total skew
 //! is reported at warning severity.
 //!
-//! A trailing `--json` switches any form to machine-readable output.
-//! All forms exit 0 when clean, 1 when any error-severity diagnostic is
-//! found, and 2 on usage errors.
+//! `--json` switches any form to machine-readable output. All forms
+//! exit 0 when clean, 1 when any error-severity diagnostic is found, and
+//! 2 on usage errors — before anything is audited.
 
 use dcpi_check::{CheckConfig, ObsCheckConfig};
+use dcpi_core::cli::{run, Stop};
 use dcpi_tools::{
     dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
     dcpicheck_stacks, dcpicheck_tv, load_db,
 };
+use std::path::PathBuf;
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: dcpicheck <db-dir> | dcpicheck db <db-dir> | dcpicheck obs <obs.json> \
      | dcpicheck pgo <old.img> <new.img> <map.json> | dcpicheck dataflow <image> \
      | dcpicheck tv <old.img> <new.img> <map.json> | dcpicheck fleet <server-root> \
      | dcpicheck stacks <db-dir>  [--json]";
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    // `tv` carries per-segment tallies alongside the report.
-    let mut tv_tallies: Option<(usize, usize)> = None;
-    let report = match (args.get(1).map(String::as_str), args.get(2)) {
-        (Some("db"), Some(dir)) => dcpicheck_db(std::path::Path::new(dir)),
-        (Some("stacks"), Some(dir)) => dcpicheck_stacks(std::path::Path::new(dir)),
-        (Some("fleet"), Some(dir)) => dcpi_server::check_fleet(std::path::Path::new(dir)),
-        (Some("obs"), Some(path)) => {
-            dcpicheck_obs(std::path::Path::new(path), &ObsCheckConfig::default())
+fn main() -> ExitCode {
+    run("dcpicheck", USAGE, |mut args| {
+        let json = args.flag("--json");
+        let first = args.positional("<db-dir> or a subcommand")?;
+        // Every operand of the subcommand is taken, and the command line
+        // finished, before anything is audited.
+        let operands: &[&str] = match first.as_str() {
+            "db" | "stacks" => &["<db-dir>"],
+            "fleet" => &["<server-root>"],
+            "obs" => &["<obs.json>"],
+            "dataflow" => &["<image>"],
+            "pgo" | "tv" => &["<old.img>", "<new.img>", "<map.json>"],
+            _ => &[],
+        };
+        let mut paths = Vec::new();
+        for what in operands {
+            paths.push(PathBuf::from(args.positional(what)?));
         }
-        (Some("dataflow"), Some(path)) => dcpicheck_dataflow(std::path::Path::new(path)),
-        (Some(cmd @ ("pgo" | "tv")), Some(old)) => {
-            let (Some(new), Some(map)) = (args.get(3), args.get(4)) else {
-                eprintln!("usage: dcpicheck {cmd} <old.img> <new.img> <map.json>");
-                std::process::exit(2);
-            };
-            let (old, new, map) = (
-                std::path::Path::new(old),
-                std::path::Path::new(new),
-                std::path::Path::new(map),
-            );
-            if cmd == "pgo" {
-                dcpicheck_pgo(old, new, map)
-            } else {
+        args.finish()?;
+        // `tv` carries per-segment tallies alongside the report.
+        let mut tv_tallies: Option<(usize, usize)> = None;
+        let report = match (first.as_str(), paths.as_slice()) {
+            ("db", [dir]) => dcpicheck_db(dir),
+            ("stacks", [dir]) => dcpicheck_stacks(dir),
+            ("fleet", [root]) => dcpi_server::check_fleet(root),
+            ("obs", [path]) => dcpicheck_obs(path, &ObsCheckConfig::default()),
+            ("dataflow", [image]) => dcpicheck_dataflow(image),
+            ("pgo", [old, new, map]) => dcpicheck_pgo(old, new, map),
+            ("tv", [old, new, map]) => {
                 let res = dcpicheck_tv(old, new, map);
                 tv_tallies = Some((res.proved, res.segments));
                 res.report
             }
-        }
-        (Some("db" | "obs" | "pgo" | "dataflow" | "tv" | "fleet" | "stacks"), None) | (None, _) => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-        (Some(dir), _) => {
-            let run = || -> Result<dcpi_check::Report, Box<dyn std::error::Error>> {
+            (dir, _) => {
                 let db = load_db(dir)?;
-                Ok(dcpicheck_report(
-                    &db.profiles,
-                    &db.registry,
-                    &CheckConfig::default(),
-                ))
-            };
-            match run() {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("dcpicheck: {e}");
-                    std::process::exit(1);
-                }
+                dcpicheck_report(&db.profiles, &db.registry, &CheckConfig::default())
             }
+        };
+        if json {
+            let mut out = report.to_json();
+            if let Some((proved, segments)) = tv_tallies {
+                out = out.replacen(
+                    "\"schema\": 1,",
+                    &format!(
+                        "\"schema\": 1,\n  \"segments\": {segments},\n  \"proved\": {proved},"
+                    ),
+                    1,
+                );
+            }
+            print!("{out}");
+        } else {
+            if let Some((proved, segments)) = tv_tallies {
+                println!("dcpicheck tv: proved {proved}/{segments} segment(s)");
+            }
+            print!("{}", report.render());
         }
-    };
-    if json {
-        let mut out = report.to_json();
-        if let Some((proved, segments)) = tv_tallies {
-            out = out.replacen(
-                "\"schema\": 1,",
-                &format!("\"schema\": 1,\n  \"segments\": {segments},\n  \"proved\": {proved},"),
-                1,
-            );
+        if report.is_clean() {
+            Ok(())
+        } else {
+            Err(Stop::Found)
         }
-        print!("{out}");
-    } else {
-        if let Some((proved, segments)) = tv_tallies {
-            println!("dcpicheck tv: proved {proved}/{segments} segment(s)");
-        }
-        print!("{}", report.render());
-    }
-    if !report.is_clean() {
-        std::process::exit(1);
-    }
+    })
 }

@@ -5,45 +5,36 @@
 //! profile with a profile of the PGO-rewritten program: per-procedure
 //! CPI and dominant stall culprits, paired by procedure name.
 
+use dcpi_core::cli::run;
 use dcpi_core::Event;
 use dcpi_tools::{dcpidiff, dcpidiff_pgo, load_db, ImageRegistry};
+use std::process::ExitCode;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let pgo = args.iter().any(|a| a == "--pgo");
-    args.retain(|a| a != "--pgo");
-    let (Some(before), Some(after)) = (args.get(1), args.get(2)) else {
-        eprintln!("usage: dcpidiff [--pgo] <db-before> <db-after>");
-        std::process::exit(2);
-    };
-    let run = || -> Result<String, Box<dyn std::error::Error>> {
+const USAGE: &str = "usage: dcpidiff [--pgo] <db-before> <db-after>";
+
+fn main() -> ExitCode {
+    run("dcpidiff", USAGE, |mut args| {
+        let pgo = args.flag("--pgo");
+        let before = args.positional("<db-before>")?;
+        let after = args.positional("<db-after>")?;
+        args.finish()?;
         let b = load_db(before)?;
         let a = load_db(after)?;
-        if pgo {
-            return Ok(dcpidiff_pgo(
+        let text = if pgo {
+            dcpidiff_pgo(
                 (&b.profiles, &b.registry),
                 (&a.profiles, &a.registry),
                 25,
                 30,
-            ));
-        }
-        let mut registry = ImageRegistry::new();
-        for (id, img) in b.registry.iter().chain(a.registry.iter()) {
-            registry.insert(id, img.clone());
-        }
-        Ok(dcpidiff(
-            &b.profiles,
-            &a.profiles,
-            &registry,
-            Event::Cycles,
-            30,
-        ))
-    };
-    match run() {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("dcpidiff: {e}");
-            std::process::exit(1);
-        }
-    }
+            )
+        } else {
+            let mut registry = ImageRegistry::new();
+            for (id, img) in b.registry.iter().chain(a.registry.iter()) {
+                registry.insert(id, img.clone());
+            }
+            dcpidiff(&b.profiles, &a.profiles, &registry, Event::Cycles, 30)
+        };
+        print!("{text}");
+        Ok(())
+    })
 }

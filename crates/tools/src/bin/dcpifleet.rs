@@ -16,41 +16,23 @@
 //! (server counters, upload/ack/merge/replay trace spans) for
 //! `dcpistat` / `dcpitrace`.
 
+use dcpi_core::cli::{parse, run, Args, Stop};
 use dcpi_obs::{Obs, ObsConfig};
 use dcpi_server::fleet::{run_fleet, FleetConfig};
 use dcpi_tools::{dcpifleet_agents, dcpifleet_image, dcpifleet_top};
 use std::path::Path;
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: dcpifleet run <root> [--agents N] [--seed S] [--obs <out.json>] \
      | dcpifleet top <root> [n] | dcpifleet agents <root> | dcpifleet image <root> <image-id>";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("dcpifleet: {msg}");
-    std::process::exit(1);
-}
-
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    if at + 1 >= args.len() {
-        usage();
-    }
-    let v = args.remove(at + 1);
-    args.remove(at);
-    Some(v)
-}
-
-fn run(mut args: Vec<String>) -> ! {
-    let agents =
-        flag_value(&mut args, "--agents").map_or(100, |v| v.parse().unwrap_or_else(|_| usage()));
-    let seed = flag_value(&mut args, "--seed").map_or(1, |v| v.parse().unwrap_or_else(|_| usage()));
-    let obs_out = flag_value(&mut args, "--obs");
-    let Some(root) = args.get(2) else { usage() };
-    let cfg = FleetConfig::new(root, agents, seed);
+fn run_cmd(mut args: Args) -> Result<(), Stop> {
+    let agents = args.value("--agents")?.unwrap_or(100);
+    let seed = args.value("--seed")?.unwrap_or(1);
+    let obs_out = args.text("--obs")?;
+    let root = args.positional("<root>")?;
+    args.finish()?;
+    let cfg = FleetConfig::new(&root, agents, seed);
     let obs = if obs_out.is_some() {
         // Big rings: a 100-agent chaos run seals hundreds of epochs and
         // every epoch's span is several events, so the default ring
@@ -63,86 +45,82 @@ fn run(mut args: Vec<String>) -> ! {
     } else {
         Obs::default()
     };
-    match run_fleet(&cfg, &obs) {
-        Ok(report) => {
-            if let Some(path) = obs_out {
-                let mut snap = obs.snapshot();
-                snap.meta.insert("tool".to_owned(), "dcpifleet".to_owned());
-                snap.meta.insert("seed".to_owned(), seed.to_string());
-                snap.meta.insert("agents".to_owned(), agents.to_string());
-                // The run drained to quiesce, so the trace audit may
-                // demand every sealed epoch reached database visibility.
-                snap.meta
-                    .insert("fleet_quiesced".to_owned(), "true".to_owned());
-                if let Err(e) = std::fs::write(&path, snap.to_json()) {
-                    fail(&format!("writing {path}: {e}"));
-                }
-            }
-            println!(
-                "fleet: {} agent(s), {} epoch(s) sealed ({} tombstones), \
-                 {} tick(s) to quiesce",
-                report.agents, report.epochs_sealed, report.tombstones, report.ticks
-            );
-            println!(
-                "chaos: {} agent crash(es), {} server crash(es), net \
-                 drop/dup/reorder/trunc/stall/part = {}/{}/{}/{}/{}/{}",
-                report.agent_crashes,
-                report.server_crashes,
-                report.net_stats.dropped,
-                report.net_stats.duplicated,
-                report.net_stats.reordered,
-                report.net_stats.truncated,
-                report.net_stats.stalled,
-                report.net_stats.partitioned,
-            );
-            println!(
-                "lag: p50/p95/p99/max = {}/{}/{}/{} tick(s) over {} epoch(s); \
-                 stalest agent {} ({} tick(s) behind)",
-                report.lag.p50,
-                report.lag.p95,
-                report.lag.p99,
-                report.lag.max,
-                report.lag.samples,
-                report.lag.stalest_agent,
-                report.lag.stalest_staleness,
-            );
-            println!("{}", report.ledger.render());
-            println!("report: {}", Path::new(root).join("fleet.json").display());
-            if report.conserves() {
-                std::process::exit(0);
-            }
-            fail("fleet-wide sample conservation FAILED");
-        }
-        Err(e) => fail(&e.to_string()),
+    let report = run_fleet(&cfg, &obs)?;
+    if let Some(path) = obs_out {
+        let mut snap = obs.snapshot();
+        snap.meta.insert("tool".to_owned(), "dcpifleet".to_owned());
+        snap.meta.insert("seed".to_owned(), seed.to_string());
+        snap.meta.insert("agents".to_owned(), agents.to_string());
+        // The run drained to quiesce, so the trace audit may
+        // demand every sealed epoch reached database visibility.
+        snap.meta
+            .insert("fleet_quiesced".to_owned(), "true".to_owned());
+        std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    println!(
+        "fleet: {} agent(s), {} epoch(s) sealed ({} tombstones), \
+         {} tick(s) to quiesce",
+        report.agents, report.epochs_sealed, report.tombstones, report.ticks
+    );
+    println!(
+        "chaos: {} agent crash(es), {} server crash(es), net \
+         drop/dup/reorder/trunc/stall/part = {}/{}/{}/{}/{}/{}",
+        report.agent_crashes,
+        report.server_crashes,
+        report.net_stats.dropped,
+        report.net_stats.duplicated,
+        report.net_stats.reordered,
+        report.net_stats.truncated,
+        report.net_stats.stalled,
+        report.net_stats.partitioned,
+    );
+    println!(
+        "lag: p50/p95/p99/max = {}/{}/{}/{} tick(s) over {} epoch(s); \
+         stalest agent {} ({} tick(s) behind)",
+        report.lag.p50,
+        report.lag.p95,
+        report.lag.p99,
+        report.lag.max,
+        report.lag.samples,
+        report.lag.stalest_agent,
+        report.lag.stalest_staleness,
+    );
+    println!("{}", report.ledger.render());
+    println!("report: {}", Path::new(&root).join("fleet.json").display());
+    if report.conserves() {
+        Ok(())
+    } else {
+        Err("fleet-wide sample conservation FAILED".into())
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    match (args.get(1).map(String::as_str), args.get(2)) {
-        (Some("run"), Some(_)) => run(args),
-        (Some("top"), Some(root)) => {
-            let n = args
-                .get(3)
-                .map_or(10, |v| v.parse().unwrap_or_else(|_| usage()));
-            match dcpifleet_top(Path::new(root), n) {
-                Ok(out) => print!("{out}"),
-                Err(e) => fail(&e),
-            }
+fn main() -> ExitCode {
+    run("dcpifleet", USAGE, |mut args| {
+        // The subcommand is the first word; only `run` has flags.
+        let cmd = args.positional("a subcommand")?;
+        if cmd == "run" {
+            return run_cmd(args);
         }
-        (Some("agents"), Some(root)) => match dcpifleet_agents(Path::new(root)) {
-            Ok(out) => print!("{out}"),
-            Err(e) => fail(&e),
-        },
-        (Some("image"), Some(root)) => {
-            let Some(id) = args.get(3).and_then(|v| v.parse().ok()) else {
-                usage()
-            };
-            match dcpifleet_image(Path::new(root), id) {
-                Ok(out) => print!("{out}"),
-                Err(e) => fail(&e),
+        let root = args.positional("<root>")?;
+        let root = Path::new(&root);
+        let out = match cmd.as_str() {
+            "top" => {
+                let n = args.optional().map_or(Ok(10), |w| parse("[n]", &w))?;
+                args.finish()?;
+                dcpifleet_top(root, n)
             }
-        }
-        _ => usage(),
-    }
+            "agents" => {
+                args.finish()?;
+                dcpifleet_agents(root)
+            }
+            "image" => {
+                let id = parse("<image-id>", &args.positional("<image-id>")?)?;
+                args.finish()?;
+                dcpifleet_image(root, id)
+            }
+            _ => return Err(Stop::Usage(format!("unknown subcommand `{cmd}`"))),
+        };
+        print!("{}", out?);
+        Ok(())
+    })
 }

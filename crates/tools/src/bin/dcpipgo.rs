@@ -17,90 +17,56 @@
 //! translation validation did not prove it, the audit finds errors, or
 //! the speedup misses the floor.
 
+use dcpi_core::cli::{run, Stop};
 use dcpi_tools::dcpipgo::{delta_json, parse_workload, render, write_artifacts};
 use dcpi_workloads::{pgo_workload, RunOptions};
 use std::path::Path;
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dcpipgo <workload> <workdir> [--seed N] [--scale N] [--period N] \
-         [--min-samples N] [--min-speedup PCT] [--json]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: dcpipgo <workload> <workdir> [--seed N] [--scale N] [--period N] \
+     [--min-samples N] [--min-speedup PCT] [--json]";
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(wname), Some(workdir)) = (args.get(1), args.get(2)) else {
-        usage();
-    };
-    let Some(w) = parse_workload(wname) else {
-        eprintln!("dcpipgo: unknown workload `{wname}`");
-        std::process::exit(2);
-    };
-    let mut opts = RunOptions::default();
-    let mut period = 2_000u64;
-    let mut min_samples = 25u64;
-    let mut min_speedup = 0.0f64;
-    let mut json = false;
-    let mut i = 3;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let mut value = || -> String {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("dcpipgo: {flag} needs a value");
-                std::process::exit(2);
-            })
+fn main() -> ExitCode {
+    run("dcpipgo", USAGE, |mut args| {
+        let defaults = RunOptions::default();
+        let period: u64 = args.value("--period")?.unwrap_or(2_000);
+        let opts = RunOptions {
+            seed: args.value("--seed")?.unwrap_or(defaults.seed),
+            scale: args.value("--scale")?.unwrap_or(defaults.scale),
+            period: (period, period + period / 10),
+            ..defaults
         };
-        match flag.as_str() {
-            "--seed" => opts.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--scale" => opts.scale = value().parse().unwrap_or_else(|_| usage()),
-            "--period" => period = value().parse().unwrap_or_else(|_| usage()),
-            "--min-samples" => min_samples = value().parse().unwrap_or_else(|_| usage()),
-            "--min-speedup" => min_speedup = value().parse().unwrap_or_else(|_| usage()),
-            "--json" => json = true,
-            _ => usage(),
-        }
-        i += 1;
-    }
-    opts.period = (period, period + period / 10);
+        let min_samples = args.value("--min-samples")?.unwrap_or(25);
+        let min_speedup: f64 = args.value("--min-speedup")?.unwrap_or(0.0);
+        let json = args.flag("--json");
+        let wname = args.positional("<workload>")?;
+        let workdir = args.positional("<workdir>")?;
+        args.finish()?;
+        let w = parse_workload(&wname)
+            .ok_or_else(|| Stop::Usage(format!("unknown workload `{wname}`")))?;
 
-    let out = match pgo_workload(w, &opts, min_samples) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("dcpipgo: {e}");
-            std::process::exit(1);
+        let out = pgo_workload(w, &opts, min_samples)?;
+        let audit = dcpi_check::check_rewrite(&out.old_image, &out.new_image, &out.map);
+        write_artifacts(Path::new(&workdir), &out)?;
+        if json {
+            print!("{}", delta_json(&out));
+        } else {
+            print!("{}", render(&out, &audit));
         }
-    };
-    let audit = dcpi_check::check_rewrite(&out.old_image, &out.new_image, &out.map);
-    if let Err(e) = write_artifacts(Path::new(workdir), &out) {
-        eprintln!("dcpipgo: {e}");
-        std::process::exit(1);
-    }
-    if json {
-        print!("{}", delta_json(&out));
-    } else {
-        print!("{}", render(&out, &audit));
-    }
-    if !out.equivalent {
-        eprintln!("dcpipgo: rewritten image is NOT architecturally equivalent");
-        std::process::exit(1);
-    }
-    if !out.statically_valid {
-        eprintln!("dcpipgo: translation validation did NOT prove the rewrite");
-        std::process::exit(1);
-    }
-    if !audit.is_clean() {
-        eprint!("{}", audit.render());
-        std::process::exit(1);
-    }
-    if out.speedup_pct() < min_speedup {
-        eprintln!(
-            "dcpipgo: speedup {:.2}% below the required {:.2}%",
-            out.speedup_pct(),
-            min_speedup
-        );
-        std::process::exit(1);
-    }
+        if !out.equivalent {
+            return Err("rewritten image is NOT architecturally equivalent".into());
+        }
+        if !out.statically_valid {
+            return Err("translation validation did NOT prove the rewrite".into());
+        }
+        if !audit.is_clean() {
+            eprint!("{}", audit.render());
+            return Err(Stop::Found);
+        }
+        if out.speedup_pct() < min_speedup {
+            let got = out.speedup_pct();
+            return Err(format!("speedup {got:.2}% below the required {min_speedup:.2}%").into());
+        }
+        Ok(())
+    })
 }

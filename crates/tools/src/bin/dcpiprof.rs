@@ -5,49 +5,33 @@
 //! the database's calling-context sidecars, inclusive counts down the
 //! indentation, subtrees below PCT% of the total pruned (default 0.5).
 
+use dcpi_core::cli::run;
 use dcpi_core::Event;
 use dcpi_tools::{dcpiprof, dcpiprof_images, dcpiprof_tree, load_db, load_stacks};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: dcpiprof <db-dir> [--images | --tree [--min PCT]] [--limit N]");
-        std::process::exit(2);
-    };
-    let by_image = args.iter().any(|a| a == "--images");
-    let tree = args.iter().any(|a| a == "--tree");
-    let limit = args
-        .iter()
-        .position(|a| a == "--limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let min_pct = args
-        .iter()
-        .position(|a| a == "--min")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.5);
-    match load_db(dir) {
-        Ok(db) => {
-            let text = if tree {
-                match load_stacks(dir) {
-                    Ok(stacks) => dcpiprof_tree(&stacks, &db.registry, Event::Cycles, min_pct),
-                    Err(e) => {
-                        eprintln!("dcpiprof: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else if by_image {
-                dcpiprof_images(&db.profiles, &db.registry, Event::IMiss, limit)
-            } else {
-                dcpiprof(&db.profiles, &db.registry, Event::IMiss, limit)
-            };
-            print!("{text}");
-        }
-        Err(e) => {
-            eprintln!("dcpiprof: {e}");
-            std::process::exit(1);
-        }
-    }
+const USAGE: &str =
+    "usage: dcpiprof <db-dir> [--images] [--limit N] | dcpiprof <db-dir> --tree [--min PCT]";
+
+fn main() -> ExitCode {
+    run("dcpiprof", USAGE, |mut args| {
+        // Each form takes only the flags it reads, so the other form's
+        // are left for `finish()` to reject.
+        let tree = args.flag("--tree");
+        let min_pct = if tree { args.value("--min")? } else { None }.unwrap_or(0.5);
+        let by_image = !tree && args.flag("--images");
+        let limit = if tree { None } else { args.value("--limit")? }.unwrap_or(30);
+        let dir = args.positional("<db-dir>")?;
+        args.finish()?;
+        let db = load_db(&dir)?;
+        let text = if tree {
+            dcpiprof_tree(&load_stacks(&dir)?, &db.registry, Event::Cycles, min_pct)
+        } else if by_image {
+            dcpiprof_images(&db.profiles, &db.registry, Event::IMiss, limit)
+        } else {
+            dcpiprof(&db.profiles, &db.registry, Event::IMiss, limit)
+        };
+        print!("{text}");
+        Ok(())
+    })
 }

@@ -5,31 +5,19 @@
 //! the `-- server --` section's `wal N bytes` is the log since the last
 //! checkpoint: it falls back to one record after every merge.
 
-use dcpi_obs::Snapshot;
+use dcpi_core::cli::run;
+use dcpi_tools::{dcpistat, load_snapshot};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(path) = args.get(1) else {
-        eprintln!("usage: dcpistat <obs.json>");
-        eprintln!(
-            "  (-- server --: `wal N bytes` counts the log since the last checkpoint; \
-             it falls after every merge)"
-        );
-        std::process::exit(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("dcpistat: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let snap = match Snapshot::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("dcpistat: {path} is not an observability export: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", dcpi_tools::dcpistat(&snap));
+const USAGE: &str = "usage: dcpistat <obs.json>\n  \
+     (-- server --: `wal N bytes` counts the log since the last checkpoint; \
+     it falls after every merge)";
+
+fn main() -> ExitCode {
+    run("dcpistat", USAGE, |mut args| {
+        let path = args.positional("<obs.json>")?;
+        args.finish()?;
+        print!("{}", dcpistat(&load_snapshot(&path)?));
+        Ok(())
+    })
 }

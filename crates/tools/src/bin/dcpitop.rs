@@ -7,84 +7,56 @@
 //! document (JSON on stdout) for the CYCLES calling-context profile of
 //! a database directory; open it at <https://www.speedscope.app>.
 
-use dcpi_obs::Snapshot;
+use dcpi_core::cli::{parse, run, Stop};
+use dcpi_tools::{dcpitop, dcpitop_flame, load_db, load_snapshot, load_stacks};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: dcpitop <obs.json> [--watch [seconds]] | dcpitop --flame <db-dir> [title]");
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "usage: dcpitop <obs.json> [--watch [seconds]] | dcpitop --flame <db-dir> [title]";
 
-fn flame(dir: &str, title: &str) -> Result<String, String> {
-    let db = dcpi_tools::load_db(dir).map_err(|e| e.to_string())?;
-    let stacks = dcpi_tools::load_stacks(dir).map_err(|e| e.to_string())?;
+fn flame(dir: &str, title: &str) -> Result<String, Stop> {
+    let db = load_db(dir)?;
+    let stacks = load_stacks(dir)?;
     if stacks.is_empty() {
-        return Err(format!(
+        return Err(Stop::Failed(format!(
             "{dir} has no calling-context data: the run was collected without stack walking"
-        ));
+        )));
     }
-    Ok(dcpi_tools::dcpitop_flame(
-        &stacks,
-        &db.registry,
-        dcpi_core::Event::Cycles,
-        title,
-    ))
+    let event = dcpi_core::Event::Cycles;
+    Ok(dcpitop_flame(&stacks, &db.registry, event, title))
 }
 
-fn frame(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let snap = Snapshot::parse(&text)
-        .map_err(|e| format!("{path} is not an observability export: {e}"))?;
-    Ok(dcpi_tools::dcpitop(&snap))
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(path) = args.get(1) else { usage() };
-    if path == "--flame" {
-        let Some(dir) = args.get(2) else { usage() };
-        let title = args.get(3).map_or("dcpi", String::as_str);
-        match flame(dir, title) {
-            Ok(doc) => print!("{doc}"),
-            Err(e) => {
-                eprintln!("dcpitop: {e}");
-                std::process::exit(1);
-            }
+fn main() -> ExitCode {
+    run("dcpitop", USAGE, |mut args| {
+        if args.flag("--flame") {
+            let dir = args.positional("<db-dir>")?;
+            let title = args.optional();
+            args.finish()?;
+            print!("{}", flame(&dir, title.as_deref().unwrap_or("dcpi"))?);
+            return Ok(());
         }
-        return;
-    }
-    let mut watch: Option<u64> = None;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--watch" => {
-                // Optional numeric interval right after the flag.
-                watch = Some(2);
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-                    watch = Some(v.max(1));
-                    i += 1;
-                }
-            }
-            _ => usage(),
+        let watch = args.flag("--watch");
+        let path = args.positional("<obs.json>")?;
+        // The interval is optional: the word after the path, if any.
+        let secs = match watch.then(|| args.optional()).flatten() {
+            Some(word) => parse::<u64>("--watch seconds", &word)?.max(1),
+            None => 2,
+        };
+        args.finish()?;
+        let frame = || load_snapshot(&path).map(|snap| dcpitop(&snap));
+        if !watch {
+            print!("{}", frame()?);
+            return Ok(());
         }
-        i += 1;
-    }
-    match watch {
-        None => match frame(path) {
-            Ok(out) => print!("{out}"),
-            Err(e) => {
-                eprintln!("dcpitop: {e}");
-                std::process::exit(1);
-            }
-        },
-        Some(secs) => loop {
+        loop {
             // Clear screen + home, then repaint; a vanished or
             // half-written export renders as a note, not an exit, so
             // the watch survives the producer rewriting the file.
-            match frame(path) {
+            match frame() {
                 Ok(out) => print!("\x1b[2J\x1b[H{out}"),
                 Err(e) => println!("\x1b[2J\x1b[Hdcpitop: {e}"),
             }
             std::thread::sleep(std::time::Duration::from_secs(secs));
-        },
-    }
+        }
+    })
 }

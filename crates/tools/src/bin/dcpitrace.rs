@@ -8,85 +8,47 @@
 //! same fleet run) into one cycle-ordered timeline, labeling each line
 //! with its source. `--epoch agent:seq` filters the timeline down to
 //! one sealed epoch's span — its seal → send → journal/ack → visible
-//! journey through the pipeline.
+//! journey through the pipeline. The filters compose with each other
+//! and with `--merge`.
 
-use dcpi_obs::Snapshot;
+use dcpi_core::cli::{run, Stop};
+use dcpi_tools::{dcpitrace, dcpitrace_json, load_snapshot, Filter};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dcpitrace <obs.json> [--merge <other.json>] [--epoch A:S] \
-         [--component C] [--json]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: dcpitrace <obs.json> [--merge <other.json>] [--epoch A:S] \
+     [--component C] [--json]";
 
-fn load(path: &str) -> Snapshot {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("dcpitrace: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match Snapshot::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("dcpitrace: {path} is not an observability export: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(path) = args.get(1) else { usage() };
-    let mut component: Option<String> = None;
-    let mut merge: Option<String> = None;
-    let mut epoch: Option<(u32, u64)> = None;
-    let mut json = false;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--component" => {
-                component = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 1;
-            }
-            "--merge" => {
-                merge = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 1;
-            }
-            "--epoch" => {
-                let spec = args.get(i + 1).unwrap_or_else(|| usage());
-                let Some((a, s)) = spec.split_once(':') else {
-                    usage()
-                };
-                let (Ok(a), Ok(s)) = (a.parse::<u32>(), s.parse::<u64>()) else {
-                    usage()
-                };
-                epoch = Some((a, s));
-                i += 1;
-            }
-            "--json" => json = true,
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let snap = load(path);
-    let out = if merge.is_some() || epoch.is_some() {
-        let other = merge.as_deref().map(load);
-        let snaps: Vec<(&str, &Snapshot)> = match &other {
+fn main() -> ExitCode {
+    run("dcpitrace", USAGE, |mut args| {
+        let component = args.text("--component")?;
+        let merge = args.text("--merge")?;
+        let epoch = match args.text("--epoch")? {
+            None => None,
+            Some(spec) => Some(
+                spec.split_once(':')
+                    .and_then(|(a, s)| Some((a.parse().ok()?, s.parse().ok()?)))
+                    .ok_or_else(|| Stop::Usage(format!("cannot parse --epoch `{spec}`")))?,
+            ),
+        };
+        let json = args.flag("--json");
+        let path = args.positional("<obs.json>")?;
+        args.finish()?;
+        let snap = load_snapshot(&path)?;
+        let other = merge.as_deref().map(load_snapshot).transpose()?;
+        let snaps = match &other {
             Some(o) => vec![("a", &snap), ("b", o)],
             None => vec![("", &snap)],
         };
-        if json {
-            dcpi_tools::dcpitrace_merged_json(&snaps, epoch)
+        let filter = Filter {
+            component: component.as_deref(),
+            epoch,
+        };
+        let out = if json {
+            dcpitrace_json(&snaps, filter)
         } else {
-            dcpi_tools::dcpitrace_merged(&snaps, epoch)
-        }
-    } else if json {
-        dcpi_tools::dcpitrace_json(&snap, component.as_deref())
-    } else {
-        dcpi_tools::dcpitrace(&snap, component.as_deref())
-    };
-    print!("{out}");
+            dcpitrace(&snaps, filter)
+        };
+        print!("{out}");
+        Ok(())
+    })
 }

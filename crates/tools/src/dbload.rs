@@ -1,12 +1,18 @@
-//! Loading a profile database directory for the command-line tools: the
-//! merged profiles of all epochs plus an [`ImageRegistry`] built from the
-//! executables the daemon saved alongside (`<db>/images/*.img`).
+//! Loading what the command-line tools read, one loader per artifact
+//! kind: a profile database directory ([`load_db`] — the merged profiles
+//! of all epochs plus an [`ImageRegistry`] built from the executables the
+//! daemon saved alongside, `<db>/images/*.img`), its calling-context
+//! sidecars ([`load_stacks`]), one analyzed procedure of it
+//! ([`analyze_named`]), and an observability export ([`load_snapshot`]).
 
 use crate::registry::ImageRegistry;
+use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
 use dcpi_core::{Error, ImageId, ProfileSet, Result};
 use dcpi_isa::image::Image;
+use dcpi_isa::pipeline::PipelineModel;
+use dcpi_obs::Snapshot;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -98,6 +104,38 @@ pub fn find_procedure(
         }
     }
     Err(Error::NotFound(format!("procedure {name}")))
+}
+
+/// Loads `dir` and analyzes the procedure called `name` under the default
+/// pipeline model and options: the shared front half of `dcpicalc`,
+/// `dcpisumm` and `dcpicfg`.
+///
+/// # Errors
+///
+/// As [`load_db`], [`find_procedure`] and
+/// [`analyze_procedure`](dcpi_analyze::analysis::analyze_procedure).
+pub fn analyze_named(dir: impl AsRef<Path>, name: &str) -> Result<ProcAnalysis> {
+    let db = load_db(dir)?;
+    let (id, image, sym) = find_procedure(&db.registry, name)?;
+    analyze_procedure(
+        &image,
+        &sym,
+        &db.profiles,
+        id,
+        &PipelineModel::default(),
+        &AnalysisOptions::default(),
+    )
+}
+
+/// Reads the observability export at `path` (`profile --obs`,
+/// `dcpifleet run --obs`) for `dcpistat`, `dcpitop` and `dcpitrace`.
+///
+/// # Errors
+///
+/// A message naming `path` if it cannot be read or is not an export.
+pub fn load_snapshot(path: &str) -> std::result::Result<Snapshot, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Snapshot::parse(&text).map_err(|e| format!("{path} is not an observability export: {e}"))
 }
 
 #[cfg(test)]

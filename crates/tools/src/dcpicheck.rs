@@ -8,7 +8,9 @@ use dcpi_collect::daemon::{read_epoch_stacks, STACKS_FILE};
 use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
 use dcpi_core::{codec, Event, ProfileSet, UNKNOWN_IMAGE};
+use dcpi_isa::image::Image;
 use dcpi_isa::pipeline::PipelineModel;
+use dcpi_isa::AddressMap;
 use dcpi_stacks::{speedscope, CallTree, StackProfile};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -176,6 +178,46 @@ pub fn dcpicheck_obs(path: &Path, config: &dcpi_check::ObsCheckConfig) -> Report
     }
 }
 
+/// Reads a serialized image; a failure is an error under `category`.
+fn load_image(path: &Path, category: Category, report: &mut Report) -> Option<Image> {
+    let loaded = std::fs::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|bytes| Image::from_bytes(&bytes));
+    match loaded {
+        Ok(image) => Some(image),
+        Err(e) => {
+            let ctx = path.display().to_string();
+            let msg = format!("cannot load image: {e}");
+            report.push(Severity::Error, category, ctx, None, None, msg);
+            None
+        }
+    }
+}
+
+/// Reads a PGO rewrite's artifacts (`old.img`, `new.img`, `map.json`).
+/// All three are attempted, so one report names every unreadable one.
+fn load_rewrite(
+    [old, new, map]: [&Path; 3],
+    image_category: Category,
+    map_category: Category,
+    report: &mut Report,
+) -> Option<(Image, Image, AddressMap)> {
+    let old = load_image(old, image_category, report);
+    let new = load_image(new, image_category, report);
+    let parsed = std::fs::read_to_string(map)
+        .map_err(|e| e.to_string())
+        .and_then(|text| AddressMap::parse(&text));
+    match parsed {
+        Ok(parsed) => Some((old?, new?, parsed)),
+        Err(e) => {
+            let ctx = map.display().to_string();
+            let msg = format!("cannot load address map: {e}");
+            report.push(Severity::Error, map_category, ctx, None, None, msg);
+            None
+        }
+    }
+}
+
 /// Audits a PGO rewrite from its on-disk artifacts (`dcpicheck pgo
 /// <old.img> <new.img> <map.json>`): both images must deserialize, the
 /// map must parse, and the rewrite must pass every `dcpi-check`
@@ -186,48 +228,11 @@ pub fn dcpicheck_obs(path: &Path, config: &dcpi_check::ObsCheckConfig) -> Report
 #[must_use]
 pub fn dcpicheck_pgo(old_path: &Path, new_path: &Path, map_path: &Path) -> Report {
     let mut report = Report::new();
-    let mut load_image = |path: &Path| -> Option<dcpi_isa::image::Image> {
-        let r = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| dcpi_isa::image::Image::from_bytes(&bytes));
-        match r {
-            Ok(img) => Some(img),
-            Err(e) => {
-                report.push(
-                    Severity::Error,
-                    Category::PgoRewrite,
-                    path.display().to_string(),
-                    None,
-                    None,
-                    format!("cannot load image: {e}"),
-                );
-                None
-            }
-        }
-    };
-    let old = load_image(old_path);
-    let new = load_image(new_path);
-    let map = match std::fs::read_to_string(map_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| dcpi_isa::AddressMap::parse(&text))
-    {
-        Ok(m) => Some(m),
-        Err(e) => {
-            report.push(
-                Severity::Error,
-                Category::PgoMap,
-                map_path.display().to_string(),
-                None,
-                None,
-                format!("cannot load address map: {e}"),
-            );
-            None
-        }
-    };
-    if let (Some(old), Some(new), Some(map)) = (old, new, map) {
-        report.merge(dcpi_check::check_rewrite(&old, &new, &map));
+    let paths = [old_path, new_path, map_path];
+    match load_rewrite(paths, Category::PgoRewrite, Category::PgoMap, &mut report) {
+        Some((old, new, map)) => dcpi_check::check_rewrite(&old, &new, &map),
+        None => report,
     }
-    report
 }
 
 /// Runs the dataflow lint family over a serialized image (`dcpicheck
@@ -237,22 +242,8 @@ pub fn dcpicheck_pgo(old_path: &Path, new_path: &Path, map_path: &Path) -> Repor
 #[must_use]
 pub fn dcpicheck_dataflow(path: &Path) -> Report {
     let mut report = Report::new();
-    let image = match std::fs::read(path)
-        .map_err(|e| e.to_string())
-        .and_then(|bytes| dcpi_isa::image::Image::from_bytes(&bytes))
-    {
-        Ok(img) => img,
-        Err(e) => {
-            report.push(
-                Severity::Error,
-                Category::Undecodable,
-                path.display().to_string(),
-                None,
-                None,
-                format!("cannot load image: {e}"),
-            );
-            return report;
-        }
+    let Some(image) = load_image(path, Category::Undecodable, &mut report) else {
+        return report;
     };
     for sym in image.symbols() {
         match dcpi_analyze::cfg::Cfg::build(&image, sym) {
@@ -277,56 +268,21 @@ pub fn dcpicheck_dataflow(path: &Path) -> Report {
 #[must_use]
 pub fn dcpicheck_tv(old_path: &Path, new_path: &Path, map_path: &Path) -> dcpi_check::TvResult {
     let mut report = Report::new();
-    let mut load_image = |path: &Path| -> Option<dcpi_isa::image::Image> {
-        let r = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| dcpi_isa::image::Image::from_bytes(&bytes));
-        match r {
-            Ok(img) => Some(img),
-            Err(e) => {
-                report.push(
-                    Severity::Error,
-                    Category::TvStructure,
-                    path.display().to_string(),
-                    None,
-                    None,
-                    format!("cannot load image: {e}"),
-                );
-                None
-            }
+    let paths = [old_path, new_path, map_path];
+    match load_rewrite(
+        paths,
+        Category::TvStructure,
+        Category::TvStructure,
+        &mut report,
+    ) {
+        Some((old, new, map)) => {
+            dcpi_check::validate_with(&old, &new, &map, &dcpi_check::TvOptions::default())
         }
-    };
-    let old = load_image(old_path);
-    let new = load_image(new_path);
-    let map = match std::fs::read_to_string(map_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| dcpi_isa::AddressMap::parse(&text))
-    {
-        Ok(m) => Some(m),
-        Err(e) => {
-            report.push(
-                Severity::Error,
-                Category::TvStructure,
-                map_path.display().to_string(),
-                None,
-                None,
-                format!("cannot load address map: {e}"),
-            );
-            None
-        }
-    };
-    if let (Some(old), Some(new), Some(map)) = (old, new, map) {
-        let mut res =
-            dcpi_check::validate_with(&old, &new, &map, &dcpi_check::TvOptions::default());
-        report.merge(std::mem::replace(&mut res.report, Report::new()));
-        res.report = report;
-        res
-    } else {
-        dcpi_check::TvResult {
+        None => dcpi_check::TvResult {
             report,
             segments: 0,
             proved: 0,
-        }
+        },
     }
 }
 

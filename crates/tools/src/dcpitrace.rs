@@ -1,166 +1,115 @@
-//! dcpitrace: dump and filter the cycle-stamped trace rings of an
-//! exported observability snapshot, as a compact text timeline or JSON.
+//! dcpitrace: dump and filter the cycle-stamped trace rings of one or
+//! more exported observability snapshots, as a compact text timeline or
+//! JSON. There is one [`timeline`], so every filter applies to every
+//! input shape.
 
 use dcpi_core::json::quote;
-use dcpi_obs::{EventRecord, Snapshot};
+use dcpi_obs::{EventRecord, RingSnapshot, Snapshot};
 use std::fmt::Write as _;
 
-/// One timeline entry: an event plus the component ring it came from.
+/// Which events a timeline keeps; the default keeps all of them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Filter<'a> {
+    /// Only the rings of this component (`machine`, `driver`, ...).
+    pub component: Option<&'a str>,
+    /// Only events carrying this `(agent, seq)` epoch's packed span id
+    /// in `a`: one epoch's seal → send → journal/ack → visible journey.
+    pub epoch: Option<(u32, u64)>,
+}
+
+/// One timeline entry: an event plus where it came from.
 #[derive(Clone, Debug)]
 pub struct TraceLine<'a> {
-    /// The ring's component name (`machine`, `driver`, ...).
-    pub component: &'a str,
+    /// The ring's component name, as `label:component` when its export
+    /// was given a label.
+    pub source: String,
     /// The event itself.
     pub event: &'a EventRecord,
 }
 
-/// Collects events across rings (optionally restricted to `component`)
-/// into one timeline ordered by cycle stamp. The sort is stable, so
-/// events with equal stamps keep their ring order.
-#[must_use]
-pub fn timeline<'a>(snap: &'a Snapshot, component: Option<&str>) -> Vec<TraceLine<'a>> {
-    let mut lines: Vec<TraceLine<'a>> = snap
-        .rings
+/// The rings `filter.component` admits, each with its export's label.
+fn rings<'a, 's>(
+    snaps: &'s [(&'s str, &'a Snapshot)],
+    filter: Filter<'s>,
+) -> impl Iterator<Item = (&'s str, &'a RingSnapshot)> + 's {
+    snaps
         .iter()
-        .filter(|r| component.is_none_or(|c| r.component == c))
-        .flat_map(|r| {
-            r.events.iter().map(|event| TraceLine {
-                component: r.component.as_str(),
-                event,
-            })
-        })
-        .collect();
+        .flat_map(|&(label, snap)| snap.rings.iter().map(move |r| (label, r)))
+        .filter(move |(_, r)| filter.component.is_none_or(|c| r.component == c))
+}
+
+/// Whether any export carries a label: sources are then `label:component`
+/// in a 16-wide column under the JSON key `source`, instead of the bare
+/// component in an 8-wide column under `component`.
+fn labelled(snaps: &[(&str, &Snapshot)]) -> bool {
+    snaps.iter().any(|(label, _)| !label.is_empty())
+}
+
+/// Collects the events `filter` keeps, across the rings of every export
+/// — one, or an agent-side and a server-side snapshot of the same fleet
+/// run — into one timeline ordered by cycle stamp. Cycle ties keep input
+/// order (snapshot order, then ring order), so the interleaving is
+/// deterministic.
+#[must_use]
+pub fn timeline<'a>(snaps: &[(&str, &'a Snapshot)], filter: Filter) -> Vec<TraceLine<'a>> {
+    let want = filter.epoch.map(|(a, s)| dcpi_obs::span_id(a, s));
+    let mut lines: Vec<TraceLine<'a>> = Vec::new();
+    for (label, r) in rings(snaps, filter) {
+        for event in &r.events {
+            if want.is_some_and(|id| event.a != id) {
+                continue;
+            }
+            let source = if label.is_empty() {
+                r.component.clone()
+            } else {
+                format!("{label}:{}", r.component)
+            };
+            lines.push(TraceLine { source, event });
+        }
+    }
     lines.sort_by_key(|l| l.event.cycle);
     lines
 }
 
-/// The compact text timeline: one event per line, cycle-ordered.
+/// The compact text timeline: one event per line, cycle-ordered, under
+/// a `span` header when filtered to one epoch.
 #[must_use]
-pub fn dcpitrace(snap: &Snapshot, component: Option<&str>) -> String {
+pub fn dcpitrace(snaps: &[(&str, &Snapshot)], filter: Filter) -> String {
     let mut out = String::new();
-    for l in timeline(snap, component) {
+    if let Some((a, s)) = filter.epoch {
+        let _ = writeln!(out, "span {a}:{s} (id {})", dcpi_obs::span_id(a, s));
+    }
+    let width = if labelled(snaps) { 16 } else { 8 };
+    for l in timeline(snaps, filter) {
         let e = l.event;
         let _ = writeln!(
             out,
-            "{:>12}  {:<8} {:<6} {:<24} a={} b={}",
+            "{:>12}  {:<width$} {:<6} {:<24} a={} b={}",
             e.cycle,
-            l.component,
+            l.source,
             e.kind.name(),
             e.name,
             e.a,
             e.b
         );
     }
-    let dropped: u64 = snap
-        .rings
-        .iter()
-        .filter(|r| component.is_none_or(|c| r.component == c))
-        .map(|r| r.overwritten)
-        .sum();
+    let dropped: u64 = rings(snaps, filter).map(|(_, r)| r.overwritten).sum();
     if dropped > 0 {
         let _ = writeln!(out, "({dropped} earlier events overwritten in the rings)");
     }
-    out
-}
-
-/// Interleaves the trace rings of several exports — typically an
-/// agent-side and a server-side snapshot of the same fleet run — into
-/// one cycle-ordered timeline. Each entry's source column is
-/// `label:component` (or just the component when the label is empty).
-/// With `epoch = Some((agent, seq))` only events carrying that epoch's
-/// packed span id in `a` survive, which cuts the timeline down to one
-/// epoch's seal → send → journal/ack → visible journey.
-///
-/// Cycle ties keep input order (snapshot order, then ring order), so
-/// the interleaving is deterministic.
-#[must_use]
-pub fn merged_timeline<'a>(
-    snaps: &[(&str, &'a Snapshot)],
-    epoch: Option<(u32, u64)>,
-) -> Vec<(String, &'a EventRecord)> {
-    let want = epoch.map(|(a, s)| dcpi_obs::span_id(a, s));
-    let mut lines: Vec<(String, &EventRecord)> = Vec::new();
-    for (label, snap) in snaps {
-        for r in &snap.rings {
-            for event in &r.events {
-                if want.is_some_and(|id| event.a != id) {
-                    continue;
-                }
-                let source = if label.is_empty() {
-                    r.component.clone()
-                } else {
-                    format!("{label}:{}", r.component)
-                };
-                lines.push((source, event));
-            }
-        }
-    }
-    lines.sort_by_key(|(_, e)| e.cycle);
-    lines
-}
-
-/// The merged timeline as compact text, one event per line.
-#[must_use]
-pub fn dcpitrace_merged(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u64)>) -> String {
-    let mut out = String::new();
-    if let Some((a, s)) = epoch {
-        let _ = writeln!(out, "span {a}:{s} (id {})", dcpi_obs::span_id(a, s));
-    }
-    for (source, e) in merged_timeline(snaps, epoch) {
-        let _ = writeln!(
-            out,
-            "{:>12}  {:<16} {:<6} {:<24} a={} b={}",
-            e.cycle,
-            source,
-            e.kind.name(),
-            e.name,
-            e.a,
-            e.b
-        );
-    }
-    let dropped: u64 = snaps
-        .iter()
-        .flat_map(|(_, s)| s.rings.iter())
-        .map(|r| r.overwritten)
-        .sum();
-    if dropped > 0 {
-        let _ = writeln!(out, "({dropped} earlier events overwritten in the rings)");
-    }
-    out
-}
-
-/// The merged timeline as JSON (one event object per line).
-#[must_use]
-pub fn dcpitrace_merged_json(snaps: &[(&str, &Snapshot)], epoch: Option<(u32, u64)>) -> String {
-    let mut out = String::new();
-    let lines = merged_timeline(snaps, epoch);
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "\"events\": [");
-    for (i, (source, e)) in lines.iter().enumerate() {
-        let comma = if i + 1 < lines.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "{{\"cycle\": {}, \"source\": {}, \"kind\": {}, \"event\": {}, \
-             \"wall_ns\": {}, \"a\": {}, \"b\": {}}}{comma}",
-            e.cycle,
-            quote(source),
-            quote(e.kind.name()),
-            quote(&e.name),
-            e.wall_ns,
-            e.a,
-            e.b
-        );
-    }
-    let _ = writeln!(out, "]");
-    let _ = write!(out, "}}");
     out
 }
 
 /// The timeline as JSON (one event object per line).
 #[must_use]
-pub fn dcpitrace_json(snap: &Snapshot, component: Option<&str>) -> String {
+pub fn dcpitrace_json(snaps: &[(&str, &Snapshot)], filter: Filter) -> String {
     let mut out = String::new();
-    let lines = timeline(snap, component);
+    let lines = timeline(snaps, filter);
+    let key = if labelled(snaps) {
+        "source"
+    } else {
+        "component"
+    };
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "\"events\": [");
     for (i, l) in lines.iter().enumerate() {
@@ -168,10 +117,10 @@ pub fn dcpitrace_json(snap: &Snapshot, component: Option<&str>) -> String {
         let e = l.event;
         let _ = writeln!(
             out,
-            "{{\"cycle\": {}, \"component\": {}, \"kind\": {}, \"event\": {}, \
+            "{{\"cycle\": {}, \"{key}\": {}, \"kind\": {}, \"event\": {}, \
              \"wall_ns\": {}, \"a\": {}, \"b\": {}}}{comma}",
             e.cycle,
-            quote(l.component),
+            quote(&l.source),
             quote(e.kind.name()),
             quote(&e.name),
             e.wall_ns,
@@ -198,10 +147,17 @@ mod tests {
         obs.snapshot()
     }
 
+    fn only(component: &str) -> Filter<'_> {
+        Filter {
+            component: Some(component),
+            epoch: None,
+        }
+    }
+
     #[test]
     fn timeline_is_cycle_ordered_across_rings() {
         let s = snap();
-        let names: Vec<&str> = timeline(&s, None)
+        let names: Vec<&str> = timeline(&[("", &s)], Filter::default())
             .iter()
             .map(|l| l.event.name.as_str())
             .collect();
@@ -214,19 +170,20 @@ mod tests {
     #[test]
     fn component_filter_restricts() {
         let s = snap();
-        let lines = timeline(&s, Some("driver"));
+        let lines = timeline(&[("", &s)], only("driver"));
         assert_eq!(lines.len(), 2);
-        assert!(lines.iter().all(|l| l.component == "driver"));
-        assert!(timeline(&s, Some("nosuch")).is_empty());
+        assert!(lines.iter().all(|l| l.source == "driver"));
+        assert!(timeline(&[("", &s)], only("nosuch")).is_empty());
     }
 
     #[test]
     fn text_and_json_render() {
         let s = snap();
-        let text = dcpitrace(&s, None);
+        let text = dcpitrace(&[("", &s)], Filter::default());
         assert!(text.contains("fault.crash"), "{text}");
         assert!(text.contains("a=4 b=5"), "{text}");
-        let json = dcpitrace_json(&s, Some("faults"));
+        let json = dcpitrace_json(&[("", &s)], only("faults"));
+        assert!(json.contains("\"component\": \"faults\""), "{json}");
         assert!(json.contains("\"event\": \"fault.crash\""), "{json}");
         assert!(!json.contains("driver.irq"), "{json}");
     }
@@ -241,7 +198,7 @@ mod tests {
         for i in 0..5 {
             obs.event_at(Component::Machine, "machine.sample", i * 10, 0, 0);
         }
-        let text = dcpitrace(&obs.snapshot(), None);
+        let text = dcpitrace(&[("", &obs.snapshot())], Filter::default());
         assert!(text.contains("3 earlier events overwritten"), "{text}");
     }
 
@@ -256,12 +213,14 @@ mod tests {
         server.event_at(Component::Server, "server.visible", 20, id, 10);
         let (a, s) = (agent.snapshot(), server.snapshot());
         let snaps = [("agent", &a), ("server", &s)];
-        let names: Vec<String> = merged_timeline(&snaps, None)
-            .iter()
-            .map(|(src, e)| format!("{src}/{}", e.name))
-            .collect();
+        let names = |filter| -> Vec<String> {
+            timeline(&snaps, filter)
+                .iter()
+                .map(|l| format!("{}/{}", l.source, l.event.name))
+                .collect()
+        };
         assert_eq!(
-            names,
+            names(Filter::default()),
             [
                 "agent:session/epoch.seal",
                 "server:server/server.ack",
@@ -269,9 +228,15 @@ mod tests {
                 "server:server/server.visible",
             ]
         );
-        let text = dcpitrace_merged(&snaps, None);
-        assert!(text.contains("agent:session"), "{text}");
-        let json = dcpitrace_merged_json(&snaps, None);
+        // A component filter over labelled exports keeps only `*:server`.
+        assert_eq!(
+            names(only("server")),
+            ["server:server/server.ack", "server:server/server.visible"]
+        );
+        let text = dcpitrace(&snaps, only("server"));
+        assert!(text.contains("server:server"), "{text}");
+        assert!(!text.contains("agent:session"), "{text}");
+        let json = dcpitrace_json(&snaps, Filter::default());
         assert!(json.contains("\"source\": \"server:server\""), "{json}");
     }
 
@@ -284,10 +249,14 @@ mod tests {
         obs.event_at(Component::Session, "epoch.seal", 11, other, 60);
         obs.event_at(Component::Server, "server.visible", 20, mine, 10);
         let s = obs.snapshot();
-        let lines = merged_timeline(&[("", &s)], Some((7, 3)));
+        let one = Filter {
+            component: None,
+            epoch: Some((7, 3)),
+        };
+        let lines = timeline(&[("", &s)], one);
         assert_eq!(lines.len(), 2);
-        assert!(lines.iter().all(|(_, e)| e.a == mine));
-        let text = dcpitrace_merged(&[("", &s)], Some((7, 3)));
+        assert!(lines.iter().all(|l| l.event.a == mine));
+        let text = dcpitrace(&[("", &s)], one);
         assert!(text.starts_with("span 7:3"), "{text}");
     }
 }

@@ -21,9 +21,9 @@
 //! * [`dcpistat()`](dcpistat::dcpistat) — one-shot profiler status from
 //!   an observability export (rates, drops, flush latencies, ledgers),
 //! * [`dcpitrace()`](dcpitrace::dcpitrace) — cycle-ordered dump of the
-//!   profiler's trace rings, filterable by component, with
-//!   [`dcpitrace_merged()`](dcpitrace::dcpitrace_merged) interleaving
-//!   agent- and server-side exports into one pipeline timeline,
+//!   trace rings of one export, or of agent- and server-side exports
+//!   interleaved into one pipeline timeline, under one
+//!   [`Filter`](dcpitrace::Filter) (component, epoch span),
 //! * [`dcpitop()`](dcpitop::dcpitop) — fleet-at-a-glance ingestion
 //!   dashboard (agents up, backlog, ingest-lag percentiles, rates)
 //!   from a server-side observability export, with
@@ -36,8 +36,10 @@
 //!   workload's hottest image from exported estimates, re-measure, and
 //!   audit the rewrite (the paper's "ultimate goal" made executable).
 //!
-//! Each also ships as a CLI binary of the same name operating on a
-//! database directory (see [`dbload`]).
+//! Each also ships as a CLI binary of the same name ([`TOOL_NAMES`])
+//! that reads its arguments through `dcpi_core::cli` and its input
+//! through [`dbload`]'s one loader per artifact kind: [`load_db`],
+//! [`load_stacks`], [`analyze_named`], [`load_snapshot`].
 //!
 //! Tools consume the on-disk profile database via `dcpi-core` and the
 //! analysis results of `dcpi-analyze`; they only format.
@@ -57,7 +59,9 @@ pub mod dcpitop;
 pub mod dcpitrace;
 pub mod registry;
 
-pub use dbload::{find_procedure, load_db, load_stacks, stack_frame_name, LoadedDb};
+pub use dbload::{
+    analyze_named, find_procedure, load_db, load_snapshot, load_stacks, stack_frame_name, LoadedDb,
+};
 pub use dcpicalc::dcpicalc;
 pub use dcpicfg::dcpicfg;
 pub use dcpicheck::{
@@ -71,8 +75,5 @@ pub use dcpistat::dcpistat;
 pub use dcpistats::{dcpistats, StatsRow};
 pub use dcpisumm::dcpisumm;
 pub use dcpitop::{dcpitop, dcpitop_flame};
-pub use dcpitrace::{
-    dcpitrace, dcpitrace_json, dcpitrace_merged, dcpitrace_merged_json, merged_timeline, timeline,
-    TraceLine,
-};
+pub use dcpitrace::{dcpitrace, dcpitrace_json, timeline, Filter, TraceLine};
 pub use registry::{ImageRegistry, TOOL_NAMES};

@@ -7,8 +7,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Every CLI binary this crate ships, in the order the paper (and
-/// README) present them. Kept in one place so shell completion, docs,
-/// and the test suite agree on the roster.
+/// README) present them. `tests/cli.rs` walks it to hold each one to the
+/// `dcpi_core::cli` contract (nothing typed is ignored; a usage error is
+/// exit 2 with nothing written).
 pub const TOOL_NAMES: &[&str] = &[
     "dcpiprof",
     "dcpicalc",

@@ -85,6 +85,52 @@ fn bin(name: &str) -> Command {
     Command::new(env!("CARGO_BIN_EXE_dcpiprof").replace("dcpiprof", name))
 }
 
+/// Nothing typed is ignored: every tool turns an unknown flag, a surplus
+/// positional, an unparsable value and a missing value into exit 2 with
+/// the offending word and the usage line on stderr, nothing on stdout,
+/// and nothing on disk — the command line is finished before any file
+/// is touched, so none of the paths below needs to exist (or may, after).
+#[test]
+fn every_tool_rejects_what_it_does_not_read() {
+    let nowhere = std::env::temp_dir().join(format!("dcpi-cli-contract-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&nowhere);
+    let p = nowhere.to_str().unwrap();
+    for tool in dcpi_tools::TOOL_NAMES {
+        // A well-formed command line, and one valued flag if there is any.
+        // (`dcpistats` takes any number of directories, so no positional
+        // is surplus to it; `dcpitop --watch`'s value is optional.)
+        let (good, valued): (Vec<&str>, Option<&str>) = match *tool {
+            "dcpiprof" => (vec![p], Some("--limit")),
+            "dcpicalc" | "dcpisumm" | "dcpicfg" => (vec![p, "proc"], None),
+            "dcpistats" | "dcpidiff" => (vec![p, p], None),
+            "dcpicheck" => (vec!["db", p], None),
+            "dcpistat" | "dcpitop" => (vec![p], None),
+            "dcpitrace" => (vec![p], Some("--epoch")),
+            "dcpipgo" => (vec!["altavista", p], Some("--seed")),
+            "dcpifleet" => (vec!["run", p], Some("--agents")),
+            other => panic!("no contract row for {other}"),
+        };
+        let mut bad: Vec<(Vec<&str>, &str)> = vec![(vec!["--bogus"], "--bogus")];
+        if *tool != "dcpistats" {
+            bad.push((vec!["surplus-word"], "surplus-word"));
+        }
+        if let Some(flag) = valued {
+            bad.push((vec![flag, "x!y"], "x!y"));
+            bad.push((vec![flag], flag));
+        }
+        for (extra, word) in bad {
+            let out = bin(tool).args(&good).args(&extra).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{tool} {good:?} {extra:?}: {err}");
+            assert_eq!(out.status.code(), Some(2), "{what}");
+            assert!(err.contains(word), "{what}");
+            assert!(err.contains("usage: "), "{what}");
+            assert!(out.stdout.is_empty(), "{what}");
+            assert!(!nowhere.exists(), "{what}");
+        }
+    }
+}
+
 #[test]
 fn cli_binaries_work_on_a_real_database() {
     let dir = std::env::temp_dir().join(format!("dcpi-cli-test-{}", std::process::id()));

@@ -1,4 +1,4 @@
-//! `profile <workload> <db-dir> [--seed N] [--scale N] [--period LO HI]
+//! `profile <workload> <db-dir> [--seed N] [--scale N]
 //! [--config base|cycles|default|mux] [--dispatch classic|superblock]
 //! [--stacks] [--obs PATH] [--quiet] [--json]` — runs a named workload
 //! under continuous profiling and writes the profile database (with
@@ -11,142 +11,108 @@
 //! calling-context sidecars for `dcpiprof --tree`, `dcpitop --flame`,
 //! and `dcpicheck stacks`.
 
+use dcpi_core::cli::{run, Stop};
 use dcpi_machine::DispatchMode;
 use dcpi_obs::Reporter;
 use dcpi_workloads::{run_workload, ProfConfig, RunOptions, Workload};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: profile <workload> <db-dir> [--seed N] [--scale N] [--config CFG] \
-         [--dispatch classic|superblock] [--stacks] [--obs PATH] [--quiet] [--json]"
-    );
-    eprintln!("workloads:");
+fn main() -> ExitCode {
+    let mut usage = "usage: profile <workload> <db-dir> [--seed N] [--scale N] [--config CFG] \
+         [--dispatch classic|superblock] [--stacks] [--obs PATH] [--quiet] [--json]\nworkloads:"
+        .to_owned();
     for w in Workload::ALL {
-        eprintln!("  {}", w.name());
+        usage += &format!("\n  {}", w.name());
     }
-    eprintln!("configs: cycles (default), default, mux");
-    std::process::exit(2);
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(name), Some(dir)) = (args.get(1), args.get(2)) else {
-        usage();
-    };
-    let Some(workload) = Workload::ALL.into_iter().find(|w| &w.name() == name) else {
-        eprintln!("profile: unknown workload `{name}`");
-        usage();
-    };
-    let mut opts = RunOptions {
-        db_path: Some(dir.into()),
-        period: (20_000, 21_600),
-        ..RunOptions::default()
-    };
-    opts.scale = workload.default_scale();
-    let mut config = ProfConfig::Cycles;
-    let mut obs_path: Option<std::path::PathBuf> = None;
-    let mut quiet = false;
-    let mut json = false;
-    let mut i = 3;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--scale" => {
-                let s: u32 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                opts.scale = workload.default_scale() * s;
-                i += 1;
-            }
-            "--config" => {
-                config = match args.get(i + 1).map(String::as_str) {
-                    Some("cycles") => ProfConfig::Cycles,
-                    Some("default") => ProfConfig::Default,
-                    Some("mux") => ProfConfig::Mux,
-                    Some("base") => ProfConfig::Base,
-                    _ => usage(),
-                };
-                i += 1;
-            }
-            "--dispatch" => {
-                opts.dispatch = match args.get(i + 1).map(String::as_str) {
-                    Some("classic") => DispatchMode::Classic,
-                    Some("superblock") => DispatchMode::Superblock,
-                    _ => usage(),
-                };
-                i += 1;
-            }
-            "--obs" => {
-                obs_path = Some(args.get(i + 1).unwrap_or_else(|| usage()).into());
-                opts.obs = true;
-                i += 1;
-            }
-            "--stacks" => opts.stack_walk = true,
-            "--quiet" => quiet = true,
-            "--json" => json = true,
-            _ => usage(),
+    usage += "\nconfigs: cycles (default), default, mux, base";
+    run("profile", &usage, |mut args| {
+        let seed = args.value("--seed")?;
+        let scale: u32 = args.value("--scale")?.unwrap_or(1);
+        let config = match args.text("--config")? {
+            None => ProfConfig::Cycles,
+            Some(name) => ProfConfig::ALL
+                .into_iter()
+                .find(|c| c.name() == name)
+                .ok_or_else(|| Stop::Usage(format!("unknown config `{name}`")))?,
+        };
+        let dispatch = match args.text("--dispatch")?.as_deref() {
+            None => DispatchMode::default(),
+            Some("classic") => DispatchMode::Classic,
+            Some("superblock") => DispatchMode::Superblock,
+            Some(other) => return Err(Stop::Usage(format!("unknown dispatch `{other}`"))),
+        };
+        let obs_path = args.text("--obs")?;
+        let stack_walk = args.flag("--stacks");
+        let rep = Reporter::new(args.flag("--quiet"), args.flag("--json"));
+        let name = args.positional("<workload>")?;
+        let dir = args.positional("<db-dir>")?;
+        args.finish()?;
+        let workload = Workload::ALL
+            .into_iter()
+            .find(|w| w.name() == name)
+            .ok_or_else(|| Stop::Usage(format!("unknown workload `{name}`")))?;
+        let db_path = std::path::PathBuf::from(&dir);
+        if db_path.exists() {
+            return Err(format!("{dir} already exists; choose a fresh directory").into());
         }
-        i += 1;
-    }
-    let rep = Reporter::new(quiet, json);
-    if std::path::Path::new(dir).exists() {
-        eprintln!("profile: {dir} already exists; choose a fresh directory");
-        std::process::exit(1);
-    }
-    let r = run_workload(workload, config, &opts);
-    if config == ProfConfig::Base {
-        // Base disables monitoring entirely: no samples, no database.
+        let defaults = RunOptions::default();
+        let opts = RunOptions {
+            seed: seed.unwrap_or(defaults.seed),
+            scale: workload.default_scale() * scale,
+            period: (20_000, 21_600),
+            db_path: Some(db_path),
+            obs: obs_path.is_some(),
+            dispatch,
+            stack_walk,
+            ..defaults
+        };
+        let r = run_workload(workload, config, &opts);
+        if config == ProfConfig::Base {
+            // Base disables monitoring entirely: no samples, no database.
+            rep.record(
+                "profile.base",
+                &[
+                    ("workload", workload.name()),
+                    ("cycles", r.cycles.to_string()),
+                ],
+            );
+            return Ok(());
+        }
         rep.record(
-            "profile.base",
+            "profile.run",
             &[
                 ("workload", workload.name()),
+                ("config", config.name().to_string()),
                 ("cycles", r.cycles.to_string()),
+                ("samples", r.samples.to_string()),
+                ("db_bytes", r.disk_bytes.to_string()),
+                ("db", dir),
             ],
         );
-        return;
-    }
-    rep.record(
-        "profile.run",
-        &[
-            ("workload", workload.name()),
-            ("config", config.name().to_string()),
-            ("cycles", r.cycles.to_string()),
-            ("samples", r.samples.to_string()),
-            ("db_bytes", r.disk_bytes.to_string()),
-            ("db", dir.clone()),
-        ],
-    );
-    if opts.stack_walk {
-        rep.record(
-            "profile.stacks",
-            &[
-                ("stack_samples", r.stacks.total().to_string()),
-                ("contexts", r.stacks.table.len().to_string()),
-            ],
-        );
-    }
-    if let Some(l) = r.ledger {
-        rep.status(&l.render());
-    }
-    if let Some(oh) = r.overhead {
-        rep.status(&oh.render());
-    }
-    if let Some(path) = obs_path {
-        let snap = r.obs.expect("obs snapshot requested");
-        if let Err(e) = std::fs::write(&path, snap.to_json()) {
-            eprintln!("profile: cannot write {}: {e}", path.display());
-            std::process::exit(1);
+        if opts.stack_walk {
+            rep.record(
+                "profile.stacks",
+                &[
+                    ("stack_samples", r.stacks.total().to_string()),
+                    ("contexts", r.stacks.table.len().to_string()),
+                ],
+            );
         }
-        rep.record("profile.obs", &[("path", path.display().to_string())]);
-    }
-    if r.samples == 0 {
-        rep.warn("no samples collected; increase --scale");
-    }
+        if let Some(l) = r.ledger {
+            rep.status(&l.render());
+        }
+        if let Some(oh) = r.overhead {
+            rep.status(&oh.render());
+        }
+        if let Some(path) = obs_path {
+            let snap = r.obs.expect("obs snapshot requested");
+            std::fs::write(&path, snap.to_json())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            rep.record("profile.obs", &[("path", path)]);
+        }
+        if r.samples == 0 {
+            rep.warn("no samples collected; increase --scale");
+        }
+        Ok(())
+    })
 }
