@@ -46,8 +46,6 @@ pub const STACKS_FILE: &str = "stacks.dcst";
 pub struct DaemonConfig {
     /// On-disk database directory (`None` = in-memory only).
     pub db_path: Option<PathBuf>,
-    /// Profile file format.
-    pub format: codec::Format,
     /// Modeled cycles to process one overflow-buffer entry (three hash
     /// lookups, image association, profile merge; §5.4 estimates these
     /// could be halved).
@@ -65,7 +63,6 @@ impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
         DaemonConfig {
             db_path: None,
-            format: codec::Format::V2,
             cycles_per_entry: 800,
             cycles_per_sample: 10,
             cycles_per_frame: 40,
@@ -217,7 +214,7 @@ impl Daemon {
     /// Returns an error if the database directory cannot be created.
     pub fn new(cfg: DaemonConfig) -> Result<Daemon> {
         let db = match &cfg.db_path {
-            Some(p) => Some(ProfileDb::create(p.clone(), cfg.format)?),
+            Some(p) => Some(ProfileDb::create(p.clone(), codec::Format::V2)?),
             None => None,
         };
         Ok(Daemon::with_db(cfg, db))
@@ -237,9 +234,11 @@ impl Daemon {
     /// empty directory falls back to creating a fresh one).
     pub fn reopen(cfg: DaemonConfig) -> Result<Daemon> {
         let db = match &cfg.db_path {
-            Some(p) => Some(match ProfileDb::open(p.clone(), cfg.format) {
+            Some(p) => Some(match ProfileDb::open(p.clone(), codec::Format::V2) {
                 Ok(db) => db,
-                Err(Error::NotFound(_) | Error::Io(_)) => ProfileDb::create(p.clone(), cfg.format)?,
+                Err(Error::NotFound(_) | Error::Io(_)) => {
+                    ProfileDb::create(p.clone(), codec::Format::V2)?
+                }
                 Err(e) => return Err(e),
             }),
             None => None,

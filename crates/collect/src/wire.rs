@@ -1,18 +1,9 @@
 //! The fleet upload wire protocol.
 //!
 //! Agents push sealed collection epochs to the central `dcpi-server`
-//! as CRC-framed records, the network sibling of the on-disk profile
-//! framing in [`dcpi_core::codec`]. Every frame is:
-//!
-//! ```text
-//! +------+---------+------+-------------+---------+---------+
-//! | DCPF | version | type | payload len | CRC-32  | payload |
-//! |  4B  |   1B    |  1B  |   varint    | 4B (LE) |         |
-//! +------+---------+------+-------------+---------+---------+
-//! ```
-//!
-//! with the CRC computed over `[version, type] ++ payload`, so a
-//! mid-record truncation or bit flip anywhere behind the magic is
+//! as [`FRAME`]s — [`dcpi_core::codec::Frame`], the envelope profile
+//! files use, tagged `[version, type]` (DESIGN.md §6 has the layout) —
+//! so a mid-record truncation or bit flip anywhere behind the magic is
 //! detected at the receiver and the frame discarded — the transport is
 //! allowed to be arbitrarily hostile (see
 //! [`crate::faults::NetFaultPlan`]) because every corruption collapses
@@ -27,14 +18,17 @@
 //! retransmits.
 
 use crate::faults::LossLedger;
-use dcpi_core::codec;
+use dcpi_core::codec::{self, put_varint, Frame, Reader};
 use dcpi_core::error::{Error, Result};
 use dcpi_core::profile::Profile;
 use dcpi_core::{Event, ImageId};
 use dcpi_stacks::StackProfile;
 
-/// Magic prefix of every fleet frame ("DCPI Fleet").
-pub const WIRE_MAGIC: [u8; 4] = *b"DCPF";
+/// The fleet frame ("DCPI Fleet"), tagged `[version, type]`.
+pub const FRAME: Frame = Frame {
+    magic: b"DCPF",
+    tag_bytes: 2,
+};
 /// Current protocol version. Version 2 added feature negotiation on
 /// `Register` and an optional calling-context section on uploads; both
 /// ride *after* the version-1 fields, so a v2 receiver decodes v1
@@ -206,107 +200,89 @@ impl Msg {
 /// Appends a ledger as six varints (the `Upload` payload's encoding; the
 /// server's WAL checkpoint reuses it).
 pub fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
-    codec::put_varint(buf, l.generated);
-    codec::put_varint(buf, l.attributed);
-    codec::put_varint(buf, l.unknown);
-    codec::put_varint(buf, l.driver_dropped);
-    codec::put_varint(buf, l.crash_lost);
-    codec::put_varint(buf, l.quarantined);
+    put_varint(buf, l.generated);
+    put_varint(buf, l.attributed);
+    put_varint(buf, l.unknown);
+    put_varint(buf, l.driver_dropped);
+    put_varint(buf, l.crash_lost);
+    put_varint(buf, l.quarantined);
 }
 
-/// Reads a ledger written by [`put_ledger`], advancing `buf`.
+/// Takes a ledger written by [`put_ledger`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`](dcpi_core::Error::Corrupt) on a truncated
 /// or overlong varint.
-pub fn get_ledger(buf: &mut &[u8]) -> Result<LossLedger> {
+pub fn get_ledger(r: &mut Reader) -> Result<LossLedger> {
     Ok(LossLedger {
-        generated: codec::get_varint(buf)?,
-        attributed: codec::get_varint(buf)?,
-        unknown: codec::get_varint(buf)?,
-        driver_dropped: codec::get_varint(buf)?,
-        crash_lost: codec::get_varint(buf)?,
-        quarantined: codec::get_varint(buf)?,
+        generated: r.varint()?,
+        attributed: r.varint()?,
+        unknown: r.varint()?,
+        driver_dropped: r.varint()?,
+        crash_lost: r.varint()?,
+        quarantined: r.varint()?,
     })
 }
 
+fn put_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
 fn put_batch(buf: &mut Vec<u8>, b: &EpochBatch) {
-    codec::put_varint(buf, u64::from(b.epoch));
-    codec::put_varint(buf, b.seal_cycle);
+    put_varint(buf, u64::from(b.epoch));
+    put_varint(buf, b.seal_cycle);
     put_ledger(buf, &b.ledger);
-    codec::put_varint(buf, b.profiles.len() as u64);
+    put_varint(buf, b.profiles.len() as u64);
     for (image, event, profile) in &b.profiles {
-        codec::put_varint(buf, u64::from(image.0));
-        let bytes = codec::encode_profile(profile, *event, codec::Format::V2);
-        codec::put_varint(buf, bytes.len() as u64);
-        buf.extend_from_slice(&bytes);
+        put_varint(buf, u64::from(image.0));
+        let file = codec::encode_profile(profile, *event, codec::Format::V2);
+        put_prefixed(buf, &file);
     }
-    codec::put_varint(buf, b.image_names.len() as u64);
+    put_varint(buf, b.image_names.len() as u64);
     for (image, name) in &b.image_names {
-        codec::put_varint(buf, u64::from(image.0));
-        codec::put_varint(buf, name.len() as u64);
-        buf.extend_from_slice(name.as_bytes());
+        put_varint(buf, u64::from(image.0));
+        put_prefixed(buf, name.as_bytes());
     }
     // Version-2 trailer: the epoch's calling-context section. Omitted
     // entirely when empty, so stack-less uploads stay v1-shaped.
     if !b.stacks.is_empty() {
-        let bytes = b.stacks.to_bytes();
-        codec::put_varint(buf, bytes.len() as u64);
-        buf.extend_from_slice(&bytes);
+        put_prefixed(buf, &b.stacks.to_bytes());
     }
 }
 
-fn take_bytes<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
-    if buf.len() < len {
-        return Err(Error::Corrupt("truncated field".into()));
-    }
-    let (head, rest) = buf.split_at(len);
-    *buf = rest;
-    Ok(head)
-}
-
-fn get_batch(buf: &mut &[u8]) -> Result<EpochBatch> {
-    let epoch = codec::get_varint(buf)?;
-    let seal_cycle = codec::get_varint(buf)?;
-    let ledger = get_ledger(buf)?;
-    let n_profiles = codec::get_varint(buf)?;
+fn get_batch(r: &mut Reader) -> Result<EpochBatch> {
+    let epoch = r.var("epoch")?;
+    let seal_cycle = r.varint()?;
+    let ledger = get_ledger(r)?;
+    // An entry is at least an image id and a length, a byte each.
     let mut profiles = Vec::new();
-    for _ in 0..n_profiles {
-        let image = ImageId(
-            u32::try_from(codec::get_varint(buf)?)
-                .map_err(|_| Error::Corrupt("image id overflows u32".into()))?,
-        );
-        let len = codec::get_varint(buf)? as usize;
-        let bytes = take_bytes(buf, len)?;
-        let (profile, event) = codec::decode_profile(bytes)?;
+    for _ in 0..r.count(2)? {
+        let image = ImageId(r.var("image id")?);
+        let (profile, event) = codec::decode_profile(r.prefixed()?)?;
         profiles.push((image, event, profile));
     }
-    let n_names = codec::get_varint(buf)?;
     let mut image_names = Vec::new();
-    for _ in 0..n_names {
-        let image = ImageId(
-            u32::try_from(codec::get_varint(buf)?)
-                .map_err(|_| Error::Corrupt("image id overflows u32".into()))?,
-        );
-        let len = codec::get_varint(buf)? as usize;
-        let name = std::str::from_utf8(take_bytes(buf, len)?)
-            .map_err(|_| Error::Corrupt("image name is not UTF-8".into()))?
-            .to_owned();
-        image_names.push((image, name));
+    for _ in 0..r.count(2)? {
+        let image = ImageId(r.var("image id")?);
+        let name = std::str::from_utf8(r.prefixed()?)
+            .map_err(|_| Error::Corrupt("image name is not UTF-8".into()))?;
+        image_names.push((image, name.to_owned()));
     }
     // Optional v2 trailer: remaining bytes are the stacks section. A v1
-    // frame ends here and decodes to an empty profile.
-    let stacks = if buf.is_empty() {
-        StackProfile::new()
-    } else {
-        let len = codec::get_varint(buf)? as usize;
-        let bytes = take_bytes(buf, len)?;
-        StackProfile::from_bytes(bytes)
-            .map_err(|e| Error::Corrupt(format!("bad stacks section: {e}")))?
-    };
+    // frame ends here and decodes to an empty profile; an empty section
+    // is never sent, so one that is present and empty is refused.
+    let mut stacks = StackProfile::new();
+    if !r.is_empty() {
+        stacks = StackProfile::from_bytes(r.prefixed()?)
+            .map_err(|e| Error::Corrupt(format!("bad stacks section: {e}")))?;
+        if stacks.is_empty() {
+            return Err(Error::Corrupt("empty stacks section".into()));
+        }
+    }
     Ok(EpochBatch {
-        epoch: u32::try_from(epoch).map_err(|_| Error::Corrupt("epoch overflows u32".into()))?,
+        epoch,
         seal_cycle,
         profiles,
         image_names,
@@ -319,79 +295,64 @@ fn get_batch(buf: &mut &[u8]) -> Result<EpochBatch> {
 #[must_use]
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut payload = Vec::new();
+    let p = &mut payload;
+    put_varint(p, u64::from(msg.agent()));
     match msg {
         Msg::Register {
-            agent,
             incarnation,
             features,
+            ..
         } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, u64::from(*incarnation));
+            put_varint(p, u64::from(*incarnation));
             // v2 trailer; omitted when zero so the frame matches what a
             // featureless v1 agent would have sent.
             if *features != 0 {
-                codec::put_varint(&mut payload, *features);
+                put_varint(p, *features);
             }
         }
-        Msg::Heartbeat { agent, incarnation } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, u64::from(*incarnation));
-        }
-        Msg::RegisterAck { agent, last_seq } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, *last_seq);
-        }
+        Msg::Heartbeat { incarnation, .. } => put_varint(p, u64::from(*incarnation)),
+        Msg::RegisterAck { last_seq, .. } => put_varint(p, *last_seq),
         Msg::Upload {
-            agent,
             incarnation,
             seq,
             batch,
+            ..
         } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, u64::from(*incarnation));
-            codec::put_varint(&mut payload, *seq);
-            put_batch(&mut payload, batch);
+            put_varint(p, u64::from(*incarnation));
+            put_varint(p, *seq);
+            put_batch(p, batch);
         }
         Msg::Ack {
-            agent,
             seq,
             duplicate,
             backpressure,
+            ..
         } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, *seq);
-            payload.push(u8::from(*duplicate));
-            payload.push(u8::from(*backpressure));
+            put_varint(p, *seq);
+            p.extend_from_slice(&[u8::from(*duplicate), u8::from(*backpressure)]);
         }
         Msg::Nack {
-            agent,
             seq,
             expected,
             backpressure,
+            ..
         } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            codec::put_varint(&mut payload, *seq);
-            codec::put_varint(&mut payload, *expected);
-            payload.push(u8::from(*backpressure));
+            put_varint(p, *seq);
+            put_varint(p, *expected);
+            p.push(u8::from(*backpressure));
         }
-        Msg::HeartbeatAck {
-            agent,
-            backpressure,
-        } => {
-            codec::put_varint(&mut payload, u64::from(*agent));
-            payload.push(u8::from(*backpressure));
-        }
+        Msg::HeartbeatAck { backpressure, .. } => p.push(u8::from(*backpressure)),
     }
-    let ty = msg.type_code();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(ty);
-    codec::put_varint(&mut out, payload.len() as u64);
-    let crc = !codec::crc32_update(codec::crc32_update(!0, &[WIRE_VERSION, ty]), &payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    FRAME.seal(&[WIRE_VERSION, msg.type_code()], &payload)
+}
+
+/// Takes a flag byte: 0 or 1, the only two [`encode_msg`] writes.
+fn flag(r: &mut Reader) -> Result<bool> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(Error::Corrupt(format!("flag byte {other}"))),
+    }
 }
 
 /// Decodes one wire record.
@@ -402,103 +363,65 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
 /// truncation anywhere, a CRC mismatch, or trailing bytes — every way a
 /// hostile network can mangle a frame maps onto an error here, which
 /// the receiver treats as "frame never arrived".
-pub fn decode_msg(mut data: &[u8]) -> Result<Msg> {
-    let buf = &mut data;
-    let magic = take_bytes(buf, 4)?;
-    if magic != WIRE_MAGIC {
-        return Err(Error::Corrupt("bad fleet frame magic".into()));
-    }
-    let version = take_bytes(buf, 1)?[0];
+pub fn decode_msg(data: &[u8]) -> Result<Msg> {
+    let mut frame = Reader::new(data);
+    let (tags, payload) = FRAME.open(&mut frame)?;
+    frame.finish("the fleet frame")?;
+    let (version, ty) = (tags[0], tags[1]);
     if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
         return Err(Error::Corrupt(format!("unknown fleet version {version}")));
     }
-    let ty = take_bytes(buf, 1)?[0];
-    let len = codec::get_varint(buf)? as usize;
-    let crc = u32::from_le_bytes(
-        take_bytes(buf, 4)?
-            .try_into()
-            .expect("take_bytes returned 4 bytes"),
-    );
-    let payload = take_bytes(buf, len)?;
-    if !buf.is_empty() {
-        return Err(Error::Corrupt("trailing bytes after fleet frame".into()));
-    }
-    let actual = !codec::crc32_update(codec::crc32_update(!0, &[version, ty]), payload);
-    if actual != crc {
-        return Err(Error::Corrupt(format!(
-            "fleet frame CRC mismatch: stored {crc:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut p = payload;
-    let buf = &mut p;
-    let agent = u32::try_from(codec::get_varint(buf)?)
-        .map_err(|_| Error::Corrupt("agent id overflows u32".into()))?;
+    let r = &mut Reader::new(payload);
+    let agent = r.var("agent id")?;
     let msg = match ty {
-        1 | 6 => {
-            let incarnation = u32::try_from(codec::get_varint(buf)?)
-                .map_err(|_| Error::Corrupt("incarnation overflows u32".into()))?;
-            if ty == 1 {
-                // Optional v2 trailer; absent (v1 or featureless) → 0.
-                let features = if buf.is_empty() {
-                    0
-                } else {
-                    codec::get_varint(buf)?
-                };
-                Msg::Register {
-                    agent,
-                    incarnation,
-                    features,
-                }
-            } else {
-                Msg::Heartbeat { agent, incarnation }
+        1 => {
+            let incarnation = r.var("incarnation")?;
+            // Optional v2 trailer; absent (v1 or featureless) → 0, so no
+            // trailer is ever sent to say 0.
+            let trailer = !r.is_empty();
+            let features = if trailer { r.varint()? } else { 0 };
+            if trailer && features == 0 {
+                return Err(Error::Corrupt("features trailer of zero".into()));
+            }
+            Msg::Register {
+                agent,
+                incarnation,
+                features,
             }
         }
         2 => Msg::RegisterAck {
             agent,
-            last_seq: codec::get_varint(buf)?,
+            last_seq: r.varint()?,
         },
-        3 => {
-            let incarnation = u32::try_from(codec::get_varint(buf)?)
-                .map_err(|_| Error::Corrupt("incarnation overflows u32".into()))?;
-            let seq = codec::get_varint(buf)?;
-            let batch = get_batch(buf)?;
-            Msg::Upload {
-                agent,
-                incarnation,
-                seq,
-                batch,
-            }
-        }
-        4 => {
-            let seq = codec::get_varint(buf)?;
-            let flags = take_bytes(buf, 2)?;
-            Msg::Ack {
-                agent,
-                seq,
-                duplicate: flags[0] != 0,
-                backpressure: flags[1] != 0,
-            }
-        }
-        5 => {
-            let seq = codec::get_varint(buf)?;
-            let expected = codec::get_varint(buf)?;
-            let backpressure = take_bytes(buf, 1)?[0] != 0;
-            Msg::Nack {
-                agent,
-                seq,
-                expected,
-                backpressure,
-            }
-        }
+        3 => Msg::Upload {
+            agent,
+            incarnation: r.var("incarnation")?,
+            seq: r.varint()?,
+            batch: get_batch(r)?,
+        },
+        4 => Msg::Ack {
+            agent,
+            seq: r.varint()?,
+            duplicate: flag(r)?,
+            backpressure: flag(r)?,
+        },
+        5 => Msg::Nack {
+            agent,
+            seq: r.varint()?,
+            expected: r.varint()?,
+            backpressure: flag(r)?,
+        },
+        6 => Msg::Heartbeat {
+            agent,
+            incarnation: r.var("incarnation")?,
+        },
         7 => Msg::HeartbeatAck {
             agent,
-            backpressure: take_bytes(buf, 1)?[0] != 0,
+            backpressure: flag(r)?,
         },
         _ => return Err(Error::Corrupt(format!("unknown fleet frame type {ty}"))),
     };
-    if !buf.is_empty() {
-        return Err(Error::Corrupt("trailing bytes in fleet payload".into()));
-    }
+    r.finish("the fleet payload")?;
     Ok(msg)
 }
 
@@ -650,23 +573,15 @@ mod tests {
         }
     }
 
-    /// Re-frames an encoded message as a version-1 frame: patches the
-    /// version byte and recomputes the CRC. Valid only for messages
+    fn payload(frame: &[u8]) -> &[u8] {
+        FRAME.open(&mut Reader::new(frame)).expect("well framed").1
+    }
+
+    /// Re-frames an encoded message as a version-1 frame: the same
+    /// payload sealed under version byte 1. Valid only for messages
     /// whose payload carries no v2 trailer.
     fn as_v1_frame(frame: &[u8]) -> Vec<u8> {
-        let mut out = frame.to_vec();
-        out[4] = 1;
-        let ty = out[5];
-        // CRC covers [version, type] ++ payload; payload starts after
-        // the 4-byte CRC that follows the varint length.
-        let mut rest = &out[6..];
-        let len = codec::get_varint(&mut rest).expect("length varint") as usize;
-        let crc_at = out.len() - rest.len();
-        let payload_at = crc_at + 4;
-        assert_eq!(out.len() - payload_at, len);
-        let crc = !codec::crc32_update(codec::crc32_update(!0, &[1, ty]), &out[payload_at..]);
-        out[crc_at..payload_at].copy_from_slice(&crc.to_le_bytes());
-        out
+        FRAME.seal(&[1, frame[5]], payload(frame))
     }
 
     #[test]
@@ -715,15 +630,47 @@ mod tests {
         }
         // An empty-stacks v2 upload carries a payload byte-identical to
         // v1: only the version byte (and thus the CRC) differ.
-        let payload = |frame: &[u8]| -> Vec<u8> {
-            let mut rest = &frame[6..];
-            let len = codec::get_varint(&mut rest).expect("length") as usize;
-            let at = frame.len() - rest.len() + 4;
-            frame[at..at + len].to_vec()
-        };
         let v1 = as_v1_frame(&without);
         assert_eq!(v1.len(), without.len());
         assert_eq!(payload(&v1), payload(&without), "payloads identical");
+    }
+
+    #[test]
+    fn only_the_spellings_the_encoder_writes_decode() {
+        // Same values, second spellings: a flag byte of 2, a features
+        // trailer saying 0, a stacks section holding nothing.
+        let ack = encode_msg(&Msg::Ack {
+            agent: 1,
+            seq: 5,
+            duplicate: true,
+            backpressure: false,
+        });
+        let body = payload(&ack);
+        assert_eq!(body[body.len() - 2], 1);
+        let mut loud = body.to_vec();
+        loud[body.len() - 2] = 2;
+        let reg = encode_msg(&Msg::Register {
+            agent: 1,
+            incarnation: 1,
+            features: 0,
+        });
+        let zero_features = [payload(&reg), &[0]].concat();
+        let up = encode_msg(&Msg::Upload {
+            agent: 1,
+            incarnation: 1,
+            seq: 1,
+            batch: sample_batch(),
+        });
+        let empty = StackProfile::new().to_bytes();
+        let empty_stacks = [payload(&up), &[empty.len() as u8], &empty].concat();
+        for (ty, body, what) in [
+            (4, loud, "flag byte 2"),
+            (1, zero_features, "features trailer"),
+            (3, empty_stacks, "empty stacks"),
+        ] {
+            let err = decode_msg(&FRAME.seal(&[WIRE_VERSION, ty], &body)).unwrap_err();
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 
     #[test]

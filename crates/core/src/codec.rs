@@ -1,8 +1,31 @@
-//! Binary codecs for on-disk profiles.
+//! Binary codecs: the one byte reader, the one record frame, and the
+//! on-disk profile formats built on them.
+//!
+//! Every binary decoder in the workspace — profile files, DCPF wire
+//! messages, the server's WAL, DCST stack sections, DCIM images — walks
+//! its input through [`Reader`] and nothing else. The contract is the
+//! one [`crate::cli::Args`] has for argv: a decoder *takes* what it
+//! recognises off the front ([`Reader::u8`], [`Reader::varint`],
+//! [`Reader::bytes`], …, each an error if the input ends first), asks
+//! for every list length through [`Reader::count`], which refuses a
+//! count the bytes left could not hold (so what a decoder reserves is
+//! bounded by the length of its input, under one rule), and ends with
+//! [`Reader::finish`], which refuses whatever is left over.
+//!
+//! The three checksummed formats share one envelope, [`Frame`]:
+//! `magic | tags | varint len | crc32 LE | payload`, the CRC over
+//! `tags ++ payload`. Framing makes corruption — truncation, torn
+//! writes, bit flips — a detectable, contained condition: the database
+//! quarantines a file that fails it instead of aborting a whole read
+//! (§4.3.3's bounded-loss story), the fleet receiver treats the frame as
+//! never having arrived, and the WAL scan stops there as at a torn tail.
+//! DESIGN.md §6 tabulates every format.
 //!
 //! The paper stores profiles "in a compact binary format" (§4.3.3) and
 //! mentions "an improved format that can compress existing profiles by
-//! approximately a factor of three". We implement both:
+//! approximately a factor of three". We implement both, as the payload
+//! of a [`PROFILE_FRAME`] tagged `[version, event code]` — a varint
+//! entry count followed by the records:
 //!
 //! * [`Format::V1`] — fixed-width records: each `(offset, count)` pair is a
 //!   `u32` offset and `u32` count (saturated), 8 bytes per entry. This plays
@@ -12,21 +35,10 @@
 //!   since almost all sampled offsets are instruction-aligned) and both
 //!   deltas and counts are LEB128 varints. Typical profiles shrink by
 //!   roughly 3× relative to V1, matching the paper's claim.
-//!
-//! Both formats share a small framed header: magic `DCPI`, a version
-//! byte, an event code byte, a varint payload length, and a CRC-32 of the
-//! version/event bytes plus the payload. The payload holds a varint entry
-//! count followed by the records. Framing makes corruption — truncation,
-//! torn writes, bit flips — a detectable, contained condition: the
-//! database layer quarantines files that fail these checks instead of
-//! aborting a whole read (§4.3.3's bounded-loss story).
 
 use crate::error::{Error, Result};
 use crate::profile::Profile;
 use crate::types::Event;
-
-/// Magic bytes at the start of every profile file.
-pub const MAGIC: [u8; 4] = *b"DCPI";
 
 const CRC32_POLY: u32 = 0xedb8_8320;
 
@@ -73,8 +85,7 @@ fn crc32_bytewise(mut state: u32, data: &[u8]) -> u32 {
 
 /// Feeds `data` into a running CRC-32 state (start from `!0`), eight
 /// bytes per step.
-#[must_use]
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
@@ -97,8 +108,235 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
 
-fn frame_crc(version: u8, event_code: u8, payload: &[u8]) -> u32 {
-    !crc32_update(crc32_update(!0, &[version, event_code]), payload)
+/// Appends `value` to `buf` as an unsigned LEB128 varint, always in the
+/// shortest form: the last byte written is zero only for the value 0,
+/// so [`Reader::varint`] reads back every varint this writes and
+/// refuses the padded spellings (`80 00` for 0) it never does.
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            buf.push(byte);
+            return;
+        }
+        buf.push(byte | 0x80);
+    }
+}
+
+fn corrupt<T>(what: impl Into<String>) -> Result<T> {
+    Err(Error::Corrupt(what.into()))
+}
+
+/// A taking cursor over untrusted bytes; see the module docs for the
+/// take / [`count`](Reader::count) / [`finish`](Reader::finish)
+/// contract. A take the input cannot satisfy — it ends first, a value
+/// does not fit, a varint is misspelt — returns [`Error::Corrupt`];
+/// none panics or reserves memory, whatever the input.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `data`.
+    #[must_use]
+    pub fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader { buf: data }
+    }
+
+    /// Bytes not yet taken.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True if every byte has been taken. For a format with an optional
+    /// trailer; a decoder that expects the end calls [`Reader::finish`].
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Takes the next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
+            return corrupt(format!(
+                "truncated: {n} bytes wanted, {} left",
+                self.buf.len()
+            ));
+        };
+        self.buf = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(*self.bytes(N)?.first_chunk().expect("bytes(N) is N long"))
+    }
+
+    /// Takes one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Takes a little-endian `u32`.
+    #[inline]
+    pub fn u32_le(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Takes a little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Takes an unsigned LEB128 varint in its shortest form. A zero
+    /// byte after a continuation byte spells a value [`put_varint`]
+    /// writes shorter (`80 00` for 0), and accepting it would let two
+    /// byte strings decode to one value: it is refused.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64> {
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let Some((&byte, rest)) = self.buf.split_first() else {
+                return corrupt("truncated varint");
+            };
+            self.buf = rest;
+            if shift == 63 && byte > 1 {
+                return corrupt("varint overflows u64");
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return corrupt("varint is not in its shortest form");
+                }
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return corrupt("varint too long");
+            }
+        }
+    }
+
+    /// Takes a varint that must fit `T`; `what` names the field in the
+    /// one "`what` overflows" message.
+    #[inline]
+    pub fn var<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T> {
+        T::try_from(self.varint()?).or_else(|_| corrupt(format!("{what} overflows")))
+    }
+
+    fn holds(&self, n: u64, min_item_bytes: usize) -> Result<usize> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.buf.len() / min_item_bytes => Ok(n),
+            _ => corrupt(format!(
+                "truncated: {n} items of at least {min_item_bytes} bytes claimed, {} bytes left",
+                self.buf.len()
+            )),
+        }
+    }
+
+    /// Takes a varint list length whose items each occupy at least
+    /// `min_item_bytes` (non-zero) of what follows. The one rule for
+    /// "how much may a count make me reserve": never more items than the
+    /// bytes left could hold.
+    #[inline]
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.varint()?;
+        self.holds(n, min_item_bytes)
+    }
+
+    /// [`Reader::count`] for a format whose lengths are fixed-width
+    /// little-endian `u32`s.
+    pub fn count_u32_le(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.u32_le()?;
+        self.holds(u64::from(n), min_item_bytes)
+    }
+
+    /// Takes a varint length and that many bytes.
+    pub fn prefixed(&mut self) -> Result<&'a [u8]> {
+        let n = self.count(1)?;
+        self.bytes(n)
+    }
+
+    /// Ends the read: `what` was decoded from exactly these bytes, so
+    /// any byte not taken is an error.
+    pub fn finish(&self, what: &str) -> Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        corrupt(format!("{} trailing bytes after {what}", self.buf.len()))
+    }
+}
+
+/// The checksummed record envelope: `magic | tags | varint len | crc32
+/// LE | payload`, the CRC over `tags ++ payload`. A format is a magic
+/// and a number of tag bytes (version, type, event: whatever must be
+/// covered by the CRC but read before the payload is interpreted).
+/// Whether a frame must fill its input ([`Reader::finish`]) or is
+/// followed by the next one is the caller's policy.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame {
+    /// Bytes every frame of the format starts with; may be empty.
+    pub magic: &'static [u8],
+    /// Number of tag bytes between the magic and the length.
+    pub tag_bytes: usize,
+}
+
+/// A profile file: `DCPI`, then `[format version, event code]`.
+pub const PROFILE_FRAME: Frame = Frame {
+    magic: b"DCPI",
+    tag_bytes: 2,
+};
+
+impl Frame {
+    fn crc(tags: &[u8], payload: &[u8]) -> u32 {
+        !crc32_update(crc32_update(!0, tags), payload)
+    }
+
+    /// Frames `payload` under `tags`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tags` is not `tag_bytes` long: a bug in the caller.
+    #[must_use]
+    pub fn seal(&self, tags: &[u8], payload: &[u8]) -> Vec<u8> {
+        assert_eq!(tags.len(), self.tag_bytes, "tag bytes of this frame format");
+        let mut out = Vec::with_capacity(16 + payload.len());
+        out.extend_from_slice(self.magic);
+        out.extend_from_slice(tags);
+        put_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(&Frame::crc(tags, payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Takes one frame off the front of `r`, returning `(tags, payload)`
+    /// borrowed from the input once the checksum has vouched for both.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a wrong magic, a frame longer than the input, or a
+    /// checksum mismatch; `r` is then wherever the failure was found.
+    pub fn open<'a>(&self, r: &mut Reader<'a>) -> Result<(&'a [u8], &'a [u8])> {
+        if r.bytes(self.magic.len())? != self.magic {
+            return corrupt("bad magic");
+        }
+        let tags = r.bytes(self.tag_bytes)?;
+        let len = r.var("frame length")?;
+        let stored = r.u32_le()?;
+        let payload = r.bytes(len)?;
+        if Frame::crc(tags, payload) != stored {
+            return corrupt("checksum mismatch");
+        }
+        Ok((tags, payload))
+    }
 }
 
 /// Profile file format version.
@@ -131,59 +369,6 @@ impl Format {
     }
 }
 
-/// Appends `value` to `buf` as an unsigned LEB128 varint.
-#[inline]
-pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
-    let (&first, rest) = buf.split_first()?;
-    *buf = rest;
-    Some(first)
-}
-
-fn take_u32_le(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_first_chunk::<4>()?;
-    *buf = rest;
-    Some(u32::from_le_bytes(*head))
-}
-
-/// Reads an unsigned LEB128 varint from the front of `buf`, advancing it.
-///
-/// # Errors
-///
-/// Returns [`Error::Corrupt`] if the buffer ends mid-varint or the varint
-/// overflows 64 bits.
-pub fn get_varint(buf: &mut &[u8]) -> Result<u64> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(byte) = take_u8(buf) else {
-            return Err(Error::Corrupt("truncated varint".into()));
-        };
-        if shift == 63 && byte > 1 {
-            return Err(Error::Corrupt("varint overflows u64".into()));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(Error::Corrupt("varint too long".into()));
-        }
-    }
-}
-
 /// Serializes a profile for `event` in the requested format.
 #[must_use]
 pub fn encode_profile(profile: &Profile, event: Event, format: Format) -> Vec<u8> {
@@ -212,20 +397,7 @@ pub fn encode_profile(profile: &Profile, event: Event, format: Format) -> Vec<u8
             }
         }
     }
-    frame(format, event, &payload)
-}
-
-/// Wraps a record payload in the file frame: magic, version, event,
-/// payload length and CRC.
-fn frame(format: Format, event: Event, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(format.version());
-    buf.push(event.code());
-    put_varint(&mut buf, payload.len() as u64);
-    buf.extend_from_slice(&frame_crc(format.version(), event.code(), payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    PROFILE_FRAME.seal(&[format.version(), event.code()], &payload)
 }
 
 /// Deserializes a profile, returning the profile and the event it was
@@ -235,78 +407,55 @@ fn frame(format: Format, event: Event, payload: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`Error::Corrupt`] on bad magic, truncation, a frame-length or
 /// checksum mismatch, or a record whose offset overflows, does not
-/// increase or carries a zero count; [`Error::UnsupportedVersion`] on an
-/// unknown version byte.
-pub fn decode_profile(mut data: &[u8]) -> Result<(Profile, Event)> {
-    let buf = &mut data;
-    if buf.len() < 6 {
-        return Err(Error::Corrupt("header truncated".into()));
-    }
-    let (magic, rest) = buf.split_first_chunk::<4>().expect("length checked");
-    if *magic != MAGIC {
-        return Err(Error::Corrupt("bad magic".into()));
-    }
-    *buf = rest;
-    let version = take_u8(buf).expect("length checked");
-    let format = Format::from_version(version).ok_or(Error::UnsupportedVersion(version))?;
-    let event_code = take_u8(buf).expect("length checked");
-    let event = Event::from_code(event_code)
-        .ok_or_else(|| Error::Corrupt(format!("unknown event code {event_code}")))?;
-    let payload_len = get_varint(buf)?;
-    let Some(stored_crc) = take_u32_le(buf) else {
-        return Err(Error::Corrupt("frame header truncated".into()));
+/// increase, is spelt the long way or carries a zero count;
+/// [`Error::UnsupportedVersion`] on a well-framed file of an unknown
+/// version.
+pub fn decode_profile(data: &[u8]) -> Result<(Profile, Event)> {
+    let mut file = Reader::new(data);
+    let (tags, payload) = PROFILE_FRAME.open(&mut file)?;
+    file.finish("the profile frame")?;
+    let format = Format::from_version(tags[0]).ok_or(Error::UnsupportedVersion(tags[0]))?;
+    let Some(event) = Event::from_code(tags[1]) else {
+        return corrupt(format!("unknown event code {}", tags[1]));
     };
-    if buf.len() as u64 != payload_len {
-        return Err(Error::Corrupt(format!(
-            "frame length mismatch: header says {payload_len} payload bytes, found {}",
-            buf.len()
-        )));
-    }
-    if frame_crc(version, event_code, buf) != stored_crc {
-        return Err(Error::Corrupt("checksum mismatch".into()));
-    }
-    let n = get_varint(buf)?;
-    // A record is 8 bytes in V1 and at least 2 in V2, so the payload
-    // bounds the reservation whatever the header's `n` claims.
-    let min_record = match format {
+    let mut r = Reader::new(payload);
+    // A record is 8 bytes in V1 and at least 2 in V2.
+    let n = r.count(match format {
         Format::V1 => 8,
         Format::V2 => 2,
-    };
-    let cap = (buf.len() / min_record).min(usize::try_from(n).unwrap_or(usize::MAX));
-    let mut run = Vec::with_capacity(cap);
+    })?;
+    let mut run = Vec::with_capacity(n);
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let (off, cnt) = match format {
-            Format::V1 => {
-                let (Some(off), Some(cnt)) = (take_u32_le(buf), take_u32_le(buf)) else {
-                    return Err(Error::Corrupt("record truncated".into()));
-                };
-                (Some(u64::from(off)), u64::from(cnt))
-            }
+            Format::V1 => (Some(u64::from(r.u32_le()?)), u64::from(r.u32_le()?)),
             Format::V2 => {
-                let tag = get_varint(buf)?;
-                let delta = if tag & 1 == 1 {
-                    Some(tag >> 1)
-                } else {
-                    (tag >> 1).checked_mul(4)
+                let tag = r.varint()?;
+                let delta = match (tag & 1, tag >> 1) {
+                    (0, words) => words.checked_mul(4),
+                    // The encoder spells a word-aligned delta in words.
+                    (_, bytes) if bytes.is_multiple_of(4) => {
+                        return corrupt("aligned delta spelt in bytes");
+                    }
+                    (_, bytes) => Some(bytes),
                 };
                 let off = delta.and_then(|d| prev.unwrap_or(0).checked_add(d));
-                (off, get_varint(buf)?)
+                (off, r.varint()?)
             }
         };
-        let off = off.ok_or_else(|| Error::Corrupt("offset overflows u64".into()))?;
+        let Some(off) = off else {
+            return corrupt("offset overflows u64");
+        };
         if prev.is_some_and(|p| off <= p) {
-            return Err(Error::Corrupt("offsets not strictly increasing".into()));
+            return corrupt("offsets not strictly increasing");
         }
         if cnt == 0 {
-            return Err(Error::Corrupt("zero count record".into()));
+            return corrupt("zero count record");
         }
         run.push((off, cnt));
         prev = Some(off);
     }
-    if !buf.is_empty() {
-        return Err(Error::Corrupt("trailing bytes after records".into()));
-    }
+    r.finish("the profile records")?;
     Ok((Profile::from_sorted_run(run), event))
 }
 
@@ -325,9 +474,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut slice = &buf[..];
-            assert_eq!(get_varint(&mut slice).unwrap(), v);
-            assert!(slice.is_empty());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            assert!(r.is_empty());
         }
     }
 
@@ -335,16 +484,109 @@ mod tests {
     fn varint_truncated_fails() {
         let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);
-        let mut slice = &buf[..buf.len() - 1];
-        assert!(get_varint(&mut slice).is_err());
+        assert!(Reader::new(&buf[..buf.len() - 1]).varint().is_err());
     }
 
     #[test]
     fn varint_overflow_fails() {
         // 11 bytes of continuation is longer than any u64 varint.
-        let data = [0xffu8; 11];
-        let mut slice = &data[..];
-        assert!(get_varint(&mut slice).is_err());
+        assert!(Reader::new(&[0xffu8; 11]).varint().is_err());
+    }
+
+    #[test]
+    fn varint_padded_with_a_zero_byte_fails() {
+        // `80 00` would be a second spelling of 0, `85 00` of 5, and
+        // `ff 80 00` of 127: one value, one byte string.
+        for padded in [&[0x80, 0x00][..], &[0x85, 0x00], &[0xff, 0x80, 0x00]] {
+            let err = Reader::new(padded).varint().unwrap_err();
+            assert!(err.to_string().contains("shortest"), "{err}");
+        }
+        // A lone zero byte is 0, and the last byte of u64::MAX is 1.
+        assert_eq!(Reader::new(&[0]).varint().unwrap(), 0);
+    }
+
+    #[test]
+    fn reader_takes_in_order_and_refuses_what_is_left() {
+        let mut data = vec![7u8];
+        data.extend_from_slice(&0xdead_beef_u32.to_le_bytes());
+        data.extend_from_slice(&u64::MAX.to_le_bytes());
+        put_varint(&mut data, 300);
+        put_varint(&mut data, 3);
+        data.extend_from_slice(b"abcd");
+        let mut r = Reader::new(&data);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32_le().unwrap(), 0xdead_beef);
+        assert_eq!(r.u64_le().unwrap(), u64::MAX);
+        assert!(r
+            .var::<u8>("a byte")
+            .unwrap_err()
+            .to_string()
+            .contains("a byte overflows"));
+        assert_eq!(r.prefixed().unwrap(), b"abc");
+        assert_eq!(r.remaining(), 1);
+        let err = r.finish("the test").unwrap_err().to_string();
+        assert!(err.contains("1 trailing bytes after the test"), "{err}");
+        assert_eq!(r.bytes(1).unwrap(), b"d");
+        r.finish("the test").unwrap();
+        // Nothing is left: every take is a truncation, none a panic.
+        assert!(r.u8().is_err() && r.u32_le().is_err() && r.u64_le().is_err());
+        assert!(r.varint().is_err() && r.bytes(1).is_err() && r.prefixed().is_err());
+        assert_eq!(r.bytes(0).unwrap(), b"");
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        // Ten bytes hold at most five 2-byte items, whatever is claimed.
+        let body = [0u8; 10];
+        for (claim, min, fits) in [
+            (5u64, 2, true),
+            (6, 2, false),
+            (10, 1, true),
+            (1 << 60, 1, false),
+        ] {
+            let mut data = Vec::new();
+            put_varint(&mut data, claim);
+            data.extend_from_slice(&body);
+            assert_eq!(
+                Reader::new(&data).count(min).is_ok(),
+                fits,
+                "{claim} x {min}"
+            );
+        }
+        let mut fixed = (1u32 << 24).to_le_bytes().to_vec();
+        fixed.extend_from_slice(&body);
+        assert!(Reader::new(&fixed).count_u32_le(4).is_err());
+        fixed[..4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(Reader::new(&fixed).count_u32_le(4).unwrap(), 2);
+    }
+
+    #[test]
+    fn frames_seal_open_and_chain() {
+        const BARE: Frame = Frame {
+            magic: b"",
+            tag_bytes: 1,
+        };
+        // Two records back to back, the second torn: the caller loops.
+        let mut log = BARE.seal(&[1], b"first");
+        log.extend_from_slice(&BARE.seal(&[2], b""));
+        let torn_at = log.len();
+        log.extend_from_slice(&BARE.seal(&[3], b"third")[..7]);
+        let mut r = Reader::new(&log);
+        assert_eq!(BARE.open(&mut r).unwrap(), (&[1][..], &b"first"[..]));
+        assert_eq!(BARE.open(&mut r).unwrap(), (&[2][..], &b""[..]));
+        assert_eq!(log.len() - r.remaining(), torn_at);
+        assert!(BARE.open(&mut r).is_err());
+        // A length near usize::MAX is a truncation, not an overflow.
+        let mut huge = vec![1u8];
+        put_varint(&mut huge, u64::MAX);
+        huge.extend_from_slice(&[0; 8]);
+        assert!(BARE.open(&mut Reader::new(&huge)).is_err());
+        // Tags are under the checksum.
+        let mut sealed = PROFILE_FRAME.seal(&[2, 0], b"x");
+        assert!(PROFILE_FRAME.open(&mut Reader::new(&sealed)).is_ok());
+        sealed[5] ^= 1;
+        let err = PROFILE_FRAME.open(&mut Reader::new(&sealed)).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
@@ -407,9 +649,8 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let p = sample_profile();
-        let mut bytes = encode_profile(&p, Event::Cycles, Format::V1);
-        bytes[4] = 99;
+        // Well framed, so the version byte can be believed.
+        let bytes = PROFILE_FRAME.seal(&[99, Event::Cycles.code()], &[0]);
         assert!(matches!(
             decode_profile(&bytes),
             Err(Error::UnsupportedVersion(99))
@@ -418,10 +659,7 @@ mod tests {
 
     #[test]
     fn unknown_event_is_rejected() {
-        let p = sample_profile();
-        let mut bytes = encode_profile(&p, Event::Cycles, Format::V1);
-        bytes[5] = 77;
-        assert!(matches!(decode_profile(&bytes), Err(Error::Corrupt(_))));
+        assert_corrupt(&PROFILE_FRAME.seal(&[1, 77], &[0]), "event code 77");
     }
 
     #[test]
@@ -451,7 +689,7 @@ mod tests {
     /// Frames `payload` as a CRC-valid profile file, so a decode failure
     /// can only come from the record checks.
     fn framed(format: Format, payload: &[u8]) -> Vec<u8> {
-        frame(format, Event::Cycles, payload)
+        PROFILE_FRAME.seal(&[format.version(), Event::Cycles.code()], payload)
     }
 
     fn v2_payload(records: &[(u64, u64)]) -> Vec<u8> {
@@ -486,6 +724,18 @@ mod tests {
         let big = u64::MAX;
         let bytes = framed(Format::V2, &v2_payload(&[(big, 1), (big, 1), (5, 1)]));
         assert_corrupt(&bytes, "overflows");
+    }
+
+    #[test]
+    fn v2_aligned_delta_spelt_in_bytes_is_rejected() {
+        // Tag 9 is "4 bytes"; the encoder writes tag 2, "1 word". Tag 1
+        // is a second spelling of offset 0.
+        for tag in [9, 1] {
+            let bytes = framed(Format::V2, &v2_payload(&[(tag, 1)]));
+            assert_corrupt(&bytes, "spelt in bytes");
+        }
+        let (p, _) = decode_profile(&framed(Format::V2, &v2_payload(&[(2, 1)]))).unwrap();
+        assert_eq!(p.iter().collect::<Vec<_>>(), [(4, 1)]);
     }
 
     #[test]

@@ -48,6 +48,15 @@ impl From<io::Error> for Error {
     }
 }
 
+/// For the decoders whose error is a plain message (`Image::from_bytes`,
+/// `StackProfile::from_bytes`): `?` on a [`crate::codec::Reader`] take
+/// renders the error.
+impl From<Error> for String {
+    fn from(e: Error) -> String {
+        e.to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,6 +7,7 @@
 
 use crate::encode::{decode, DecodeError};
 use crate::insn::Instruction;
+use dcpi_core::codec::Reader;
 use std::sync::Arc;
 
 /// A procedure symbol: name and the half-open text range it covers.
@@ -125,19 +126,24 @@ impl Image {
     /// Serializes the image (name, text, symbols) to a compact binary
     /// form, so the profile database can keep the executables it
     /// profiled next to the profiles and the offline tools can
-    /// symbolize without the original build.
+    /// symbolize without the original build. Lengths and words are
+    /// little-endian `u32`s, symbol ranges `u64`s.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.words.len() * 4);
+        let put_len =
+            |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u32).to_le_bytes());
         out.extend_from_slice(b"DCIM\x01");
-        put_str(&mut out, &self.name);
-        put_u32(&mut out, self.words.len() as u32);
+        put_len(&mut out, self.name.len());
+        out.extend_from_slice(self.name.as_bytes());
+        put_len(&mut out, self.words.len());
         for &w in self.words.iter() {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        put_u32(&mut out, self.symbols.len() as u32);
+        put_len(&mut out, self.symbols.len());
         for s in self.symbols.iter() {
-            put_str(&mut out, &s.name);
+            put_len(&mut out, s.name.len());
+            out.extend_from_slice(s.name.as_bytes());
             out.extend_from_slice(&s.offset.to_le_bytes());
             out.extend_from_slice(&s.size.to_le_bytes());
         }
@@ -150,30 +156,29 @@ impl Image {
     ///
     /// Returns a descriptive error string on any malformation.
     pub fn from_bytes(data: &[u8]) -> Result<Image, String> {
-        let mut r = Reader { data, pos: 0 };
-        if r.take(5)? != b"DCIM\x01" {
+        let mut r = Reader::new(data);
+        if r.bytes(5)? != b"DCIM\x01" {
             return Err("bad image magic/version".into());
         }
-        let name = r.string()?;
-        let n = r.u32()? as usize;
-        if n > (1 << 24) {
-            return Err("unreasonable text size".into());
-        }
+        let string = |r: &mut Reader| -> Result<String, String> {
+            let len = r.count_u32_le(1)?;
+            String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| "non-utf8 string".into())
+        };
+        let name = string(&mut r)?;
+        let n = r.count_u32_le(4)?;
         let mut words = Vec::with_capacity(n);
         for _ in 0..n {
-            words.push(u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes")));
+            words.push(r.u32_le()?);
         }
-        let ns = r.u32()? as usize;
-        if ns > n + 1 {
-            return Err("more symbols than instructions".into());
-        }
+        // A symbol is at least its name's length and its two `u64`s.
+        let ns = r.count_u32_le(20)?;
         let mut symbols = Vec::with_capacity(ns);
         let text_bytes = (n * 4) as u64;
         let mut prev = 0u64;
         for _ in 0..ns {
-            let sname = r.string()?;
-            let offset = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-            let size = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
+            let sname = string(&mut r)?;
+            let offset = r.u64_le()?;
+            let size = r.u64_le()?;
             if offset < prev || offset.checked_add(size).is_none_or(|e| e > text_bytes) {
                 return Err(format!("bad symbol range for {sname}"));
             }
@@ -184,52 +189,8 @@ impl Image {
                 size,
             });
         }
-        if r.pos != data.len() {
-            return Err("trailing bytes".into());
-        }
+        r.finish("the image")?;
         Ok(Image::new(name, words, symbols))
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        match end {
-            Some(e) => {
-                let s = &self.data[self.pos..e];
-                self.pos = e;
-                Ok(s)
-            }
-            None => Err("truncated image file".into()),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        if n > (1 << 16) {
-            return Err("unreasonable string length".into());
-        }
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "non-utf8 string".into())
     }
 }
 
@@ -358,6 +319,15 @@ mod tests {
         trailing.push(0);
         assert!(Image::from_bytes(&trailing).is_err());
         assert!(Image::from_bytes(&[]).is_err());
+        // A header claiming 2^24 words (or symbols) over no bytes is a
+        // truncation found before anything is reserved for them.
+        for header in [
+            &b"DCIM\x01\0\0\0\0\0\0\0\x01"[..],
+            b"DCIM\x01\0\0\0\0\0\0\0\0\0\0\0\x01",
+        ] {
+            let err = Image::from_bytes(header).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+        }
     }
 
     #[test]

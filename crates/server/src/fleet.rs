@@ -30,7 +30,6 @@ use crate::transport::{Endpoint, SimNet};
 use dcpi_collect::faults::{ledger_add, FleetLedger, LossLedger, NetFaultPlan, NetStats};
 use dcpi_collect::uploader::{Uploader, UploaderConfig, UploaderStats};
 use dcpi_collect::wire::{decode_msg, EpochBatch};
-use dcpi_core::codec::Format;
 use dcpi_core::prng::CartaRng;
 use dcpi_obs::Obs;
 use dcpi_workloads::fleet_feed::{fleet_scripts, AgentScript};
@@ -140,8 +139,6 @@ pub struct FleetConfig {
     pub lease: u64,
     /// Server merge cadence in ticks.
     pub merge_every: u64,
-    /// Fleet database on-disk format.
-    pub format: Format,
 }
 
 impl FleetConfig {
@@ -168,7 +165,6 @@ impl FleetConfig {
             backpressure_at: usize::try_from(u64::from(agents) * 3 / 2).unwrap_or(usize::MAX),
             lease: 256,
             merge_every: 48,
-            format: Format::V2,
         }
     }
 
@@ -179,7 +175,6 @@ impl FleetConfig {
             backpressure_at: self.backpressure_at,
             lease: self.lease,
             merge_every: self.merge_every,
-            format: self.format,
         }
     }
 }

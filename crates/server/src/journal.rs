@@ -25,11 +25,11 @@
 //!   at any point between intent and rotation converges to the same
 //!   database.
 //!
-//! Each record is `type(1) | varint len | crc32(4, LE) | payload` with
-//! the CRC over `[type] ++ payload`. A torn tail — a crash mid-append —
-//! parses as "log ends here" and is truncated away when the log is next
-//! opened; corruption anywhere else is a structural error `dcpicheck
-//! fleet` reports.
+//! Each record is a [`dcpi_core::codec::Frame`] with no magic, tagged
+//! `[type]` (DESIGN.md §6 has the layout). A torn tail — a crash
+//! mid-append — fails to open, which parses as "log ends here" and is
+//! truncated away when the log is next opened; corruption anywhere else
+//! is a structural error `dcpicheck fleet` reports.
 //!
 //! Durability: appends are `flush()`ed to the OS and the rotation is a
 //! write-then-`rename`, neither followed by `sync_all()`. What was acked
@@ -38,7 +38,8 @@
 
 use dcpi_collect::faults::{ledger_add, LossLedger};
 use dcpi_collect::wire::{self, decode_msg, EpochBatch, Msg};
-use dcpi_core::codec;
+use dcpi_core::codec::{put_varint, Frame, Reader};
+use dcpi_core::Error;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -106,53 +107,52 @@ impl Checkpoint {
 
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        codec::put_varint(&mut out, self.epoch_totals.len() as u64);
+        put_varint(&mut out, self.epoch_totals.len() as u64);
         for &total in &self.epoch_totals {
-            codec::put_varint(&mut out, total);
+            put_varint(&mut out, total);
         }
-        codec::put_varint(&mut out, self.agents.len() as u64);
+        put_varint(&mut out, self.agents.len() as u64);
         for (&agent, a) in &self.agents {
             let id = u64::from(agent);
             for v in [id, a.last_seq, a.uploads, a.samples, a.generated, a.losses] {
-                codec::put_varint(&mut out, v);
+                put_varint(&mut out, v);
             }
         }
         wire::put_ledger(&mut out, &self.ledger);
-        codec::put_varint(&mut out, self.fleet_merged);
+        put_varint(&mut out, self.fleet_merged);
         out
     }
 
-    fn decode(mut payload: &[u8]) -> Option<Checkpoint> {
-        let p = &mut payload;
-        let get = |p: &mut &[u8]| codec::get_varint(p).ok();
-        // Lists grow as their elements parse, so a count that lies about
-        // the payload reserves nothing.
-        let epochs = u32::try_from(get(p)?).ok()?;
-        let epoch_totals = (0..epochs).map(|_| get(p)).collect::<Option<_>>()?;
+    fn decode(payload: &[u8]) -> dcpi_core::Result<Checkpoint> {
+        let r = &mut Reader::new(payload);
+        let epochs = r.count(1)?;
+        let epoch_totals = (0..epochs)
+            .map(|_| r.varint())
+            .collect::<dcpi_core::Result<_>>()?;
         let mut agents = BTreeMap::new();
-        for _ in 0..get(p)? {
-            let agent = u32::try_from(get(p)?).ok()?;
+        // An agent is its id and five totals.
+        for _ in 0..r.count(6)? {
+            let agent = r.var("agent id")?;
             if agents.last_key_value().is_some_and(|(&a, _)| a >= agent) {
-                return None;
+                return Err(Error::Corrupt("checkpoint agents out of order".into()));
             }
-            let [last_seq, uploads, samples, generated, losses] =
-                [get(p)?, get(p)?, get(p)?, get(p)?, get(p)?];
             let totals = AgentTotals {
-                last_seq,
-                uploads,
-                samples,
-                generated,
-                losses,
+                last_seq: r.varint()?,
+                uploads: r.varint()?,
+                samples: r.varint()?,
+                generated: r.varint()?,
+                losses: r.varint()?,
             };
             agents.insert(agent, totals);
         }
         let checkpoint = Checkpoint {
             epoch_totals,
             agents,
-            ledger: wire::get_ledger(p).ok()?,
-            fleet_merged: get(p)?,
+            ledger: wire::get_ledger(r)?,
+            fleet_merged: r.varint()?,
         };
-        p.is_empty().then_some(checkpoint)
+        r.finish("the checkpoint")?;
+        Ok(checkpoint)
     }
 }
 
@@ -172,6 +172,12 @@ pub enum WalRecord {
     /// The state a landed merge left behind.
     Checkpoint(Checkpoint),
 }
+
+/// One log record: no magic, tagged `[type]`.
+pub const RECORD: Frame = Frame {
+    magic: b"",
+    tag_bytes: 1,
+};
 
 const REC_FRAME: u8 = 1;
 const REC_INTENT: u8 = 2;
@@ -279,16 +285,6 @@ pub struct Journal {
     bytes: u64,
 }
 
-fn record_bytes(ty: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.push(ty);
-    codec::put_varint(&mut out, payload.len() as u64);
-    let crc = !codec::crc32_update(codec::crc32_update(!0, &[ty]), payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 impl Journal {
     /// Opens (or creates) the WAL under `root` for appending: scans it
     /// and [`Journal::resume`]s from the scan.
@@ -341,7 +337,7 @@ impl Journal {
     }
 
     fn append(&mut self, ty: u8, payload: &[u8]) -> io::Result<()> {
-        let rec = record_bytes(ty, payload);
+        let rec = RECORD.seal(&[ty], payload);
         self.file.write_all(&rec)?;
         self.bytes += rec.len() as u64;
         self.file.flush()
@@ -364,11 +360,11 @@ impl Journal {
     /// Returns an I/O error if the append fails.
     pub fn append_intent(&mut self, epoch: u32, entries: &[(u32, u64)]) -> io::Result<()> {
         let mut payload = Vec::new();
-        codec::put_varint(&mut payload, u64::from(epoch));
-        codec::put_varint(&mut payload, entries.len() as u64);
+        put_varint(&mut payload, u64::from(epoch));
+        put_varint(&mut payload, entries.len() as u64);
         for &(agent, seq) in entries {
-            codec::put_varint(&mut payload, u64::from(agent));
-            codec::put_varint(&mut payload, seq);
+            put_varint(&mut payload, u64::from(agent));
+            put_varint(&mut payload, seq);
         }
         self.append(REC_INTENT, &payload)
     }
@@ -384,7 +380,7 @@ impl Journal {
     /// Returns an I/O error if the write or the rename fails; the old
     /// log is then still in place and still the one appended to.
     pub fn rotate(&mut self, checkpoint: &Checkpoint) -> io::Result<u64> {
-        let rec = record_bytes(REC_CHECKPOINT, &checkpoint.encode());
+        let rec = RECORD.seal(&[REC_CHECKPOINT], &checkpoint.encode());
         let tmp = self.path.with_file_name(WAL_TMP_FILE);
         let mut file = File::create(&tmp)?;
         file.write_all(&rec)?;
@@ -397,45 +393,28 @@ impl Journal {
     }
 }
 
-fn parse_intent(mut p: &[u8]) -> Option<WalRecord> {
-    let epoch = u32::try_from(codec::get_varint(&mut p).ok()?).ok()?;
-    let entry = |p: &mut &[u8]| {
-        let agent = u32::try_from(codec::get_varint(p).ok()?).ok()?;
-        Some((agent, codec::get_varint(p).ok()?))
-    };
-    // As in `Checkpoint::decode`: collected, never reserved by count.
-    let entries = (0..codec::get_varint(&mut p).ok()?)
-        .map(|_| entry(&mut p))
-        .collect::<Option<_>>()?;
-    p.is_empty()
-        .then_some(WalRecord::MergeIntent { epoch, entries })
+fn parse_intent(payload: &[u8]) -> dcpi_core::Result<WalRecord> {
+    let r = &mut Reader::new(payload);
+    let epoch = r.var("epoch")?;
+    // An entry is an agent id and a sequence number.
+    let entries = (0..r.count(2)?)
+        .map(|_| Ok((r.var("agent id")?, r.varint()?)))
+        .collect::<dcpi_core::Result<_>>()?;
+    r.finish("the merge intent")?;
+    Ok(WalRecord::MergeIntent { epoch, entries })
 }
 
-/// Parses the record starting at `log[at..]`, returning it and the offset
-/// of the next one. The payload is borrowed, never copied.
-fn parse_record(log: &[u8], at: usize) -> Option<(WalRecord, usize)> {
-    let mut cur = &log[at..];
-    let (&ty, rest) = cur.split_first()?;
-    cur = rest;
-    let len = usize::try_from(codec::get_varint(&mut cur).ok()?).ok()?;
-    if cur.len().checked_sub(4)? < len {
-        return None;
+/// Takes the record at the front of `r`, a cursor over a log of
+/// `log_len` bytes. The payload is borrowed, never copied.
+fn parse_record(r: &mut Reader, log_len: usize) -> dcpi_core::Result<WalRecord> {
+    let (tags, payload) = RECORD.open(r)?;
+    let end = log_len - r.remaining();
+    match tags[0] {
+        REC_FRAME => Ok(WalRecord::Frame(end - payload.len()..end)),
+        REC_INTENT => parse_intent(payload),
+        REC_CHECKPOINT => Checkpoint::decode(payload).map(WalRecord::Checkpoint),
+        ty => Err(Error::Corrupt(format!("unknown WAL record type {ty}"))),
     }
-    let (crc_bytes, rest) = cur.split_at(4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    let start = log.len() - rest.len();
-    let payload = &rest[..len];
-    let computed = !codec::crc32_update(codec::crc32_update(!0, &[ty]), payload);
-    if computed != stored {
-        return None;
-    }
-    let record = match ty {
-        REC_FRAME => WalRecord::Frame(start..start + len),
-        REC_INTENT => parse_intent(payload)?,
-        REC_CHECKPOINT => WalRecord::Checkpoint(Checkpoint::decode(payload)?),
-        _ => return None,
-    };
-    Some((record, start + len))
 }
 
 /// Scans a WAL file, stopping at the first malformed record (a torn
@@ -453,13 +432,14 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         Err(e) => return Err(e),
     };
     let mut records = Vec::new();
+    let mut r = Reader::new(&log);
     let mut at = 0;
-    while at < log.len() {
-        let Some((rec, next)) = parse_record(&log, at) else {
+    while !r.is_empty() {
+        let Ok(rec) = parse_record(&mut r, log.len()) else {
             break;
         };
         records.push(rec);
-        at = next;
+        at = log.len() - r.remaining();
     }
     Ok(WalScan {
         records,
@@ -602,12 +582,12 @@ mod tests {
         for (ty, claim) in [(REC_CHECKPOINT, 1u64 << 31), (REC_INTENT, 1 << 60)] {
             let mut payload = Vec::new();
             if ty == REC_INTENT {
-                codec::put_varint(&mut payload, 0);
+                put_varint(&mut payload, 0);
             }
-            codec::put_varint(&mut payload, claim);
+            put_varint(&mut payload, claim);
             payload.extend_from_slice(&[1, 2, 3]);
-            let log = record_bytes(ty, &payload);
-            assert!(parse_record(&log, 0).is_none());
+            let log = RECORD.seal(&[ty], &payload);
+            assert!(parse_record(&mut Reader::new(&log), log.len()).is_err());
         }
         // Agents out of order are not a checkpoint this build writes.
         // No epochs; agents 5 then 5 again, all-zero totals; zero ledger.
@@ -617,14 +597,14 @@ mod tests {
             &[5, 0, 0, 0, 0, 0],
             &[0; 7],
         ];
-        assert!(Checkpoint::decode(&repeated_agent.concat()).is_none());
+        assert!(Checkpoint::decode(&repeated_agent.concat()).is_err());
         let one_agent = [&[0, 1][..], &[5, 0, 0, 0, 0, 0], &[0; 7]].concat();
-        assert!(Checkpoint::decode(&one_agent).is_some());
+        assert!(Checkpoint::decode(&one_agent).is_ok());
         // A length that would overflow `4 + len` is a torn tail, not a panic.
         let mut log = vec![REC_FRAME];
-        codec::put_varint(&mut log, u64::MAX);
+        put_varint(&mut log, u64::MAX);
         log.extend_from_slice(&[0; 8]);
-        assert!(parse_record(&log, 0).is_none());
+        assert!(parse_record(&mut Reader::new(&log), log.len()).is_err());
     }
 
     #[test]

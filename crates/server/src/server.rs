@@ -53,8 +53,6 @@ pub struct ServerConfig {
     pub lease: u64,
     /// Merge the queue into the fleet database every this many ticks.
     pub merge_every: u64,
-    /// On-disk profile format for the fleet database.
-    pub format: Format,
 }
 
 impl ServerConfig {
@@ -67,7 +65,6 @@ impl ServerConfig {
             backpressure_at: 48,
             lease: 256,
             merge_every: 64,
-            format: Format::V2,
         }
     }
 
@@ -733,9 +730,9 @@ fn open_db(cfg: &ServerConfig, merged: u32, reset_epoch: bool) -> io::Result<Pro
     let db_path = cfg.db_path();
     std::fs::create_dir_all(&db_path)?;
     let open = || {
-        match ProfileDb::open(&db_path, cfg.format) {
+        match ProfileDb::open(&db_path, Format::V2) {
             // No epoch yet: a crash before the first merge, or epoch 0 reset.
-            Err(dcpi_core::Error::NotFound(_)) => ProfileDb::create(&db_path, cfg.format),
+            Err(dcpi_core::Error::NotFound(_)) => ProfileDb::create(&db_path, Format::V2),
             opened => opened,
         }
         .map_err(db_err)

@@ -7,8 +7,8 @@
 //! epoch sidecars its merges wrote.
 
 use dcpi_collect::faults::LossLedger;
-use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg, FEATURE_STACKS};
-use dcpi_core::codec;
+use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg, FEATURE_STACKS, FRAME};
+use dcpi_core::codec::Reader;
 use dcpi_core::profile::Profile;
 use dcpi_core::{Event, ImageId, Pid};
 use dcpi_server::{IngestServer, ServerConfig};
@@ -27,20 +27,8 @@ fn temp_root(tag: &str) -> PathBuf {
 /// whose payload carries no v2 trailer (featureless registers,
 /// stack-less uploads) — exactly what a legacy agent produces.
 fn as_v1_frame(frame: &[u8]) -> Vec<u8> {
-    assert_eq!(&frame[..4], b"DCPF");
-    let ty = frame[5];
-    let mut rest = &frame[6..];
-    let len = codec::get_varint(&mut rest).unwrap() as usize;
-    let payload = &rest[4..4 + len];
-    let mut out = Vec::with_capacity(frame.len());
-    out.extend_from_slice(b"DCPF");
-    out.push(1);
-    out.push(ty);
-    codec::put_varint(&mut out, len as u64);
-    let crc = !codec::crc32_update(codec::crc32_update(!0, &[1, ty]), payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let (tags, payload) = FRAME.open(&mut Reader::new(frame)).unwrap();
+    FRAME.seal(&[1, tags[1]], payload)
 }
 
 fn frame(image: u32, offset: u64) -> Frame {

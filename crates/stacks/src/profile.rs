@@ -14,7 +14,7 @@
 //! seeded runs) merge in a deterministic order.
 
 use crate::table::{Frame, StackTable};
-use dcpi_core::codec::{get_varint, put_varint};
+use dcpi_core::codec::{put_varint, Reader};
 use dcpi_core::{Event, ImageId, Pid};
 use std::collections::BTreeMap;
 
@@ -130,61 +130,42 @@ impl StackProfile {
     /// # Errors
     ///
     /// Returns a descriptive error on truncation, trailing bytes, cyclic
-    /// parents, or counts referencing unknown stack IDs.
+    /// parents, counts referencing unknown stack IDs, or count keys out
+    /// of the order `to_bytes` writes them in.
     pub fn from_bytes(data: &[u8]) -> Result<StackProfile, String> {
-        let mut r = data
-            .strip_prefix(b"DCST\x01")
-            .ok_or("bad stack-profile magic/version")?;
-        let n = usize::try_from(varint(&mut r)?).map_err(|_| "node count overflow")?;
-        if n > (1 << 28) {
-            return Err("unreasonable node count".into());
+        let mut r = Reader::new(data);
+        if r.bytes(5)? != b"DCST\x01" {
+            return Err("bad stack-profile magic/version".into());
         }
-        // A node is at least three varint bytes: the header cannot make
-        // us reserve more than the input could hold.
-        let mut pairs = Vec::with_capacity(n.min(r.len() / 3));
+        // A node is three varints of at least a byte each, a count
+        // entry four.
+        let n = r.count(3)?;
+        let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let parent = u32::try_from(varint(&mut r)?).map_err(|_| "parent overflow")?;
-            let image = u32::try_from(varint(&mut r)?).map_err(|_| "image id overflow")?;
-            let offset = varint(&mut r)?;
-            pairs.push((
-                parent,
-                Frame {
-                    image: ImageId(image),
-                    offset,
-                },
-            ));
+            let parent = r.var("parent")?;
+            let image = ImageId(r.var("image id")?);
+            let offset = r.varint()?;
+            pairs.push((parent, Frame { image, offset }));
         }
         let table = StackTable::from_nodes(pairs)?;
-        let nc = usize::try_from(varint(&mut r)?).map_err(|_| "count overflow")?;
-        if nc > (1 << 28) {
-            return Err("unreasonable count-entry count".into());
-        }
         let mut counts = BTreeMap::new();
-        for _ in 0..nc {
-            let event = u8::try_from(varint(&mut r)?).map_err(|_| "event code overflow")?;
-            let pid = u32::try_from(varint(&mut r)?).map_err(|_| "pid overflow")?;
-            let id = u32::try_from(varint(&mut r)?).map_err(|_| "stack id overflow")?;
-            let count = varint(&mut r)?;
-            if id as usize > table.len() {
-                return Err(format!("count references unknown stack id {id}"));
+        let mut last = None;
+        for _ in 0..r.count(4)? {
+            let key = (r.var("event code")?, r.var("pid")?, r.var("stack id")?);
+            let count = r.varint()?;
+            if key.2 as usize > table.len() {
+                return Err(format!("count references unknown stack id {}", key.2));
             }
-            if counts.insert((event, pid, id), count).is_some() {
-                return Err("duplicate count key".into());
+            // Key order is `to_bytes`'s; it also rules out a duplicate.
+            if last.is_some_and(|last| last >= key) {
+                return Err("count keys not strictly increasing".into());
             }
+            last = Some(key);
+            counts.insert(key, count);
         }
-        if !r.is_empty() {
-            return Err("trailing bytes after stack profile".into());
-        }
+        r.finish("the stack profile")?;
         Ok(StackProfile { table, counts })
     }
-}
-
-/// The shared LEB128 reader, with this module's `String` errors.
-fn varint(r: &mut &[u8]) -> Result<u64, String> {
-    get_varint(r).map_err(|e| match e {
-        dcpi_core::Error::Corrupt(what) => format!("stack profile: {what}"),
-        other => other.to_string(),
-    })
 }
 
 #[cfg(test)]
@@ -246,6 +227,20 @@ mod tests {
         put_varint(&mut bytes, 1 << 20);
         let err = StackProfile::from_bytes(&bytes).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn count_keys_out_of_order_are_rejected() {
+        // One node; keys (0, 1, 1) then (0, 1, 0): the second spelling of
+        // a map `to_bytes` writes sorted. A repeat is out of order too.
+        let swapped = b"DCST\x01\x01\x00\x00\x00\x02\x00\x01\x01\x05\x00\x01\x00\x05";
+        let err = StackProfile::from_bytes(swapped).unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        let repeated = b"DCST\x01\x01\x00\x00\x00\x02\x00\x01\x01\x05\x00\x01\x01\x05";
+        assert!(StackProfile::from_bytes(repeated).is_err());
+        let sorted = b"DCST\x01\x01\x00\x00\x00\x02\x00\x01\x00\x05\x00\x01\x01\x05";
+        let p = StackProfile::from_bytes(sorted).unwrap();
+        assert_eq!(p.to_bytes(), sorted);
     }
 
     #[test]

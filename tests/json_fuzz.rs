@@ -10,10 +10,9 @@
 //! byte, and an `Ok` value must survive its own re-rendering. Seeded, so
 //! a failure reproduces from the format name and input in the message.
 
-// The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
-// denies unsafe_code, so opt this test binary out explicitly.
-#![allow(unsafe_code)]
+mod common;
 
+use common::bytes_requested;
 use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, ExportedProc};
 use dcpi::analyze::EdgeKind;
 use dcpi::check::{Category, Report, Severity};
@@ -28,8 +27,6 @@ use dcpi_obs::{
     Snapshot, TimePoint,
 };
 use dcpi_stacks::{speedscope, Frame, StackProfile};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -38,51 +35,6 @@ use std::fmt::Debug;
 /// typed value built from it, and for speedscope a second parse.
 const ALLOC_FACTOR: u64 = 3 * json::ALLOC_FACTOR as u64;
 const ALLOC_SLACK: u64 = json::ALLOC_SLACK as u64;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts the bytes requested by threads that opted in via [`COUNTING`]
-/// (the harness runs tests on parallel threads). `try_with` keeps the
-/// hook safe during thread teardown.
-struct CountingAlloc;
-
-fn note(bytes: usize) {
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn bytes_requested<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOC_BYTES.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    let out = f();
-    COUNTING.with(|on| on.set(false));
-    (out, ALLOC_BYTES.with(Cell::get))
-}
 
 /// Every character class a name could smuggle in: the JSON
 /// metacharacters, the old formats' separators, control characters with
