@@ -598,16 +598,20 @@ impl Daemon {
 /// Propagates the underlying I/O error.
 pub fn write_epoch_stacks(db: &ProfileDb, epoch: EpochId, stacks: &StackProfile) -> Result<()> {
     let path = db.epoch_path(epoch).join(STACKS_FILE);
-    let mut merged = if path.exists() {
-        StackProfile::from_bytes(&std::fs::read(&path)?).unwrap_or_default()
+    // A fresh sidecar is the incoming profile as it stands: IDs are
+    // assigned in node order, so re-interning it into an empty table
+    // would write the same bytes.
+    let bytes = if path.exists() {
+        let mut merged = StackProfile::from_bytes(&std::fs::read(&path)?).unwrap_or_default();
+        merged.merge(stacks);
+        merged.to_bytes()
     } else {
-        StackProfile::new()
+        stacks.to_bytes()
     };
-    merged.merge(stacks);
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&merged.to_bytes())?;
+        f.write_all(&bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, &path)?;

@@ -11,8 +11,9 @@
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::driver::{CostModel, Driver, DriverConfig};
 use crate::faults::{Backpressure, CrashFault, FaultInjector, FaultPlan, LossLedger};
+use dcpi_core::db::ProfileDb;
 use dcpi_core::{Addr, CpuId, UNKNOWN_IMAGE};
-use dcpi_core::{ImageId, Pid, ProfileSet, Result, Sample};
+use dcpi_core::{ImageId, Pid, Profile, ProfileKey, ProfileSet, Result, Sample};
 use dcpi_isa::image::Image;
 use dcpi_machine::machine::{Machine, SampleSink};
 use dcpi_machine::MachineConfig;
@@ -432,25 +433,23 @@ impl ProfiledRun {
     /// crash-lost + quarantined` — holds under every fault plan.
     #[must_use]
     pub fn ledger(&self) -> LossLedger {
-        let mut attributed = 0;
-        let mut unknown = 0;
-        let mut split = |set: &ProfileSet| {
-            for (key, p) in set.iter() {
-                if key.image == UNKNOWN_IMAGE {
-                    unknown += p.total();
-                } else {
-                    attributed += p.total();
-                }
-            }
-        };
-        if let Some(db) = self.daemon.db() {
-            if let Ok(set) = db.read_all() {
-                split(&set);
-            }
-        }
+        // [attributed, unknown]
+        let slot = |key: ProfileKey| usize::from(key.image == UNKNOWN_IMAGE);
         // Whatever a failed flush (or the lack of a database) left in
         // daemon memory still counts — those samples are not lost.
-        split(self.daemon.profiles());
+        let mut held = [0u64; 2];
+        for (&key, p) in self.daemon.profiles().iter() {
+            held[slot(key)] += p.total();
+        }
+        // A database that cannot be read through contributes nothing.
+        let read = |db: &ProfileDb| {
+            let mut sums = [0u64; 2];
+            let add = |_, key, p: Profile| sums[slot(key)] += p.total();
+            db.scan(db.epochs().ok()?, |_| true, add).ok()?;
+            Some(sums)
+        };
+        let on_disk = self.daemon.db().and_then(read).unwrap_or_default();
+        let [attributed, unknown] = [held[0] + on_disk[0], held[1] + on_disk[1]];
         LossLedger {
             generated: self.machine.total_samples(),
             attributed,

@@ -12,6 +12,12 @@
 //! whole decoded profiles into the [`ProfileSet`] and merges are
 //! merge-joins of two runs; nothing here works entry by entry.
 //!
+//! One file per (image, event) per epoch exists so that a tool opens only
+//! the profiles it is asked about: [`ProfileDb::scan`] is the one
+//! directory walk under every reader, and it refuses a file by its name
+//! before opening it. A reader that reports a sum keeps each visited
+//! profile's total and builds no merged set.
+//!
 //! Layout on disk:
 //!
 //! ```text
@@ -142,35 +148,29 @@ impl ProfileDb {
     /// or an I/O error if it cannot be read.
     pub fn open(root: impl Into<PathBuf>, format: Format) -> Result<ProfileDb> {
         let root = root.into();
-        let mut newest: Option<EpochId> = None;
-        let mut swept = Vec::new();
-        for entry in fs::read_dir(&root)? {
-            let entry = entry?;
-            if let Some(id) = parse_epoch_dir(&entry.file_name().to_string_lossy()) {
-                newest = Some(newest.map_or(id, |n: EpochId| n.max(id)));
-                for file in fs::read_dir(entry.path())? {
-                    let file = file?;
-                    let path = file.path();
-                    if path.extension().is_some_and(|e| e == "tmp") {
-                        fs::remove_file(&path)?;
-                        swept.push(path);
-                    }
-                }
-            }
-        }
-        swept.sort();
-        let current =
-            newest.ok_or_else(|| Error::NotFound(format!("no epochs in {}", root.display())))?;
+        let epochs = list_epochs(&root)?;
+        let current = *epochs
+            .last()
+            .ok_or_else(|| Error::NotFound(format!("no epochs in {}", root.display())))?;
         let mut db = ProfileDb {
             root,
             current,
             format,
             image_names: BTreeMap::new(),
-            damage: RefCell::new(DbDamage {
-                swept_tmp: swept,
-                quarantined: Vec::new(),
-            }),
+            damage: RefCell::default(),
         };
+        let mut swept = Vec::new();
+        for epoch in epochs {
+            for file in fs::read_dir(db.epoch_dir(epoch))? {
+                let path = file?.path();
+                if path.extension().is_some_and(|e| e == "tmp") {
+                    fs::remove_file(&path)?;
+                    swept.push(path);
+                }
+            }
+        }
+        swept.sort();
+        db.damage.get_mut().swept_tmp = swept;
         db.load_image_names()?;
         Ok(db)
     }
@@ -220,15 +220,7 @@ impl ProfileDb {
     ///
     /// Returns an I/O error if the root directory cannot be read.
     pub fn epochs(&self) -> Result<Vec<EpochId>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if let Some(id) = parse_epoch_dir(&entry.file_name().to_string_lossy()) {
-                out.push(id);
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        list_epochs(&self.root)
     }
 
     /// Starts a new epoch; subsequent merges go to it (§4.3.3: "a new epoch
@@ -287,19 +279,11 @@ impl ProfileDb {
                     .get(key.image, key.event)
                     .expect("sorted_keys returned a missing key");
                 let path = self.profile_path(self.current, key);
+                // A corrupt or mislabeled old file is quarantined and this
+                // flush's samples kept; the lost counts stay recoverable
+                // from the quarantined copy.
                 let existing = if path.exists() {
-                    let data = fs::read(&path)?;
-                    match decode_profile(&data) {
-                        Ok((existing, ev)) if ev == key.event => Some(existing),
-                        // Corrupt or mislabeled: quarantine the old file and
-                        // keep this flush's samples; the lost counts stay
-                        // recoverable from the quarantined copy.
-                        Ok(_) | Err(Error::Corrupt(_)) | Err(Error::UnsupportedVersion(_)) => {
-                            self.quarantine(&path);
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    }
+                    self.load(&path, key.event)?
                 } else {
                     None
                 };
@@ -342,61 +326,91 @@ impl ProfileDb {
         Ok(profile)
     }
 
-    /// Loads every profile in an epoch into a [`ProfileSet`]. Files that
-    /// fail framing/checksum validation (or whose encoded event
-    /// contradicts their name) are quarantined and counted in
-    /// [`ProfileDb::damage`], not fatal: a single corrupt file must never
-    /// cost the rest of the database.
+    /// Streams profile files to `visit`, one whole decoded [`Profile`] per
+    /// file: every file of `epochs` (in the order given; within an epoch
+    /// in directory order, which is arbitrary) whose name parses as a
+    /// profile key that `want` accepts. This is the one directory walk
+    /// under every reader. A file is refused *by its name*, before it is
+    /// opened — sidecars, `.tmp` and `.quar` names are not profile names,
+    /// and a key `want` declines costs no read. A file that is opened and
+    /// fails framing/checksum validation, or whose encoded event
+    /// contradicts its name, is quarantined and counted in
+    /// [`ProfileDb::damage`], not visited and not fatal: a single corrupt
+    /// file must never cost the rest of the database. A visitor may
+    /// assume each (epoch, key) arrives at most once, checksummed, with
+    /// the event its key names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFound`] for a missing epoch, or an I/O error
+    /// naming the directory or file that could not be read. Files visited
+    /// before the error stay visited: a caller that reports a sum must
+    /// discard it on `Err`.
+    pub fn scan(
+        &self,
+        epochs: impl IntoIterator<Item = EpochId>,
+        want: impl Fn(ProfileKey) -> bool,
+        mut visit: impl FnMut(EpochId, ProfileKey, Profile),
+    ) -> Result<()> {
+        for epoch in epochs {
+            let dir = self.epoch_dir(epoch);
+            for entry in fs::read_dir(&dir).map_err(|e| unreadable(&dir, e))? {
+                let name = entry?.file_name();
+                let Some(key) = name.to_str().and_then(parse_profile_name) else {
+                    continue;
+                };
+                if !want(key) {
+                    continue;
+                }
+                if let Some(profile) = self.load(&dir.join(&name), key.event)? {
+                    visit(epoch, key, profile);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads and validates the profile file at `path`, which its name says
+    /// holds `event`. A file that fails framing/checksum validation, or
+    /// whose encoded event contradicts its name, is quarantined and `None`.
+    fn load(&self, path: &Path, event: Event) -> Result<Option<Profile>> {
+        let data = fs::read(path).map_err(|e| unreadable(path, e))?;
+        match decode_profile(&data) {
+            Ok((profile, ev)) if ev == event => Ok(Some(profile)),
+            Ok(_) | Err(Error::Corrupt(_)) | Err(Error::UnsupportedVersion(_)) => {
+                self.quarantine(path);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Loads every profile in an epoch into a [`ProfileSet`]; corrupt
+    /// files are quarantined, never fatal (see [`ProfileDb::scan`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::NotFound`] for a missing epoch or an I/O error if
     /// the directory cannot be read.
     pub fn read_epoch(&self, epoch: EpochId) -> Result<ProfileSet> {
-        let mut set = ProfileSet::new();
-        self.read_epoch_into(epoch, &mut set)?;
-        Ok(set)
+        self.read_merged([epoch])
     }
 
-    /// Decodes every profile file of `epoch` and moves (or, for a key
-    /// already present, merge-joins) each whole profile into `set`.
-    fn read_epoch_into(&self, epoch: EpochId, set: &mut ProfileSet) -> Result<()> {
-        let dir = self.epoch_dir(epoch);
-        if !dir.exists() {
-            return Err(Error::NotFound(dir.display().to_string()));
-        }
-        for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(key) = parse_profile_name(&name) else {
-                continue;
-            };
-            let data = fs::read(entry.path())?;
-            match decode_profile(&data) {
-                Ok((profile, ev)) if ev == key.event => {
-                    set.insert(key, profile);
-                }
-                Ok(_) | Err(Error::Corrupt(_)) | Err(Error::UnsupportedVersion(_)) => {
-                    self.quarantine(&entry.path());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Loads and merges the profiles of *all* epochs. Corrupt files are
-    /// quarantined and counted (see [`ProfileDb::read_epoch`]), never
-    /// fatal.
+    /// Loads and merges the profiles of *all* epochs; corrupt files are
+    /// quarantined, never fatal (see [`ProfileDb::scan`]).
     ///
     /// # Errors
     ///
     /// Propagates only I/O-level epoch read failures.
     pub fn read_all(&self) -> Result<ProfileSet> {
+        self.read_merged(self.epochs()?)
+    }
+
+    /// Moves (or, for a key already present, merge-joins) each whole
+    /// profile of `epochs` into one set.
+    fn read_merged(&self, epochs: impl IntoIterator<Item = EpochId>) -> Result<ProfileSet> {
         let mut set = ProfileSet::new();
-        for epoch in self.epochs()? {
-            self.read_epoch_into(epoch, &mut set)?;
-        }
+        self.scan(epochs, |_| true, |_, key, profile| set.insert(key, profile))?;
         Ok(set)
     }
 
@@ -468,6 +482,26 @@ impl ProfileDb {
         }
         Ok(())
     }
+}
+
+/// A read failure that names what could not be read.
+fn unreadable(path: &Path, e: io::Error) -> Error {
+    match e.kind() {
+        io::ErrorKind::NotFound => Error::NotFound(path.display().to_string()),
+        kind => Error::Io(io::Error::new(kind, format!("{}: {e}", path.display()))),
+    }
+}
+
+/// The epochs under `root`, sorted.
+fn list_epochs(root: &Path) -> Result<Vec<EpochId>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(root)? {
+        if let Some(id) = parse_epoch_dir(&entry?.file_name().to_string_lossy()) {
+            out.push(id);
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
 }
 
 fn parse_epoch_dir(name: &str) -> Option<EpochId> {
@@ -735,6 +769,33 @@ mod tests {
         assert!(db.read_epoch(EpochId(1)).unwrap().is_empty());
         let all = db.read_all().unwrap();
         assert_eq!(all.get(ImageId(3), Event::Cycles).unwrap().get(0), 10);
+        assert!(db.damage().is_clean());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn scan_errors_name_what_could_not_be_read() {
+        let root = temp_root("scan-errors");
+        let mut db = ProfileDb::create(&root, Format::V2).unwrap();
+        db.merge(&sample_set()).unwrap();
+        let gone = db.scan([EpochId(9)], |_| true, |_, _, _| {});
+        assert!(matches!(gone, Err(Error::NotFound(p)) if p.ends_with("epoch_0009")));
+        // A directory under a profile's name cannot be read as one.
+        let blocked = root.join("epoch_0000/00000003.cycles.prof");
+        fs::remove_file(&blocked).unwrap();
+        fs::create_dir(&blocked).unwrap();
+        let err = db.read_all().unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        assert!(err.to_string().contains(blocked.to_str().unwrap()), "{err}");
+        // A reader whose filter declines that name never meets it.
+        let mut total = 0;
+        db.scan(
+            [EpochId(0)],
+            |key| key.image == ImageId(7),
+            |_, _, p| total += p.total(),
+        )
+        .unwrap();
+        assert_eq!(total, 1);
         assert!(db.damage().is_clean());
         fs::remove_dir_all(&root).unwrap();
     }

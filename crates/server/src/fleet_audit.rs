@@ -240,18 +240,20 @@ fn check_db(
             Severity::Error => "the checkpoint records",
             _ => "the journaled batches named by its intent hold",
         };
-        match db.read_epoch(EpochId(epoch as u32)) {
-            Ok(set) if set.total_samples() == want => {}
-            Ok(set) => report.push(
+        let mut held = 0u64;
+        match db.scan(
+            [EpochId(epoch as u32)],
+            |_| true,
+            |_, _, p| held += p.total(),
+        ) {
+            Ok(()) if held == want => {}
+            Ok(()) => report.push(
                 severity,
                 Category::FleetDb,
                 ctx,
                 None,
                 Some(epoch),
-                format!(
-                    "epoch {epoch}: database holds {} sample(s), {source} {want}",
-                    set.total_samples()
-                ),
+                format!("epoch {epoch}: database holds {held} sample(s), {source} {want}"),
             ),
             Err(e) => report.push(
                 severity,

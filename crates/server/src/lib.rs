@@ -38,6 +38,7 @@ pub use fleet::{run_fleet, FleetConfig, FleetFaultPlan, FleetLag, FleetReport};
 pub use fleet_audit::check_fleet;
 pub use journal::{scan, Journal, WalRecord, WalScan, WAL_FILE};
 pub use server::{
-    image_event_totals, image_totals, AgentSession, IngestServer, ServerConfig, ServerStats,
+    image_event_totals, image_totals, AgentSession, ImageTotals, IngestServer, ServerConfig,
+    ServerStats,
 };
 pub use transport::{Endpoint, SimNet};

@@ -780,40 +780,42 @@ fn db_err(e: dcpi_core::Error) -> io::Error {
     io::Error::other(format!("fleet db: {e}"))
 }
 
-/// Totals per image in an open fleet database: `(image, samples)`
-/// sorted by image id, plus the grand total split by unknown. Shared by
-/// the query tool and the audits.
-#[must_use]
-pub fn image_totals(db: &ProfileDb) -> (Vec<(ImageId, u64)>, u64, u64) {
+/// `(image, samples)` sorted by image id, the grand total, and the part
+/// of it attributed to no image.
+pub type ImageTotals = (Vec<(ImageId, u64)>, u64, u64);
+
+/// Totals per image in an open fleet database. Shared by the query tool
+/// and the audits. Every profile file is opened once and only its total
+/// kept; no merged profile is built.
+///
+/// # Errors
+///
+/// All or nothing: a database that cannot be read through yields the
+/// error, never the totals of the part that could.
+pub fn image_totals(db: &ProfileDb) -> dcpi_core::Result<ImageTotals> {
     let mut by_image: BTreeMap<ImageId, u64> = BTreeMap::new();
-    let mut total = 0u64;
-    let mut unknown = 0u64;
-    if let Ok(set) = db.read_all() {
-        for key in set.sorted_keys() {
-            let t = set.get(key.image, key.event).map_or(0, |p| p.total());
-            *by_image.entry(key.image).or_default() += t;
-            total += t;
-            if key.image == UNKNOWN_IMAGE {
-                unknown += t;
-            }
-        }
-    }
-    (by_image.into_iter().collect(), total, unknown)
+    db.scan(
+        db.epochs()?,
+        |_| true,
+        |_, key, profile| *by_image.entry(key.image).or_default() += profile.total(),
+    )?;
+    let total = by_image.values().sum();
+    let unknown = by_image.get(&UNKNOWN_IMAGE).copied().unwrap_or(0);
+    Ok((by_image.into_iter().collect(), total, unknown))
 }
 
-/// Per-event totals for one image across the whole fleet database.
-#[must_use]
-pub fn image_event_totals(db: &ProfileDb, image: ImageId) -> Vec<(Event, u64)> {
-    let mut out: BTreeMap<u8, u64> = BTreeMap::new();
-    if let Ok(set) = db.read_all() {
-        for key in set.sorted_keys() {
-            if key.image == image {
-                let t = set.get(key.image, key.event).map_or(0, |p| p.total());
-                *out.entry(key.event.code()).or_default() += t;
-            }
-        }
-    }
-    out.into_iter()
-        .filter_map(|(code, t)| Event::from_code(code).map(|e| (e, t)))
-        .collect()
+/// Per-event totals for one image across the whole fleet database,
+/// opening only the files named for `image`.
+///
+/// # Errors
+///
+/// All or nothing, as [`image_totals`].
+pub fn image_event_totals(db: &ProfileDb, image: ImageId) -> dcpi_core::Result<Vec<(Event, u64)>> {
+    let mut by_event: BTreeMap<Event, u64> = BTreeMap::new();
+    db.scan(
+        db.epochs()?,
+        |key| key.image == image,
+        |_, key, profile| *by_event.entry(key.event).or_default() += profile.total(),
+    )?;
+    Ok(by_event.into_iter().collect())
 }

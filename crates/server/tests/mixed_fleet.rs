@@ -128,7 +128,7 @@ fn stack_capable_and_legacy_agents_share_one_server() {
     server.finish(60).unwrap();
 
     // Flat profiles merged from BOTH agents.
-    let (by_image, total, _unknown) = dcpi_server::image_totals(server.db());
+    let (by_image, total, _unknown) = dcpi_server::image_totals(server.db()).unwrap();
     assert_eq!(total, 105, "40 + 40 + 25 samples visible fleet-wide");
     assert!(by_image.contains(&(ImageId(1), 80)));
     assert!(by_image.contains(&(ImageId(2), 25)));
@@ -149,7 +149,7 @@ fn stack_capable_and_legacy_agents_share_one_server() {
         expected_stacks.to_bytes(),
         "reopen lost or reordered calling-context data"
     );
-    let (_, total, _) = dcpi_server::image_totals(recovered.db());
+    let (_, total, _) = dcpi_server::image_totals(recovered.db()).unwrap();
     assert_eq!(total, 105);
 
     std::fs::remove_dir_all(&root).unwrap();
@@ -181,7 +181,7 @@ fn legacy_frames_survive_the_wal_roundtrip() {
     let mut recovered = IngestServer::reopen(cfg, 10).unwrap();
     assert_eq!(recovered.stats.replayed_batches, 1);
     recovered.finish(20).unwrap();
-    let (by_image, total, _) = dcpi_server::image_totals(recovered.db());
+    let (by_image, total, _) = dcpi_server::image_totals(recovered.db()).unwrap();
     assert_eq!(total, 12);
     assert!(by_image.contains(&(ImageId(3), 12)));
     assert!(recovered.stack_profile().is_empty());

@@ -296,6 +296,30 @@ mod tests {
         assert_eq!(e.total(), before.total());
     }
 
+    /// IDs are assigned in node order, so re-interning a whole profile
+    /// into an empty table reproduces it — `write_epoch_stacks` writes a
+    /// fresh sidecar without that pass.
+    #[test]
+    fn reinterning_into_empty_writes_the_same_bytes() {
+        let mut p = StackProfile::new();
+        p.record(0, Pid(1), &[f(0, 0), f(0, 16), f(1, 8)], 3);
+        let mut other = StackProfile::new();
+        other.record(1, Pid(2), &[f(2, 64)], 7);
+        other.record(0, Pid(1), &[f(0, 0), f(0, 16)], 1);
+        p.merge(&other);
+        p.record(0, Pid(3), &[f(2, 64), f(0, 0)], 2);
+        p.merge(&sample_profile());
+        p.record(1, Pid(1), &[f(0, 0)], 4);
+        // A kept table with cleared counts (the daemon between epochs)
+        // carries nodes no count names; they are re-interned too.
+        p.clear_counts();
+        p.record(0, Pid(1), &[f(0, 0), f(9, 9)], 1);
+        let mut fresh = StackProfile::new();
+        fresh.merge(&p);
+        assert_eq!(fresh.to_bytes(), p.to_bytes());
+        assert_eq!(fresh, p);
+    }
+
     #[test]
     fn event_totals_split() {
         let p = sample_profile();

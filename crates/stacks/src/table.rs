@@ -98,13 +98,12 @@ impl<F: Copy + Eq + Hash + Ord> StackTable<F> {
             (parent as usize) <= self.nodes.len(),
             "parent {parent} not interned"
         );
-        if let Some(&id) = self.index.get(&(parent, frame)) {
-            return id;
-        }
-        self.nodes.push((parent, frame));
-        let id = self.nodes.len() as u32;
-        self.index.insert((parent, frame), id);
-        id
+        // One hash of the key whether it hits or is new; a hit allocates
+        // nothing.
+        *self.index.entry((parent, frame)).or_insert_with(|| {
+            self.nodes.push((parent, frame));
+            self.nodes.len() as u32
+        })
     }
 
     /// Interns a whole stack given outermost-first (caller before callee).

@@ -353,13 +353,19 @@ pub fn dcpicheck_stacks(root: &Path) -> Report {
         // Warning-level cross-check against the flat profiles: a stack
         // sample and a flat sample are recorded by the same overflow,
         // so per-event totals agree unless one side dropped.
-        if let Ok(flat) = db.read_epoch(epoch) {
+        let mut flat = [0u64; Event::ALL.len()];
+        let read = db.scan(
+            [epoch],
+            |_| true,
+            |_, key, p| flat[usize::from(key.event.code())] += p.total(),
+        );
+        if read.is_ok() {
             for event in Event::ALL {
                 let stacked = stacks.event_total(event);
                 if stacked == 0 {
                     continue;
                 }
-                let flat_total = flat.event_total(event);
+                let flat_total = flat[usize::from(event.code())];
                 if stacked != flat_total {
                     report.push(
                         Severity::Warning,

@@ -6,12 +6,14 @@
 //! cycles gone, building-wide?" directly from a server root:
 //!
 //! * `top` — fleet-wide top-N images by samples (the Table 4 view, but
-//!   aggregated over every machine).
+//!   aggregated over every machine). Opens every profile file once and
+//!   keeps only its total.
 //! * `agents` — per-agent upload accounting, re-derived from the WAL
 //!   alone: the checkpoint's per-agent totals plus the frames journaled
 //!   since (uploads and samples are *journal* facts, not in-memory
 //!   state).
-//! * `image` — one image's per-event totals across the fleet.
+//! * `image` — one image's per-event totals across the fleet. Opens only
+//!   the files named for that image.
 
 use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
@@ -24,6 +26,13 @@ use std::path::Path;
 fn open_db(root: &Path) -> Result<ProfileDb, String> {
     ProfileDb::open(root.join("db"), Format::V2)
         .map_err(|e| format!("no fleet database under {}: {e}", root.display()))
+}
+
+fn unreadable(root: &Path, e: &dcpi_core::Error) -> String {
+    format!(
+        "cannot read the fleet database under {}: {e}",
+        root.display()
+    )
 }
 
 fn image_label(db: &ProfileDb, image: ImageId) -> String {
@@ -39,10 +48,11 @@ fn image_label(db: &ProfileDb, image: ImageId) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message if the root holds no readable fleet database.
+/// Returns a message if the root holds no fleet database or any of it
+/// cannot be read (no partial totals).
 pub fn dcpifleet_top(root: &Path, n: usize) -> Result<String, String> {
     let db = open_db(root)?;
-    let (mut rows, total, unknown) = image_totals(&db);
+    let (mut rows, total, unknown) = image_totals(&db).map_err(|e| unreadable(root, &e))?;
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
     let mut out = String::new();
     let _ = writeln!(
@@ -75,11 +85,12 @@ pub fn dcpifleet_top(root: &Path, n: usize) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Returns a message if the root holds no readable fleet database.
+/// Returns a message if the root holds no fleet database or one of the
+/// image's files cannot be read.
 pub fn dcpifleet_image(root: &Path, image: u32) -> Result<String, String> {
     let db = open_db(root)?;
     let image = ImageId(image);
-    let rows = image_event_totals(&db, image);
+    let rows = image_event_totals(&db, image).map_err(|e| unreadable(root, &e))?;
     let mut out = String::new();
     let _ = writeln!(out, "{} across the fleet:", image_label(&db, image));
     if rows.is_empty() {

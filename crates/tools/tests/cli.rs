@@ -566,6 +566,25 @@ fn fleet_cli_binaries_work_end_to_end() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("fleet-conservation"));
 
+    // A profile that cannot be read (here: a directory under its name)
+    // fails the queries that must open it — exit 1 naming the path, no
+    // partial totals — and not the one that never does.
+    let blocked = root.join("db/epoch_0001/00000001.cycles.prof");
+    std::fs::remove_file(&blocked).expect("image 1 is in every epoch");
+    std::fs::create_dir(&blocked).unwrap();
+    for query in [vec!["top", &root_arg], vec!["image", &root_arg, "1"]] {
+        let out = bin("dcpifleet").args(&query).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{query:?}");
+        assert!(out.stdout.is_empty(), "{query:?} printed partial totals");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(blocked.to_str().unwrap()), "{query:?}: {err}");
+    }
+    let out = bin("dcpifleet")
+        .args(["image", &root_arg, "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
     // Usage errors exit 2.
     let out = bin("dcpifleet").output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -6,8 +6,9 @@
 
 use dcpi::collect::driver::{CostModel, CpuDriver, DriverConfig, EvictPolicy, HashKind};
 use dcpi::core::codec::{decode_profile, encode_profile, Format};
+use dcpi::core::db::ProfileDb;
 use dcpi::core::prng::CartaRng;
-use dcpi::core::{Addr, Event, Pid, Profile, Sample};
+use dcpi::core::{Addr, Event, ImageId, Pid, Profile, ProfileSet, Sample};
 use dcpi::isa::asm::Asm;
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::isa::reg::Reg;
@@ -202,4 +203,72 @@ fn machine_profiling_is_transparent() {
         let (_, c2) = run(CounterConfig::cycles_only((500, 600)));
         assert_eq!(c1, c2, "seed {seed}: profiling transparency");
     }
+}
+
+/// Every reader sees the same database: over random multi-epoch
+/// databases the totals `scan` streams sum to `read_all()`'s, and
+/// `read_all()` is the pointwise sum of `read_epoch` over `epochs()`.
+#[test]
+fn readers_agree_on_random_multi_epoch_databases() {
+    let mut rng = CartaRng::new(0x5ca9);
+    let base = std::env::temp_dir().join(format!("dcpi-prop-readers-{}", std::process::id()));
+    for case in 0..24 {
+        let _ = std::fs::remove_dir_all(&base);
+        let mut db = ProfileDb::create(&base, Format::V2).unwrap();
+        // offset → count per key, summed over every merge of every epoch.
+        let mut want: BTreeMap<(u32, Event, u64), u64> = BTreeMap::new();
+        for epoch in 0..rng.uniform(1, 5) {
+            if epoch > 0 {
+                db.new_epoch().unwrap();
+            }
+            for _ in 0..rng.uniform(0, 3) {
+                let mut set = ProfileSet::new();
+                for _ in 0..rng.uniform(0, 40) {
+                    let image = rng.uniform(1, 4) as u32;
+                    let event = Event::ALL[rng.uniform(0, 2) as usize];
+                    let (offset, count) = (rng.uniform(0, 31) * 4, rng.uniform(1, 1000));
+                    set.add(ImageId(image), event, offset, count);
+                    *want.entry((image, event, offset)).or_default() += count;
+                }
+                db.merge(&set).unwrap();
+            }
+        }
+        let all = db.read_all().unwrap();
+        let flat = |set: &ProfileSet| -> BTreeMap<(u32, Event, u64), u64> {
+            let mut out = BTreeMap::new();
+            for (key, p) in set.iter() {
+                for (offset, count) in p.iter() {
+                    out.insert((key.image.0, key.event, offset), count);
+                }
+            }
+            out
+        };
+        assert_eq!(flat(&all), want, "case {case}: read_all");
+        let mut summed = ProfileSet::new();
+        for epoch in db.epochs().unwrap() {
+            summed.merge(&db.read_epoch(epoch).unwrap());
+        }
+        assert_eq!(flat(&summed), want, "case {case}: Σ read_epoch");
+        let mut scanned = 0u64;
+        let mut files = 0usize;
+        db.scan(
+            db.epochs().unwrap(),
+            |_| true,
+            |_, _, p| {
+                scanned += p.total();
+                files += 1;
+            },
+        )
+        .unwrap();
+        assert_eq!(scanned, all.total_samples(), "case {case}: Σ scan");
+        assert_eq!(scanned, want.values().sum::<u64>(), "case {case}");
+        let on_disk: usize = db
+            .epochs()
+            .unwrap()
+            .into_iter()
+            .map(|e| std::fs::read_dir(db.epoch_path(e)).unwrap().count())
+            .sum();
+        assert_eq!(files, on_disk, "case {case}: one visit per file");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
 }
