@@ -12,47 +12,26 @@
 //! falls below half of it — a gross-regression guard (the tolerance is
 //! generous because CI hardware varies). The CI chaos job runs it to
 //! show that the collection pipeline's fault-injection hooks cost
-//! nothing when no `FaultPlan` is armed. The `analyze` row (host time per
-//! analysed gcc procedure and per rendered `dcpicalc` row) has its own
-//! ceiling, [`ANALYZE_SLACK`], and so has the `collect` row (host time per
-//! daemon entry and per interned stack), [`COLLECT_SLACK`].
+//! nothing when no `FaultPlan` is armed. Host time per layer (analysis,
+//! daemon, stack interning) is `benchmark/`'s to measure, not this file's.
 
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_bench::{run_merged, ExpOptions, ACCURACY_PERIOD};
-use dcpi_collect::daemon::{Daemon, DaemonConfig};
-use dcpi_collect::driver::{CostModel, CpuDriver, DriverConfig};
+use dcpi_core::cli::Args;
 use dcpi_core::json::{self, quote, Json};
-use dcpi_core::{Event, Pid};
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::uop::{chain_length_histogram, compile_uops};
-use dcpi_machine::os::{OsEvent, KERNEL_BASE, MAIN_BASE};
 use dcpi_machine::DispatchStats;
-use dcpi_stacks::StackProfile;
-use dcpi_tools::dcpicalc;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
 
 /// Timed repetitions per workload row. Simulated output is deterministic,
 /// so repetitions differ only by wall-clock noise; the minimum is the
 /// best estimator of the true cost.
 const REPS: u32 = 3;
-
-/// `--check` ceiling for the `analyze` row's two costs, as a multiple of
-/// the committed baseline. The per-edge cycle-equivalence search this row
-/// was added to keep out cost 3.9x per procedure, and per-row `String`
-/// temporaries 2.8x per listing row; shared CI runners wander by up to 1.5x.
-const ANALYZE_SLACK: f64 = 2.5;
-
-/// `--check` ceiling for the `collect` row's two costs, as a multiple of
-/// the committed baseline. Attributing into a sorted run instead of a hash
-/// map cost 5.3x per entry and interning every frame from the root 5.7x
-/// per stack; the same runner wander as above applies.
-const COLLECT_SLACK: f64 = 2.0;
 
 struct WorkloadRow {
     name: &'static str,
@@ -100,31 +79,6 @@ struct TvRow {
     wall_s: f64,
 }
 
-/// Host time of the analysis tools over the gcc image: every sampled
-/// procedure analysed, then rendered by `dcpicalc`.
-struct AnalyzeRow {
-    procs: usize,
-    listing_rows: usize,
-    /// Best batch, and worst over best across the batches.
-    analyze_us_per_proc: f64,
-    analyze_spread: f64,
-    dcpicalc_ns_per_row: f64,
-    dcpicalc_spread: f64,
-}
-
-/// Host time of the daemon's two hot loops on recorded input: a gcc sample
-/// trace (many short-lived processes) aggregated by a real `CpuDriver`,
-/// and dispatch-server and deep-recursion call stacks.
-struct CollectRow {
-    entries: usize,
-    stacks: usize,
-    /// Best batch, and worst over best across the batches.
-    entry_ns: f64,
-    entry_spread: f64,
-    stack_record_ns: f64,
-    stack_record_spread: f64,
-}
-
 struct FleetRow {
     name: String,
     agents: u32,
@@ -139,10 +93,12 @@ struct FleetRow {
 }
 
 fn main() {
-    let opts = ExpOptions::from_args(4);
+    // The two flags only this binary reads; the rest is `ExpOptions`'.
+    let mut args = Args::from_env();
+    let (echo_json, check) = (args.flag("--json"), args.flag("--check"));
+    let opts = ExpOptions::from_rest(args, 4, " [--json] [--check]");
     // Read the committed baseline before we overwrite it below.
-    let baseline = opts
-        .check
+    let baseline = check
         .then(|| std::fs::read_to_string("BENCH_perf.json").ok())
         .flatten();
     // Same workloads and options as the `speedtest` binary, so the
@@ -384,30 +340,6 @@ fn main() {
         }
     }
 
-    let analyze_row = analyze_row(&opts);
-    println!(
-        "analyze gcc: {} procs at {:.1} us/proc (spread {:.2}x), {} dcpicalc rows at \
-         {:.0} ns/row (spread {:.2}x)",
-        analyze_row.procs,
-        analyze_row.analyze_us_per_proc,
-        analyze_row.analyze_spread,
-        analyze_row.listing_rows,
-        analyze_row.dcpicalc_ns_per_row,
-        analyze_row.dcpicalc_spread
-    );
-
-    let collect_row = collect_row(&opts);
-    println!(
-        "collect gcc: {} entries at {:.1} ns/entry (spread {:.2}x), {} recorded stacks at \
-         {:.0} ns/record (spread {:.2}x)",
-        collect_row.entries,
-        collect_row.entry_ns,
-        collect_row.entry_spread,
-        collect_row.stacks,
-        collect_row.stack_record_ns,
-        collect_row.stack_record_spread
-    );
-
     // One representative multi-run experiment: the accuracy suite's
     // McCalpin copy cell, merged across `opts.runs` runs — the shape every
     // figure-8/9/10 binary fans out.
@@ -488,13 +420,11 @@ fn main() {
         &overhead_rows,
         &pgo_rows,
         &tv_rows,
-        &analyze_row,
-        &collect_row,
         &fleet_row,
         &experiment,
         &opts,
     );
-    if opts.json {
+    if echo_json {
         println!("{json}");
     }
     let path = "BENCH_perf.json";
@@ -520,177 +450,12 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {dpath}: {e}"),
     }
     // `&`, not `&&`: a failed dispatch guard must not hide the others.
-    if opts.check
+    if check
         && !(check_dispatch(&dispatch_rows)
-            & check_against_baseline(
-                &rows,
-                &analyze_row,
-                &collect_row,
-                &fleet_row,
-                baseline.as_deref(),
-            ))
+            & check_against_baseline(&rows, &fleet_row, baseline.as_deref()))
     {
         std::process::exit(1);
     }
-}
-
-/// Seconds per call of `f`: the best of `REPS` batches, each repeated until
-/// it has run for 200 ms, and the worst batch over the best.
-fn time_per_call(mut f: impl FnMut()) -> (f64, f64) {
-    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let mut calls = 0u32;
-        while t.elapsed().as_secs_f64() < 0.2 {
-            f();
-            calls += 1;
-        }
-        let per_call = t.elapsed().as_secs_f64() / f64::from(calls);
-        best = best.min(per_call);
-        worst = worst.max(per_call);
-    }
-    (best, worst / best)
-}
-
-/// Profiles gcc once, then times `analyze_procedure` over every sampled
-/// procedure and `dcpicalc` over the analyses.
-fn analyze_row(opts: &ExpOptions) -> AnalyzeRow {
-    let ro = RunOptions {
-        scale: 2 * opts.scale,
-        period: (20_000, 21_600),
-        seed: opts.seed,
-        ..RunOptions::default()
-    };
-    let r = run_workload(Workload::Gcc, ProfConfig::Default, &ro);
-    let model = PipelineModel::default();
-    let aopts = AnalysisOptions::default();
-    let mut sampled = Vec::new();
-    for (id, image) in &r.images {
-        let Some(cycles) = r.profiles.get(*id, Event::Cycles) else {
-            continue;
-        };
-        for sym in image.symbols() {
-            if cycles.range_total(sym.offset, sym.offset + sym.size) > 0 {
-                sampled.push((*id, image, sym));
-            }
-        }
-    }
-    let analyse = || -> Vec<ProcAnalysis> {
-        let each = sampled.iter().map(|&(id, image, sym)| {
-            analyze_procedure(image, sym, &r.profiles, id, &model, &aopts)
-                .expect("sampled procedure analyses")
-        });
-        each.collect()
-    };
-    let analyses = analyse();
-    let (analyze_s, analyze_spread) = time_per_call(|| {
-        black_box(analyse());
-    });
-    let (dcpicalc_s, dcpicalc_spread) = time_per_call(|| {
-        for pa in &analyses {
-            black_box(dcpicalc(pa, dcpi_machine::os::MAIN_BASE.0));
-        }
-    });
-    let listing_rows = analyses.iter().map(|pa| pa.insns.len()).sum::<usize>();
-    AnalyzeRow {
-        procs: analyses.len(),
-        listing_rows,
-        analyze_us_per_proc: analyze_s * 1e6 / analyses.len() as f64,
-        analyze_spread,
-        dcpicalc_ns_per_row: dcpicalc_s * 1e9 / listing_rows as f64,
-        dcpicalc_spread,
-    }
-}
-
-/// Records a gcc sample trace and two workloads' call stacks, then times
-/// `Daemon::process_entries` over the trace's driver output and
-/// `StackProfile::record` over the stacks, both warm (every key and every
-/// stack seen before), which is the state a running daemon is in.
-fn collect_row(opts: &ExpOptions) -> CollectRow {
-    let ro = RunOptions {
-        scale: 2 * opts.scale,
-        period: (2_000, 2_200),
-        seed: opts.seed,
-        trace_limit: 8_000,
-        ..RunOptions::default()
-    };
-    let r = run_workload(Workload::Gcc, ProfConfig::Mux, &ro);
-    let mut driver = CpuDriver::new(DriverConfig::default(), CostModel::default());
-    let mut entries = Vec::new();
-    let mut daemon = Daemon::new(DaemonConfig::default()).expect("in-memory daemon");
-    let mut pids = std::collections::BTreeSet::new();
-    for &sample in &r.trace {
-        if pids.insert(sample.pid) {
-            daemon.handle_events(loader_events(&r, sample.pid));
-        }
-        driver.record(sample);
-        if driver.buffer_full {
-            entries.extend(driver.drain_overflow());
-        }
-    }
-    entries.extend(driver.flush());
-    daemon.process_entries(&entries);
-    assert_eq!(
-        daemon.stats.unknown_samples, 0,
-        "every recorded sample attributes"
-    );
-    let (entry_s, entry_spread) = time_per_call(|| {
-        daemon.process_entries(black_box(&entries));
-    });
-
-    let ro = RunOptions {
-        scale: 2 * opts.scale,
-        period: (3_000, 3_300),
-        seed: opts.seed,
-        stack_walk: true,
-        ..RunOptions::default()
-    };
-    // Dispatch-server's stacks are shallow and bushy, deep-recursion's
-    // forty-odd frames deep and nearly identical: the two ends of what an
-    // interner sees.
-    let mut stacks = Vec::new();
-    for w in [Workload::DispatchServer, Workload::DeepRecursion] {
-        let r = run_workload(w, ProfConfig::Cycles, &ro);
-        for (&(event, pid, id), &count) in &r.stacks.counts {
-            stacks.push((event, Pid(pid), r.stacks.table.frames(id), count));
-        }
-    }
-    let mut profile = StackProfile::new();
-    let mut record = || {
-        for (event, pid, frames, count) in &stacks {
-            profile.record(*event, *pid, black_box(frames), *count);
-        }
-    };
-    record();
-    let (record_s, stack_record_spread) = time_per_call(record);
-    CollectRow {
-        entries: entries.len(),
-        stacks: stacks.len(),
-        entry_ns: entry_s * 1e9 / entries.len() as f64,
-        entry_spread,
-        stack_record_ns: record_s * 1e9 / stacks.len() as f64,
-        stack_record_spread,
-    }
-}
-
-/// What `Os::spawn` announces for a process of a single-image workload:
-/// the kernel at `KERNEL_BASE`, the user image at `MAIN_BASE`.
-fn loader_events(r: &dcpi_workloads::RunResult, pid: Pid) -> Vec<OsEvent> {
-    let mut events = vec![OsEvent::ProcessCreated { pid }];
-    for (id, image) in &r.images {
-        events.push(OsEvent::ImageLoaded {
-            pid,
-            image: *id,
-            base: if *id == r.kernel_image {
-                KERNEL_BASE
-            } else {
-                MAIN_BASE
-            },
-            size: image.text_bytes(),
-            path: image.name().to_string(),
-        });
-    }
-    events
 }
 
 /// The `--check` guard: every workload must reach at least half the
@@ -698,13 +463,7 @@ fn loader_events(r: &dcpi_workloads::RunResult, pid: Pid) -> Vec<OsEvent> {
 /// independent, so `--quick` runs compare against a full-scale baseline;
 /// the 2x slack absorbs both that and CI hardware variance. Returns
 /// false on a regression.
-fn check_against_baseline(
-    rows: &[WorkloadRow],
-    analyze: &AnalyzeRow,
-    collect: &CollectRow,
-    fleet: &FleetRow,
-    baseline: Option<&str>,
-) -> bool {
+fn check_against_baseline(rows: &[WorkloadRow], fleet: &FleetRow, baseline: Option<&str>) -> bool {
     let mut ok = fleet.conserves;
     if !ok {
         println!("check {:<18} fleet ledger ** NOT CONSERVED **", fleet.name);
@@ -736,50 +495,6 @@ fn check_against_baseline(
                 ok &= pass;
             }
             None => println!("check {:<18} has no baseline row; skipping", r.name),
-        }
-    }
-    // Analyzer and daemon costs are host time per item, lower is better:
-    // a ceiling each.
-    for (row, key, now, unit, slack) in [
-        (
-            "analyze-gcc",
-            "analyze_us_per_proc",
-            analyze.analyze_us_per_proc,
-            "us/proc",
-            ANALYZE_SLACK,
-        ),
-        (
-            "analyze-gcc",
-            "dcpicalc_ns_per_row",
-            analyze.dcpicalc_ns_per_row,
-            "ns/row",
-            ANALYZE_SLACK,
-        ),
-        (
-            "collect-gcc",
-            "entry_ns",
-            collect.entry_ns,
-            "ns/entry",
-            COLLECT_SLACK,
-        ),
-        (
-            "collect-gcc",
-            "stack_record_ns",
-            collect.stack_record_ns,
-            "ns/record",
-            COLLECT_SLACK,
-        ),
-    ] {
-        match baseline_num(row, key) {
-            Some(was) => {
-                let pass = now <= was * slack;
-                println!(
-                    "check {row:<18} {now:7.1} {unit} vs baseline {was:7.1}  {}",
-                    if pass { "ok" } else { "** REGRESSED **" }
-                );
-                ok &= pass;
-            }
-            None => println!("check {row:<18} has no baseline {key}; skipping"),
         }
     }
     // Fleet throughput is samples/s, not simulated cycles/s, so it gets
@@ -886,14 +601,11 @@ fn render_dispatch_json(rows: &[DispatchRow]) -> String {
     s
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     rows: &[WorkloadRow],
     overhead: &[OverheadRow],
     pgo: &[PgoRow],
     tv: &[TvRow],
-    analyze: &AnalyzeRow,
-    collect: &CollectRow,
     fleet: &FleetRow,
     exp: &ExperimentRow,
     opts: &ExpOptions,
@@ -974,38 +686,6 @@ fn render_json(
         );
     }
     let _ = writeln!(s, "  ],");
-    // Host time of the analysis tools; `--check` holds both costs under
-    // `ANALYZE_SLACK` times the baseline.
-    let _ = writeln!(s, "  \"analyze\": [");
-    let _ = writeln!(
-        s,
-        "    {{\"name\": \"analyze-gcc\", \"procs\": {}, \"rows\": {}, \
-         \"analyze_us_per_proc\": {:.2}, \"analyze_spread\": {:.2}, \
-         \"dcpicalc_ns_per_row\": {:.1}, \"dcpicalc_spread\": {:.2}}}",
-        analyze.procs,
-        analyze.listing_rows,
-        analyze.analyze_us_per_proc,
-        analyze.analyze_spread,
-        analyze.dcpicalc_ns_per_row,
-        analyze.dcpicalc_spread
-    );
-    let _ = writeln!(s, "  ],");
-    // Host time of the daemon's hot loops; `--check` holds both costs
-    // under `COLLECT_SLACK` times the baseline.
-    let _ = writeln!(s, "  \"collect\": [");
-    let _ = writeln!(
-        s,
-        "    {{\"name\": \"collect-gcc\", \"entries\": {}, \"stacks\": {}, \
-         \"entry_ns\": {:.2}, \"entry_spread\": {:.2}, \
-         \"stack_record_ns\": {:.1}, \"stack_record_spread\": {:.2}}}",
-        collect.entries,
-        collect.stacks,
-        collect.entry_ns,
-        collect.entry_spread,
-        collect.stack_record_ns,
-        collect.stack_record_spread
-    );
-    let _ = writeln!(s, "  ],");
     // Fleet rows carry `samples_per_s` instead of `mcycles_per_s`:
     // wall time here is ingest + WAL + merge work, not simulation, and
     // the checker compares it under its own key.
@@ -1056,22 +736,6 @@ mod tests {
             retired: 0,
             wall_s: 1.0,
         };
-        let analyze = AnalyzeRow {
-            procs: 1,
-            listing_rows: 1,
-            analyze_us_per_proc: 10.0,
-            analyze_spread: 1.0,
-            dcpicalc_ns_per_row: 10.0,
-            dcpicalc_spread: 1.0,
-        };
-        let collect = CollectRow {
-            entries: 1,
-            stacks: 1,
-            entry_ns: 10.0,
-            entry_spread: 1.0,
-            stack_record_ns: 10.0,
-            stack_record_spread: 1.0,
-        };
         let fleet = FleetRow {
             name: "fleet-24".into(),
             agents: 24,
@@ -1081,7 +745,7 @@ mod tests {
             conserves: true,
             lag_p95_cycles,
         };
-        check_against_baseline(&[workload], &analyze, &collect, &fleet, Some(baseline))
+        check_against_baseline(&[workload], &fleet, Some(baseline))
     }
 
     const BASELINE: &str = concat!(

@@ -24,8 +24,9 @@
 //! | `ablation_freq` | estimator ablations |
 //! | `ablation_skid` | interrupt-skid ablation |
 //!
-//! All binaries accept `--runs N`, `--scale N`, `--seed N`, `--threads N`,
-//! `--quick`, `--json` and `--check`, and refuse to start on anything else.
+//! All binaries accept `--runs N`, `--scale N`, `--seed N`, `--threads N`
+//! and `--quick`, and refuse to start on anything else (`bench_report`
+//! takes its own `--json` and `--check` first).
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_core::cli::{Args, Stop};
@@ -49,12 +50,6 @@ pub struct ExpOptions {
     /// the machine's available parallelism, `1` reproduces the serial
     /// path exactly).
     pub threads: usize,
-    /// Machine-readable JSON output where a binary supports it.
-    pub json: bool,
-    /// Regression-guard mode (`bench_report --check`): compare against
-    /// the committed `BENCH_perf.json` baseline and exit nonzero on a
-    /// gross throughput regression.
-    pub check: bool,
 }
 
 impl ExpOptions {
@@ -63,16 +58,25 @@ impl ExpOptions {
     /// understood is reported with the usage line and exit code 2.
     #[must_use]
     pub fn from_args(default_runs: usize) -> ExpOptions {
+        ExpOptions::from_rest(Args::from_env(), default_runs, "")
+    }
+
+    /// As [`ExpOptions::from_args`], for a binary that has taken flags of
+    /// its own out of `args` first; `own_usage` names them.
+    #[must_use]
+    pub fn from_rest(args: Args, default_runs: usize, own_usage: &str) -> ExpOptions {
         let quick_env = std::env::var("DCPI_QUICK").is_ok();
-        ExpOptions::parse(Args::from_env(), default_runs, quick_env).unwrap_or_else(|stop| {
-            let usage = "usage: <experiment> [--runs N] [--scale N] [--seed N] [--threads N] \
-                 [--quick] [--json] [--check]";
-            std::process::exit(stop.report("dcpi-bench", usage).into())
+        ExpOptions::parse(args, default_runs, quick_env).unwrap_or_else(|stop| {
+            let usage = format!(
+                "usage: <experiment> [--runs N] [--scale N] [--seed N] [--threads N] \
+                 [--quick]{own_usage}"
+            );
+            std::process::exit(stop.report("dcpi-bench", &usage).into())
         })
     }
 
-    /// Takes `--runs`, `--scale`, `--seed`, `--threads`, `--quick`,
-    /// `--json` and `--check` out of `args`.
+    /// Takes `--runs`, `--scale`, `--seed`, `--threads` and `--quick` out
+    /// of `args`.
     ///
     /// # Errors
     ///
@@ -87,8 +91,6 @@ impl ExpOptions {
             threads: args
                 .value("--threads")?
                 .unwrap_or_else(dcpi_workloads::default_threads),
-            json: args.flag("--json"),
-            check: args.flag("--check"),
         };
         args.finish()?;
         if opts.quick {
@@ -483,14 +485,12 @@ mod tests {
             "42",
             "--threads",
             "2",
-            "--json",
         ]);
         let o = ExpOptions::parse(args, 10, false).unwrap();
         assert_eq!(o.runs, 7);
         assert_eq!(o.scale, 3);
         assert_eq!(o.seed, 42);
         assert_eq!(o.threads, 2);
-        assert!(o.json);
         assert!(!o.quick);
     }
 
@@ -501,7 +501,6 @@ mod tests {
         assert_eq!(o.scale, 1);
         assert_eq!(o.seed, 1);
         assert!(o.threads >= 1, "defaults to available parallelism");
-        assert!(!o.json);
     }
 
     #[test]
@@ -523,6 +522,8 @@ mod tests {
             (&["--bogus", "--runs", "3"][..], "--bogus"),
             (&["--runs", "lots"], "lots"),
             (&["--runs", "--quick"], "--runs"),
+            // Only `bench_report` checks anything; it takes the flag itself.
+            (&["--check"], "--check"),
         ] {
             match ExpOptions::parse(Args::new(argv.iter().copied()), 10, false) {
                 Err(Stop::Usage(msg)) => assert!(msg.contains(word), "{argv:?}: {msg}"),

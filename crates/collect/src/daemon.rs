@@ -33,13 +33,7 @@ use dcpi_stacks::{Frame, RawStackSample, StackProfile};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::io::Write;
 use std::path::PathBuf;
-
-/// File name of the per-epoch calling-context sidecar (the `DCST`
-/// serialization of a [`StackProfile`]); lives in the epoch directory
-/// next to the `.prof` files, which ignore non-`.prof` names.
-pub const STACKS_FILE: &str = "stacks.dcst";
 
 /// Daemon tuning parameters.
 #[derive(Clone, Debug)]
@@ -234,13 +228,7 @@ impl Daemon {
     /// empty directory falls back to creating a fresh one).
     pub fn reopen(cfg: DaemonConfig) -> Result<Daemon> {
         let db = match &cfg.db_path {
-            Some(p) => Some(match ProfileDb::open(p.clone(), codec::Format::V2) {
-                Ok(db) => db,
-                Err(Error::NotFound(_) | Error::Io(_)) => {
-                    ProfileDb::create(p.clone(), codec::Format::V2)?
-                }
-                Err(e) => return Err(e),
-            }),
+            Some(p) => Some(ProfileDb::open_or_create(p.clone(), codec::Format::V2)?),
             None => None,
         };
         Ok(Daemon::with_db(cfg, db))
@@ -296,22 +284,12 @@ impl Daemon {
 
     fn record_image_names(&mut self, os: &Os) {
         if let Some(db) = &mut self.db {
-            let images_dir = db.root().join("images");
+            let names = os.images().map(|li| (li.id, li.image.name()));
+            if db.record_image_names(names).is_err() {
+                self.stats.image_write_failures += 1;
+            }
             for li in os.images() {
-                if db.record_image_name(li.id, li.image.name()).is_err() {
-                    self.stats.image_write_failures += 1;
-                }
-                // Keep the profiled executables next to the profiles so
-                // the offline tools can symbolize and analyze without
-                // the original build tree.
-                let path = images_dir.join(format!("{:08x}.img", li.id.0));
-                if path.exists() {
-                    continue;
-                }
-                if std::fs::create_dir_all(&images_dir)
-                    .and_then(|()| std::fs::write(&path, li.image.to_bytes()))
-                    .is_err()
-                {
+                if db.save_image(li.id, || li.image.to_bytes()).is_err() {
                     self.stats.image_write_failures += 1;
                 }
             }
@@ -587,9 +565,9 @@ impl Daemon {
     }
 }
 
-/// Read-modify-writes the calling-context sidecar of `epoch`, merging
-/// `stacks` into whatever is already there, with the same
-/// tmp+sync+rename discipline as the profile files. A corrupt existing
+/// Read-modify-writes the calling-context sidecar of `epoch` (the `DCST`
+/// serialization of a [`StackProfile`]), merging `stacks` into whatever
+/// is already there, as durably as the profile files. A corrupt existing
 /// sidecar is replaced rather than poisoning the write. Shared by the
 /// daemon's flush and the fleet server's merge.
 ///
@@ -597,25 +575,18 @@ impl Daemon {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_epoch_stacks(db: &ProfileDb, epoch: EpochId, stacks: &StackProfile) -> Result<()> {
-    let path = db.epoch_path(epoch).join(STACKS_FILE);
     // A fresh sidecar is the incoming profile as it stands: IDs are
     // assigned in node order, so re-interning it into an empty table
     // would write the same bytes.
-    let bytes = if path.exists() {
-        let mut merged = StackProfile::from_bytes(&std::fs::read(&path)?).unwrap_or_default();
-        merged.merge(stacks);
-        merged.to_bytes()
-    } else {
-        stacks.to_bytes()
+    let bytes = match db.read_sidecar(epoch)? {
+        Some(old) => {
+            let mut merged = StackProfile::from_bytes(&old).unwrap_or_default();
+            merged.merge(stacks);
+            merged.to_bytes()
+        }
+        None => stacks.to_bytes(),
     };
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    Ok(())
+    db.write_sidecar(epoch, bytes)
 }
 
 /// Reads one epoch's calling-context sidecar from the database, if the
@@ -627,14 +598,9 @@ pub fn write_epoch_stacks(db: &ProfileDb, epoch: EpochId, stacks: &StackProfile)
 /// Returns [`Error::Corrupt`] if the sidecar exists but cannot be
 /// decoded, or the underlying I/O error.
 pub fn read_epoch_stacks(db: &ProfileDb, epoch: EpochId) -> Result<Option<StackProfile>> {
-    let path = db.epoch_path(epoch).join(STACKS_FILE);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let data = std::fs::read(&path)?;
-    StackProfile::from_bytes(&data)
-        .map(Some)
-        .map_err(Error::Corrupt)
+    db.read_sidecar(epoch)?
+        .map(|data| StackProfile::from_bytes(&data).map_err(Error::Corrupt))
+        .transpose()
 }
 
 /// Reads and merges the calling-context sidecars of every epoch, in

@@ -14,6 +14,7 @@
 //! unknown, dropped by the driver, lost to a crash, or quarantined with
 //! a corrupt file — nothing vanishes without a line item.
 
+use dcpi_core::db::{self, Entry};
 use dcpi_core::prng::CartaRng;
 use dcpi_core::{codec, fsfault};
 use dcpi_machine::os::OsEvent;
@@ -466,25 +467,19 @@ impl FaultInjector {
     }
 }
 
-/// All `.prof` files under a database root, sorted for deterministic
-/// victim selection.
+/// Every profile file under a database root, sorted for deterministic
+/// victim selection: the files a reader would open, listed without
+/// opening a database that may already be damaged.
 fn profile_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let Ok(epochs) = std::fs::read_dir(root) else {
-        return out;
-    };
-    for entry in epochs.flatten() {
-        let dir = entry.path();
-        if !dir.is_dir() {
+    for (epoch, entry) in db::list(root).unwrap_or_default() {
+        if !matches!(entry, Entry::Epoch(_)) {
             continue;
         }
-        let Ok(files) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for f in files.flatten() {
-            let p = f.path();
-            if p.extension().is_some_and(|e| e == "prof") {
-                out.push(p);
+        let dir = root.join(epoch);
+        for (name, entry) in db::list(&dir).unwrap_or_default() {
+            if matches!(entry, Entry::Profile(_)) {
+                out.push(dir.join(name));
             }
         }
     }

@@ -323,8 +323,8 @@ impl ProfiledRun {
         self.crash_lost += lost;
         self.injector
             .record_crash(now, lost, now - self.last_disk_flush);
-        if let Some(root) = self.daemon.db().map(|db| db.root().to_path_buf()) {
-            self.injector.apply_corruption(&root, crash);
+        if let Some(root) = &self.daemon_cfg.db_path {
+            self.injector.apply_corruption(root, crash);
         }
         let mut fresh = Daemon::reopen(self.daemon_cfg.clone()).expect("daemon restart");
         fresh.attach_obs(&self.obs);

@@ -18,17 +18,32 @@
 //! before opening it. A reader that reports a sum keeps each visited
 //! profile's total and builds no merged set.
 //!
-//! Layout on disk:
+//! This module is the only code that names, lists or lands a file in a
+//! database. The whole tree:
 //!
 //! ```text
 //! <root>/
-//!   images.tsv                 # image id → pathname map (database-wide)
+//!   images.tsv                   # image id → pathname, one escaped line each
+//!   images/
+//!     00000003.img               # the executable profiled as image 3
 //!   epoch_0000/
-//!     00000003.cycles.prof     # image 3, CYCLES event
+//!     00000003.cycles.prof       # image 3, CYCLES event
 //!     00000003.imiss.prof
+//!     stacks.dcst                # calling-context sidecar, opaque bytes here
+//!     00000003.cycles.prof.quar  # failed validation on a read; moved aside
 //!   epoch_0001/
 //!     ...
+//!   **/*.tmp                     # a write that never reached its rename
 //! ```
+//!
+//! Every name has exactly one meaning, an [`Entry`], which the readers
+//! here and the callers that must look at a directory too damaged to open
+//! ([`list`]) share. Every file enters by one routine: written under its
+//! temporary name, renamed into place, so a reader sees the old bytes or
+//! the new, never a torn file. Profiles and the sidecar are synced before
+//! the rename; the name map and the saved executables are not (a process
+//! crash cannot tear them, a power cut can). [`ProfileDb::open`] removes
+//! the temporaries a crash left.
 
 use crate::codec::{decode_profile, encode_profile, Format};
 use crate::error::{Error, Result};
@@ -36,6 +51,7 @@ use crate::profile::{Profile, ProfileKey, ProfileSet};
 use crate::types::{Event, ImageId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -74,14 +90,42 @@ fn sync_together(files: &[fs::File]) -> io::Result<()> {
     })
 }
 
+/// The name a file is written under until [`land`] renames it to `path`.
+#[must_use]
+pub fn tmp_path(path: &Path) -> PathBuf {
+    path.with_extension("tmp")
+}
+
+/// The one way a file enters a database: every `(path, bytes)` is written
+/// under its temporary name and only then renamed into place, so a crash
+/// leaves the old file or the new one and a temporary for
+/// [`ProfileDb::open`] to sweep. With `durable`, the temporaries are all
+/// synced together before the first rename, so no file is renamed before
+/// its bytes are on the device.
+fn land(files: &[(PathBuf, Vec<u8>)], durable: bool) -> io::Result<()> {
+    let mut written = Vec::with_capacity(files.len());
+    for (path, bytes) in files {
+        let mut f = fs::File::create(tmp_path(path))?;
+        f.write_all(bytes)?;
+        written.push(f);
+    }
+    if durable {
+        sync_together(&written)?;
+    }
+    drop(written);
+    for (path, _) in files {
+        fs::rename(tmp_path(path), path)?;
+    }
+    Ok(())
+}
+
 /// Damage discovered — and contained — while recovering or reading a
-/// database: torn merges swept at [`ProfileDb::open`] and corrupt profile
-/// files quarantined instead of aborting a read. Each entry names the
-/// original profile path.
+/// database: torn writes swept at [`ProfileDb::open`] and corrupt profile
+/// files quarantined instead of aborting a read.
 #[derive(Clone, Debug, Default)]
 pub struct DbDamage {
-    /// Stale `.tmp` files removed at open (a crash interrupted the
-    /// write-then-rename merge protocol; the durable file is intact).
+    /// Stale temporaries removed at open, anywhere in the tree (a crash
+    /// came between a write and its rename; the file itself is intact).
     pub swept_tmp: Vec<PathBuf>,
     /// Profile files that failed framing/checksum/decode validation and
     /// were renamed aside with a `.quar` extension.
@@ -109,7 +153,7 @@ pub struct ProfileDb {
     root: PathBuf,
     current: EpochId,
     format: Format,
-    image_names: BTreeMap<u32, String>,
+    image_names: BTreeMap<ImageId, String>,
     // Interior mutability: reads take `&self` (tools hold shared
     // references) but must still be able to record the damage they
     // contained.
@@ -133,49 +177,78 @@ impl ProfileDb {
             image_names: BTreeMap::new(),
             damage: RefCell::new(DbDamage::default()),
         };
-        fs::create_dir_all(db.epoch_dir(db.current))?;
+        fs::create_dir_all(db.epoch_path(db.current))?;
         Ok(db)
     }
 
     /// Opens an existing database, resuming at its newest epoch. Stale
-    /// `.tmp` files left by a merge interrupted mid-write are swept (the
-    /// rename never happened, so the durable profile is intact) and
-    /// recorded in [`ProfileDb::damage`].
+    /// temporaries left by a write interrupted before its rename — beside
+    /// the profiles, the name map or the saved executables — are swept
+    /// (the rename never happened, so the file itself is intact) and
+    /// recorded in [`ProfileDb::damage`]. A name-map line that does not
+    /// parse is skipped (`dcpicheck db` reports it).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NotFound`] if `root` exists but contains no epochs,
-    /// or an I/O error if it cannot be read.
+    /// Returns [`Error::NotFound`] if `root` is missing or contains no
+    /// epochs, or an I/O error if it cannot be read.
     pub fn open(root: impl Into<PathBuf>, format: Format) -> Result<ProfileDb> {
         let root = root.into();
-        let epochs = list_epochs(&root)?;
-        let current = *epochs
-            .last()
+        let entries = list(&root).map_err(|e| unreadable(&root, e))?;
+        let current = epochs_of(&entries)
+            .max()
             .ok_or_else(|| Error::NotFound(format!("no epochs in {}", root.display())))?;
-        let mut db = ProfileDb {
-            root,
-            current,
-            format,
-            image_names: BTreeMap::new(),
-            damage: RefCell::default(),
-        };
         let mut swept = Vec::new();
-        for epoch in epochs {
-            for file in fs::read_dir(db.epoch_dir(epoch))? {
-                let path = file?.path();
-                if path.extension().is_some_and(|e| e == "tmp") {
-                    fs::remove_file(&path)?;
-                    swept.push(path);
+        let mut image_names = BTreeMap::new();
+        for (name, entry) in entries {
+            let path = root.join(name);
+            match entry {
+                Entry::StaleTmp => swept.push(path),
+                // A file squatting on the directory's name holds nothing.
+                Entry::Images if !path.is_dir() => {}
+                Entry::Epoch(_) | Entry::Images => {
+                    let stale = list(&path)?
+                        .into_iter()
+                        .filter(|(_, e)| *e == Entry::StaleTmp);
+                    swept.extend(stale.map(|(name, _)| path.join(name)));
                 }
+                Entry::NameMap => {
+                    image_names.extend(parse_image_names(&fs::read(path)?).flatten());
+                }
+                _ => {}
             }
         }
         swept.sort();
-        db.damage.get_mut().swept_tmp = swept;
-        db.load_image_names()?;
-        Ok(db)
+        for path in &swept {
+            fs::remove_file(path)?;
+        }
+        Ok(ProfileDb {
+            root,
+            current,
+            format,
+            image_names,
+            damage: RefCell::new(DbDamage {
+                swept_tmp: swept,
+                quarantined: Vec::new(),
+            }),
+        })
     }
 
-    /// The damage contained so far: `.tmp` files swept at open plus
+    /// [`ProfileDb::open`], or [`ProfileDb::create`] where there is no
+    /// database yet: a missing directory, or one without an epoch.
+    ///
+    /// # Errors
+    ///
+    /// As `open` (other than `NotFound`) and `create`.
+    pub fn open_or_create(root: impl Into<PathBuf>, format: Format) -> Result<ProfileDb> {
+        let root = root.into();
+        match ProfileDb::open(&root, format) {
+            Err(Error::NotFound(_)) => ProfileDb::create(root, format),
+            opened => opened,
+        }
+    }
+
+    /// The damage contained so far: temporaries swept at open plus
     /// profile files quarantined during reads and merges.
     #[must_use]
     pub fn damage(&self) -> DbDamage {
@@ -202,12 +275,6 @@ impl ProfileDb {
             .push(path.to_path_buf());
     }
 
-    /// The directory this database lives in.
-    #[must_use]
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The epoch new samples are merged into.
     #[must_use]
     pub fn current_epoch(&self) -> EpochId {
@@ -220,7 +287,9 @@ impl ProfileDb {
     ///
     /// Returns an I/O error if the root directory cannot be read.
     pub fn epochs(&self) -> Result<Vec<EpochId>> {
-        list_epochs(&self.root)
+        let mut epochs: Vec<EpochId> = epochs_of(&list(&self.root)?).collect();
+        epochs.sort_unstable();
+        Ok(epochs)
     }
 
     /// Starts a new epoch; subsequent merges go to it (§4.3.3: "a new epoch
@@ -231,7 +300,7 @@ impl ProfileDb {
     /// Returns an I/O error if the epoch directory cannot be created.
     pub fn new_epoch(&mut self) -> Result<EpochId> {
         let next = EpochId(self.current.0 + 1);
-        fs::create_dir_all(self.epoch_dir(next))?;
+        fs::create_dir_all(self.epoch_path(next))?;
         self.current = next;
         Ok(next)
     }
@@ -242,13 +311,30 @@ impl ProfileDb {
     ///
     /// Returns an I/O error if the map file cannot be written.
     pub fn record_image_name(&mut self, image: ImageId, name: &str) -> Result<()> {
-        if self
-            .image_names
-            .insert(image.0, name.to_string())
-            .as_deref()
-            != Some(name)
-        {
-            self.save_image_names()?;
+        self.record_image_names([(image, name)])
+    }
+
+    /// Records a pathname for each image id and persists the map once, if
+    /// any of them was news.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the map file cannot be written.
+    pub fn record_image_names<'a>(
+        &mut self,
+        names: impl IntoIterator<Item = (ImageId, &'a str)>,
+    ) -> Result<()> {
+        let mut changed = false;
+        for (image, name) in names {
+            changed |= self.image_names.insert(image, name.to_string()).as_deref() != Some(name);
+        }
+        if changed {
+            let lines: String = self
+                .image_names
+                .iter()
+                .map(|(&image, name)| image_name_line(image, name))
+                .collect();
+            land(&[(self.root.join(NAME_MAP), lines.into_bytes())], false)?;
         }
         Ok(())
     }
@@ -256,12 +342,12 @@ impl ProfileDb {
     /// Looks up the recorded pathname for an image.
     #[must_use]
     pub fn image_name(&self, image: ImageId) -> Option<&str> {
-        self.image_names.get(&image.0).map(String::as_str)
+        self.image_names.get(&image).map(String::as_str)
     }
 
     /// Merges a set of in-memory profiles into the current epoch,
     /// read-modify-writing each affected file. Writes are crash-safe
-    /// (write `.tmp`, sync, rename), [`SYNC_BATCH`] files at a time: a
+    /// (temporary, sync, rename), [`SYNC_BATCH`] files at a time: a
     /// batch's temporaries are all written, synced together, then renamed,
     /// so no file is renamed before its bytes are durable. An existing file
     /// that fails validation is quarantined and the merge proceeds from
@@ -273,7 +359,7 @@ impl ProfileDb {
     /// one cannot be written.
     pub fn merge(&mut self, set: &ProfileSet) -> Result<()> {
         for batch in set.sorted_keys().chunks(SYNC_BATCH) {
-            let (mut files, mut paths) = (Vec::new(), Vec::new());
+            let mut files = Vec::with_capacity(batch.len());
             for &key in batch {
                 let incoming = set
                     .get(key.image, key.event)
@@ -295,17 +381,9 @@ impl ProfileDb {
                     }
                     None => encode_profile(incoming, key.event, self.format),
                 };
-                let tmp = path.with_extension("tmp");
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(&bytes)?;
-                files.push(f);
-                paths.push((tmp, path));
+                files.push((path, bytes));
             }
-            sync_together(&files)?;
-            drop(files);
-            for (tmp, path) in paths {
-                fs::rename(&tmp, &path)?;
-            }
+            land(&files, true)?;
         }
         Ok(())
     }
@@ -318,22 +396,19 @@ impl ProfileDb {
     /// corruption error if it cannot be decoded.
     pub fn read_profile(&self, epoch: EpochId, key: ProfileKey) -> Result<Profile> {
         let path = self.profile_path(epoch, key);
-        if !path.exists() {
-            return Err(Error::NotFound(path.display().to_string()));
-        }
-        let data = fs::read(&path)?;
+        let data = fs::read(&path).map_err(|e| unreadable(&path, e))?;
         let (profile, _) = decode_profile(&data)?;
         Ok(profile)
     }
 
     /// Streams profile files to `visit`, one whole decoded [`Profile`] per
     /// file: every file of `epochs` (in the order given; within an epoch
-    /// in directory order, which is arbitrary) whose name parses as a
-    /// profile key that `want` accepts. This is the one directory walk
-    /// under every reader. A file is refused *by its name*, before it is
-    /// opened — sidecars, `.tmp` and `.quar` names are not profile names,
-    /// and a key `want` declines costs no read. A file that is opened and
-    /// fails framing/checksum validation, or whose encoded event
+    /// in directory order, which is arbitrary) whose name is an
+    /// [`Entry::Profile`] with a key that `want` accepts. This is the one
+    /// directory walk under every reader. A file is refused *by its
+    /// name*, before it is opened — nothing but a profile name is a
+    /// profile, and a key `want` declines costs no read. A file that is
+    /// opened and fails framing/checksum validation, or whose encoded event
     /// contradicts its name, is quarantined and counted in
     /// [`ProfileDb::damage`], not visited and not fatal: a single corrupt
     /// file must never cost the rest of the database. A visitor may
@@ -353,16 +428,15 @@ impl ProfileDb {
         mut visit: impl FnMut(EpochId, ProfileKey, Profile),
     ) -> Result<()> {
         for epoch in epochs {
-            let dir = self.epoch_dir(epoch);
-            for entry in fs::read_dir(&dir).map_err(|e| unreadable(&dir, e))? {
-                let name = entry?.file_name();
-                let Some(key) = name.to_str().and_then(parse_profile_name) else {
+            let dir = self.epoch_path(epoch);
+            for (name, entry) in list(&dir).map_err(|e| unreadable(&dir, e))? {
+                let Entry::Profile(key) = entry else {
                     continue;
                 };
                 if !want(key) {
                     continue;
                 }
-                if let Some(profile) = self.load(&dir.join(&name), key.event)? {
+                if let Some(profile) = self.load(&dir.join(name), key.event)? {
                     visit(epoch, key, profile);
                 }
             }
@@ -423,64 +497,88 @@ impl ProfileDb {
     pub fn disk_usage(&self) -> Result<u64> {
         let mut total = 0;
         for epoch in self.epochs()? {
-            for entry in fs::read_dir(self.epoch_dir(epoch))? {
-                let entry = entry?;
-                // Count live profiles only — not quarantined or stale
-                // temporary files.
-                if entry.path().extension().is_some_and(|e| e == "prof") {
-                    total += entry.metadata()?.len();
+            // Exactly the files `scan` would open.
+            let dir = self.epoch_path(epoch);
+            for (name, entry) in list(&dir)? {
+                if matches!(entry, Entry::Profile(_)) {
+                    total += fs::metadata(dir.join(name))?.len();
                 }
             }
         }
         Ok(total)
     }
 
-    /// Directory holding one epoch's files. Public so sidecar artifacts
-    /// keyed to an epoch — the calling-context stack tables, which use
-    /// their own `DCST` format rather than the `.prof` codec — can live
-    /// next to the profiles they annotate. Only `.prof` files are read
-    /// by the profile loaders, so sidecars never confuse them.
-    #[must_use]
-    pub fn epoch_path(&self, epoch: EpochId) -> PathBuf {
-        self.epoch_dir(epoch)
+    /// The epoch's calling-context sidecar ([`STACKS_FILE`]), if it
+    /// recorded one: bytes this module stores and does not interpret.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error.
+    pub fn read_sidecar(&self, epoch: EpochId) -> Result<Option<Vec<u8>>> {
+        if_present(fs::read(self.epoch_path(epoch).join(STACKS_FILE)))
     }
 
-    fn epoch_dir(&self, epoch: EpochId) -> PathBuf {
-        self.root.join(format!("epoch_{:04}", epoch.0))
+    /// Replaces the epoch's sidecar, as durably as a profile.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error.
+    pub fn write_sidecar(&self, epoch: EpochId, bytes: Vec<u8>) -> Result<()> {
+        let path = self.epoch_path(epoch).join(STACKS_FILE);
+        Ok(land(&[(path, bytes)], true)?)
+    }
+
+    /// Keeps the executable profiled as `image` beside the profiles, so the
+    /// offline tools can symbolize without the original build tree. A
+    /// saved image is whole (it was renamed into place) and an id never
+    /// changes its image, so one that is already there is left alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error.
+    pub fn save_image(&self, image: ImageId, bytes: impl FnOnce() -> Vec<u8>) -> Result<()> {
+        let dir = self.root.join(IMAGES_DIR);
+        let path = dir.join(format!("{:08x}.img", image.0));
+        if !path.exists() {
+            fs::create_dir_all(dir)?;
+            land(&[(path, bytes())], false)?;
+        }
+        Ok(())
+    }
+
+    /// Every saved executable and the image id its name carries.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the directory exists and cannot be read.
+    pub fn saved_images(&self) -> Result<Vec<(ImageId, PathBuf)>> {
+        let dir = self.root.join(IMAGES_DIR);
+        let found = if_present(list(&dir))?.into_iter().flatten();
+        let saved = found.filter_map(|(name, entry)| match entry {
+            Entry::Image(id) => Some((id, dir.join(name))),
+            _ => None,
+        });
+        Ok(saved.collect())
+    }
+
+    /// Directory holding one epoch's files.
+    #[must_use]
+    pub fn epoch_path(&self, epoch: EpochId) -> PathBuf {
+        self.root.join(epoch_dir_name(epoch))
     }
 
     fn profile_path(&self, epoch: EpochId, key: ProfileKey) -> PathBuf {
-        self.epoch_dir(epoch)
-            .join(format!("{:08x}.{}.prof", key.image.0, key.event.name()))
+        let name = format!("{:08x}.{}.prof", key.image.0, key.event.name());
+        self.epoch_path(epoch).join(name)
     }
+}
 
-    fn image_map_path(&self) -> PathBuf {
-        self.root.join("images.tsv")
-    }
-
-    fn save_image_names(&self) -> Result<()> {
-        let mut out = String::new();
-        for (id, name) in &self.image_names {
-            out.push_str(&format!("{id}\t{name}\n"));
-        }
-        fs::write(self.image_map_path(), out)?;
-        Ok(())
-    }
-
-    fn load_image_names(&mut self) -> Result<()> {
-        let path = self.image_map_path();
-        if !path.exists() {
-            return Ok(());
-        }
-        let text = fs::read_to_string(path)?;
-        for line in text.lines() {
-            if let Some((id, name)) = line.split_once('\t') {
-                if let Ok(id) = id.parse::<u32>() {
-                    self.image_names.insert(id, name.to_string());
-                }
-            }
-        }
-        Ok(())
+/// `None` for what is not there; any other failure is the error.
+fn if_present<T>(read: io::Result<T>) -> Result<Option<T>> {
+    match read {
+        Ok(found) => Ok(Some(found)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -492,31 +590,172 @@ fn unreadable(path: &Path, e: io::Error) -> Error {
     }
 }
 
-/// The epochs under `root`, sorted.
-fn list_epochs(root: &Path) -> Result<Vec<EpochId>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(root)? {
-        if let Some(id) = parse_epoch_dir(&entry?.file_name().to_string_lossy()) {
-            out.push(id);
+/// File name of the per-epoch calling-context sidecar.
+pub const STACKS_FILE: &str = "stacks.dcst";
+/// File name of the image id → pathname map, in the root.
+pub const NAME_MAP: &str = "images.tsv";
+const IMAGES_DIR: &str = "images";
+
+/// What a name in a database is. A name has one meaning wherever it is
+/// found; each directory's reader acts on the kinds that belong there and
+/// treats the rest as foreign.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Entry {
+    /// `epoch_NNNN`, in the root: one epoch's directory.
+    Epoch(EpochId),
+    /// `images.tsv`, in the root: the image id → pathname map.
+    NameMap,
+    /// `images`, in the root: the directory of saved executables.
+    Images,
+    /// `<imagehex>.img`, in `images/`: one saved executable.
+    Image(ImageId),
+    /// `<imagehex>.<event>.prof`, in an epoch: the only files a profile
+    /// reader opens.
+    Profile(ProfileKey),
+    /// [`STACKS_FILE`], in an epoch.
+    Sidecar,
+    /// A write that never reached its rename.
+    StaleTmp,
+    /// A profile that failed validation, moved aside.
+    Quarantined,
+    /// Ends in `.prof` and is not a profile name: no reader will open it.
+    Misnamed,
+    /// Nothing this module writes.
+    Foreign,
+}
+
+impl Entry {
+    /// Classifies `name`. The parsed kinds are the writer's spelling only
+    /// (`epoch_7` and `3.cycles.prof` are foreign and misnamed), so no two
+    /// names mean the same thing. Profiles first: they are nearly every
+    /// name a reader lists.
+    #[must_use]
+    pub fn of(name: &str) -> Entry {
+        if let Some(key) = parse_profile_name(name) {
+            Entry::Profile(key)
+        } else if name.ends_with(".prof") {
+            Entry::Misnamed
+        } else if name.ends_with(".tmp") {
+            Entry::StaleTmp
+        } else if name.contains(".prof.quar") {
+            Entry::Quarantined
+        } else if name == NAME_MAP {
+            Entry::NameMap
+        } else if name == IMAGES_DIR {
+            Entry::Images
+        } else if name == STACKS_FILE {
+            Entry::Sidecar
+        } else if let Some(epoch) = parse_epoch_dir(name) {
+            Entry::Epoch(epoch)
+        } else if let Some(image) = name.strip_suffix(".img").and_then(hex8) {
+            Entry::Image(ImageId(image))
+        } else {
+            Entry::Foreign
         }
     }
-    out.sort_unstable();
-    Ok(out)
 }
 
-fn parse_epoch_dir(name: &str) -> Option<EpochId> {
-    name.strip_prefix("epoch_")?.parse().ok().map(EpochId)
+/// Lists `dir` without opening a database: every name in it, in directory
+/// order, with what it is. The one directory listing under this module,
+/// and for callers that must look at a database too damaged for
+/// [`ProfileDb::open`].
+///
+/// # Errors
+///
+/// Returns the I/O error if `dir` cannot be read.
+pub fn list(dir: &Path) -> io::Result<Vec<(OsString, Entry)>> {
+    let entries = fs::read_dir(dir)?.map(|entry| {
+        let name = entry?.file_name();
+        // A name that is not UTF-8 is none of ours, and stays none lossily.
+        let kind = Entry::of(&name.to_string_lossy());
+        Ok((name, kind))
+    });
+    entries.collect()
 }
 
-fn parse_profile_name(name: &str) -> Option<ProfileKey> {
-    let stem = name.strip_suffix(".prof")?;
-    let (image_hex, event_name) = stem.split_once('.')?;
-    let image = u32::from_str_radix(image_hex, 16).ok()?;
-    let event = Event::ALL.into_iter().find(|e| e.name() == event_name)?;
-    Some(ProfileKey {
-        image: ImageId(image),
-        event,
+fn epochs_of(entries: &[(OsString, Entry)]) -> impl Iterator<Item = EpochId> + '_ {
+    entries.iter().filter_map(|(_, entry)| match entry {
+        Entry::Epoch(id) => Some(*id),
+        _ => None,
     })
+}
+
+fn epoch_dir_name(epoch: EpochId) -> String {
+    format!("epoch_{:04}", epoch.0)
+}
+
+/// `name` as the name map spells it: backslash, tab, newline and carriage
+/// return escaped, so a name — which arrives from fleet agents unvetted —
+/// stays within its line and its field, on disk and in a listing.
+#[must_use]
+pub fn escape_image_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// One name-map line for `image`, newline included.
+#[must_use]
+pub fn image_name_line(image: ImageId, name: &str) -> String {
+    format!("{}\t{}\n", image.0, escape_image_name(name))
+}
+
+/// Parses a name map line by line: `Some` for a line that is exactly what
+/// [`image_name_line`] writes for its value, `None` for any other —
+/// including a last line without its newline, which is a torn write.
+pub fn parse_image_names(text: &[u8]) -> impl Iterator<Item = Option<(ImageId, String)>> + '_ {
+    text.split_inclusive(|&b| b == b'\n').map(|line| {
+        let line = std::str::from_utf8(line).ok()?;
+        let (id, escaped) = line.strip_suffix('\n')?.split_once('\t')?;
+        let image = ImageId(id.parse().ok()?);
+        let mut name = String::with_capacity(escaped.len());
+        let mut chars = escaped.chars();
+        while let Some(c) = chars.next() {
+            name.push(match c {
+                '\\' => match chars.next()? {
+                    '\\' => '\\',
+                    't' => '\t',
+                    'n' => '\n',
+                    'r' => '\r',
+                    _ => return None,
+                },
+                c => c,
+            });
+        }
+        (image_name_line(image, &name) == line).then_some((image, name))
+    })
+}
+
+/// The epoch `name` is the directory of, if it is the writer's spelling.
+fn parse_epoch_dir(name: &str) -> Option<EpochId> {
+    let id = EpochId(name.strip_prefix("epoch_")?.parse().ok()?);
+    (epoch_dir_name(id) == name).then_some(id)
+}
+
+/// `{:08x}` read back: eight lowercase hex digits and nothing else.
+fn hex8(digits: &str) -> Option<u32> {
+    let spelled = digits.len() == 8
+        && digits
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u32::from_str_radix(digits, 16).ok().filter(|_| spelled)
+}
+
+/// The key `name` is the profile of, if it is the writer's spelling: the
+/// one profile-name grammar.
+fn parse_profile_name(name: &str) -> Option<ProfileKey> {
+    let (image_hex, event_name) = name.strip_suffix(".prof")?.split_once('.')?;
+    let image = ImageId(hex8(image_hex)?);
+    let event = Event::ALL.into_iter().find(|e| e.name() == event_name)?;
+    Some(ProfileKey { image, event })
 }
 
 #[cfg(test)]
@@ -674,17 +913,29 @@ mod tests {
         {
             let mut db = ProfileDb::create(&root, Format::V2).unwrap();
             db.merge(&sample_set()).unwrap();
+            db.record_image_name(ImageId(3), "/bin/app").unwrap();
+            db.save_image(ImageId(3), || b"image".to_vec()).unwrap();
         }
-        // A crash between the `.tmp` write and the rename leaves both the
-        // durable file and the stale temporary behind.
-        let stale = root.join("epoch_0000/00000003.cycles.tmp");
-        fs::write(&stale, b"torn half-written merge").unwrap();
+        // A crash between the temporary's write and the rename leaves both
+        // the durable file and the stale temporary behind, wherever the
+        // write was headed.
+        let stale = [
+            root.join("epoch_0000/00000003.cycles.tmp"),
+            root.join("images/00000003.tmp"),
+            root.join("images.tmp"),
+        ];
+        for tmp in &stale {
+            fs::write(tmp, b"torn half-written merge").unwrap();
+        }
         let db = ProfileDb::open(&root, Format::V2).unwrap();
-        assert!(!stale.exists(), "stale tmp swept at open");
-        assert_eq!(db.damage().swept_tmp, vec![stale]);
-        // The durable profile still reads back intact.
+        assert!(stale.iter().all(|tmp| !tmp.exists()), "swept at open");
+        assert_eq!(db.damage().swept_tmp, stale);
+        // The durable files still read back intact.
         let back = db.read_epoch(EpochId(0)).unwrap();
         assert_eq!(back.get(ImageId(3), Event::Cycles).unwrap().get(0), 10);
+        assert_eq!(db.image_name(ImageId(3)), Some("/bin/app"));
+        let saved = db.saved_images().unwrap();
+        assert_eq!(saved, [(ImageId(3), root.join("images/00000003.img"))]);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -52,7 +52,7 @@ pub fn flip_bit(path: &Path, byte: u64, bit: u8) -> io::Result<()> {
 ///
 /// Returns any I/O error from creating the file.
 pub fn write_stray_tmp(profile_path: &Path, payload: &[u8]) -> io::Result<PathBuf> {
-    let tmp = profile_path.with_extension("tmp");
+    let tmp = crate::db::tmp_path(profile_path);
     fs::write(&tmp, payload)?;
     Ok(tmp)
 }

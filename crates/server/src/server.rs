@@ -704,10 +704,9 @@ fn apply_merge_group(db: &mut ProfileDb, epoch: u32, batches: &[&EpochBatch]) ->
     if !stacks.is_empty() {
         write_epoch_stacks(db, db.current_epoch(), &stacks).map_err(db_err)?;
     }
-    for (image, name) in batches.iter().flat_map(|b| &b.image_names) {
-        db.record_image_name(*image, name).map_err(db_err)?;
-    }
-    Ok(())
+    let names = batches.iter().flat_map(|b| &b.image_names);
+    db.record_image_names(names.map(|(image, name)| (*image, name.as_str())))
+        .map_err(db_err)
 }
 
 /// `(agent, seq)` of every queued batch, sorted: what a merge intent
@@ -727,16 +726,8 @@ fn queued_keys(queue: &VecDeque<(u32, u64, EpochBatch)>) -> Vec<(u32, u64)> {
 /// epoch is not the one the log implies: merging on would
 /// read-modify-write into settled data.
 fn open_db(cfg: &ServerConfig, merged: u32, reset_epoch: bool) -> io::Result<ProfileDb> {
-    let db_path = cfg.db_path();
-    std::fs::create_dir_all(&db_path)?;
-    let open = || {
-        match ProfileDb::open(&db_path, Format::V2) {
-            // No epoch yet: a crash before the first merge, or epoch 0 reset.
-            Err(dcpi_core::Error::NotFound(_)) => ProfileDb::create(&db_path, Format::V2),
-            opened => opened,
-        }
-        .map_err(db_err)
-    };
+    // No epoch yet is a crash before the first merge, or epoch 0 reset.
+    let open = || ProfileDb::open_or_create(cfg.db_path(), Format::V2).map_err(db_err);
     let mut db = open()?;
     if reset_epoch && db.current_epoch().0 == merged {
         // The interrupted merge got as far as creating its epoch.
@@ -758,8 +749,8 @@ pub fn epochs_disagree(db: &ProfileDb, merged: u32) -> Option<String> {
     let (settled, expected) = match merged.checked_sub(1) {
         Some(last) => (newest.0 == last, format!("epoch {last}")),
         None => {
-            let empty =
-                std::fs::read_dir(db.epoch_path(newest)).map_or(true, |mut d| d.next().is_none());
+            let listed = dcpi_core::db::list(&db.epoch_path(newest));
+            let empty = listed.map_or(true, |d| d.is_empty());
             (newest.0 == 0 && empty, "an empty epoch 0".to_owned())
         }
     };

@@ -34,28 +34,13 @@ pub struct LoadedDb {
 /// (`dcpicheck db` surfaces them), and unreadable image files are
 /// skipped (their samples fall back to hex-offset symbolization).
 pub fn load_db(dir: impl AsRef<Path>) -> Result<LoadedDb> {
-    let dir = dir.as_ref();
-    let db = ProfileDb::open(dir, Format::V2)?;
+    let db = ProfileDb::open(dir.as_ref(), Format::V2)?;
     let profiles = db.read_all()?;
     let mut registry = ImageRegistry::new();
-    let images_dir = dir.join("images");
-    if images_dir.exists() {
-        for entry in std::fs::read_dir(&images_dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(id) = name
-                .strip_suffix(".img")
-                .and_then(|h| u32::from_str_radix(h, 16).ok())
-            else {
-                continue;
-            };
-            let data = std::fs::read(entry.path())?;
-            match Image::from_bytes(&data) {
-                Ok(image) => registry.insert(ImageId(id), Arc::new(image)),
-                Err(e) => {
-                    eprintln!("warning: skipping {}: {e}", entry.path().display());
-                }
-            }
+    for (id, path) in db.saved_images()? {
+        match Image::from_bytes(&std::fs::read(&path)?) {
+            Ok(image) => registry.insert(id, Arc::new(image)),
+            Err(e) => eprintln!("warning: skipping {}: {e}", path.display()),
         }
     }
     Ok(LoadedDb { profiles, registry })

@@ -4,10 +4,10 @@
 use crate::registry::ImageRegistry;
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi_check::{Category, CheckConfig, Report, Severity};
-use dcpi_collect::daemon::{read_epoch_stacks, STACKS_FILE};
+use dcpi_collect::daemon::read_epoch_stacks;
 use dcpi_core::codec::Format;
-use dcpi_core::db::ProfileDb;
-use dcpi_core::{codec, Event, ProfileSet, UNKNOWN_IMAGE};
+use dcpi_core::db::{self, Entry, ProfileDb, STACKS_FILE};
+use dcpi_core::{codec, Event, ImageId, ProfileSet, UNKNOWN_IMAGE};
 use dcpi_isa::image::Image;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::AddressMap;
@@ -68,82 +68,55 @@ pub fn dcpicheck(set: &ProfileSet, registry: &ImageRegistry) -> String {
 /// Audits a profile database *directory* (`dcpicheck db <path>`): every
 /// profile file must pass its length/checksum framing and carry the
 /// event its filename claims, epoch directories must be contiguous and
-/// free of foreign files, stale `.tmp` and quarantined files are
-/// surfaced, and every profiled image should have a name record in
-/// `images.tsv`. Runs on the raw filesystem — a database too damaged
-/// for `ProfileDb::open` still gets a report instead of an error.
+/// free of foreign files, stale temporaries and quarantined files are
+/// surfaced, and every profiled image should have a name record in the
+/// name map. Runs on `dcpi_core::db`'s raw listing, which classifies
+/// each name exactly as the readers do — a database too damaged for
+/// `ProfileDb::open` still gets a report instead of an error.
 #[must_use]
 pub fn dcpicheck_db(root: &Path) -> Report {
     let mut report = Report::new();
     let ctx = root.display().to_string();
-    let entries = match std::fs::read_dir(root) {
+    let mut structure = |severity, msg: String| {
+        report.push(severity, Category::EpochStructure, &ctx, None, None, msg);
+    };
+    let entries = match db::list(root) {
         Ok(e) => e,
         Err(e) => {
-            report.push(
+            structure(
                 Severity::Error,
-                Category::EpochStructure,
-                &ctx,
-                None,
-                None,
                 format!("cannot read database directory: {e}"),
             );
             return report;
         }
     };
-    let mut epochs: Vec<(u64, std::path::PathBuf)> = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if path.is_dir() {
-            match name.strip_prefix("epoch_").and_then(|s| s.parse().ok()) {
-                Some(n) => epochs.push((n, path)),
-                None if name == "images" => {}
-                None => report.push(
-                    Severity::Warning,
-                    Category::EpochStructure,
-                    &ctx,
-                    None,
-                    None,
-                    format!("unexpected directory `{name}`"),
-                ),
-            }
-        } else if name != "images.tsv" {
-            report.push(
+    let mut epochs = Vec::new();
+    for (name, entry) in entries {
+        let path = root.join(&name);
+        let name = name.to_string_lossy();
+        match (entry, path.is_dir()) {
+            (Entry::Epoch(id), true) => epochs.push((id, path)),
+            (Entry::Images, true) | (Entry::NameMap, false) => {}
+            (_, true) => structure(Severity::Warning, format!("unexpected directory `{name}`")),
+            (_, false) => structure(
                 Severity::Warning,
-                Category::EpochStructure,
-                &ctx,
-                None,
-                None,
                 format!("unexpected file `{name}` in database root"),
-            );
+            ),
         }
     }
     epochs.sort();
     if epochs.is_empty() {
-        report.push(
-            Severity::Error,
-            Category::EpochStructure,
-            &ctx,
-            None,
-            None,
-            "no epoch directories",
-        );
+        structure(Severity::Error, "no epoch directories".to_owned());
         return report;
     }
-    for (want, (got, _)) in epochs.iter().enumerate() {
-        if *got as usize != want {
-            report.push(
-                Severity::Error,
-                Category::EpochStructure,
-                &ctx,
-                None,
-                None,
-                format!(
-                    "epoch numbering has a gap: expected epoch_{want:04}, found epoch_{got:04}"
-                ),
-            );
-            break;
-        }
+    if let Some((want, (got, _))) = (0..).zip(&epochs).find(|(want, (got, _))| got.0 != *want) {
+        structure(
+            Severity::Error,
+            format!(
+                "epoch numbering has a gap: expected epoch_{want:04}, found epoch_{:04}",
+                got.0
+            ),
+        );
     }
     let mut profiled_images = BTreeSet::new();
     for (_, dir) in &epochs {
@@ -469,177 +442,104 @@ fn audit_stack_profile(stacks: &StackProfile, ctx: &str, report: &mut Report) {
     }
 }
 
-/// One epoch directory: decode every `.prof`, flag stale `.tmp` and
-/// quarantined files, and collect the image ids seen in filenames.
-fn audit_epoch_dir(dir: &Path, report: &mut Report, profiled_images: &mut BTreeSet<u32>) {
-    let ctx = dir.display().to_string();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        report.push(
-            Severity::Error,
-            Category::EpochStructure,
-            &ctx,
-            None,
-            None,
-            "cannot read epoch directory",
-        );
-        return;
+/// One epoch directory: decode every profile and the sidecar, say what
+/// every other name is, and collect the image ids seen in filenames.
+fn audit_epoch_dir(dir: &Path, report: &mut Report, profiled_images: &mut BTreeSet<ImageId>) {
+    use Severity::{Error, Warning};
+    let Ok(mut entries) = db::list(dir) else {
+        let ctx = dir.display().to_string();
+        let msg = "cannot read epoch directory";
+        return report.push(Error, Category::EpochStructure, ctx, None, None, msg);
     };
-    let mut names: Vec<String> = entries
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    for name in names {
-        let fctx = format!("{ctx}/{name}");
-        if name.ends_with(".tmp") {
-            report.push(
-                Severity::Warning,
-                Category::StaleTemp,
-                &fctx,
-                None,
-                None,
-                "stale temporary from an interrupted merge; reopen the database to sweep it",
-            );
-            continue;
-        }
-        if name.contains(".quar") {
-            report.push(
-                Severity::Warning,
-                Category::QuarantinedFile,
-                &fctx,
-                None,
-                None,
-                "quarantined profile file: its samples are counted as lost",
-            );
-            continue;
-        }
-        if name == STACKS_FILE {
-            // The calling-context sidecar is first-class, not foreign;
-            // it must at least decode here (`dcpicheck stacks` goes
-            // deeper).
-            if let Err(e) = std::fs::read(dir.join(&name))
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| StackProfile::from_bytes(&bytes))
-            {
-                report.push(
-                    Severity::Error,
-                    Category::StackStructure,
-                    &fctx,
-                    None,
-                    None,
-                    format!("stack sidecar rejected: {e}"),
-                );
-            }
-            continue;
-        }
-        let Some(stem) = name.strip_suffix(".prof") else {
-            report.push(
-                Severity::Warning,
-                Category::EpochStructure,
-                &fctx,
-                None,
-                None,
-                "foreign file in epoch directory",
-            );
-            continue;
-        };
-        let parsed = stem.split_once('.').and_then(|(hex, event)| {
-            let id = u32::from_str_radix(hex, 16).ok()?;
-            Some((id, event.to_string()))
-        });
-        let Some((image_id, event_name)) = parsed else {
-            report.push(
-                Severity::Error,
-                Category::EpochStructure,
-                &fctx,
-                None,
-                None,
-                "profile filename is not `<imagehex>.<event>.prof`",
-            );
-            continue;
-        };
-        if image_id != UNKNOWN_IMAGE.0 {
-            profiled_images.insert(image_id);
-        }
-        match std::fs::read(dir.join(&name))
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| codec::decode_profile(&bytes).map_err(|e| e.to_string()))
-        {
-            Ok((_, event)) => {
-                if event.name() != event_name {
-                    report.push(
-                        Severity::Error,
-                        Category::FileChecksum,
-                        &fctx,
-                        None,
-                        None,
-                        format!(
-                            "filename claims event `{event_name}` but the record holds `{}`",
-                            event.name()
-                        ),
-                    );
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, entry) in entries {
+        let path = dir.join(name);
+        let read = || std::fs::read(&path).map_err(|e| e.to_string());
+        let (severity, category, msg) = match entry {
+            Entry::Profile(key) => {
+                if key.image != UNKNOWN_IMAGE {
+                    profiled_images.insert(key.image);
                 }
+                let msg = match read().and_then(|b| Ok(codec::decode_profile(&b)?)) {
+                    Ok((_, event)) if event == key.event => continue,
+                    Ok((_, event)) => format!(
+                        "filename claims event `{}` but the record holds `{}`",
+                        key.event.name(),
+                        event.name()
+                    ),
+                    Err(e) => format!("profile record rejected: {e}"),
+                };
+                (Error, Category::FileChecksum, msg)
             }
-            Err(e) => report.push(
-                Severity::Error,
-                Category::FileChecksum,
-                &fctx,
-                None,
-                None,
-                format!("profile record rejected: {e}"),
+            // The calling-context sidecar is first-class, not foreign; it
+            // must at least decode here (`dcpicheck stacks` goes deeper).
+            Entry::Sidecar => match read().and_then(|b| StackProfile::from_bytes(&b)) {
+                Ok(_) => continue,
+                Err(e) => (
+                    Error,
+                    Category::StackStructure,
+                    format!("stack sidecar rejected: {e}"),
+                ),
+            },
+            Entry::StaleTmp => (
+                Warning,
+                Category::StaleTemp,
+                "stale temporary from an interrupted merge; reopen the database to sweep it".into(),
             ),
-        }
+            Entry::Quarantined => (
+                Warning,
+                Category::QuarantinedFile,
+                "quarantined profile file: its samples are counted as lost".into(),
+            ),
+            Entry::Misnamed => (
+                Error,
+                Category::EpochStructure,
+                "profile filename is not `<imagehex>.<event>.prof`".into(),
+            ),
+            _ => (
+                Warning,
+                Category::EpochStructure,
+                "foreign file in epoch directory".into(),
+            ),
+        };
+        let ctx = path.display().to_string();
+        report.push(severity, category, ctx, None, None, msg);
     }
 }
 
-/// `images.tsv` must parse, and every image with profile data should
-/// have a name record (the daemon writes them on its startup scan).
-fn audit_image_names(root: &Path, profiled_images: &BTreeSet<u32>, report: &mut Report) {
-    let tsv = root.join("images.tsv");
+/// Every line of the name map must parse, and every image with profile
+/// data should have a name record (the daemon writes them on its startup
+/// scan).
+fn audit_image_names(root: &Path, profiled_images: &BTreeSet<ImageId>, report: &mut Report) {
+    let tsv = root.join(db::NAME_MAP);
     let ctx = tsv.display().to_string();
+    let mut say = |severity, msg: String| {
+        report.push(severity, Category::ImageNameRecord, &ctx, None, None, msg);
+    };
     let mut named = BTreeSet::new();
-    match std::fs::read_to_string(&tsv) {
+    match std::fs::read(&tsv) {
         Ok(text) => {
-            for (lineno, line) in text.lines().enumerate() {
-                match line.split_once('\t').and_then(|(id, name)| {
-                    let id: u32 = id.parse().ok()?;
-                    (!name.is_empty()).then_some(id)
-                }) {
-                    Some(id) => {
-                        named.insert(id);
-                    }
-                    None => report.push(
+            for (lineno, line) in db::parse_image_names(&text).enumerate() {
+                match line {
+                    Some((id, _)) => drop(named.insert(id)),
+                    None => say(
                         Severity::Error,
-                        Category::ImageNameRecord,
-                        &ctx,
-                        None,
-                        None,
                         format!("line {}: not `<id>\\t<name>`", lineno + 1),
                     ),
                 }
             }
         }
         Err(_) if profiled_images.is_empty() => {}
-        Err(e) => report.push(
+        Err(e) => say(
             Severity::Warning,
-            Category::ImageNameRecord,
-            &ctx,
-            None,
-            None,
             format!("cannot read image-name records: {e}"),
         ),
     }
-    for id in profiled_images {
-        if !named.contains(id) {
-            report.push(
-                Severity::Warning,
-                Category::ImageNameRecord,
-                &ctx,
-                None,
-                None,
-                format!("image {id:#010x} has profile data but no name record"),
-            );
-        }
+    for id in profiled_images.difference(&named) {
+        say(
+            Severity::Warning,
+            format!("image {:#010x} has profile data but no name record", id.0),
+        );
     }
 }
 

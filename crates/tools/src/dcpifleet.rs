@@ -16,7 +16,7 @@
 //!   the files named for that image.
 
 use dcpi_core::codec::Format;
-use dcpi_core::db::ProfileDb;
+use dcpi_core::db::{escape_image_name, ProfileDb};
 use dcpi_core::{ImageId, UNKNOWN_IMAGE};
 use dcpi_server::journal::{self, WAL_FILE};
 use dcpi_server::{image_event_totals, image_totals};
@@ -39,8 +39,9 @@ fn image_label(db: &ProfileDb, image: ImageId) -> String {
     if image == UNKNOWN_IMAGE {
         "<unknown>".to_owned()
     } else {
+        // Escaped: a name is whatever an agent uploaded.
         db.image_name(image)
-            .map_or_else(|| format!("image#{}", image.0), ToOwned::to_owned)
+            .map_or_else(|| format!("image#{}", image.0), escape_image_name)
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Each row of [`TABLE`] names a decoder a hostile agent or a bad disk
 //! can reach — profile files in both formats, DCPF messages, the WAL
-//! scan, DCST sections, DCIM images — with a seed corpus drawn from the
+//! scan, DCST sections, DCIM images, and the one text file beside them,
+//! the database's name map — with a seed corpus drawn from the
 //! format's own encoder and the encoder to hold accepted values to.
 //! Every seed is damaged (bit flips, insertions, deletions, splices from
 //! the other seeds, every truncation, counts that lie) and, for the
@@ -20,18 +21,19 @@
 //!   writes: a version-1 DCPF frame decodes, and the re-encoder here
 //!   seals under the version byte the input carried.
 //!
-//! All of them walk their input through `dcpi::core::codec::Reader`, so
-//! a failure here is a failure of that one cursor or of a rule layered
+//! The binary ones walk their input through `dcpi::core::codec::Reader`,
+//! so a failure there is a failure of that one cursor or of a rule layered
 //! on it. Seeded: a failure prints the row and the input in hex.
 
 mod common;
 
-use common::bytes_requested;
+use common::{bytes_requested, HOSTILE};
 use dcpi::collect::faults::LossLedger;
 use dcpi::collect::wire::{decode_msg, encode_msg, EpochBatch, Msg, FRAME as DCPF, WIRE_VERSION};
 use dcpi::core::codec::{
     decode_profile, encode_profile, put_varint, Format, Frame, Reader, PROFILE_FRAME,
 };
+use dcpi::core::db::{image_name_line, parse_image_names, ProfileDb};
 use dcpi::core::prng::CartaRng;
 use dcpi::core::{Event, ImageId, Pid, Profile};
 use dcpi::isa::{Image, Symbol};
@@ -67,7 +69,7 @@ struct Row {
     alloc_factor: u64,
 }
 
-static TABLE: [Row; 6] = [
+static TABLE: [Row; 7] = [
     Row {
         name: "profile.v1",
         seed: |g| encode_profile(&g.profile(u64::from(u32::MAX)), g.event(), Format::V1),
@@ -227,6 +229,61 @@ static TABLE: [Row; 6] = [
         // Words and 40 B symbols per 20 B, each copied once into its Arc.
         alloc_factor: 8,
     },
+    Row {
+        name: "images.tsv",
+        seed: |g| {
+            let mut image = 0;
+            let lines = (0..g.below(6)).map(|_| {
+                image += 1 + g.below(70_000) as u32;
+                let name = match g.below(2) {
+                    0 => format!("/usr/bin/app{image}"),
+                    _ => g.hostile_name(),
+                };
+                image_name_line(ImageId(image), &name)
+            });
+            lines.collect::<String>().into_bytes()
+        },
+        // Like the log, a map is its leading lines that parse: the first
+        // refused line ends what the input is held to.
+        decode: |input| {
+            let lines = input.split_inclusive(|&b| b == b'\n');
+            let accepted: Vec<(usize, (ImageId, String))> = lines
+                .zip(parse_image_names(input))
+                .map_while(|(line, parsed)| Some((line.len(), parsed?)))
+                .collect();
+            let len = accepted.iter().map(|(len, _)| len).sum();
+            let reencode = move || {
+                let lines = accepted
+                    .iter()
+                    .map(|(_, (id, name))| image_name_line(*id, name));
+                lines.collect::<String>().into_bytes()
+            };
+            Ok(Accepted {
+                len,
+                reencode: Box::new(reencode),
+            })
+        },
+        frame: None,
+        // No newline; second spellings of an id; a raw separator; escapes
+        // the writer never writes; an id past `u32`.
+        lies: || {
+            let lines = [
+                "7\t/bin/app",
+                "+7\ta\n",
+                "007\ta\n",
+                "7\ta\tb\n",
+                "7\ta\r\n",
+                "7\ta\\x\n",
+                "7\ta\\\n",
+                "4294967296\ta\n",
+            ];
+            lines.iter().map(|l| l.as_bytes().to_vec()).collect()
+        },
+        // A 3-byte line is a 40 B entry of `accepted` here, in a vector
+        // that doubles as it grows; the parser's own name and re-spelling
+        // stay within twice their line.
+        alloc_factor: 64,
+    },
 ];
 
 fn profile(input: &[u8]) -> Result<Accepted, String> {
@@ -346,6 +403,12 @@ impl Gen {
         const CHARS: [char; 8] = ['a', '/', '.', '\0', '"', 'é', '😀', ' '];
         (0..self.below(8))
             .map(|_| CHARS[self.below(8) as usize])
+            .collect()
+    }
+
+    fn hostile_name(&mut self) -> String {
+        (0..self.below(10))
+            .map(|_| HOSTILE[self.below(HOSTILE.len() as u64) as usize])
             .collect()
     }
 
@@ -631,6 +694,30 @@ fn dcst_sections_survive_mutation() {
 #[test]
 fn dcim_images_survive_mutation() {
     fuzz(&TABLE[5], 0xb1f5);
+}
+
+#[test]
+fn name_maps_survive_mutation() {
+    fuzz(&TABLE[6], 0xb1f6);
+}
+
+/// Whatever an agent calls an image is what the database calls it after
+/// a reopen, and no name spills into another image's.
+#[test]
+fn hostile_names_round_trip_through_the_database() {
+    let root = wal_root("names");
+    let mut names: Vec<String> = HOSTILE.iter().map(|c| format!("/bin/{c}app{c}")).collect();
+    names.push(HOSTILE.iter().collect());
+    names.push(String::new());
+    let mut db = ProfileDb::create(&root, Format::V2).expect("create");
+    let ids = (0u32..).step_by(3).map(ImageId);
+    db.record_image_names(ids.clone().zip(names.iter().map(String::as_str)))
+        .expect("record");
+    let db = ProfileDb::open(&root, Format::V2).expect("open");
+    for (id, name) in ids.zip(&names) {
+        assert_eq!(db.image_name(id), Some(name.as_str()), "image {}", id.0);
+        assert_eq!(db.image_name(ImageId(id.0 + 1)), None, "image {}", id.0 + 1);
+    }
 }
 
 /// The two reservations this table was written after: a 13-byte DCIM

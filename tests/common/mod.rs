@@ -1,6 +1,6 @@
 //! What the root fuzz tests share: an allocator that counts the bytes a
 //! call asks for, so "never over-allocates" is an assertion with a
-//! number in it.
+//! number in it, and the characters a hostile name is made of.
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
 // denies unsafe_code, so opt this module out explicitly.
@@ -8,6 +8,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+/// Every character class a name could smuggle in: the JSON
+/// metacharacters, the text formats' separators, control characters with
+/// and without a short escape, multi-byte UTF-8.
+pub const HOSTILE: &[char] = &[
+    'a', 'Z', '0', '_', '.', '/', '"', '\\', ',', '{', '}', '[', ']', ':', '\n', '\r', '\t',
+    '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'é', '\u{2028}', '😀', ' ',
+];
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::bytes_requested;
+use common::{bytes_requested, HOSTILE};
 use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, ExportedProc};
 use dcpi::analyze::EdgeKind;
 use dcpi::check::{Category, Report, Severity};
@@ -35,14 +35,6 @@ use std::fmt::Debug;
 /// typed value built from it, and for speedscope a second parse.
 const ALLOC_FACTOR: u64 = 3 * json::ALLOC_FACTOR as u64;
 const ALLOC_SLACK: u64 = json::ALLOC_SLACK as u64;
-
-/// Every character class a name could smuggle in: the JSON
-/// metacharacters, the old formats' separators, control characters with
-/// and without a short escape, multi-byte UTF-8.
-const HOSTILE: &[char] = &[
-    'a', 'Z', '0', '_', '.', '/', '"', '\\', ',', '{', '}', '[', ']', ':', '\n', '\r', '\t',
-    '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'é', '\u{2028}', '😀', ' ',
-];
 
 struct Gen(CartaRng);
 
