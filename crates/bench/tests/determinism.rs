@@ -9,8 +9,9 @@
 //! Set `DCPI_QUICK` to trim the heavier cases for CI wall-time budgets.
 
 use dcpi_bench::run_merged;
+use dcpi_workloads::fingerprint::fingerprint;
 use dcpi_workloads::programs::StreamKind;
-use dcpi_workloads::{ProfConfig, RunOptions, RunResult, Workload};
+use dcpi_workloads::{ProfConfig, RunOptions, Workload};
 
 fn quick() -> bool {
     std::env::var("DCPI_QUICK").is_ok()
@@ -47,42 +48,6 @@ fn simulator_outputs_match_golden_values() {
             w.name()
         );
     }
-}
-
-/// Flattens everything observable about a merged result into a comparable
-/// form: scalar counters, every profile in key order, sorted edge-sample
-/// counts, and the ground truth's per-image counts and edges.
-fn fingerprint(r: &RunResult) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "cycles={} samples={} retired={}",
-        r.cycles, r.samples, r.retired
-    );
-    for key in r.profiles.sorted_keys() {
-        let p = r.profiles.get(key.image, key.event).expect("keyed profile");
-        let _ = writeln!(
-            s,
-            "profile {:?} {:?}: {:?}",
-            key.image,
-            key.event,
-            p.iter().collect::<Vec<_>>()
-        );
-    }
-    let mut edges: Vec<_> = r.edge_profiles.iter().map(|(k, v)| (*k, *v)).collect();
-    edges.sort_unstable();
-    let _ = writeln!(s, "edges: {edges:?}");
-    let _ = writeln!(s, "gt retired: {}", r.gt.total_retired());
-    for (id, image) in &r.images {
-        let counts: Vec<u64> = (0..image.words().len())
-            .map(|w| r.gt.insn_count(*id, w as u64 * 4))
-            .collect();
-        let mut gt_edges = r.gt.edges_of(*id);
-        gt_edges.sort_unstable();
-        let _ = writeln!(s, "gt {id:?}: {counts:?} {gt_edges:?}");
-    }
-    s
 }
 
 /// `run_merged` returns a bit-identical result whether the runs execute

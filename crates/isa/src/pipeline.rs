@@ -418,10 +418,8 @@ impl PipelineModel {
             if i < n && (base_word + i as u64) % 2 == 1 {
                 let junior = &insns[i];
                 let jclass = classify(junior);
-                if class != InsnClass::Branch
-                    && pipes_compatible(class, jclass)
+                if may_pair(insn, junior)
                     && self.junior_ready(junior, jclass, issue, &ready, imul_free.0, fdiv_free.0)
-                    && !conflicts_with_senior(insn, junior)
                 {
                     entries.push(SchedEntry {
                         issue_cycle: issue,
@@ -492,11 +490,10 @@ fn pairing_failure_cause(
     imul_free: u64,
     fdiv_free: u64,
 ) -> (StaticCause, Option<usize>) {
-    let sclass = classify(senior);
-    let jclass = classify(junior);
-    if sclass == InsnClass::Branch || !pipes_compatible(sclass, jclass) {
+    if !slots_together(senior, junior) {
         return (StaticCause::Slotting, Some(senior_idx));
     }
+    let jclass = classify(junior);
     for (k, r) in junior.reads().iter().enumerate() {
         if ready[r.index()] > senior_issue {
             let c = if k == 0 {
@@ -519,6 +516,28 @@ fn pairing_failure_cause(
     }
     // Should be unreachable; fall back to slotting.
     (StaticCause::Slotting, Some(senior_idx))
+}
+
+/// The static half of dual issue, and its one definition: `junior` may
+/// share `senior`'s issue cycle as far as the two instructions alone
+/// decide — the senior is no control transfer, they fit distinct pipes,
+/// and the junior neither reads nor rewrites the senior's result. The
+/// dynamic half (an aligned pair, operands and units ready, the junior
+/// fetchable, its memory preconditions) is the scheduler's and the
+/// simulator's to test. The static scheduler calls this, and
+/// [`compile_uops`](crate::uop::compile_uops) stores it per instruction
+/// pair as [`uflag::PAIRS`](crate::uop::uflag::PAIRS) for the simulator.
+#[must_use]
+pub fn may_pair(senior: &Instruction, junior: &Instruction) -> bool {
+    slots_together(senior, junior) && !conflicts_with_senior(senior, junior)
+}
+
+/// The slotting part of [`may_pair`]: the senior is no control transfer
+/// and the two fit distinct pipes. A pair that fails only this is a
+/// slotting stall; one that fails only the register conflict is charged
+/// to the dependency it waits on.
+fn slots_together(senior: &Instruction, junior: &Instruction) -> bool {
+    !senior.is_control() && pipes_compatible(classify(senior), classify(junior))
 }
 
 /// True if `junior` has a same-cycle conflict with `senior`: it reads the

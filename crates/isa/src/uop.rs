@@ -14,7 +14,11 @@
 //!   byte delta relative to the branch itself, including the `+4`),
 //! * an 8-bit literal second operand folded into `b` (flag [`uflag::LIT`]),
 //! * the issue class, memory/control flags, scoreboard read indices, and
-//!   result latency copied from the side table.
+//!   result latency copied from the side table,
+//! * whether the next instruction passes the static half of dual issue
+//!   with this one as senior (flag [`uflag::PAIRS`], from
+//!   [`may_pair`](crate::pipeline::may_pair)) — fixed per instruction
+//!   pair, so the simulator tests only the dynamic half per group.
 //!
 //! `call_pal` compiles to [`UopKind::Pal`] carrying its function: the
 //! walker retires the group like any other and then acts on the function
@@ -28,7 +32,7 @@
 
 use crate::insn::{BrCond, FpOp, Instruction, IntOp, PalFunc, RegOrLit};
 use crate::meta::InsnMeta;
-use crate::pipeline::InsnClass;
+use crate::pipeline::{may_pair, InsnClass};
 use crate::reg::Reg;
 
 /// Sentinel for "no destination register" (same convention as the side
@@ -45,6 +49,10 @@ pub mod uflag {
     pub const CONTROL: u8 = 1 << 2;
     /// The `b` field is an 8-bit literal, not a register index.
     pub const LIT: u8 = 1 << 3;
+    /// The next instruction passes the static half of dual issue with
+    /// this one as its senior ([`may_pair`](crate::pipeline::may_pair)),
+    /// so the simulator tests only the dynamic half per group.
+    pub const PAIRS: u8 = 1 << 4;
 }
 
 /// The monomorphic handler a micro-op runs: one flat discriminant per
@@ -264,10 +272,19 @@ impl Uop {
     pub fn is_lit(&self) -> bool {
         self.flags & uflag::LIT != 0
     }
+
+    /// True when the next micro-op may dual-issue with this one as far as
+    /// static properties decide ([`uflag::PAIRS`]).
+    #[inline]
+    #[must_use]
+    pub fn pairs(&self) -> bool {
+        self.flags & uflag::PAIRS != 0
+    }
 }
 
 /// Compiles the handler chain for a whole text segment (positional with
-/// `insns` and `meta`).
+/// `insns` and `meta`), flagging every micro-op whose successor passes
+/// [`may_pair`] with [`uflag::PAIRS`].
 ///
 /// # Panics
 ///
@@ -275,11 +292,17 @@ impl Uop {
 #[must_use]
 pub fn compile_uops(insns: &[Instruction], meta: &[InsnMeta]) -> Vec<Uop> {
     assert_eq!(insns.len(), meta.len(), "side table must be positional");
-    insns
+    let mut ops: Vec<Uop> = insns
         .iter()
         .zip(meta)
         .map(|(i, m)| Uop::new(i, m))
-        .collect()
+        .collect();
+    for (op, pair) in ops.iter_mut().zip(insns.windows(2)) {
+        if may_pair(&pair[0], &pair[1]) {
+            op.flags |= uflag::PAIRS;
+        }
+    }
+    ops
 }
 
 /// Histogram of straight-line chain lengths: the run lengths between
@@ -341,6 +364,22 @@ mod tests {
                 _ => assert!(!matches!(op.kind, UopKind::Pal(_)), "{insn}"),
             }
         }
+    }
+
+    #[test]
+    fn pairs_flag_is_the_static_pairing_rule() {
+        let model = PipelineModel::default();
+        let insns = samples();
+        let ops = compile_uops(&insns, &side_table(&insns, &model));
+        let mut pairs = 0;
+        for (w, pair) in insns.windows(2).enumerate() {
+            let want = may_pair(&pair[0], &pair[1]);
+            assert_eq!(ops[w].pairs(), want, "{} ; {}", pair[0], pair[1]);
+            pairs += usize::from(want);
+        }
+        // Both verdicts occur, and the last micro-op has no successor.
+        assert!(pairs > 0 && pairs < insns.len() - 1, "{pairs}");
+        assert!(!ops.last().unwrap().pairs());
     }
 
     #[test]

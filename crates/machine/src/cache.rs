@@ -17,8 +17,10 @@ pub struct Cache {
     sets: usize,
     /// Associativity.
     ways: usize,
-    /// `tags[set * ways + way]`: the line address stored, or `None`.
-    tags: Vec<Option<u64>>,
+    /// `tags[set * ways + way]`: the line address stored plus one; 0 is
+    /// an empty way, so a new cache is zeroed memory the OS maps in only
+    /// as sets are touched (a 2 MB board cache touches few of its 32 768).
+    tags: Vec<u64>,
     /// LRU ordering: `lru[set * ways + k]` is the way index of the k-th
     /// most recently used entry in the set.
     lru: Vec<u8>,
@@ -57,8 +59,13 @@ impl Cache {
             line_shift: line_bytes.trailing_zeros(),
             sets,
             ways,
-            tags: vec![None; sets * ways],
-            lru: (0..sets * ways).map(|i| (i % ways) as u8).collect(),
+            tags: vec![0; sets * ways],
+            // Zeroed too: a direct-mapped set's one way is way 0.
+            lru: if ways == 1 {
+                vec![0; sets]
+            } else {
+                (0..sets * ways).map(|i| (i % ways) as u8).collect()
+            },
             hits: 0,
             misses: 0,
         }
@@ -75,10 +82,23 @@ impl Cache {
     pub fn access(&mut self, paddr: u64) -> Probe {
         let line = paddr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
+        if self.ways == 1 {
+            // Direct-mapped (every default cache): the set is one tag and
+            // its LRU order a constant, so a hit changes nothing but the
+            // count and a miss replaces the tag.
+            let tag = &mut self.tags[set];
+            if *tag == line + 1 {
+                self.hits += 1;
+                return Probe::Hit;
+            }
+            *tag = line + 1;
+            self.misses += 1;
+            return Probe::Miss;
+        }
         let base = set * self.ways;
         let tags = &mut self.tags[base..base + self.ways];
         let lru = &mut self.lru[base..base + self.ways];
-        if let Some(pos) = (0..self.ways).find(|&w| tags[w] == Some(line)) {
+        if let Some(pos) = (0..self.ways).find(|&w| tags[w] == line + 1) {
             // Move `pos` to MRU position in the LRU order.
             let k = lru.iter().position(|&w| w as usize == pos).unwrap();
             lru[..=k].rotate_right(1);
@@ -87,7 +107,7 @@ impl Cache {
         }
         // Fill: evict the LRU way (last in the order).
         let victim = lru[self.ways - 1] as usize;
-        tags[victim] = Some(line);
+        tags[victim] = line + 1;
         lru.rotate_right(1);
         debug_assert_eq!(lru[0] as usize, victim);
         self.misses += 1;
@@ -111,7 +131,7 @@ impl Cache {
             let mru = self.lru[base] as usize;
             debug_assert_eq!(
                 self.tags[base + mru],
-                Some(line),
+                line + 1,
                 "hit_mru caller invariant: line must be MRU in its set"
             );
         }
@@ -125,12 +145,12 @@ impl Cache {
         let line = paddr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&Some(line))
+        self.tags[base..base + self.ways].contains(&(line + 1))
     }
 
     /// Invalidates everything (e.g. for tests).
     pub fn flush(&mut self) {
-        self.tags.fill(None);
+        self.tags.fill(0);
     }
 
     /// Total hits so far.
@@ -251,5 +271,44 @@ mod tests {
         let mut c = Cache::new(8192, 64, 2);
         let _ = c.access(0x1000);
         c.hit_mru(0x2040);
+    }
+
+    /// The direct-mapped path against an independent one-way model — a
+    /// tag per set, hit iff the set holds the line — on random addresses
+    /// over twice the cache's span, with `peek` and `hit_mru` mixed in as
+    /// the walker uses them.
+    #[test]
+    fn direct_mapped_path_matches_a_one_way_model() {
+        let mut rng = dcpi_core::prng::CartaRng::new(0x0dcf_0c25);
+        let (size, line) = (2048u64, 32u64);
+        let mut c = Cache::new(size, line, 1);
+        let mut model: Vec<Option<u64>> = vec![None; (size / line) as usize];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut last = None;
+        for _ in 0..20_000 {
+            let paddr = rng.uniform(0, 2 * size - 1);
+            let (l, set) = (paddr / line, ((paddr / line) % (size / line)) as usize);
+            assert_eq!(c.peek(paddr), model[set] == Some(l), "peek {paddr:#x}");
+            if last == Some(l) && rng.uniform(0, 1) == 0 {
+                c.hit_mru(paddr);
+                hits += 1;
+                continue;
+            }
+            let want = if model[set] == Some(l) {
+                hits += 1;
+                Probe::Hit
+            } else {
+                model[set] = Some(l);
+                misses += 1;
+                Probe::Miss
+            };
+            assert_eq!(c.access(paddr), want, "access {paddr:#x}");
+            last = Some(l);
+        }
+        assert_eq!((c.hits(), c.misses()), (hits, misses));
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 }

@@ -14,7 +14,8 @@
 //! The code that issues, times, executes and retires a group is the
 //! micro-op walker in [`crate::dispatch`], and only that. This module
 //! holds what the walker works on: the processor state ([`CpuState`]),
-//! the installed process with its translation caches ([`RunningProc`]),
+//! the installed process with its mapping and translated-page caches
+//! ([`RunningProc`]),
 //! the interrupt handler's interface ([`SampleSink`]), and `deliver_due`,
 //! which hands due overflows to the sink at the end of a group.
 
@@ -24,7 +25,7 @@ use crate::config::MachineConfig;
 use crate::counters::{CounterSet, Overflow};
 use crate::dispatch::DispatchStats;
 use crate::os::Os;
-use crate::proc::Process;
+use crate::proc::{PageMemo, Process};
 use crate::tlb::Tlb;
 use dcpi_core::{Addr, CpuId, Event, ImageId, Pid, Sample};
 use dcpi_isa::reg::Reg;
@@ -97,11 +98,9 @@ pub enum Outcome {
     NoProcess,
 }
 
-/// Sentinel virtual page marking a translation cache as empty.
-const NO_VPAGE: u64 = u64::MAX;
-
 /// The running process plus per-process fast-path caches: a one-entry
-/// mapping cache for fetch, and one-entry fetch/data translation caches.
+/// mapping cache for fetch, and a small direct-mapped cache of translated
+/// pages shared by fetch and data.
 ///
 /// Invalidation contract: a process's `page_table` is insert-only
 /// (`Os::translate` assigns a physical page on first touch and never
@@ -124,10 +123,8 @@ pub struct RunningProc {
     /// (image hot-swapped via `Os::replace_image`) forces a refresh so no
     /// stale handler chain ever executes.
     pub(crate) seen_epoch: u64,
-    pub(crate) fetch_vpage: u64,
-    pub(crate) fetch_pbase: u64,
-    pub(crate) data_vpage: u64,
-    pub(crate) data_pbase: u64,
+    /// Physical base address of recently translated virtual pages.
+    translated: PageMemo<u64>,
 }
 
 impl RunningProc {
@@ -139,10 +136,7 @@ impl RunningProc {
             cur_image: ImageId(u32::MAX),
             cur_uops: Arc::new(Vec::new()),
             seen_epoch: u64::MAX,
-            fetch_vpage: NO_VPAGE,
-            fetch_pbase: 0,
-            data_vpage: NO_VPAGE,
-            data_pbase: 0,
+            translated: PageMemo::new(),
         }
     }
 
@@ -161,37 +155,29 @@ impl RunningProc {
         Some(())
     }
 
-    /// Translates an instruction-fetch address through the one-entry
-    /// fetch cache, falling back to [`Os::translate`] on a page change.
-    /// Pages are a power of two (`Machine::with_kernel` asserts it):
-    /// `page_bytes == 1 << shift`, `mask == page_bytes - 1`.
+    /// The physical base of `vaddr`'s page, through the translated-page
+    /// cache, falling back to [`Os::translate`] (which assigns a physical
+    /// page on first touch). Pages are a power of two
+    /// (`Machine::with_kernel` asserts it): `page_bytes == 1 << shift`.
     #[inline]
-    pub(crate) fn translate_fetch(
-        &mut self,
-        os: &mut Os,
-        vaddr: u64,
-        shift: u32,
-        mask: u64,
-    ) -> u64 {
+    pub(crate) fn page_base(&mut self, os: &mut Os, vaddr: u64, shift: u32) -> u64 {
         let vpage = vaddr >> shift;
-        let off = vaddr & mask;
-        if vpage != self.fetch_vpage {
-            self.fetch_pbase = os.translate(&mut self.proc, vaddr) - off;
-            self.fetch_vpage = vpage;
+        if let Some(base) = self.translated.get(vpage) {
+            return base;
         }
-        self.fetch_pbase + off
+        let base = os.translate(&mut self.proc, vaddr) >> shift << shift;
+        self.translated.put(vpage, base);
+        base
     }
 
-    /// Translates a data address through the one-entry data cache.
-    #[inline]
-    pub(crate) fn translate_data(&mut self, os: &mut Os, vaddr: u64, shift: u32, mask: u64) -> u64 {
+    /// The physical base of `vaddr`'s page if it is already translated,
+    /// without translating it: a side-effect-free peek.
+    pub(crate) fn peek_page_base(&self, vaddr: u64, shift: u32) -> Option<u64> {
         let vpage = vaddr >> shift;
-        let off = vaddr & mask;
-        if vpage != self.data_vpage {
-            self.data_pbase = os.translate(&mut self.proc, vaddr) - off;
-            self.data_vpage = vpage;
+        match self.translated.get(vpage) {
+            Some(base) => Some(base),
+            None => Some(self.proc.page_table.get(&vpage)? << shift),
         }
-        self.data_pbase + off
     }
 }
 

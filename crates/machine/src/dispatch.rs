@@ -19,9 +19,19 @@
 //!   [`Cache::hit_mru`]). The memo is *walk-local* — it starts cold at
 //!   every walk entry, so a one-group walk performs the full probe for
 //!   every access.
-//! * **D-TLB / D-cache coalescing**: the same memo trick through the
-//!   one-entry translation caches, with page math as shift/mask (pages
-//!   are a power of two; `Machine::with_kernel` asserts it).
+//! * **D-TLB / D-cache coalescing**: the same memo trick for data.
+//! * **Translation**: a memoized page also keeps its physical base, so a
+//!   same-page access translates with an add; a page change asks the
+//!   running process's cache of translated pages, and only a page never
+//!   translated before reaches `Os::translate` (page math is shift/mask:
+//!   pages are a power of two, `Machine::with_kernel` asserts it).
+//!
+//! Nothing else on the per-group path hashes or re-derives: dual issue's
+//! static half is the senior's compiled [`Uop::pairs`] bit, so a group
+//! tests only whether operands, units, fetch and memory are ready; ground
+//! truth goes into the image's dense per-word slots
+//! ([`GroundTruth`]), detached for the walk; process memory is reached
+//! through the process's page memo.
 //!
 //! **Boundaries.** A walk ends exactly where the outer machine loop has
 //! something to decide: when `now()` reaches the run target or the
@@ -54,10 +64,10 @@ use crate::cache::Probe;
 use crate::config::{DispatchMode, MachineConfig};
 use crate::cpu::{deliver_due, CpuState, Outcome, RunningProc, SampleSink, SYSCALL_COST};
 use crate::os::Os;
-use crate::stats::{edge_key, GroundTruth};
-use dcpi_core::{Addr, Event, FastMap};
+use crate::stats::{GroundTruth, ImageTruth};
+use dcpi_core::{Addr, Event};
 use dcpi_isa::insn::PalFunc;
-use dcpi_isa::pipeline::{pipes_compatible, InsnClass};
+use dcpi_isa::pipeline::InsnClass;
 use dcpi_isa::uop::{Uop, UopKind, NO_WRITE};
 use std::sync::Arc;
 
@@ -104,11 +114,14 @@ struct Geom {
 }
 
 /// Walk-local memos: the last page/line accessed in each structure this
-/// walk. `u64::MAX` = cold (no physical line or vpage reaches it).
+/// walk, and the physical base of each memoized page. `u64::MAX` = cold
+/// (no physical line or vpage reaches it).
 struct Memo {
     ivpage: u64,
+    ipbase: u64,
     iline: u64,
     dvpage: u64,
+    dpbase: u64,
     dline: u64,
 }
 
@@ -169,16 +182,17 @@ fn chain_inner<S: SampleSink>(
     };
     let mut memo = Memo {
         ivpage: u64::MAX,
+        ipbase: 0,
         iline: u64::MAX,
         dvpage: u64::MAX,
+        dpbase: 0,
         dline: u64::MAX,
     };
     let model = &cfg.model;
     let one_group = cfg.dispatch == DispatchMode::Classic;
     // Detach the image's ground-truth counts and edges for direct
     // updates; the single exit below reattaches them.
-    let mut counts = gt.take_counts(image);
-    let mut edges = gt.take_edges(image);
+    let mut truth = gt.take(image);
     let mut executed = 0u64;
     let outcome = loop {
         let pc = run.proc.pc;
@@ -204,8 +218,9 @@ fn chain_inner<S: SampleSink>(
             }
             // Hit or fill, the page is now the MRU entry.
             memo.ivpage = ivpage;
+            memo.ipbase = run.page_base(os, pc.0, geom.page_shift);
         }
-        let ipaddr = run.translate_fetch(os, pc.0, geom.page_shift, geom.page_mask);
+        let ipaddr = memo.ipbase + (pc.0 & geom.page_mask);
         let iline = ipaddr >> geom.iline_shift;
         if iline == memo.iline {
             cpu.icache.hit_mru(ipaddr);
@@ -255,28 +270,26 @@ fn chain_inner<S: SampleSink>(
             _ => {}
         }
         if cfg.ground_truth {
-            if let Some(c) = counts.get_mut(w) {
-                *c += 1;
-            }
+            truth.count(w);
         }
         cpu.insns_retired += 1;
 
         let mut new_pc = jump.unwrap_or_else(|| pc.next());
         resolve_control_uop(
-            cpu, run, op, pc, jump, new_pc, w as u32, issue, cfg, &mut edges,
+            cpu, run, op, pc, jump, new_pc, w as u32, issue, cfg, &mut truth,
         );
 
         // --- junior: aligned-pair dual issue -----------------------------
         // The junior is the next micro-op of this chain or nobody:
         // mapping bases are 8-byte aligned (`Process::map_image` asserts
         // it), so an even-slot senior's junior, at `4 mod 8`, can never be
-        // the first word of another mapping.
-        if !op.is_control() && pc.0 & 4 == 0 {
+        // the first word of another mapping. `pairs()` is the static half
+        // of the test, compiled in; it implies a next micro-op exists and
+        // that the senior is no control transfer.
+        if op.pairs() && pc.0 & 4 == 0 {
             debug_assert_eq!(new_pc, pc.next(), "non-control seniors fall through");
-            if let Some(jop) = ops
-                .get(w + 1)
-                .filter(|jop| try_pair_uop(cpu, run, op, jop, pc, issue, cfg, geom, &memo))
-            {
+            let jop = &ops[w + 1];
+            if try_pair_uop(cpu, run, jop, pc, issue, cfg, geom, &memo) {
                 if jop.is_memory() {
                     let _ = uop_mem_timing(cpu, os, run, jop, issue, cfg, false, geom, &mut memo);
                 }
@@ -291,9 +304,7 @@ fn chain_inner<S: SampleSink>(
                     _ => {}
                 }
                 if cfg.ground_truth {
-                    if let Some(c) = counts.get_mut(w + 1) {
-                        *c += 1;
-                    }
+                    truth.count(w + 1);
                 }
                 cpu.insns_retired += 1;
                 cpu.dual_issues += 1;
@@ -308,7 +319,7 @@ fn chain_inner<S: SampleSink>(
                     (w + 1) as u32,
                     issue,
                     cfg,
-                    &mut edges,
+                    &mut truth,
                 );
             }
         }
@@ -363,8 +374,7 @@ fn chain_inner<S: SampleSink>(
             break Outcome::Ran;
         }
     };
-    gt.put_counts(image, counts);
-    gt.put_edges(image, edges);
+    gt.put(image, truth);
     if one_group {
         cpu.dstats.classic_groups += executed;
     } else {
@@ -408,8 +418,9 @@ fn uop_mem_timing(
             }
         }
         memo.dvpage = vpage;
+        memo.dpbase = run.page_base(os, vaddr, geom.page_shift);
     }
-    let paddr = run.translate_data(os, vaddr, geom.page_shift, geom.page_mask);
+    let paddr = memo.dpbase + (vaddr & geom.page_mask);
     if op.is_load() {
         let dline = paddr >> geom.dline_shift;
         let extra = if dline == memo.dline {
@@ -455,15 +466,15 @@ fn uop_mem_timing(
     issue
 }
 
-/// Decides whether the junior can dual-issue with the senior at `issue`.
-/// The pure peeks are short-circuited by the walk memos (the memoized
-/// page/line is provably present, so the probe's answer is known without
-/// the scan).
+/// Decides whether the junior can dual-issue at `issue` — the dynamic
+/// half of dual issue; the static half is the senior's compiled
+/// [`Uop::pairs`]. The pure peeks are short-circuited by the walk memos
+/// (the memoized page/line is provably present, so the probe's answer is
+/// known without the scan).
 #[allow(clippy::too_many_arguments)]
 fn try_pair_uop(
     cpu: &CpuState,
     run: &RunningProc,
-    sop: &Uop,
     jop: &Uop,
     pc: Addr,
     issue: u64,
@@ -471,16 +482,6 @@ fn try_pair_uop(
     geom: Geom,
     memo: &Memo,
 ) -> bool {
-    if !pipes_compatible(sop.class, jop.class) {
-        return false;
-    }
-    // Same-cycle data conflicts with the senior.
-    if sop.w != NO_WRITE {
-        let w = sop.w;
-        if (jop.nreads >= 1 && jop.r0 == w) || (jop.nreads >= 2 && jop.r1 == w) || jop.w == w {
-            return false;
-        }
-    }
     // Junior operands and destination must be ready.
     if jop.nreads >= 1 && cpu.ready[jop.r0 as usize] > issue {
         return false;
@@ -500,18 +501,18 @@ fn try_pair_uop(
     // peeks; if it would miss, it issues alone next group and pays there).
     let jpc = pc.next();
     let jvpage = jpc.0 >> geom.page_shift;
-    if jvpage != memo.ivpage && !cpu.itb.peek(jvpage) {
-        return false;
-    }
-    let jpaddr = if jvpage == run.fetch_vpage {
-        // The junior is on the senior's (already translated) fetch page,
-        // which is the common case.
-        run.fetch_pbase + (jpc.0 & geom.page_mask)
-    } else if let Some(&ppage) = run.proc.page_table.get(&jvpage) {
-        (ppage << geom.page_shift) + (jpc.0 & geom.page_mask)
+    let jpbase = if jvpage == memo.ivpage {
+        // The senior's page, translated this group: the common case.
+        memo.ipbase
+    } else if cpu.itb.peek(jvpage) {
+        match run.peek_page_base(jpc.0, geom.page_shift) {
+            Some(base) => base,
+            None => return false,
+        }
     } else {
         return false;
     };
+    let jpaddr = jpbase + (jpc.0 & geom.page_mask);
     if (jpaddr >> geom.iline_shift) != memo.iline && !cpu.icache.peek(jpaddr) {
         return false;
     }
@@ -531,19 +532,10 @@ fn try_pair_uop(
     true
 }
 
-/// Records a CFG edge into the walk's detached edge map if the target
-/// lies in the current mapping.
-#[inline]
-fn record_edge_fast(run: &RunningProc, edges: &mut FastMap<u64, u64>, word: u32, target: Addr) {
-    if target.0 >= run.cur_base && target.0 < run.cur_end {
-        let to = ((target.0 - run.cur_base) / 4) as u32;
-        *edges.entry(edge_key(word, to)).or_insert(0) += 1;
-    }
-}
-
 /// Branch prediction effects and ground-truth edges, per micro-op kind.
 /// `new_pc` is the edge target in every case: the jump target when taken,
-/// the fall-through otherwise.
+/// the fall-through otherwise. An edge is recorded when its target lies in
+/// the current mapping.
 ///
 /// Inlined by force: left to itself the optimizer outlines it from the
 /// walk's loop, which costs a call per group for the two sites.
@@ -559,37 +551,23 @@ fn resolve_control_uop(
     word: u32,
     issue: u64,
     cfg: &MachineConfig,
-    edges: &mut FastMap<u64, u64>,
+    truth: &mut ImageTruth,
 ) {
     let model = &cfg.model;
-    match op.kind {
-        UopKind::Cond(_) => {
-            let taken = jump.is_some();
-            if cpu.bp.cond_branch(pc, taken) {
-                if let Some(o) = cpu.counters.count(Event::BranchMp, issue) {
-                    cpu.overflow_scratch.push(o);
-                }
-                cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
-            }
-            if cfg.ground_truth {
-                record_edge_fast(run, edges, word, new_pc);
-            }
+    let mispredicted = match op.kind {
+        UopKind::Cond(_) => cpu.bp.cond_branch(pc, jump.is_some()),
+        UopKind::Jmp => cpu.bp.indirect(pc, new_pc),
+        UopKind::Br => false,
+        _ => return,
+    };
+    if mispredicted {
+        if let Some(o) = cpu.counters.count(Event::BranchMp, issue) {
+            cpu.overflow_scratch.push(o);
         }
-        UopKind::Br if cfg.ground_truth => {
-            record_edge_fast(run, edges, word, new_pc);
-        }
-        UopKind::Jmp => {
-            if cpu.bp.indirect(pc, new_pc) {
-                if let Some(o) = cpu.counters.count(Event::BranchMp, issue) {
-                    cpu.overflow_scratch.push(o);
-                }
-                cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
-            }
-            if cfg.ground_truth {
-                record_edge_fast(run, edges, word, new_pc);
-            }
-        }
-        _ => {}
+        cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
+    }
+    if cfg.ground_truth && new_pc.0 >= run.cur_base && new_pc.0 < run.cur_end {
+        truth.edge(word, ((new_pc.0 - run.cur_base) >> 2) as u32);
     }
 }
 
@@ -597,6 +575,7 @@ fn resolve_control_uop(
 /// taken control transfers, `None` for sequential flow. `call_pal`
 /// changes no register or memory; the walk acts on its function after the
 /// group retires.
+#[inline(always)]
 fn exec_uop(proc: &mut crate::proc::Process, op: &Uop, pc: Addr) -> Option<Addr> {
     match op.kind {
         UopKind::Lda | UopKind::Ldah => {

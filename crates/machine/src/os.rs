@@ -92,7 +92,8 @@ pub struct Os {
     next_image: u32,
     next_ppage: u64,
     page_rng: Option<CartaRng>,
-    page_bytes: u64,
+    /// log2 of the page size (pages are a power of two).
+    page_shift: u32,
     kernel: ImageId,
     live_processes: usize,
     model: PipelineModel,
@@ -108,6 +109,10 @@ impl Os {
     /// image (see [`default_kernel`]) and the given page-placement policy.
     /// `model` is the pipeline model of the CPUs the OS will run on; it is
     /// used to compile each image's micro-ops at registration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_bytes` is not a power of two.
     #[must_use]
     pub fn new(
         cpus: usize,
@@ -116,6 +121,7 @@ impl Os {
         page_alloc_seed: Option<u32>,
         model: PipelineModel,
     ) -> Os {
+        assert!(page_bytes.is_power_of_two(), "page size not a power of two");
         let mut os = Os {
             images: BTreeMap::new(),
             by_name: HashMap::new(),
@@ -127,7 +133,7 @@ impl Os {
             next_image: 1,
             next_ppage: 0,
             page_rng: page_alloc_seed.map(CartaRng::new),
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             kernel: ImageId(0),
             live_processes: 0,
             model,
@@ -353,7 +359,7 @@ impl Os {
     /// on first touch. Returns the physical address (used only for cache
     /// indexing).
     pub fn translate(&mut self, proc: &mut Process, vaddr: u64) -> u64 {
-        let vpage = vaddr / self.page_bytes;
+        let vpage = vaddr >> self.page_shift;
         let ppage = match proc.page_table.get(&vpage) {
             Some(&p) => p,
             None => {
@@ -362,7 +368,7 @@ impl Os {
                 p
             }
         };
-        ppage * self.page_bytes + vaddr % self.page_bytes
+        (ppage << self.page_shift) | (vaddr & ((1 << self.page_shift) - 1))
     }
 
     /// Drains pending loader/exec/exit notifications (the daemon's feed).

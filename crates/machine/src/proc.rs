@@ -1,11 +1,67 @@
 //! Process model: registers, virtual memory, page table, and load map.
+//!
+//! Memory is plain boxed pages: a page map from virtual page number to a
+//! frame index, and the frames themselves in first-touch order. A small
+//! direct-mapped memo (`PageMemo`) in front of the map serves reads and
+//! writes alike. Frames never move and the map is insert-only, so a filled
+//! memo slot can never go stale and nothing ever invalidates it; `Clone`
+//! deep-copies the frames, so a clone and its original share nothing.
 
 use dcpi_core::{Addr, FastMap, ImageId, Pid};
 use dcpi_isa::reg::Reg;
-use std::sync::Arc;
 
 /// Words per page in the process memory store.
 const PAGE_WORDS_SHIFT: u64 = 10; // 1024 words = 8KB
+/// Words per page, as a length.
+const PAGE_WORDS: usize = 1 << PAGE_WORDS_SHIFT;
+/// Slots in a [`PageMemo`] (a power of two).
+const MEMO_SLOTS: usize = 16;
+
+/// A small direct-mapped memo of page lookups: one `(page, value)` pair
+/// per slot. Callers fill it only with values that never change for the
+/// page (a process's frame index, a translated physical page), so a
+/// filled slot is never stale and the memo needs no invalidation. An
+/// empty slot holds page `u64::MAX`, which no page number reaches.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PageMemo<T> {
+    slots: [(u64, T); MEMO_SLOTS],
+}
+
+impl<T: Copy + Default> PageMemo<T> {
+    pub(crate) fn new() -> PageMemo<T> {
+        PageMemo {
+            slots: [(u64::MAX, T::default()); MEMO_SLOTS],
+        }
+    }
+
+    /// The slot of `page`, by Fibonacci hashing: the workloads lay arrays
+    /// out at power-of-two offsets, which would share slots if the low
+    /// bits of the page number picked them.
+    #[inline]
+    fn slot(page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The value memoized for `page`, if its slot holds it.
+    #[inline]
+    pub(crate) fn get(&self, page: u64) -> Option<T> {
+        let (p, v) = self.slots[Self::slot(page)];
+        (p == page).then_some(v)
+    }
+
+    /// Memoizes `value` for `page`, evicting whatever shared its slot.
+    #[inline]
+    pub(crate) fn put(&mut self, page: u64, value: T) {
+        self.slots[Self::slot(page)] = (page, value);
+    }
+}
+
+/// Splits a byte address into its page number and word offset.
+#[inline]
+fn locate(vaddr: u64) -> (u64, usize) {
+    let widx = vaddr >> 3;
+    (widx >> PAGE_WORDS_SHIFT, widx as usize & (PAGE_WORDS - 1))
+}
 
 /// One mapping in a process's address space: an image's text mapped at a
 /// base address.
@@ -46,21 +102,20 @@ pub struct Process {
     /// Unified register file (integer + FP); the zero registers are
     /// enforced by the accessors.
     regs: [u64; Reg::COUNT],
-    /// Virtual memory: page number → page of 64-bit words. Keyed with the
-    /// fast deterministic hasher: there is one lookup per simulated
-    /// memory access, making this the hottest map in the simulator.
-    pages: FastMap<u64, Arc<[u64]>>,
+    /// Virtual memory: page number → index of its frame in `frames`.
+    /// Insert-only: a touched page keeps its frame for life.
+    pages: FastMap<u64, usize>,
+    /// The resident pages' words, in first-touch order.
+    frames: Vec<Box<[u64; PAGE_WORDS]>>,
+    /// Recent `pages` lookups, shared by reads and writes. Holds resident
+    /// pages only (an absent page may materialize later via a write).
+    memo: PageMemo<usize>,
     /// Virtual page → physical page (for cache indexing).
     pub page_table: FastMap<u64, u64>,
     /// Images mapped into this address space, sorted by base.
     pub loadmap: Vec<Mapping>,
     /// Run state.
     pub state: ProcState,
-    /// One-entry page memo for [`Process::read_u64_fast`]: the last page
-    /// read through the fast path. Invalidated by any write to the same
-    /// page, which also keeps the copy-on-write refcount check in
-    /// `page_mut` from seeing the memo's clone.
-    read_memo: Option<(u64, Arc<[u64]>)>,
 }
 
 impl Process {
@@ -72,10 +127,11 @@ impl Process {
             pc: Addr(0),
             regs: [0; Reg::COUNT],
             pages: FastMap::default(),
+            frames: Vec::new(),
+            memo: PageMemo::new(),
             page_table: FastMap::default(),
             loadmap: Vec::new(),
             state: ProcState::Runnable,
-            read_memo: None,
         }
     }
 
@@ -157,52 +213,46 @@ impl Process {
         m.contains(pc).then_some(m)
     }
 
-    fn page_mut(&mut self, vpage: u64) -> &mut [u64] {
-        let arc = self
-            .pages
-            .entry(vpage)
-            .or_insert_with(|| vec![0u64; 1 << PAGE_WORDS_SHIFT].into());
-        // Pages are process-private; clone-on-write keeps `Process: Clone`
-        // cheap for tests that snapshot processes.
-        if Arc::get_mut(arc).is_none() {
-            let copy: Arc<[u64]> = arc.iter().copied().collect::<Vec<_>>().into();
-            *arc = copy;
+    /// The frame of resident page `vpage`, through the memo (filled on a
+    /// miss); `None` if the page was never written.
+    #[inline]
+    fn frame(&mut self, vpage: u64) -> Option<usize> {
+        if let Some(f) = self.memo.get(vpage) {
+            return Some(f);
         }
-        Arc::get_mut(arc).expect("unique after copy-on-write")
+        let f = *self.pages.get(&vpage)?;
+        self.memo.put(vpage, f);
+        Some(f)
     }
 
-    /// Reads the 64-bit word at `vaddr` (aligned down to 8 bytes).
+    /// Gives first-touched page `vpage` a zeroed frame.
+    #[cold]
+    fn touch(&mut self, vpage: u64) -> usize {
+        let f = self.frames.len();
+        self.frames.push(Box::new([0; PAGE_WORDS]));
+        self.pages.insert(vpage, f);
+        self.memo.put(vpage, f);
+        f
+    }
+
+    /// Reads the 64-bit word at `vaddr` (aligned down to 8 bytes); absent
+    /// pages read 0. Consults the memo but leaves it as it was.
     #[must_use]
     pub fn read_u64(&self, vaddr: u64) -> u64 {
-        let widx = vaddr >> 3;
-        let vpage = widx >> PAGE_WORDS_SHIFT;
-        let off = (widx & ((1 << PAGE_WORDS_SHIFT) - 1)) as usize;
-        self.pages.get(&vpage).map_or(0, |p| p[off])
+        let (vpage, off) = locate(vaddr);
+        let frame = self
+            .memo
+            .get(vpage)
+            .or_else(|| self.pages.get(&vpage).copied());
+        frame.map_or(0, |f| self.frames[f][off])
     }
 
-    /// Reads the 64-bit word at `vaddr` through the one-entry page memo.
-    /// Returns exactly what [`Process::read_u64`] would: consecutive
-    /// reads from one page — the common case in straight-line code —
-    /// skip the page-map lookup. Absent pages are not memoized (they can
-    /// materialize later via a write).
+    /// Reads the 64-bit word at `vaddr` as [`Process::read_u64`] does,
+    /// filling the memo on a miss.
     #[inline]
     pub(crate) fn read_u64_fast(&mut self, vaddr: u64) -> u64 {
-        let widx = vaddr >> 3;
-        let vpage = widx >> PAGE_WORDS_SHIFT;
-        let off = (widx & ((1 << PAGE_WORDS_SHIFT) - 1)) as usize;
-        if let Some((p, page)) = &self.read_memo {
-            if *p == vpage {
-                return page[off];
-            }
-        }
-        match self.pages.get(&vpage) {
-            Some(page) => {
-                let v = page[off];
-                self.read_memo = Some((vpage, Arc::clone(page)));
-                v
-            }
-            None => 0,
-        }
+        let (vpage, off) = locate(vaddr);
+        self.frame(vpage).map_or(0, |f| self.frames[f][off])
     }
 
     /// Reads the 32-bit longword at `vaddr` through the page memo,
@@ -220,21 +270,17 @@ impl Process {
 
     /// Writes the 64-bit word at `vaddr` (aligned down to 8 bytes).
     pub fn write_u64(&mut self, vaddr: u64, value: u64) {
-        let widx = vaddr >> 3;
-        let vpage = widx >> PAGE_WORDS_SHIFT;
-        let off = (widx & ((1 << PAGE_WORDS_SHIFT) - 1)) as usize;
-        // Drop the read memo before the write: it must not serve stale
-        // data, and releasing its `Arc` clone keeps `page_mut`'s
-        // copy-on-write check seeing a unique page.
-        if self.read_memo.as_ref().is_some_and(|(p, _)| *p == vpage) {
-            self.read_memo = None;
-        }
-        self.page_mut(vpage)[off] = value;
+        let (vpage, off) = locate(vaddr);
+        let f = match self.frame(vpage) {
+            Some(f) => f,
+            None => self.touch(vpage),
+        };
+        self.frames[f][off] = value;
     }
 
     /// Writes the 32-bit longword at `vaddr` (Alpha `stl`).
     pub fn write_u32(&mut self, vaddr: u64, value: u32) {
-        let q = self.read_u64(vaddr & !7);
+        let q = self.read_u64_fast(vaddr & !7);
         let new = if vaddr & 4 != 0 {
             (q & 0x0000_0000_ffff_ffff) | (u64::from(value) << 32)
         } else {
@@ -242,19 +288,19 @@ impl Process {
         };
         self.write_u64(vaddr & !7, new);
     }
-}
 
-impl Process {
     /// Number of resident virtual pages (for daemon memory accounting).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcpi_core::prng::CartaRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn p() -> Process {
         Process::new(Pid(1))
@@ -334,21 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_read_memo_stays_coherent_with_writes() {
-        let mut proc = p();
-        proc.write_u64(0x100, 11);
-        assert_eq!(proc.read_u64_fast(0x100), 11, "first read populates memo");
-        assert_eq!(proc.read_u64_fast(0x108), 0, "memoized page, other word");
-        proc.write_u64(0x100, 22);
-        assert_eq!(proc.read_u64_fast(0x100), 22, "write invalidates the memo");
-        // A write to a *different* page leaves the memo valid.
-        proc.write_u64(0x10_0000, 33);
-        assert_eq!(proc.read_u64_fast(0x100), 22);
-        assert_eq!(proc.read_u64_fast(0x10_0000), 33);
-        assert_eq!(proc.read_u32_sext_fast(0x10_0000), 33);
-    }
-
-    #[test]
     fn fast_read_of_absent_page_is_zero_and_unmemoized() {
         let mut proc = p();
         assert_eq!(proc.read_u64_fast(0x5_0000), 0);
@@ -356,29 +387,108 @@ mod tests {
         assert_eq!(proc.read_u64_fast(0x5_0000), 9, "page appeared after write");
     }
 
-    #[test]
-    fn fast_read_memo_does_not_defeat_copy_on_write() {
-        let mut a = p();
-        a.write_u64(0, 7);
-        let _ = a.read_u64_fast(0); // memo now holds an Arc clone
-        let mut b = a.clone();
-        b.write_u64(0, 9);
-        assert_eq!(a.read_u64(0), 7);
-        assert_eq!(a.read_u64_fast(0), 7);
-        assert_eq!(b.read_u64(0), 9);
-        a.write_u64(0, 8); // write invalidates a's own memo first
-        assert_eq!(a.read_u64_fast(0), 8);
-        assert_eq!(b.read_u64(0), 9);
+    /// One step of the differential test below, applied to a process and
+    /// to its model: a word map plus the set of touched pages.
+    fn step(
+        rng: &mut CartaRng,
+        pages: &[u64],
+        proc: &mut Process,
+        words: &mut BTreeMap<u64, u64>,
+        touched: &mut BTreeSet<u64>,
+    ) {
+        let page = pages[rng.uniform(0, pages.len() as u64 - 1) as usize];
+        // Any byte of the page: every path aligns down itself.
+        let addr = (page << 13) + rng.uniform(0, 8191);
+        let value = (u64::from(rng.next_u31()) << 33) ^ u64::from(rng.next_u31());
+        let word = words.get(&(addr & !7)).copied().unwrap_or(0);
+        match rng.uniform(0, 5) {
+            0 => {
+                proc.write_u64(addr, value);
+                words.insert(addr & !7, value);
+                touched.insert(page);
+            }
+            1 => {
+                proc.write_u32(addr, value as u32);
+                let new = if addr & 4 != 0 {
+                    (word & 0xffff_ffff) | (value << 32)
+                } else {
+                    (word & !0xffff_ffff) | (value & 0xffff_ffff)
+                };
+                words.insert(addr & !7, new);
+                touched.insert(page);
+            }
+            2 => assert_eq!(proc.read_u64(addr), word, "read_u64 {addr:#x}"),
+            3 => {
+                let half = if addr & 4 != 0 { word >> 32 } else { word } as u32;
+                let want = half as i32 as i64 as u64;
+                assert_eq!(proc.read_u32_sext_fast(addr), want, "ldl {addr:#x}");
+            }
+            _ => assert_eq!(proc.read_u64_fast(addr), word, "read_u64_fast {addr:#x}"),
+        }
     }
 
+    /// Every word the model holds, every word of every page it does not,
+    /// and the resident count.
+    fn assert_matches(
+        proc: &Process,
+        pages: &[u64],
+        words: &BTreeMap<u64, u64>,
+        touched: &BTreeSet<u64>,
+    ) {
+        for (&addr, &v) in words {
+            assert_eq!(proc.read_u64(addr), v, "{addr:#x}");
+        }
+        for &page in pages.iter().filter(|p| !touched.contains(p)) {
+            assert_eq!(proc.read_u64(page << 13), 0, "absent page {page:#x}");
+        }
+        assert_eq!(proc.resident_pages(), touched.len());
+    }
+
+    /// `Process` memory against a `BTreeMap<u64, u64>` of words over 40
+    /// pages, four to each of ten memo slots, so slots are refilled
+    /// constantly and every lookup can be a collision. A clone taken
+    /// mid-run and driven on its own must leave the original untouched.
     #[test]
-    fn clone_is_copy_on_write() {
-        let mut a = p();
-        a.write_u64(0, 7);
-        let mut b = a.clone();
-        b.write_u64(0, 9);
-        assert_eq!(a.read_u64(0), 7);
-        assert_eq!(b.read_u64(0), 9);
+    fn memory_matches_a_word_map_model() {
+        let mut pages = Vec::new();
+        let mut per_slot = [0; MEMO_SLOTS];
+        for page in (0x1000_0000 >> 13)..u64::MAX {
+            let slot = PageMemo::<usize>::slot(page);
+            if slot < 10 && per_slot[slot] < 4 {
+                per_slot[slot] += 1;
+                pages.push(page);
+            }
+            if pages.len() == 40 {
+                break;
+            }
+        }
+        let mut rng = CartaRng::new(0x0dcf_0025);
+        let mut proc = p();
+        let (mut words, mut touched) = (BTreeMap::new(), BTreeSet::new());
+        for i in 0..20_000 {
+            step(&mut rng, &pages, &mut proc, &mut words, &mut touched);
+            if i == 10_000 {
+                let mut twin = proc.clone();
+                let (mut twin_words, mut twin_touched) = (words.clone(), touched.clone());
+                for _ in 0..2_000 {
+                    step(
+                        &mut rng,
+                        &pages,
+                        &mut twin,
+                        &mut twin_words,
+                        &mut twin_touched,
+                    );
+                }
+                assert_matches(&twin, &pages, &twin_words, &twin_touched);
+                assert_matches(&proc, &pages, &words, &touched);
+            }
+        }
+        assert_matches(&proc, &pages, &words, &touched);
+        assert!(
+            touched.len() > MEMO_SLOTS,
+            "{} pages touched",
+            touched.len()
+        );
     }
 
     #[test]

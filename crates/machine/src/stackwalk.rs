@@ -28,9 +28,9 @@
 //!   skipped once; deeper equal values are genuine recursive frames.
 //!
 //! The walker is perturbation-free: it reads registers and memory
-//! through [`Process::read_u64`] (memo-free) and never touches the
-//! fast-path translation caches, so enabling it changes no simulated
-//! state except the cycles it is charged. Cost is metered as
+//! through [`Process::read_u64`] (which leaves the page memo as it found
+//! it) and never touches the translation caches, so enabling it changes
+//! no simulated state except the cycles it is charged. Cost is metered as
 //! [`WALK_BASE_COST`] + [`WALK_WORD_COST`] per scanned word +
 //! [`WALK_FRAME_COST`] per captured frame, flows into the interrupted
 //! CPU's handler time like any interrupt work, and is tracked separately

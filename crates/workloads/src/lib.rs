@@ -21,9 +21,12 @@
 //!
 //! [`driver`] runs any workload under the paper's four configurations
 //! (`base`, `cycles`, `default`, `mux`) and returns everything the
-//! benchmark harness needs to regenerate the tables and figures.
+//! benchmark harness needs to regenerate the tables and figures;
+//! [`fingerprint`] is the one text form of a run the recorded simulator
+//! fingerprints hash.
 
 pub mod driver;
+pub mod fingerprint;
 pub mod fleet_feed;
 pub mod pgo;
 pub mod pool;
