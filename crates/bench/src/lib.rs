@@ -1,104 +1,30 @@
-//! Shared infrastructure for the experiment binaries that regenerate
-//! every table and figure of the paper (see DESIGN.md §4 for the index
-//! and EXPERIMENTS.md for recorded results).
+//! Every table and figure of the paper, and the ablations and extensions
+//! beyond it, as one registry of experiments (see DESIGN.md §4 for the
+//! index and EXPERIMENTS.md for what each reproduces).
 //!
-//! Each binary under `src/bin/` prints one table or figure:
-//!
-//! | binary | paper content |
-//! |---|---|
-//! | `table2` | workload base runtimes |
-//! | `table3` | overall slowdown per workload × config |
-//! | `table4` | per-sample time overhead components |
-//! | `table5` | daemon space overhead |
-//! | `figure1` | dcpiprof on the x11perf workload |
-//! | `figure2` | dcpicalc on the McCalpin copy loop |
-//! | `figure3` | dcpistats across eight wave5 runs |
-//! | `figure4` | cycle summary for wave5's `smooth_` |
-//! | `figure6` | run-time distributions |
-//! | `figure7` | frequency-estimation detail for the copy loop |
-//! | `figure8` | instruction-frequency error histogram |
-//! | `figure9` | edge-frequency error histogram |
-//! | `figure10` | I-cache stall cycles vs IMISS events |
-//! | `table_htsweep` | §5.4 hash-table design sweep |
-//! | `ablation_period` | randomized vs fixed sampling period |
-//! | `ablation_freq` | estimator ablations |
-//! | `ablation_skid` | interrupt-skid ablation |
-//!
-//! All binaries accept `--runs N`, `--scale N`, `--seed N`, `--threads N`
-//! and `--quick`, and refuse to start on anything else (`bench_report`
-//! takes its own `--json` and `--check` first).
+//! `experiments <name>|--all` runs them ([`EXPERIMENTS`]); each returns
+//! its text and the claims that text must back ([`Outcome`]), and
+//! `--check` holds the text to one golden ([`check_golden`]). This file
+//! keeps what several experiments share: the accuracy suite, merged
+//! multi-run results, and the statistics they print.
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
-use dcpi_core::cli::{Args, Stop};
 use dcpi_core::{Event, ImageId};
-use dcpi_isa::image::Symbol;
+use dcpi_isa::image::{Image, Symbol};
 use dcpi_isa::pipeline::PipelineModel;
-use dcpi_workloads::RunResult;
+use dcpi_workloads::programs::StreamKind;
+use dcpi_workloads::{ProfConfig, RunOptions, RunResult, Workload};
 
-/// Simple command-line options shared by all experiment binaries.
-#[derive(Clone, Debug)]
-pub struct ExpOptions {
-    /// Repetitions per measurement.
-    pub runs: usize,
-    /// Workload scale multiplier.
-    pub scale: u32,
-    /// Base seed.
-    pub seed: u32,
-    /// Reduced-cost mode.
-    pub quick: bool,
-    /// Worker threads for independent runs (`--threads N`; defaults to
-    /// the machine's available parallelism, `1` reproduces the serial
-    /// path exactly).
-    pub threads: usize,
-}
+mod ablations;
+mod figures;
+mod registry;
+mod report;
+mod tables;
 
-impl ExpOptions {
-    /// Reads the process's command line ([`ExpOptions::parse`]) and
-    /// `DCPI_QUICK`. A mistyped experiment does not start: anything not
-    /// understood is reported with the usage line and exit code 2.
-    #[must_use]
-    pub fn from_args(default_runs: usize) -> ExpOptions {
-        ExpOptions::from_rest(Args::from_env(), default_runs, "")
-    }
-
-    /// As [`ExpOptions::from_args`], for a binary that has taken flags of
-    /// its own out of `args` first; `own_usage` names them.
-    #[must_use]
-    pub fn from_rest(args: Args, default_runs: usize, own_usage: &str) -> ExpOptions {
-        let quick_env = std::env::var("DCPI_QUICK").is_ok();
-        ExpOptions::parse(args, default_runs, quick_env).unwrap_or_else(|stop| {
-            let usage = format!(
-                "usage: <experiment> [--runs N] [--scale N] [--seed N] [--threads N] \
-                 [--quick]{own_usage}"
-            );
-            std::process::exit(stop.report("dcpi-bench", &usage).into())
-        })
-    }
-
-    /// Takes `--runs`, `--scale`, `--seed`, `--threads` and `--quick` out
-    /// of `args`.
-    ///
-    /// # Errors
-    ///
-    /// [`Stop::Usage`] for anything else on the command line, a flag
-    /// missing its value, or a value that does not parse.
-    pub fn parse(mut args: Args, default_runs: usize, quick: bool) -> Result<ExpOptions, Stop> {
-        let mut opts = ExpOptions {
-            runs: args.value("--runs")?.unwrap_or(default_runs),
-            scale: args.value("--scale")?.unwrap_or(1),
-            seed: args.value("--seed")?.unwrap_or(1),
-            quick: args.flag("--quick") || quick,
-            threads: args
-                .value("--threads")?
-                .unwrap_or_else(dcpi_workloads::default_threads),
-        };
-        args.finish()?;
-        if opts.quick {
-            opts.runs = opts.runs.min(2);
-        }
-        Ok(opts)
-    }
-}
+pub use registry::{
+    check_golden, golden_path, header, Claim, ExpOptions, Experiment, Invocation, Outcome,
+    EXPERIMENTS, USAGE,
+};
 
 /// Mean and 95% confidence half-interval of a sample.
 #[must_use]
@@ -231,27 +157,36 @@ impl ErrorHistogram {
     }
 }
 
-/// Analyzes every procedure of a run that has at least `min_samples`
-/// CYCLES samples, returning `(image, symbol, analysis)` triples.
-#[must_use]
-pub fn analyze_run(r: &RunResult, min_samples: u64) -> Vec<(ImageId, Symbol, ProcAnalysis)> {
-    let model = PipelineModel::default();
-    let opts = AnalysisOptions::default();
-    let mut out = Vec::new();
+/// Calls `f` on every procedure of a run that has at least `min_samples`
+/// CYCLES samples.
+pub fn for_each_procedure(
+    r: &RunResult,
+    min_samples: u64,
+    mut f: impl FnMut(ImageId, &Image, &Symbol),
+) {
     for (id, image) in &r.images {
         let Some(profile) = r.profiles.get(*id, Event::Cycles) else {
             continue;
         };
         for sym in image.symbols() {
-            let s = profile.range_total(sym.offset, sym.offset + sym.size);
-            if s < min_samples {
-                continue;
-            }
-            if let Ok(pa) = analyze_procedure(image, sym, &r.profiles, *id, &model, &opts) {
-                out.push((*id, sym.clone(), pa));
+            if profile.range_total(sym.offset, sym.offset + sym.size) >= min_samples {
+                f(*id, image, sym);
             }
         }
     }
+}
+
+/// Analyzes every procedure of a run that has at least `min_samples`
+/// CYCLES samples, returning `(image, symbol, analysis)` triples.
+#[must_use]
+pub fn analyze_run(r: &RunResult, min_samples: u64) -> Vec<(ImageId, Symbol, ProcAnalysis)> {
+    let (model, opts) = (PipelineModel::default(), AnalysisOptions::default());
+    let mut out = Vec::new();
+    for_each_procedure(r, min_samples, |id, image, sym| {
+        if let Ok(pa) = analyze_procedure(image, sym, &r.profiles, id, &model, &opts) {
+            out.push((id, sym.clone(), pa));
+        }
+    });
     out
 }
 
@@ -266,17 +201,30 @@ pub fn mean_period(period: (u64, u64)) -> f64 {
 /// (Figures 8–10): a mix of integer, FP, memory-bound, call-heavy, and
 /// multi-process programs, each with a scale that yields a few thousand
 /// samples at the 20K-cycle experiment period.
-#[must_use]
-pub fn accuracy_suite() -> Vec<(dcpi_workloads::Workload, u32)> {
-    use dcpi_workloads::programs::StreamKind;
-    use dcpi_workloads::Workload;
-    vec![
-        (Workload::McCalpin(StreamKind::Copy), 24),
-        (Workload::McCalpin(StreamKind::Sum), 16),
-        (Workload::X11Perf, 80),
-        (Workload::Gcc, 60),
-        (Workload::Wave5, 20),
-    ]
+const ACCURACY_SUITE: [(Workload, u32); 5] = [
+    (Workload::McCalpin(StreamKind::Copy), 24),
+    (Workload::McCalpin(StreamKind::Sum), 16),
+    (Workload::X11Perf, 80),
+    (Workload::Gcc, 60),
+    (Workload::Wave5, 20),
+];
+
+/// The accuracy suite under `config` at `period`, each workload merged
+/// over `opts.runs` runs ([`run_merged`]), in suite order.
+pub fn accuracy_runs(
+    opts: &ExpOptions,
+    config: ProfConfig,
+    period: (u64, u64),
+) -> impl Iterator<Item = RunResult> + '_ {
+    ACCURACY_SUITE.into_iter().map(move |(w, wscale)| {
+        let ro = RunOptions {
+            seed: opts.seed,
+            scale: wscale * opts.scale,
+            period,
+            ..RunOptions::default()
+        };
+        run_merged(w, config, &ro, opts.runs, opts.threads)
+    })
 }
 
 /// Sampling period for the estimate-accuracy experiments: sparse enough
@@ -367,6 +315,7 @@ pub fn run_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcpi_core::cli::{Args, Stop};
 
     #[test]
     fn mean_ci_basics() {
@@ -474,9 +423,15 @@ mod tests {
         assert_eq!(serial.stacks.to_bytes(), threaded.stacks.to_bytes());
     }
 
+    fn options(argv: &[&str]) -> ExpOptions {
+        let inv = Invocation::parse(Args::new(argv.iter().copied())).unwrap();
+        inv.options(inv.selected[0])
+    }
+
     #[test]
     fn parse_known_flags() {
-        let args = Args::new([
+        let argv = [
+            "figure8",
             "--runs",
             "7",
             "--scale",
@@ -485,8 +440,8 @@ mod tests {
             "42",
             "--threads",
             "2",
-        ]);
-        let o = ExpOptions::parse(args, 10, false).unwrap();
+        ];
+        let o = options(&argv);
         assert_eq!(o.runs, 7);
         assert_eq!(o.scale, 3);
         assert_eq!(o.seed, 42);
@@ -496,39 +451,61 @@ mod tests {
 
     #[test]
     fn parse_defaults() {
-        let o = ExpOptions::parse(Args::default(), 10, false).unwrap();
-        assert_eq!(o.runs, 10);
+        let o = options(&["figure3"]);
+        assert_eq!(o.runs, 8, "figure3's own default");
         assert_eq!(o.scale, 1);
         assert_eq!(o.seed, 1);
         assert!(o.threads >= 1, "defaults to available parallelism");
+        assert_eq!(options(&["table4"]).runs, 1, "an experiment that runs once");
+        let all = Invocation::parse(Args::new(["--all"])).unwrap();
+        assert_eq!(all.selected.len(), EXPERIMENTS.len());
     }
 
     #[test]
     fn quick_clamps_runs() {
-        let o = ExpOptions::parse(Args::new(["--quick", "--runs", "50"]), 10, false).unwrap();
+        let o = options(&["--quick", "figure8", "--runs", "50"]);
         assert!(o.quick);
         assert_eq!(o.runs, 2);
-        // DCPI_QUICK arrives via the `quick` parameter and clamps too.
-        let o = ExpOptions::parse(Args::default(), 10, true).unwrap();
-        assert!(o.quick);
-        assert_eq!(o.runs, 2);
+        assert_eq!(options(&["figure3", "--quick"]).runs, 2);
     }
 
     #[test]
     fn a_mistyped_experiment_does_not_start() {
-        // An unknown flag, an unparsable value, and a flag given another
-        // flag where its value belongs: each names the offending word.
+        // An unknown flag, an unparsable value, a flag given another flag
+        // where its value belongs, an unknown or missing experiment, and
+        // `--runs` for an experiment that never reads it: each names the
+        // offending word.
         for (argv, word) in [
-            (&["--bogus", "--runs", "3"][..], "--bogus"),
-            (&["--runs", "lots"], "lots"),
-            (&["--runs", "--quick"], "--runs"),
-            // Only `bench_report` checks anything; it takes the flag itself.
-            (&["--check"], "--check"),
+            (&["figure8", "--bogus", "--runs", "3"][..], "--bogus"),
+            (&["figure8", "--runs", "lots"], "lots"),
+            (&["figure8", "--runs", "--quick"], "--runs"),
+            (&["figure5"], "figure5"),
+            (&["--quick"], "--all"),
+            (&["figure8", "--all"], "figure8"),
+            (&["figure8", "figure9"], "figure9"),
+            (&["figure1", "--runs", "3"], "figure1"),
+            (&["--all", "--runs", "3"], "table4"),
+            (&["figure8", "--check"], "--quick"),
+            (&["figure8", "--check", "--quick", "--seed", "2"], "--seed"),
         ] {
-            match ExpOptions::parse(Args::new(argv.iter().copied()), 10, false) {
+            match Invocation::parse(Args::new(argv.iter().copied())) {
                 Err(Stop::Usage(msg)) => assert!(msg.contains(word), "{argv:?}: {msg}"),
                 other => panic!("{argv:?}: expected a usage error, got {other:?}"),
             }
         }
+        for e in EXPERIMENTS.iter().filter(|e| e.runs.is_none()) {
+            match Invocation::parse(Args::new([e.name, "--runs", "2"])) {
+                Err(Stop::Usage(msg)) => {
+                    assert!(msg.contains("--runs") && msg.contains(e.name), "{msg}");
+                }
+                other => panic!("{}: `--runs` accepted: {other:?}", e.name),
+            }
+        }
+        // `DCPI_QUICK` is no option: only `--quick` shrinks a run.
+        std::env::set_var("DCPI_QUICK", "1");
+        let o = options(&["figure8"]);
+        std::env::remove_var("DCPI_QUICK");
+        assert!(!o.quick);
+        assert_eq!(o.runs, 3);
     }
 }

@@ -1,7 +1,7 @@
 //! The workspace's one JSON reader and its one string-escaping rule.
 //!
 //! Every JSON artifact the tools exchange — `obs.json`, `estimates.json`,
-//! `map.json`, `fleet.json`, `BENCH_perf.json`, speedscope flamegraphs —
+//! `map.json`, `fleet.json`, speedscope flamegraphs —
 //! is read by [`parse`] into a [`Json`] value and walked with typed
 //! member access whose errors name the member ([`Json::int`],
 //! [`Json::string`], …); every string a writer emits goes through

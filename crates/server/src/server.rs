@@ -148,7 +148,7 @@ pub struct IngestServer {
     /// rides the wire frame ([`EpochBatch::seal_cycle`]) through the
     /// WAL, so replayed batches report their true lag including the
     /// outage. Deterministic — the SLO percentiles in `fleet.json` and
-    /// `BENCH_perf.json` come from here, not from the obs histograms.
+    /// `experiments report` come from here, not from the obs histograms.
     lags: Vec<u64>,
     /// Last tick each agent had a batch become visible (freshness SLO).
     agent_visible: BTreeMap<u32, u64>,
