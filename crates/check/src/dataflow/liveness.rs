@@ -7,7 +7,7 @@
 //! precise, low-noise variant.
 
 use super::solver::{solve, Direction, Pass, Solution};
-use crate::diag::{Category, Report, Severity};
+use crate::diag::{Category, Loc, Report};
 use dcpi_analyze::cfg::{BlockId, Cfg};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::reg::Reg;
@@ -108,12 +108,9 @@ pub fn check_dead_stores(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
             let Some(w) = insn.writes() else { continue };
             if after[i] & bit(w) == 0 {
                 let pc = sym.offset + ((base + i) as u64) * 4;
-                report.push(
-                    Severity::Warning,
+                report.flag(
                     Category::DeadStore,
-                    &sym.name,
-                    Some(pc),
-                    Some(b),
+                    Loc::at(&sym.name).pc(pc).block(b),
                     format!("{w:?} is overwritten on every path before being read"),
                 );
             }

@@ -10,7 +10,7 @@
 //! definition.
 
 use super::solver::{solve, Direction, Pass, Solution};
-use crate::diag::{Category, Report, Severity};
+use crate::diag::{Category, Loc, Report};
 use crate::image_lints::abi_live_on_entry;
 use dcpi_analyze::cfg::{BlockId, Cfg};
 use dcpi_isa::image::Symbol;
@@ -99,12 +99,9 @@ pub fn check_uninit_reads(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                 if !has_def && flagged & (1 << idx) == 0 {
                     flagged |= 1 << idx;
                     let pc = sym.offset + ((base + i) as u64) * 4;
-                    report.push(
-                        Severity::Warning,
+                    report.flag(
                         Category::UninitRead,
-                        &sym.name,
-                        Some(pc),
-                        Some(b),
+                        Loc::at(&sym.name).pc(pc).block(b),
                         format!("{r:?} is read but no definition reaches it on any path"),
                     );
                 }

@@ -10,7 +10,7 @@
 //! contain a `ret`.
 
 use super::solver::{solve, Direction, Pass, Solution};
-use crate::diag::{Category, Report, Severity};
+use crate::diag::{Category, Loc, Report};
 use dcpi_analyze::cfg::{BlockId, Cfg};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::insn::Instruction;
@@ -166,20 +166,14 @@ pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
             let pc = sym.offset + ((base + i) as u64) * 4;
             if is_ret(insn) {
                 match fact.sp {
-                    SpDelta::Known(d) if d != 0 => report.push(
-                        Severity::Warning,
+                    SpDelta::Known(d) if d != 0 => report.flag(
                         Category::StackDiscipline,
-                        &sym.name,
-                        Some(pc),
-                        Some(b),
+                        Loc::at(&sym.name).pc(pc).block(b),
                         format!("returns with an unbalanced stack pointer ({d:+} bytes)"),
                     ),
-                    SpDelta::Unknown => report.push(
-                        Severity::Warning,
+                    SpDelta::Unknown => report.flag(
                         Category::StackDiscipline,
-                        &sym.name,
-                        Some(pc),
-                        Some(b),
+                        Loc::at(&sym.name).pc(pc).block(b),
                         "stack-pointer delta is unknown at this return",
                     ),
                     _ => {}
@@ -190,12 +184,9 @@ pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                     let b_ = 1u64 << w.index();
                     if callee & b_ != 0 && fact.saved & b_ == 0 && clobbered & b_ == 0 {
                         clobbered |= b_;
-                        report.push(
-                            Severity::Warning,
+                        report.flag(
                             Category::StackDiscipline,
-                            &sym.name,
-                            Some(pc),
-                            Some(b),
+                            Loc::at(&sym.name).pc(pc).block(b),
                             format!("callee-saved {w:?} is overwritten without a prior save"),
                         );
                     }
@@ -209,12 +200,9 @@ pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
         }
     }
     if -deepest > MAX_FRAME_BYTES {
-        report.push(
-            Severity::Warning,
+        report.flag(
             Category::StackDiscipline,
-            &sym.name,
-            Some(sym.offset),
-            None,
+            Loc::at(&sym.name).pc(sym.offset),
             format!(
                 "frame depth {} bytes exceeds the {MAX_FRAME_BYTES}-byte bound",
                 -deepest
@@ -222,12 +210,9 @@ pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
         );
     }
     if rose_above {
-        report.push(
-            Severity::Warning,
+        report.flag(
             Category::StackDiscipline,
-            &sym.name,
-            Some(sym.offset),
-            None,
+            Loc::at(&sym.name).pc(sym.offset),
             "stack pointer rises above the caller's frame on some path",
         );
     }

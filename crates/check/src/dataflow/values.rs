@@ -10,7 +10,7 @@
 //! the OS are outside this abstraction.
 
 use super::solver::{solve, Direction, Pass, Solution};
-use crate::diag::{Category, Report, Severity};
+use crate::diag::{Category, Loc, Report};
 use dcpi_analyze::cfg::{BlockId, Cfg};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::insn::{BrCond, Instruction, IntOp, PalFunc, RegOrLit};
@@ -283,12 +283,9 @@ pub fn check_const_branches(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                 }
                 if let Some(taken) = decide(*cond, v) {
                     let pc = sym.offset + ((base + i) as u64) * 4;
-                    report.push(
-                        Severity::Warning,
+                    report.flag(
                         Category::ConstBranch,
-                        &sym.name,
-                        Some(pc),
-                        Some(b),
+                        Loc::at(&sym.name).pc(pc).block(b),
                         format!(
                             "conditional branch always {} ({:?} = {v:?})",
                             if taken { "taken" } else { "falls through" },

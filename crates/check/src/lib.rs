@@ -1,44 +1,52 @@
 //! `dcpi-check`: static analysis and invariant verification for DCPI
-//! images, CFGs, and analysis outputs.
+//! images, CFGs, analysis outputs, and the stores built on them.
 //!
 //! The analysis pipeline of §6 rests on a chain of derived artifacts —
 //! decoded text, control-flow graphs, cycle-equivalence classes,
 //! frequency estimates, culprits, and the Figure 4 summary. Each step
 //! has invariants the next step silently assumes. This crate re-verifies
-//! them from the outside, in three layers:
+//! them from the outside. Every finding belongs to one of nine
+//! [`Layer`]s:
 //!
-//! 1. **Image / ISA lints** ([`image_lints`]) — decode/encode
+//! 1. **image** ([`image_lints`], [`dataflow`]) — decode/encode
 //!    round-trips, symbol-table sanity, branch targets escaping their
-//!    procedure, unreachable basic blocks, and a liveness pass flagging
-//!    registers read before any definition.
-//! 2. **CFG audits** ([`cfg_audit`]) — blocks must partition the text,
-//!    edges must land on block heads and agree with their terminators,
-//!    and the cycle-equivalence classes of §6.1.2 are re-derived by brute
-//!    force (connectivity counting instead of the analyzer's bracket
-//!    lists) and compared.
-//! 3. **Estimate audits** ([`estimate_audit`]) — flow conservation at
-//!    each block (§6.1.4), confidence-label invariants (§6.1.5), culprit
+//!    procedure, unreachable basic blocks, registers read before any
+//!    definition, and a worklist dataflow solver's `dead-store`,
+//!    `uninit-read`, `const-branch` and `stack-discipline` lints.
+//! 2. **cfg** ([`cfg_audit`]) — blocks must partition the text, edges
+//!    must land on block heads and agree with their terminators, and the
+//!    cycle-equivalence classes of §6.1.2 are re-derived by brute force
+//!    (connectivity counting instead of the analyzer's bracket lists) and
+//!    compared.
+//! 3. **estimate** ([`estimate_audit`]) — flow conservation at each block
+//!    (§6.1.4), confidence-label invariants (§6.1.5), culprit
 //!    completeness against the dynamic-stall threshold (§6.3), and an
 //!    independent reconciliation of the Figure 4 books.
-//! 4. **Observability audits** ([`obs_audit`]) — the profiler's own
-//!    metrics/trace exports: monotonic cycle stamps, ring overwrite
-//!    accounting, span pairing, histogram totals, sample-ledger
-//!    conservation, and the overhead fraction against the paper's band.
-//! 5. **PGO rewrite audits** ([`pgo_audit`]) — a rewritten image against
-//!    its original and address map: the map is a bijection over live
-//!    words, every mapped instruction is an allowed variant of its
-//!    original, branch targets follow the map and land on live
-//!    instructions, and unmapped words are inert padding or glue.
-//! 6. **Dataflow analyses** ([`dataflow`]) — a generic worklist solver
-//!    over the CFG with liveness, reaching-definitions, value-range, and
-//!    stack-discipline passes, powering the `dead-store`, `uninit-read`,
-//!    `const-branch`, and `stack-discipline` lints.
-//! 7. **Translation validation** ([`tv`]) — a symbolic, per-segment
-//!    equivalence proof that a PGO rewrite preserves the old image's
-//!    observable behaviour, with no simulator in the loop.
+//! 4. **db** — the on-disk profile database: checksums, epoch structure,
+//!    stale temporaries, quarantined files, image-name records (audited
+//!    by `dcpi-tools`' `dcpicheck db`).
+//! 5. **obs** ([`obs_audit`]) — the profiler's own metrics/trace exports:
+//!    monotonic cycle stamps, ring overwrite accounting, span pairing,
+//!    histogram totals, sample-ledger conservation, pipeline span chains,
+//!    and the overhead fraction against the paper's band.
+//! 6. **pgo** ([`pgo_audit`]) — a rewritten image against its original
+//!    and address map: the map is a bijection over live words, every
+//!    mapped instruction is an allowed variant of its original, branch
+//!    targets follow the map and land on live instructions, and unmapped
+//!    words are inert padding or glue.
+//! 7. **tv** ([`tv`]) — a symbolic, per-segment equivalence proof that a
+//!    PGO rewrite preserves the old image's observable behaviour, with no
+//!    simulator in the loop.
+//! 8. **fleet** — a fleet server root: WAL structure, per-agent sequence
+//!    contiguity, merge intents, database agreement and sample
+//!    conservation (audited by `dcpi-server`'s `check_fleet`).
+//! 9. **stacks** — calling-context sidecars: decoding, interning-table
+//!    bijectivity, call-tree conservation and the flamegraph export
+//!    (audited by `dcpi-tools`' `dcpicheck stacks`).
 //!
-//! Diagnostics are typed ([`Diagnostic`]) and carry a severity: errors
-//! are invariant violations, warnings are suspicious-but-possibly-benign
+//! Diagnostics are typed ([`Diagnostic`]). [`Category`]'s table gives
+//! each finding its layer, stable name and severity: errors are
+//! invariant violations, warnings are suspicious-but-possibly-benign
 //! findings (dead padding blocks, registers read before definition on
 //! some path). A healthy pipeline produces **zero errors** on every
 //! built-in workload; the `dcpicheck` CLI exits nonzero otherwise.
@@ -52,7 +60,7 @@ pub mod obs_audit;
 pub mod pgo_audit;
 pub mod tv;
 
-pub use diag::{Category, Diagnostic, Layer, Report, Severity};
+pub use diag::{Category, Diagnostic, Layer, Loc, Report, Severity};
 pub use obs_audit::{check_obs_export, check_snapshot, ObsCheckConfig};
 pub use pgo_audit::check_rewrite;
 pub use tv::{validate, validate_with, TvOptions, TvResult};
@@ -100,24 +108,29 @@ impl Default for CheckConfig {
 pub fn check_image(image: &Image, config: &CheckConfig) -> Report {
     let mut report = Report::new();
     image_lints::check_image_words(image, &mut report);
+    for_each_cfg(image, &mut report, |sym, cfg, report| {
+        report.merge(check_procedure(image, sym, cfg, config));
+    });
+    report
+}
+
+/// Builds each procedure's CFG and hands it to `audit`; a procedure
+/// whose CFG cannot be built is a `block-structure` error instead.
+pub fn for_each_cfg(
+    image: &Image,
+    report: &mut Report,
+    mut audit: impl FnMut(&Symbol, &Cfg, &mut Report),
+) {
     for sym in image.symbols() {
         match Cfg::build(image, sym) {
-            Ok(cfg) => {
-                image_lints::check_procedure(image, sym, &cfg, &mut report);
-                dataflow::check_procedure_dataflow(sym, &cfg, &mut report);
-                cfg_audit::check_cfg(sym, &cfg, config, &mut report);
-            }
-            Err(e) => report.push(
-                Severity::Error,
+            Ok(cfg) => audit(sym, &cfg, report),
+            Err(e) => report.flag(
                 Category::BlockStructure,
-                &sym.name,
-                Some(sym.offset),
-                None,
+                Loc::at(&sym.name).pc(sym.offset),
                 format!("CFG construction failed: {e}"),
             ),
         }
     }
-    report
 }
 
 /// Runs layers 1 and 2 over a single procedure with an already-built CFG

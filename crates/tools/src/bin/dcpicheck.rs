@@ -39,7 +39,7 @@
 //! exit 0 when clean, 1 when any error-severity diagnostic is found, and
 //! 2 on usage errors — before anything is audited.
 
-use dcpi_check::{CheckConfig, ObsCheckConfig};
+use dcpi_check::{CheckConfig, ObsCheckConfig, Report};
 use dcpi_core::cli::{run, Stop};
 use dcpi_tools::{
     dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
@@ -72,47 +72,40 @@ fn main() -> ExitCode {
             paths.push(PathBuf::from(args.positional(what)?));
         }
         args.finish()?;
-        // `tv` carries per-segment tallies alongside the report.
-        let mut tv_tallies: Option<(usize, usize)> = None;
         let report = match (first.as_str(), paths.as_slice()) {
+            // `tv` carries per-segment tallies alongside the report.
+            ("tv", [old, new, map]) => {
+                let tv = dcpicheck_tv(old, new, map);
+                let out = if json { tv.to_json() } else { tv.render() };
+                print!("{out}");
+                return verdict(&tv.report);
+            }
             ("db", [dir]) => dcpicheck_db(dir),
             ("stacks", [dir]) => dcpicheck_stacks(dir),
             ("fleet", [root]) => dcpi_server::check_fleet(root),
             ("obs", [path]) => dcpicheck_obs(path, &ObsCheckConfig::default()),
             ("dataflow", [image]) => dcpicheck_dataflow(image),
             ("pgo", [old, new, map]) => dcpicheck_pgo(old, new, map),
-            ("tv", [old, new, map]) => {
-                let res = dcpicheck_tv(old, new, map);
-                tv_tallies = Some((res.proved, res.segments));
-                res.report
-            }
             (dir, _) => {
                 let db = load_db(dir)?;
                 dcpicheck_report(&db.profiles, &db.registry, &CheckConfig::default())
             }
         };
-        if json {
-            let mut out = report.to_json();
-            if let Some((proved, segments)) = tv_tallies {
-                out = out.replacen(
-                    "\"schema\": 1,",
-                    &format!(
-                        "\"schema\": 1,\n  \"segments\": {segments},\n  \"proved\": {proved},"
-                    ),
-                    1,
-                );
-            }
-            print!("{out}");
+        let out = if json {
+            report.to_json()
         } else {
-            if let Some((proved, segments)) = tv_tallies {
-                println!("dcpicheck tv: proved {proved}/{segments} segment(s)");
-            }
-            print!("{}", report.render());
-        }
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(Stop::Found)
-        }
+            report.render()
+        };
+        print!("{out}");
+        verdict(&report)
     })
+}
+
+/// Exit 1 when the audit found an error.
+fn verdict(report: &Report) -> Result<(), Stop> {
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(Stop::Found)
+    }
 }

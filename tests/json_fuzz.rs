@@ -15,7 +15,7 @@ mod common;
 use common::{bytes_requested, HOSTILE};
 use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, ExportedProc};
 use dcpi::analyze::EdgeKind;
-use dcpi::check::{Category, Report, Severity};
+use dcpi::check::{Category, Loc, Report, Severity};
 use dcpi::collect::faults::{FleetLedger, LossLedger};
 use dcpi::core::json::{self, quote, Json};
 use dcpi::core::prng::CartaRng;
@@ -558,12 +558,10 @@ impl Format for CheckReport {
         for (context, message, pc) in &pushed {
             let severity = [Severity::Warning, Severity::Error][g.below(2) as usize];
             let category = [Category::Undecodable, Category::TvState][g.below(2) as usize];
-            report.push(
+            report.flag_as(
                 severity,
                 category,
-                context.as_str(),
-                *pc,
-                None,
+                Loc::at(context).pc(*pc),
                 message.as_str(),
             );
         }
