@@ -4,18 +4,17 @@
 //! The estimate structs ([`ProcAnalysis`] and friends) are rich in-memory
 //! objects with no stable external shape; this module flattens the parts
 //! a transform needs — block/edge frequencies, per-instruction samples,
-//! CPI, and culprit letters — into JSON laid out like the observability
-//! exports (one section per member, one row object per line, strings
-//! quoted by [`dcpi_core::json::quote`]) and reads it back through
+//! CPI, and culprit letters — into key lists that [`dcpi_core::json::Doc`]
+//! lays out like every artifact (one section per member, one row object
+//! per line) and reads it back through
 //! [`dcpi_core::json::parse`]. `export` → `parse` is a lossless round
 //! trip for everything in [`ExportedProc`], whatever the names hold.
 
 use crate::analysis::ProcAnalysis;
 use crate::cfg::EdgeKind;
 use crate::frequency::Confidence;
-use dcpi_core::json::{self, quote, Json};
+use dcpi_core::json::{self, Doc, Json, Value};
 use dcpi_core::types::ImageId;
-use std::fmt::Write as _;
 
 /// Schema version stamped into exports.
 pub const SCHEMA: u32 = 1;
@@ -191,71 +190,69 @@ pub fn flatten(items: &[(ImageId, &str, &ProcAnalysis)]) -> Vec<ExportedProc> {
 /// Serializes flattened procedures as JSON, one row object per line.
 #[must_use]
 pub fn render(procs: &[ExportedProc]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {SCHEMA},");
-    let emit_rows = |out: &mut String, key: &str, rows: Vec<String>, last: bool| {
-        let _ = writeln!(out, "  \"{key}\": [");
-        out.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(if last { "  ]\n" } else { "  ],\n" });
-    };
-    let mut procs_rows = Vec::new();
-    let mut block_rows = Vec::new();
-    let mut edge_rows = Vec::new();
-    let mut insn_rows = Vec::new();
-    for (pi, p) in procs.iter().enumerate() {
-        procs_rows.push(format!(
-            "    {{\"proc\": {pi}, \"image\": {}, \"image_name\": {}, \
-             \"name\": {}, \"start_word\": {}, \"len_words\": {}, \
-             \"missing_edges\": {}, \"total_samples\": {}}}",
-            p.image,
-            quote(&p.image_name),
-            quote(&p.name),
-            p.start_word,
-            p.len_words,
-            u8::from(p.missing_edges),
-            p.total_samples,
-        ));
-        for b in &p.blocks {
-            block_rows.push(format!(
-                "    {{\"proc\": {pi}, \"start_word\": {}, \"len\": {}, \"freq\": {:.6}}}",
-                b.start_word, b.len, b.freq
-            ));
-        }
-        for e in &p.edges {
-            edge_rows.push(format!(
-                "    {{\"proc\": {pi}, \"from\": {}, \"to\": {}, \"kind\": {}, \
-                 \"freq\": {:.6}}}",
-                e.from,
-                e.to,
-                quote(kind_name(e.kind)),
-                e.freq
-            ));
-        }
-        for i in &p.insns {
-            insn_rows.push(format!(
-                "    {{\"proc\": {pi}, \"offset\": {}, \"samples\": {}, \"m\": {}, \
-                 \"freq\": {:.6}, \"cpi\": {:.6}, \"confidence\": {}, \
-                 \"culprits\": {}}}",
-                i.offset,
-                i.samples,
-                i.m,
-                i.freq,
-                i.cpi,
-                quote(&i.confidence),
-                quote(&i.culprits)
-            ));
-        }
-    }
-    emit_rows(&mut out, "procs", procs_rows, false);
-    emit_rows(&mut out, "blocks", block_rows, false);
-    emit_rows(&mut out, "edges", edge_rows, false);
-    emit_rows(&mut out, "insns", insn_rows, true);
-    out.push_str("}\n");
-    out
+    let mut doc = Doc::new();
+    doc.field("schema", SCHEMA)
+        .rows("procs", |rows| {
+            for (pi, p) in procs.iter().enumerate() {
+                rows.row(&[
+                    ("proc", pi.into()),
+                    ("image", p.image.into()),
+                    ("image_name", (&p.image_name).into()),
+                    ("name", (&p.name).into()),
+                    ("start_word", p.start_word.into()),
+                    ("len_words", p.len_words.into()),
+                    ("missing_edges", Value::Int(p.missing_edges.into())),
+                    ("total_samples", p.total_samples.into()),
+                ]);
+            }
+        })
+        .rows("blocks", |rows| {
+            for (pi, p) in procs.iter().enumerate() {
+                for b in &p.blocks {
+                    rows.row(&[
+                        ("proc", pi.into()),
+                        ("start_word", b.start_word.into()),
+                        ("len", b.len.into()),
+                        ("freq", estimate(b.freq)),
+                    ]);
+                }
+            }
+        })
+        .rows("edges", |rows| {
+            for (pi, p) in procs.iter().enumerate() {
+                for e in &p.edges {
+                    rows.row(&[
+                        ("proc", pi.into()),
+                        ("from", e.from.into()),
+                        ("to", e.to.into()),
+                        ("kind", kind_name(e.kind).into()),
+                        ("freq", estimate(e.freq)),
+                    ]);
+                }
+            }
+        })
+        .rows("insns", |rows| {
+            for (pi, p) in procs.iter().enumerate() {
+                for i in &p.insns {
+                    rows.row(&[
+                        ("proc", pi.into()),
+                        ("offset", i.offset.into()),
+                        ("samples", i.samples.into()),
+                        ("m", i.m.into()),
+                        ("freq", estimate(i.freq)),
+                        ("cpi", estimate(i.cpi)),
+                        ("confidence", (&i.confidence).into()),
+                        ("culprits", (&i.culprits).into()),
+                    ]);
+                }
+            }
+        });
+    doc.finish()
+}
+
+/// Estimates are written to six decimals.
+fn estimate(x: f64) -> Value<'static> {
+    Value::Fixed(x, 6)
 }
 
 /// Flattens and serializes in one step.

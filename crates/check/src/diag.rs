@@ -4,7 +4,7 @@
 //! only names the category, the place and what it found
 //! ([`Report::flag`]).
 
-use dcpi_core::json::quote;
+use dcpi_core::json::Doc;
 use std::fmt;
 
 /// How bad a finding is.
@@ -461,37 +461,27 @@ impl Report {
     /// [`Report::to_json`], with translation validation's `(segments,
     /// proved)` tallies after the schema line when given.
     pub(crate) fn json(&self, tv: Option<(usize, usize)>) -> String {
-        use fmt::Write as _;
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |v| v.to_string())
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": 1,");
+        let mut doc = Doc::new();
+        doc.field("schema", 1_u32);
         if let Some((segments, proved)) = tv {
-            let _ = writeln!(s, "  \"segments\": {segments},\n  \"proved\": {proved},");
+            doc.field("segments", segments).field("proved", proved);
         }
-        let _ = writeln!(s, "  \"errors\": {},", self.errors());
-        let _ = writeln!(s, "  \"warnings\": {},", self.warnings());
-        let _ = writeln!(s, "  \"diags\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            let comma = if i + 1 < self.diags.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"severity\": {}, \"layer\": {}, \"category\": {}, \
-                 \"context\": {}, \"pc\": {}, \"block\": {}, \"message\": {}}}{comma}",
-                quote(&d.severity.to_string()),
-                quote(&d.category.layer().to_string()),
-                quote(d.category.name()),
-                quote(&d.context),
-                opt(d.pc),
-                opt(d.block.map(|b| b as u64)),
-                quote(&d.message),
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        s.push_str("}\n");
-        s
+        doc.field("errors", self.errors())
+            .field("warnings", self.warnings())
+            .rows("diags", |rows| {
+                for d in &self.diags {
+                    rows.row(&[
+                        ("severity", (&d.severity.to_string()).into()),
+                        ("layer", (&d.category.layer().to_string()).into()),
+                        ("category", d.category.name().into()),
+                        ("context", (&d.context).into()),
+                        ("pc", d.pc.into()),
+                        ("block", d.block.map(|b| b as u64).into()),
+                        ("message", (&d.message).into()),
+                    ]);
+                }
+            });
+        doc.finish()
     }
 
     /// Renders every finding, one per line, plus a closing tally.

@@ -10,8 +10,8 @@
 //! * in-memory profiles keyed by image offset ([`Profile`], [`ProfileKey`]),
 //! * the compact on-disk profile database ([`db::ProfileDb`]) with its
 //!   varint-delta codec ([`codec`]),
-//! * the one JSON reader and string-escaping rule every artifact writer
-//!   and offline tool shares ([`json`]),
+//! * the one JSON reader and writer every artifact and offline tool
+//!   shares ([`json`]),
 //! * the one command-line reader and exit-code rule every binary shares
 //!   ([`cli`]),
 //! * the Carta minimal-standard pseudo-random number generator used by the

@@ -13,8 +13,7 @@
 
 use crate::insn::{BrCond, Instruction};
 use crate::reg::Reg;
-use dcpi_core::json::{self, quote};
-use std::fmt::Write as _;
+use dcpi_core::json::{self, Doc};
 
 /// Schema version stamped into serialized address maps.
 pub const MAP_SCHEMA: u32 = 1;
@@ -214,23 +213,18 @@ impl AddressMap {
     /// per line in old-word order.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {MAP_SCHEMA},");
-        let _ = writeln!(out, "  \"old_image\": {},", quote(&self.old_name));
-        let _ = writeln!(out, "  \"new_image\": {},", quote(&self.new_name));
-        let _ = writeln!(out, "  \"old_words\": {},", self.entries.len());
-        let _ = writeln!(out, "  \"new_words\": {},", self.new_words);
-        out.push_str("  \"map\": [\n");
-        let rows: Vec<String> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(old, &new)| format!("    {{\"old\": {old}, \"new\": {new}}}"))
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut doc = Doc::new();
+        doc.field("schema", MAP_SCHEMA)
+            .field("old_image", &self.old_name)
+            .field("new_image", &self.new_name)
+            .field("old_words", self.entries.len())
+            .field("new_words", self.new_words)
+            .rows("map", |rows| {
+                for (old, &new) in self.entries.iter().enumerate() {
+                    rows.row(&[("old", old.into()), ("new", new.into())]);
+                }
+            });
+        doc.finish()
     }
 
     /// Parses a serialized map.

@@ -14,9 +14,8 @@
 //!   collection (interrupt handler + daemon) against total simulated
 //!   cycles, and the [`ledger::LossLedger`] every layer accounts its
 //!   samples in;
-//! * a JSON [`export`] (written one row per line, read through
-//!   `dcpi_core::json`) consumed by `dcpistat`, `dcpitrace`, and
-//!   `dcpicheck obs`;
+//! * a JSON [`export`] (written and read through `dcpi_core::json`)
+//!   consumed by `dcpistat`, `dcpitrace`, and `dcpicheck obs`;
 //! * a [`report::Reporter`] giving `profile`'s status output one
 //!   text/JSON/quiet formatting path.
 //!

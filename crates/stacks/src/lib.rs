@@ -12,8 +12,8 @@
 //!
 //! Downstream, [`CallTree`] folds stack counts into a merged call tree
 //! with inclusive/exclusive estimates, and [`speedscope`] serializes a
-//! profile to the speedscope JSON schema (strings quoted by, and the
-//! schema audit reading through, `dcpi_core::json`), so any stack profile
+//! profile to the speedscope JSON schema (written and, for the schema
+//! audit, read through `dcpi_core::json`), so any stack profile
 //! opens directly in <https://www.speedscope.app>.
 //!
 //! The design invariants the `dcpicheck stacks` audit enforces live here:

@@ -3,10 +3,10 @@
 //! Serializes a [`StackProfile`] to the speedscope file format
 //! (<https://www.speedscope.app/file-format-schema.json>), `"sampled"`
 //! profile type: a shared frame table plus one `(samples, weights)` pair
-//! per exported event. The writer owns the layout; strings are quoted by
-//! and documents read back through [`dcpi_core::json`], whose reader is
-//! re-exported here as [`parse_json`]/[`Json`] for the schema audit's
-//! callers.
+//! per exported event. The document is built as a [`Json`] value and
+//! printed in its compact form, one line, and read back through
+//! [`dcpi_core::json`], whose reader is re-exported here as
+//! [`parse_json`]/[`Json`] for the schema audit's callers.
 //!
 //! Output is byte-deterministic for a given profile: frames appear in
 //! first-use order over ascending stack IDs, samples in stack-ID order,
@@ -14,11 +14,9 @@
 
 use crate::profile::StackProfile;
 use crate::table::Frame;
-use dcpi_core::json::quote;
 pub use dcpi_core::json::{parse as parse_json, Json};
 use dcpi_core::Event;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 const SCHEMA_URL: &str = "https://www.speedscope.app/file-format-schema.json";
 
@@ -46,74 +44,58 @@ pub fn export(
         }
     }
     // Shared frame table in first-use order.
-    let mut frame_index: HashMap<String, usize> = HashMap::new();
-    let mut frames: Vec<String> = Vec::new();
-    let mut samples: Vec<Vec<usize>> = Vec::with_capacity(per_stack.len());
-    let mut weights: Vec<u64> = Vec::with_capacity(per_stack.len());
+    let mut frame_index: HashMap<String, u64> = HashMap::new();
+    let mut frames: Vec<Json> = Vec::new();
+    let mut samples: Vec<Json> = Vec::with_capacity(per_stack.len());
+    let mut weights: Vec<Json> = Vec::with_capacity(per_stack.len());
+    let mut total = 0u64;
     for &(id, count) in &per_stack {
-        let idxs: Vec<usize> = profile
+        let idxs = profile
             .table
             .frames(id)
             .into_iter()
             .map(|f| {
                 let n = frame_name(f);
-                if let Some(&i) = frame_index.get(&n) {
-                    i
-                } else {
-                    let i = frames.len();
-                    frame_index.insert(n.clone(), i);
-                    frames.push(n);
-                    i
-                }
+                let i = match frame_index.get(&n) {
+                    Some(&i) => i,
+                    None => {
+                        let i = frames.len() as u64;
+                        frame_index.insert(n.clone(), i);
+                        frames.push(obj(vec![("name", Json::Str(n))]));
+                        i
+                    }
+                };
+                Json::Int(i)
             })
             .collect();
-        samples.push(idxs);
-        weights.push(count);
+        samples.push(Json::Arr(idxs));
+        weights.push(Json::Int(count));
+        total += count;
     }
-    let total: u64 = weights.iter().sum();
+    obj(vec![
+        ("$schema", Json::Str(SCHEMA_URL.into())),
+        ("shared", obj(vec![("frames", Json::Arr(frames))])),
+        (
+            "profiles",
+            Json::Arr(vec![obj(vec![
+                ("type", Json::Str("sampled".into())),
+                ("name", Json::Str(format!("{name} ({})", event.name()))),
+                ("unit", Json::Str("none".into())),
+                ("startValue", Json::Int(0)),
+                ("endValue", Json::Int(total)),
+                ("samples", Json::Arr(samples)),
+                ("weights", Json::Arr(weights)),
+            ])]),
+        ),
+        ("exporter", Json::Str("dcpi-stacks".into())),
+        ("name", Json::Str(name.into())),
+    ])
+    .to_string()
+}
 
-    let mut out = String::new();
-    let _ = write!(out, "{{\"$schema\":{},", quote(SCHEMA_URL));
-    out.push_str("\"shared\":{\"frames\":[");
-    for (i, f) in frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"name\":{}}}", quote(f));
-    }
-    out.push_str("]},\"profiles\":[{\"type\":\"sampled\",");
-    let _ = write!(
-        out,
-        "\"name\":{},\"unit\":\"none\",\"startValue\":0,\"endValue\":{total},",
-        quote(&format!("{name} ({})", event.name()))
-    );
-    out.push_str("\"samples\":[");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, idx) in s.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{idx}");
-        }
-        out.push(']');
-    }
-    out.push_str("],\"weights\":[");
-    for (i, w) in weights.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{w}");
-    }
-    let _ = write!(
-        out,
-        "]}}],\"exporter\":\"dcpi-stacks\",\"name\":{}}}",
-        quote(name)
-    );
-    out
+/// An object from its members, in order.
+fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Structural audit of an exported speedscope document: schema URL,

@@ -8,7 +8,7 @@
 //! single reproducible command.
 
 use dcpi_check::Report;
-use dcpi_core::json::quote;
+use dcpi_core::json::{Doc, Value};
 use dcpi_workloads::{PgoOutcome, Workload};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -24,31 +24,29 @@ pub fn parse_workload(name: &str) -> Option<Workload> {
 #[must_use]
 pub fn delta_json(out: &PgoOutcome) -> String {
     let r = &out.report;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 1,");
-    let _ = writeln!(s, "  \"workload\": {},", quote(&out.workload.name()));
-    let _ = writeln!(s, "  \"image\": {},", quote(&out.image_name));
-    let _ = writeln!(s, "  \"procs_analyzed\": {},", out.procs_analyzed);
-    let _ = writeln!(s, "  \"base_cycles\": {},", out.base_cycles);
-    let _ = writeln!(s, "  \"opt_cycles\": {},", out.opt_cycles);
-    let _ = writeln!(s, "  \"speedup_pct\": {:.4},", out.speedup_pct());
-    let _ = writeln!(s, "  \"equivalent\": {},", out.equivalent);
-    let _ = writeln!(s, "  \"statically_valid\": {},", out.statically_valid);
-    let _ = writeln!(s, "  \"tv_segments\": {},", out.tv_segments);
-    let _ = writeln!(s, "  \"tv_proved\": {},", out.tv_proved);
-    let _ = writeln!(s, "  \"procs_laid_out\": {},", r.procs_laid_out);
-    let _ = writeln!(s, "  \"packed\": {},", r.packed);
-    let _ = writeln!(s, "  \"blocks_moved\": {},", r.blocks_moved);
-    let _ = writeln!(s, "  \"branches_inverted\": {},", r.branches_inverted);
-    let _ = writeln!(s, "  \"branches_added\": {},", r.branches_added);
-    let _ = writeln!(s, "  \"pad_words\": {},", r.pad_words);
-    let _ = writeln!(s, "  \"blocks_rescheduled\": {},", r.blocks_rescheduled);
-    let _ = writeln!(s, "  \"call_patches\": {},", r.call_patches);
-    let _ = writeln!(s, "  \"old_words\": {},", r.old_words);
-    let _ = writeln!(s, "  \"new_words\": {}", r.new_words);
-    s.push_str("}\n");
-    s
+    let mut doc = Doc::new();
+    doc.field("schema", 1_u32)
+        .field("workload", &out.workload.name())
+        .field("image", &out.image_name)
+        .field("procs_analyzed", out.procs_analyzed)
+        .field("base_cycles", out.base_cycles)
+        .field("opt_cycles", out.opt_cycles)
+        .field("speedup_pct", Value::Fixed(out.speedup_pct(), 4))
+        .field("equivalent", out.equivalent)
+        .field("statically_valid", out.statically_valid)
+        .field("tv_segments", out.tv_segments)
+        .field("tv_proved", out.tv_proved)
+        .field("procs_laid_out", r.procs_laid_out)
+        .field("packed", r.packed)
+        .field("blocks_moved", r.blocks_moved)
+        .field("branches_inverted", r.branches_inverted)
+        .field("branches_added", r.branches_added)
+        .field("pad_words", r.pad_words)
+        .field("blocks_rescheduled", r.blocks_rescheduled)
+        .field("call_patches", r.call_patches)
+        .field("old_words", r.old_words)
+        .field("new_words", r.new_words);
+    doc.finish()
 }
 
 /// Writes the loop's artifacts into `dir` (created if missing):

@@ -3,7 +3,7 @@
 //! JSON. There is one [`timeline`], so every filter applies to every
 //! input shape.
 
-use dcpi_core::json::quote;
+use dcpi_core::json::Doc;
 use dcpi_obs::{EventRecord, RingSnapshot, Snapshot};
 use std::fmt::Write as _;
 
@@ -103,34 +103,27 @@ pub fn dcpitrace(snaps: &[(&str, &Snapshot)], filter: Filter) -> String {
 /// The timeline as JSON (one event object per line).
 #[must_use]
 pub fn dcpitrace_json(snaps: &[(&str, &Snapshot)], filter: Filter) -> String {
-    let mut out = String::new();
-    let lines = timeline(snaps, filter);
     let key = if labelled(snaps) {
         "source"
     } else {
         "component"
     };
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "\"events\": [");
-    for (i, l) in lines.iter().enumerate() {
-        let comma = if i + 1 < lines.len() { "," } else { "" };
-        let e = l.event;
-        let _ = writeln!(
-            out,
-            "{{\"cycle\": {}, \"{key}\": {}, \"kind\": {}, \"event\": {}, \
-             \"wall_ns\": {}, \"a\": {}, \"b\": {}}}{comma}",
-            e.cycle,
-            quote(&l.source),
-            quote(e.kind.name()),
-            quote(&e.name),
-            e.wall_ns,
-            e.a,
-            e.b
-        );
-    }
-    let _ = writeln!(out, "]");
-    let _ = write!(out, "}}");
-    out
+    let mut doc = Doc::new();
+    doc.rows("events", |rows| {
+        for l in timeline(snaps, filter) {
+            let e = l.event;
+            rows.row(&[
+                ("cycle", e.cycle.into()),
+                (key, (&l.source).into()),
+                ("kind", e.kind.name().into()),
+                ("event", (&e.name).into()),
+                ("wall_ns", e.wall_ns.into()),
+                ("a", e.a.into()),
+                ("b", e.b.into()),
+            ]);
+        }
+    });
+    doc.finish()
 }
 
 #[cfg(test)]

@@ -72,8 +72,8 @@ fn main() -> ExitCode {
             rep.record(
                 "profile.base",
                 &[
-                    ("workload", workload.name()),
-                    ("cycles", r.cycles.to_string()),
+                    ("workload", (&workload.name()).into()),
+                    ("cycles", r.cycles.into()),
                 ],
             );
             return Ok(());
@@ -81,20 +81,20 @@ fn main() -> ExitCode {
         rep.record(
             "profile.run",
             &[
-                ("workload", workload.name()),
-                ("config", config.name().to_string()),
-                ("cycles", r.cycles.to_string()),
-                ("samples", r.samples.to_string()),
-                ("db_bytes", r.disk_bytes.to_string()),
-                ("db", dir),
+                ("workload", (&workload.name()).into()),
+                ("config", config.name().into()),
+                ("cycles", r.cycles.into()),
+                ("samples", r.samples.into()),
+                ("db_bytes", r.disk_bytes.into()),
+                ("db", (&dir).into()),
             ],
         );
         if opts.stack_walk {
             rep.record(
                 "profile.stacks",
                 &[
-                    ("stack_samples", r.stacks.total().to_string()),
-                    ("contexts", r.stacks.table.len().to_string()),
+                    ("stack_samples", r.stacks.total().into()),
+                    ("contexts", r.stacks.table.len().into()),
                 ],
             );
         }
@@ -108,7 +108,7 @@ fn main() -> ExitCode {
             let snap = r.obs.expect("obs snapshot requested");
             std::fs::write(&path, snap.to_json())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
-            rep.record("profile.obs", &[("path", path)]);
+            rep.record("profile.obs", &[("path", (&path).into())]);
         }
         if r.samples == 0 {
             rep.warn("no samples collected; increase --scale");

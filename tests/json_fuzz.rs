@@ -17,7 +17,7 @@ use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, Exp
 use dcpi::analyze::EdgeKind;
 use dcpi::check::{Category, Loc, Report, Severity};
 use dcpi::collect::faults::{FleetLedger, LossLedger};
-use dcpi::core::json::{self, quote, Json};
+use dcpi::core::json::{self, Json};
 use dcpi::core::prng::CartaRng;
 use dcpi::core::{Event, ImageId, Pid};
 use dcpi::isa::AddressMap;
@@ -390,24 +390,8 @@ impl Format for MapJson {
     }
 }
 
-/// The formats below have a writer but no typed reader: the value is the
-/// parsed document itself, re-rendered by this serializer (strings via
-/// the one `quote`, floats in Rust's shortest round-tripping form).
-fn text_of(v: &Json) -> String {
-    let list = |items: Vec<String>| items.join(",");
-    match v {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::Int(n) => n.to_string(),
-        Json::Num(n) => format!("{n:?}"),
-        Json::Str(s) => quote(s).to_string(),
-        Json::Arr(items) => format!("[{}]", list(items.iter().map(text_of).collect())),
-        Json::Obj(members) => {
-            let member = |(k, v): &(String, Json)| format!("{}:{}", quote(k), text_of(v));
-            format!("{{{}}}", list(members.iter().map(member).collect()))
-        }
-    }
-}
+// The formats below have a writer but no typed reader: the value is the
+// parsed document itself, re-rendered in `Json`'s compact form.
 
 struct Flamegraph;
 
@@ -451,7 +435,7 @@ impl Format for Flamegraph {
     }
 
     fn write(value: &Json) -> String {
-        text_of(value)
+        value.to_string()
     }
 
     fn lies(doc: &str) -> Vec<String> {
@@ -540,7 +524,7 @@ impl Format for FleetJson {
     }
 
     fn write(value: &Json) -> String {
-        text_of(value)
+        value.to_string()
     }
 }
 
@@ -589,7 +573,7 @@ impl Format for CheckReport {
     }
 
     fn write(value: &Json) -> String {
-        text_of(value)
+        value.to_string()
     }
 }
 
