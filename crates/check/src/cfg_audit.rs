@@ -15,21 +15,24 @@
 //! partition is compared against [`frequency_classes`]. The two share no
 //! mechanism, so agreement is evidence for both; the brute force is cubic
 //! in the edges, about a millisecond for a 27-block procedure, and runs
-//! on procedures up to [`CheckConfig::max_bruteforce_blocks`].
+//! on procedures of up to 64 blocks.
 
 use crate::diag::{Category, Loc, Report};
-use crate::CheckConfig;
 use dcpi_analyze::cfg::{BlockId, Cfg, EdgeKind};
 use dcpi_analyze::equiv::frequency_classes;
 use dcpi_isa::image::Symbol;
 use dcpi_isa::insn::{Instruction, PalFunc};
 use dcpi_isa::reg::Reg;
 
+/// Brute-force equivalence re-derivation is cubic in split-graph edges;
+/// procedures with more blocks than this skip it.
+const MAX_BRUTEFORCE_BLOCKS: usize = 64;
+
 /// Runs every layer-2 audit on one procedure's CFG.
-pub fn check_cfg(sym: &Symbol, cfg: &Cfg, config: &CheckConfig, report: &mut Report) {
+pub fn check_cfg(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
     check_block_partition(sym, cfg, report);
     check_edges(sym, cfg, report);
-    check_equivalence(sym, cfg, config, report);
+    check_equivalence(sym, cfg, report);
 }
 
 /// Blocks must be a contiguous, ordered partition of the procedure text
@@ -187,9 +190,8 @@ fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
 }
 
 /// Cross-checks [`frequency_classes`] against the brute-force
-/// re-derivation (small procedures only, per
-/// [`CheckConfig::max_bruteforce_blocks`]).
-fn check_equivalence(sym: &Symbol, cfg: &Cfg, config: &CheckConfig, report: &mut Report) {
+/// re-derivation (small procedures only, per [`MAX_BRUTEFORCE_BLOCKS`]).
+fn check_equivalence(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
     let nb = cfg.blocks.len();
     let ne = cfg.edges.len();
     let eq = frequency_classes(cfg);
@@ -217,7 +219,7 @@ fn check_equivalence(sym: &Symbol, cfg: &Cfg, config: &CheckConfig, report: &mut
         }
         return;
     }
-    if nb > config.max_bruteforce_blocks {
+    if nb > MAX_BRUTEFORCE_BLOCKS {
         return; // brute force is cubic in edges; skip big procedures
     }
     let edges: Vec<(usize, usize)> = cfg.edges.iter().map(|e| (e.from.0, e.to.0)).collect();
@@ -501,7 +503,7 @@ mod tests {
         let sym = image.symbols()[0].clone();
         let cfg = Cfg::build(&image, &sym).unwrap();
         let mut r = Report::new();
-        check_cfg(&sym, &cfg, &CheckConfig::default(), &mut r);
+        check_cfg(&sym, &cfg, &mut r);
         (r, cfg, sym)
     }
 
@@ -548,7 +550,7 @@ mod tests {
             .unwrap();
         cfg.edges[taken].to = BlockId(1);
         r = Report::new();
-        check_cfg(&sym, &cfg, &CheckConfig::default(), &mut r);
+        check_cfg(&sym, &cfg, &mut r);
         assert!(r
             .diags
             .iter()
@@ -565,7 +567,7 @@ mod tests {
         assert!(r.is_clean());
         cfg.blocks[0].len += 1; // now overlaps the next block / overruns
         r = Report::new();
-        check_cfg(&sym, &cfg, &CheckConfig::default(), &mut r);
+        check_cfg(&sym, &cfg, &mut r);
         assert!(!r.is_clean());
     }
 }

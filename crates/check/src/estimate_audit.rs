@@ -18,20 +18,30 @@
 //!   the per-instruction data, reconcile and sum to 100%.
 
 use crate::diag::{Category, Loc, Report, Severity};
-use crate::CheckConfig;
 use dcpi_analyze::analysis::ProcAnalysis;
 use dcpi_analyze::cfg::BlockId;
+use dcpi_analyze::culprit::CulpritConfig;
 use dcpi_analyze::equiv::frequency_classes;
 use dcpi_analyze::frequency::{Confidence, EstimateSource, FrequencyEstimate};
 
+/// Flow sums below this frequency carry too few samples to compare.
+const MIN_FLOW_FREQ: f64 = 2.0;
+/// Relative in/out-flow error above this warns.
+const FLOW_WARN_REL: f64 = 0.35;
+/// Relative in/out-flow error above this (between solidly-estimated
+/// quantities) is an error.
+const FLOW_ERROR_REL: f64 = 0.9;
+/// Absolute tolerance when reconciling summary percentages.
+const BOOKS_TOLERANCE: f64 = 1e-6;
+
 /// Runs every layer-3 audit on one procedure's analysis.
-pub fn check_analysis(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) {
+pub fn check_analysis(pa: &ProcAnalysis, report: &mut Report) {
     check_fan_out(pa, report);
     check_estimate_sanity(pa, report);
-    check_flow_conservation(pa, config, report);
+    check_flow_conservation(pa, report);
     check_confidence(pa, report);
-    check_culprits(pa, config, report);
-    check_summary_books(pa, config, report);
+    check_culprits(pa, report);
+    check_summary_books(pa, report);
 }
 
 fn same_estimate(a: Option<FrequencyEstimate>, b: Option<FrequencyEstimate>) -> bool {
@@ -134,9 +144,9 @@ fn check_estimate_sanity(pa: &ProcAnalysis, report: &mut Report) {
 
 /// Flow conservation at each block: in-flow and out-flow versus the block
 /// frequency. Classes estimated independently from samples disagree by
-/// sampling noise, so violations within the configured relative
-/// tolerance are accepted, modest ones warn, and only gross ones err.
-fn check_flow_conservation(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) {
+/// sampling noise, so violations within [`FLOW_WARN_REL`] are accepted,
+/// modest ones warn, and only gross ones err.
+fn check_flow_conservation(pa: &ProcAnalysis, report: &mut Report) {
     let name = &pa.name;
     let f = &pa.frequencies;
     for (b, blk) in pa.cfg.blocks.iter().enumerate() {
@@ -162,17 +172,17 @@ fn check_flow_conservation(pa: &ProcAnalysis, config: &CheckConfig, report: &mut
                 continue;
             }
             let scale = bf.value.max(sum);
-            if scale < config.min_flow_freq {
+            if scale < MIN_FLOW_FREQ {
                 continue; // too small for a meaningful relative error
             }
             let rel = (bf.value - sum).abs() / scale;
             // Near-zero estimates (a handful of samples) routinely sit far
             // from their neighbors' flow; only escalate to an error when
             // both sides of the comparison are solidly estimated.
-            let solid = bf.value.min(sum) >= config.min_flow_freq;
-            let severity = if solid && rel > config.flow_error_rel {
+            let solid = bf.value.min(sum) >= MIN_FLOW_FREQ;
+            let severity = if solid && rel > FLOW_ERROR_REL {
                 Severity::Error
-            } else if rel > config.flow_warn_rel {
+            } else if rel > FLOW_WARN_REL {
                 Severity::Warning
             } else {
                 continue;
@@ -233,10 +243,12 @@ fn check_confidence(pa: &ProcAnalysis, report: &mut Report) {
 }
 
 /// The culprit analyzer guarantees: frequency-estimated instructions
-/// whose dynamic stall reaches the threshold get at least one culprit
-/// (falling back to `Unexplained`), and instructions below it get none.
-fn check_culprits(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) {
+/// whose dynamic stall reaches the analyzer's threshold get at least one
+/// culprit (falling back to `Unexplained`), and instructions below it get
+/// none.
+fn check_culprits(pa: &ProcAnalysis, report: &mut Report) {
     let name = &pa.name;
+    let threshold = CulpritConfig::default().dyn_stall_threshold;
     for ia in &pa.insns {
         for c in &ia.culprits {
             if let Some(x) = c.max_cycles {
@@ -260,7 +272,7 @@ fn check_culprits(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) 
             continue;
         }
         let dyn_stall = ia.samples as f64 / ia.freq - ia.m as f64;
-        let significant = dyn_stall >= config.dyn_stall_threshold;
+        let significant = dyn_stall >= threshold;
         if significant && ia.culprits.is_empty() {
             report.flag(
                 Category::CulpritCompleteness,
@@ -280,10 +292,10 @@ fn check_culprits(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) 
 
 /// Recomputes the Figure 4 books from the per-instruction data and
 /// reconciles them against the stored summary.
-fn check_summary_books(pa: &ProcAnalysis, config: &CheckConfig, report: &mut Report) {
+fn check_summary_books(pa: &ProcAnalysis, report: &mut Report) {
     let name = &pa.name;
     let s = &pa.summary;
-    let tol = config.books_tolerance;
+    let tol = BOOKS_TOLERANCE;
     // Independent re-aggregation.
     let total: u64 = pa.insns.iter().map(|i| i.samples).sum();
     let tallied: u64 = pa
@@ -401,7 +413,7 @@ mod tests {
     fn consistent_analysis_passes() {
         let pa = analyzed_loop();
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(r.is_clean(), "{}", r.render());
     }
 
@@ -416,7 +428,7 @@ mod tests {
             .unwrap();
         pa.frequencies.block_freq[b].as_mut().unwrap().value += 1.0;
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(r
             .diags
             .iter()
@@ -436,7 +448,7 @@ mod tests {
             }
         }
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(
             r.diags
                 .iter()
@@ -457,7 +469,7 @@ mod tests {
             .expect("loop analysis propagates the back edge");
         pa.frequencies.class_freq[c].as_mut().unwrap().confidence = Confidence::High;
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(r
             .diags
             .iter()
@@ -473,7 +485,7 @@ mod tests {
             let ia = &mut pa.insns[1];
             ia.samples = (ia.freq * (ia.m as f64 + 10.0)) as u64;
             let mut r = Report::new();
-            check_analysis(&pa, &CheckConfig::default(), &mut r);
+            check_analysis(&pa, &mut r);
             assert!(r
                 .diags
                 .iter()
@@ -482,7 +494,7 @@ mod tests {
         };
         ia.culprits.clear();
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(r
             .diags
             .iter()
@@ -494,7 +506,7 @@ mod tests {
         let mut pa = analyzed_loop();
         pa.summary.execution_pct += 7.5;
         let mut r = Report::new();
-        check_analysis(&pa, &CheckConfig::default(), &mut r);
+        check_analysis(&pa, &mut r);
         assert!(r.diags.iter().any(|d| d.category == Category::SummaryBooks));
     }
 }

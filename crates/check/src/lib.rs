@@ -61,55 +61,21 @@ pub mod pgo_audit;
 pub mod tv;
 
 pub use diag::{Category, Diagnostic, Layer, Loc, Report, Severity};
-pub use obs_audit::{check_obs_export, check_snapshot, ObsCheckConfig};
+pub use obs_audit::{check_obs_export, check_snapshot, AUDIT_BAND};
 pub use pgo_audit::check_rewrite;
 pub use tv::{validate, validate_with, TvOptions, TvResult};
 
 use dcpi_analyze::analysis::ProcAnalysis;
 use dcpi_analyze::cfg::Cfg;
-use dcpi_analyze::culprit::CulpritConfig;
 use dcpi_isa::image::{Image, Symbol};
-
-/// Tuning for the checks.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckConfig {
-    /// Brute-force equivalence re-derivation is cubic in split-graph
-    /// edges; procedures with more blocks than this skip it.
-    pub max_bruteforce_blocks: usize,
-    /// Flow sums below this frequency carry too few samples to compare.
-    pub min_flow_freq: f64,
-    /// Relative in/out-flow error above this warns.
-    pub flow_warn_rel: f64,
-    /// Relative in/out-flow error above this (between solidly-estimated
-    /// quantities) is an error.
-    pub flow_error_rel: f64,
-    /// The culprit analyzer's dynamic-stall threshold (must match the
-    /// [`CulpritConfig`] used for the analysis).
-    pub dyn_stall_threshold: f64,
-    /// Absolute tolerance when reconciling summary percentages.
-    pub books_tolerance: f64,
-}
-
-impl Default for CheckConfig {
-    fn default() -> CheckConfig {
-        CheckConfig {
-            max_bruteforce_blocks: 64,
-            min_flow_freq: 2.0,
-            flow_warn_rel: 0.35,
-            flow_error_rel: 0.9,
-            dyn_stall_threshold: CulpritConfig::default().dyn_stall_threshold,
-            books_tolerance: 1e-6,
-        }
-    }
-}
 
 /// Runs layers 1 and 2 over every procedure of an image.
 #[must_use]
-pub fn check_image(image: &Image, config: &CheckConfig) -> Report {
+pub fn check_image(image: &Image) -> Report {
     let mut report = Report::new();
     image_lints::check_image_words(image, &mut report);
     for_each_cfg(image, &mut report, |sym, cfg, report| {
-        report.merge(check_procedure(image, sym, cfg, config));
+        report.merge(check_procedure(image, sym, cfg));
     });
     report
 }
@@ -136,11 +102,11 @@ pub fn for_each_cfg(
 /// Runs layers 1 and 2 over a single procedure with an already-built CFG
 /// (useful for auditing CFGs that were constructed with path samples).
 #[must_use]
-pub fn check_procedure(image: &Image, sym: &Symbol, cfg: &Cfg, config: &CheckConfig) -> Report {
+pub fn check_procedure(image: &Image, sym: &Symbol, cfg: &Cfg) -> Report {
     let mut report = Report::new();
     image_lints::check_procedure(image, sym, cfg, &mut report);
     dataflow::check_procedure_dataflow(sym, cfg, &mut report);
-    cfg_audit::check_cfg(sym, cfg, config, &mut report);
+    cfg_audit::check_cfg(sym, cfg, &mut report);
     report
 }
 
@@ -148,15 +114,15 @@ pub fn check_procedure(image: &Image, sym: &Symbol, cfg: &Cfg, config: &CheckCon
 /// the layer-2 audits on its embedded CFG, which the estimates depend
 /// on).
 #[must_use]
-pub fn check_analysis(pa: &ProcAnalysis, config: &CheckConfig) -> Report {
+pub fn check_analysis(pa: &ProcAnalysis) -> Report {
     let mut report = Report::new();
     let sym = Symbol {
         name: pa.name.clone(),
         offset: pa.start_offset,
         size: (pa.cfg.insns.len() as u64) * 4,
     };
-    cfg_audit::check_cfg(&sym, &pa.cfg, config, &mut report);
-    estimate_audit::check_analysis(pa, config, &mut report);
+    cfg_audit::check_cfg(&sym, &pa.cfg, &mut report);
+    estimate_audit::check_analysis(pa, &mut report);
     report
 }
 
@@ -179,15 +145,7 @@ mod tests {
         a.addq_lit(Reg::A0, 1, Reg::V0);
         a.ret(Reg::RA);
         let image = a.finish();
-        let report = check_image(&image, &CheckConfig::default());
+        let report = check_image(&image);
         assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn default_threshold_matches_the_analyzer() {
-        let c = CheckConfig::default();
-        assert!(
-            (c.dyn_stall_threshold - CulpritConfig::default().dyn_stall_threshold).abs() < 1e-12
-        );
     }
 }

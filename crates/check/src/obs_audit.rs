@@ -6,40 +6,29 @@
 //! cycle stamps within a ring never run backwards, ring overwrite
 //! accounting balances, begin/end spans pair up, histogram counts match
 //! their buckets, the sample ledger conserves, and the overhead ledger is
-//! internally consistent and lands inside the configured band (the
-//! paper's 1–3% of total cycles at the default sampling period).
+//! internally consistent and lands inside [`AUDIT_BAND`] (the paper's
+//! 1–3% of total cycles at the default sampling period, with slack).
 
 use crate::diag::{Category, Report, Severity};
 use dcpi_obs::{span_agent, span_seq, EventKind, RingSnapshot, Snapshot};
 use std::collections::BTreeMap;
 
-/// Tuning for the observability audits.
-#[derive(Clone, Copy, Debug)]
-pub struct ObsCheckConfig {
-    /// Overhead fractions above this are errors: collection charging
-    /// this much means a cost model or accounting bug.
-    pub max_overhead: f64,
-    /// The expected overhead band `(lo, hi)` as fractions of total
-    /// cycles; fractions outside it warn. The paper's Table 3 puts the
-    /// shipped configuration at 1–3%, with slack below for short runs.
-    pub band: (f64, f64),
-}
+/// Overhead fractions above this are errors: collection charging this
+/// much means a cost model or accounting bug.
+const MAX_OVERHEAD: f64 = 0.10;
 
-impl Default for ObsCheckConfig {
-    fn default() -> ObsCheckConfig {
-        ObsCheckConfig {
-            max_overhead: 0.10,
-            band: (0.003, 0.05),
-        }
-    }
-}
+/// The audited overhead band `(lo, hi)` as fractions of total cycles;
+/// fractions outside it warn. The paper's Table 3 puts the shipped
+/// configuration at 1–3%; this band is that claim's slack, wide enough
+/// for short runs.
+pub const AUDIT_BAND: (f64, f64) = (0.003, 0.05);
 
 /// Parses an exported snapshot and runs every audit over it. A text that
 /// does not parse yields a single `ObsExport` error.
 #[must_use]
-pub fn check_obs_export(text: &str, config: &ObsCheckConfig) -> Report {
+pub fn check_obs_export(text: &str) -> Report {
     match Snapshot::parse(text) {
-        Ok(snap) => check_snapshot(&snap, config),
+        Ok(snap) => check_snapshot(&snap),
         Err(e) => {
             let mut report = Report::new();
             report.flag(
@@ -54,13 +43,13 @@ pub fn check_obs_export(text: &str, config: &ObsCheckConfig) -> Report {
 
 /// Runs every audit over an in-memory snapshot.
 #[must_use]
-pub fn check_snapshot(snap: &Snapshot, config: &ObsCheckConfig) -> Report {
+pub fn check_snapshot(snap: &Snapshot) -> Report {
     let mut report = Report::new();
     for ring in &snap.rings {
         check_ring(ring, &mut report);
     }
     check_metrics(snap, &mut report);
-    check_ledgers(snap, config, &mut report);
+    check_ledgers(snap, &mut report);
     check_trace_chains(snap, &mut report);
     check_timeseries(snap, &mut report);
     report
@@ -411,7 +400,7 @@ fn check_metrics(snap: &Snapshot, report: &mut Report) {
     }
 }
 
-fn check_ledgers(snap: &Snapshot, config: &ObsCheckConfig, report: &mut Report) {
+fn check_ledgers(snap: &Snapshot, report: &mut Report) {
     if let Some(samples) = &snap.samples {
         if !samples.conserves() {
             report.flag(Category::ObsLedger, "samples", samples.render());
@@ -428,17 +417,17 @@ fn check_ledgers(snap: &Snapshot, config: &ObsCheckConfig, report: &mut Report) 
                     oh.total_cycles
                 ),
             );
-        } else if oh.fraction() > config.max_overhead {
+        } else if oh.fraction() > MAX_OVERHEAD {
             report.flag(
                 Category::ObsLedger,
                 "overhead",
                 format!(
                     "overhead fraction {:.4} exceeds the hard ceiling {:.4}",
                     oh.fraction(),
-                    config.max_overhead
+                    MAX_OVERHEAD
                 ),
             );
-        } else if oh.samples > 0 && !oh.in_band(config.band.0, config.band.1) {
+        } else if oh.samples > 0 && !oh.in_band(AUDIT_BAND.0, AUDIT_BAND.1) {
             report.flag_as(
                 Severity::Warning,
                 Category::ObsLedger,
@@ -446,8 +435,8 @@ fn check_ledgers(snap: &Snapshot, config: &ObsCheckConfig, report: &mut Report) 
                 format!(
                     "overhead fraction {:.4} outside the expected band {:.3}-{:.3}",
                     oh.fraction(),
-                    config.band.0,
-                    config.band.1
+                    AUDIT_BAND.0,
+                    AUDIT_BAND.1
                 ),
             );
         }
@@ -488,7 +477,7 @@ mod tests {
 
     #[test]
     fn clean_snapshot_passes() {
-        let report = check_snapshot(&sample_snapshot(), &ObsCheckConfig::default());
+        let report = check_snapshot(&sample_snapshot());
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.warnings(), 0, "{}", report.render());
     }
@@ -496,13 +485,13 @@ mod tests {
     #[test]
     fn export_roundtrip_passes() {
         let text = sample_snapshot().to_json();
-        let report = check_obs_export(&text, &ObsCheckConfig::default());
+        let report = check_obs_export(&text);
         assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]
     fn garbage_export_is_one_error() {
-        let report = check_obs_export("not json", &ObsCheckConfig::default());
+        let report = check_obs_export("not json");
         assert_eq!(report.errors(), 1);
         assert_eq!(report.diags[0].category, Category::ObsExport);
     }
@@ -516,7 +505,7 @@ mod tests {
             .unwrap()
             .events[1]
             .cycle = 0;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report
             .diags
             .iter()
@@ -532,7 +521,7 @@ mod tests {
             .find(|r| r.component == "daemon")
             .unwrap();
         ring.overwritten = 7;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(!report.is_clean());
     }
 
@@ -546,7 +535,7 @@ mod tests {
             .unwrap();
         ring.events.remove(1); // drop the End; Begin left open
         ring.recorded -= 1;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report.diags.iter().any(|d| d.message.contains("unclosed")));
     }
 
@@ -558,7 +547,7 @@ mod tests {
             .get_mut("daemon.flush_ns")
             .unwrap()
             .count += 1;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report
             .diags
             .iter()
@@ -584,7 +573,7 @@ mod tests {
     #[test]
     fn complete_span_chain_passes() {
         for quiesced in [false, true] {
-            let report = check_snapshot(&fleet_snapshot(quiesced), &ObsCheckConfig::default());
+            let report = check_snapshot(&fleet_snapshot(quiesced));
             assert!(report.is_clean(), "{}", report.render());
             assert_eq!(report.warnings(), 0, "{}", report.render());
         }
@@ -603,7 +592,7 @@ mod tests {
             .find(|e| e.name == "server.visible")
             .unwrap()
             .b = 29;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report
             .diags
             .iter()
@@ -625,7 +614,7 @@ mod tests {
             .unwrap();
         ring.events.remove(i);
         ring.recorded -= 1;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(
             report.diags.iter().any(|d| d.category == Category::ObsTrace
                 && d.message.contains("without a surviving journal/ack")),
@@ -647,11 +636,11 @@ mod tests {
         // Mid-run (not quiesced) an incomplete chain is a fault ending
         // at its last stage, which is legitimate…
         snap.meta.remove("fleet_quiesced");
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report.is_clean(), "{}", report.render());
         // …but a quiesced fleet must have landed every sealed epoch.
         snap.meta.insert("fleet_quiesced".into(), "true".into());
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(
             report
                 .diags
@@ -675,7 +664,7 @@ mod tests {
         // stage of the span is gone, the server-side tail survives.
         ring.events.clear();
         ring.overwritten = ring.recorded;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report.is_clean(), "{}", report.render());
     }
 
@@ -695,7 +684,7 @@ mod tests {
                 ..TimePoint::default()
             },
         ];
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(
             report
                 .diags
@@ -705,7 +694,7 @@ mod tests {
             report.render()
         );
         snap.timeseries.recorded = 1;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report
             .diags
             .iter()
@@ -716,7 +705,7 @@ mod tests {
     fn ledger_violations_flagged() {
         let mut snap = sample_snapshot();
         snap.samples.as_mut().unwrap().generated += 5;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report
             .diags
             .iter()
@@ -724,17 +713,17 @@ mod tests {
 
         let mut snap = sample_snapshot();
         snap.overhead.as_mut().unwrap().handler_cycles = 2_000_000;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(!report.is_clean(), "inconsistent overhead is an error");
 
         let mut snap = sample_snapshot();
         snap.overhead.as_mut().unwrap().handler_cycles = 500_000;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(!report.is_clean(), "overhead above the ceiling is an error");
 
         let mut snap = sample_snapshot();
         snap.overhead.as_mut().unwrap().handler_cycles = 90_000;
-        let report = check_snapshot(&snap, &ObsCheckConfig::default());
+        let report = check_snapshot(&snap);
         assert!(report.is_clean());
         assert_eq!(report.warnings(), 1, "out-of-band overhead warns");
     }

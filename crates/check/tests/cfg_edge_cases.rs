@@ -4,7 +4,7 @@
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi_analyze::cfg::Cfg;
-use dcpi_check::{check_analysis, check_image, check_procedure, CheckConfig};
+use dcpi_check::{check_analysis, check_image, check_procedure};
 use dcpi_core::{Event, ImageId, ProfileSet};
 use dcpi_isa::asm::Asm;
 use dcpi_isa::image::Image;
@@ -47,12 +47,12 @@ fn unresolved_indirect_jump_falls_back_cleanly() {
 
     let cfg = Cfg::build(&image, &sym).expect("cfg");
     assert!(cfg.missing_edges, "indirect jump must poison edge info");
-    let report = check_procedure(&image, &sym, &cfg, &CheckConfig::default());
+    let report = check_procedure(&image, &sym, &cfg);
     assert!(report.is_clean(), "{}", report.render());
 
     let pa = analyze(&image, &samples_for(&image, 500));
     assert!(pa.cfg.missing_edges);
-    let report = check_analysis(&pa, &CheckConfig::default());
+    let report = check_analysis(&pa);
     assert!(report.is_clean(), "{}", report.render());
 }
 
@@ -72,11 +72,11 @@ fn single_block_procedure_checks_clean() {
     assert!(cfg.edges.is_empty());
     assert!(cfg.blocks[0].is_exit);
 
-    let report = check_image(&image, &CheckConfig::default());
+    let report = check_image(&image);
     assert!(report.is_clean(), "{}", report.render());
 
     let pa = analyze(&image, &samples_for(&image, 400));
-    let report = check_analysis(&pa, &CheckConfig::default());
+    let report = check_analysis(&pa);
     assert!(report.is_clean(), "{}", report.render());
     assert!(pa.frequencies.block_freq[0].is_some());
 }
@@ -102,11 +102,11 @@ fn loop_with_no_fall_through_exit_checks_clean() {
 
     let cfg = Cfg::build(&image, &sym).expect("cfg");
     assert!(!cfg.missing_edges);
-    let report = check_procedure(&image, &sym, &cfg, &CheckConfig::default());
+    let report = check_procedure(&image, &sym, &cfg);
     assert!(report.is_clean(), "{}", report.render());
 
     let pa = analyze(&image, &samples_for(&image, 600));
-    let report = check_analysis(&pa, &CheckConfig::default());
+    let report = check_analysis(&pa);
     assert!(report.is_clean(), "{}", report.render());
 }
 
@@ -124,6 +124,6 @@ fn infinite_loop_checks_clean() {
     let sym = image.symbols()[0].clone();
     let cfg = Cfg::build(&image, &sym).expect("cfg");
     assert!(cfg.exit_blocks().is_empty());
-    let report = check_procedure(&image, &sym, &cfg, &CheckConfig::default());
+    let report = check_procedure(&image, &sym, &cfg);
     assert!(report.is_clean(), "{}", report.render());
 }

@@ -7,7 +7,7 @@
 //! the server computed from the wire-carried seal tick. `dcpicheck
 //! obs`'s trace audit re-verifies all of it from the export alone.
 
-use dcpi_check::{check_snapshot, Category, ObsCheckConfig};
+use dcpi_check::{check_snapshot, Category};
 use dcpi_collect::uploader::{Uploader, UploaderConfig};
 use dcpi_collect::wire::EpochBatch;
 use dcpi_obs::{Obs, ObsConfig, Snapshot};
@@ -49,7 +49,7 @@ fn quiesced_chaos_run_has_a_complete_chain_per_epoch() {
     for ring in &snap.rings {
         assert_eq!(ring.overwritten, 0, "ring {} wrapped", ring.component);
     }
-    let audit = check_snapshot(&snap, &ObsCheckConfig::default());
+    let audit = check_snapshot(&snap);
     assert!(audit.is_clean(), "{}", audit.render());
     // Every sealed epoch (tombstones included) was merged exactly once,
     // so the lag distribution covers the whole fleet.
@@ -93,7 +93,7 @@ fn ring_overflow_keeps_the_surviving_window_consistent() {
         .find(|r| r.component == "session")
         .unwrap();
     assert!(session.overwritten > 0, "overflow test must overflow");
-    let audit = check_snapshot(&snap, &ObsCheckConfig::default());
+    let audit = check_snapshot(&snap);
     assert!(audit.is_clean(), "{}", audit.render());
 }
 
@@ -114,11 +114,11 @@ fn unacked_epoch_terminates_at_the_faulted_stage() {
         let _ = up.tick(t);
     }
     let mut snap = obs.snapshot();
-    let audit = check_snapshot(&snap, &ObsCheckConfig::default());
+    let audit = check_snapshot(&snap);
     assert!(audit.is_clean(), "{}", audit.render());
     snap.meta
         .insert("fleet_quiesced".to_owned(), "true".to_owned());
-    let audit = check_snapshot(&snap, &ObsCheckConfig::default());
+    let audit = check_snapshot(&snap);
     assert!(
         audit.diags.iter().any(|d| d.category == Category::ObsTrace
             && d.message.contains("never became database-visible")),
@@ -145,7 +145,7 @@ fn fabricated_interior_hole_is_flagged() {
         .expect("chaos run must ack something");
     ring.events.remove(i);
     ring.recorded -= 1;
-    let audit = check_snapshot(&snap, &ObsCheckConfig::default());
+    let audit = check_snapshot(&snap);
     assert!(
         audit.diags.iter().any(|d| d.category == Category::ObsTrace
             && d.message.contains("without a surviving journal/ack")),

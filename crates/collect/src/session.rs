@@ -9,7 +9,7 @@
 //! (§5.2).
 
 use crate::daemon::{Daemon, DaemonConfig};
-use crate::driver::{CostModel, Driver, DriverConfig};
+use crate::driver::{CostModel, CpuDriver, Driver, DriverConfig};
 use crate::faults::{Backpressure, CrashFault, FaultInjector, FaultPlan, LossLedger};
 use dcpi_core::db::ProfileDb;
 use dcpi_core::{Addr, CpuId, UNKNOWN_IMAGE};
@@ -68,9 +68,6 @@ pub struct SessionConfig {
     /// Cycles between full hash-table flushes (the paper's 5-minute
     /// drain, scaled to simulation time).
     pub flush_interval: u64,
-    /// Charge the daemon's modeled cycles to CPU 0 (disable to measure
-    /// driver-only overhead).
-    pub charge_daemon: bool,
     /// Log up to this many raw samples for trace-driven analysis.
     pub trace_limit: usize,
     /// Fault schedule to inject ([`FaultPlan::none`] for a clean run —
@@ -94,7 +91,6 @@ impl Default for SessionConfig {
             daemon: DaemonConfig::default(),
             poll_quantum: 200_000,
             flush_interval: 20_000_000,
-            charge_daemon: true,
             trace_limit: 0,
             faults: FaultPlan::none(),
             backpressure: None,
@@ -125,7 +121,6 @@ pub struct ProfiledRun {
     backpressure: Option<Backpressure>,
     cfg_poll: u64,
     cfg_flush: u64,
-    charge_daemon: bool,
     next_flush: u64,
     last_disk_flush: u64,
     crash_lost: u64,
@@ -169,7 +164,6 @@ impl ProfiledRun {
             backpressure: cfg.backpressure,
             cfg_poll: cfg.poll_quantum.max(1),
             cfg_flush: cfg.flush_interval.max(1),
-            charge_daemon: cfg.charge_daemon,
             next_flush: cfg.flush_interval.max(1),
             last_disk_flush: 0,
             crash_lost: 0,
@@ -239,18 +233,7 @@ impl ProfiledRun {
         }
         let torn = self.injector.torn_flush_due(now);
         for cpu in &mut self.machine.sink.driver.per_cpu {
-            let edges = cpu.drain_edges();
-            if !edges.is_empty() {
-                self.daemon.process_edge_samples(&edges);
-            }
-            let paths = cpu.drain_paths();
-            if !paths.is_empty() {
-                self.daemon.process_path_samples(&paths);
-            }
-            if !cpu.stack_counts.is_empty() {
-                let stacks = cpu.drain_stacks();
-                self.daemon.process_stack_samples(&stacks);
-            }
+            drain_side_samples(cpu, &mut self.daemon);
             let entries = if torn {
                 // Tear the flush: drain the table but leave the flag up;
                 // interrupts bypass to the buffers until the next pump.
@@ -272,17 +255,30 @@ impl ProfiledRun {
             self.daemon.update_memory(&self.machine.os);
             // The paper's periodic database merge (§4.3.3): after it, a
             // daemon crash can lose at most one flush interval of data.
-            if self.daemon.flush_to_disk().is_err() {
-                self.flush_failures += 1;
-                self.obs.counter("session.flush_failures").inc(0);
-            } else {
-                self.last_disk_flush = now;
-            }
+            self.flush_to_disk(now);
         }
         self.apply_backpressure();
+        self.charge_daemon_cost();
+    }
+
+    /// Writes the daemon's profiles to its database, stamped `at`. A
+    /// failure leaves the samples in daemon memory and is counted both in
+    /// [`ProfiledRun::flush_failures`] and in the `session.flush_failures`
+    /// obs counter.
+    fn flush_to_disk(&mut self, at: u64) {
+        if self.daemon.flush_to_disk().is_err() {
+            self.flush_failures += 1;
+            self.obs.counter("session.flush_failures").inc(0);
+        } else {
+            self.last_disk_flush = at;
+        }
+    }
+
+    /// Charges the daemon's modeled processing cycles to CPU 0 (§5.2).
+    fn charge_daemon_cost(&mut self) {
         let cost = self.daemon.take_accrued_cycles();
         self.daemon_cycles += cost;
-        if self.charge_daemon && cost > 0 {
+        if cost > 0 {
             self.machine.charge_cycles(0, cost);
         }
     }
@@ -375,18 +371,7 @@ impl ProfiledRun {
         // get their names and executables recorded with the database.
         self.daemon.startup_scan(&self.machine.os);
         for cpu in &mut self.machine.sink.driver.per_cpu {
-            let edges = cpu.drain_edges();
-            if !edges.is_empty() {
-                self.daemon.process_edge_samples(&edges);
-            }
-            let paths = cpu.drain_paths();
-            if !paths.is_empty() {
-                self.daemon.process_path_samples(&paths);
-            }
-            if !cpu.stack_counts.is_empty() {
-                let stacks = cpu.drain_stacks();
-                self.daemon.process_stack_samples(&stacks);
-            }
+            drain_side_samples(cpu, &mut self.daemon);
             // flush() begins and ends a window, so it also closes one
             // left open by a torn flush and drains what bypassed into
             // the buffers.
@@ -394,17 +379,9 @@ impl ProfiledRun {
             self.daemon.process_entries(&entries);
         }
         self.mid_flush = false;
-        let cost = self.daemon.take_accrued_cycles();
-        self.daemon_cycles += cost;
-        if self.charge_daemon && cost > 0 {
-            self.machine.charge_cycles(0, cost);
-        }
+        self.charge_daemon_cost();
         self.daemon.update_memory(&self.machine.os);
-        if self.daemon.flush_to_disk().is_err() {
-            self.flush_failures += 1;
-        } else {
-            self.last_disk_flush = self.machine.time();
-        }
+        self.flush_to_disk(self.machine.time());
         self.obs.advance_cycle(self.machine.time());
         self.obs
             .event(Component::Session, "session.finish", self.machine.time(), 0);
@@ -505,6 +482,24 @@ impl ProfiledRun {
             ));
         }
         s
+    }
+}
+
+/// Hands one CPU's edge, path and stack samples to the daemon. These
+/// bypass the driver's hash table, so they move on every pump, not only
+/// at a flush.
+fn drain_side_samples(cpu: &mut CpuDriver, daemon: &mut Daemon) {
+    let edges = cpu.drain_edges();
+    if !edges.is_empty() {
+        daemon.process_edge_samples(&edges);
+    }
+    let paths = cpu.drain_paths();
+    if !paths.is_empty() {
+        daemon.process_path_samples(&paths);
+    }
+    if !cpu.stack_counts.is_empty() {
+        let stacks = cpu.drain_stacks();
+        daemon.process_stack_samples(&stacks);
     }
 }
 
@@ -824,16 +819,36 @@ mod tests {
     }
 
     #[test]
-    fn daemon_charge_can_be_disabled() {
-        let run_with = |charge: bool| {
-            let mut cfg = SessionConfig::default();
-            cfg.machine.counters = CounterConfig::cycles_only((500, 600));
-            cfg.charge_daemon = charge;
-            let mut run = ProfiledRun::new(cfg).unwrap();
-            let img = run.register_image(loop_image(300_000));
-            run.spawn(0, img, &[], |_| {});
-            run.run_to_completion(10_000_000_000)
-        };
-        assert!(run_with(true) >= run_with(false));
+    fn a_failed_final_flush_is_counted_in_summary_and_obs() {
+        let dir = std::env::temp_dir().join(format!("dcpi-session-final-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = SessionConfig::default();
+        cfg.machine.counters = CounterConfig::cycles_only((1000, 1200));
+        cfg.daemon.db_path = Some(dir.clone());
+        cfg.obs = ObsConfig::on();
+        let mut run = ProfiledRun::new(cfg).unwrap();
+        let img = run.register_image(loop_image(200_000));
+        run.spawn(0, img, &[], |_| {});
+        run.machine.run_all_until(1_000_000);
+        run.pump();
+        // A plain file where the current epoch's directory was: the final
+        // merge cannot land a profile in it.
+        let db = run.daemon.db().unwrap();
+        let epoch = db.epoch_path(db.current_epoch());
+        std::fs::remove_dir_all(&epoch).unwrap();
+        std::fs::write(&epoch, b"not a directory").unwrap();
+        run.finish();
+        assert_eq!(run.flush_failures, 1);
+        assert!(
+            run.summary().contains("failed disk flushes: 1"),
+            "{}",
+            run.summary()
+        );
+        let snap = run.obs_snapshot();
+        assert_eq!(
+            snap.metrics.counters.get("session.flush_failures"),
+            Some(&1)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

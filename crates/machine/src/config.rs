@@ -71,9 +71,6 @@ pub struct MachineConfig {
     /// touch, so board-cache conflicts vary run to run (the wave5 effect);
     /// if false, pages are assigned sequentially (reproducible layout).
     pub page_alloc_random: bool,
-    /// Record exact retirement counts (the pixie/dcpix role). Slightly
-    /// slows simulation.
-    pub ground_truth: bool,
     /// Double sampling (§7): every N-th delivered sample also captures
     /// the next PC executed, yielding `(pc1, pc2)` path samples. 0
     /// disables.
@@ -90,9 +87,6 @@ pub struct MachineConfig {
     /// Maximum frames a stack walk captures (deeper stacks truncate at
     /// the outer end).
     pub stack_max_frames: usize,
-    /// Maximum stack words the walk scans between `sp` and the stack
-    /// top; bounds the walk's cost on deep or garbage-filled stacks.
-    pub stack_scan_words: u64,
 }
 
 impl Default for MachineConfig {
@@ -124,12 +118,10 @@ impl Default for MachineConfig {
             ctx_switch_cost: 2_000,
             seed: 1,
             page_alloc_random: false,
-            ground_truth: true,
             double_sample_every: 0,
             dispatch: DispatchMode::default(),
             stack_walk: false,
             stack_max_frames: 64,
-            stack_scan_words: 256,
         }
     }
 }
@@ -181,6 +173,5 @@ mod tests {
             "stack walking must be opt-in: the walk charges handler cycles"
         );
         assert!(c.stack_max_frames > 0);
-        assert!(c.stack_scan_words > 0);
     }
 }

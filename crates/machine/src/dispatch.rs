@@ -269,9 +269,7 @@ fn chain_inner<S: SampleSink>(
             InsnClass::FpDiv => cpu.fdiv_free = issue + model.fdiv_busy,
             _ => {}
         }
-        if cfg.ground_truth {
-            truth.count(w);
-        }
+        truth.count(w);
         cpu.insns_retired += 1;
 
         let mut new_pc = jump.unwrap_or_else(|| pc.next());
@@ -303,9 +301,7 @@ fn chain_inner<S: SampleSink>(
                     InsnClass::FpDiv => cpu.fdiv_free = issue + model.fdiv_busy,
                     _ => {}
                 }
-                if cfg.ground_truth {
-                    truth.count(w + 1);
-                }
+                truth.count(w + 1);
                 cpu.insns_retired += 1;
                 cpu.dual_issues += 1;
                 new_pc = jjump.unwrap_or_else(|| jpc.next());
@@ -566,7 +562,7 @@ fn resolve_control_uop(
         }
         cpu.fetch_ready = cpu.fetch_ready.max(issue + model.mispredict_penalty);
     }
-    if cfg.ground_truth && new_pc.0 >= run.cur_base && new_pc.0 < run.cur_end {
+    if new_pc.0 >= run.cur_base && new_pc.0 < run.cur_end {
         truth.edge(word, ((new_pc.0 - run.cur_base) >> 2) as u32);
     }
 }

@@ -50,6 +50,9 @@ pub const WALK_BASE_COST: u64 = 60;
 pub const WALK_WORD_COST: u64 = 3;
 /// Cost per frame captured (plausibility decode + store).
 pub const WALK_FRAME_COST: u64 = 12;
+/// Maximum stack words the walk scans between `sp` and the stack top;
+/// bounds the walk's cost on deep or garbage-filled stacks.
+const STACK_SCAN_WORDS: u64 = 256;
 
 /// Identity of the procedure containing `addr`: the image plus the
 /// covering symbol's start offset (`u64::MAX` for a symbol-table gap).
@@ -122,7 +125,7 @@ pub fn walk(proc: &Process, os: &Os, pc: Addr, cfg: &MachineConfig, out: &mut Ve
     let mut addr = sp.next_multiple_of(8);
     let mut scanned = 0u64;
     let mut dedup_pending = accepted_ra.is_some();
-    while addr < STACK_TOP && scanned < cfg.stack_scan_words && out.len() < cfg.stack_max_frames {
+    while addr < STACK_TOP && scanned < STACK_SCAN_WORDS && out.len() < cfg.stack_max_frames {
         let v = proc.read_u64(addr);
         scanned += 1;
         addr += 8;

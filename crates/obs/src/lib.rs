@@ -51,17 +51,17 @@ pub struct ObsConfig {
     /// Capacity of each per-component trace ring (events). Older events
     /// are overwritten once a ring is full; the overwrite count is kept.
     pub ring_capacity: usize,
-    /// Capacity of the time-series ring (points sampled by
-    /// [`Obs::record_point`]). Older points are overwritten once full.
-    pub series_capacity: usize,
 }
+
+/// Capacity of the time-series ring (points sampled by
+/// [`Obs::record_point`]). Older points are overwritten once full.
+const SERIES_CAPACITY: usize = 256;
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             enabled: false,
             ring_capacity: 1024,
-            series_capacity: 256,
         }
     }
 }
@@ -108,7 +108,7 @@ impl Obs {
     /// Build an instance from a configuration.
     pub fn new(cfg: &ObsConfig) -> Obs {
         let cap = if cfg.enabled { cfg.ring_capacity } else { 0 };
-        let series_cap = if cfg.enabled { cfg.series_capacity } else { 0 };
+        let series_cap = if cfg.enabled { SERIES_CAPACITY } else { 0 };
         let rings = Component::ALL
             .iter()
             .map(|_| Mutex::new(TraceRing::new(cap)))

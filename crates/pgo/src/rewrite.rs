@@ -28,7 +28,18 @@ use std::collections::{BTreeMap, BTreeSet};
 /// loader (which dedupes images by name) treats it as distinct.
 pub const PGO_SUFFIX: &str = ".pgo";
 
-/// Tuning knobs for the rewrite.
+/// I-cache line size in words, for alignment of I-cache-miss-culprit
+/// blocks.
+const ICACHE_LINE_WORDS: u32 = 8;
+
+/// Minimum estimated block frequency (S/M units) for padding to be
+/// considered worth the bytes.
+const HOT_FREQ: f64 = 0.05;
+
+/// Where the image lives, and whether to prove the rewrite. Every
+/// transform always runs: hot/cold block layout, hot-first procedure
+/// packing, branch sense inversion, dead alignment padding and
+/// intra-block rescheduling against the default pipeline model.
 #[derive(Clone, Debug)]
 pub struct PgoOptions {
     /// Virtual address the image text is mapped at (the machine's
@@ -38,23 +49,6 @@ pub struct PgoOptions {
     /// Addresses at or above this are external (kernel) and never
     /// re-pointed (the machine's `KERNEL_BASE`).
     pub external_floor: u64,
-    /// Enable hot/cold block layout and hot-first procedure packing.
-    pub layout: bool,
-    /// Enable branch sense inversion when layout makes the old taken
-    /// target the new fallthrough.
-    pub invert_branches: bool,
-    /// Enable intra-block instruction rescheduling.
-    pub reschedule: bool,
-    /// Enable dead alignment padding (issue-parity and I-cache-line).
-    pub align: bool,
-    /// I-cache line size in words, for alignment of I-cache-miss-culprit
-    /// blocks.
-    pub icache_line_words: u32,
-    /// Minimum estimated block frequency (S/M units) for padding to be
-    /// considered worth the bytes.
-    pub hot_freq: f64,
-    /// The static pipeline model scheduling is optimized against.
-    pub model: PipelineModel,
     /// Statically prove the rewrite equivalent with `dcpi-check`'s
     /// translation validator before returning it; a rewrite that cannot
     /// be proved is refused ([`Skip::ValidationFailed`]).
@@ -66,13 +60,6 @@ impl Default for PgoOptions {
         PgoOptions {
             code_base: 0x1_0000,
             external_floor: 0x7000_0000,
-            layout: true,
-            invert_branches: true,
-            reschedule: true,
-            align: true,
-            icache_line_words: 8,
-            hot_freq: 0.05,
-            model: PipelineModel::default(),
             validate: false,
         }
     }
@@ -369,7 +356,6 @@ fn plan_procedure(
     targets: &BTreeSet<u32>,
     patch_at: &BTreeMap<u32, usize>,
     patches: &[Patch],
-    opts: &PgoOptions,
     report: &mut PgoReport,
 ) -> Option<Vec<BlockPlan>> {
     let (sw, ew) = (
@@ -437,7 +423,7 @@ fn plan_procedure(
                 let f_abs = blk.end_word(); // in-proc: last insn of the proc is hard
                 if next_new_start == Some(f_abs) {
                     falls_through = true;
-                } else if next_new_start == Some(t_abs) && opts.invert_branches && t_abs != f_abs {
+                } else if next_new_start == Some(t_abs) && t_abs != f_abs {
                     let w = match items.pop() {
                         Some(Item::Old(w)) => w,
                         _ => unreachable!("terminator is an original instruction"),
@@ -548,23 +534,18 @@ pub fn optimize(
     for &(si, start, end) in &ranges {
         let sym = si.map(|i| &image.symbols()[i]);
         let est = sym.and_then(&find_est);
-        let planned = if opts.layout {
-            sym.and_then(|s| {
-                plan_procedure(
-                    image,
-                    s,
-                    &insns,
-                    est,
-                    &targets,
-                    &patch_at,
-                    &patches,
-                    opts,
-                    &mut report,
-                )
-            })
-        } else {
-            None
-        };
+        let planned = sym.and_then(|s| {
+            plan_procedure(
+                image,
+                s,
+                &insns,
+                est,
+                &targets,
+                &patch_at,
+                &patches,
+                &mut report,
+            )
+        });
         let blocks = match planned {
             Some(blocks) => blocks,
             None => {
@@ -594,8 +575,7 @@ pub fn optimize(
     // Hot-first procedure packing: safe only when the image declares its
     // entry point, nothing falls across unit boundaries, and there are
     // no anonymous gaps whose relative position might matter.
-    let can_pack = opts.layout
-        && image.symbol_named("main").is_some()
+    let can_pack = image.symbol_named("main").is_some()
         && units.iter().all(|u| u.sym.is_some())
         && units
             .iter()
@@ -623,25 +603,22 @@ pub fn optimize(
     // Assign positions, inserting dead padding at non-fallthrough
     // boundaries where the static model says parity or line alignment
     // pays.
-    let line = opts.icache_line_words.max(1);
+    let model = PipelineModel::default();
     let mut pos = 0u32;
     let mut prev_falls = false;
     for unit in &mut units {
         for blk in &mut unit.blocks {
-            if opts.align && !prev_falls && blk.freq >= opts.hot_freq {
+            if !prev_falls && blk.freq >= HOT_FREQ {
                 let bi: Vec<Instruction> = blk
                     .items
                     .iter()
                     .map(|it| item_insn(it, &insns, &patches))
                     .collect();
                 if blk.icache_hot {
-                    blk.pad_before = (line - pos % line) % line;
+                    blk.pad_before = pos.next_multiple_of(ICACHE_LINE_WORDS) - pos;
                 } else {
-                    let c0 = opts.model.schedule_block(u64::from(pos), &bi).total_cycles;
-                    let c1 = opts
-                        .model
-                        .schedule_block(u64::from(pos) + 1, &bi)
-                        .total_cycles;
+                    let c0 = model.schedule_block(u64::from(pos), &bi).total_cycles;
+                    let c1 = model.schedule_block(u64::from(pos) + 1, &bi).total_cycles;
                     if c1 < c0 {
                         blk.pad_before = 1;
                     }
@@ -657,35 +634,29 @@ pub fn optimize(
     let total = pos;
 
     // Reschedule within blocks now that issue parity is known.
-    if opts.reschedule {
-        for unit in &mut units {
-            for blk in &mut unit.blocks {
-                if !blk.reschedulable {
-                    continue;
-                }
-                let bi: Vec<Instruction> = blk
-                    .items
-                    .iter()
-                    .map(|it| item_insn(it, &insns, &patches))
-                    .collect();
-                // The block head stays pinned: incoming branches are
-                // retargeted at the *mapped* head word, so letting it
-                // drift would land them mid-block.
-                let movable: Vec<bool> = blk
-                    .items
-                    .iter()
-                    .zip(&bi)
-                    .enumerate()
-                    .map(|(k, (it, insn))| {
-                        k > 0 && matches!(it, Item::Old(_)) && !insn.is_control()
-                    })
-                    .collect();
-                if let Some(perm) =
-                    sched::reschedule(&opts.model, u64::from(blk.start_pos), &bi, &movable)
-                {
-                    blk.items = perm.iter().map(|&o| blk.items[o]).collect();
-                    report.blocks_rescheduled += 1;
-                }
+    for unit in &mut units {
+        for blk in &mut unit.blocks {
+            if !blk.reschedulable {
+                continue;
+            }
+            let bi: Vec<Instruction> = blk
+                .items
+                .iter()
+                .map(|it| item_insn(it, &insns, &patches))
+                .collect();
+            // The block head stays pinned: incoming branches are
+            // retargeted at the *mapped* head word, so letting it
+            // drift would land them mid-block.
+            let movable: Vec<bool> = blk
+                .items
+                .iter()
+                .zip(&bi)
+                .enumerate()
+                .map(|(k, (it, insn))| k > 0 && matches!(it, Item::Old(_)) && !insn.is_control())
+                .collect();
+            if let Some(perm) = sched::reschedule(&model, u64::from(blk.start_pos), &bi, &movable) {
+                blk.items = perm.iter().map(|&o| blk.items[o]).collect();
+                report.blocks_rescheduled += 1;
             }
         }
     }

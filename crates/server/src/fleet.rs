@@ -108,6 +108,19 @@ impl FleetFaultPlan {
     }
 }
 
+/// Epochs each agent seals.
+const EPOCHS_PER_AGENT: u32 = 4;
+/// Rough samples per epoch.
+const EPOCH_SCALE: u64 = 256;
+/// Ticks between epoch seals on each agent (staggered by agent id).
+const SEAL_PERIOD: u64 = 64;
+/// Server merge cadence in ticks, and the time-series sampling period.
+const MERGE_EVERY: u64 = 48;
+
+/// Fault horizon: all faults heal at this tick; the run then drains to
+/// quiesce.
+pub const HORIZON: u64 = EPOCHS_PER_AGENT as u64 * SEAL_PERIOD + 512;
+
 /// One fleet run's shape.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -115,57 +128,29 @@ pub struct FleetConfig {
     pub root: PathBuf,
     /// Number of agents.
     pub agents: u32,
-    /// Epochs each agent seals.
-    pub epochs_per_agent: u32,
-    /// Rough samples per epoch.
-    pub scale: u64,
     /// Master seed: scripts, jitter, and fault draws all derive from it.
     pub seed: u32,
-    /// Ticks between epoch seals on each agent (staggered by agent id).
-    pub seal_period: u64,
-    /// Fault horizon: all faults heal at this tick; the run then drains
-    /// to quiesce.
-    pub horizon: u64,
-    /// Threads for script pre-generation (cannot affect the result).
-    pub threads: usize,
     /// The fault plan.
     pub faults: FleetFaultPlan,
-    /// Agent uploader tuning.
-    pub uploader: UploaderConfig,
     /// Server ingest queue bound.
     pub queue_cap: usize,
     /// Queue depth where acks start carrying backpressure.
     pub backpressure_at: usize,
-    /// Server lease (crash detection) in ticks.
-    pub lease: u64,
-    /// Server merge cadence in ticks.
-    pub merge_every: u64,
 }
 
 impl FleetConfig {
-    /// Defaults for `agents` agents rooted at `root`: 4 epochs each,
-    /// faults drawn from the seed over a horizon sized to the fleet.
+    /// Defaults for `agents` agents rooted at `root`: faults drawn from
+    /// the seed over [`HORIZON`], queue bounds sized to the fleet.
     #[must_use]
     pub fn new(root: impl Into<PathBuf>, agents: u32, seed: u32) -> FleetConfig {
         let agents = agents.max(1);
-        let epochs_per_agent = 4;
-        let seal_period = 64;
-        let horizon = u64::from(epochs_per_agent) * seal_period + 512;
         FleetConfig {
             root: root.into(),
             agents,
-            epochs_per_agent,
-            scale: 256,
             seed,
-            seal_period,
-            horizon,
-            threads: dcpi_workloads::default_threads(),
-            faults: FleetFaultPlan::random(seed, horizon, agents),
-            uploader: UploaderConfig::default(),
+            faults: FleetFaultPlan::random(seed, HORIZON, agents),
             queue_cap: usize::try_from(u64::from(agents) * 2).unwrap_or(usize::MAX),
             backpressure_at: usize::try_from(u64::from(agents) * 3 / 2).unwrap_or(usize::MAX),
-            lease: 256,
-            merge_every: 48,
         }
     }
 
@@ -174,8 +159,7 @@ impl FleetConfig {
             root: self.root.clone(),
             queue_cap: self.queue_cap,
             backpressure_at: self.backpressure_at,
-            lease: self.lease,
-            merge_every: self.merge_every,
+            merge_every: MERGE_EVERY,
         }
     }
 }
@@ -407,12 +391,14 @@ fn add_server_stats(into: &mut ServerStats, s: &ServerStats) {
 /// fleet fails to quiesce within the simulation's tick bound (a fault
 /// plan that never heals, or a protocol bug).
 pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
+    // Scripts are pure functions of the seed, so the thread count
+    // cannot change the fleet.
     let scripts = fleet_scripts(
         cfg.agents,
         cfg.seed,
-        cfg.epochs_per_agent,
-        cfg.scale,
-        cfg.threads,
+        EPOCHS_PER_AGENT,
+        EPOCH_SCALE,
+        dcpi_workloads::default_threads(),
     );
     let expected_generated: u64 = scripts.iter().map(AgentScript::total_generated).sum();
 
@@ -423,7 +409,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
             let mut uploader = Uploader::new(
                 id,
                 cfg.seed.wrapping_add(id.wrapping_mul(0x9e37_79b9)),
-                cfg.uploader,
+                UploaderConfig::default(),
             );
             uploader.attach_obs(obs);
             AgentSim {
@@ -431,7 +417,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
                 script,
                 next_epoch: 0,
                 // Stagger seals so the fleet does not thundering-herd.
-                seal_at: 1 + u64::from(id) % cfg.seal_period.max(1),
+                seal_at: 1 + u64::from(id) % SEAL_PERIOD,
                 pending: LossLedger::default(),
                 tombstoned: false,
             }
@@ -465,8 +451,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     let mut agent_crash_count = 0u64;
     let mut server_crash_count = 0u64;
 
-    let max_ticks = cfg
-        .horizon
+    let max_ticks = HORIZON
         .saturating_add(u64::from(cfg.agents).saturating_mul(64))
         .saturating_add(200_000);
     let mut quiesced_at = None;
@@ -520,7 +505,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         // (An idle uploader has no unacked upload, so anything still on
         // the wire is heartbeat chatter or a stray duplicate the server
         // would discard — neither touches the WAL or the database.)
-        if t >= cfg.horizon && server.is_some() {
+        if t >= HORIZON && server.is_some() {
             let done = agents.iter().all(|sim| {
                 sim.script_done() && sim.pending == LossLedger::default() && sim.uploader.idle()
             });
@@ -541,7 +526,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
                 // post-outage replay) can compute true seal→now lag.
                 batch.seal_cycle = t;
                 sim.next_epoch += 1;
-                sim.seal_at = t + cfg.seal_period.max(1);
+                sim.seal_at = t + SEAL_PERIOD;
                 sim.uploader.push_epoch(batch);
                 epochs_sealed += 1;
             } else if sim.script_done() && !sim.tombstoned && sim.pending != LossLedger::default() {
@@ -597,7 +582,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
 
         // One time-series point per merge cadence; a no-op (single
         // relaxed load) when obs is disabled.
-        if t % cfg.merge_every.max(1) == 0 {
+        if t % MERGE_EVERY == 0 {
             obs.record_point(t);
         }
     }

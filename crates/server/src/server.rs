@@ -38,6 +38,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 
+/// Ticks without hearing from an agent before its lease expires (crash
+/// detection; the session state is kept for dedup).
+const LEASE: u64 = 256;
+
 /// Server tuning.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -48,9 +52,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Queue depth at which acks start carrying the backpressure bit.
     pub backpressure_at: usize,
-    /// Ticks without hearing from an agent before its lease expires
-    /// (crash detection; the session state is kept for dedup).
-    pub lease: u64,
     /// Merge the queue into the fleet database every this many ticks.
     pub merge_every: u64,
 }
@@ -63,7 +64,6 @@ impl ServerConfig {
             root: root.into(),
             queue_cap: 64,
             backpressure_at: 48,
-            lease: 256,
             merge_every: 64,
         }
     }
@@ -548,7 +548,7 @@ impl IngestServer {
     /// Returns an I/O error if a merge fails.
     pub fn tick(&mut self, now: u64) -> io::Result<()> {
         for (agent, s) in &mut self.sessions {
-            if s.live && now.saturating_sub(s.last_heard) > self.cfg.lease {
+            if s.live && now.saturating_sub(s.last_heard) > LEASE {
                 s.live = false;
                 self.stats.lease_expiries += 1;
                 if self.obs.is_enabled() {

@@ -319,11 +319,11 @@ fn partitioned_half_catches_up_after_heal() {
             delay: 1,
             partitions: vec![dcpi_collect::faults::Partition {
                 from: 0,
-                until: cfg.horizon,
+                until: dcpi_server::fleet::HORIZON,
                 modulo: 2,
                 remainder: 1,
             }],
-            heal_at: cfg.horizon,
+            heal_at: dcpi_server::fleet::HORIZON,
             ..dcpi_collect::faults::NetFaultPlan::none()
         },
         ..dcpi_server::fleet::FleetFaultPlan::none()

@@ -39,7 +39,7 @@
 //! exit 0 when clean, 1 when any error-severity diagnostic is found, and
 //! 2 on usage errors — before anything is audited.
 
-use dcpi_check::{CheckConfig, ObsCheckConfig, Report};
+use dcpi_check::Report;
 use dcpi_core::cli::{run, Stop};
 use dcpi_tools::{
     dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
@@ -83,12 +83,12 @@ fn main() -> ExitCode {
             ("db", [dir]) => dcpicheck_db(dir),
             ("stacks", [dir]) => dcpicheck_stacks(dir),
             ("fleet", [root]) => dcpi_server::check_fleet(root),
-            ("obs", [path]) => dcpicheck_obs(path, &ObsCheckConfig::default()),
+            ("obs", [path]) => dcpicheck_obs(path),
             ("dataflow", [image]) => dcpicheck_dataflow(image),
             ("pgo", [old, new, map]) => dcpicheck_pgo(old, new, map),
             (dir, _) => {
                 let db = load_db(dir)?;
-                dcpicheck_report(&db.profiles, &db.registry, &CheckConfig::default())
+                dcpicheck_report(&db.profiles, &db.registry)
             }
         };
         let out = if json {

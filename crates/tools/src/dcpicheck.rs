@@ -3,7 +3,7 @@
 
 use crate::registry::ImageRegistry;
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
-use dcpi_check::{Category, CheckConfig, Loc, Report, Severity};
+use dcpi_check::{Category, Loc, Report, Severity};
 use dcpi_collect::daemon::read_epoch_stacks;
 use dcpi_core::codec::Format;
 use dcpi_core::db::{self, Entry, ProfileDb, STACKS_FILE};
@@ -19,16 +19,12 @@ use std::path::Path;
 /// layers on all procedures, plus the estimate layer on procedures that
 /// have CYCLES samples (those are the only ones with estimates to audit).
 #[must_use]
-pub fn dcpicheck_report(
-    set: &ProfileSet,
-    registry: &ImageRegistry,
-    config: &CheckConfig,
-) -> Report {
+pub fn dcpicheck_report(set: &ProfileSet, registry: &ImageRegistry) -> Report {
     let mut report = Report::new();
     let mut images: Vec<_> = registry.iter().collect();
     images.sort_by_key(|&(id, _)| id);
     for (id, image) in images {
-        report.merge(dcpi_check::check_image(image, config));
+        report.merge(dcpi_check::check_image(image));
         let Some(profile) = set.get(id, Event::Cycles) else {
             continue;
         };
@@ -44,7 +40,7 @@ pub fn dcpicheck_report(
                 &PipelineModel::default(),
                 &AnalysisOptions::default(),
             ) {
-                Ok(pa) => report.merge(dcpi_check::check_analysis(&pa, config)),
+                Ok(pa) => report.merge(dcpi_check::check_analysis(&pa)),
                 Err(e) => report.flag(
                     Category::BlockStructure,
                     Loc::at(&sym.name).pc(sym.offset),
@@ -59,7 +55,7 @@ pub fn dcpicheck_report(
 /// The CLI text: every diagnostic plus the closing tally.
 #[must_use]
 pub fn dcpicheck(set: &ProfileSet, registry: &ImageRegistry) -> String {
-    dcpicheck_report(set, registry, &CheckConfig::default()).render()
+    dcpicheck_report(set, registry).render()
 }
 
 /// Audits a profile database *directory* (`dcpicheck db <path>`): every
@@ -127,12 +123,12 @@ pub fn dcpicheck_db(root: &Path) -> Report {
 /// the JSON must parse, cycle stamps within each ring must be monotonic,
 /// ring overwrite accounting must balance, begin/end spans must pair,
 /// histogram counts must match their buckets, the sample ledger must
-/// conserve, and the overhead fraction must sit within the configured
-/// band (see [`dcpi_check::ObsCheckConfig`]).
+/// conserve, and the overhead fraction must sit within the audit band
+/// ([`dcpi_check::AUDIT_BAND`]).
 #[must_use]
-pub fn dcpicheck_obs(path: &Path, config: &dcpi_check::ObsCheckConfig) -> Report {
+pub fn dcpicheck_obs(path: &Path) -> Report {
     match std::fs::read_to_string(path) {
-        Ok(text) => dcpi_check::check_obs_export(&text, config),
+        Ok(text) => dcpi_check::check_obs_export(&text),
         Err(e) => {
             let mut report = Report::new();
             report.flag(
@@ -633,7 +629,7 @@ mod tests {
         for off in [4u64, 8] {
             set.add(id, Event::Cycles, off, 800);
         }
-        let report = dcpicheck_report(&set, &registry, &CheckConfig::default());
+        let report = dcpicheck_report(&set, &registry);
         assert!(report.is_clean(), "{}", report.render());
         let text = dcpicheck(&set, &registry);
         assert!(text.contains("0 error(s)"), "{text}");
@@ -728,7 +724,7 @@ mod tests {
             dcpi_isa::image::Image::new(good.name().to_string(), words, good.symbols().to_vec());
         let mut registry = ImageRegistry::new();
         registry.insert(ImageId(1), Arc::new(image));
-        let report = dcpicheck_report(&ProfileSet::new(), &registry, &CheckConfig::default());
+        let report = dcpicheck_report(&ProfileSet::new(), &registry);
         assert!(!report.is_clean());
     }
 }

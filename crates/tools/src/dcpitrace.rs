@@ -186,7 +186,6 @@ mod tests {
         let obs = Obs::new(&dcpi_obs::ObsConfig {
             enabled: true,
             ring_capacity: 2,
-            ..ObsConfig::default()
         });
         for i in 0..5 {
             obs.event_at(Component::Machine, "machine.sample", i * 10, 0, 0);

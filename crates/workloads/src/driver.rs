@@ -169,8 +169,6 @@ pub struct RunOptions {
     pub scale: u32,
     /// Sampling period range (the paper's default is 60K–64K cycles).
     pub period: (u64, u64),
-    /// Randomize physical page placement (forced on for wave5).
-    pub page_alloc_random: bool,
     /// Collect up to this many raw samples for trace-driven analysis.
     pub trace_limit: usize,
     /// Write profiles to an on-disk database here.
@@ -204,7 +202,6 @@ impl Default for RunOptions {
             seed: 1,
             scale: 1,
             period: (60 * 1024, 64 * 1024),
-            page_alloc_random: false,
             trace_limit: 0,
             db_path: None,
             limit: 4_000_000_000,
@@ -367,16 +364,23 @@ pub fn spawn_with<S: SampleSink>(
     }
 }
 
+/// The machine a workload runs on, before any profiling setup: its
+/// processor count, the run's seed and dispatch mode, and random physical
+/// page placement for wave5 alone (the board-cache conflicts of §3.3).
+pub(crate) fn machine_config(w: Workload, opts: &RunOptions) -> MachineConfig {
+    MachineConfig {
+        cpus: w.cpus(),
+        seed: opts.seed,
+        page_alloc_random: w == Workload::Wave5,
+        dispatch: opts.dispatch,
+        ..MachineConfig::default()
+    }
+}
+
 /// Runs a workload under a configuration.
 #[must_use]
 pub fn run_workload(w: Workload, prof: ProfConfig, opts: &RunOptions) -> RunResult {
-    let mut mc = MachineConfig {
-        cpus: w.cpus(),
-        seed: opts.seed,
-        page_alloc_random: opts.page_alloc_random || w == Workload::Wave5,
-        dispatch: opts.dispatch,
-        ..MachineConfig::default()
-    };
+    let mut mc = machine_config(w, opts);
     let period = if opts.fixed_period {
         (opts.period.0, opts.period.0)
     } else {
@@ -649,10 +653,11 @@ mod tests {
         assert!(oh.consistent());
         assert!(oh.samples > 0);
         // At the paper's default 60K–64K period the overhead sits in the
-        // low single digits (Table 3's 1–3% band, with slack for the
-        // shortened run).
+        // low single digits (Table 3's 1–3% band, with the obs audit's
+        // slack for the shortened run).
+        let (lo, hi) = dcpi_check::AUDIT_BAND;
         assert!(
-            oh.in_band(0.003, 0.05),
+            oh.in_band(lo, hi),
             "overhead fraction {:.4} out of range",
             oh.fraction()
         );

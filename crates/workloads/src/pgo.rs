@@ -21,7 +21,7 @@
 //! re-measurement runs, so the dynamic count comparison cross-checks a
 //! proof rather than standing alone.
 
-use crate::driver::{run_workload, spawn_with, ProfConfig, RunOptions, Workload};
+use crate::driver::{machine_config, run_workload, spawn_with, ProfConfig, RunOptions, Workload};
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
 use dcpi_analyze::export;
 use dcpi_core::{Event, ImageId};
@@ -133,11 +133,8 @@ fn measure(
     which: &'static str,
 ) -> Result<Measured, PgoError> {
     let mc = MachineConfig {
-        cpus: w.cpus(),
-        seed: opts.seed,
-        page_alloc_random: opts.page_alloc_random || w == Workload::Wave5,
         counters: CounterConfig::off(),
-        ..MachineConfig::default()
+        ..machine_config(w, opts)
     };
     let mut m = Machine::new(mc, NullSink);
     spawn_with(w, &mut m, opts, image_override);
@@ -230,7 +227,6 @@ pub fn pgo_workload(
         code_base: MAIN_BASE.0,
         external_floor: KERNEL_BASE.0,
         validate: true,
-        ..PgoOptions::default()
     };
     let rw = optimize(image, &parsed, &popts).map_err(PgoError::Skip)?;
     // Re-run the validator standalone for the per-segment tallies the

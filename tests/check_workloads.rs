@@ -5,7 +5,7 @@
 
 use dcpi::analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi::analyze::cfg::{BlockId, Cfg, EdgeKind};
-use dcpi::check::{check_analysis, check_image, check_procedure, CheckConfig, Layer, Severity};
+use dcpi::check::{check_analysis, check_image, check_procedure, Layer, Severity};
 use dcpi::core::{Event, ImageId, ProfileSet};
 use dcpi::isa::asm::Asm;
 use dcpi::isa::image::Image;
@@ -42,7 +42,7 @@ fn dcpicheck_is_clean_on_every_workload() {
         for (id, image) in &r.images {
             registry.insert(*id, Arc::clone(image));
         }
-        let report = dcpicheck_report(&r.profiles, &registry, &CheckConfig::default());
+        let report = dcpicheck_report(&r.profiles, &registry);
         assert!(
             report.is_clean(),
             "{}: dcpicheck found errors:\n{}",
@@ -71,7 +71,7 @@ fn corrupted_image_triggers_an_image_diagnostic() {
     let mut words = good.words().to_vec();
     words[1] = 0x0000_00ff; // CALL_PAL with an unknown function code
     let bad = Image::new(good.name().to_string(), words, good.symbols().to_vec());
-    let report = check_image(&bad, &CheckConfig::default());
+    let report = check_image(&bad);
     assert!(
         report
             .layer(Layer::Image)
@@ -93,7 +93,7 @@ fn corrupted_cfg_triggers_a_cfg_diagnostic() {
         .position(|e| e.kind == EdgeKind::Taken)
         .expect("a taken edge");
     cfg.edges[taken].to = BlockId(usize::from(cfg.edges[taken].to != BlockId(1)));
-    let report = check_procedure(&image, &sym, &cfg, &CheckConfig::default());
+    let report = check_procedure(&image, &sym, &cfg);
     assert!(
         report
             .layer(Layer::Cfg)
@@ -122,7 +122,7 @@ fn corrupted_estimates_trigger_an_estimate_diagnostic() {
         &AnalysisOptions::default(),
     )
     .expect("analysis");
-    let clean = check_analysis(&pa, &CheckConfig::default());
+    let clean = check_analysis(&pa);
     assert!(clean.is_clean(), "{}", clean.render());
     let b = pa
         .frequencies
@@ -134,7 +134,7 @@ fn corrupted_estimates_trigger_an_estimate_diagnostic() {
         .as_mut()
         .expect("estimate")
         .value += 1.0;
-    let report = check_analysis(&pa, &CheckConfig::default());
+    let report = check_analysis(&pa);
     assert!(
         report
             .layer(Layer::Estimate)

@@ -25,7 +25,7 @@ use dcpi::analyze::equiv::frequency_classes;
 use dcpi::analyze::frequency::{Confidence, EstimateSource};
 use dcpi::check::{
     cfg_audit, check_image, check_obs_export, check_procedure, check_rewrite, check_snapshot, tv,
-    Category, CheckConfig, ObsCheckConfig, Report,
+    Category, Report,
 };
 use dcpi::collect::daemon::write_epoch_stacks;
 use dcpi::collect::faults::LossLedger;
@@ -227,11 +227,10 @@ fn analyzed_loop() -> ProcAnalysis {
 }
 
 fn image_and_cfg_layers(g: &mut Golden, dir: &Path) {
-    let config = CheckConfig::default();
     let lints = lint_image();
     g.report(
         "image: check_image over a damaged image",
-        &check_image(&lints, &config),
+        &check_image(&lints),
     );
     let mut registry = ImageRegistry::new();
     registry.insert(ImageId(1), Arc::new(lints.clone()));
@@ -241,7 +240,7 @@ fn image_and_cfg_layers(g: &mut Golden, dir: &Path) {
     }
     g.report(
         "image: dcpicheck over the damaged image with samples",
-        &dcpicheck_report(&set, &registry, &config),
+        &dcpicheck_report(&set, &registry),
     );
 
     let flow = dir.join("dataflow.img");
@@ -267,7 +266,7 @@ fn image_and_cfg_layers(g: &mut Golden, dir: &Path) {
         let mut cfg = built.clone();
         tamper(&mut cfg);
         let mut report = Report::new();
-        cfg_audit::check_cfg(&sym, &cfg, &config, &mut report);
+        cfg_audit::check_cfg(&sym, &cfg, &mut report);
         report
     };
     let mut cfg = built.clone();
@@ -279,7 +278,7 @@ fn image_and_cfg_layers(g: &mut Golden, dir: &Path) {
     cfg.edges[taken].to = BlockId(usize::from(cfg.edges[taken].to != BlockId(1)));
     g.report(
         "cfg: a taken edge retargeted mid-block",
-        &check_procedure(&image, &sym, &cfg, &config),
+        &check_procedure(&image, &sym, &cfg),
     );
     g.report(
         "cfg: block 0 overruns its successor",
@@ -312,11 +311,10 @@ fn image_and_cfg_layers(g: &mut Golden, dir: &Path) {
 }
 
 fn estimate_layer(g: &mut Golden) {
-    let config = CheckConfig::default();
     let check = |tamper: &dyn Fn(&mut ProcAnalysis)| {
         let mut pa = analyzed_loop();
         tamper(&mut pa);
-        dcpi::check::check_analysis(&pa, &config)
+        dcpi::check::check_analysis(&pa)
     };
     g.report("estimate: the untouched loop", &check(&|_| {}));
     g.report(
@@ -528,12 +526,8 @@ fn trace_snapshot() -> Snapshot {
 }
 
 fn obs_layer(g: &mut Golden, dir: &Path) {
-    let config = ObsCheckConfig::default();
     let untouched = sample_snapshot(|_| {});
-    g.report(
-        "obs: the untouched snapshot",
-        &check_snapshot(&untouched, &config),
-    );
+    g.report("obs: the untouched snapshot", &check_snapshot(&untouched));
     let mut snap = sample_snapshot(|obs| {
         obs.event(Component::Machine, "machine.switch", 0, 0);
         obs.begin(Component::Analyze, "analyze.cfg");
@@ -563,12 +557,12 @@ fn obs_layer(g: &mut Golden, dir: &Path) {
     ];
     g.report(
         "obs: a backwards ring stamp, broken accounting, an open span",
-        &check_snapshot(&snap, &config),
+        &check_snapshot(&snap),
     );
     let snap = sample_snapshot(|obs| obs.end(Component::Machine, "machine.quantum", 0, 0));
     g.report(
         "obs: a span that ends without a begin",
-        &check_snapshot(&snap, &config),
+        &check_snapshot(&snap),
     );
     for (what, handler_cycles) in [
         ("inconsistent", 2_000_000),
@@ -577,23 +571,17 @@ fn obs_layer(g: &mut Golden, dir: &Path) {
     ] {
         let mut snap = sample_snapshot(|_| {});
         snap.overhead.as_mut().expect("ledger").handler_cycles = handler_cycles;
-        g.report(
-            &format!("obs: overhead {what}"),
-            &check_snapshot(&snap, &config),
-        );
+        g.report(&format!("obs: overhead {what}"), &check_snapshot(&snap));
     }
     g.report(
         "obs: six broken span chains",
-        &check_snapshot(&trace_snapshot(), &config),
+        &check_snapshot(&trace_snapshot()),
     );
     g.report(
         "obs: an export that is not JSON",
-        &check_obs_export("not json", &config),
+        &check_obs_export("not json"),
     );
-    g.report(
-        "obs: no export",
-        &dcpicheck_obs(&dir.join("absent.json"), &config),
-    );
+    g.report("obs: no export", &dcpicheck_obs(&dir.join("absent.json")));
 }
 
 /// Writes an (old, new, map) triple where `dcpicheck pgo|tv` read it.

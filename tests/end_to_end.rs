@@ -3,7 +3,7 @@
 
 use dcpi::analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi::analyze::culprit::DynamicCause;
-use dcpi::check::{check_analysis, check_image, CheckConfig};
+use dcpi::check::{check_analysis, check_image};
 use dcpi::collect::session::{ProfiledRun, SessionConfig};
 use dcpi::collect::wire::{encode_msg, Msg};
 use dcpi::core::db::ProfileDb;
@@ -93,10 +93,9 @@ fn copy_loop_full_pipeline() {
 
     // The dcpicheck invariants hold for the image and the analysis:
     // round-trips, CFG structure, flow conservation, culprit books.
-    let cfg = CheckConfig::default();
-    let checked = check_image(image, &cfg);
+    let checked = check_image(image);
     assert!(checked.is_clean(), "{}", checked.render());
-    let checked = check_analysis(&pa, &cfg);
+    let checked = check_analysis(&pa);
     assert!(checked.is_clean(), "{}", checked.render());
 }
 
