@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{bytes_requested, HOSTILE};
+use common::HOSTILE;
 use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, ExportedProc};
 use dcpi::analyze::EdgeKind;
 use dcpi::check::{Category, Loc, Report, Severity};
@@ -27,6 +27,7 @@ use dcpi_obs::{
     Snapshot, TimePoint,
 };
 use dcpi_stacks::{speedscope, Frame, StackProfile};
+use dcpi_testkit::{measure, Allocs};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -94,7 +95,7 @@ trait Format {
 /// Reads `text` under the allocation bound; an accepted value must
 /// survive its own re-rendering. Returns whether it was accepted.
 fn check<F: Format>(text: &str) -> bool {
-    let (got, bytes) = bytes_requested(|| F::read(text));
+    let (got, Allocs { bytes, .. }) = measure(|| F::read(text));
     let bound = ALLOC_FACTOR * text.len() as u64 + ALLOC_SLACK;
     assert!(
         bytes <= bound,
@@ -122,21 +123,10 @@ fn check<F: Format>(text: &str) -> bool {
 /// whitespace, a control byte and broken UTF-8.
 const INSERTS: &[u8] = b"\"\\{}[]:,0123456789-+.eEutfn \n\x00\x1f\x7f\xc3\xff";
 
+/// `doc` after the kit's edits, with runs spliced from `doc` itself.
 fn mutate(doc: &str, g: &mut Gen) -> String {
     let mut bytes = doc.as_bytes().to_vec();
-    for _ in 0..=g.below(3) {
-        if bytes.is_empty() {
-            break;
-        }
-        let at = g.below(bytes.len() as u64) as usize;
-        match g.below(3) {
-            0 => bytes[at] ^= 1 << g.below(8),
-            1 => {
-                bytes.remove(at);
-            }
-            _ => bytes.insert(at, INSERTS[g.below(INSERTS.len() as u64) as usize]),
-        }
-    }
+    dcpi_testkit::mutate(&mut bytes, INSERTS, doc.as_bytes(), &mut |n| g.below(n));
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
@@ -621,7 +611,7 @@ fn reader_allocation_stays_within_its_stated_bound() {
     ];
     let damaged = (0..2_000).map(|_| mutate(&ObsExport::build(&mut g), &mut g));
     for text in dense.into_iter().chain(damaged) {
-        let (_, bytes) = bytes_requested(|| json::parse(&text));
+        let (_, Allocs { bytes, .. }) = measure(|| json::parse(&text));
         let bound = (json::ALLOC_FACTOR * text.len() + json::ALLOC_SLACK) as u64;
         assert!(
             bytes <= bound,
