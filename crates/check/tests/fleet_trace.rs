@@ -12,19 +12,12 @@ use dcpi_collect::uploader::{Uploader, UploaderConfig};
 use dcpi_collect::wire::EpochBatch;
 use dcpi_obs::{Obs, ObsConfig, Snapshot};
 use dcpi_server::fleet::{run_fleet, FleetConfig, FleetReport};
-use std::path::PathBuf;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcpi-fleet-trace-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use dcpi_testkit::TempRoot;
 
 /// Runs the seeded 100-agent chaos fleet with tracing at the given ring
 /// capacity and returns the quiesced export plus the report.
 fn traced_run(tag: &str, ring_capacity: usize) -> (Snapshot, FleetReport) {
-    let root = temp_root(tag);
+    let root = TempRoot::new(&format!("fleet-trace-{tag}"));
     let cfg = FleetConfig::new(&root, 100, 7);
     let obs = Obs::new(&ObsConfig {
         ring_capacity,
@@ -35,7 +28,6 @@ fn traced_run(tag: &str, ring_capacity: usize) -> (Snapshot, FleetReport) {
     let mut snap = obs.snapshot();
     snap.meta
         .insert("fleet_quiesced".to_owned(), "true".to_owned());
-    let _ = std::fs::remove_dir_all(&root);
     (snap, report)
 }
 

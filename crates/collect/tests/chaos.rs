@@ -15,8 +15,8 @@ use dcpi_isa::asm::Asm;
 use dcpi_isa::image::Image;
 use dcpi_isa::reg::Reg;
 use dcpi_machine::counters::CounterConfig;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use dcpi_testkit::{snapshot, TempRoot};
+use std::path::Path;
 
 const POLL: u64 = 10_000;
 const FLUSH: u64 = 60_000;
@@ -31,12 +31,6 @@ fn loop_image(n: i64) -> Image {
     a.bne(Reg::T0, top);
     a.halt();
     a.finish()
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcpi-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A session under fault injection: one CPU-bound loop, a database on
@@ -66,16 +60,17 @@ fn chaotic_session(dir: &Path, faults: FaultPlan, bp: Option<Backpressure>) -> P
     run
 }
 
-fn run_plan(tag: &str, faults: FaultPlan, bp: Option<Backpressure>) -> ProfiledRun {
-    let dir = temp_dir(tag);
+/// The finished run and the directory its database lives in.
+fn run_plan(tag: &str, faults: FaultPlan, bp: Option<Backpressure>) -> (TempRoot, ProfiledRun) {
+    let dir = TempRoot::new(&format!("chaos-{tag}"));
     let mut run = chaotic_session(&dir, faults, bp);
     run.run_to_completion(10_000_000_000);
-    run
+    (dir, run)
 }
 
 fn assert_conserves_for_seed(seed: u32) {
     let plan = FaultPlan::random(seed, HORIZON);
-    let run = run_plan(&format!("seed{seed}"), plan, None);
+    let (_dir, run) = run_plan(&format!("seed{seed}"), plan, None);
     let ledger = run.ledger();
     assert!(
         ledger.conserves(),
@@ -84,8 +79,6 @@ fn assert_conserves_for_seed(seed: u32) {
         run.injector.plan()
     );
     assert!(ledger.generated > 500, "seed {seed}: too few samples");
-    let dir = temp_dir(&format!("seed{seed}"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -127,38 +120,23 @@ fn fixed_seed_is_bit_identical() {
     // The whole point of *deterministic* fault injection: the same seed
     // must reproduce the same damage, the same recovery, and the same
     // bytes on disk.
-    let tree = |tag: &str| -> BTreeMap<String, Vec<u8>> {
-        let dir = temp_dir(tag);
+    let tree = |tag: &str| {
+        let dir = TempRoot::new(&format!("chaos-{tag}"));
         let mut run = chaotic_session(&dir, FaultPlan::random(42, HORIZON), None);
         run.run_to_completion(10_000_000_000);
         let ledger = run.ledger();
         assert!(ledger.conserves(), "{}", ledger.render());
-        let mut files = BTreeMap::new();
-        collect_tree(&dir, &dir, &mut files);
-        std::fs::remove_dir_all(&dir).unwrap();
-        files
+        snapshot(&dir)
     };
     let a = tree("ident-a");
     let b = tree("ident-b");
     assert_eq!(
-        a.keys().collect::<Vec<_>>(),
-        b.keys().collect::<Vec<_>>(),
+        a.iter().map(|(path, _)| path).collect::<Vec<_>>(),
+        b.iter().map(|(path, _)| path).collect::<Vec<_>>(),
         "same file set"
     );
-    for (path, bytes) in &a {
-        assert_eq!(Some(bytes), b.get(path), "bytes differ: {path}");
-    }
-}
-
-fn collect_tree(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-    for entry in std::fs::read_dir(dir).unwrap().flatten() {
-        let p = entry.path();
-        if p.is_dir() {
-            collect_tree(root, &p, out);
-        } else {
-            let rel = p.strip_prefix(root).unwrap().to_string_lossy().into_owned();
-            out.insert(rel, std::fs::read(&p).unwrap());
-        }
+    for ((path, x), (_, y)) in a.iter().zip(&b) {
+        assert_eq!(x, y, "bytes differ: {}", path.display());
     }
 }
 
@@ -173,7 +151,7 @@ fn crash_loses_at_most_one_flush_interval() {
         }],
         ..FaultPlan::none()
     };
-    let run = run_plan("crashbound", plan, None);
+    let (_dir, run) = run_plan("crashbound", plan, None);
     let ledger = run.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     assert_eq!(run.injector.crashes.len(), 1, "the crash fired");
@@ -208,7 +186,7 @@ fn corrupt_files_are_quarantined_and_counted_not_fatal() {
         }],
         ..FaultPlan::none()
     };
-    let run = run_plan("quar", plan, None);
+    let (_dir, run) = run_plan("quar", plan, None);
     let ledger = run.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     assert!(
@@ -235,7 +213,7 @@ fn stalled_daemon_drops_but_conserves() {
         }],
         ..FaultPlan::none()
     };
-    let run = run_plan("stall", plan, None);
+    let (_dir, run) = run_plan("stall", plan, None);
     let ledger = run.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     assert!(
@@ -259,7 +237,7 @@ fn backpressure_raises_period_under_stall() {
         factor: 8,
         max_period: 1 << 20,
     };
-    let with_bp = run_plan("bp-on", plan(), Some(bp));
+    let (_on, with_bp) = run_plan("bp-on", plan(), Some(bp));
     let ledger = with_bp.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     assert!(with_bp.backpressure_raises > 0, "backpressure engaged");
@@ -270,7 +248,7 @@ fn backpressure_raises_period_under_stall() {
     );
     // Shedding load is the point: fewer interrupts than the run that
     // kept hammering the stalled daemon at full rate.
-    let without = run_plan("bp-off", plan(), None);
+    let (_off, without) = run_plan("bp-off", plan(), None);
     assert!(
         ledger.generated < without.ledger().generated,
         "raised period must generate fewer samples"
@@ -283,7 +261,7 @@ fn torn_flush_window_loses_nothing() {
         torn_flushes: vec![100_000, 220_000, 350_000],
         ..FaultPlan::none()
     };
-    let dir = temp_dir("torn");
+    let dir = TempRoot::new("chaos-torn");
     let mut cfg = SessionConfig::default();
     cfg.machine.counters = CounterConfig::cycles_only((800, 1000));
     cfg.poll_quantum = POLL;
@@ -304,7 +282,6 @@ fn torn_flush_window_loses_nothing() {
     assert_eq!(ledger.crash_lost, 0);
     assert_eq!(ledger.quarantined, 0);
     assert!(ledger.generated > 500);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -313,7 +290,7 @@ fn dropped_notifications_go_unknown_not_missing() {
         notif_drop_period: 1, // every ImageLoaded notification vanishes
         ..FaultPlan::none()
     };
-    let run = run_plan("notif", plan, None);
+    let (_dir, run) = run_plan("notif", plan, None);
     let ledger = run.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     // The loop image was never announced, so its samples landed in the
@@ -328,7 +305,7 @@ fn dropped_notifications_go_unknown_not_missing() {
 
 #[test]
 fn empty_plan_reports_empty_fault_state() {
-    let run = run_plan("clean", FaultPlan::none(), None);
+    let (_dir, run) = run_plan("clean", FaultPlan::none(), None);
     let ledger = run.ledger();
     assert!(ledger.conserves(), "{}", ledger.render());
     assert_eq!(ledger.crash_lost, 0);

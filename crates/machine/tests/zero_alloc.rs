@@ -8,65 +8,16 @@
 //! A disabled obs probe is a single relaxed atomic-bool load, so this
 //! test also pins the "obs off costs nothing" claim from the design.
 
-// The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
-// denies unsafe_code, so opt this test binary out explicitly.
-#![allow(unsafe_code)]
-
 use dcpi_isa::asm::Asm;
 use dcpi_isa::image::Image;
 use dcpi_isa::reg::Reg;
 use dcpi_machine::counters::CounterConfig;
 use dcpi_machine::machine::{Machine, SampleSink};
 use dcpi_machine::{DispatchMode, MachineConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Wraps the system allocator and counts allocations made on threads
-/// that opted in via [`COUNTING`]. `try_with` keeps the hook safe
-/// during thread teardown, when the TLS slot may already be gone.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = COUNTING.try_with(|on| {
-            if on.get() {
-                let _ = ALLOC_COUNT.try_with(|n| n.set(n.get() + 1));
-            }
-        });
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = COUNTING.try_with(|on| {
-            if on.get() {
-                let _ = ALLOC_COUNT.try_with(|n| n.set(n.get() + 1));
-            }
-        });
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use dcpi_testkit::{measure, Probe};
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with allocation counting enabled and returns how many
-/// allocations it performed on this thread.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOC_COUNT.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    f();
-    COUNTING.with(|on| on.set(false));
-    ALLOC_COUNT.with(|n| n.get())
-}
+static ALLOC: Probe = Probe;
 
 /// A sink that models a fixed-cost interrupt handler without recording
 /// anything — the delivery path itself is what's under test.
@@ -118,7 +69,8 @@ fn steady_state_stepping_does_not_allocate_with_obs_disabled() {
 
         // Steady state: a few million cycles of fetch/issue/counter
         // overflow/delivery must stay off the heap entirely.
-        let allocs = count_allocs(|| m.run_all_until(6_000_000));
+        let ((), allocs) = measure(|| m.run_all_until(6_000_000));
+        let allocs = allocs.calls;
         assert!(
             m.total_samples() > warm_samples + 100,
             "window must contain many deliveries"
