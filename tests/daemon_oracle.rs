@@ -14,8 +14,8 @@ use dcpi::core::prng::CartaRng;
 use dcpi::core::{Addr, Event, ImageId, Pid, ProfileSet, Sample, SampleEntry, UNKNOWN_IMAGE};
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::machine::os::{default_kernel, Os, OsEvent};
+use dcpi_testkit::TempRoot;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
 type Cells = BTreeMap<(ImageId, Event, u64), u64>;
 
@@ -193,13 +193,6 @@ fn random_entry(rng: &mut CartaRng) -> SampleEntry {
     }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("dcpi-daemon-oracle-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn os() -> Os {
     Os::new(1, 8192, default_kernel(), None, PipelineModel::default())
 }
@@ -211,9 +204,9 @@ fn random_interleavings_match_the_btreemap_oracle() {
     let mut rng = CartaRng::new(0xdae3017);
     let mut failed_flushes = 0;
     for case in 0..12 {
-        let dir = scratch_dir(&format!("case{case}"));
+        let dir = TempRoot::new(&format!("daemon-oracle-case{case}"));
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let mut d = Daemon::new(cfg.clone()).unwrap();
@@ -286,7 +279,6 @@ fn random_interleavings_match_the_btreemap_oracle() {
             }
             check(&d, &m, &what);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(failed_flushes >= 5, "only {failed_flushes} failed flushes");
 }

@@ -10,6 +10,7 @@ use dcpi::core::{Event, ImageId, ProfileKey, ProfileSet, UNKNOWN_IMAGE};
 use dcpi::server::{IngestServer, ServerConfig};
 use dcpi::tools::{dcpifleet_image, dcpifleet_top};
 use dcpi::workloads::fleet_feed::{AgentScript, FLEET_IMAGES};
+use dcpi_testkit::{tree, TempRoot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -19,9 +20,8 @@ const EPOCHS: u32 = 4;
 
 /// Three agents upload four epochs each; the server merges after every
 /// round, so the fleet database holds four epochs.
-fn fleet_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("dcpi-fleet-query-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+fn fleet_root(tag: &str) -> TempRoot {
+    let root = TempRoot::new(&format!("fleet-query-{tag}"));
     let scripts: Vec<AgentScript> = (0..AGENTS)
         .map(|agent| AgentScript::generate(agent, 23, EPOCHS, 256))
         .collect();
@@ -97,20 +97,11 @@ fn image_text(db: &ProfileDb, set: &ProfileSet, image: ImageId) -> String {
 
 /// Every file under the database whose name ends `suffix`, sorted.
 fn files_ending(root: &Path, suffix: &str) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for epoch in std::fs::read_dir(root.join("db")).unwrap() {
-        let epoch = epoch.unwrap().path();
-        if epoch.is_dir() {
-            for file in std::fs::read_dir(epoch).unwrap() {
-                let path = file.unwrap().path();
-                if path.to_string_lossy().ends_with(suffix) {
-                    out.push(path);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
+    let db = root.join("db");
+    let files = tree(&db).into_iter().map(|path| db.join(path));
+    files
+        .filter(|path| path.to_string_lossy().ends_with(suffix))
+        .collect()
 }
 
 #[test]
@@ -134,7 +125,6 @@ fn queries_print_what_the_merged_set_sums_to() {
         );
     }
     assert!(dcpifleet_image(&root, 77).unwrap().contains("no samples"));
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -186,7 +176,6 @@ fn a_file_is_quarantined_by_the_query_that_opens_it_and_no_other() {
         image_text(&db, &left, ImageId(1))
     );
     assert_eq!(files_ending(&root, ".quar").len(), 1);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -245,5 +234,4 @@ fn scan_visits_each_profile_file_once_and_nothing_else() {
     .unwrap();
     assert_eq!(images, vec![ImageId(1); db.epochs().unwrap().len()]);
     assert!(other.exists() && db.damage().is_clean());
-    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -12,6 +12,7 @@ use dcpi::core::{Addr, Event, ImageId, Pid, Profile, ProfileSet, Sample};
 use dcpi::isa::asm::Asm;
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::isa::reg::Reg;
+use dcpi_testkit::TempRoot;
 use std::collections::BTreeMap;
 
 /// Draws a u64 with 62 bits of entropy from two generator steps.
@@ -211,9 +212,9 @@ fn machine_profiling_is_transparent() {
 #[test]
 fn readers_agree_on_random_multi_epoch_databases() {
     let mut rng = CartaRng::new(0x5ca9);
-    let base = std::env::temp_dir().join(format!("dcpi-prop-readers-{}", std::process::id()));
+    let root = TempRoot::new("prop-readers");
     for case in 0..24 {
-        let _ = std::fs::remove_dir_all(&base);
+        let base = root.subdir("db");
         let mut db = ProfileDb::create(&base, Format::V2).unwrap();
         // offset → count per key, summed over every merge of every epoch.
         let mut want: BTreeMap<(u32, Event, u64), u64> = BTreeMap::new();
@@ -270,5 +271,4 @@ fn readers_agree_on_random_multi_epoch_databases() {
             .sum();
         assert_eq!(files, on_disk, "case {case}: one visit per file");
     }
-    std::fs::remove_dir_all(&base).unwrap();
 }
