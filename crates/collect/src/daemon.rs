@@ -638,6 +638,7 @@ mod tests {
     use super::*;
     use dcpi_core::{Addr, Event, Sample};
     use dcpi_machine::os::default_kernel;
+    use dcpi_testkit::TempRoot;
 
     fn entry(pid: u32, pc: u64, count: u64) -> SampleEntry {
         SampleEntry {
@@ -825,10 +826,9 @@ mod tests {
 
     #[test]
     fn flush_to_disk_and_read_back() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let mut d = Daemon::new(cfg).unwrap();
@@ -846,15 +846,13 @@ mod tests {
         let set = db.read_all().unwrap();
         assert_eq!(set.get(ImageId(3), Event::Cycles).unwrap().get(8), 6);
         assert!(db.disk_usage().unwrap() > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_resumes_newest_epoch_with_names() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon-reopen");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         {
@@ -876,28 +874,24 @@ mod tests {
         assert_eq!(db.current_epoch().0, 1, "resumes the newest epoch");
         let set = db.read_all().unwrap();
         assert_eq!(set.get(ImageId(3), Event::Cycles).unwrap().get(8), 6);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_without_prior_database_creates_one() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-fresh-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon-fresh");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let d = Daemon::reopen(cfg).unwrap();
         assert!(d.db().is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn image_write_failures_are_counted() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-iofail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon-iofail");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let mut d = Daemon::new(cfg).unwrap();
@@ -914,7 +908,6 @@ mod tests {
         );
         d.startup_scan(&os);
         assert!(d.stats.image_write_failures > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -995,10 +988,9 @@ mod tests {
 
     #[test]
     fn stacks_flush_to_epoch_sidecar_and_read_back() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-stacks-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon-stacks");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let mut d = Daemon::new(cfg).unwrap();
@@ -1028,15 +1020,13 @@ mod tests {
         assert!(read_epoch_stacks(d.db().unwrap(), EpochId(1))
             .unwrap()
             .is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_stack_sidecar_reads_as_none() {
-        let dir = std::env::temp_dir().join(format!("dcpi-daemon-nostacks-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("daemon-nostacks");
         let cfg = DaemonConfig {
-            db_path: Some(dir.clone()),
+            db_path: Some(dir.to_path_buf()),
             ..DaemonConfig::default()
         };
         let d = Daemon::new(cfg).unwrap();
@@ -1044,7 +1034,6 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(read_all_stacks(d.db().unwrap()).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -541,13 +541,16 @@ impl CpuDriver {
     }
 }
 
-/// The machine-facing driver: one [`CpuDriver`] per processor.
+/// The machine-facing driver: one [`CpuDriver`] per processor, and
+/// optionally the raw sample trace for the §5.4 hash-table sweep.
 #[derive(Debug)]
 pub struct Driver {
     /// Per-CPU driver state.
     pub per_cpu: Vec<CpuDriver>,
-    /// True while profiling is enabled (interrupts are recorded).
-    pub enabled: bool,
+    /// Logged raw samples, in delivery order (at most `trace_limit`).
+    pub trace: Vec<Sample>,
+    /// Log up to this many raw samples into `trace` (0 = none).
+    pub trace_limit: usize,
 }
 
 impl Driver {
@@ -558,7 +561,8 @@ impl Driver {
             per_cpu: (0..cpus)
                 .map(|_| CpuDriver::new(cfg.clone(), cost))
                 .collect(),
-            enabled: true,
+            trace: Vec::new(),
+            trace_limit: 0,
         }
     }
 
@@ -582,28 +586,22 @@ impl Driver {
 
 impl SampleSink for Driver {
     fn counter_overflow(&mut self, cpu: CpuId, sample: Sample, at_cycle: u64) -> u64 {
-        if !self.enabled {
-            return 0;
+        if self.trace.len() < self.trace_limit {
+            self.trace.push(sample);
         }
         self.per_cpu[cpu.0 as usize].record_at(sample, at_cycle)
     }
 
     fn edge_sample(&mut self, cpu: CpuId, pid: Pid, pc: Addr, taken: bool) {
-        if self.enabled {
-            self.per_cpu[cpu.0 as usize].record_edge(pid, pc, taken);
-        }
+        self.per_cpu[cpu.0 as usize].record_edge(pid, pc, taken);
     }
 
     fn double_sample(&mut self, cpu: CpuId, pid: Pid, pc1: Addr, pc2: Addr) {
-        if self.enabled {
-            self.per_cpu[cpu.0 as usize].record_path(pid, pc1, pc2);
-        }
+        self.per_cpu[cpu.0 as usize].record_path(pid, pc1, pc2);
     }
 
     fn stack_sample(&mut self, cpu: CpuId, pid: Pid, event: Event, frames: &[Addr]) {
-        if self.enabled {
-            self.per_cpu[cpu.0 as usize].record_stack(pid, event, frames);
-        }
+        self.per_cpu[cpu.0 as usize].record_stack(pid, event, frames);
     }
 }
 
@@ -830,8 +828,6 @@ mod tests {
         assert!(c > 0);
         assert_eq!(drv.per_cpu[1].stats.interrupts, 1);
         assert_eq!(drv.per_cpu[0].stats.interrupts, 0);
-        drv.enabled = false;
-        assert_eq!(drv.counter_overflow(CpuId(0), sample(5, 0x100), 43), 0);
     }
 
     #[test]
@@ -870,9 +866,6 @@ mod tests {
         drv.stack_sample(CpuId(1), Pid(7), Event::Cycles, &[Addr(0x40)]);
         assert!(drv.per_cpu[0].stack_counts.is_empty());
         assert_eq!(drv.per_cpu[1].stack_counts.len(), 1);
-        drv.enabled = false;
-        drv.stack_sample(CpuId(0), Pid(7), Event::Cycles, &[Addr(0x40)]);
-        assert!(drv.per_cpu[0].stack_counts.is_empty());
     }
 
     #[test]

@@ -760,6 +760,7 @@ mod tests {
     use super::*;
     use dcpi_core::profile::Profile;
     use dcpi_core::Event;
+    use dcpi_testkit::TempRoot;
 
     #[test]
     fn same_seed_same_plan() {
@@ -854,8 +855,7 @@ mod tests {
 
     #[test]
     fn corruption_decodes_victim_totals_before_damage() {
-        let dir = std::env::temp_dir().join(format!("dcpi-faults-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("faults-corrupt");
         let epoch = dir.join("epoch_0000");
         std::fs::create_dir_all(&epoch).unwrap();
         let mut p = Profile::new();
@@ -880,13 +880,11 @@ mod tests {
             epoch.join("00000001.cycles.tmp").exists(),
             "stale tmp left behind"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corruption_on_empty_db_is_a_no_op() {
-        let dir = std::env::temp_dir().join(format!("dcpi-faults-empty-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("faults-empty");
         std::fs::create_dir_all(dir.join("epoch_0000")).unwrap();
         let mut inj = FaultInjector::new(FaultPlan::none());
         inj.apply_corruption(
@@ -899,7 +897,6 @@ mod tests {
             },
         );
         assert_eq!(inj.quarantined_samples, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

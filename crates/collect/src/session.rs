@@ -12,44 +12,12 @@ use crate::daemon::{Daemon, DaemonConfig};
 use crate::driver::{CostModel, CpuDriver, Driver, DriverConfig};
 use crate::faults::{Backpressure, CrashFault, FaultInjector, FaultPlan, LossLedger};
 use dcpi_core::db::ProfileDb;
-use dcpi_core::{Addr, CpuId, UNKNOWN_IMAGE};
-use dcpi_core::{ImageId, Pid, Profile, ProfileKey, ProfileSet, Result, Sample};
+use dcpi_core::{Addr, UNKNOWN_IMAGE};
+use dcpi_core::{ImageId, Pid, Profile, ProfileKey, ProfileSet, Result};
 use dcpi_isa::image::Image;
-use dcpi_machine::machine::{Machine, SampleSink};
+use dcpi_machine::machine::Machine;
 use dcpi_machine::MachineConfig;
 use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, Snapshot};
-
-/// A driver wrapper that optionally logs the raw sample trace for the
-/// §5.4 hash-table sweep.
-#[derive(Debug)]
-pub struct TracingDriver {
-    /// The real driver.
-    pub driver: Driver,
-    /// Logged samples (bounded by `limit`).
-    pub trace: Vec<Sample>,
-    limit: usize,
-}
-
-impl SampleSink for TracingDriver {
-    fn counter_overflow(&mut self, cpu: CpuId, sample: Sample, at_cycle: u64) -> u64 {
-        if self.trace.len() < self.limit {
-            self.trace.push(sample);
-        }
-        self.driver.counter_overflow(cpu, sample, at_cycle)
-    }
-
-    fn edge_sample(&mut self, cpu: CpuId, pid: Pid, pc: Addr, taken: bool) {
-        self.driver.edge_sample(cpu, pid, pc, taken);
-    }
-
-    fn double_sample(&mut self, cpu: CpuId, pid: Pid, pc1: Addr, pc2: Addr) {
-        self.driver.double_sample(cpu, pid, pc1, pc2);
-    }
-
-    fn stack_sample(&mut self, cpu: CpuId, pid: Pid, event: dcpi_core::Event, frames: &[Addr]) {
-        self.driver.stack_sample(cpu, pid, event, frames);
-    }
-}
 
 /// Configuration of a profiled run.
 #[derive(Clone, Debug)]
@@ -103,7 +71,7 @@ impl Default for SessionConfig {
 #[derive(Debug)]
 pub struct ProfiledRun {
     /// The machine, with the driver installed as its sample sink.
-    pub machine: Machine<TracingDriver>,
+    pub machine: Machine<Driver>,
     /// The user-mode daemon.
     pub daemon: Daemon,
     /// The fault injector applying the configured [`FaultPlan`] (empty
@@ -140,12 +108,8 @@ impl ProfiledRun {
         let cpus = cfg.machine.cpus;
         let mut driver = Driver::new(cpus, cfg.driver.clone(), cfg.cost);
         driver.set_obs(&obs);
-        let sink = TracingDriver {
-            driver,
-            trace: Vec::new(),
-            limit: cfg.trace_limit,
-        };
-        let mut machine = Machine::new(cfg.machine.clone(), sink);
+        driver.trace_limit = cfg.trace_limit;
+        let mut machine = Machine::new(cfg.machine.clone(), driver);
         machine.set_obs(&obs);
         let mut daemon = Daemon::new(cfg.daemon.clone())?;
         daemon.attach_obs(&obs);
@@ -221,7 +185,7 @@ impl ProfiledRun {
         if self.mid_flush {
             // Close the flush window torn open at the previous pump: the
             // overflow buffers caught everything the bypass path wrote.
-            for cpu in &mut self.machine.sink.driver.per_cpu {
+            for cpu in &mut self.machine.sink.per_cpu {
                 let entries = cpu.end_flush();
                 self.daemon.process_entries(&entries);
             }
@@ -232,7 +196,7 @@ impl ProfiledRun {
             self.next_flush = now + self.cfg_flush;
         }
         let torn = self.injector.torn_flush_due(now);
-        for cpu in &mut self.machine.sink.driver.per_cpu {
+        for cpu in &mut self.machine.sink.per_cpu {
             drain_side_samples(cpu, &mut self.daemon);
             let entries = if torn {
                 // Tear the flush: drain the table but leave the flag up;
@@ -288,7 +252,7 @@ impl ProfiledRun {
     /// the graceful alternative to losing an unbounded sample stream.
     fn apply_backpressure(&mut self) {
         let Some(bp) = self.backpressure else { return };
-        let s = self.machine.sink.driver.total_stats();
+        let s = self.machine.sink.total_stats();
         let d_dropped = s.dropped - self.bp_last_dropped;
         let d_interrupts = s.interrupts - self.bp_last_interrupts;
         self.bp_last_dropped = s.dropped;
@@ -370,7 +334,7 @@ impl ProfiledRun {
         // Late-registered images (spawned directly on the machine) still
         // get their names and executables recorded with the database.
         self.daemon.startup_scan(&self.machine.os);
-        for cpu in &mut self.machine.sink.driver.per_cpu {
+        for cpu in &mut self.machine.sink.per_cpu {
             drain_side_samples(cpu, &mut self.daemon);
             // flush() begins and ends a window, so it also closes one
             // left open by a torn flush and drains what bypassed into
@@ -431,7 +395,7 @@ impl ProfiledRun {
             generated: self.machine.total_samples(),
             attributed,
             unknown,
-            driver_dropped: self.machine.sink.driver.total_stats().dropped,
+            driver_dropped: self.machine.sink.total_stats().dropped,
             crash_lost: self.crash_lost,
             quarantined: self.injector.quarantined_samples,
         }
@@ -511,6 +475,7 @@ mod tests {
     use dcpi_isa::reg::Reg;
     use dcpi_machine::counters::CounterConfig;
     use dcpi_machine::os::MAIN_BASE;
+    use dcpi_testkit::TempRoot;
 
     fn loop_image(n: i64) -> Image {
         let mut a = Asm::new("/bin/loop");
@@ -557,7 +522,7 @@ mod tests {
         run.spawn(0, img, &[], |_| {});
         run.run_to_completion(10_000_000_000);
         let taken = run.machine.total_samples();
-        let stats = run.machine.sink.driver.total_stats();
+        let stats = run.machine.sink.total_stats();
         assert_eq!(stats.interrupts, taken);
         assert_eq!(
             run.daemon.stats.samples + stats.dropped,
@@ -613,11 +578,10 @@ mod tests {
 
     #[test]
     fn database_written_on_finish() {
-        let dir = std::env::temp_dir().join(format!("dcpi-session-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("session");
         let mut cfg = SessionConfig::default();
         cfg.machine.counters = CounterConfig::cycles_only((1000, 1200));
-        cfg.daemon.db_path = Some(dir.clone());
+        cfg.daemon.db_path = Some(dir.to_path_buf());
         let mut run = ProfiledRun::new(cfg).unwrap();
         let img = run.register_image(loop_image(200_000));
         run.spawn(0, img, &[], |_| {});
@@ -626,7 +590,6 @@ mod tests {
         let set = db.read_all().unwrap();
         assert!(set.get(img, Event::Cycles).is_some());
         assert!(db.disk_usage().unwrap() > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn obs_session(period: (u64, u64), faults: FaultPlan) -> ProfiledRun {
@@ -820,11 +783,10 @@ mod tests {
 
     #[test]
     fn a_failed_final_flush_is_counted_in_summary_and_obs() {
-        let dir = std::env::temp_dir().join(format!("dcpi-session-final-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("session-final");
         let mut cfg = SessionConfig::default();
         cfg.machine.counters = CounterConfig::cycles_only((1000, 1200));
-        cfg.daemon.db_path = Some(dir.clone());
+        cfg.daemon.db_path = Some(dir.to_path_buf());
         cfg.obs = ObsConfig::on();
         let mut run = ProfiledRun::new(cfg).unwrap();
         let img = run.register_image(loop_image(200_000));
@@ -849,6 +811,5 @@ mod tests {
             snap.metrics.counters.get("session.flush_failures"),
             Some(&1)
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -761,17 +761,7 @@ fn parse_profile_name(name: &str) -> Option<ProfileKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_root(tag: &str) -> PathBuf {
-        let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let p =
-            std::env::temp_dir().join(format!("dcpi-db-test-{}-{}-{}", std::process::id(), tag, n));
-        let _ = fs::remove_dir_all(&p);
-        p
-    }
+    use dcpi_testkit::TempRoot;
 
     fn sample_set() -> ProfileSet {
         let mut set = ProfileSet::new();
@@ -784,30 +774,28 @@ mod tests {
 
     #[test]
     fn create_merge_read_roundtrip() {
-        let root = temp_root("roundtrip");
+        let root = TempRoot::new("db-roundtrip");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let back = db.read_epoch(EpochId(0)).unwrap();
         assert_eq!(back.event_total(Event::Cycles), 16);
         assert_eq!(back.event_total(Event::IMiss), 2);
         assert_eq!(back.get(ImageId(3), Event::Cycles).unwrap().get(8), 5);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn repeated_merges_accumulate() {
-        let root = temp_root("accumulate");
+        let root = TempRoot::new("db-accumulate");
         let mut db = ProfileDb::create(&root, Format::V1).unwrap();
         db.merge(&sample_set()).unwrap();
         db.merge(&sample_set()).unwrap();
         let back = db.read_epoch(EpochId(0)).unwrap();
         assert_eq!(back.get(ImageId(3), Event::Cycles).unwrap().get(0), 20);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn merge_spanning_sync_batches_lands_every_file() {
-        let root = temp_root("batches");
+        let root = TempRoot::new("db-batches");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         let mut set = ProfileSet::new();
         let images = 2 * SYNC_BATCH as u32 + 3;
@@ -832,12 +820,11 @@ mod tests {
             let p = back.get(ImageId(i), Event::Cycles).unwrap();
             assert_eq!(p.get(u64::from(i) * 4), 2 * (u64::from(i) + 1));
         }
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn new_epoch_separates_samples() {
-        let root = temp_root("epochs");
+        let root = TempRoot::new("db-epochs");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let e1 = db.new_epoch().unwrap();
@@ -851,12 +838,11 @@ mod tests {
         assert_eq!(ep1.get(ImageId(3), Event::Cycles).unwrap().get(0), 100);
         let all = db.read_all().unwrap();
         assert_eq!(all.get(ImageId(3), Event::Cycles).unwrap().get(0), 110);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn open_resumes_newest_epoch_and_names() {
-        let root = temp_root("open");
+        let root = TempRoot::new("db-open");
         {
             let mut db = ProfileDb::create(&root, Format::V2).unwrap();
             db.record_image_name(ImageId(3), "/usr/shlib/X11/libos.so")
@@ -868,23 +854,21 @@ mod tests {
         assert_eq!(db.current_epoch(), EpochId(1));
         assert_eq!(db.image_name(ImageId(3)), Some("/usr/shlib/X11/libos.so"));
         assert_eq!(db.epochs().unwrap(), vec![EpochId(0), EpochId(1)]);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn open_empty_dir_is_not_found() {
-        let root = temp_root("empty");
+        let root = TempRoot::new("db-empty");
         fs::create_dir_all(&root).unwrap();
         assert!(matches!(
             ProfileDb::open(&root, Format::V2),
             Err(Error::NotFound(_))
         ));
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn read_missing_profile_is_not_found() {
-        let root = temp_root("missing");
+        let root = TempRoot::new("db-missing");
         let db = ProfileDb::create(&root, Format::V2).unwrap();
         let key = ProfileKey {
             image: ImageId(42),
@@ -894,22 +878,20 @@ mod tests {
             db.read_profile(EpochId(0), key),
             Err(Error::NotFound(_))
         ));
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn disk_usage_counts_bytes() {
-        let root = temp_root("disk");
+        let root = TempRoot::new("db-disk");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         assert_eq!(db.disk_usage().unwrap(), 0);
         db.merge(&sample_set()).unwrap();
         assert!(db.disk_usage().unwrap() > 0);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn open_sweeps_stale_tmp_files() {
-        let root = temp_root("sweep");
+        let root = TempRoot::new("db-sweep");
         {
             let mut db = ProfileDb::create(&root, Format::V2).unwrap();
             db.merge(&sample_set()).unwrap();
@@ -936,12 +918,11 @@ mod tests {
         assert_eq!(db.image_name(ImageId(3)), Some("/bin/app"));
         let saved = db.saved_images().unwrap();
         assert_eq!(saved, [(ImageId(3), root.join("images/00000003.img"))]);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn truncated_profile_is_quarantined_not_fatal() {
-        let root = temp_root("truncated");
+        let root = TempRoot::new("db-truncated");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let victim = root.join("epoch_0000/00000003.cycles.prof");
@@ -954,12 +935,11 @@ mod tests {
         assert_eq!(db.damage().quarantined, vec![victim.clone()]);
         assert!(victim.with_extension("prof.quar").exists());
         assert!(!victim.exists());
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn bit_flipped_profile_is_quarantined() {
-        let root = temp_root("bitflip");
+        let root = TempRoot::new("db-bitflip");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let victim = root.join("epoch_0000/00000003.imiss.prof");
@@ -970,12 +950,11 @@ mod tests {
         let back = db.read_all().unwrap();
         assert!(back.get(ImageId(3), Event::IMiss).is_none());
         assert_eq!(db.damage().quarantined_count(), 1);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn merge_onto_corrupt_file_quarantines_and_proceeds() {
-        let root = temp_root("merge-corrupt");
+        let root = TempRoot::new("db-merge-corrupt");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let victim = root.join("epoch_0000/00000003.cycles.prof");
@@ -987,12 +966,11 @@ mod tests {
         assert_eq!(back.get(ImageId(3), Event::Cycles).unwrap().get(0), 10);
         assert_eq!(db.damage().quarantined_count(), 1);
         assert!(victim.with_extension("prof.quar").exists());
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn repeated_quarantines_never_clobber() {
-        let root = temp_root("quar-seq");
+        let root = TempRoot::new("db-quar-seq");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         let victim = root.join("epoch_0000/00000003.cycles.prof");
         for _ in 0..2 {
@@ -1002,12 +980,11 @@ mod tests {
         assert!(victim.with_extension("prof.quar").exists());
         assert!(victim.with_extension("prof.quar2").exists());
         assert_eq!(db.damage().quarantined_count(), 2);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn interrupted_new_epoch_opens_cleanly() {
-        let root = temp_root("interrupted-epoch");
+        let root = TempRoot::new("db-interrupted-epoch");
         {
             let mut db = ProfileDb::create(&root, Format::V2).unwrap();
             db.merge(&sample_set()).unwrap();
@@ -1021,12 +998,11 @@ mod tests {
         let all = db.read_all().unwrap();
         assert_eq!(all.get(ImageId(3), Event::Cycles).unwrap().get(0), 10);
         assert!(db.damage().is_clean());
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn scan_errors_name_what_could_not_be_read() {
-        let root = temp_root("scan-errors");
+        let root = TempRoot::new("db-scan-errors");
         let mut db = ProfileDb::create(&root, Format::V2).unwrap();
         db.merge(&sample_set()).unwrap();
         let gone = db.scan([EpochId(9)], |_| true, |_, _, _| {});
@@ -1048,7 +1024,6 @@ mod tests {
         .unwrap();
         assert_eq!(total, 1);
         assert!(db.damage().is_clean());
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -60,52 +60,44 @@ pub fn write_stray_tmp(profile_path: &Path, payload: &[u8]) -> io::Result<PathBu
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp(tag: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("dcpi-fsfault-{}-{tag}", std::process::id()));
-        let _ = fs::remove_file(&p);
-        p
-    }
+    use dcpi_testkit::TempRoot;
 
     #[test]
     fn truncate_keeps_prefix() {
-        let p = temp("trunc");
+        let root = TempRoot::new("fsfault-trunc");
+        let p = root.join("file");
         fs::write(&p, b"abcdefgh").unwrap();
         truncate_file(&p, 3).unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"abc");
         truncate_file(&p, 100).unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"abc");
-        fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn flip_bit_is_its_own_inverse() {
-        let p = temp("flip");
+        let root = TempRoot::new("fsfault-flip");
+        let p = root.join("file");
         fs::write(&p, b"abcd").unwrap();
         flip_bit(&p, 6, 11).unwrap(); // byte 6 % 4 = 2, bit 11 % 8 = 3
         assert_ne!(fs::read(&p).unwrap(), b"abcd");
         flip_bit(&p, 6, 11).unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"abcd");
-        fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn flip_bit_rejects_empty_file() {
-        let p = temp("empty");
+        let root = TempRoot::new("fsfault-empty");
+        let p = root.join("file");
         fs::write(&p, b"").unwrap();
         assert!(flip_bit(&p, 0, 0).is_err());
-        fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn stray_tmp_lands_next_to_profile() {
-        let dir = std::env::temp_dir().join(format!("dcpi-fsfault-dir-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = TempRoot::new("fsfault-dir");
         let prof = dir.join("00000003.cycles.prof");
         let tmp = write_stray_tmp(&prof, b"half a merge").unwrap();
         assert_eq!(tmp, dir.join("00000003.cycles.tmp"));
         assert!(tmp.exists());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -307,8 +307,8 @@ pub fn compile_uops(insns: &[Instruction], meta: &[InsnMeta]) -> Vec<Uop> {
 
 /// Histogram of straight-line chain lengths: the run lengths between
 /// control transfers (each basic block's instruction count, with the
-/// terminating control instruction included). Used by the dispatch-stats
-/// report uploaded alongside the perf baseline.
+/// terminating control instruction included). Used by the dispatch stats
+/// that `experiments report` prints.
 #[must_use]
 pub fn chain_length_histogram(ops: &[Uop]) -> std::collections::BTreeMap<usize, u64> {
     let mut hist = std::collections::BTreeMap::new();

@@ -71,7 +71,7 @@ use dcpi_isa::pipeline::InsnClass;
 use dcpi_isa::uop::{Uop, UopKind, NO_WRITE};
 use std::sync::Arc;
 
-/// Dispatch-path accounting, exported with the perf baseline (fallback
+/// Dispatch-path accounting, printed by `experiments report` (fallback
 /// rate = `classic_groups / (classic_groups + chain_groups)`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DispatchStats {

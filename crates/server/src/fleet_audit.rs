@@ -305,29 +305,21 @@ mod tests {
     use crate::fleet::{run_fleet, FleetConfig};
     use crate::server::{IngestServer, ServerConfig};
     use dcpi_obs::Obs;
-    use std::path::PathBuf;
-
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcpi-fla-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use dcpi_testkit::TempRoot;
 
     #[test]
     fn clean_run_audits_clean() {
-        let root = temp_root("clean");
+        let root = TempRoot::new("fleet-audit-clean");
         let cfg = FleetConfig::new(&root, 8, 11);
         let report = run_fleet(&cfg, &Obs::default()).unwrap();
         assert!(report.conserves(), "{}", report.ledger.render());
         let audit = check_fleet(&root);
         assert!(audit.is_clean(), "{}", audit.render());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn tampered_wal_and_json_are_caught() {
-        let root = temp_root("tamper");
+        let root = TempRoot::new("fleet-audit-tamper");
         let cfg = FleetConfig::new(&root, 6, 13);
         run_fleet(&cfg, &Obs::default()).unwrap();
         // Rewrite fleet.json's generated count: conservation mismatch.
@@ -385,7 +377,6 @@ mod tests {
             .diags
             .iter()
             .any(|d| d.category == Category::WalStructure));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// `reopen` must refuse the root and the audit must flag the database
@@ -406,7 +397,7 @@ mod tests {
 
     #[test]
     fn damaged_log_head_is_refused_not_restarted_at_epoch_zero() {
-        let root = temp_root("head");
+        let root = TempRoot::new("fleet-audit-head");
         run_fleet(&FleetConfig::new(&root, 6, 17), &Obs::default()).unwrap();
         let wal = root.join(WAL_FILE);
         let mut bytes = std::fs::read(&wal).unwrap();
@@ -423,12 +414,11 @@ mod tests {
             bytes,
             "refusing wrote nothing"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn checkpoint_and_database_must_agree_on_the_newest_epoch() {
-        let root = temp_root("newest");
+        let root = TempRoot::new("fleet-audit-newest");
         run_fleet(&FleetConfig::new(&root, 6, 19), &Obs::default()).unwrap();
         let scan = journal::scan(&root.join(WAL_FILE)).unwrap();
         let merged = scan.tail().unwrap().checkpoint.unwrap().epochs_merged();
@@ -452,12 +442,11 @@ mod tests {
                 merged - 1
             ),
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn trailing_intent_only_warns_but_must_name_the_journal() {
-        let root = temp_root("intent");
+        let root = TempRoot::new("fleet-audit-intent");
         let cfg = FleetConfig::new(&root, 4, 23);
         run_fleet(&cfg, &Obs::default()).unwrap();
         let merged = {
@@ -481,6 +470,5 @@ mod tests {
             .diags
             .iter()
             .any(|d| d.severity == Severity::Error && d.category == Category::WalStructure));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

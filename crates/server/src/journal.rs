@@ -452,13 +452,7 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcpi-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use dcpi_testkit::TempRoot;
 
     fn sample_checkpoint() -> Checkpoint {
         let totals = |n: u64| AgentTotals {
@@ -485,7 +479,7 @@ mod tests {
 
     #[test]
     fn append_scan_roundtrip() {
-        let root = temp_root("roundtrip");
+        let root = TempRoot::new("journal-roundtrip");
         let mut j = Journal::open(&root).unwrap();
         assert_eq!(j.bytes(), 0);
         j.append_frame(b"frame-one").unwrap();
@@ -509,12 +503,11 @@ mod tests {
         assert!(tail.checkpoint.is_none());
         assert_eq!(tail.frames, [&b"frame-one"[..], b"frame-two"]);
         assert_eq!(tail.intent, Some((0, &[(1, 1), (2, 1)][..])));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn rotate_leaves_one_checkpoint_and_keeps_appending() {
-        let root = temp_root("rotate");
+        let root = TempRoot::new("journal-rotate");
         let path = root.join(WAL_FILE);
         let mut j = Journal::open(&root).unwrap();
         j.append_frame(b"merged-and-gone").unwrap();
@@ -538,12 +531,11 @@ mod tests {
         assert_eq!(tail.checkpoint, Some(&ckpt));
         assert_eq!(tail.frames, [b"next"]);
         assert!(tail.intent.is_none() && s.is_clean_tail());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn stale_rotation_scratch_is_removed_unread() {
-        let root = temp_root("stale-tmp");
+        let root = TempRoot::new("journal-stale-tmp");
         let mut j = Journal::open(&root).unwrap();
         j.append_frame(b"kept").unwrap();
         drop(j);
@@ -553,12 +545,11 @@ mod tests {
         assert!(!root.join(WAL_TMP_FILE).exists());
         let s = scan(j.path()).unwrap();
         assert_eq!(s.tail().unwrap().frames, [b"kept"]);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn misplaced_records_are_invalid_data() {
-        let root = temp_root("grammar");
+        let root = TempRoot::new("journal-grammar");
         let mut j = Journal::open(&root).unwrap();
         j.append_intent(0, &[(1, 1)]).unwrap();
         j.append_intent(1, &[(1, 2)]).unwrap();
@@ -571,7 +562,6 @@ mod tests {
             .unwrap();
         let err = scan(j.path()).unwrap().tail().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -609,7 +599,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_detected_and_repaired_on_open() {
-        let root = temp_root("torn");
+        let root = TempRoot::new("journal-torn");
         let mut j = Journal::open(&root).unwrap();
         j.append_frame(b"good").unwrap();
         j.append_frame(b"will-be-torn").unwrap();
@@ -634,12 +624,11 @@ mod tests {
             scan2.tail().unwrap().frames,
             [&b"good"[..], b"after-repair"]
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn mid_log_bitflip_stops_the_scan() {
-        let root = temp_root("flip");
+        let root = TempRoot::new("journal-flip");
         let mut j = Journal::open(&root).unwrap();
         j.append_frame(b"aaaa").unwrap();
         j.append_frame(b"bbbb").unwrap();
@@ -651,14 +640,12 @@ mod tests {
         let s = scan(&path).unwrap();
         assert_eq!(s.records.len(), 0);
         assert!(s.torn_bytes > 0);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn missing_file_scans_empty() {
-        let root = temp_root("missing");
+        let root = TempRoot::new("journal-missing");
         let s = scan(&root.join(WAL_FILE)).unwrap();
         assert!(s.records.is_empty() && s.is_clean_tail());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -130,12 +130,7 @@ mod tests {
     use dcpi_core::{Event, ProfileKey};
     use dcpi_isa::asm::Asm;
     use dcpi_isa::reg::Reg;
-
-    fn temp(tag: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("dcpi-dbload-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        p
-    }
+    use dcpi_testkit::TempRoot;
 
     fn sample_image() -> Image {
         let mut a = Asm::new("/bin/app");
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn load_db_with_saved_images() {
-        let dir = temp("ok");
+        let dir = TempRoot::new("dbload-ok");
         let mut db = ProfileDb::create(&dir, Format::V2).unwrap();
         let mut set = ProfileSet::new();
         set.add(ImageId(3), Event::Cycles, 0, 42);
@@ -162,12 +157,11 @@ mod tests {
         let (id, _, sym) = find_procedure(&loaded.registry, "hot").unwrap();
         assert_eq!(id, ImageId(3));
         assert_eq!(sym.offset, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_image_files_are_skipped() {
-        let dir = temp("corrupt");
+        let dir = TempRoot::new("dbload-corrupt");
         let mut db = ProfileDb::create(&dir, Format::V2).unwrap();
         let mut set = ProfileSet::new();
         set.insert(
@@ -184,7 +178,6 @@ mod tests {
         let loaded = load_db(&dir).unwrap();
         assert_eq!(loaded.registry.name(ImageId(1)), "?", "skipped");
         assert_eq!(loaded.profiles.event_total(Event::Cycles), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -508,14 +508,8 @@ mod tests {
     use dcpi_core::ImageId;
     use dcpi_isa::asm::Asm;
     use dcpi_isa::reg::Reg;
-    use std::path::PathBuf;
+    use dcpi_testkit::TempRoot;
     use std::sync::Arc;
-
-    fn temp_db(tag: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!("dcpicheck-db-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
 
     fn seed_db(root: &Path) {
         let mut db = ProfileDb::create(root, Format::V2).unwrap();
@@ -528,17 +522,16 @@ mod tests {
 
     #[test]
     fn db_audit_passes_on_a_clean_database() {
-        let root = temp_db("clean");
+        let root = TempRoot::new("dcpicheck-clean");
         seed_db(&root);
         let report = dcpicheck_db(&root);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.warnings(), 0, "{}", report.render());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn db_audit_flags_damage_without_aborting() {
-        let root = temp_db("damaged");
+        let root = TempRoot::new("dcpicheck-damaged");
         seed_db(&root);
         let epoch = root.join("epoch_0000");
         // Truncate one profile mid-record: a checksum error.
@@ -572,12 +565,11 @@ mod tests {
         assert!(has(Category::StaleTemp), "{text}");
         assert!(has(Category::QuarantinedFile), "{text}");
         assert!(has(Category::ImageNameRecord), "{text}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn db_audit_flags_structure_problems() {
-        let root = temp_db("structure");
+        let root = TempRoot::new("dcpicheck-structure");
         seed_db(&root);
         // A gap in epoch numbering and a foreign file in the root.
         std::fs::create_dir(root.join("epoch_0005")).unwrap();
@@ -589,12 +581,11 @@ mod tests {
         assert!(text.contains("gap"), "{text}");
         assert!(text.contains("notes.txt"), "{text}");
         assert!(text.contains("foreign file"), "{text}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn db_audit_flags_malformed_name_records() {
-        let root = temp_db("names");
+        let root = TempRoot::new("dcpicheck-names");
         seed_db(&root);
         std::fs::write(root.join("images.tsv"), "7\t/bin/app\nbogus line\n").unwrap();
         let report = dcpicheck_db(&root);
@@ -603,7 +594,6 @@ mod tests {
             .diags
             .iter()
             .any(|d| d.category == Category::ImageNameRecord && d.severity == Severity::Error));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -653,7 +643,7 @@ mod tests {
 
     #[test]
     fn stacks_audit_passes_when_stack_and_flat_totals_agree() {
-        let root = temp_db("stacks-clean");
+        let root = TempRoot::new("dcpicheck-stacks-clean");
         seed_db(&root); // 12 cycles samples at one pc
         seed_stacks(&root, 12); // 12 stacked cycles samples
         let report = dcpicheck_stacks(&root);
@@ -663,12 +653,11 @@ mod tests {
         let db_report = dcpicheck_db(&root);
         assert!(db_report.is_clean(), "{}", db_report.render());
         assert_eq!(db_report.warnings(), 0, "{}", db_report.render());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn stacks_audit_warns_on_flat_total_mismatch() {
-        let root = temp_db("stacks-skew");
+        let root = TempRoot::new("dcpicheck-stacks-skew");
         seed_db(&root); // 12 cycles samples
         seed_stacks(&root, 9); // fewer stacked samples: driver-drop shape
         let report = dcpicheck_stacks(&root);
@@ -677,12 +666,11 @@ mod tests {
         assert!(report
             .render()
             .contains("9 stack samples vs 12 flat samples"));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn stacks_audit_flags_a_corrupt_sidecar() {
-        let root = temp_db("stacks-corrupt");
+        let root = TempRoot::new("dcpicheck-stacks-corrupt");
         seed_db(&root);
         seed_stacks(&root, 12);
         let sidecar = root.join("epoch_0000").join(STACKS_FILE);
@@ -697,18 +685,16 @@ mod tests {
         // dcpicheck db flags the same corruption at decode level.
         let db_report = dcpicheck_db(&root);
         assert!(!db_report.is_clean(), "{}", db_report.render());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn stacks_audit_on_a_stackless_database_is_a_warning_not_an_error() {
-        let root = temp_db("stacks-none");
+        let root = TempRoot::new("dcpicheck-stacks-none");
         seed_db(&root);
         let report = dcpicheck_stacks(&root);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.warnings(), 1, "{}", report.render());
         assert!(report.render().contains("without stack walking"));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

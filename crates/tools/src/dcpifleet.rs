@@ -145,12 +145,10 @@ mod tests {
     use super::*;
     use dcpi_obs::Obs;
     use dcpi_server::fleet::{run_fleet, FleetConfig};
-    use std::path::PathBuf;
+    use dcpi_testkit::TempRoot;
 
-    fn fleet_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcpi-flt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn fleet_root(tag: &str) -> TempRoot {
+        let dir = TempRoot::new(&format!("dcpifleet-{tag}"));
         let cfg = FleetConfig::new(&dir, 6, 21);
         let report = run_fleet(&cfg, &Obs::default()).unwrap();
         assert!(report.conserves());
@@ -167,7 +165,6 @@ mod tests {
         assert!(agents.contains("6 agent(s) journaled"), "{agents}");
         let image = dcpifleet_image(&root, 1).unwrap();
         assert!(image.contains("Cycles"), "{image}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -108,6 +108,7 @@ mod tests {
     use dcpi_isa::image::{Image, Symbol};
     use dcpi_isa::AddressMap;
     use dcpi_pgo::PgoReport;
+    use dcpi_testkit::TempRoot;
 
     fn fake_outcome() -> PgoOutcome {
         let img = Image::new(
@@ -167,8 +168,7 @@ mod tests {
     #[test]
     fn artifacts_roundtrip_from_disk() {
         let out = fake_outcome();
-        let dir = std::env::temp_dir().join(format!("dcpipgo-artifacts-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempRoot::new("dcpipgo-artifacts");
         write_artifacts(&dir, &out).unwrap();
         let old = Image::from_bytes(&std::fs::read(dir.join("old.img")).unwrap()).unwrap();
         assert_eq!(old.name(), "/t/app");
@@ -176,7 +176,6 @@ mod tests {
             AddressMap::parse(&std::fs::read_to_string(dir.join("map.json")).unwrap()).unwrap();
         assert_eq!(map.len(), 1);
         assert!(dir.join("delta.json").exists() && dir.join("estimates.json").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

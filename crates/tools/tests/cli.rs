@@ -7,6 +7,7 @@ use dcpi_isa::asm::Asm;
 use dcpi_isa::reg::Reg;
 use dcpi_machine::counters::CounterConfig;
 use dcpi_obs::ObsConfig;
+use dcpi_testkit::TempRoot;
 use std::process::Command;
 
 fn write_db(dir: &std::path::Path, seed: u32) {
@@ -92,8 +93,8 @@ fn bin(name: &str) -> Command {
 /// is touched, so none of the paths below needs to exist (or may, after).
 #[test]
 fn every_tool_rejects_what_it_does_not_read() {
-    let nowhere = std::env::temp_dir().join(format!("dcpi-cli-contract-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&nowhere);
+    let root = TempRoot::new("cli-contract");
+    let nowhere = root.join("nowhere");
     let p = nowhere.to_str().unwrap();
     for tool in dcpi_tools::TOOL_NAMES {
         // A well-formed command line, and one valued flag if there is any.
@@ -133,11 +134,8 @@ fn every_tool_rejects_what_it_does_not_read() {
 
 #[test]
 fn cli_binaries_work_on_a_real_database() {
-    let dir = std::env::temp_dir().join(format!("dcpi-cli-test-{}", std::process::id()));
-    let dir2 = dir.with_extension("second");
-    for d in [&dir, &dir2] {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let root = TempRoot::new("cli-test");
+    let (dir, dir2) = (root.join("first"), root.join("second"));
     write_db(&dir, 1);
     write_db(&dir2, 2);
 
@@ -254,10 +252,6 @@ fn cli_binaries_work_on_a_real_database() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("not found"));
     let out = bin("dcpiprof").arg("/nonexistent-db").output().unwrap();
     assert!(!out.status.success());
-
-    for d in [&dir, &dir2] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 /// Builds the cli_app text (optionally with one corrupted instruction)
@@ -282,9 +276,7 @@ fn static_app(corrupt: bool) -> dcpi_isa::image::Image {
 
 #[test]
 fn static_analysis_cli_works_end_to_end() {
-    let dir = std::env::temp_dir().join(format!("dcpi-static-cli-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempRoot::new("static-cli-test");
     let put = |name: &str, bytes: Vec<u8>| {
         let p = dir.join(name);
         std::fs::write(&p, bytes).unwrap();
@@ -394,14 +386,11 @@ fn static_analysis_cli_works_end_to_end() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin("dcpicheck").arg("dataflow").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn obs_cli_binaries_work_on_a_real_export() {
-    let dir = std::env::temp_dir().join(format!("dcpi-obs-cli-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempRoot::new("obs-cli-test");
     let obs = write_obs_export(&dir);
     let obs_arg = obs.to_str().unwrap();
 
@@ -475,14 +464,11 @@ fn obs_cli_binaries_work_on_a_real_export() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("obs-export"));
 
     let _ = std::fs::remove_file(&obs);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fleet_cli_binaries_work_end_to_end() {
-    let root = std::env::temp_dir().join(format!("dcpi-fleet-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let root = TempRoot::new("fleet-cli");
     let root_arg = root.to_str().unwrap().to_owned();
     let obs_path = root.with_extension("obs.json");
     let obs_arg = obs_path.to_str().unwrap().to_owned();
@@ -592,5 +578,4 @@ fn fleet_cli_binaries_work_end_to_end() {
     assert_eq!(out.status.code(), Some(2));
 
     let _ = std::fs::remove_file(&obs_path);
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -484,11 +484,10 @@ pub fn run_workload(w: Workload, prof: ProfConfig, opts: &RunOptions) -> RunResu
             samples: m.total_samples(),
             retired: m.total_retired(),
             edge_profiles,
-            driver: Some(m.sink.driver.total_stats()),
+            driver: Some(m.sink.total_stats()),
             daemon: Some(run.daemon.stats),
             driver_kernel_bytes: m
                 .sink
-                .driver
                 .per_cpu
                 .iter()
                 .map(dcpi_collect::driver::CpuDriver::kernel_memory_bytes)

@@ -2,13 +2,12 @@
 //! invocations reaches the simulator: a command line that is not fully
 //! understood, or a database directory that already exists, stops first.
 
+use dcpi_testkit::TempRoot;
 use std::process::Command;
 
 #[test]
 fn profile_refuses_before_it_runs() {
-    let base = std::env::temp_dir().join(format!("dcpi-profile-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
+    let base = TempRoot::new("profile-cli");
     let fresh = base.join("db");
     let db = fresh.to_str().unwrap();
     let run = |args: &[&str]| {
@@ -45,6 +44,4 @@ fn profile_refuses_before_it_runs() {
     assert!(err.starts_with("profile: "), "{err}");
     assert!(err.contains("already exists"), "{err}");
     assert!(!err.contains("usage"), "{err}");
-
-    std::fs::remove_dir_all(&base).unwrap();
 }

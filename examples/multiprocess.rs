@@ -58,7 +58,7 @@ fn main() {
     );
     println!(
         "driver hash miss rate: {:.1}%, unknown samples: {:.3}%\n",
-        run.machine.sink.driver.total_stats().miss_rate() * 100.0,
+        run.machine.sink.total_stats().miss_rate() * 100.0,
         run.daemon.unknown_fraction() * 100.0
     );
 

@@ -18,6 +18,7 @@ use dcpi::isa::{Image, Symbol};
 use dcpi::server::journal::{AgentTotals, Checkpoint};
 use dcpi::server::{scan, Journal, WalRecord, WAL_FILE};
 use dcpi_stacks::{Frame, StackProfile};
+use dcpi_testkit::TempRoot;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -327,9 +328,7 @@ fn encoders_write_and_decoders_read_the_recorded_bytes() {
 
     // The WAL's three record kinds: frames and an intent, then the
     // checkpoint a rotation leaves with a frame appended after it.
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire_bytes");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create the WAL root");
+    let root = TempRoot::new("wire-bytes-wal");
     let wal = root.join(WAL_FILE);
     let (frame_a, frame_b) = (encode_msg(&upload), b"opaque to the log".to_vec());
     let intent = vec![(7u32, 100u64), (70_000, 1 << 33)];
@@ -364,7 +363,7 @@ fn encoders_write_and_decoders_read_the_recorded_bytes() {
     assert_eq!(tail.checkpoint, Some(&checkpoint));
     assert_eq!(tail.frames, [&frame_b[..]]);
     assert!(tail.intent.is_none());
-    std::fs::remove_dir_all(&root).expect("remove the WAL root");
+    drop(root);
 
     let stacks = fixed_stacks();
     let bytes = g.pin("dcst", stacks.to_bytes());
