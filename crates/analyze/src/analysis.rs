@@ -140,30 +140,12 @@ pub fn analyze_procedure(
     model: &PipelineModel,
     opts: &AnalysisOptions,
 ) -> Result<ProcAnalysis, Error> {
-    analyze_procedure_with_edges(image, sym, set, None, image_id, model, opts)
+    analyze_procedure_extended(image, sym, set, None, None, image_id, model, opts)
 }
 
-/// Like [`analyze_procedure`], additionally consuming interpreted
-/// branch-direction samples (the §7 edge-sample extension) to improve
-/// edge-frequency estimates.
-///
-/// # Errors
-///
-/// As [`analyze_procedure`].
-pub fn analyze_procedure_with_edges(
-    image: &Image,
-    sym: &Symbol,
-    set: &ProfileSet,
-    edge_samples: Option<&EdgeProfiles>,
-    image_id: ImageId,
-    model: &PipelineModel,
-    opts: &AnalysisOptions,
-) -> Result<ProcAnalysis, Error> {
-    analyze_procedure_extended(image, sym, set, edge_samples, None, image_id, model, opts)
-}
-
-/// The full-featured entry point: consumes both §7 extensions — edge
-/// samples (branch directions) and path samples (double sampling, which
+/// The full-featured entry point: consumes the two §7 extensions, each
+/// optional — edge samples (branch directions, which improve
+/// edge-frequency estimates) and path samples (double sampling, which
 /// resolves indirect-jump targets in the CFG).
 ///
 /// # Errors
@@ -318,6 +300,52 @@ pub fn analyze_procedure_extended(
         frequencies: freqs,
         schedules,
         summary,
+    })
+}
+
+/// The `event` samples `set` holds inside procedure `sym` of image
+/// `image_id`, or `None` when `set` has no `event` profile for the image.
+#[must_use]
+pub fn procedure_samples(
+    set: &ProfileSet,
+    image_id: ImageId,
+    event: Event,
+    sym: &Symbol,
+) -> Option<u64> {
+    set.get(image_id, event)
+        .map(|p| p.range_total(sym.offset, sym.offset + sym.size))
+}
+
+/// The procedures of `image` that hold at least `min_samples` CYCLES
+/// samples in `set`, each with that count, in symbol-table order. This is
+/// the one sample gate every consumer of analyzed procedures goes
+/// through; an image without a CYCLES profile yields nothing.
+pub fn sampled_procedures<'a>(
+    image: &'a Image,
+    set: &'a ProfileSet,
+    image_id: ImageId,
+    min_samples: u64,
+) -> impl Iterator<Item = (&'a Symbol, u64)> + 'a {
+    image.symbols().iter().filter_map(move |sym| {
+        let samples = procedure_samples(set, image_id, Event::Cycles, sym)?;
+        (samples >= min_samples).then_some((sym, samples))
+    })
+}
+
+/// Analyzes each of [`sampled_procedures`] under the default pipeline
+/// model and `opts`, yielding `(symbol, samples, analysis)`: the one
+/// fan-out from a profile set to analyzed procedures.
+pub fn analyze_sampled<'a>(
+    image: &'a Image,
+    set: &'a ProfileSet,
+    image_id: ImageId,
+    min_samples: u64,
+    opts: &'a AnalysisOptions,
+) -> impl Iterator<Item = (&'a Symbol, u64, Result<ProcAnalysis, Error>)> + 'a {
+    let model = PipelineModel::default();
+    sampled_procedures(image, set, image_id, min_samples).map(move |(sym, samples)| {
+        let pa = analyze_procedure(image, sym, set, image_id, &model, opts);
+        (sym, samples, pa)
     })
 }
 
@@ -533,6 +561,30 @@ mod tests {
         assert_eq!(pa.total_samples(), 0);
         assert!(pa.insns.iter().all(|i| i.freq == 0.0));
         assert_eq!(pa.best_case_cpi(), 0.0);
+    }
+
+    #[test]
+    fn the_gate_yields_sampled_procedures_with_their_counts() {
+        let image = copy_image();
+        let sym = image.symbol_named("copy").unwrap();
+        let set = copy_profiles(ImageId(1), sym.offset);
+        let total = set.event_total(Event::Cycles);
+        let names = |min| -> Vec<(String, u64)> {
+            sampled_procedures(&image, &set, ImageId(1), min)
+                .map(|(s, n)| (s.name.clone(), n))
+                .collect()
+        };
+        assert_eq!(names(0), [("pad".into(), 0), ("copy".into(), total)]);
+        assert_eq!(names(1), [("copy".into(), total)]);
+        assert!(names(total + 1).is_empty());
+        // No CYCLES profile for the image: nothing passes, not even at 0.
+        assert_eq!(sampled_procedures(&image, &set, ImageId(2), 0).count(), 0);
+        let opts = AnalysisOptions::default();
+        let fanned: Vec<_> = analyze_sampled(&image, &set, ImageId(1), 1, &opts).collect();
+        assert_eq!(fanned.len(), 1);
+        let (s, n, pa) = &fanned[0];
+        assert_eq!((s.name.as_str(), *n), ("copy", total));
+        assert_eq!(pa.as_ref().unwrap().total_samples(), total);
     }
 
     #[test]

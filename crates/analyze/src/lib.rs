@@ -18,7 +18,9 @@
 //! "guilty until proven innocent" dynamic-culprit elimination
 //! ([`culprit`]). [`summary`] aggregates instruction-level results into
 //! the procedure summaries of Figure 4, and [`analysis`] is the top-level
-//! entry point tying everything together.
+//! entry point tying everything together: [`sampled_procedures`] is the
+//! one CYCLES sample gate and [`analyze_sampled`] the one fan-out from a
+//! profile set to analyzed procedures.
 
 pub mod analysis;
 pub mod cfg;
@@ -29,8 +31,8 @@ pub mod frequency;
 pub mod summary;
 
 pub use analysis::{
-    analyze_procedure, analyze_procedure_extended, analyze_procedure_with_edges, InsnAnalysis,
-    ProcAnalysis,
+    analyze_procedure, analyze_procedure_extended, analyze_sampled, procedure_samples,
+    sampled_procedures, InsnAnalysis, ProcAnalysis,
 };
 pub use cfg::{BlockId, Cfg, EdgeKind};
 pub use culprit::{Culprit, DynamicCause};

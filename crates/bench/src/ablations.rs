@@ -5,12 +5,10 @@
 
 use crate::figures::add_edge_errors;
 use crate::{
-    accuracy_runs, for_each_procedure, mean_period, ErrorHistogram, ExpOptions, Outcome,
-    ACCURACY_PERIOD,
+    accuracy_runs, analyze_run, mean_period, ErrorHistogram, ExpOptions, Outcome, ACCURACY_PERIOD,
 };
 use dcpi_analyze::analysis::{
-    analyze_procedure, analyze_procedure_extended, analyze_procedure_with_edges, AnalysisOptions,
-    ProcAnalysis,
+    analyze_procedure_extended, sampled_procedures, AnalysisOptions, ProcAnalysis,
 };
 use dcpi_analyze::cfg::{Cfg, EdgeKind};
 use dcpi_analyze::frequency::EstimatorConfig;
@@ -163,17 +161,7 @@ pub fn ablation_freq(opts: &ExpOptions) -> Outcome {
                 estimator: estimator(variant),
                 ..AnalysisOptions::default()
             };
-            for_each_procedure(&r, 50, |id, image, sym| {
-                let Ok(pa) = analyze_procedure(
-                    image,
-                    sym,
-                    &r.profiles,
-                    id,
-                    &PipelineModel::default(),
-                    &aopts,
-                ) else {
-                    return;
-                };
+            for (id, _, pa) in analyze_run(&r, 50, &aopts) {
                 for ia in &pa.insns {
                     if ia.samples == 0 || ia.freq <= 0.0 {
                         continue;
@@ -184,7 +172,7 @@ pub fn ablation_freq(opts: &ExpOptions) -> Outcome {
                     }
                     hist.add(ia.freq * p / true_execs as f64 - 1.0, ia.samples as f64);
                 }
-            });
+            }
         }
     }
     for (variant, hist) in VARIANTS.iter().zip(&hists) {
@@ -334,19 +322,22 @@ pub fn extension_edges(opts: &ExpOptions) -> Outcome {
     let mut hists = [ErrorHistogram::new(), ErrorHistogram::new()];
     for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
         for (use_edges, hist) in [false, true].into_iter().zip(&mut hists) {
-            for_each_procedure(&r, 50, |id, image, sym| {
-                if let Ok(pa) = analyze_procedure_with_edges(
-                    image,
-                    sym,
-                    &r.profiles,
-                    use_edges.then_some(&r.edge_profiles),
-                    id,
-                    &PipelineModel::default(),
-                    &AnalysisOptions::default(),
-                ) {
-                    add_edge_errors(hist, &r, id, &pa, p);
+            for (id, image) in &r.images {
+                for (sym, _) in sampled_procedures(image, &r.profiles, *id, 50) {
+                    if let Ok(pa) = analyze_procedure_extended(
+                        image,
+                        sym,
+                        &r.profiles,
+                        use_edges.then_some(&r.edge_profiles),
+                        None,
+                        *id,
+                        &PipelineModel::default(),
+                        &AnalysisOptions::default(),
+                    ) {
+                        add_edge_errors(hist, &r, *id, &pa, p);
+                    }
                 }
-            });
+            }
         }
     }
     let within = |h: &ErrorHistogram| [5.0, 10.0, 15.0].map(|pct| h.within(pct) * 100.0);

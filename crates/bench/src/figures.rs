@@ -6,7 +6,7 @@ use crate::{
     accuracy_runs, analyze_run, mean_ci, mean_period, pearson, ErrorHistogram, ExpOptions, Outcome,
     ACCURACY_PERIOD,
 };
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
+use dcpi_analyze::analysis::{analyze_procedure, procedure_samples, AnalysisOptions, ProcAnalysis};
 use dcpi_analyze::cfg::EdgeKind;
 use dcpi_analyze::culprit::DynamicCause;
 use dcpi_analyze::frequency::Confidence;
@@ -60,10 +60,7 @@ pub fn figure1(opts: &ExpOptions) -> Outcome {
         ..RunOptions::default()
     };
     let r = run_workload(Workload::X11Perf, ProfConfig::Default, &ro);
-    let mut registry = ImageRegistry::new();
-    for (id, img) in &r.images {
-        registry.insert(*id, img.clone());
-    }
+    let registry: ImageRegistry = r.images.iter().cloned().collect();
     writeln!(o, "Figure 1: dcpiprof of the x11perf-like workload");
     writeln!(o);
     o.text
@@ -164,9 +161,7 @@ pub fn figure3(opts: &ExpOptions) -> Outcome {
             ..RunOptions::default()
         };
         let r = run_workload(Workload::Wave5, ProfConfig::Cycles, &ro);
-        for (id, img) in &r.images {
-            registry.insert(*id, img.clone());
-        }
+        registry.extend(r.images);
         sets.push(r.profiles);
     }
     writeln!(
@@ -226,9 +221,7 @@ pub fn figure4(opts: &ExpOptions) -> Outcome {
     writeln!(
         o,
         "(smooth_ cycles samples: {})",
-        r.profiles
-            .get(id, Event::Cycles)
-            .map_or(0, |p| p.range_total(sym.offset, sym.offset + sym.size))
+        procedure_samples(&r.profiles, id, Event::Cycles, &sym).unwrap_or(0)
     );
     let s = &pa.summary;
     let dcache = s.dynamic_range(DynamicCause::DCacheMiss).max;
@@ -451,7 +444,7 @@ pub fn figure8(opts: &ExpOptions) -> Outcome {
     let mut bad_low_conf = 0.0;
     let mut bad_total = 0.0;
     for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
-        for (id, _, pa) in analyze_run(&r, 50) {
+        for (id, _, pa) in analyze_run(&r, 50, &AnalysisOptions::default()) {
             // Sampling-adequacy filter; see figure9 and EXPERIMENTS.md.
             if pa.total_samples() < 2 * pa.insns.len() as u64 {
                 continue;
@@ -544,7 +537,7 @@ pub fn figure9(opts: &ExpOptions) -> Outcome {
     let p = mean_period(ACCURACY_PERIOD);
     let mut hist = ErrorHistogram::new();
     for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
-        for (id, _, pa) in analyze_run(&r, 50) {
+        for (id, _, pa) in analyze_run(&r, 50, &AnalysisOptions::default()) {
             add_edge_errors(&mut hist, &r, id, &pa, p);
         }
     }
@@ -643,11 +636,8 @@ pub fn figure10(opts: &ExpOptions) -> Outcome {
                 dcpi_core::Profile::new(),
             );
         }
-        for (id, sym, pa) in analyze_run(&r, 30) {
-            let imiss = r
-                .profiles
-                .get(id, Event::IMiss)
-                .map_or(0, |p| p.range_total(sym.offset, sym.offset + sym.size));
+        for (id, sym, pa) in analyze_run(&r, 30, &AnalysisOptions::default()) {
+            let imiss = procedure_samples(&r.profiles, id, Event::IMiss, &sym).unwrap_or(0);
             let s = &pa.summary;
             let range = s.dynamic_range(DynamicCause::ICacheMiss);
             let tallied = s.tallied_samples as f64;

@@ -8,10 +8,9 @@
 //! keeps what several experiments share: the accuracy suite, merged
 //! multi-run results, and the statistics they print.
 
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
-use dcpi_core::{Event, ImageId};
-use dcpi_isa::image::{Image, Symbol};
-use dcpi_isa::pipeline::PipelineModel;
+use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions, ProcAnalysis};
+use dcpi_core::ImageId;
+use dcpi_isa::image::Symbol;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{ProfConfig, RunOptions, RunResult, Workload};
 
@@ -157,36 +156,23 @@ impl ErrorHistogram {
     }
 }
 
-/// Calls `f` on every procedure of a run that has at least `min_samples`
-/// CYCLES samples.
-pub fn for_each_procedure(
+/// Analyzes every procedure of a run that has at least `min_samples`
+/// CYCLES samples under `opts`, returning `(image, symbol, analysis)`
+/// triples for those whose analysis succeeded.
+#[must_use]
+pub fn analyze_run(
     r: &RunResult,
     min_samples: u64,
-    mut f: impl FnMut(ImageId, &Image, &Symbol),
-) {
+    opts: &AnalysisOptions,
+) -> Vec<(ImageId, Symbol, ProcAnalysis)> {
+    let mut out = Vec::new();
     for (id, image) in &r.images {
-        let Some(profile) = r.profiles.get(*id, Event::Cycles) else {
-            continue;
-        };
-        for sym in image.symbols() {
-            if profile.range_total(sym.offset, sym.offset + sym.size) >= min_samples {
-                f(*id, image, sym);
+        for (sym, _, pa) in analyze_sampled(image, &r.profiles, *id, min_samples, opts) {
+            if let Ok(pa) = pa {
+                out.push((*id, sym.clone(), pa));
             }
         }
     }
-}
-
-/// Analyzes every procedure of a run that has at least `min_samples`
-/// CYCLES samples, returning `(image, symbol, analysis)` triples.
-#[must_use]
-pub fn analyze_run(r: &RunResult, min_samples: u64) -> Vec<(ImageId, Symbol, ProcAnalysis)> {
-    let (model, opts) = (PipelineModel::default(), AnalysisOptions::default());
-    let mut out = Vec::new();
-    for_each_procedure(r, min_samples, |id, image, sym| {
-        if let Ok(pa) = analyze_procedure(image, sym, &r.profiles, id, &model, &opts) {
-            out.push((id, sym.clone(), pa));
-        }
-    });
     out
 }
 

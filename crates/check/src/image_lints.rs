@@ -11,6 +11,8 @@
 //!   on some path from the procedure entry (modulo the calling
 //!   convention's live-on-entry set).
 
+use crate::dataflow::liveness::Liveness;
+use crate::dataflow::solve;
 use crate::diag::{Category, Loc, Report, Severity};
 use dcpi_analyze::cfg::Cfg;
 use dcpi_isa::encode::{decode, encode};
@@ -191,44 +193,9 @@ pub(crate) fn reachable_blocks(cfg: &Cfg) -> Vec<bool> {
 }
 
 fn check_use_before_def(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
-    let nb = cfg.blocks.len();
-    let bit = |r: Reg| 1u64 << r.index();
-    // Per-block upward-exposed uses and definitions.
-    let mut uses = vec![0u64; nb];
-    let mut defs = vec![0u64; nb];
-    for b in 0..nb {
-        let blk = &cfg.blocks[b];
-        let base = (blk.start_word - cfg.start_word) as usize;
-        for insn in &cfg.insns[base..base + blk.len as usize] {
-            for r in insn.reads() {
-                if defs[b] & bit(r) == 0 {
-                    uses[b] |= bit(r);
-                }
-            }
-            if let Some(w) = insn.writes() {
-                defs[b] |= bit(w);
-            }
-        }
-    }
-    // Backward liveness to a fixpoint.
-    let mut live_in = vec![0u64; nb];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            let mut live_out = 0u64;
-            for e in &cfg.edges {
-                if e.from.0 == b {
-                    live_out |= live_in[e.to.0];
-                }
-            }
-            let new_in = uses[b] | (live_out & !defs[b]);
-            if new_in != live_in[b] {
-                live_in[b] = new_in;
-                changed = true;
-            }
-        }
-    }
+    // Registers live into the entry with nothing live at the exits: read
+    // on some path before any write to them.
+    let live_in = solve(cfg, &Liveness::closed()).entry;
     let suspicious = live_in[cfg.entry.0] & !abi_live_on_entry();
     for r in 0..Reg::COUNT {
         if suspicious & (1 << r) == 0 {

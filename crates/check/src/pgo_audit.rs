@@ -29,18 +29,6 @@ use dcpi_isa::insn::Instruction;
 use dcpi_isa::reg::Reg;
 use dcpi_isa::rewrite::{branch_target, invert_cond, AddressMap};
 
-fn is_nop(insn: Instruction) -> bool {
-    matches!(
-        insn,
-        Instruction::IntOp {
-            op: dcpi_isa::insn::IntOp::Bis,
-            ra: Reg::ZERO,
-            rb: dcpi_isa::insn::RegOrLit::Reg(Reg::ZERO),
-            rc: Reg::ZERO,
-        }
-    )
-}
-
 /// Checks `new` + `map` as a rewrite of `old`. See the module docs for
 /// the invariants; every violation is an error-severity diagnostic.
 #[must_use]
@@ -255,7 +243,7 @@ pub fn check_rewrite(old: &Image, new: &Image, map: &AddressMap) -> Report {
         // patched address pair right after its mapped high half.
         if live[p].is_none() {
             let ok = match insn {
-                _ if is_nop(insn) => !reachable[p],
+                Instruction::NOP => !reachable[p],
                 Instruction::Br { ra: Reg::ZERO, .. } => true,
                 Instruction::Lda { ra, .. } => {
                     p > 0
@@ -271,7 +259,7 @@ pub fn check_rewrite(old: &Image, new: &Image, map: &AddressMap) -> Report {
                 report.flag(
                     Category::PgoRewrite,
                     Loc::at(&ctx).pc(p as u64 * 4),
-                    if is_nop(insn) {
+                    if insn == Instruction::NOP {
                         format!("unmapped padding at new word {p} is reachable")
                     } else {
                         format!("unmapped new word is not padding or glue: {insn:?}")

@@ -112,19 +112,6 @@ struct Ctx<'a> {
     context: String,
 }
 
-/// The canonical no-op the rewriter pads with: `bis zero, zero, zero`.
-fn is_nop(insn: &Instruction) -> bool {
-    matches!(
-        insn,
-        Instruction::IntOp {
-            op: IntOp::Bis,
-            ra,
-            rb: RegOrLit::Reg(rb),
-            rc,
-        } if ra.is_zero() && rb.is_zero() && rc.is_zero()
-    )
-}
-
 impl Ctx<'_> {
     /// Follows inserted glue (nops and unconditional `br zero`) from new
     /// word `q` until a mapped word is reached.
@@ -137,7 +124,7 @@ impl Ctx<'_> {
                 return Some(q);
             }
             let insn = &self.new_i[q as usize];
-            if is_nop(insn) {
+            if *insn == Instruction::NOP {
                 q += 1;
             } else if let Instruction::Br { ra, disp } = insn {
                 if !ra.is_zero() {
@@ -536,7 +523,7 @@ pub fn validate_with(old: &Image, new: &Image, map: &AddressMap, opts: &TvOption
         if in_region[q] || ctx.origin[q].is_some() {
             continue;
         }
-        let ok = is_nop(insn)
+        let ok = *insn == Instruction::NOP
             || (matches!(insn, Instruction::Br { ra, .. } if ra.is_zero())
                 && ctx.resolve(q as u32).is_some());
         if !ok {

@@ -879,12 +879,14 @@ mod tests {
     #[test]
     fn reopen_without_prior_database_creates_one() {
         let dir = TempRoot::new("daemon-fresh");
+        let db = dir.join("db");
         let cfg = DaemonConfig {
-            db_path: Some(dir.to_path_buf()),
+            db_path: Some(db.clone()),
             ..DaemonConfig::default()
         };
         let d = Daemon::reopen(cfg).unwrap();
         assert!(d.db().is_some());
+        assert!(db.is_dir(), "reopen created the missing database");
     }
 
     #[test]

@@ -549,8 +549,9 @@ pub struct Driver {
     pub per_cpu: Vec<CpuDriver>,
     /// Logged raw samples, in delivery order (at most `trace_limit`).
     pub trace: Vec<Sample>,
-    /// Log up to this many raw samples into `trace` (0 = none).
-    pub trace_limit: usize,
+    /// Log up to this many raw samples into `trace` (0 = none); set from
+    /// `SessionConfig::trace_limit`.
+    pub(crate) trace_limit: usize,
 }
 
 impl Driver {

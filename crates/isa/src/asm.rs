@@ -238,9 +238,9 @@ impl Asm {
         self.intop(IntOp::Bis, Reg::ZERO, src, dst);
     }
 
-    /// A true no-op (`bis zero, zero, zero`).
+    /// A true no-op ([`Instruction::NOP`]).
     pub fn nop(&mut self) {
-        self.intop(IntOp::Bis, Reg::ZERO, Reg::ZERO, Reg::ZERO);
+        self.emit(Instruction::NOP);
     }
 
     /// Pads with a `nop` if needed so the next instruction sits at an

@@ -440,6 +440,16 @@ pub enum Instruction {
 }
 
 impl Instruction {
+    /// The canonical no-op, `bis zero, zero, zero`: what the assembler's
+    /// `nop` emits and the only padding word the optimizer inserts (and
+    /// its checkers accept).
+    pub const NOP: Instruction = Instruction::IntOp {
+        op: IntOp::Bis,
+        ra: Reg::ZERO,
+        rb: RegOrLit::Reg(Reg::ZERO),
+        rc: Reg::ZERO,
+    };
+
     /// Registers this instruction reads.
     ///
     /// Note stores read both their data register and their base; the zero

@@ -34,6 +34,10 @@ pub struct PgoReport {
     /// True when the translation validator proved the rewrite
     /// equivalent (only set when validation was requested).
     pub validated: bool,
+    /// Old-text segments the validator examined (0 without validation).
+    pub tv_segments: usize,
+    /// Segments whose equivalence proof went through.
+    pub tv_proved: usize,
 }
 
 impl PgoReport {

@@ -18,7 +18,7 @@ use crate::sched;
 use dcpi_analyze::cfg::Cfg;
 use dcpi_analyze::export::ExportedProc;
 use dcpi_isa::encode::encode;
-use dcpi_isa::insn::{IntOp, PalFunc, RegOrLit};
+use dcpi_isa::insn::PalFunc;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::rewrite::{branch_target, disp_for, invert_cond, li_split, li_value_at};
 use dcpi_isa::{AddressMap, Image, Instruction, Reg, Symbol};
@@ -179,15 +179,6 @@ struct UnitPlan {
     sym: Option<usize>,
     samples: u64,
     blocks: Vec<BlockPlan>,
-}
-
-fn nop() -> Instruction {
-    Instruction::IntOp {
-        op: IntOp::Bis,
-        ra: Reg::ZERO,
-        rb: RegOrLit::Reg(Reg::ZERO),
-        rc: Reg::ZERO,
-    }
 }
 
 /// True when control cannot fall past this instruction.
@@ -686,7 +677,7 @@ pub fn optimize(
 
     // Encode.
     let mapped = |w: u32| map.get(w).expect("map is total over old words");
-    let mut words = vec![encode(nop()); total as usize];
+    let mut words = vec![encode(Instruction::NOP); total as usize];
     for unit in &units {
         for blk in &unit.blocks {
             for (k, item) in blk.items.iter().enumerate() {
@@ -780,6 +771,8 @@ pub fn optimize(
             return Err(Skip::ValidationFailed { errors });
         }
         report.validated = true;
+        report.tv_segments = tv.segments;
+        report.tv_proved = tv.proved;
     }
     Ok(Rewritten {
         image: new_image,

@@ -28,10 +28,8 @@ fn main() -> ExitCode {
                 30,
             )
         } else {
-            let mut registry = ImageRegistry::new();
-            for (id, img) in b.registry.iter().chain(a.registry.iter()) {
-                registry.insert(id, img.clone());
-            }
+            let both = b.registry.iter().chain(a.registry.iter());
+            let registry: ImageRegistry = both.map(|(id, img)| (id, img.clone())).collect();
             dcpidiff(&b.profiles, &a.profiles, &registry, Event::Cycles, 30)
         };
         print!("{text}");

@@ -56,7 +56,7 @@ fn main() -> ExitCode {
         if !out.equivalent {
             return Err("rewritten image is NOT architecturally equivalent".into());
         }
-        if !out.statically_valid {
+        if !out.report.validated {
             return Err("translation validation did NOT prove the rewrite".into());
         }
         if !audit.is_clean() {

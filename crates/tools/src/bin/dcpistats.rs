@@ -20,9 +20,7 @@ fn main() -> ExitCode {
         let mut registry = ImageRegistry::new();
         for dir in &dirs {
             let db = load_db(dir).map_err(|e| format!("{dir}: {e}"))?;
-            for (id, img) in db.registry.iter() {
-                registry.insert(id, img.clone());
-            }
+            registry.extend(db.registry.iter().map(|(id, img)| (id, img.clone())));
             sets.push(db.profiles);
         }
         print!("{}", dcpistats(&sets, &registry, Event::Cycles, 30));

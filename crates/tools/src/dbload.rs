@@ -4,6 +4,9 @@
 //! daemon saved alongside, `<db>/images/*.img`), its calling-context
 //! sidecars ([`load_stacks`]), one analyzed procedure of it
 //! ([`analyze_named`]), and an observability export ([`load_snapshot`]).
+//! A tool that wants every sufficiently sampled procedure of a loaded
+//! database rather than one by name walks [`LoadedDb::registry`] through
+//! `dcpi_analyze::analysis::analyze_sampled`.
 
 use crate::registry::ImageRegistry;
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
@@ -74,7 +77,8 @@ pub fn stack_frame_name(registry: &ImageRegistry, f: dcpi_stacks::Frame) -> Stri
     format!("{} [{short}]", registry.proc_name(f.image, f.offset))
 }
 
-/// Finds the image and symbol for a procedure name across a registry.
+/// Finds the image and symbol for a procedure name across a registry;
+/// a name that several images define resolves to the lowest image id.
 ///
 /// # Errors
 ///

@@ -2,14 +2,13 @@
 //! database (see the `dcpi-check` crate for the checks themselves).
 
 use crate::registry::ImageRegistry;
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
+use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions};
 use dcpi_check::{Category, Loc, Report, Severity};
 use dcpi_collect::daemon::read_epoch_stacks;
 use dcpi_core::codec::Format;
 use dcpi_core::db::{self, Entry, ProfileDb, STACKS_FILE};
 use dcpi_core::{codec, Event, ImageId, ProfileSet, UNKNOWN_IMAGE};
 use dcpi_isa::image::Image;
-use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::AddressMap;
 use dcpi_stacks::{speedscope, CallTree, StackProfile};
 use std::collections::BTreeSet;
@@ -21,25 +20,11 @@ use std::path::Path;
 #[must_use]
 pub fn dcpicheck_report(set: &ProfileSet, registry: &ImageRegistry) -> Report {
     let mut report = Report::new();
-    let mut images: Vec<_> = registry.iter().collect();
-    images.sort_by_key(|&(id, _)| id);
-    for (id, image) in images {
+    let aopts = AnalysisOptions::default();
+    for (id, image) in registry.iter() {
         report.merge(dcpi_check::check_image(image));
-        let Some(profile) = set.get(id, Event::Cycles) else {
-            continue;
-        };
-        for sym in image.symbols() {
-            if profile.range_total(sym.offset, sym.offset + sym.size) == 0 {
-                continue;
-            }
-            match analyze_procedure(
-                image,
-                sym,
-                set,
-                id,
-                &PipelineModel::default(),
-                &AnalysisOptions::default(),
-            ) {
+        for (sym, _, pa) in analyze_sampled(image, set, id, 1, &aopts) {
+            match pa {
                 Ok(pa) => report.merge(dcpi_check::check_analysis(&pa)),
                 Err(e) => report.flag(
                     Category::BlockStructure,

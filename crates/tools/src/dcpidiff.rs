@@ -4,9 +4,8 @@
 //! CPI and stall culprits.
 
 use crate::registry::ImageRegistry;
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
+use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions};
 use dcpi_core::{Event, ProfileSet};
-use dcpi_isa::pipeline::PipelineModel;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -127,24 +126,18 @@ pub struct PgoSide {
 
 /// Analyzes every sufficiently-sampled procedure on one side. Image
 /// names ending in `.pgo` are treated the same as their originals, so
-/// the two sides pair up by procedure name.
+/// the two sides pair up by procedure name; a name that several images
+/// define keeps its first usable analysis in image-id order, so it
+/// resolves like [`find_procedure`] on every run.
+///
+/// [`find_procedure`]: crate::dbload::find_procedure
 #[must_use]
 pub fn pgo_side(set: &ProfileSet, registry: &ImageRegistry, min_samples: u64) -> PgoSide {
-    let model = PipelineModel::default();
     let aopts = AnalysisOptions::default();
     let mut procs = HashMap::new();
     for (id, image) in registry.iter() {
-        let Some(profile) = set.get(id, Event::Cycles) else {
-            continue;
-        };
-        for sym in image.symbols() {
-            let samples = profile.range_total(sym.offset, sym.offset + sym.size);
-            if samples < min_samples {
-                continue;
-            }
-            let Ok(pa) = analyze_procedure(image, sym, set, id, &model, &aopts) else {
-                continue;
-            };
+        for (sym, samples, pa) in analyze_sampled(image, set, id, min_samples, &aopts) {
+            let Ok(pa) = pa else { continue };
             let mut s_sum = 0.0;
             let mut f_sum = 0.0;
             let mut weights: HashMap<char, u64> = HashMap::new();
@@ -163,7 +156,9 @@ pub fn pgo_side(set: &ProfileSet, registry: &ImageRegistry, min_samples: u64) ->
             let mut letters: Vec<(char, u64)> = weights.into_iter().collect();
             letters.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             let culprits: String = letters.iter().take(3).map(|&(c, _)| c).collect();
-            procs.insert(sym.name.clone(), (s_sum / f_sum, culprits, samples));
+            procs
+                .entry(sym.name.clone())
+                .or_insert((s_sum / f_sum, culprits, samples));
         }
     }
     PgoSide { procs }

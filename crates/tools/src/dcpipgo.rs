@@ -33,9 +33,9 @@ pub fn delta_json(out: &PgoOutcome) -> String {
         .field("opt_cycles", out.opt_cycles)
         .field("speedup_pct", Value::Fixed(out.speedup_pct(), 4))
         .field("equivalent", out.equivalent)
-        .field("statically_valid", out.statically_valid)
-        .field("tv_segments", out.tv_segments)
-        .field("tv_proved", out.tv_proved)
+        .field("statically_valid", r.validated)
+        .field("tv_segments", r.tv_segments)
+        .field("tv_proved", r.tv_proved)
         .field("procs_laid_out", r.procs_laid_out)
         .field("packed", r.packed)
         .field("blocks_moved", r.blocks_moved)
@@ -93,9 +93,9 @@ pub fn render(out: &PgoOutcome, audit: &Report) -> String {
         s,
         "equivalent: {}; statically valid: {} ({}/{} segments); audit: {} error(s), {} warning(s)",
         out.equivalent,
-        out.statically_valid,
-        out.tv_proved,
-        out.tv_segments,
+        out.report.validated,
+        out.report.tv_proved,
+        out.report.tv_segments,
         audit.errors(),
         audit.warnings(),
     );
@@ -133,14 +133,14 @@ mod tests {
             report: PgoReport {
                 procs: 2,
                 blocks_moved: 3,
+                validated: true,
+                tv_segments: 4,
+                tv_proved: 4,
                 ..PgoReport::default()
             },
             base_cycles: 1000,
             opt_cycles: 950,
             equivalent: true,
-            statically_valid: true,
-            tv_segments: 4,
-            tv_proved: 4,
         }
     }
 

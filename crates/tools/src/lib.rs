@@ -42,7 +42,11 @@
 //! [`load_stacks`], [`analyze_named`], [`load_snapshot`].
 //!
 //! Tools consume the on-disk profile database via `dcpi-core` and the
-//! analysis results of `dcpi-analyze`; they only format.
+//! analysis results of `dcpi-analyze`; they only format. Every tool that
+//! analyzes many procedures (`dcpicheck`, `dcpidiff --pgo`) goes through
+//! `dcpi_analyze::analysis::analyze_sampled`, the one CYCLES sample gate
+//! and analysis fan-out, over an [`ImageRegistry`] walked in image-id
+//! order.
 
 pub mod dbload;
 pub mod dcpicalc;

@@ -3,7 +3,7 @@
 
 use dcpi_core::{ImageId, UNKNOWN_IMAGE};
 use dcpi_isa::image::Image;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Every CLI binary this crate ships, in the order the paper (and
@@ -25,10 +25,12 @@ pub const TOOL_NAMES: &[&str] = &[
     "dcpifleet",
 ];
 
-/// Maps image ids to images for symbol and name lookup.
+/// Maps image ids to images for symbol and name lookup, in id order: a
+/// procedure name that two images define resolves to the lower id, on
+/// every run.
 #[derive(Clone, Debug, Default)]
 pub struct ImageRegistry {
-    images: HashMap<ImageId, Arc<Image>>,
+    images: BTreeMap<ImageId, Arc<Image>>,
 }
 
 impl ImageRegistry {
@@ -46,11 +48,9 @@ impl ImageRegistry {
     /// Builds a registry from a machine OS's image table.
     #[must_use]
     pub fn from_os(os: &dcpi_machine::Os) -> ImageRegistry {
-        let mut r = ImageRegistry::new();
-        for li in os.images() {
-            r.insert(li.id, Arc::clone(&li.image));
-        }
-        r
+        os.images()
+            .map(|li| (li.id, Arc::clone(&li.image)))
+            .collect()
     }
 
     /// Looks up an image.
@@ -78,9 +78,24 @@ impl ImageRegistry {
             .map_or_else(|| format!("0x{offset:x}"), |s| s.name.clone())
     }
 
-    /// All `(id, image)` pairs.
+    /// All `(id, image)` pairs, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ImageId, &Arc<Image>)> {
         self.images.iter().map(|(&id, img)| (id, img))
+    }
+}
+
+impl FromIterator<(ImageId, Arc<Image>)> for ImageRegistry {
+    fn from_iter<I: IntoIterator<Item = (ImageId, Arc<Image>)>>(iter: I) -> ImageRegistry {
+        ImageRegistry {
+            images: iter.into_iter().collect(),
+        }
+    }
+}
+
+impl Extend<(ImageId, Arc<Image>)> for ImageRegistry {
+    /// Registers each image; a repeated id keeps the last image given.
+    fn extend<I: IntoIterator<Item = (ImageId, Arc<Image>)>>(&mut self, iter: I) {
+        self.images.extend(iter);
     }
 }
 
@@ -108,6 +123,60 @@ mod tests {
         assert_eq!(r.proc_name(ImageId(3), 0), "alpha");
         assert_eq!(r.proc_name(ImageId(3), 4), "beta");
         assert_eq!(r.proc_name(ImageId(3), 0x100), "0x100");
+    }
+
+    /// Two images that both define `hot`, registered in every order,
+    /// many times over (a hashed table would change its order between
+    /// tables): lookups and the PGO side resolve the name to the lower id.
+    #[test]
+    fn duplicate_procedure_names_resolve_to_the_lower_id() {
+        use crate::{find_procedure, pgo_side};
+        use dcpi_core::{Event, ProfileSet};
+        use dcpi_isa::reg::Reg;
+        let image = |name: &str| {
+            let mut a = Asm::new(name);
+            a.proc("hot");
+            a.li(Reg::T0, 8);
+            let top = a.here();
+            a.subq_lit(Reg::T0, 1, Reg::T0);
+            a.bne(Reg::T0, top);
+            a.ret(Reg::RA);
+            Arc::new(a.finish())
+        };
+        let (low, high) = (ImageId(2), ImageId(5));
+        let mut set = ProfileSet::new();
+        set.add(low, Event::Cycles, 4, 1800);
+        set.add(low, Event::Cycles, 8, 200);
+        set.add(high, Event::Cycles, 4, 600);
+        set.add(high, Event::Cycles, 8, 600);
+        let alone: ImageRegistry = [(low, image("/bin/low"))].into_iter().collect();
+        let want = pgo_side(&set, &alone, 10).procs["hot"].clone();
+        assert_ne!(
+            want,
+            pgo_side(
+                &set,
+                &[(high, image("/bin/high"))].into_iter().collect(),
+                10
+            )
+            .procs["hot"],
+            "the two images' analyses must differ for the test to tell them apart"
+        );
+        for round in 0..16 {
+            let mut pairs = vec![(low, image("/bin/low")), (high, image("/bin/high"))];
+            if round % 2 == 1 {
+                pairs.reverse();
+            }
+            let mut r = ImageRegistry::new();
+            r.extend(pairs);
+            let ids: Vec<ImageId> = r.iter().map(|(id, _)| id).collect();
+            assert_eq!(ids, [low, high]);
+            let (id, img, sym) = find_procedure(&r, "hot").unwrap();
+            assert_eq!(
+                (id, img.name(), sym.name.as_str()),
+                (low, "/bin/low", "hot")
+            );
+            assert_eq!(pgo_side(&set, &r, 10).procs["hot"], want);
+        }
     }
 
     #[test]

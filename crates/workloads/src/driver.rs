@@ -269,11 +269,6 @@ fn kernel_addrs<S: SampleSink>(m: &Machine<S>) -> KernelAddrs {
     }
 }
 
-/// Spawns a workload's processes into a machine.
-pub fn spawn_into<S: SampleSink>(w: Workload, m: &mut Machine<S>, opts: &RunOptions) {
-    spawn_with(w, m, opts, None);
-}
-
 /// Spawns a workload's processes, optionally substituting the workload
 /// image (e.g. a PGO-rewritten copy) for the default one. The override
 /// replaces the single user image every workload registers; kernel code
@@ -364,147 +359,141 @@ pub fn spawn_with<S: SampleSink>(
     }
 }
 
-/// The machine a workload runs on, before any profiling setup: its
-/// processor count, the run's seed and dispatch mode, and random physical
-/// page placement for wave5 alone (the board-cache conflicts of §3.3).
-pub(crate) fn machine_config(w: Workload, opts: &RunOptions) -> MachineConfig {
-    MachineConfig {
-        cpus: w.cpus(),
-        seed: opts.seed,
-        page_alloc_random: w == Workload::Wave5,
-        dispatch: opts.dispatch,
-        ..MachineConfig::default()
-    }
-}
-
 /// Runs a workload under a configuration.
 #[must_use]
 pub fn run_workload(w: Workload, prof: ProfConfig, opts: &RunOptions) -> RunResult {
-    let mut mc = machine_config(w, opts);
+    run_with(w, prof, opts, None).0
+}
+
+/// [`run_workload`] with `image_override` standing in for the workload
+/// image ([`spawn_with`]); the flag says whether any process exited
+/// before `opts.limit`.
+pub(crate) fn run_with(
+    w: Workload,
+    prof: ProfConfig,
+    opts: &RunOptions,
+    image_override: Option<&Image>,
+) -> (RunResult, bool) {
     let period = if opts.fixed_period {
         (opts.period.0, opts.period.0)
     } else {
         opts.period
     };
-    mc.counters = prof.counters(period);
-    mc.stack_walk = opts.stack_walk;
+    // The run's seed and dispatch mode, and random physical page
+    // placement for wave5 alone (the board-cache conflicts of §3.3).
+    let mut mc = MachineConfig {
+        cpus: w.cpus(),
+        seed: opts.seed,
+        page_alloc_random: w == Workload::Wave5,
+        dispatch: opts.dispatch,
+        counters: prof.counters(period),
+        stack_walk: opts.stack_walk,
+        ..MachineConfig::default()
+    };
     if let Some(skid) = opts.skid {
         mc.model.interrupt_skid = skid;
     }
     if prof == ProfConfig::Base {
         let mut m = Machine::new(mc, NullSink);
-        spawn_into(w, &mut m, opts);
+        spawn_with(w, &mut m, opts, image_override);
         m.run_to_completion(500_000, opts.limit);
-        let images =
-            m.os.images()
-                .map(|li| (li.id, Arc::clone(&li.image)))
-                .collect();
-        let cycles = if m.last_exit > 0 {
-            m.last_exit
-        } else {
-            m.time()
-        };
-        let dispatch = m.dispatch_stats();
-        RunResult {
-            workload: w,
-            config: prof,
-            cycles,
-            samples: 0,
-            retired: m.total_retired(),
-            driver: None,
-            daemon: None,
-            driver_kernel_bytes: 0,
-            profiles: ProfileSet::new(),
-            edge_profiles: EdgeProfiles::new(),
-            images,
-            kernel_image: m.os.kernel_image(),
-            gt: std::mem::take(&mut m.gt),
-            trace: Vec::new(),
-            disk_bytes: 0,
-            stacks: StackProfile::new(),
-            ledger: None,
-            overhead: None,
-            obs: None,
-            dispatch,
-        }
-    } else {
-        let scfg = SessionConfig {
-            machine: mc,
-            trace_limit: opts.trace_limit,
-            daemon: dcpi_collect::daemon::DaemonConfig {
-                db_path: opts.db_path.clone(),
-                ..dcpi_collect::daemon::DaemonConfig::default()
-            },
-            obs: if opts.obs {
-                ObsConfig::on()
-            } else {
-                ObsConfig::default()
-            },
-            ..SessionConfig::default()
-        };
-        let mut run = ProfiledRun::new(scfg).expect("session setup");
-        spawn_into(w, &mut run.machine, opts);
-        run.run_to_completion(opts.limit);
-        let ledger = run.ledger();
-        let overhead = run.overhead_ledger();
-        let obs = opts.obs.then(|| run.obs_snapshot());
-        let disk_bytes = run
-            .daemon
-            .db()
-            .and_then(|db| db.disk_usage().ok())
-            .unwrap_or(0);
-        let profiles = match run.daemon.db() {
-            Some(db) => db.read_all().unwrap_or_default(),
-            None => run.daemon.profiles().clone(),
-        };
-        // Stack counts flushed to the database's epoch sidecars were
-        // cleared from daemon memory at flush time, so read them back and
-        // fold in whatever is still buffered (nothing double-counts).
-        let mut stacks = match run.daemon.db() {
-            Some(db) => dcpi_collect::daemon::read_all_stacks(db).unwrap_or_default(),
-            None => StackProfile::new(),
-        };
-        stacks.merge(run.stack_profile());
-        let edge_profiles = run.daemon.edge_profiles().clone();
-        let m = &mut run.machine;
-        let images =
-            m.os.images()
-                .map(|li| (li.id, Arc::clone(&li.image)))
-                .collect();
-        let cycles = if m.last_exit > 0 {
-            m.last_exit
-        } else {
-            m.time()
-        };
-        let dispatch = m.dispatch_stats();
-        RunResult {
-            workload: w,
-            config: prof,
-            cycles,
-            samples: m.total_samples(),
-            retired: m.total_retired(),
-            edge_profiles,
-            driver: Some(m.sink.total_stats()),
-            daemon: Some(run.daemon.stats),
-            driver_kernel_bytes: m
-                .sink
-                .per_cpu
-                .iter()
-                .map(dcpi_collect::driver::CpuDriver::kernel_memory_bytes)
-                .sum(),
-            profiles,
-            images,
-            kernel_image: m.os.kernel_image(),
-            gt: std::mem::take(&mut m.gt),
-            trace: std::mem::take(&mut m.sink.trace),
-            disk_bytes,
-            stacks,
-            ledger: Some(ledger),
-            overhead: Some(overhead),
-            obs,
-            dispatch,
-        }
+        return finish(w, prof, &mut m);
     }
+    let scfg = SessionConfig {
+        machine: mc,
+        trace_limit: opts.trace_limit,
+        daemon: dcpi_collect::daemon::DaemonConfig {
+            db_path: opts.db_path.clone(),
+            ..dcpi_collect::daemon::DaemonConfig::default()
+        },
+        obs: if opts.obs {
+            ObsConfig::on()
+        } else {
+            ObsConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let mut run = ProfiledRun::new(scfg).expect("session setup");
+    spawn_with(w, &mut run.machine, opts, image_override);
+    run.run_to_completion(opts.limit);
+    let ledger = run.ledger();
+    let overhead = run.overhead_ledger();
+    let obs = opts.obs.then(|| run.obs_snapshot());
+    let disk_bytes = run
+        .daemon
+        .db()
+        .and_then(|db| db.disk_usage().ok())
+        .unwrap_or(0);
+    let profiles = match run.daemon.db() {
+        Some(db) => db.read_all().unwrap_or_default(),
+        None => run.daemon.profiles().clone(),
+    };
+    // Stack counts flushed to the database's epoch sidecars were
+    // cleared from daemon memory at flush time, so read them back and
+    // fold in whatever is still buffered (nothing double-counts).
+    let mut stacks = match run.daemon.db() {
+        Some(db) => dcpi_collect::daemon::read_all_stacks(db).unwrap_or_default(),
+        None => StackProfile::new(),
+    };
+    stacks.merge(run.stack_profile());
+    let edge_profiles = run.daemon.edge_profiles().clone();
+    let m = &mut run.machine;
+    let (machine, exited) = finish(w, prof, m);
+    let result = RunResult {
+        edge_profiles,
+        driver: Some(m.sink.total_stats()),
+        daemon: Some(run.daemon.stats),
+        driver_kernel_bytes: m
+            .sink
+            .per_cpu
+            .iter()
+            .map(dcpi_collect::driver::CpuDriver::kernel_memory_bytes)
+            .sum(),
+        profiles,
+        trace: std::mem::take(&mut m.sink.trace),
+        disk_bytes,
+        stacks,
+        ledger: Some(ledger),
+        overhead: Some(overhead),
+        obs,
+        ..machine
+    };
+    (result, exited)
+}
+
+/// What every run reads off its stopped machine — its images, cycles,
+/// retirements, dispatch counts and ground truth, with the collection
+/// fields empty (a `base` run's whole result) — and whether any process
+/// exited.
+fn finish<S: SampleSink>(w: Workload, prof: ProfConfig, m: &mut Machine<S>) -> (RunResult, bool) {
+    let exited = m.last_exit > 0;
+    let result = RunResult {
+        workload: w,
+        config: prof,
+        cycles: if exited { m.last_exit } else { m.time() },
+        samples: m.total_samples(),
+        retired: m.total_retired(),
+        driver: None,
+        daemon: None,
+        driver_kernel_bytes: 0,
+        profiles: ProfileSet::new(),
+        edge_profiles: EdgeProfiles::new(),
+        images: m
+            .os
+            .images()
+            .map(|li| (li.id, Arc::clone(&li.image)))
+            .collect(),
+        kernel_image: m.os.kernel_image(),
+        gt: std::mem::take(&mut m.gt),
+        trace: Vec::new(),
+        disk_bytes: 0,
+        stacks: StackProfile::new(),
+        ledger: None,
+        overhead: None,
+        obs: None,
+        dispatch: m.dispatch_stats(),
+    };
+    (result, exited)
 }
 
 #[cfg(test)]

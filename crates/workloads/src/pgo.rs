@@ -16,21 +16,19 @@
 //!   cycles, which is end-to-end evidence that the analyzer's frequency
 //!   and culprit estimates describe the machine accurately.
 //!
-//! The rewrite is additionally *statically validated*: `dcpi-check`'s
-//! translation validator proves equivalence symbolically before the
-//! re-measurement runs, so the dynamic count comparison cross-checks a
+//! The rewrite is additionally *statically validated*: `optimize` runs
+//! `dcpi-check`'s translation validator, which proves equivalence
+//! symbolically before the re-measurement runs (its report carries the
+//! segment tallies), so the dynamic count comparison cross-checks a
 //! proof rather than standing alone.
 
-use crate::driver::{machine_config, run_workload, spawn_with, ProfConfig, RunOptions, Workload};
-use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions, ProcAnalysis};
+use crate::driver::{run_with, run_workload, ProfConfig, RunOptions, Workload};
+use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions, ProcAnalysis};
 use dcpi_analyze::export;
 use dcpi_core::{Event, ImageId};
 use dcpi_isa::image::Image;
-use dcpi_isa::pipeline::PipelineModel;
-use dcpi_machine::counters::CounterConfig;
-use dcpi_machine::machine::{Machine, NullSink};
 use dcpi_machine::os::{KERNEL_BASE, MAIN_BASE};
-use dcpi_machine::{GroundTruth, MachineConfig};
+use dcpi_machine::GroundTruth;
 use dcpi_pgo::{optimize, AddressMap, PgoOptions, PgoReport};
 
 /// Why the harness could not produce an optimized run.
@@ -94,13 +92,6 @@ pub struct PgoOutcome {
     /// True when every old instruction's retirement count is preserved
     /// through the address map.
     pub equivalent: bool,
-    /// True when the translation validator proved the rewrite without
-    /// running it (it ran inside `optimize`; a failure is a skip).
-    pub statically_valid: bool,
-    /// Old-text segments the validator examined.
-    pub tv_segments: usize,
-    /// Segments whose equivalence proof went through.
-    pub tv_proved: usize,
 }
 
 impl PgoOutcome {
@@ -122,34 +113,28 @@ struct Measured {
     id: ImageId,
 }
 
-/// Runs the workload unprofiled (counters off) with an optional image
-/// substitution, returning end-to-end cycles, exact execution counts,
-/// and the id the named image was registered under.
+/// Runs the workload unprofiled (the `base` configuration) with `image`
+/// in place of its own, returning end-to-end cycles, exact execution
+/// counts, and the id `image` was registered under.
 fn measure(
     w: Workload,
     opts: &RunOptions,
-    image_override: Option<&Image>,
-    want: &str,
+    image: &Image,
     which: &'static str,
 ) -> Result<Measured, PgoError> {
-    let mc = MachineConfig {
-        counters: CounterConfig::off(),
-        ..machine_config(w, opts)
-    };
-    let mut m = Machine::new(mc, NullSink);
-    spawn_with(w, &mut m, opts, image_override);
-    m.run_to_completion(500_000, opts.limit);
-    if m.last_exit == 0 {
+    let (r, exited) = run_with(w, ProfConfig::Base, opts, Some(image));
+    if !exited {
         return Err(PgoError::Unfinished(which));
     }
-    let id =
-        m.os.images()
-            .find(|li| li.image.name() == want)
-            .map(|li| li.id)
-            .ok_or_else(|| PgoError::MissingImage(want.to_string()))?;
+    let id = r
+        .images
+        .iter()
+        .find(|(_, img)| img.name() == image.name())
+        .map(|&(id, _)| id)
+        .ok_or_else(|| PgoError::MissingImage(image.name().to_string()))?;
     Ok(Measured {
-        cycles: m.last_exit,
-        gt: std::mem::take(&mut m.gt),
+        cycles: r.cycles,
+        gt: r.gt,
         id,
     })
 }
@@ -199,20 +184,12 @@ pub fn pgo_workload(
         .find(|(i, _)| *i == id)
         .map(|(_, img)| img.as_ref())
         .expect("image of chosen id");
-    let profile = r.profiles.get(id, Event::Cycles).expect("chosen by total");
 
     // Analyze every procedure above the sample gate.
-    let model = PipelineModel::default();
     let aopts = AnalysisOptions::default();
-    let mut analyses: Vec<ProcAnalysis> = Vec::new();
-    for sym in image.symbols() {
-        if profile.range_total(sym.offset, sym.offset + sym.size) < min_samples {
-            continue;
-        }
-        if let Ok(pa) = analyze_procedure(image, sym, &r.profiles, id, &model, &aopts) {
-            analyses.push(pa);
-        }
-    }
+    let analyses: Vec<ProcAnalysis> = analyze_sampled(image, &r.profiles, id, min_samples, &aopts)
+        .filter_map(|(_, _, pa)| pa.ok())
+        .collect();
     if analyses.is_empty() {
         return Err(PgoError::NoEstimates);
     }
@@ -229,21 +206,9 @@ pub fn pgo_workload(
         validate: true,
     };
     let rw = optimize(image, &parsed, &popts).map_err(PgoError::Skip)?;
-    // Re-run the validator standalone for the per-segment tallies the
-    // outcome reports (optimize only keeps the verdict).
-    let tv = dcpi_check::tv::validate_with(
-        image,
-        &rw.image,
-        &rw.map,
-        &dcpi_check::tv::TvOptions {
-            code_base: MAIN_BASE.0,
-        },
-    );
 
-    let statically_valid = rw.report.validated && tv.report.is_clean();
-
-    let base = measure(w, opts, Some(image), image.name(), "base")?;
-    let opt = measure(w, opts, Some(&rw.image), rw.image.name(), "optimized")?;
+    let base = measure(w, opts, image, "base")?;
+    let opt = measure(w, opts, &rw.image, "optimized")?;
     let equivalent = counts_preserved(image.words().len(), &base, &opt, &rw.map);
 
     Ok(PgoOutcome {
@@ -258,9 +223,6 @@ pub fn pgo_workload(
         base_cycles: base.cycles,
         opt_cycles: opt.cycles,
         equivalent,
-        statically_valid,
-        tv_segments: tv.segments,
-        tv_proved: tv.proved,
     })
 }
 
@@ -281,9 +243,9 @@ mod tests {
     fn gcc_pgo_is_equivalent_and_faster() {
         let out = pgo_workload(Workload::Gcc, &quick_opts(), 25).expect("pgo harness");
         assert!(out.equivalent, "rewrite must preserve architecture");
-        assert!(out.statically_valid, "validator must prove the rewrite");
-        assert_eq!(out.tv_proved, out.tv_segments);
-        assert!(out.tv_segments > 0);
+        assert!(out.report.validated, "validator must prove the rewrite");
+        assert_eq!(out.report.tv_proved, out.report.tv_segments);
+        assert!(out.report.tv_segments > 0);
         assert!(
             out.speedup_pct() > 0.0,
             "expected a speedup, got {:.2}% ({} -> {} cycles)\n{}",

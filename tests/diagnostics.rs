@@ -602,8 +602,8 @@ fn pgo_and_tv_layers(g: &mut Golden, dir: &TempRoot) -> String {
         ..RunOptions::default()
     };
     let out = pgo_workload(Workload::AltaVista, &opts, 25).expect("altavista PGO loop");
-    assert!(out.statically_valid, "the rewrite must prove");
-    assert!(out.tv_segments > 0 && out.tv_proved == out.tv_segments);
+    assert!(out.report.validated, "the rewrite must prove");
+    assert!(out.report.tv_segments > 0 && out.report.tv_proved == out.report.tv_segments);
     let (old, new, map) = (out.old_image, out.new_image, out.map);
     let tv_opts = tv::TvOptions {
         code_base: MAIN_BASE.0,

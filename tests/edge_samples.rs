@@ -2,7 +2,7 @@
 //! branch directions flow from the machine through the driver and daemon
 //! into the analyzer, where they sharpen edge-frequency estimates.
 
-use dcpi::analyze::analysis::{analyze_procedure, analyze_procedure_with_edges, AnalysisOptions};
+use dcpi::analyze::analysis::{analyze_procedure, analyze_procedure_extended, AnalysisOptions};
 use dcpi::analyze::cfg::EdgeKind;
 use dcpi::collect::session::{ProfiledRun, SessionConfig};
 use dcpi::isa::asm::Asm;
@@ -75,11 +75,12 @@ fn edge_samples_flow_end_to_end_and_split_branches() {
     // estimate near F/4.
     let sym = image.symbol_named("main").unwrap().clone();
     let model = PipelineModel::default();
-    let with = analyze_procedure_with_edges(
+    let with = analyze_procedure_extended(
         &image,
         &sym,
         run.profiles(),
         Some(edges),
+        None,
         id,
         &model,
         &AnalysisOptions::default(),

@@ -299,14 +299,13 @@ fn pgo_outcome() -> PgoOutcome {
             call_patches: 7,
             old_words: 100,
             new_words: 104,
+            tv_segments: 4,
+            tv_proved: 3,
             ..PgoReport::default()
         },
         base_cycles: 1000,
         opt_cycles: 950,
         equivalent: true,
-        statically_valid: false,
-        tv_segments: 4,
-        tv_proved: 3,
     }
 }
 

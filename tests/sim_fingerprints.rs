@@ -13,7 +13,7 @@
 
 use dcpi::isa::pipeline::may_pair;
 use dcpi::machine::{DispatchMode, Machine, MachineConfig, NullSink};
-use dcpi::workloads::driver::spawn_into;
+use dcpi::workloads::driver::spawn_with;
 use dcpi::workloads::fingerprint::{fnv64, recorded_cases, recorded_hashes};
 use dcpi::workloads::{RunOptions, Workload};
 
@@ -52,7 +52,7 @@ fn every_workload_image_compiles_the_static_pairing_rule() {
             ..MachineConfig::default()
         };
         let mut m = Machine::new(cfg, NullSink);
-        spawn_into(w, &mut m, &RunOptions::default());
+        spawn_with(w, &mut m, &RunOptions::default(), None);
         for li in m.os.images() {
             for (k, pair) in li.insns.windows(2).enumerate() {
                 assert_eq!(
