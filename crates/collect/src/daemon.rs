@@ -28,7 +28,7 @@ use dcpi_core::{
 use dcpi_machine::os::OsEvent;
 use dcpi_machine::proc::Mapping;
 use dcpi_machine::Os;
-use dcpi_obs::{Component, Counter, Obs};
+use dcpi_obs::{Component, Obs, Published};
 use dcpi_stacks::{Frame, RawStackSample, StackProfile};
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -136,6 +136,21 @@ impl DaemonStats {
         ledger_add(&mut self.stack_samples, other.stack_samples);
         ledger_add(&mut self.unknown_stack_frames, other.unknown_stack_frames);
     }
+
+    /// What the daemon publishes: its sample throughput and Table 5's
+    /// memory figures.
+    pub const PUBLISHED: Published<DaemonStats> = Published {
+        counters: &[
+            ("daemon.entries", |s| s.entries),
+            ("daemon.samples", |s| s.samples),
+            ("daemon.unknown_samples", |s| s.unknown_samples),
+        ],
+        gauges: &[
+            ("daemon.memory_bytes", |s| s.memory_bytes),
+            ("daemon.peak_memory_bytes", |s| s.peak_memory_bytes),
+        ],
+        ..Published::NONE
+    };
 }
 
 /// Sample counts keyed `(image, event, offset)`, with the sorted-run
@@ -195,9 +210,6 @@ pub struct Daemon {
     /// Observability handle (disabled unless attached; re-attach after
     /// [`Daemon::reopen`] — a restarted daemon starts unobserved).
     obs: Obs,
-    c_entries: Counter,
-    c_samples: Counter,
-    c_unknown: Counter,
 }
 
 impl Daemon {
@@ -249,20 +261,13 @@ impl Daemon {
             stats: DaemonStats::default(),
             accrued_cycles: 0,
             obs: Obs::disabled(),
-            c_entries: Counter::default(),
-            c_samples: Counter::default(),
-            c_unknown: Counter::default(),
         }
     }
 
-    /// Attaches an observability handle, caching the warm counter
-    /// handles. Must be called again on the fresh instance after a
-    /// crash/restart via [`Daemon::reopen`].
+    /// Attaches an observability handle. Must be called again on the
+    /// fresh instance after a crash/restart via [`Daemon::reopen`].
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
-        self.c_entries = obs.counter("daemon.entries");
-        self.c_samples = obs.counter("daemon.samples");
-        self.c_unknown = obs.counter("daemon.unknown_samples");
     }
 
     /// Startup scan (§4.3.2): learn the mappings of already-active
@@ -334,7 +339,6 @@ impl Daemon {
     /// Processes a batch of aggregated sample entries from one CPU's
     /// driver.
     pub fn process_entries(&mut self, entries: &[SampleEntry]) {
-        let before = self.stats;
         let totals = self.totals.counts_mut();
         for e in entries {
             self.stats.entries += 1;
@@ -356,12 +360,6 @@ impl Daemon {
                 let own = self.per_process.entry(s.pid).or_default().counts_mut();
                 *own.entry(key).or_insert(0) += e.count;
             }
-        }
-        if self.obs.is_enabled() {
-            self.c_entries.add(0, self.stats.entries - before.entries);
-            self.c_samples.add(0, self.stats.samples - before.samples);
-            self.c_unknown
-                .add(0, self.stats.unknown_samples - before.unknown_samples);
         }
     }
 
@@ -397,14 +395,6 @@ impl Daemon {
         let baseline = 1_400_000;
         self.stats.memory_bytes = baseline + loadmap_bytes + profile_bytes + image_bytes;
         self.stats.peak_memory_bytes = self.stats.peak_memory_bytes.max(self.stats.memory_bytes);
-        if self.obs.is_enabled() {
-            self.obs
-                .gauge("daemon.memory_bytes")
-                .set(self.stats.memory_bytes);
-            self.obs
-                .gauge("daemon.peak_memory_bytes")
-                .raise(self.stats.peak_memory_bytes);
-        }
     }
 
     /// The accumulated in-memory profiles (sorted on first use after a

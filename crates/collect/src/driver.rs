@@ -12,9 +12,10 @@
 //! interrupt handler bypasses the hash table and appends samples directly
 //! to the overflow buffer, so no memory barriers are needed in the handler.
 
+use crate::faults::ledger_add;
 use dcpi_core::{Addr, CpuId, Event, Pid, Sample, SampleEntry};
 use dcpi_machine::machine::SampleSink;
-use dcpi_obs::{Component, Counter, Obs};
+use dcpi_obs::{Component, Obs, Published};
 use dcpi_stacks::{RawStackSample, StackTable};
 use std::collections::HashMap;
 
@@ -104,6 +105,9 @@ pub struct DriverStats {
     pub hits: u64,
     /// Hash-table misses (eviction + insert).
     pub misses: u64,
+    /// Samples evicted from the table into the overflow buffer (the
+    /// victims' counts).
+    pub spilled: u64,
     /// Samples appended straight to the overflow buffer during a flush.
     pub flush_bypass: u64,
     /// Samples dropped because both overflow buffers were full.
@@ -138,13 +142,27 @@ impl DriverStats {
     /// for merging independent runs in the grid experiments — every field
     /// is a count, so a plain sum is the correct merge.
     pub fn merge(&mut self, other: &DriverStats) {
-        self.interrupts += other.interrupts;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.flush_bypass += other.flush_bypass;
-        self.dropped += other.dropped;
-        self.handler_cycles += other.handler_cycles;
+        ledger_add(&mut self.interrupts, other.interrupts);
+        ledger_add(&mut self.hits, other.hits);
+        ledger_add(&mut self.misses, other.misses);
+        ledger_add(&mut self.spilled, other.spilled);
+        ledger_add(&mut self.flush_bypass, other.flush_bypass);
+        ledger_add(&mut self.dropped, other.dropped);
+        ledger_add(&mut self.handler_cycles, other.handler_cycles);
     }
+
+    /// What the driver publishes (Table 4's hash-table figures).
+    pub const PUBLISHED: Published<DriverStats> = Published {
+        counters: &[
+            ("driver.interrupts", |s| s.interrupts),
+            ("driver.ht_hits", |s| s.hits),
+            ("driver.ht_misses", |s| s.misses),
+            ("driver.spilled_samples", |s| s.spilled),
+            ("driver.dropped_samples", |s| s.dropped),
+            ("driver.flush_bypass", |s| s.flush_bypass),
+        ],
+        ..Published::NONE
+    };
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -186,14 +204,6 @@ pub struct CpuDriver {
     /// Observability handle (disabled unless attached; a disabled probe
     /// is one `AtomicBool` load).
     obs: Obs,
-    /// Counter shard hint (the CPU index).
-    shard: usize,
-    c_interrupts: Counter,
-    c_hits: Counter,
-    c_misses: Counter,
-    c_spills: Counter,
-    c_drops: Counter,
-    c_bypass: Counter,
 }
 
 impl CpuDriver {
@@ -219,30 +229,9 @@ impl CpuDriver {
             buffer_full: false,
             stats: DriverStats::default(),
             obs: Obs::disabled(),
-            shard: 0,
-            c_interrupts: Counter::default(),
-            c_hits: Counter::default(),
-            c_misses: Counter::default(),
-            c_spills: Counter::default(),
-            c_drops: Counter::default(),
-            c_bypass: Counter::default(),
             cfg,
             cost,
         }
-    }
-
-    /// Attaches an observability handle, caching the hot counter handles
-    /// so the interrupt path never touches the registry lock. `shard` is
-    /// the CPU index this driver instance serves.
-    pub fn attach_obs(&mut self, obs: &Obs, shard: usize) {
-        self.obs = obs.clone();
-        self.shard = shard;
-        self.c_interrupts = obs.counter("driver.interrupts");
-        self.c_hits = obs.counter("driver.ht_hits");
-        self.c_misses = obs.counter("driver.ht_misses");
-        self.c_spills = obs.counter("driver.spilled_samples");
-        self.c_drops = obs.counter("driver.dropped_samples");
-        self.c_bypass = obs.counter("driver.flush_bypass");
     }
 
     /// Records an interpreted conditional-branch direction (§7).
@@ -326,7 +315,6 @@ impl CpuDriver {
         } else {
             self.stats.dropped += e.count;
             if self.obs.is_enabled() {
-                self.c_drops.add(self.shard, e.count);
                 self.obs.event_at(
                     Component::Driver,
                     "driver.drop",
@@ -351,9 +339,6 @@ impl CpuDriver {
     pub fn record_at(&mut self, sample: Sample, at_cycle: u64) -> u64 {
         self.stats.interrupts += 1;
         let obs_on = self.obs.is_enabled();
-        if obs_on {
-            self.c_interrupts.inc(self.shard);
-        }
         let cost;
         if self.flushing {
             // §4.2.3: while the hash table is being flushed, the handler
@@ -363,7 +348,6 @@ impl CpuDriver {
             cost = self.cost.setup + self.cost.hit;
             self.stats.handler_cycles += cost;
             if obs_on {
-                self.c_bypass.inc(self.shard);
                 self.obs
                     .event_at(Component::Driver, "driver.irq", at_cycle, cost, sample.pc.0);
             }
@@ -386,9 +370,6 @@ impl CpuDriver {
                 }
             }
             self.stats.hits += 1;
-            if obs_on {
-                self.c_hits.inc(self.shard);
-            }
             cost = self.cost.setup + self.cost.hit;
         } else if let Some(pos) = line.iter().position(Option::is_none) {
             // Free slot: no eviction needed (still a miss path, minus the
@@ -403,7 +384,6 @@ impl CpuDriver {
             }
             self.stats.misses += 1;
             if obs_on {
-                self.c_misses.inc(self.shard);
                 self.obs.event_at(
                     Component::Driver,
                     "driver.ht_insert",
@@ -424,8 +404,8 @@ impl CpuDriver {
                 EvictPolicy::SwapToFront => assoc - 1,
             };
             let victim = self.table[base + victim_pos].take().expect("full line");
+            self.stats.spilled += victim.count;
             if obs_on {
-                self.c_spills.add(self.shard, victim.count);
                 self.obs.event_at(
                     Component::Driver,
                     "driver.spill",
@@ -458,9 +438,6 @@ impl CpuDriver {
                 }
             }
             self.stats.misses += 1;
-            if obs_on {
-                self.c_misses.inc(self.shard);
-            }
             cost = self.cost.setup + self.cost.miss;
         }
         self.stats.handler_cycles += cost;
@@ -579,8 +556,8 @@ impl Driver {
 
     /// Attaches an observability handle to every per-CPU instance.
     pub fn set_obs(&mut self, obs: &Obs) {
-        for (i, c) in self.per_cpu.iter_mut().enumerate() {
-            c.attach_obs(obs, i);
+        for c in &mut self.per_cpu {
+            c.obs = obs.clone();
         }
     }
 }

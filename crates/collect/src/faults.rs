@@ -21,7 +21,7 @@ use dcpi_machine::os::OsEvent;
 /// The one sample ledger and its overflow rule live in `dcpi-obs`, the
 /// crate the collector and the offline tools both depend on.
 pub use dcpi_obs::ledger::{ledger_add, ledger_sum, LossLedger};
-use dcpi_obs::{Component, Obs};
+use dcpi_obs::{Component, Obs, Published};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
@@ -297,6 +297,8 @@ pub struct FaultInjector {
     delayed: VecDeque<(u64, OsEvent)>,
     /// `ImageLoaded` notifications the plan swallowed.
     pub notif_dropped: u64,
+    /// Pumps that found the daemon stalled.
+    pub stalled_pumps: u64,
     /// Samples sealed inside files this injector corrupted (decoded
     /// from the victim *before* the damage, so the ledger knows exactly
     /// how many samples each quarantined file holds).
@@ -323,18 +325,29 @@ impl FaultInjector {
         &self.plan
     }
 
+    /// What the injector publishes: each kind of fault that fired, once
+    /// one has.
+    pub const PUBLISHED: Published<FaultInjector> = Published {
+        incidents: &[
+            ("faults.stalled_pumps", |f| f.stalled_pumps),
+            ("faults.torn_flushes", |f| f.next_torn as u64),
+            ("faults.notif_drops", |f| f.notif_dropped),
+            ("faults.crashes", |f| f.crashes.len() as u64),
+        ],
+        ..Published::NONE
+    };
+
     /// Attaches an observability handle so firings are traced.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
     }
 
     /// True while the daemon is stalled at `now`. Each stalled pump is
-    /// traced as a `fault.stall` firing.
-    #[must_use]
-    pub fn stalled(&self, now: u64) -> bool {
+    /// counted and traced as a `fault.stall` firing.
+    pub fn stalled(&mut self, now: u64) -> bool {
         let stalled = self.plan.stalls.iter().any(|w| w.contains(now));
-        if stalled && self.obs.is_enabled() {
-            self.obs.counter("faults.stalled_pumps").inc(0);
+        if stalled {
+            self.stalled_pumps += 1;
             self.obs
                 .event_at(Component::Faults, "fault.stall", now, 0, 0);
         }
@@ -359,11 +372,8 @@ impl FaultInjector {
         match self.plan.torn_flushes.get(self.next_torn) {
             Some(&at) if now >= at => {
                 self.next_torn += 1;
-                if self.obs.is_enabled() {
-                    self.obs.counter("faults.torn_flushes").inc(0);
-                    self.obs
-                        .event_at(Component::Faults, "fault.torn_flush", now, at, 0);
-                }
+                self.obs
+                    .event_at(Component::Faults, "fault.torn_flush", now, at, 0);
                 true
             }
             _ => false,
@@ -381,16 +391,13 @@ impl FaultInjector {
                     self.notif_seen += 1;
                     if self.notif_seen.is_multiple_of(self.plan.notif_drop_period) {
                         self.notif_dropped += 1;
-                        if self.obs.is_enabled() {
-                            self.obs.counter("faults.notif_drops").inc(0);
-                            self.obs.event_at(
-                                Component::Faults,
-                                "fault.notif_drop",
-                                now,
-                                self.notif_seen,
-                                0,
-                            );
-                        }
+                        self.obs.event_at(
+                            Component::Faults,
+                            "fault.notif_drop",
+                            now,
+                            self.notif_seen,
+                            0,
+                        );
                         continue;
                     }
                 }
@@ -416,16 +423,13 @@ impl FaultInjector {
     /// Records a crash that fired at `at_cycle`, losing `lost` in-memory
     /// samples, `since_flush` cycles after the last successful flush.
     pub fn record_crash(&mut self, at_cycle: u64, lost: u64, since_flush: u64) {
-        if self.obs.is_enabled() {
-            self.obs.counter("faults.crashes").inc(0);
-            self.obs.event_at(
-                Component::Faults,
-                "fault.crash",
-                at_cycle,
-                lost,
-                since_flush,
-            );
-        }
+        self.obs.event_at(
+            Component::Faults,
+            "fault.crash",
+            at_cycle,
+            lost,
+            since_flush,
+        );
         self.crashes.push(CrashRecord {
             at_cycle,
             lost,

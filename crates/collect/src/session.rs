@@ -8,8 +8,8 @@
 //! charged to CPU 0 — reproducing both components of the paper's overhead
 //! (§5.2).
 
-use crate::daemon::{Daemon, DaemonConfig};
-use crate::driver::{CostModel, CpuDriver, Driver, DriverConfig};
+use crate::daemon::{Daemon, DaemonConfig, DaemonStats};
+use crate::driver::{CostModel, CpuDriver, Driver, DriverConfig, DriverStats};
 use crate::faults::{Backpressure, CrashFault, FaultInjector, FaultPlan, LossLedger};
 use dcpi_core::db::ProfileDb;
 use dcpi_core::{Addr, UNKNOWN_IMAGE};
@@ -17,7 +17,7 @@ use dcpi_core::{ImageId, Pid, Profile, ProfileKey, ProfileSet, Result};
 use dcpi_isa::image::Image;
 use dcpi_machine::machine::Machine;
 use dcpi_machine::MachineConfig;
-use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, Snapshot};
+use dcpi_obs::{Component, MetricsSnapshot, Obs, ObsConfig, OverheadLedger, Published, Snapshot};
 
 /// Configuration of a profiled run.
 #[derive(Clone, Debug)]
@@ -84,6 +84,8 @@ pub struct ProfiledRun {
     pub backpressure_raises: u64,
     /// The observability handle shared by every component of the run.
     pub obs: Obs,
+    /// The stats of every daemon a crash replaced, oldest first.
+    retired_daemons: Vec<DaemonStats>,
     daemon_cfg: DaemonConfig,
     daemon_cycles: u64,
     backpressure: Option<Backpressure>,
@@ -123,6 +125,7 @@ impl ProfiledRun {
             flush_failures: 0,
             backpressure_raises: 0,
             obs,
+            retired_daemons: Vec::new(),
             daemon_cfg: cfg.daemon,
             daemon_cycles: 0,
             backpressure: cfg.backpressure,
@@ -226,13 +229,12 @@ impl ProfiledRun {
     }
 
     /// Writes the daemon's profiles to its database, stamped `at`. A
-    /// failure leaves the samples in daemon memory and is counted both in
-    /// [`ProfiledRun::flush_failures`] and in the `session.flush_failures`
-    /// obs counter.
+    /// failure leaves the samples in daemon memory and is counted in
+    /// [`ProfiledRun::flush_failures`] (published as
+    /// `session.flush_failures`).
     fn flush_to_disk(&mut self, at: u64) {
         if self.daemon.flush_to_disk().is_err() {
             self.flush_failures += 1;
-            self.obs.counter("session.flush_failures").inc(0);
         } else {
             self.last_disk_flush = at;
         }
@@ -272,9 +274,11 @@ impl ProfiledRun {
     }
 
     /// A scheduled daemon crash: whatever lived only in daemon memory —
-    /// profiles, loadmaps, stats — is gone; the on-disk database may be
-    /// torn. The replacement daemon reopens the database where it left
-    /// off and re-runs the startup scan, the paper's recovery sequence
+    /// profiles, loadmaps — is gone; the on-disk database may be torn.
+    /// The crashed daemon's stats stay with the session, so
+    /// [`ProfiledRun::daemon_stats`] covers every incarnation. The
+    /// replacement daemon reopens the database where it left off and
+    /// re-runs the startup scan, the paper's recovery sequence
     /// (§4.3.2–§4.3.3). A flush window left open by the crash is closed
     /// (and its samples recovered) by the next pump: the flag and the
     /// buffers are kernel state and survive the daemon.
@@ -289,7 +293,8 @@ impl ProfiledRun {
         let mut fresh = Daemon::reopen(self.daemon_cfg.clone()).expect("daemon restart");
         fresh.attach_obs(&self.obs);
         fresh.startup_scan(&self.machine.os);
-        self.daemon = fresh;
+        let crashed = std::mem::replace(&mut self.daemon, fresh);
+        self.retired_daemons.push(crashed.stats);
     }
 
     /// Runs the machine until all spawned processes exit (or `limit`
@@ -416,23 +421,63 @@ impl ProfiledRun {
         }
     }
 
-    /// A full observability snapshot: metrics, trace rings, and both
-    /// ledgers. Call after [`ProfiledRun::finish`] so the sample ledger
-    /// conserves.
+    /// The daemon's stats over every incarnation a crash ended: counts
+    /// sum, memory is the live daemon's, and the peak is the highest any
+    /// incarnation reached.
+    #[must_use]
+    pub fn daemon_stats(&self) -> DaemonStats {
+        let live = self.daemon.stats;
+        let mut total = live;
+        for s in &self.retired_daemons {
+            total.merge(s);
+        }
+        total.memory_bytes = live.memory_bytes;
+        total.peak_memory_bytes = self
+            .retired_daemons
+            .iter()
+            .map(|s| s.peak_memory_bytes)
+            .fold(live.peak_memory_bytes, u64::max);
+        total
+    }
+
+    /// What the session itself publishes: disk flushes that failed.
+    pub const PUBLISHED: Published<ProfiledRun> = Published {
+        incidents: &[("session.flush_failures", |r| r.flush_failures)],
+        ..Published::NONE
+    };
+
+    /// Publishes the run's counts: the machine's, the driver's summed
+    /// over CPUs, the daemon's over every incarnation, the injector's and
+    /// the session's own.
+    fn publish(&self, m: &mut MetricsSnapshot) {
+        m.publish(&Machine::PUBLISHED, &self.machine);
+        m.publish(&DriverStats::PUBLISHED, &self.machine.sink.total_stats());
+        m.publish(&DaemonStats::PUBLISHED, &self.daemon_stats());
+        m.publish(&FaultInjector::PUBLISHED, &self.injector);
+        m.publish(&ProfiledRun::PUBLISHED, self);
+    }
+
+    /// A full observability snapshot: the published counts, histograms,
+    /// trace rings, and both ledgers. Call after [`ProfiledRun::finish`]
+    /// so the sample ledger conserves. With observability off nothing is
+    /// published and the rings are empty; the ledgers are still there.
     #[must_use]
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = self.obs.snapshot();
+        if self.obs.is_enabled() {
+            self.publish(&mut snap.metrics);
+        }
         snap.overhead = Some(self.overhead_ledger());
         snap.samples = Some(self.ledger());
         snap
     }
 
     /// One-line session summary: the ledger plus the failure counters
-    /// the run accumulated.
+    /// the run accumulated, over every daemon incarnation.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut s = self.ledger().render();
-        let iw = self.daemon.stats.image_write_failures;
+        let iw = self.daemon_stats().image_write_failures;
         if iw > 0 {
             s.push_str(&format!("; image-record write failures: {iw}"));
         }
@@ -476,6 +521,7 @@ mod tests {
     use dcpi_machine::counters::CounterConfig;
     use dcpi_machine::os::MAIN_BASE;
     use dcpi_testkit::TempRoot;
+    use std::path::PathBuf;
 
     fn loop_image(n: i64) -> Image {
         let mut a = Asm::new("/bin/loop");
@@ -604,8 +650,15 @@ mod tests {
 
     #[test]
     fn obs_snapshots_are_deterministic() {
-        let run_once = || {
-            let mut run = obs_session((1200, 1500), FaultPlan::none());
+        let dir = TempRoot::new("session-obs");
+        let run_once = |db: Option<PathBuf>| {
+            let mut cfg = SessionConfig::default();
+            cfg.machine.counters = CounterConfig::cycles_only((1200, 1500));
+            cfg.poll_quantum = 50_000;
+            cfg.flush_interval = 500_000;
+            cfg.obs = ObsConfig::on();
+            cfg.daemon.db_path = db;
+            let mut run = ProfiledRun::new(cfg).unwrap();
             let img = run.register_image(loop_image(200_000));
             run.spawn(0, img, &[], |_| {});
             run.run_to_completion(10_000_000_000);
@@ -613,8 +666,14 @@ mod tests {
             snap.mask_wall();
             snap
         };
-        let a = run_once();
-        let b = run_once();
+        // With a database every flush is timed in host nanoseconds, which
+        // masking must hide too.
+        let a = run_once(Some(dir.subdir("a")));
+        let b = run_once(Some(dir.subdir("b")));
+        assert!(a.metrics.histograms["daemon.flush_ns"].count > 0);
+        assert_eq!(a, b, "runs with a database must mask to the same snapshot");
+        let a = run_once(None);
+        let b = run_once(None);
         assert_eq!(a, b, "fixed-seed runs must produce identical snapshots");
         assert_eq!(a.to_json(), b.to_json());
         let parsed = Snapshot::parse(&a.to_json()).unwrap();

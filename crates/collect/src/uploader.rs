@@ -28,7 +28,7 @@
 use crate::faults::ledger_add;
 use crate::wire::{decode_msg, encode_msg, EpochBatch, Msg};
 use dcpi_core::prng::CartaRng;
-use dcpi_obs::{span_id, Component, Obs};
+use dcpi_obs::{span_id, Component, Obs, Published};
 use std::collections::VecDeque;
 
 /// Tuning for one uploader.
@@ -112,6 +112,18 @@ impl UploaderStats {
         ledger_add(&mut self.spool_acked_dropped, other.spool_acked_dropped);
         ledger_add(&mut self.ignored_frames, other.ignored_frames);
     }
+
+    /// What an uploader publishes: upload traffic and the backpressure
+    /// it honored, once any happened.
+    pub const PUBLISHED: Published<UploaderStats> = Published {
+        incidents: &[
+            ("uploader.sent", |s| s.uploads_sent),
+            ("uploader.retransmits", |s| s.retransmits),
+            ("uploader.acked", |s| s.acks + s.dup_acks),
+            ("uploader.backpressure", |s| s.backpressure_signals),
+        ],
+        ..Published::NONE
+    };
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -322,9 +334,6 @@ impl Uploader {
         self.stats.backpressure_signals += 1;
         self.gap = (self.gap.max(1) * self.cfg.backpressure_factor.max(2))
             .min(self.cfg.backpressure_cap.max(1));
-        if self.obs.is_enabled() {
-            self.obs.counter("uploader.backpressure").inc(0);
-        }
     }
 
     fn narrow_gap(&mut self) {
@@ -379,16 +388,13 @@ impl Uploader {
                         attempt: 1,
                     };
                     self.last_send = now;
-                    if self.obs.is_enabled() {
-                        self.obs.counter("uploader.sent").inc(0);
-                        self.obs.event_at(
-                            Component::Session,
-                            "upload.send",
-                            now,
-                            span_id(self.agent, seq),
-                            0,
-                        );
-                    }
+                    self.obs.event_at(
+                        Component::Session,
+                        "upload.send",
+                        now,
+                        span_id(self.agent, seq),
+                        0,
+                    );
                     vec![encode_msg(&Msg::Upload {
                         agent: self.agent,
                         incarnation: self.incarnation,
@@ -424,16 +430,13 @@ impl Uploader {
                     };
                     self.last_send = now;
                     let (_, batch) = self.spool.front().cloned().expect("awaiting spool head");
-                    if self.obs.is_enabled() {
-                        self.obs.counter("uploader.retransmits").inc(0);
-                        self.obs.event_at(
-                            Component::Session,
-                            "upload.retry",
-                            now,
-                            span_id(self.agent, seq),
-                            u64::from(attempt),
-                        );
-                    }
+                    self.obs.event_at(
+                        Component::Session,
+                        "upload.retry",
+                        now,
+                        span_id(self.agent, seq),
+                        u64::from(attempt),
+                    );
                     vec![encode_msg(&Msg::Upload {
                         agent: self.agent,
                         incarnation: self.incarnation,
@@ -494,16 +497,13 @@ impl Uploader {
                 } else {
                     self.narrow_gap();
                 }
-                if self.obs.is_enabled() {
-                    self.obs.counter("uploader.acked").inc(0);
-                    self.obs.event_at(
-                        Component::Session,
-                        "upload.ack",
-                        now,
-                        span_id(self.agent, seq),
-                        u64::from(duplicate),
-                    );
-                }
+                self.obs.event_at(
+                    Component::Session,
+                    "upload.ack",
+                    now,
+                    span_id(self.agent, seq),
+                    u64::from(duplicate),
+                );
                 self.state = State::Idle;
             }
             (

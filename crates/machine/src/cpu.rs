@@ -30,7 +30,7 @@ use crate::tlb::Tlb;
 use dcpi_core::{Addr, CpuId, Event, ImageId, Pid, Sample};
 use dcpi_isa::reg::Reg;
 use dcpi_isa::uop::Uop;
-use dcpi_obs::{Component, Counter, Obs};
+use dcpi_obs::{Component, Obs};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -227,6 +227,8 @@ pub struct CpuState {
     /// Total cycles consumed by the interrupt handler (profiling
     /// overhead).
     pub handler_cycles: u64,
+    /// Processes installed on this CPU (context switches).
+    pub ctx_switches: u64,
     /// Cycles of `handler_cycles` spent walking call stacks (the
     /// calling-context extension's share of the overhead).
     pub walk_cycles: u64,
@@ -243,11 +245,6 @@ pub struct CpuState {
     /// Observability handle (disabled by default: every probe is a single
     /// `AtomicBool` load + branch, off the per-group path entirely).
     pub obs: Obs,
-    /// Cached `machine.samples` counter handle (no registry lookup in the
-    /// interrupt path).
-    obs_samples: Counter,
-    /// Cached `machine.handler_cycles` counter handle.
-    obs_handler: Counter,
 }
 
 impl CpuState {
@@ -282,23 +279,14 @@ impl CpuState {
             slice_end: 0,
             samples_taken: 0,
             handler_cycles: 0,
+            ctx_switches: 0,
             walk_cycles: 0,
             walk_scratch: Vec::new(),
             insns_retired: 0,
             dual_issues: 0,
             dstats: DispatchStats::default(),
             obs: Obs::disabled(),
-            obs_samples: Counter::default(),
-            obs_handler: Counter::default(),
         }
-    }
-
-    /// Attaches an observability handle, caching the hot counter handles
-    /// so the interrupt path never touches the registry lock.
-    pub fn attach_obs(&mut self, obs: &Obs) {
-        self.obs = obs.clone();
-        self.obs_samples = obs.counter("machine.samples");
-        self.obs_handler = obs.counter("machine.handler_cycles");
     }
 
     /// Current time: the later of the last issue and any busy period.
@@ -321,10 +309,8 @@ impl CpuState {
         self.fdiv_free = self.fdiv_free.max(base);
         self.fetch_ready = base;
         self.slice_end = base + cfg.timeslice;
+        self.ctx_switches += 1;
         if self.obs.is_enabled() {
-            self.obs
-                .counter("machine.ctx_switches")
-                .inc(self.id.0 as usize);
             self.obs.event_at(
                 Component::Machine,
                 "machine.ctx_switch",
@@ -409,9 +395,6 @@ pub(crate) fn deliver_due<S: SampleSink>(
             cpu.samples_taken += 1;
             cpu.handler_cycles += cost;
             if cpu.obs.is_enabled() {
-                let shard = cpu.id.0 as usize;
-                cpu.obs_samples.inc(shard);
-                cpu.obs_handler.add(shard, cost);
                 cpu.obs.event_at(
                     Component::Machine,
                     "machine.sample",

@@ -7,6 +7,7 @@ use crate::os::{default_kernel, Os};
 use crate::stats::GroundTruth;
 use dcpi_core::{Addr, CpuId, ImageId, Pid};
 use dcpi_isa::image::Image;
+use dcpi_obs::Published;
 
 pub use crate::cpu::{NullSink, SampleSink};
 
@@ -39,9 +40,24 @@ impl<S: SampleSink> Machine<S> {
     /// leaves the hot path untouched: probes gate on one `AtomicBool`.
     pub fn set_obs(&mut self, obs: &dcpi_obs::Obs) {
         for cpu in &mut self.cpus {
-            cpu.attach_obs(obs);
+            cpu.obs = obs.clone();
         }
     }
+}
+
+impl<S: SampleSink + 'static> Machine<S> {
+    /// What the machine publishes: interrupts delivered, the handler
+    /// cycles they cost, and context switches, summed over the CPUs.
+    pub const PUBLISHED: Published<Machine<S>> = Published {
+        counters: &[
+            ("machine.samples", Machine::total_samples),
+            ("machine.handler_cycles", Machine::total_handler_cycles),
+            ("machine.ctx_switches", |m| {
+                m.cpus.iter().map(|c| c.ctx_switches).sum()
+            }),
+        ],
+        ..Published::NONE
+    };
 }
 
 impl<S: SampleSink> Machine<S> {

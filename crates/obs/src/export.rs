@@ -38,13 +38,24 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Zero every wall-clock field (trace `wall_ns`). Determinism tests
+    /// Zero every wall-clock field: trace `wall_ns` stamps, and the host
+    /// nanoseconds of every histogram named `*_ns` (its observations
+    /// move to bucket 0, so the count survives). Determinism tests
     /// compare snapshots after masking, since wall time is the one
     /// legitimately non-deterministic stamp.
     pub fn mask_wall(&mut self) {
         for ring in &mut self.rings {
             for ev in &mut ring.events {
                 ev.wall_ns = 0;
+            }
+        }
+        for (name, h) in &mut self.metrics.histograms {
+            if name.ends_with("_ns") {
+                h.sum = 0;
+                h.buckets.clear();
+                if h.count > 0 {
+                    h.buckets.push((0, h.count));
+                }
             }
         }
     }

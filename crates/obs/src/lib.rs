@@ -4,8 +4,10 @@
 //! overhead, §2 of the paper) and trustworthy (bounded sample loss). This
 //! crate lets the reproduction *watch itself* make good on that claim:
 //!
-//! * a lock-cheap [`metrics`] registry — counters (per-CPU sharded),
-//!   gauges, and log2 histograms keyed by static names, snapshot-able to a
+//! * [`metrics`]: the counters and gauges each component publishes from
+//!   its own stats ([`Published`] lists, read at export time, so nothing
+//!   is counted twice), and log2 histograms keyed by static names for
+//!   the distributions no stats type holds, all snapshot-able to a
 //!   deterministic `BTreeMap`;
 //! * [`trace`] spans and instant events in fixed-size per-component ring
 //!   buffers, stamped with both simulated machine cycles and monotonic
@@ -33,7 +35,7 @@ pub mod trace;
 
 pub use export::Snapshot;
 pub use ledger::{LossLedger, OverheadLedger};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{Histogram, HistogramSnapshot, Metric, MetricsSnapshot, Published, Registry};
 pub use report::Reporter;
 pub use timeseries::{SeriesRing, SeriesSnapshot, TimePoint};
 pub use trace::{span_agent, span_id, span_seq};
@@ -85,6 +87,9 @@ struct ObsCore {
     /// Wall-clock zero for `wall_ns` stamps.
     epoch: Instant,
     registry: Registry,
+    /// The counters and gauges handed to the last
+    /// [`Obs::record_point`], each name at its newest value.
+    published: Mutex<MetricsSnapshot>,
     /// One ring per [`Component`], indexed by `Component::index()`.
     rings: Vec<Mutex<TraceRing>>,
     /// Periodic metric samples (see [`Obs::record_point`]).
@@ -119,6 +124,7 @@ impl Obs {
                 cycle: AtomicU64::new(0),
                 epoch: Instant::now(),
                 registry: Registry::default(),
+                published: Mutex::new(MetricsSnapshot::default()),
                 rings,
                 series: Mutex::new(SeriesRing::new(series_cap)),
             }),
@@ -134,16 +140,6 @@ impl Obs {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.core.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Register (or fetch) a sharded counter by static name.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        self.core.registry.counter(name)
-    }
-
-    /// Register (or fetch) a gauge by static name.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.core.registry.gauge(name)
     }
 
     /// Register (or fetch) a log2 histogram by static name.
@@ -220,20 +216,27 @@ impl Obs {
         self.push(comp, name, EventKind::End, self.cycle(), a, b);
     }
 
-    /// Sample one time-series point at the given tick: counter deltas
-    /// since the previous point plus current gauge levels go into the
-    /// segmented series ring. Callers pick the cadence (the fleet
-    /// harness samples every merge interval).
-    pub fn record_point(&self, tick: u64) {
+    /// Sample one time-series point at the given tick from the counters
+    /// and gauges the components just published: counter deltas since
+    /// the previous point plus current gauge levels go into the
+    /// segmented series ring, and the values stay the export's until the
+    /// next point. A name left out keeps its last published value.
+    /// Callers pick the cadence (the fleet harness samples every merge
+    /// interval).
+    pub fn record_point(&self, tick: u64, published: &MetricsSnapshot) {
         if !self.is_enabled() {
             return;
         }
-        let metrics = self.core.registry.snapshot();
-        self.core.series.lock().unwrap().record(tick, &metrics);
+        let mut held = self.core.published.lock().unwrap();
+        held.counters.extend(published.counters.clone());
+        held.gauges.extend(published.gauges.clone());
+        self.core.series.lock().unwrap().record(tick, &held);
     }
 
-    /// Snapshot metrics and rings. Ledgers are attached by the layer that
-    /// owns them (e.g. the collection session).
+    /// Snapshot metrics and rings: the counters and gauges of the last
+    /// [`Obs::record_point`] and every histogram. Components that
+    /// publish without a time series, and the ledgers, are added by the
+    /// layer that owns them (e.g. the collection session).
     pub fn snapshot(&self) -> Snapshot {
         let rings = Component::ALL
             .iter()
@@ -246,7 +249,10 @@ impl Obs {
             .collect();
         Snapshot {
             meta: std::collections::BTreeMap::new(),
-            metrics: self.core.registry.snapshot(),
+            metrics: MetricsSnapshot {
+                histograms: self.core.registry.snapshot(),
+                ..self.core.published.lock().unwrap().clone()
+            },
             rings,
             timeseries: self.core.series.lock().unwrap().snapshot(),
             overhead: None,
@@ -267,26 +273,35 @@ mod tests {
         obs.begin(Component::Daemon, "daemon.flush");
         obs.end(Component::Daemon, "daemon.flush", 0, 0);
         obs.advance_cycle(500);
-        obs.record_point(500);
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("driver.interrupts".into(), 3);
+        obs.record_point(500, &m);
         let snap = obs.snapshot();
         assert_eq!(snap.rings.iter().map(|r| r.events.len()).sum::<usize>(), 0);
         assert_eq!(snap.timeseries.recorded, 0);
+        assert!(snap.metrics.counters.is_empty(), "nothing is published");
         assert_eq!(obs.cycle(), 0);
     }
 
     #[test]
-    fn record_point_samples_counter_deltas() {
+    fn record_point_samples_published_deltas() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.counter("server.accepted").add(0, 3);
-        obs.record_point(100);
-        obs.counter("server.accepted").add(0, 4);
-        obs.gauge("server.queue_depth").set(9);
-        obs.record_point(200);
-        let s = obs.snapshot().timeseries;
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("server.accepted".into(), 3);
+        m.gauges.insert("server.queue_depth".into(), 2);
+        obs.record_point(100, &m);
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("server.accepted".into(), 7);
+        obs.record_point(200, &m);
+        let snap = obs.snapshot();
+        let s = &snap.timeseries;
         assert_eq!(s.recorded, 2);
         assert_eq!(s.points[0].counters["server.accepted"], 3);
         assert_eq!(s.points[1].counters["server.accepted"], 4);
-        assert_eq!(s.points[1].gauges["server.queue_depth"], 9);
+        // A gauge left out of a point keeps its last published level.
+        assert_eq!(s.points[1].gauges["server.queue_depth"], 2);
+        assert_eq!(snap.metrics.counters["server.accepted"], 7);
+        assert_eq!(snap.metrics.gauges["server.queue_depth"], 2);
     }
 
     #[test]
@@ -324,7 +339,10 @@ mod tests {
     fn clones_share_state() {
         let obs = Obs::new(&ObsConfig::on());
         let clone = obs.clone();
-        clone.counter("driver.interrupts").add(0, 5);
-        assert_eq!(obs.snapshot().metrics.counters["driver.interrupts"], 5);
+        clone.histogram("daemon.flush_ns").observe(5);
+        clone.record_point(1, &MetricsSnapshot::default());
+        let snap = obs.snapshot();
+        assert_eq!(snap.metrics.histograms["daemon.flush_ns"].sum, 5);
+        assert_eq!(snap.timeseries.recorded, 1);
     }
 }

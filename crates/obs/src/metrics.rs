@@ -1,84 +1,47 @@
-//! Lock-cheap metrics: sharded counters, gauges, and log2 histograms.
+//! Metrics: published counts and levels, and log2 histograms.
 //!
-//! Registration takes a short mutex on a `BTreeMap` keyed by `&'static
-//! str`; hot components register once and keep the returned handle, after
-//! which every update is a single relaxed atomic RMW. Counters are sharded
-//! across cache-line-padded slots so per-CPU writers (the interrupt
-//! handler runs on every simulated CPU) do not contend.
+//! Counters and gauges are not counted here. Each component keeps its
+//! own typed stats and names the figures it publishes once, in a
+//! [`Published`] list next to the stats type; the owner reads its stats
+//! into a [`MetricsSnapshot`] when someone asks ([`MetricsSnapshot::publish`]),
+//! so an export can never disagree with the count it reports.
+//!
+//! Histograms are the one thing the registry holds: distributions with
+//! no stats home (host-time flush latency, ingest lag). Registration
+//! takes a short mutex on a `BTreeMap` keyed by `&'static str`; after
+//! that every observation is three relaxed atomic adds.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of counter shards. Writers pick `shard % SHARDS`, typically the
-/// simulated CPU index.
-pub const SHARDS: usize = 16;
-
 /// Number of log2 histogram buckets (bucket `i` holds values needing `i`
 /// bits, i.e. `2^(i-1) < v <= 2^i - …`; bucket 0 holds zero).
 pub const HIST_BUCKETS: usize = 65;
 
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedU64 {
-    v: AtomicU64,
+/// One figure a component publishes: its export name and how to read it
+/// from the component.
+pub type Metric<T> = (&'static str, fn(&T) -> u64);
+
+/// Everything one stats type publishes, by kind. The lists are the only
+/// place a component spells its export names.
+#[derive(Debug)]
+pub struct Published<T: 'static> {
+    /// Counts exported whether or not anything happened yet.
+    pub counters: &'static [Metric<T>],
+    /// Counts of incidents, exported once the first one happened.
+    pub incidents: &'static [Metric<T>],
+    /// Levels at the moment of reading.
+    pub gauges: &'static [Metric<T>],
 }
 
-#[derive(Debug, Default)]
-struct ShardedInner {
-    shards: [PaddedU64; SHARDS],
-}
-
-/// A monotonically increasing counter, sharded to avoid write contention.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<ShardedInner>);
-
-impl Counter {
-    /// Add `n`, hinting which shard to use (e.g. the CPU index).
-    #[inline]
-    pub fn add(&self, shard: usize, n: u64) {
-        self.0.shards[shard % SHARDS]
-            .v
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self, shard: usize) {
-        self.add(shard, 1);
-    }
-
-    /// Sum across shards.
-    pub fn value(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.v.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// A last-value / high-water gauge.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Set the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the gauge to `v` if larger (high-water mark).
-    #[inline]
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+impl<T> Published<T> {
+    /// Publishes nothing; the base for a list's struct update.
+    pub const NONE: Published<T> = Published {
+        counters: &[],
+        incidents: &[],
+        gauges: &[],
+    };
 }
 
 #[derive(Debug)]
@@ -206,31 +169,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// The registry behind an `Obs` instance: three name-keyed maps guarded by
-/// short mutexes. Lookups happen at registration time only.
+/// The histograms behind an `Obs` instance, keyed by name. Lookups
+/// happen at registration time only.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
 impl Registry {
-    /// Get or create the counter with this name.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        self.counters
-            .lock()
-            .unwrap()
-            .entry(name)
-            .or_default()
-            .clone()
-    }
-
-    /// Get or create the gauge with this name.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.gauges.lock().unwrap().entry(name).or_default().clone()
-    }
-
     /// Get or create the histogram with this name.
     pub fn histogram(&self, name: &'static str) -> Histogram {
         self.histograms
@@ -241,35 +187,19 @@ impl Registry {
             .clone()
     }
 
-    /// Deterministic (sorted-by-name) snapshot of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.value()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.value()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
-        }
+    /// Deterministic (sorted-by-name) snapshot of every histogram.
+    pub fn snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
+        self.histograms
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.snapshot()))
+            .collect()
     }
 }
 
-/// Deterministic point-in-time view of a whole registry.
+/// Deterministic point-in-time view of every metric: the published
+/// counters and gauges and the registry's histograms.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -281,6 +211,24 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Publishes what `src` counts under the names `list` gives it:
+    /// counters as they stand, incidents once nonzero, gauges at their
+    /// current level. A name published again takes the newer value.
+    pub fn publish<T>(&mut self, list: &Published<T>, src: &T) {
+        for &(name, read) in list.counters {
+            self.counters.insert(name.to_owned(), read(src));
+        }
+        for &(name, read) in list.incidents {
+            let n = read(src);
+            if n > 0 {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
+        for &(name, read) in list.gauges {
+            self.gauges.insert(name.to_owned(), read(src));
+        }
+    }
+
     /// Merge another snapshot: counters and histograms sum, gauges take
     /// the maximum (they are levels, not totals).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
@@ -301,27 +249,42 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_shards_sum() {
-        let r = Registry::default();
-        let c = r.counter("x");
-        for cpu in 0..32 {
-            c.add(cpu, 2);
-        }
-        assert_eq!(c.value(), 64);
-        // Same name returns the same underlying counter.
-        r.counter("x").inc(0);
-        assert_eq!(c.value(), 65);
+    struct Stats {
+        seen: u64,
+        lost: u64,
+        level: u64,
     }
 
+    const PUBLISHED: Published<Stats> = Published {
+        counters: &[("t.seen", |s| s.seen)],
+        incidents: &[("t.lost", |s| s.lost)],
+        gauges: &[("t.level", |s| s.level)],
+    };
+
     #[test]
-    fn gauge_set_and_raise() {
-        let g = Gauge::default();
-        g.set(10);
-        g.raise(5);
-        assert_eq!(g.value(), 10);
-        g.raise(20);
-        assert_eq!(g.value(), 20);
+    fn publish_reads_each_name_once_by_kind() {
+        let mut m = MetricsSnapshot::default();
+        let quiet = Stats {
+            seen: 0,
+            lost: 0,
+            level: 0,
+        };
+        m.publish(&PUBLISHED, &quiet);
+        // A counter is exported at zero, an incident only once it happened.
+        assert_eq!(m.counters.get("t.seen"), Some(&0));
+        assert!(!m.counters.contains_key("t.lost"));
+        assert_eq!(m.gauges.get("t.level"), Some(&0));
+        let busy = Stats {
+            seen: 9,
+            lost: 2,
+            level: 5,
+        };
+        m.publish(&PUBLISHED, &busy);
+        assert_eq!(m.counters.get("t.seen"), Some(&9), "newer value wins");
+        assert_eq!(m.counters.get("t.lost"), Some(&2));
+        assert_eq!(m.gauges.get("t.level"), Some(&5));
+        m.publish(&Published::NONE, &busy);
+        assert_eq!(m.counters.len() + m.gauges.len(), 3);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! The trace rings answer "what happened to this epoch"; the series ring
 //! answers "how did the fleet evolve over the run". A driver (the fleet
-//! harness, a long-lived daemon) calls [`crate::Obs::record_point`] every
-//! N ticks; each point stores the counter *deltas* since the previous
-//! point — so rates fall out as `delta / interval` at render time — plus
-//! the gauge levels at the point. Like [`crate::trace::TraceRing`], the
+//! harness) reads its components' stats every N ticks and hands the
+//! published values to [`crate::Obs::record_point`]; each point stores
+//! the counter *deltas* since the previous point — so rates fall out as
+//! `delta / interval` at render time — plus the gauge levels at the
+//! point. The series is computed from the components' own counts, so it
+//! cannot drift from them. Like [`crate::trace::TraceRing`], the
 //! ring never allocates past its capacity: old points are overwritten and
 //! the loss is accounted, which `dcpicheck obs` audits.
 

@@ -32,7 +32,7 @@ use dcpi_collect::uploader::{Uploader, UploaderConfig, UploaderStats};
 use dcpi_collect::wire::{decode_msg, EpochBatch};
 use dcpi_core::json::{Doc, Value};
 use dcpi_core::prng::CartaRng;
-use dcpi_obs::Obs;
+use dcpi_obs::{MetricsSnapshot, Obs};
 use dcpi_workloads::fleet_feed::{fleet_scripts, AgentScript};
 use std::collections::BTreeMap;
 use std::io;
@@ -367,18 +367,40 @@ impl AgentSim {
     }
 }
 
-fn add_server_stats(into: &mut ServerStats, s: &ServerStats) {
-    into.corrupt_frames += s.corrupt_frames;
-    into.registrations += s.registrations;
-    into.accepted += s.accepted;
-    into.deduped += s.deduped;
-    into.gap_nacks += s.gap_nacks;
-    into.queue_full_nacks += s.queue_full_nacks;
-    into.backpressure_acks += s.backpressure_acks;
-    into.merges += s.merges;
-    into.replayed_batches += s.replayed_batches;
-    into.lease_expiries += s.lease_expiries;
-    into.stale_incarnation += s.stale_incarnation;
+/// The fleet's counts as they stand: the server's summed over every
+/// incarnation (the killed ones' `harvested` plus the live one's) and the
+/// uploaders' summed over the agents.
+fn fleet_stats(
+    harvested: &ServerStats,
+    server: Option<&IngestServer>,
+    agents: &[AgentSim],
+) -> (ServerStats, UploaderStats) {
+    let mut server_stats = *harvested;
+    if let Some(s) = server {
+        server_stats.merge(&s.stats);
+    }
+    let mut uploader_stats = UploaderStats::default();
+    for sim in agents {
+        uploader_stats.merge(&sim.uploader.stats);
+    }
+    (server_stats, uploader_stats)
+}
+
+/// Publishes [`fleet_stats`] and the live server's levels (while the
+/// server is down its levels keep their last published values).
+fn publish(
+    harvested: &ServerStats,
+    server: Option<&IngestServer>,
+    agents: &[AgentSim],
+) -> MetricsSnapshot {
+    let (server_stats, uploader_stats) = fleet_stats(harvested, server, agents);
+    let mut m = MetricsSnapshot::default();
+    m.publish(&ServerStats::PUBLISHED, &server_stats);
+    m.publish(&UploaderStats::PUBLISHED, &uploader_stats);
+    if let Some(s) = server {
+        m.publish(&IngestServer::PUBLISHED, s);
+    }
+    m
 }
 
 /// Runs one fleet to quiesce. Deterministic in `cfg` (including the
@@ -467,7 +489,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
                 for (&a, &v) in s.agent_visibility() {
                     agent_visible.insert(a, v);
                 }
-                add_server_stats(&mut harvested_stats, &s.stats);
+                harvested_stats.merge(&s.stats);
                 server_crash_count += 1;
                 in_window = true;
                 // Dropping the server mid-everything IS the crash: no
@@ -580,10 +602,10 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
             srv.tick(t)?;
         }
 
-        // One time-series point per merge cadence; a no-op (single
-        // relaxed load) when obs is disabled.
-        if t % MERGE_EVERY == 0 {
-            obs.record_point(t);
+        // One time-series point per merge cadence, read from the stats
+        // as they stand; nothing is read when obs is disabled.
+        if t % MERGE_EVERY == 0 && obs.is_enabled() {
+            obs.record_point(t, &publish(&harvested_stats, server.as_ref(), &agents));
         }
     }
 
@@ -597,7 +619,9 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     };
     let mut srv = server.expect("quiesce requires a live server");
     srv.finish(ticks)?;
-    obs.record_point(ticks);
+    if obs.is_enabled() {
+        obs.record_point(ticks, &publish(&harvested_stats, Some(&srv), &agents));
+    }
 
     harvested_lags.extend_from_slice(srv.ingest_lags());
     for (&a, &v) in srv.agent_visibility() {
@@ -622,13 +646,10 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
 
     let mut ledger = srv.ledger();
     ledger_add(&mut ledger.retrans_duplicates_discarded, harvested_dups);
-    let mut server_stats = harvested_stats;
-    add_server_stats(&mut server_stats, &srv.stats);
-    let mut uploader_stats = UploaderStats::default();
     for sim in &agents {
         ledger_add(&mut ledger.in_flight, sim.uploader.in_flight_samples());
-        uploader_stats.merge(&sim.uploader.stats);
     }
+    let (server_stats, uploader_stats) = fleet_stats(&harvested_stats, Some(&srv), &agents);
 
     let report = FleetReport {
         ledger,

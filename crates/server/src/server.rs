@@ -32,7 +32,7 @@ use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
 use dcpi_core::profile::ProfileSet;
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
-use dcpi_obs::{span_id, Component, Obs};
+use dcpi_obs::{span_id, Component, Obs, Published};
 use dcpi_stacks::StackProfile;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -108,6 +108,8 @@ pub struct ServerStats {
     pub registrations: u64,
     /// Uploads journaled and acked.
     pub accepted: u64,
+    /// Samples those uploads carried.
+    pub journaled_samples: u64,
     /// Duplicate uploads discarded.
     pub deduped: u64,
     /// Uploads nacked for a sequence gap.
@@ -116,14 +118,54 @@ pub struct ServerStats {
     pub queue_full_nacks: u64,
     /// Acks carrying the backpressure bit.
     pub backpressure_acks: u64,
-    /// Merges performed.
+    /// Merges performed (each ends in a checkpoint).
     pub merges: u64,
+    /// Batches those merges landed.
+    pub merged_batches: u64,
     /// Batches re-queued from the WAL at reopen.
     pub replayed_batches: u64,
     /// Agent leases that expired.
     pub lease_expiries: u64,
     /// Uploads ignored for a stale incarnation.
     pub stale_incarnation: u64,
+}
+
+impl ServerStats {
+    /// Adds another incarnation's counts (checked sums).
+    pub fn merge(&mut self, other: &ServerStats) {
+        ledger_add(&mut self.corrupt_frames, other.corrupt_frames);
+        ledger_add(&mut self.registrations, other.registrations);
+        ledger_add(&mut self.accepted, other.accepted);
+        ledger_add(&mut self.journaled_samples, other.journaled_samples);
+        ledger_add(&mut self.deduped, other.deduped);
+        ledger_add(&mut self.gap_nacks, other.gap_nacks);
+        ledger_add(&mut self.queue_full_nacks, other.queue_full_nacks);
+        ledger_add(&mut self.backpressure_acks, other.backpressure_acks);
+        ledger_add(&mut self.merges, other.merges);
+        ledger_add(&mut self.merged_batches, other.merged_batches);
+        ledger_add(&mut self.replayed_batches, other.replayed_batches);
+        ledger_add(&mut self.lease_expiries, other.lease_expiries);
+        ledger_add(&mut self.stale_incarnation, other.stale_incarnation);
+    }
+
+    /// What the server publishes: the epoch pipeline's counts, once any
+    /// happened. Every merge writes one checkpoint, so both names read
+    /// `merges`; `server.backpressure` is the uploads nacked for a full
+    /// queue.
+    pub const PUBLISHED: Published<ServerStats> = Published {
+        incidents: &[
+            ("server.registrations", |s| s.registrations),
+            ("server.accepted", |s| s.accepted),
+            ("server.journaled_samples", |s| s.journaled_samples),
+            ("server.deduped", |s| s.deduped),
+            ("server.backpressure", |s| s.queue_full_nacks),
+            ("server.lease_expiries", |s| s.lease_expiries),
+            ("server.merges", |s| s.merges),
+            ("server.merged_batches", |s| s.merged_batches),
+            ("server.checkpoints", |s| s.merges),
+        ],
+        ..Published::NONE
+    };
 }
 
 /// The fleet ingestion server.
@@ -353,6 +395,23 @@ impl IngestServer {
         self.wal.bytes()
     }
 
+    /// Agents whose lease is live.
+    #[must_use]
+    pub fn live_agents(&self) -> u64 {
+        self.sessions.values().filter(|s| s.live).count() as u64
+    }
+
+    /// The server's levels at the moment of reading.
+    pub const PUBLISHED: Published<IngestServer> = Published {
+        gauges: &[
+            ("server.agents", IngestServer::live_agents),
+            ("server.queue_depth", |s| s.queue_depth() as u64),
+            ("server.agent_lag_max", IngestServer::max_agent_lag),
+            ("server.wal_bytes", IngestServer::wal_bytes),
+        ],
+        ..Published::NONE
+    };
+
     fn backpressure(&self) -> bool {
         self.queue.len() >= self.cfg.backpressure_at
     }
@@ -381,19 +440,13 @@ impl IngestServer {
                 s.last_heard = now;
                 s.live = true;
                 let last_seq = s.journaled.last_seq;
-                if self.obs.is_enabled() {
-                    self.obs.counter("server.registrations").inc(0);
-                    self.obs.event_at(
-                        Component::Server,
-                        "server.register",
-                        now,
-                        agent.into(),
-                        incarnation.into(),
-                    );
-                    self.obs
-                        .gauge("server.agents")
-                        .set(self.sessions.values().filter(|s| s.live).count() as u64);
-                }
+                self.obs.event_at(
+                    Component::Server,
+                    "server.register",
+                    now,
+                    agent.into(),
+                    incarnation.into(),
+                );
                 vec![encode_msg(&Msg::RegisterAck { agent, last_seq })]
             }
             Msg::Heartbeat { agent, incarnation } => {
@@ -457,9 +510,6 @@ impl IngestServer {
             if backpressure {
                 self.stats.backpressure_acks += 1;
             }
-            if self.obs.is_enabled() {
-                self.obs.counter("server.deduped").inc(0);
-            }
             return vec![encode_msg(&Msg::Ack {
                 agent,
                 seq,
@@ -484,9 +534,6 @@ impl IngestServer {
             // Bounded ingest queue is full: shed load, tell the agent
             // to widen its interval and retry this same seq later.
             self.stats.queue_full_nacks += 1;
-            if self.obs.is_enabled() {
-                self.obs.counter("server.backpressure").inc(0);
-            }
             return vec![encode_msg(&Msg::Nack {
                 agent,
                 seq,
@@ -507,32 +554,22 @@ impl IngestServer {
         ledger_add(&mut self.ledger.server_journal, samples);
         self.queue.push_back((agent, seq, batch));
         self.stats.accepted += 1;
+        ledger_add(&mut self.stats.journaled_samples, samples);
         let backpressure = self.backpressure();
         if backpressure {
             self.stats.backpressure_acks += 1;
         }
-        if self.obs.is_enabled() {
-            self.obs.counter("server.accepted").inc(0);
-            self.obs.counter("server.journaled_samples").add(0, samples);
-            self.obs
-                .gauge("server.queue_depth")
-                .set(self.queue.len() as u64);
-            self.obs
-                .gauge("server.agent_lag_max")
-                .set(self.max_agent_lag());
-            self.obs.gauge("server.wal_bytes").set(self.wal.bytes());
-            // Journal + ack happen in the same tick, so one event marks
-            // both stages of the epoch's span chain. `b` is the lag so
-            // far, computed from the wire-carried seal tick — the trace
-            // audit cross-checks it against the agent-side seal event.
-            self.obs.event_at(
-                Component::Server,
-                "server.ack",
-                now,
-                span_id(agent, seq),
-                now.saturating_sub(seal_cycle),
-            );
-        }
+        // Journal + ack happen in the same tick, so one event marks both
+        // stages of the epoch's span chain. `b` is the lag so far,
+        // computed from the wire-carried seal tick — the trace audit
+        // cross-checks it against the agent-side seal event.
+        self.obs.event_at(
+            Component::Server,
+            "server.ack",
+            now,
+            span_id(agent, seq),
+            now.saturating_sub(seal_cycle),
+        );
         vec![encode_msg(&Msg::Ack {
             agent,
             seq,
@@ -551,16 +588,13 @@ impl IngestServer {
             if s.live && now.saturating_sub(s.last_heard) > LEASE {
                 s.live = false;
                 self.stats.lease_expiries += 1;
-                if self.obs.is_enabled() {
-                    self.obs.counter("server.lease_expiries").inc(0);
-                    self.obs.event_at(
-                        Component::Server,
-                        "server.lease_expired",
-                        now,
-                        (*agent).into(),
-                        0,
-                    );
-                }
+                self.obs.event_at(
+                    Component::Server,
+                    "server.lease_expired",
+                    now,
+                    (*agent).into(),
+                    0,
+                );
             }
         }
         if now >= self.next_merge {
@@ -628,25 +662,17 @@ impl IngestServer {
         }
         self.epoch_totals.push(epoch_total);
         self.stats.merges += 1;
+        ledger_add(&mut self.stats.merged_batches, group.len() as u64);
         let wal_bytes_dropped = self.wal.rotate(&self.checkpoint())?;
-        if self.obs.is_enabled() {
-            self.obs.counter("server.merges").inc(0);
-            self.obs
-                .counter("server.merged_batches")
-                .add(0, group.len() as u64);
-            self.obs.counter("server.checkpoints").inc(0);
-            self.obs.event_at(
-                Component::Server,
-                "server.checkpoint",
-                now,
-                epoch.into(),
-                wal_bytes_dropped,
-            );
-            self.obs.gauge("server.queue_depth").set(0);
-            self.obs.gauge("server.wal_bytes").set(self.wal.bytes());
-            self.obs
-                .end(Component::Server, "server.merge", now, group.len() as u64);
-        }
+        self.obs.event_at(
+            Component::Server,
+            "server.checkpoint",
+            now,
+            epoch.into(),
+            wal_bytes_dropped,
+        );
+        self.obs
+            .end(Component::Server, "server.merge", now, group.len() as u64);
         Ok(())
     }
 

@@ -187,13 +187,14 @@ mod tests {
     #[test]
     fn status_renders_rates_and_ledgers() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.counter("driver.interrupts").add(0, 1000);
-        obs.counter("driver.ht_hits").add(0, 900);
-        obs.counter("driver.dropped_samples").add(0, 10);
-        obs.counter("faults.crashes").inc(0);
         obs.histogram("daemon.flush_ns").observe(2_000);
         obs.event(Component::Driver, "driver.irq", 1, 2);
         let mut snap = obs.snapshot();
+        let counters = &mut snap.metrics.counters;
+        counters.insert("driver.interrupts".into(), 1000);
+        counters.insert("driver.ht_hits".into(), 900);
+        counters.insert("driver.dropped_samples".into(), 10);
+        counters.insert("faults.crashes".into(), 1);
         snap.overhead = Some(OverheadLedger {
             total_cycles: 100,
             handler_cycles: 1,
@@ -229,17 +230,15 @@ mod tests {
 
     #[test]
     fn enabled_snapshot_has_no_disabled_notice() {
-        let obs = Obs::new(&ObsConfig::on());
-        obs.counter("driver.interrupts").inc(0);
-        let text = dcpistat(&obs.snapshot());
+        let mut snap = Obs::new(&ObsConfig::on()).snapshot();
+        snap.metrics.counters.insert("driver.interrupts".into(), 1);
+        let text = dcpistat(&snap);
         assert!(!text.contains("observability was disabled"), "{text}");
     }
 
     #[test]
     fn server_section_reports_lag_and_freshness() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.counter("server.accepted").add(0, 3);
-        obs.gauge("server.wal_bytes").set(512);
         for lag in [8, 16, 64] {
             obs.histogram("server.ingest_lag_cycles").observe(lag);
         }
@@ -257,7 +256,10 @@ mod tests {
             dcpi_obs::span_id(2, 1),
             16,
         );
-        let text = dcpistat(&obs.snapshot());
+        let mut snap = obs.snapshot();
+        snap.metrics.counters.insert("server.accepted".into(), 3);
+        snap.metrics.gauges.insert("server.wal_bytes".into(), 512);
+        let text = dcpistat(&snap);
         assert!(text.contains("wal 512 bytes"), "{text}");
         assert!(text.contains("ingest lag p50 31"), "{text}");
         assert!(text.contains("p99 127"), "{text}");

@@ -123,22 +123,27 @@ pub fn dcpitop_flame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Obs, ObsConfig};
+    use dcpi_obs::{MetricsSnapshot, Obs, ObsConfig};
 
     #[test]
     fn dashboard_renders_pipeline_rows() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.counter("server.accepted").add(0, 40);
-        obs.counter("server.merges").add(0, 4);
-        obs.counter("uploader.sent").add(0, 44);
-        obs.gauge("server.agents").set(10);
-        obs.gauge("server.wal_bytes").set(4096);
         for lag in [10, 20, 30, 400] {
             obs.histogram("server.ingest_lag_cycles").observe(lag);
         }
-        obs.record_point(0);
-        obs.counter("server.accepted").add(0, 10);
-        obs.record_point(100);
+        let mut m = MetricsSnapshot::default();
+        for (name, v) in [
+            ("server.accepted", 40),
+            ("server.merges", 4),
+            ("uploader.sent", 44),
+        ] {
+            m.counters.insert(name.into(), v);
+        }
+        m.gauges.insert("server.agents".into(), 10);
+        m.gauges.insert("server.wal_bytes".into(), 4096);
+        obs.record_point(0, &m);
+        m.counters.insert("server.accepted".into(), 50);
+        obs.record_point(100, &m);
         let mut snap = obs.snapshot();
         snap.meta.insert("tool".into(), "dcpifleet".into());
         snap.meta.insert("agents".into(), "10".into());

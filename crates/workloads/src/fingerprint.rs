@@ -61,7 +61,17 @@ pub fn fingerprint(r: &RunResult) -> String {
             .collect();
         let _ = writeln!(s, "gt {id:?}: {counts:?} {:?}", r.gt.edges_of(*id));
     }
-    let _ = writeln!(s, "driver: {:?}", r.driver);
+    // The driver's counts in the form the fingerprints were recorded
+    // with; spilled samples were counted only after the recording.
+    let _ = match r.driver {
+        Some(d) => writeln!(
+            s,
+            "driver: Some(DriverStats {{ interrupts: {}, hits: {}, misses: {}, \
+             flush_bypass: {}, dropped: {}, handler_cycles: {} }})",
+            d.interrupts, d.hits, d.misses, d.flush_bypass, d.dropped, d.handler_cycles
+        ),
+        None => writeln!(s, "driver: None"),
+    };
     let _ = writeln!(s, "ledger: {:?}", r.ledger);
     let _ = writeln!(s, "overhead: {:?}", r.overhead);
     let _ = writeln!(s, "stacks: {:?}", r.stacks.to_bytes());

@@ -452,10 +452,10 @@ fn sample_snapshot(more: impl FnOnce(&Obs)) -> Snapshot {
     obs.advance_cycle(300);
     obs.event(Component::Driver, "driver.spill", 2, 0);
     more(&obs);
-    obs.counter("driver.interrupts").add(0, 42);
     obs.histogram("daemon.flush_ns").observe(1000);
     let mut snap = obs.snapshot();
     snap.mask_wall();
+    snap.metrics.counters.insert("driver.interrupts".into(), 42);
     snap.overhead = Some(OverheadLedger {
         total_cycles: 1_000_000,
         handler_cycles: 9_000,

@@ -27,7 +27,7 @@ use dcpi::server::fleet::{run_fleet, FleetConfig};
 use dcpi::tools::{dcpistat, dcpitop};
 use dcpi::workloads::fingerprint::fnv64;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
-use dcpi_obs::{HistogramSnapshot, Obs, ObsConfig, Snapshot};
+use dcpi_obs::{Obs, ObsConfig, Snapshot};
 use dcpi_testkit::TempRoot;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -35,26 +35,6 @@ use std::path::Path;
 /// The export sections recorded row by row; every other section goes
 /// into the run's one FNV-64 line.
 const VERBATIM: [&str; 3] = ["counters", "gauges", "timeseries"];
-
-/// Zeroes what the host clock wrote: trace `wall_ns` stamps, and the
-/// host nanoseconds of every `*_ns` histogram (its observations move to
-/// bucket 0, so the count survives).
-fn mask(snap: &mut Snapshot) {
-    snap.mask_wall();
-    for (name, h) in &mut snap.metrics.histograms {
-        if name.ends_with("_ns") {
-            *h = HistogramSnapshot {
-                count: h.count,
-                sum: 0,
-                buckets: if h.count > 0 {
-                    vec![(0, h.count)]
-                } else {
-                    Vec::new()
-                },
-            };
-        }
-    }
-}
 
 /// Records one run's export under `== <run>: <section>` headers.
 fn record(g: &mut String, run: &str, snap: &Snapshot, tools: &[(&str, String)]) {
@@ -197,12 +177,12 @@ fn three_runs_export_what_they_exported_when_recorded() {
     let mut g = String::new();
 
     let mut snap = x11perf(&dir.subdir("x11perf"));
-    mask(&mut snap);
+    snap.mask_wall();
     let stat = dcpistat(&snap);
     record(&mut g, "x11perf", &snap, &[("dcpistat", stat)]);
 
     let mut snap = faulted(&dir.subdir("faults"));
-    mask(&mut snap);
+    snap.mask_wall();
     for key in [
         "faults.crashes",
         "faults.stalled_pumps",
@@ -218,7 +198,7 @@ fn three_runs_export_what_they_exported_when_recorded() {
     record(&mut g, "faults", &snap, &[("dcpistat", stat)]);
 
     let mut snap = fleet(&dir.subdir("fleet"));
-    mask(&mut snap);
+    snap.mask_wall();
     let tools = [("dcpistat", dcpistat(&snap)), ("dcpitop", dcpitop(&snap))];
     record(&mut g, "fleet", &snap, &tools);
 
