@@ -314,15 +314,9 @@ impl CpuDriver {
             self.buffer_full = true;
         } else {
             self.stats.dropped += e.count;
-            if self.obs.is_enabled() {
-                self.obs.event_at(
-                    Component::Driver,
-                    "driver.drop",
-                    at_cycle,
-                    e.count,
-                    e.sample.pc.0,
-                );
-            }
+            let pc = e.sample.pc.0;
+            self.obs
+                .event_at(Component::Driver, "driver.drop", at_cycle, e.count, pc);
         }
     }
 
@@ -338,7 +332,6 @@ impl CpuDriver {
     /// returns the cycles the handler consumed.
     pub fn record_at(&mut self, sample: Sample, at_cycle: u64) -> u64 {
         self.stats.interrupts += 1;
-        let obs_on = self.obs.is_enabled();
         let cost;
         if self.flushing {
             // §4.2.3: while the hash table is being flushed, the handler
@@ -347,10 +340,8 @@ impl CpuDriver {
             self.stats.flush_bypass += 1;
             cost = self.cost.setup + self.cost.hit;
             self.stats.handler_cycles += cost;
-            if obs_on {
-                self.obs
-                    .event_at(Component::Driver, "driver.irq", at_cycle, cost, sample.pc.0);
-            }
+            self.obs
+                .event_at(Component::Driver, "driver.irq", at_cycle, cost, sample.pc.0);
             return cost;
         }
         let assoc = self.cfg.associativity;
@@ -383,15 +374,13 @@ impl CpuDriver {
                 }
             }
             self.stats.misses += 1;
-            if obs_on {
-                self.obs.event_at(
-                    Component::Driver,
-                    "driver.ht_insert",
-                    at_cycle,
-                    0, // no eviction
-                    sample.pc.0,
-                );
-            }
+            self.obs.event_at(
+                Component::Driver,
+                "driver.ht_insert",
+                at_cycle,
+                0, // no eviction
+                sample.pc.0,
+            );
             cost = self.cost.setup + (self.cost.hit + self.cost.miss) / 2;
         } else {
             // Eviction.
@@ -405,22 +394,16 @@ impl CpuDriver {
             };
             let victim = self.table[base + victim_pos].take().expect("full line");
             self.stats.spilled += victim.count;
-            if obs_on {
-                self.obs.event_at(
-                    Component::Driver,
-                    "driver.spill",
-                    at_cycle,
-                    victim.count,
-                    victim.sample.pc.0,
-                );
-                self.obs.event_at(
-                    Component::Driver,
-                    "driver.ht_insert",
-                    at_cycle,
-                    1, // evicted a victim
-                    sample.pc.0,
-                );
-            }
+            let (count, pc) = (victim.count, victim.sample.pc.0);
+            self.obs
+                .event_at(Component::Driver, "driver.spill", at_cycle, count, pc);
+            self.obs.event_at(
+                Component::Driver,
+                "driver.ht_insert",
+                at_cycle,
+                1, // evicted a victim
+                sample.pc.0,
+            );
             self.push_overflow(
                 SampleEntry {
                     sample: victim.sample,
@@ -441,10 +424,8 @@ impl CpuDriver {
             cost = self.cost.setup + self.cost.miss;
         }
         self.stats.handler_cycles += cost;
-        if obs_on {
-            self.obs
-                .event_at(Component::Driver, "driver.irq", at_cycle, cost, sample.pc.0);
-        }
+        self.obs
+            .event_at(Component::Driver, "driver.irq", at_cycle, cost, sample.pc.0);
         cost
     }
 

@@ -17,7 +17,7 @@ use dcpi_core::{ImageId, Pid, Profile, ProfileKey, ProfileSet, Result};
 use dcpi_isa::image::Image;
 use dcpi_machine::machine::Machine;
 use dcpi_machine::MachineConfig;
-use dcpi_obs::{Component, MetricsSnapshot, Obs, ObsConfig, OverheadLedger, Published, Snapshot};
+use dcpi_obs::{Component, Obs, ObsConfig, OverheadLedger, Published, Snapshot};
 
 /// Configuration of a profiled run.
 #[derive(Clone, Debug)]
@@ -446,18 +446,9 @@ impl ProfiledRun {
         ..Published::NONE
     };
 
-    /// Publishes the run's counts: the machine's, the driver's summed
-    /// over CPUs, the daemon's over every incarnation, the injector's and
-    /// the session's own.
-    fn publish(&self, m: &mut MetricsSnapshot) {
-        m.publish(&Machine::PUBLISHED, &self.machine);
-        m.publish(&DriverStats::PUBLISHED, &self.machine.sink.total_stats());
-        m.publish(&DaemonStats::PUBLISHED, &self.daemon_stats());
-        m.publish(&FaultInjector::PUBLISHED, &self.injector);
-        m.publish(&ProfiledRun::PUBLISHED, self);
-    }
-
-    /// A full observability snapshot: the published counts, histograms,
+    /// A full observability snapshot: the run's published counts (the
+    /// machine's, the driver's summed over CPUs, the daemon's over every
+    /// incarnation, the injector's and the session's own), histograms,
     /// trace rings, and both ledgers. Call after [`ProfiledRun::finish`]
     /// so the sample ledger conserves. With observability off nothing is
     /// published and the rings are empty; the ledgers are still there.
@@ -465,7 +456,12 @@ impl ProfiledRun {
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = self.obs.snapshot();
         if self.obs.is_enabled() {
-            self.publish(&mut snap.metrics);
+            let m = &mut snap.metrics;
+            m.publish(&Machine::PUBLISHED, &self.machine);
+            m.publish(&DriverStats::PUBLISHED, &self.machine.sink.total_stats());
+            m.publish(&DaemonStats::PUBLISHED, &self.daemon_stats());
+            m.publish(&FaultInjector::PUBLISHED, &self.injector);
+            m.publish(&ProfiledRun::PUBLISHED, self);
         }
         snap.overhead = Some(self.overhead_ledger());
         snap.samples = Some(self.ledger());

@@ -310,15 +310,13 @@ impl CpuState {
         self.fetch_ready = base;
         self.slice_end = base + cfg.timeslice;
         self.ctx_switches += 1;
-        if self.obs.is_enabled() {
-            self.obs.event_at(
-                Component::Machine,
-                "machine.ctx_switch",
-                base,
-                u64::from(proc.pid.0),
-                cfg.ctx_switch_cost,
-            );
-        }
+        self.obs.event_at(
+            Component::Machine,
+            "machine.ctx_switch",
+            base,
+            u64::from(proc.pid.0),
+            cfg.ctx_switch_cost,
+        );
         self.current = Some(RunningProc::new(proc));
     }
 
@@ -394,15 +392,13 @@ pub(crate) fn deliver_due<S: SampleSink>(
             }
             cpu.samples_taken += 1;
             cpu.handler_cycles += cost;
-            if cpu.obs.is_enabled() {
-                cpu.obs.event_at(
-                    Component::Machine,
-                    "machine.sample",
-                    deliver_at,
-                    cost,
-                    head_pc.0,
-                );
-            }
+            cpu.obs.event_at(
+                Component::Machine,
+                "machine.sample",
+                deliver_at,
+                cost,
+                head_pc.0,
+            );
             cpu.resume_at = cpu.resume_at.max(issue) + cost;
         } else {
             i += 1;

@@ -34,7 +34,7 @@ pub struct Machine<S: SampleSink> {
     pub last_exit: u64,
 }
 
-impl<S: SampleSink> Machine<S> {
+impl<S: SampleSink + 'static> Machine<S> {
     /// Attaches an observability handle to every CPU (the machine is the
     /// simulated-cycle source for the obs clock). With obs disabled this
     /// leaves the hot path untouched: probes gate on one `AtomicBool`.
@@ -43,9 +43,7 @@ impl<S: SampleSink> Machine<S> {
             cpu.obs = obs.clone();
         }
     }
-}
 
-impl<S: SampleSink + 'static> Machine<S> {
     /// What the machine publishes: interrupts delivered, the handler
     /// cycles they cost, and context switches, summed over the CPUs.
     pub const PUBLISHED: Published<Machine<S>> = Published {

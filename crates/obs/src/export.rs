@@ -52,10 +52,7 @@ impl Snapshot {
         for (name, h) in &mut self.metrics.histograms {
             if name.ends_with("_ns") {
                 h.sum = 0;
-                h.buckets.clear();
-                if h.count > 0 {
-                    h.buckets.push((0, h.count));
-                }
+                h.buckets = (h.count > 0).then_some((0, h.count)).into_iter().collect();
             }
         }
     }

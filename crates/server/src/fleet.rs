@@ -367,40 +367,32 @@ impl AgentSim {
     }
 }
 
-/// The fleet's counts as they stand: the server's summed over every
-/// incarnation (the killed ones' `harvested` plus the live one's) and the
-/// uploaders' summed over the agents.
-fn fleet_stats(
+/// Sums the fleet's counts — the server's over every incarnation (the
+/// killed ones' `harvested` plus the live one's), the uploaders' over the
+/// agents — and publishes them with the live server's levels as the
+/// time-series point at `tick`. While the server is down its levels keep
+/// their last published values.
+fn record_point(
+    obs: &Obs,
+    tick: u64,
     harvested: &ServerStats,
     server: Option<&IngestServer>,
     agents: &[AgentSim],
 ) -> (ServerStats, UploaderStats) {
     let mut server_stats = *harvested;
-    if let Some(s) = server {
-        server_stats.merge(&s.stats);
-    }
     let mut uploader_stats = UploaderStats::default();
     for sim in agents {
         uploader_stats.merge(&sim.uploader.stats);
     }
-    (server_stats, uploader_stats)
-}
-
-/// Publishes [`fleet_stats`] and the live server's levels (while the
-/// server is down its levels keep their last published values).
-fn publish(
-    harvested: &ServerStats,
-    server: Option<&IngestServer>,
-    agents: &[AgentSim],
-) -> MetricsSnapshot {
-    let (server_stats, uploader_stats) = fleet_stats(harvested, server, agents);
     let mut m = MetricsSnapshot::default();
-    m.publish(&ServerStats::PUBLISHED, &server_stats);
-    m.publish(&UploaderStats::PUBLISHED, &uploader_stats);
     if let Some(s) = server {
+        server_stats.merge(&s.stats);
         m.publish(&IngestServer::PUBLISHED, s);
     }
-    m
+    m.publish(&ServerStats::PUBLISHED, &server_stats);
+    m.publish(&UploaderStats::PUBLISHED, &uploader_stats);
+    obs.record_point(tick, &m);
+    (server_stats, uploader_stats)
 }
 
 /// Runs one fleet to quiesce. Deterministic in `cfg` (including the
@@ -603,9 +595,9 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         }
 
         // One time-series point per merge cadence, read from the stats
-        // as they stand; nothing is read when obs is disabled.
-        if t % MERGE_EVERY == 0 && obs.is_enabled() {
-            obs.record_point(t, &publish(&harvested_stats, server.as_ref(), &agents));
+        // as they stand.
+        if t % MERGE_EVERY == 0 {
+            record_point(obs, t, &harvested_stats, server.as_ref(), &agents);
         }
     }
 
@@ -619,9 +611,8 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     };
     let mut srv = server.expect("quiesce requires a live server");
     srv.finish(ticks)?;
-    if obs.is_enabled() {
-        obs.record_point(ticks, &publish(&harvested_stats, Some(&srv), &agents));
-    }
+    let (server_stats, uploader_stats) =
+        record_point(obs, ticks, &harvested_stats, Some(&srv), &agents);
 
     harvested_lags.extend_from_slice(srv.ingest_lags());
     for (&a, &v) in srv.agent_visibility() {
@@ -649,7 +640,6 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     for sim in &agents {
         ledger_add(&mut ledger.in_flight, sim.uploader.in_flight_samples());
     }
-    let (server_stats, uploader_stats) = fleet_stats(&harvested_stats, Some(&srv), &agents);
 
     let report = FleetReport {
         ledger,

@@ -309,15 +309,13 @@ impl IngestServer {
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         if let Some((at, replayed)) = self.replay_note.take() {
-            if self.obs.is_enabled() {
-                self.obs.event_at(
-                    Component::Server,
-                    "server.replay",
-                    at,
-                    replayed,
-                    self.epoch_totals.len() as u64,
-                );
-            }
+            self.obs.event_at(
+                Component::Server,
+                "server.replay",
+                at,
+                replayed,
+                self.epoch_totals.len() as u64,
+            );
         }
     }
 
@@ -395,16 +393,14 @@ impl IngestServer {
         self.wal.bytes()
     }
 
-    /// Agents whose lease is live.
-    #[must_use]
-    pub fn live_agents(&self) -> u64 {
-        self.sessions.values().filter(|s| s.live).count() as u64
-    }
-
-    /// The server's levels at the moment of reading.
+    /// The server's levels at the moment of reading: agents whose lease
+    /// is live, the ingest queue, the largest per-agent backlog and the
+    /// WAL.
     pub const PUBLISHED: Published<IngestServer> = Published {
         gauges: &[
-            ("server.agents", IngestServer::live_agents),
+            ("server.agents", |s| {
+                s.sessions.values().filter(|a| a.live).count() as u64
+            }),
             ("server.queue_depth", |s| s.queue_depth() as u64),
             ("server.agent_lag_max", IngestServer::max_agent_lag),
             ("server.wal_bytes", IngestServer::wal_bytes),
@@ -618,9 +614,7 @@ impl IngestServer {
         if self.queue.is_empty() {
             return Ok(());
         }
-        if self.obs.is_enabled() {
-            self.obs.begin(Component::Server, "server.merge");
-        }
+        self.obs.begin(Component::Server, "server.merge");
         let epoch = self.epoch_totals.len() as u32;
         self.wal.append_intent(epoch, &queued_keys(&self.queue))?;
         self.land_merge(now)
