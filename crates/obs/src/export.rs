@@ -25,7 +25,7 @@ pub const SCHEMA: u32 = 1;
 pub struct Snapshot {
     /// Free-form metadata (seed, workload, …).
     pub meta: BTreeMap<String, String>,
-    /// Metrics registry snapshot.
+    /// Published counters and gauges, and the registry's histograms.
     pub metrics: MetricsSnapshot,
     /// One entry per component ring.
     pub rings: Vec<RingSnapshot>,
