@@ -236,7 +236,10 @@ fn check_trace_chains(snap: &Snapshot, report: &mut Report) {
                     let spool_wait = f.saturating_sub(s);
                     let transit = a.saturating_sub(f);
                     let merge_wait = v.saturating_sub(a);
-                    if spool_wait + transit + merge_wait != lag {
+                    let total = spool_wait
+                        .saturating_add(transit)
+                        .saturating_add(merge_wait);
+                    if total != lag {
                         report.flag(
                             Category::ObsTrace,
                             &ctx,
@@ -386,7 +389,10 @@ fn check_ring(ring: &RingSnapshot, report: &mut Report) {
 
 fn check_metrics(snap: &Snapshot, report: &mut Report) {
     for (name, h) in &snap.metrics.histograms {
-        let bucket_total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
+        let bucket_total = h
+            .buckets
+            .iter()
+            .fold(0u64, |t, &(_, n)| t.saturating_add(n));
         if bucket_total != h.count {
             report.flag(
                 Category::ObsMetrics,
@@ -446,7 +452,7 @@ fn check_ledgers(snap: &Snapshot, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger};
+    use dcpi_obs::{Component, HistogramSnapshot, LossLedger, Obs, ObsConfig, OverheadLedger};
 
     fn sample_snapshot() -> Snapshot {
         let obs = Obs::new(&ObsConfig::on());
@@ -454,8 +460,10 @@ mod tests {
         obs.begin(Component::Daemon, "daemon.flush");
         obs.advance_cycle(200);
         obs.end(Component::Daemon, "daemon.flush", 5, 0);
-        obs.histogram("daemon.flush_ns").observe(1000);
         let mut snap = obs.snapshot();
+        snap.metrics
+            .histograms
+            .insert("daemon.flush_ns".into(), HistogramSnapshot::of(&[1000]));
         snap.metrics.counters.insert("driver.interrupts".into(), 42);
         snap.overhead = Some(OverheadLedger {
             total_cycles: 1_000_000,

@@ -23,11 +23,9 @@ fn traced_run(tag: &str, ring_capacity: usize) -> (Snapshot, FleetReport) {
         ring_capacity,
         ..ObsConfig::on()
     });
-    let report = run_fleet(&cfg, &obs).expect("fleet run");
+    let mut report = run_fleet(&cfg, &obs).expect("fleet run");
     assert!(report.conserves(), "chaos run must conserve");
-    let mut snap = obs.snapshot();
-    snap.meta
-        .insert("fleet_quiesced".to_owned(), "true".to_owned());
+    let snap = report.obs.take().expect("an enabled handle exports");
     (snap, report)
 }
 

@@ -96,6 +96,9 @@ pub struct DaemonStats {
     /// into the unknown pseudo-image frame instead of dropped, so the
     /// sample count above is conserved).
     pub unknown_stack_frames: u64,
+    /// Profile sets merged into the database (the paper's periodic
+    /// flushes); a flush that fails is not counted.
+    pub flushes: u64,
 }
 
 impl DaemonStats {
@@ -135,15 +138,17 @@ impl DaemonStats {
         ledger_add(&mut self.image_write_failures, other.image_write_failures);
         ledger_add(&mut self.stack_samples, other.stack_samples);
         ledger_add(&mut self.unknown_stack_frames, other.unknown_stack_frames);
+        ledger_add(&mut self.flushes, other.flushes);
     }
 
-    /// What the daemon publishes: its sample throughput and Table 5's
-    /// memory figures.
+    /// What the daemon publishes: its sample throughput, its database
+    /// flushes and Table 5's memory figures.
     pub const PUBLISHED: Published<DaemonStats> = Published {
         counters: &[
             ("daemon.entries", |s| s.entries),
             ("daemon.samples", |s| s.samples),
             ("daemon.unknown_samples", |s| s.unknown_samples),
+            ("daemon.flushes", |s| s.flushes),
         ],
         gauges: &[
             ("daemon.memory_bytes", |s| s.memory_bytes),
@@ -495,7 +500,6 @@ impl Daemon {
     /// Returns an error if a profile file cannot be written.
     pub fn flush_to_disk(&mut self) -> Result<()> {
         if let Some(db) = &mut self.db {
-            let start = self.obs.is_enabled().then(std::time::Instant::now);
             self.obs.begin(Component::Daemon, "daemon.flush");
             let profiles = self.totals.view();
             let flushed = profiles.len() as u64;
@@ -507,10 +511,7 @@ impl Daemon {
                 // IDs remain stable across epochs within this daemon.
                 self.stacks.clear_counts();
             }
-            if let Some(t) = start {
-                let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.obs.histogram("daemon.flush_ns").observe(ns);
-            }
+            self.stats.flushes += 1;
             self.obs.end(Component::Daemon, "daemon.flush", flushed, 0);
             Ok(())
         } else {
@@ -832,6 +833,7 @@ mod tests {
         d.process_entries(&[entry(7, 0x10008, 6)]);
         d.flush_to_disk().unwrap();
         assert!(d.profiles().is_empty(), "cleared after flush");
+        assert_eq!(d.stats.flushes, 1);
         let db = d.db().unwrap();
         let set = db.read_all().unwrap();
         assert_eq!(set.get(ImageId(3), Event::Cycles).unwrap().get(8), 6);

@@ -448,8 +448,8 @@ impl ProfiledRun {
 
     /// A full observability snapshot: the run's published counts (the
     /// machine's, the driver's summed over CPUs, the daemon's over every
-    /// incarnation, the injector's and the session's own), histograms,
-    /// trace rings, and both ledgers. Call after [`ProfiledRun::finish`]
+    /// incarnation, the injector's and the session's own), the trace
+    /// rings, and both ledgers. Call after [`ProfiledRun::finish`]
     /// so the sample ledger conserves. With observability off nothing is
     /// published and the rings are empty; the ledgers are still there.
     #[must_use]
@@ -662,11 +662,11 @@ mod tests {
             snap.mask_wall();
             snap
         };
-        // With a database every flush is timed in host nanoseconds, which
-        // masking must hide too.
+        // With a database every flush span is stamped in host
+        // nanoseconds, which masking must hide too.
         let a = run_once(Some(dir.subdir("a")));
         let b = run_once(Some(dir.subdir("b")));
-        assert!(a.metrics.histograms["daemon.flush_ns"].count > 0);
+        assert!(a.metrics.counters["daemon.flushes"] > 0);
         assert_eq!(a, b, "runs with a database must mask to the same snapshot");
         let a = run_once(None);
         let b = run_once(None);

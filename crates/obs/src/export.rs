@@ -25,7 +25,8 @@ pub const SCHEMA: u32 = 1;
 pub struct Snapshot {
     /// Free-form metadata (seed, workload, …).
     pub meta: BTreeMap<String, String>,
-    /// Published counters and gauges, and the registry's histograms.
+    /// Counters, gauges and histograms, published by the layer that owns
+    /// the run from its components' own stats and values.
     pub metrics: MetricsSnapshot,
     /// One entry per component ring.
     pub rings: Vec<RingSnapshot>,
@@ -38,21 +39,14 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Zero every wall-clock field: trace `wall_ns` stamps, and the host
-    /// nanoseconds of every histogram named `*_ns` (its observations
-    /// move to bucket 0, so the count survives). Determinism tests
-    /// compare snapshots after masking, since wall time is the one
-    /// legitimately non-deterministic stamp.
+    /// Zero every wall-clock field: the trace `wall_ns` stamps, the
+    /// export's only host time. Determinism tests compare snapshots after
+    /// masking, since wall time is the one legitimately
+    /// non-deterministic stamp.
     pub fn mask_wall(&mut self) {
         for ring in &mut self.rings {
             for ev in &mut ring.events {
                 ev.wall_ns = 0;
-            }
-        }
-        for (name, h) in &mut self.metrics.histograms {
-            if name.ends_with("_ns") {
-                h.sum = 0;
-                h.buckets = (h.count > 0).then_some((0, h.count)).into_iter().collect();
             }
         }
     }

@@ -31,9 +31,10 @@ pub struct OverheadLedger {
 }
 
 impl OverheadLedger {
-    /// Cycles attributable to collection: handler + daemon.
+    /// Cycles attributable to collection: handler + daemon. Saturates,
+    /// because a ledger read from an export may hold any two integers.
     pub fn collection_cycles(&self) -> u64 {
-        self.handler_cycles + self.daemon_cycles
+        self.handler_cycles.saturating_add(self.daemon_cycles)
     }
 
     /// Collection cycles as a fraction of total cycles (0.0 when empty).
@@ -142,22 +143,33 @@ pub fn ledger_sum(parts: &[u64]) -> u64 {
 }
 
 impl LossLedger {
-    /// Samples accounted for across all loss and retention buckets.
-    #[must_use]
-    pub fn accounted(&self) -> u64 {
-        ledger_sum(&[
+    fn buckets(&self) -> [u64; 5] {
+        [
             self.attributed,
             self.unknown,
             self.driver_dropped,
             self.crash_lost,
             self.quarantined,
-        ])
+        ]
+    }
+
+    /// Samples accounted for across all loss and retention buckets.
+    #[must_use]
+    pub fn accounted(&self) -> u64 {
+        ledger_sum(&self.buckets())
     }
 
     /// The conservation law: nothing vanished without a line item.
+    /// Buckets whose sum overflows `u64` cannot conserve; the check
+    /// never panics, because a ledger read from an export may hold any
+    /// integers.
     #[must_use]
     pub fn conserves(&self) -> bool {
-        self.generated == self.accounted()
+        let sum = self
+            .buckets()
+            .iter()
+            .try_fold(0u64, |t, &b| t.checked_add(b));
+        sum == Some(self.generated)
     }
 
     /// A one-line summary for session reports.
@@ -214,6 +226,14 @@ mod tests {
             ..l
         };
         assert!(!bad.consistent(), "walk cannot exceed handler time");
+        let hostile = OverheadLedger {
+            handler_cycles: u64::MAX,
+            daemon_cycles: 2,
+            ..l
+        };
+        assert_eq!(hostile.collection_cycles(), u64::MAX, "saturates");
+        assert!(!hostile.consistent());
+        assert!(hostile.render().starts_with("overhead:"));
     }
 
     #[test]
@@ -272,6 +292,16 @@ mod tests {
         l.quarantined = 1;
         assert!(!l.conserves());
         assert!(l.render().contains("NOT CONSERVED"));
+        // Buckets past u64 do not conserve, even against a saturated
+        // `generated`, and saying so does not panic.
+        let hostile = LossLedger {
+            generated: u64::MAX,
+            attributed: u64::MAX,
+            unknown: 1,
+            ..LossLedger::default()
+        };
+        assert!(!hostile.conserves());
+        assert!(hostile.render().contains("NOT CONSERVED"));
     }
 
     #[test]

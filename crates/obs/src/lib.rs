@@ -4,11 +4,12 @@
 //! overhead, §2 of the paper) and trustworthy (bounded sample loss). This
 //! crate lets the reproduction *watch itself* make good on that claim:
 //!
-//! * [`metrics`]: the counters and gauges each component publishes from
-//!   its own stats ([`Published`] lists, read at export time, so nothing
-//!   is counted twice), and log2 histograms keyed by static names for
-//!   the distributions no stats type holds, all snapshot-able to a
-//!   deterministic `BTreeMap`;
+//! * [`metrics`]: the counters, gauges and log2 histograms an export
+//!   carries. Each component publishes them from its own stats
+//!   ([`Published`] lists, read at export time), so nothing is counted
+//!   twice and [`Obs`] itself holds no metric;
+//! * a [`timeseries`] ring of counter deltas and gauge levels, owned by
+//!   the run that samples it (the fleet harness);
 //! * [`trace`] spans and instant events in fixed-size per-component ring
 //!   buffers, stamped with both simulated machine cycles and monotonic
 //!   wall time;
@@ -22,9 +23,12 @@
 //!   text/JSON/quiet formatting path.
 //!
 //! The central handle is [`Obs`]: a cheap clone (one `Arc`) that every
-//! instrumented component holds. A **disabled** probe costs exactly one
-//! relaxed `AtomicBool` load and a branch — no locks, no allocation — so
-//! the simulator hot path can keep a handle permanently.
+//! instrumented component holds. It is the switch, the simulated-cycle
+//! clock, the wall-clock epoch and the trace rings, and nothing else:
+//! every count, level, distribution and series in an export is put there
+//! by the component that owns the run. A **disabled** probe costs
+//! exactly one relaxed `AtomicBool` load and a branch — no locks, no
+//! allocation — so the simulator hot path can keep a handle permanently.
 
 pub mod export;
 pub mod ledger;
@@ -35,7 +39,7 @@ pub mod trace;
 
 pub use export::Snapshot;
 pub use ledger::{LossLedger, OverheadLedger};
-pub use metrics::{Histogram, HistogramSnapshot, Metric, MetricsSnapshot, Published, Registry};
+pub use metrics::{HistogramSnapshot, Metric, MetricsSnapshot, Published};
 pub use report::Reporter;
 pub use timeseries::{SeriesRing, SeriesSnapshot, TimePoint};
 pub use trace::{span_agent, span_id, span_seq};
@@ -54,10 +58,6 @@ pub struct ObsConfig {
     /// are overwritten once a ring is full; the overwrite count is kept.
     pub ring_capacity: usize,
 }
-
-/// Capacity of the time-series ring (points sampled by
-/// [`Obs::record_point`]). Older points are overwritten once full.
-const SERIES_CAPACITY: usize = 256;
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -86,18 +86,12 @@ struct ObsCore {
     cycle: AtomicU64,
     /// Wall-clock zero for `wall_ns` stamps.
     epoch: Instant,
-    registry: Registry,
-    /// The counters and gauges handed to the last
-    /// [`Obs::record_point`], each name at its newest value.
-    published: Mutex<MetricsSnapshot>,
     /// One ring per [`Component`], indexed by `Component::index()`.
     rings: Vec<Mutex<TraceRing>>,
-    /// Periodic metric samples (see [`Obs::record_point`]).
-    series: Mutex<SeriesRing>,
 }
 
 /// Shared observability handle. Cloning is one `Arc` bump; all clones see
-/// the same registry, rings, and cycle clock.
+/// the same rings and cycle clock.
 #[derive(Clone, Debug)]
 pub struct Obs {
     core: Arc<ObsCore>,
@@ -113,7 +107,6 @@ impl Obs {
     /// Build an instance from a configuration.
     pub fn new(cfg: &ObsConfig) -> Obs {
         let cap = if cfg.enabled { cfg.ring_capacity } else { 0 };
-        let series_cap = if cfg.enabled { SERIES_CAPACITY } else { 0 };
         let rings = Component::ALL
             .iter()
             .map(|_| Mutex::new(TraceRing::new(cap)))
@@ -123,10 +116,7 @@ impl Obs {
                 enabled: AtomicBool::new(cfg.enabled),
                 cycle: AtomicU64::new(0),
                 epoch: Instant::now(),
-                registry: Registry::default(),
-                published: Mutex::new(MetricsSnapshot::default()),
                 rings,
-                series: Mutex::new(SeriesRing::new(series_cap)),
             }),
         }
     }
@@ -140,11 +130,6 @@ impl Obs {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.core.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Register (or fetch) a log2 histogram by static name.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.core.registry.histogram(name)
     }
 
     /// Advance the simulated-cycle clock (monotonic; never moves back).
@@ -216,27 +201,9 @@ impl Obs {
         self.push(comp, name, EventKind::End, self.cycle(), a, b);
     }
 
-    /// Sample one time-series point at the given tick from the counters
-    /// and gauges the components just published: counter deltas since
-    /// the previous point plus current gauge levels go into the
-    /// segmented series ring, and the values stay the export's until the
-    /// next point. A name left out keeps its last published value.
-    /// Callers pick the cadence (the fleet harness samples every merge
-    /// interval).
-    pub fn record_point(&self, tick: u64, published: &MetricsSnapshot) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut held = self.core.published.lock().unwrap();
-        held.counters.extend(published.counters.clone());
-        held.gauges.extend(published.gauges.clone());
-        self.core.series.lock().unwrap().record(tick, &held);
-    }
-
-    /// Snapshot metrics and rings: the counters and gauges of the last
-    /// [`Obs::record_point`] and every histogram. Components that
-    /// publish without a time series, and the ledgers, are added by the
-    /// layer that owns them (e.g. the collection session).
+    /// Snapshot the trace rings. Metrics, the time series and the
+    /// ledgers are added by the layer that owns the run (the collection
+    /// session, the fleet harness).
     pub fn snapshot(&self) -> Snapshot {
         let rings = Component::ALL
             .iter()
@@ -248,15 +215,8 @@ impl Obs {
             })
             .collect();
         Snapshot {
-            meta: std::collections::BTreeMap::new(),
-            metrics: MetricsSnapshot {
-                histograms: self.core.registry.snapshot(),
-                ..self.core.published.lock().unwrap().clone()
-            },
             rings,
-            timeseries: self.core.series.lock().unwrap().snapshot(),
-            overhead: None,
-            samples: None,
+            ..Snapshot::default()
         }
     }
 }
@@ -273,35 +233,10 @@ mod tests {
         obs.begin(Component::Daemon, "daemon.flush");
         obs.end(Component::Daemon, "daemon.flush", 0, 0);
         obs.advance_cycle(500);
-        let mut m = MetricsSnapshot::default();
-        m.counters.insert("driver.interrupts".into(), 3);
-        obs.record_point(500, &m);
         let snap = obs.snapshot();
         assert_eq!(snap.rings.iter().map(|r| r.events.len()).sum::<usize>(), 0);
-        assert_eq!(snap.timeseries.recorded, 0);
-        assert!(snap.metrics.counters.is_empty(), "nothing is published");
+        assert!(snap.rings.iter().all(|r| r.capacity == 0));
         assert_eq!(obs.cycle(), 0);
-    }
-
-    #[test]
-    fn record_point_samples_published_deltas() {
-        let obs = Obs::new(&ObsConfig::on());
-        let mut m = MetricsSnapshot::default();
-        m.counters.insert("server.accepted".into(), 3);
-        m.gauges.insert("server.queue_depth".into(), 2);
-        obs.record_point(100, &m);
-        let mut m = MetricsSnapshot::default();
-        m.counters.insert("server.accepted".into(), 7);
-        obs.record_point(200, &m);
-        let snap = obs.snapshot();
-        let s = &snap.timeseries;
-        assert_eq!(s.recorded, 2);
-        assert_eq!(s.points[0].counters["server.accepted"], 3);
-        assert_eq!(s.points[1].counters["server.accepted"], 4);
-        // A gauge left out of a point keeps its last published level.
-        assert_eq!(s.points[1].gauges["server.queue_depth"], 2);
-        assert_eq!(snap.metrics.counters["server.accepted"], 7);
-        assert_eq!(snap.metrics.gauges["server.queue_depth"], 2);
     }
 
     #[test]
@@ -339,10 +274,13 @@ mod tests {
     fn clones_share_state() {
         let obs = Obs::new(&ObsConfig::on());
         let clone = obs.clone();
-        clone.histogram("daemon.flush_ns").observe(5);
-        clone.record_point(1, &MetricsSnapshot::default());
+        clone.event_at(Component::Daemon, "daemon.flush", 5, 0, 0);
+        assert_eq!(obs.cycle(), 5);
         let snap = obs.snapshot();
-        assert_eq!(snap.metrics.histograms["daemon.flush_ns"].sum, 5);
-        assert_eq!(snap.timeseries.recorded, 1);
+        let daemon = snap.rings.iter().find(|r| r.component == "daemon").unwrap();
+        assert_eq!(daemon.events.len(), 1);
+        // The handle holds rings and nothing else.
+        assert_eq!(snap.metrics, MetricsSnapshot::default());
+        assert_eq!(snap.timeseries, SeriesSnapshot::default());
     }
 }

@@ -1,23 +1,19 @@
-//! Metrics: published counts and levels, and log2 histograms.
+//! Metrics: published counts, levels and distributions.
 //!
-//! Counters and gauges are not counted here. Each component keeps its
-//! own typed stats and names the figures it publishes once, in a
-//! [`Published`] list next to the stats type; the owner reads its stats
-//! into a [`MetricsSnapshot`] when someone asks ([`MetricsSnapshot::publish`]),
-//! so an export can never disagree with the count it reports.
-//!
-//! Histograms are the one thing the registry holds: distributions with
-//! no stats home (host-time flush latency, ingest lag). Registration
-//! takes a short mutex on a `BTreeMap` keyed by `&'static str`; after
-//! that every observation is three relaxed atomic adds.
+//! Nothing is counted here. Each component keeps its own typed stats
+//! and names the figures it publishes once, in a [`Published`] list next
+//! to the stats type; the owner reads its stats into a
+//! [`MetricsSnapshot`] when someone asks ([`MetricsSnapshot::publish`]),
+//! so an export can never disagree with the count it reports. A
+//! distribution is published the same way: its owner keeps the values
+//! and builds the log2 [`HistogramSnapshot`] from them
+//! ([`HistogramSnapshot::of`]) when the export is made.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of log2 histogram buckets (bucket `i` holds values needing `i`
 /// bits, i.e. `2^(i-1) < v <= 2^i - …`; bucket 0 holds zero).
-pub const HIST_BUCKETS: usize = 65;
+const HIST_BUCKETS: usize = 65;
 
 /// One figure a component publishes: its export name and how to read it
 /// from the component.
@@ -44,65 +40,13 @@ impl<T> Published<T> {
     };
 }
 
-#[derive(Debug)]
-struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Default for HistogramInner {
-    fn default() -> Self {
-        HistogramInner {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// A log2-bucketed histogram (values spanning 18 decimal orders in 65
-/// buckets — plenty for cycle counts and nanosecond latencies).
-#[derive(Clone, Debug, Default)]
-pub struct Histogram(Arc<HistogramInner>);
-
 /// Bucket index for a value: the number of bits needed to represent it.
-#[inline]
-pub fn bucket_of(v: u64) -> usize {
+fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-impl Histogram {
-    /// Record one observation.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let h = &*self.0;
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(v, Ordering::Relaxed);
-        h.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot (count, sum, non-empty buckets).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let h = &*self.0;
-        let buckets = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((u32::try_from(i).unwrap_or(u32::MAX), n))
-            })
-            .collect();
-        HistogramSnapshot {
-            count: h.count.load(Ordering::Relaxed),
-            sum: h.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// Point-in-time view of one histogram.
+/// A log2-bucketed histogram (values spanning 18 decimal orders in 65
+/// buckets — plenty for cycle counts).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -114,12 +58,19 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean observed value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+    /// The histogram of `values`: their count, their (saturating) sum,
+    /// and one log2 bucket per bit length present.
+    pub fn of(values: &[u64]) -> HistogramSnapshot {
+        let mut buckets = [0u64; HIST_BUCKETS];
+        let mut sum = 0u64;
+        for &v in values {
+            buckets[bucket_of(v)] += 1;
+            sum = sum.saturating_add(v);
+        }
+        HistogramSnapshot {
+            count: values.len() as u64,
+            sum,
+            buckets: (0u32..).zip(buckets).filter(|&(_, n)| n > 0).collect(),
         }
     }
 
@@ -147,7 +98,7 @@ impl HistogramSnapshot {
         };
         let mut seen = 0u64;
         for &(i, n) in &self.buckets {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return bound(i);
             }
@@ -169,37 +120,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// The histograms behind an `Obs` instance, keyed by name. Lookups
-/// happen at registration time only.
-#[derive(Debug, Default)]
-pub struct Registry {
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
-}
-
-impl Registry {
-    /// Get or create the histogram with this name.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.histograms
-            .lock()
-            .unwrap()
-            .entry(name)
-            .or_default()
-            .clone()
-    }
-
-    /// Deterministic (sorted-by-name) snapshot of every histogram.
-    pub fn snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.snapshot()))
-            .collect()
-    }
-}
-
-/// Deterministic point-in-time view of every metric: the published
-/// counters and gauges and the registry's histograms.
+/// Deterministic point-in-time view of every published metric.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -294,25 +215,18 @@ mod tests {
         assert_eq!(bucket_of(2), 2);
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(1024), 11);
-        let h = Histogram::default();
-        h.observe(0);
-        h.observe(3);
-        h.observe(3);
-        let s = h.snapshot();
+        let s = HistogramSnapshot::of(&[0, 3, 3]);
         assert_eq!(s.count, 3);
         assert_eq!(s.sum, 6);
         assert_eq!(s.buckets, vec![(0, 1), (2, 2)]);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn quantiles_walk_cumulative_buckets() {
-        let h = Histogram::default();
-        assert_eq!(h.snapshot().quantile(0.95), 0, "empty histogram");
-        for v in [0, 1, 3, 3, 7, 100, 1000] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
+        let empty = HistogramSnapshot::of(&[]);
+        assert_eq!(empty, HistogramSnapshot::default());
+        assert_eq!(empty.quantile(0.95), 0, "empty histogram");
+        let s = HistogramSnapshot::of(&[0, 1, 3, 3, 7, 100, 1000]);
         // 7 observations: rank(0.5)=4 -> 4th smallest (3) lives in
         // bucket 2, bound 3; rank(0.99)=7 -> bucket 10, bound 1023.
         assert_eq!(s.quantile(0.0), 0);
@@ -320,9 +234,17 @@ mod tests {
         assert_eq!(s.quantile(0.99), 1023);
         assert_eq!(s.quantile(1.0), 1023);
         // The top bucket saturates at u64::MAX instead of overflowing.
-        let big = Histogram::default();
-        big.observe(u64::MAX);
-        assert_eq!(big.snapshot().quantile(0.5), u64::MAX);
+        let big = HistogramSnapshot::of(&[u64::MAX, 1]);
+        assert_eq!(big.buckets, vec![(1, 1), (64, 1)]);
+        assert_eq!(big.sum, u64::MAX, "the sum saturates");
+        assert_eq!(big.quantile(1.0), u64::MAX);
+        // Bucket counts read from a hostile export cannot overflow the walk.
+        let hostile = HistogramSnapshot {
+            count: u64::MAX,
+            sum: 0,
+            buckets: vec![(1, u64::MAX), (2, u64::MAX)],
+        };
+        assert_eq!(hostile.quantile(1.0), 1);
     }
 
     #[test]

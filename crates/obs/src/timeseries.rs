@@ -2,12 +2,12 @@
 //! into a fixed-capacity segmented ring.
 //!
 //! The trace rings answer "what happened to this epoch"; the series ring
-//! answers "how did the fleet evolve over the run". A driver (the fleet
-//! harness) reads its components' stats every N ticks and hands the
-//! published values to [`crate::Obs::record_point`]; each point stores
-//! the counter *deltas* since the previous point — so rates fall out as
-//! `delta / interval` at render time — plus the gauge levels at the
-//! point. The series is computed from the components' own counts, so it
+//! answers "how did the fleet evolve over the run". The run that owns the
+//! ring (the fleet harness) reads its components' stats every N ticks
+//! and hands the published values to [`SeriesRing::record`]; each point
+//! stores the counter *deltas* since the previous point — so rates fall
+//! out as `delta / interval` at render time — plus the gauge levels at
+//! the point. The series is computed from the components' own counts, so it
 //! cannot drift from them. Like [`crate::trace::TraceRing`], the
 //! ring never allocates past its capacity: old points are overwritten and
 //! the loss is accounted, which `dcpicheck obs` audits.
@@ -119,12 +119,12 @@ impl SeriesSnapshot {
         if span == 0 {
             return 0.0;
         }
-        let total: u64 = self
+        let total = self
             .points
             .iter()
             .skip(1) // the first point's deltas accrued before the window
             .filter_map(|p| p.counters.get(counter))
-            .sum();
+            .fold(0u64, |sum, &d| sum.saturating_add(d));
         #[allow(clippy::cast_precision_loss)]
         {
             total as f64 / span as f64
@@ -193,5 +193,11 @@ mod tests {
         let s = r.snapshot();
         assert!((s.rate("c") - 0.75).abs() < 1e-12, "{}", s.rate("c"));
         assert_eq!(SeriesSnapshot::default().rate("c"), 0.0);
+        // Deltas read from a hostile export cannot overflow the sum.
+        let mut hostile = s.clone();
+        for p in &mut hostile.points {
+            p.counters.insert("c".into(), u64::MAX);
+        }
+        assert!((hostile.rate("c") - u64::MAX as f64 / 200.0).abs() < 1.0);
     }
 }

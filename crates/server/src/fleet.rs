@@ -32,7 +32,7 @@ use dcpi_collect::uploader::{Uploader, UploaderConfig, UploaderStats};
 use dcpi_collect::wire::{decode_msg, EpochBatch};
 use dcpi_core::json::{Doc, Value};
 use dcpi_core::prng::CartaRng;
-use dcpi_obs::{MetricsSnapshot, Obs};
+use dcpi_obs::{HistogramSnapshot, MetricsSnapshot, Obs, SeriesRing, Snapshot};
 use dcpi_workloads::fleet_feed::{fleet_scripts, AgentScript};
 use std::collections::BTreeMap;
 use std::io;
@@ -116,6 +116,8 @@ const EPOCH_SCALE: u64 = 256;
 const SEAL_PERIOD: u64 = 64;
 /// Server merge cadence in ticks, and the time-series sampling period.
 const MERGE_EVERY: u64 = 48;
+/// Points an export's time series keeps; older ones are overwritten.
+const SERIES_CAPACITY: usize = 256;
 
 /// Fault horizon: all faults heal at this tick; the run then drains to
 /// quiesce.
@@ -228,6 +230,11 @@ pub struct FleetReport {
     pub lag: FleetLag,
     /// Where the run's WAL, database, and `fleet.json` live.
     pub root: PathBuf,
+    /// The run's observability export when the handle was enabled: the
+    /// trace rings, the final counters and gauges, the ingest-lag
+    /// histogram, the time series and the `fleet_quiesced` mark. A
+    /// caller adds only its own meta.
+    pub obs: Option<Snapshot>,
 }
 
 impl FleetReport {
@@ -369,16 +376,12 @@ impl AgentSim {
 
 /// Sums the fleet's counts — the server's over every incarnation (the
 /// killed ones' `harvested` plus the live one's), the uploaders' over the
-/// agents — and publishes them with the live server's levels as the
-/// time-series point at `tick`. While the server is down its levels keep
-/// their last published values.
-fn record_point(
-    obs: &Obs,
-    tick: u64,
+/// agents — and publishes them with the live server's levels.
+fn publish(
     harvested: &ServerStats,
     server: Option<&IngestServer>,
     agents: &[AgentSim],
-) -> (ServerStats, UploaderStats) {
+) -> (ServerStats, UploaderStats, MetricsSnapshot) {
     let mut server_stats = *harvested;
     let mut uploader_stats = UploaderStats::default();
     for sim in agents {
@@ -391,13 +394,61 @@ fn record_point(
     }
     m.publish(&ServerStats::PUBLISHED, &server_stats);
     m.publish(&UploaderStats::PUBLISHED, &uploader_stats);
-    obs.record_point(tick, &m);
-    (server_stats, uploader_stats)
+    (server_stats, uploader_stats, m)
+}
+
+/// The metrics of a fleet export, kept by the run while obs is on: each
+/// published name at its newest value, and the time series sampled from
+/// them.
+struct FleetSeries {
+    held: MetricsSnapshot,
+    ring: SeriesRing,
+}
+
+impl FleetSeries {
+    fn new() -> FleetSeries {
+        FleetSeries {
+            held: MetricsSnapshot::default(),
+            ring: SeriesRing::new(SERIES_CAPACITY),
+        }
+    }
+
+    /// Holds what was just published and samples the held values as the
+    /// point at `tick`. A name left out keeps its last value, so the
+    /// server's levels stay frozen while it is down.
+    fn record(&mut self, tick: u64, published: MetricsSnapshot) {
+        self.held.counters.extend(published.counters);
+        self.held.gauges.extend(published.gauges);
+        self.ring.record(tick, &self.held);
+    }
+
+    /// The finished export: the handle's rings, the held values, the
+    /// histogram of `lags` (every incarnation's lag list, the one tally
+    /// of ingest lag) and the series.
+    fn export(self, obs: &Obs, lags: &[u64]) -> Snapshot {
+        let mut snap = obs.snapshot();
+        snap.metrics = MetricsSnapshot {
+            histograms: [(
+                "server.ingest_lag_cycles".to_owned(),
+                HistogramSnapshot::of(lags),
+            )]
+            .into(),
+            ..self.held
+        };
+        snap.timeseries = self.ring.snapshot();
+        // The run drained to quiesce, so the trace audit may demand that
+        // every sealed epoch reached database visibility.
+        snap.meta
+            .insert("fleet_quiesced".to_owned(), "true".to_owned());
+        snap
+    }
 }
 
 /// Runs one fleet to quiesce. Deterministic in `cfg` (including the
 /// seed): two runs with equal configs produce byte-identical WALs,
 /// fleet databases, and reports. Writes `fleet.json` under `cfg.root`.
+/// With `obs` enabled the report carries the run's export
+/// ([`FleetReport::obs`]).
 ///
 /// # Errors
 ///
@@ -464,6 +515,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     let mut tombstones = 0u64;
     let mut agent_crash_count = 0u64;
     let mut server_crash_count = 0u64;
+    let mut series = obs.is_enabled().then(FleetSeries::new);
 
     let max_ticks = HORIZON
         .saturating_add(u64::from(cfg.agents).saturating_mul(64))
@@ -597,7 +649,9 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         // One time-series point per merge cadence, read from the stats
         // as they stand.
         if t % MERGE_EVERY == 0 {
-            record_point(obs, t, &harvested_stats, server.as_ref(), &agents);
+            if let Some(series) = series.as_mut() {
+                series.record(t, publish(&harvested_stats, server.as_ref(), &agents).2);
+            }
         }
     }
 
@@ -611,8 +665,10 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     };
     let mut srv = server.expect("quiesce requires a live server");
     srv.finish(ticks)?;
-    let (server_stats, uploader_stats) =
-        record_point(obs, ticks, &harvested_stats, Some(&srv), &agents);
+    let (server_stats, uploader_stats, published) = publish(&harvested_stats, Some(&srv), &agents);
+    if let Some(series) = series.as_mut() {
+        series.record(ticks, published);
+    }
 
     harvested_lags.extend_from_slice(srv.ingest_lags());
     for (&a, &v) in srv.agent_visibility() {
@@ -655,7 +711,39 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         ticks,
         lag,
         root: cfg.root.clone(),
+        obs: series.map(|s| s.export(obs, &harvested_lags)),
     };
     std::fs::write(cfg.root.join("fleet.json"), report.to_json())?;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn held_values_sample_published_deltas() {
+        let mut series = FleetSeries::new();
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("server.accepted".into(), 3);
+        m.gauges.insert("server.queue_depth".into(), 2);
+        series.record(100, m);
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("server.accepted".into(), 7);
+        series.record(200, m);
+        let s = series.ring.snapshot();
+        assert_eq!(s.capacity, SERIES_CAPACITY as u64);
+        assert_eq!(s.recorded, 2);
+        assert_eq!(s.points[0].counters["server.accepted"], 3);
+        assert_eq!(s.points[1].counters["server.accepted"], 4);
+        // A gauge left out of a point keeps its last published level.
+        assert_eq!(s.points[1].gauges["server.queue_depth"], 2);
+        let snap = series.export(&Obs::new(&dcpi_obs::ObsConfig::on()), &[8, 16, 64]);
+        assert_eq!(snap.metrics.counters["server.accepted"], 7);
+        assert_eq!(snap.metrics.gauges["server.queue_depth"], 2);
+        assert_eq!(snap.timeseries.recorded, 2);
+        let lag = &snap.metrics.histograms["server.ingest_lag_cycles"];
+        assert_eq!((lag.count, lag.sum), (3, 88));
+        assert_eq!(snap.meta["fleet_quiesced"], "true");
+    }
 }

@@ -189,8 +189,9 @@ pub struct IngestServer {
     /// merged by this server incarnation, in merge order. The seal tick
     /// rides the wire frame ([`EpochBatch::seal_cycle`]) through the
     /// WAL, so replayed batches report their true lag including the
-    /// outage. Deterministic — the SLO percentiles in `fleet.json` and
-    /// `experiments report` come from here, not from the obs histograms.
+    /// outage. Deterministic, and the one tally of lag: the SLO
+    /// percentiles in `fleet.json`, `experiments report` and the fleet
+    /// export's lag histogram all come from here.
     lags: Vec<u64>,
     /// Last tick each agent had a batch become visible (freshness SLO).
     agent_visible: BTreeMap<u32, u64>,
@@ -643,16 +644,13 @@ impl IngestServer {
             let lag = now.saturating_sub(batch.seal_cycle);
             self.lags.push(lag);
             self.agent_visible.insert(*agent, now);
-            if self.obs.is_enabled() {
-                self.obs.histogram("server.ingest_lag_cycles").observe(lag);
-                self.obs.event_at(
-                    Component::Server,
-                    "server.visible",
-                    now,
-                    span_id(*agent, *seq),
-                    lag,
-                );
-            }
+            self.obs.event_at(
+                Component::Server,
+                "server.visible",
+                now,
+                span_id(*agent, *seq),
+                lag,
+            );
         }
         self.epoch_totals.push(epoch_total);
         self.stats.merges += 1;

@@ -18,7 +18,7 @@
 
 use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg};
 use dcpi_core::prng::CartaRng;
-use dcpi_obs::Obs;
+use dcpi_obs::{Obs, ObsConfig};
 use dcpi_server::fleet::{run_fleet, FleetConfig};
 use dcpi_server::{check_fleet, IngestServer, ServerConfig};
 use dcpi_testkit::{snapshot, TempRoot};
@@ -42,7 +42,7 @@ fn hundred_agent_fleet_conserves_under_full_chaos() {
     for seed in seeds() {
         let root = TempRoot::new(&format!("chaos-hundred-{seed}"));
         let cfg = FleetConfig::new(&root, 100, seed);
-        let report = run_fleet(&cfg, &Obs::default()).unwrap();
+        let report = run_fleet(&cfg, &Obs::new(&ObsConfig::on())).unwrap();
 
         // Conservation, exact, with the transit buckets drained.
         assert!(
@@ -86,6 +86,15 @@ fn hundred_agent_fleet_conserves_under_full_chaos() {
             report.server_stats.replayed_batches > 0 || report.server_stats.merges > 0,
             "seed {seed}: server did no work"
         );
+
+        // The exported lag histogram is built from the lag list the
+        // report reads, so the two describe the same epochs.
+        let export = report.obs.as_ref().expect("an enabled handle exports");
+        let lag = &export.metrics.histograms["server.ingest_lag_cycles"];
+        assert_eq!(lag.count, report.lag.samples, "seed {seed}");
+        let top = lag.buckets.last().expect("epochs were merged").0;
+        let top_bound = if top >= 64 { u64::MAX } else { (1 << top) - 1 };
+        assert!(top_bound >= report.lag.max, "seed {seed}: {lag:?}");
 
         // The independent offline audit agrees.
         let audit = check_fleet(&root);

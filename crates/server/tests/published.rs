@@ -121,6 +121,7 @@ fn daemon(k: u64) -> DaemonStats {
         image_write_failures: 13 * k,
         stack_samples: 17 * k,
         unknown_stack_frames: 19 * k,
+        flushes: 23 * k,
     }
 }
 

@@ -45,16 +45,11 @@ fn run_cmd(mut args: Args) -> Result<(), Stop> {
     } else {
         Obs::default()
     };
-    let report = run_fleet(&cfg, &obs)?;
-    if let Some(path) = obs_out {
-        let mut snap = obs.snapshot();
+    let mut report = run_fleet(&cfg, &obs)?;
+    if let (Some(path), Some(mut snap)) = (obs_out, report.obs.take()) {
         snap.meta.insert("tool".to_owned(), "dcpifleet".to_owned());
         snap.meta.insert("seed".to_owned(), seed.to_string());
         snap.meta.insert("agents".to_owned(), agents.to_string());
-        // The run drained to quiesce, so the trace audit may
-        // demand every sealed epoch reached database visibility.
-        snap.meta
-            .insert("fleet_quiesced".to_owned(), "true".to_owned());
         std::fs::write(&path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
     }
     println!(

@@ -2,7 +2,7 @@
 //! snapshot — sample and drop rates, hash-table behavior, flush
 //! latencies, and both ledgers.
 
-use dcpi_obs::Snapshot;
+use dcpi_obs::{EventKind, Snapshot};
 use std::fmt::Write as _;
 
 fn rate(part: u64, whole: u64) -> f64 {
@@ -11,6 +11,32 @@ fn rate(part: u64, whole: u64) -> f64 {
     } else {
         part as f64 / whole as f64
     }
+}
+
+/// Mean host nanoseconds of the completed `daemon.flush` spans in the
+/// daemon ring, each End paired with the Begin before it (0 when none
+/// completed). Saturating, because the stamps come from an export.
+fn flush_mean_ns(snap: &Snapshot) -> f64 {
+    let (mut begun, mut total, mut spans) = (None, 0u64, 0u64);
+    let events = snap
+        .rings
+        .iter()
+        .filter(|r| r.component == "daemon")
+        .flat_map(|r| &r.events)
+        .filter(|e| e.name == "daemon.flush");
+    for ev in events {
+        match ev.kind {
+            EventKind::Begin => begun = Some(ev.wall_ns),
+            EventKind::End => {
+                if let Some(at) = begun.take() {
+                    total = total.saturating_add(ev.wall_ns.saturating_sub(at));
+                    spans += 1;
+                }
+            }
+            EventKind::Instant => {}
+        }
+    }
+    rate(total, spans)
 }
 
 /// Renders the status report.
@@ -60,8 +86,10 @@ pub fn dcpistat(snap: &Snapshot) -> String {
         g("daemon.memory_bytes"),
         g("daemon.peak_memory_bytes"),
     );
-    if let Some(h) = snap.metrics.histograms.get("daemon.flush_ns") {
-        let _ = writeln!(out, "flushes {}  mean latency {:.0} ns", h.count, h.mean());
+    let flushes = c("daemon.flushes");
+    if flushes > 0 {
+        let mean = flush_mean_ns(snap);
+        let _ = writeln!(out, "flushes {flushes}  mean latency {mean:.0} ns");
     }
     let faults = [
         ("faults.stalled_pumps", "stalled pumps"),
@@ -182,15 +210,24 @@ pub fn dcpistat(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger};
+    use dcpi_obs::{Component, HistogramSnapshot, LossLedger, Obs, ObsConfig, OverheadLedger};
 
     #[test]
     fn status_renders_rates_and_ledgers() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.histogram("daemon.flush_ns").observe(2_000);
+        for _ in 0..2 {
+            obs.begin(Component::Daemon, "daemon.flush");
+            obs.end(Component::Daemon, "daemon.flush", 1, 0);
+        }
         obs.event(Component::Driver, "driver.irq", 1, 2);
         let mut snap = obs.snapshot();
+        // Host stamps 1000..3000 and 5000..7000: a 2000 ns mean.
+        let daemon = snap.rings.iter_mut().find(|r| r.component == "daemon");
+        for (ev, ns) in daemon.unwrap().events.iter_mut().zip([1, 3, 5, 7]) {
+            ev.wall_ns = ns * 1_000;
+        }
         let counters = &mut snap.metrics.counters;
+        counters.insert("daemon.flushes".into(), 2);
         counters.insert("driver.interrupts".into(), 1000);
         counters.insert("driver.ht_hits".into(), 900);
         counters.insert("driver.dropped_samples".into(), 10);
@@ -215,6 +252,7 @@ mod tests {
         assert!(text.contains("(90.0%)"), "{text}");
         assert!(text.contains("dropped 10 (1.000% of interrupts)"), "{text}");
         assert!(text.contains("crashes 1"), "{text}");
+        assert!(text.contains("flushes 2  mean latency 2000 ns"), "{text}");
         assert!(text.contains("overhead:"), "{text}");
         assert!(text.contains("generated 1000"), "{text}");
         assert!(text.contains("driver"), "{text}");
@@ -226,6 +264,29 @@ mod tests {
         assert!(text.contains("observability was disabled"), "{text}");
         assert!(text.contains("interrupts 0"), "{text}");
         assert!(text.contains("no overhead ledger"), "{text}");
+        assert!(!text.contains("flushes"), "no flush, no flush line: {text}");
+    }
+
+    #[test]
+    fn flush_latency_pairs_each_end_with_the_begin_before_it() {
+        let obs = Obs::new(&ObsConfig::on());
+        // An End with no Begin, a Begin overtaken by the next, then one
+        // span whose End is stamped before its Begin.
+        obs.end(Component::Daemon, "daemon.flush", 0, 0);
+        obs.begin(Component::Daemon, "daemon.flush");
+        obs.begin(Component::Daemon, "daemon.flush");
+        obs.end(Component::Daemon, "daemon.flush", 0, 0);
+        obs.begin(Component::Daemon, "daemon.flush");
+        obs.end(Component::Daemon, "daemon.flush", 0, 0);
+        let mut snap = obs.snapshot();
+        let daemon = snap.rings.iter_mut().find(|r| r.component == "daemon");
+        let stamps = [0, u64::MAX, 100, 700, u64::MAX, 5];
+        for (ev, ns) in daemon.unwrap().events.iter_mut().zip(stamps) {
+            ev.wall_ns = ns;
+        }
+        snap.metrics.counters.insert("daemon.flushes".into(), 2);
+        let text = dcpistat(&snap);
+        assert!(text.contains("flushes 2  mean latency 300 ns"), "{text}");
     }
 
     #[test]
@@ -239,9 +300,6 @@ mod tests {
     #[test]
     fn server_section_reports_lag_and_freshness() {
         let obs = Obs::new(&ObsConfig::on());
-        for lag in [8, 16, 64] {
-            obs.histogram("server.ingest_lag_cycles").observe(lag);
-        }
         obs.event_at(
             Component::Server,
             "server.visible",
@@ -257,6 +315,10 @@ mod tests {
             16,
         );
         let mut snap = obs.snapshot();
+        snap.metrics.histograms.insert(
+            "server.ingest_lag_cycles".into(),
+            HistogramSnapshot::of(&[8, 16, 64]),
+        );
         snap.metrics.counters.insert("server.accepted".into(), 3);
         snap.metrics.gauges.insert("server.wal_bytes".into(), 512);
         let text = dcpistat(&snap);

@@ -123,14 +123,10 @@ pub fn dcpitop_flame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{MetricsSnapshot, Obs, ObsConfig};
+    use dcpi_obs::{HistogramSnapshot, MetricsSnapshot, SeriesRing};
 
     #[test]
     fn dashboard_renders_pipeline_rows() {
-        let obs = Obs::new(&ObsConfig::on());
-        for lag in [10, 20, 30, 400] {
-            obs.histogram("server.ingest_lag_cycles").observe(lag);
-        }
         let mut m = MetricsSnapshot::default();
         for (name, v) in [
             ("server.accepted", 40),
@@ -141,10 +137,19 @@ mod tests {
         }
         m.gauges.insert("server.agents".into(), 10);
         m.gauges.insert("server.wal_bytes".into(), 4096);
-        obs.record_point(0, &m);
+        let mut series = SeriesRing::new(8);
+        series.record(0, &m);
         m.counters.insert("server.accepted".into(), 50);
-        obs.record_point(100, &m);
-        let mut snap = obs.snapshot();
+        series.record(100, &m);
+        m.histograms.insert(
+            "server.ingest_lag_cycles".into(),
+            HistogramSnapshot::of(&[10, 20, 30, 400]),
+        );
+        let mut snap = Snapshot {
+            metrics: m,
+            timeseries: series.snapshot(),
+            ..Snapshot::default()
+        };
         snap.meta.insert("tool".into(), "dcpifleet".into());
         snap.meta.insert("agents".into(), "10".into());
         let text = dcpitop(&snap);

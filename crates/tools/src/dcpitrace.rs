@@ -93,7 +93,7 @@ pub fn dcpitrace(snaps: &[(&str, &Snapshot)], filter: Filter) -> String {
             e.b
         );
     }
-    let dropped: u64 = rings(snaps, filter).map(|(_, r)| r.overwritten).sum();
+    let dropped = rings(snaps, filter).fold(0u64, |n, (_, r)| n.saturating_add(r.overwritten));
     if dropped > 0 {
         let _ = writeln!(out, "({dropped} earlier events overwritten in the rings)");
     }

@@ -47,7 +47,9 @@ use dcpi::tools::{
     dcpicheck_stacks, dcpicheck_tv, ImageRegistry,
 };
 use dcpi::workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
-use dcpi_obs::{span_id, Component, Obs, ObsConfig, OverheadLedger, Snapshot, TimePoint};
+use dcpi_obs::{
+    span_id, Component, HistogramSnapshot, Obs, ObsConfig, OverheadLedger, Snapshot, TimePoint,
+};
 use dcpi_stacks::{Frame, StackProfile};
 use dcpi_testkit::TempRoot;
 use std::collections::BTreeSet;
@@ -452,9 +454,11 @@ fn sample_snapshot(more: impl FnOnce(&Obs)) -> Snapshot {
     obs.advance_cycle(300);
     obs.event(Component::Driver, "driver.spill", 2, 0);
     more(&obs);
-    obs.histogram("daemon.flush_ns").observe(1000);
     let mut snap = obs.snapshot();
     snap.mask_wall();
+    snap.metrics
+        .histograms
+        .insert("daemon.flush_ns".into(), HistogramSnapshot::of(&[1000]));
     snap.metrics.counters.insert("driver.interrupts".into(), 42);
     snap.overhead = Some(OverheadLedger {
         total_cycles: 1_000_000,

@@ -15,13 +15,14 @@ mod common;
 use common::HOSTILE;
 use dcpi::analyze::export::{self, ExportedBlock, ExportedEdge, ExportedInsn, ExportedProc};
 use dcpi::analyze::EdgeKind;
-use dcpi::check::{Category, Loc, Report, Severity};
+use dcpi::check::{check_snapshot, Category, Loc, Report, Severity};
 use dcpi::collect::faults::{FleetLedger, LossLedger};
 use dcpi::core::json::{self, Json};
 use dcpi::core::prng::CartaRng;
 use dcpi::core::{Event, ImageId, Pid};
 use dcpi::isa::AddressMap;
 use dcpi::server::{FleetLag, FleetReport};
+use dcpi::tools::{dcpistat, dcpitop, dcpitrace, Filter};
 use dcpi_obs::{
     EventKind, EventRecord, HistogramSnapshot, OverheadLedger, RingSnapshot, SeriesSnapshot,
     Snapshot, TimePoint,
@@ -67,8 +68,17 @@ impl Gen {
     }
 
     /// A name for a packed `name:value` map: anything but the separator.
-    fn packed_name(&mut self) -> String {
-        self.name().replace(' ', "")
+    fn packed_name(&mut self, names: &[&str]) -> String {
+        self.known(names).replace(' ', "")
+    }
+
+    /// Half the time one of `names`, else a hostile name.
+    fn known(&mut self, names: &[&str]) -> String {
+        if self.below(2) == 0 {
+            names[self.below(names.len() as u64) as usize].to_owned()
+        } else {
+            self.name()
+        }
     }
 
     /// A float `{:.6}` prints exactly: a multiple of 1/64.
@@ -90,6 +100,9 @@ trait Format {
     fn lies(_doc: &str) -> Vec<String> {
         Vec::new()
     }
+    /// Hands an accepted value to every consumer of the format, none of
+    /// which may panic on it.
+    fn consume(_value: &Self::Value) {}
 }
 
 /// Reads `text` under the allocation bound; an accepted value must
@@ -106,6 +119,7 @@ fn check<F: Format>(text: &str) -> bool {
     let Ok(value) = got else {
         return false;
     };
+    F::consume(&value);
     let again = F::write(&value);
     match F::read(&again) {
         Ok(back) => assert_eq!(
@@ -187,6 +201,25 @@ fn fuzz<F: Format>(seed: u32) {
 
 struct ObsExport;
 
+/// The names the export's consumers look up: rings, span events,
+/// metrics, and the quiesce mark the trace audit reads.
+const OBS_NAMES: &[&str] = &[
+    "daemon",
+    "server",
+    "session",
+    "daemon.flush",
+    "epoch.seal",
+    "upload.send",
+    "server.ack",
+    "server.visible",
+    "daemon.flushes",
+    "server.accepted",
+    "uploader.sent",
+    "server.ingest_lag_cycles",
+    "fleet_quiesced",
+    "true",
+];
+
 impl Format for ObsExport {
     const NAME: &'static str = "obs.json";
     type Value = Snapshot;
@@ -194,14 +227,14 @@ impl Format for ObsExport {
     fn build(g: &mut Gen) -> String {
         let mut s = Snapshot::default();
         for _ in 0..g.below(4) {
-            s.meta.insert(g.name(), g.name());
-            s.metrics.counters.insert(g.name(), g.stamp());
-            s.metrics.gauges.insert(g.name(), g.stamp());
+            s.meta.insert(g.known(OBS_NAMES), g.known(OBS_NAMES));
+            s.metrics.counters.insert(g.known(OBS_NAMES), g.stamp());
+            s.metrics.gauges.insert(g.known(OBS_NAMES), g.stamp());
             let buckets = (0..g.below(4))
                 .map(|_| (g.below(64) as u32, g.stamp()))
                 .collect();
             s.metrics.histograms.insert(
-                g.name(),
+                g.known(OBS_NAMES),
                 HistogramSnapshot {
                     count: g.stamp(),
                     sum: g.stamp(),
@@ -209,12 +242,12 @@ impl Format for ObsExport {
                 },
             );
         }
-        for _ in 0..g.below(3) {
-            let events = (0..g.below(4))
+        for _ in 0..g.below(4) {
+            let events = (0..g.below(6))
                 .map(|_| EventRecord {
                     cycle: g.stamp(),
                     wall_ns: g.stamp(),
-                    name: g.name(),
+                    name: g.known(OBS_NAMES),
                     kind: [EventKind::Instant, EventKind::Begin, EventKind::End]
                         [g.below(3) as usize],
                     a: g.stamp(),
@@ -222,7 +255,7 @@ impl Format for ObsExport {
                 })
                 .collect();
             s.rings.push(RingSnapshot {
-                component: g.name(),
+                component: g.known(OBS_NAMES),
                 capacity: g.stamp(),
                 recorded: g.stamp(),
                 overwritten: g.stamp(),
@@ -231,7 +264,7 @@ impl Format for ObsExport {
         }
         let packed = |g: &mut Gen| -> BTreeMap<String, u64> {
             (0..g.below(3))
-                .map(|_| (g.packed_name(), g.stamp()))
+                .map(|_| (g.packed_name(OBS_NAMES), g.stamp()))
                 .collect()
         };
         s.timeseries = SeriesSnapshot {
@@ -275,6 +308,14 @@ impl Format for ObsExport {
 
     fn write(value: &Snapshot) -> String {
         value.to_json()
+    }
+
+    /// `dcpicheck obs`, `dcpistat`, `dcpitop` and `dcpitrace`.
+    fn consume(snap: &Snapshot) {
+        let _ = check_snapshot(snap);
+        let _ = dcpistat(snap);
+        let _ = dcpitop(snap);
+        let _ = dcpitrace(&[("", snap)], Filter::default());
     }
 }
 
@@ -483,6 +524,7 @@ impl Format for FleetJson {
                 ..FleetLag::default()
             },
             root: std::path::PathBuf::new(),
+            obs: None,
         };
         let doc = report.to_json();
         let v = json::parse(&doc).unwrap();
@@ -570,6 +612,100 @@ impl Format for CheckReport {
 #[test]
 fn obs_export_survives_mutation() {
     fuzz::<ObsExport>(0x0b5);
+}
+
+/// One export whose every integer a reader does arithmetic on sits at
+/// the edge of `u64`: both ledgers, the lag histogram's bucket counts,
+/// the series' deltas, a flush span stamped backwards, a span chain whose
+/// stages sum past `u64`, and rings claiming `u64::MAX` overwrites.
+/// `Snapshot::parse` accepts it, so no reader may panic on it.
+#[test]
+fn edge_integers_reach_every_obs_reader_without_a_panic() {
+    const MAX: u64 = u64::MAX;
+    let id = dcpi_obs::span_id(3, 1);
+    let event = |name: &str, kind, cycle, wall_ns, a| EventRecord {
+        cycle,
+        wall_ns,
+        name: name.into(),
+        kind,
+        a,
+        b: 0,
+    };
+    let ring = |component: &str, overwritten, events: Vec<EventRecord>| RingSnapshot {
+        component: component.into(),
+        capacity: 8,
+        recorded: events.len() as u64,
+        overwritten,
+        events,
+    };
+    let mut s = Snapshot::default();
+    s.meta.insert("fleet_quiesced".into(), "true".into());
+    s.metrics.counters.insert("server.accepted".into(), MAX);
+    s.metrics.counters.insert("daemon.flushes".into(), MAX);
+    s.metrics.histograms.insert(
+        "server.ingest_lag_cycles".into(),
+        HistogramSnapshot {
+            count: MAX,
+            sum: MAX,
+            buckets: vec![(1, 1 << 62), (2, MAX)],
+        },
+    );
+    s.rings = vec![
+        ring(
+            "session",
+            0,
+            vec![
+                event("epoch.seal", EventKind::Instant, 0, 0, id),
+                event("upload.send", EventKind::Instant, MAX, 0, id),
+            ],
+        ),
+        ring(
+            "server",
+            0,
+            vec![
+                event("server.ack", EventKind::Instant, 0, 0, id),
+                event("server.visible", EventKind::Instant, MAX, 0, id),
+            ],
+        ),
+        ring(
+            "daemon",
+            0,
+            vec![
+                event("daemon.flush", EventKind::Begin, 0, MAX, 0),
+                event("daemon.flush", EventKind::End, 0, 0, 0),
+            ],
+        ),
+        ring("driver", MAX, Vec::new()),
+        ring("faults", MAX, Vec::new()),
+    ];
+    s.timeseries = SeriesSnapshot {
+        capacity: 4,
+        recorded: 3,
+        overwritten: 0,
+        points: (0..3)
+            .map(|tick| TimePoint {
+                tick,
+                counters: [("server.accepted".to_owned(), MAX)].into(),
+                gauges: BTreeMap::new(),
+            })
+            .collect(),
+    };
+    s.overhead = Some(OverheadLedger {
+        total_cycles: MAX,
+        handler_cycles: MAX,
+        daemon_cycles: MAX,
+        walk_cycles: 0,
+        samples: 1,
+    });
+    s.samples = Some(LossLedger {
+        generated: MAX,
+        attributed: MAX,
+        unknown: MAX,
+        ..LossLedger::default()
+    });
+    let snap = Snapshot::parse(&s.to_json()).expect("the reader accepts it");
+    assert_eq!(snap, s);
+    ObsExport::consume(&snap);
 }
 
 #[test]

@@ -243,6 +243,7 @@ fn fleet_report() -> FleetReport {
             stalest_staleness: 17,
         },
         root: PathBuf::new(),
+        obs: None,
     }
 }
 

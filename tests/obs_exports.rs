@@ -162,12 +162,10 @@ fn fleet(dir: &Path) -> Snapshot {
     let report = run_fleet(&cfg, &obs).expect("fleet quiesces");
     assert!(report.conserves());
     assert!(report.server_crashes > 0, "the server crash window fired");
-    let mut snap = obs.snapshot();
+    let mut snap = report.obs.expect("an enabled handle exports");
     snap.meta.insert("tool".to_owned(), "dcpifleet".to_owned());
     snap.meta.insert("seed".to_owned(), "5".to_owned());
     snap.meta.insert("agents".to_owned(), "6".to_owned());
-    snap.meta
-        .insert("fleet_quiesced".to_owned(), "true".to_owned());
     snap
 }
 
