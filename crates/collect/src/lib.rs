@@ -13,7 +13,9 @@
 //! * [`faults`] — deterministic fault injection: seeded plans of daemon
 //!   stalls, crashes (with on-disk corruption), dropped/delayed loader
 //!   notifications, and torn flush windows, plus the `LossLedger` that
-//!   proves samples are conserved end-to-end under all of them.
+//!   proves samples are conserved end-to-end under all of them, and the
+//!   fleet-wide `FleetLedger`. Network faults live with the transport
+//!   that applies them, in `dcpi-server`.
 //! * [`htsim`] — the trace-driven hash-table design simulator the paper
 //!   used to evaluate associativity, replacement policy, table size, and
 //!   hash function alternatives (§5.4).
@@ -34,10 +36,7 @@ pub mod wire;
 
 pub use daemon::{Daemon, DaemonConfig, DaemonStats};
 pub use driver::{CostModel, Driver, DriverConfig, DriverStats, EvictPolicy, HashKind};
-pub use faults::{
-    Backpressure, CrashRecord, FaultInjector, FaultPlan, FleetLedger, LossLedger, NetFaultPlan,
-    NetFaults, NetVerdict,
-};
+pub use faults::{Backpressure, CrashRecord, FaultInjector, FaultPlan, FleetLedger, LossLedger};
 pub use session::{ProfiledRun, SessionConfig};
 pub use uploader::{Uploader, UploaderConfig, UploaderStats};
 pub use wire::{EpochBatch, Msg};

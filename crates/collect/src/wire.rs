@@ -5,8 +5,8 @@
 //! files use, tagged `[version, type]` (DESIGN.md §6 has the layout) —
 //! so a mid-record truncation or bit flip anywhere behind the magic is
 //! detected at the receiver and the frame discarded — the transport is
-//! allowed to be arbitrarily hostile (see
-//! [`crate::faults::NetFaultPlan`]) because every corruption collapses
+//! allowed to be arbitrarily hostile (see `dcpi-server`'s
+//! `NetFaultPlan`) because every corruption collapses
 //! to "frame never arrived" and the retry protocol takes over.
 //!
 //! Reliability is end-to-end, not per-hop: uploads carry a per-agent

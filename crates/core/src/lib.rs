@@ -25,7 +25,6 @@ pub mod cli;
 pub mod codec;
 pub mod db;
 pub mod error;
-pub mod fsfault;
 pub mod hash;
 pub mod json;
 pub mod prng;

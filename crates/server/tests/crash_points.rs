@@ -21,10 +21,9 @@ use dcpi_collect::faults::FleetLedger;
 use dcpi_collect::wire::{decode_msg, encode_msg, Msg};
 use dcpi_core::{Event, ImageId, Pid};
 use dcpi_server::journal::{self, Journal, WAL_FILE, WAL_TMP_FILE};
-use dcpi_server::{check_fleet, IngestServer, ServerConfig};
+use dcpi_server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi_stacks::Frame;
 use dcpi_testkit::{copy_tree, snapshot, tree, TempRoot};
-use dcpi_workloads::fleet_feed::AgentScript;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 

@@ -20,9 +20,8 @@ use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg};
 use dcpi_core::prng::CartaRng;
 use dcpi_obs::{Obs, ObsConfig};
 use dcpi_server::fleet::{run_fleet, FleetConfig};
-use dcpi_server::{check_fleet, IngestServer, ServerConfig};
+use dcpi_server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi_testkit::{snapshot, TempRoot};
-use dcpi_workloads::fleet_feed::AgentScript;
 
 /// Seeds every run sweeps; `DCPI_FLEET_SEED` appends one more (CI).
 fn seeds() -> Vec<u32> {
@@ -288,16 +287,16 @@ fn partitioned_half_catches_up_after_heal() {
     let root = TempRoot::new("chaos-partition");
     let mut cfg = FleetConfig::new(&root, 12, 3);
     cfg.faults = dcpi_server::fleet::FleetFaultPlan {
-        net: dcpi_collect::faults::NetFaultPlan {
+        net: dcpi_server::NetFaultPlan {
             delay: 1,
-            partitions: vec![dcpi_collect::faults::Partition {
+            partitions: vec![dcpi_server::Partition {
                 from: 0,
                 until: dcpi_server::fleet::HORIZON,
                 modulo: 2,
                 remainder: 1,
             }],
             heal_at: dcpi_server::fleet::HORIZON,
-            ..dcpi_collect::faults::NetFaultPlan::none()
+            ..dcpi_server::NetFaultPlan::none()
         },
         ..dcpi_server::fleet::FleetFaultPlan::none()
     };

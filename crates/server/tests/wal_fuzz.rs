@@ -24,9 +24,8 @@ use dcpi_collect::faults::FleetLedger;
 use dcpi_collect::wire::{decode_msg, encode_msg, Msg};
 use dcpi_core::prng::CartaRng;
 use dcpi_server::journal::{self, AgentTotals, Journal, WAL_FILE};
-use dcpi_server::{check_fleet, IngestServer, ServerConfig};
+use dcpi_server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi_testkit::{copy_tree, measure, snapshot, Probe, TempRoot};
-use dcpi_workloads::fleet_feed::AgentScript;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 

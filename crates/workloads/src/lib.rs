@@ -27,12 +27,10 @@
 
 pub mod driver;
 pub mod fingerprint;
-pub mod fleet_feed;
 pub mod pgo;
 pub mod pool;
 pub mod programs;
 
 pub use driver::{run_workload, spawn_with, ProfConfig, RunOptions, RunResult, Workload};
-pub use fleet_feed::{fleet_scripts, AgentScript, FLEET_IMAGES};
 pub use pgo::{pgo_workload, PgoError, PgoOutcome};
 pub use pool::{default_threads, run_indexed};

@@ -11,9 +11,8 @@ use dcpi::core::{codec, Event};
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::machine::counters::CounterConfig;
 use dcpi::server::journal::{Journal, WAL_FILE, WAL_TMP_FILE};
-use dcpi::server::{check_fleet, IngestServer, ServerConfig};
+use dcpi::server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi::tools::{dcpicalc, dcpiprof, dcpistats, dcpisumm, ImageRegistry};
-use dcpi::workloads::fleet_feed::AgentScript;
 use dcpi::workloads::programs::StreamKind;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
 use dcpi_testkit::{copy_tree, snapshot, TempRoot};

@@ -7,9 +7,8 @@ use dcpi::collect::wire::{encode_msg, Msg};
 use dcpi::core::codec::Format;
 use dcpi::core::db::{EpochId, ProfileDb};
 use dcpi::core::{Event, ImageId, ProfileKey, ProfileSet, UNKNOWN_IMAGE};
-use dcpi::server::{IngestServer, ServerConfig};
+use dcpi::server::{AgentScript, IngestServer, ServerConfig, FLEET_IMAGES};
 use dcpi::tools::{dcpifleet_image, dcpifleet_top};
-use dcpi::workloads::fleet_feed::{AgentScript, FLEET_IMAGES};
 use dcpi_testkit::{tree, TempRoot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
