@@ -5,7 +5,8 @@
 
 use crate::figures::add_edge_errors;
 use crate::{
-    accuracy_runs, analyze_run, mean_period, ErrorHistogram, ExpOptions, Outcome, ACCURACY_PERIOD,
+    accuracy_runs, analyze_run, mean_period, Cell, ErrorHistogram, ExpOptions, Outcome, Runs,
+    ACCURACY_PERIOD,
 };
 use dcpi_analyze::analysis::{
     analyze_procedure_extended, sampled_procedures, AnalysisOptions, ProcAnalysis,
@@ -17,17 +18,12 @@ use dcpi_core::Event;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_machine::counters::CounterConfig;
 use dcpi_workloads::programs::{interp_image, interp_setup, StreamKind};
-use dcpi_workloads::{run_workload, ProfConfig, RunOptions, RunResult, Workload};
+use dcpi_workloads::{ProfConfig, RunOptions, RunResult, Workload};
 
-/// The copy loop under `config` and `ro`.
-fn copy_loop(config: ProfConfig, ro: &RunOptions) -> RunResult {
-    run_workload(Workload::McCalpin(StreamKind::Copy), config, ro)
-}
+const COPY_LOOP: Workload = Workload::McCalpin(StreamKind::Copy);
 
-/// Each instruction's share of the copy loop's CYCLES samples peaks at
-/// `(max share, samples)`: resonance between a fixed period and the loop
-/// concentrates samples on a few offsets.
-fn distribution_skew(fixed: Option<u64>, seed: u32, scale: u32) -> (f64, u64) {
+/// The copy loop profiled at a `fixed` period, or a randomized one.
+fn sampled_copy_loop(fixed: Option<u64>, seed: u32, scale: u32) -> Cell {
     let ro = RunOptions {
         seed,
         scale,
@@ -35,7 +31,13 @@ fn distribution_skew(fixed: Option<u64>, seed: u32, scale: u32) -> (f64, u64) {
         fixed_period: fixed.is_some(),
         ..RunOptions::default()
     };
-    let r = copy_loop(ProfConfig::Cycles, &ro);
+    (COPY_LOOP, ProfConfig::Cycles, ro)
+}
+
+/// Each instruction's share of the copy loop's CYCLES samples peaks at
+/// `(max share, samples)`: resonance between a fixed period and the loop
+/// concentrates samples on a few offsets.
+fn distribution_skew(r: &RunResult) -> (f64, u64) {
     let (id, image) = r
         .images
         .iter()
@@ -58,7 +60,7 @@ fn distribution_skew(fixed: Option<u64>, seed: u32, scale: u32) -> (f64, u64) {
 /// its true share of head-of-queue time: with a fixed period, resonance
 /// between the loop length and the period skews the distribution; with a
 /// randomized period the shares track the truth.
-pub fn ablation_period(opts: &ExpOptions) -> Outcome {
+pub fn ablation_period(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     writeln!(
         o,
@@ -73,31 +75,23 @@ pub fn ablation_period(opts: &ExpOptions) -> Outcome {
     // A fixed period's harm depends on its phase relationship with the
     // loop; scan several fixed values and report the worst case, which is
     // what the paper's randomization defends against.
+    // (fixed period or randomized, seed) per row.
+    let fixed = [4_096, 4_100, 4_104, 4_108, 4_112].map(|p| (Some(p), opts.seed));
+    let random = (0..opts.runs as u32).map(|k| (None, opts.seed + k));
+    let rows: Vec<(Option<u64>, u32)> = fixed.into_iter().chain(random).collect();
+    let cells = rows
+        .iter()
+        .map(|&(p, seed)| sampled_copy_loop(p, seed, opts.scale));
     let mut worst_fixed: f64 = 0.0;
-    for delta in [0u64, 4, 8, 12, 16] {
-        let (s, n) = distribution_skew(Some(4_096 + delta), opts.seed, opts.scale);
-        writeln!(
-            o,
-            "{:<16} {:>8} {:>17.1}% {:>10}",
-            format!("fixed {}", 4096 + delta),
-            opts.seed,
-            s * 100.0,
-            n
-        );
-        worst_fixed = worst_fixed.max(s);
-    }
     let mut random_shares = Vec::new();
-    for k in 0..opts.runs as u32 {
-        let (s, n) = distribution_skew(None, opts.seed + k, opts.scale);
-        writeln!(
-            o,
-            "{:<16} {:>8} {:>17.1}% {:>10}",
-            "randomized",
-            opts.seed + k,
-            s * 100.0,
-            n
-        );
-        random_shares.push(s);
+    for ((period, seed), r) in rows.iter().zip(runs.get(cells)) {
+        let (s, n) = distribution_skew(&r);
+        let mode = period.map_or("randomized".to_string(), |p| format!("fixed {p}"));
+        writeln!(o, "{mode:<16} {seed:>8} {:>17.1}% {n:>10}", s * 100.0);
+        match period {
+            Some(_) => worst_fixed = worst_fixed.max(s),
+            None => random_shares.push(s),
+        }
     }
     let random = random_shares.iter().sum::<f64>() / random_shares.len() as f64;
     writeln!(o);
@@ -147,7 +141,7 @@ fn estimator(name: &str) -> EstimatorConfig {
 /// * `clustered` — the paper's heuristic (ratio clusters + propagation),
 /// * `class-sum` — naive `ΣS/ΣM` per class (no issue-point clustering),
 /// * `min-ratio` — take the single smallest issue-point ratio.
-pub fn ablation_freq(opts: &ExpOptions) -> Outcome {
+pub fn ablation_freq(opts: &ExpOptions, runs: &Runs) -> Outcome {
     const VARIANTS: [&str; 3] = ["clustered", "class-sum", "min-ratio"];
     let mut o = Outcome::default();
     let p = mean_period(ACCURACY_PERIOD);
@@ -155,7 +149,7 @@ pub fn ablation_freq(opts: &ExpOptions) -> Outcome {
     writeln!(o);
     // One merged run per workload, analyzed once per variant.
     let mut hists = VARIANTS.map(|_| ErrorHistogram::new());
-    for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
+    for r in accuracy_runs(opts, runs, ProfConfig::Cycles, ACCURACY_PERIOD) {
         for (variant, hist) in VARIANTS.iter().zip(&mut hists) {
             let aopts = AnalysisOptions {
                 estimator: estimator(variant),
@@ -205,18 +199,9 @@ pub fn ablation_freq(opts: &ExpOptions) -> Outcome {
     o
 }
 
-/// DMISS samples of the copy loop at interrupt skid `skid`:
-/// `(offset, samples, instruction text)`.
-fn dmiss_profile(skid: u64, opts: &ExpOptions) -> Vec<(u64, u64, String)> {
-    let ro = RunOptions {
-        seed: opts.seed,
-        scale: 2 * opts.scale,
-        period: (1_500, 1_700),
-        skid: Some(skid),
-        ..RunOptions::default()
-    };
-    // `mux` rotates DMISS onto the second counter.
-    let r = copy_loop(ProfConfig::Mux, &ro);
+/// DMISS samples of a copy-loop run: `(offset, samples, instruction
+/// text)`.
+fn dmiss_profile(r: &RunResult) -> Vec<(u64, u64, String)> {
     let (id, image) = r
         .images
         .iter()
@@ -244,18 +229,27 @@ fn dmiss_profile(skid: u64, opts: &ExpOptions) -> Vec<(u64, u64, String)> {
 /// a few instructions downstream. This experiment profiles the copy loop
 /// with DMISS monitoring at skid 0 and skid 6 and shows where the DMISS
 /// samples land relative to the loads that actually missed.
-pub fn ablation_skid(opts: &ExpOptions) -> Outcome {
+pub fn ablation_skid(opts: &ExpOptions, runs: &Runs) -> Outcome {
+    const SKIDS: [u64; 2] = [0, 6];
     let mut o = Outcome::default();
     writeln!(
         o,
         "Ablation: interrupt skid and DMISS attribution (copy loop)"
     );
+    let cells = SKIDS.map(|skid| {
+        let ro = RunOptions {
+            skid: Some(skid),
+            ..opts.run_options(2, (1_500, 1_700))
+        };
+        // `mux` rotates DMISS onto the second counter.
+        (COPY_LOOP, ProfConfig::Mux, ro)
+    });
     // Share of DMISS samples on loads, per skid.
     let mut on_loads_pct = [0.0; 2];
-    for (slot, skid) in [0u64, 6].into_iter().enumerate() {
+    for (slot, (skid, r)) in SKIDS.iter().zip(runs.get(cells)).enumerate() {
         writeln!(o);
         writeln!(o, "-- skid = {skid} cycles --");
-        let rows = dmiss_profile(skid, opts);
+        let rows = dmiss_profile(&r);
         if rows.is_empty() {
             writeln!(o, "(no DMISS samples; increase --scale)");
             on_loads_pct[slot] = f64::NAN;
@@ -315,12 +309,12 @@ pub fn ablation_skid(opts: &ExpOptions) -> Outcome {
 /// This experiment implements the proposal and measures the value: the
 /// Figure 9 edge-frequency error distribution with and without direction
 /// samples feeding the estimator.
-pub fn extension_edges(opts: &ExpOptions) -> Outcome {
+pub fn extension_edges(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     let p = mean_period(ACCURACY_PERIOD);
     // [flow propagation only, with edge samples]
     let mut hists = [ErrorHistogram::new(), ErrorHistogram::new()];
-    for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
+    for r in accuracy_runs(opts, runs, ProfConfig::Cycles, ACCURACY_PERIOD) {
         for (use_edges, hist) in [false, true].into_iter().zip(&mut hists) {
             for (id, image) in &r.images {
                 for (sym, _) in sampled_procedures(image, &r.profiles, *id, 50) {
@@ -393,7 +387,7 @@ pub fn extension_edges(opts: &ExpOptions) -> Outcome {
 /// profiles." This experiment implements the proposal and uses the pairs
 /// to resolve an interpreter's computed-goto dispatch — the CFG shape
 /// §6.1.1's static analysis must mark "missing edges".
-pub fn extension_double(opts: &ExpOptions) -> Outcome {
+pub fn extension_double(opts: &ExpOptions, _runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     let period = (8_000u64, 8_600u64);
     let mut cfg = SessionConfig::default();

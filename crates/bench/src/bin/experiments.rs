@@ -13,7 +13,7 @@ fn main() -> ExitCode {
         let mut ran = Vec::new();
         let mut failed = false;
         for e in &inv.selected {
-            let out = (e.run)(&inv.options(e));
+            let out = inv.run(e);
             print!("{}{}", header(e.name), out.text);
             for c in out.claims.iter().filter(|c| !c.holds) {
                 eprintln!(

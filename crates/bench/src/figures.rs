@@ -2,9 +2,10 @@
 //! distributions (Figure 6), and the analysis-accuracy figures
 //! (Figures 7–10).
 
+use crate::tables::grid_options;
 use crate::{
-    accuracy_runs, analyze_run, mean_ci, mean_period, pearson, ErrorHistogram, ExpOptions, Outcome,
-    ACCURACY_PERIOD,
+    accuracy_runs, analyze_run, mean_ci, mean_period, pearson, repeats, Cell, ErrorHistogram,
+    ExpOptions, Outcome, Runs, ACCURACY_PERIOD,
 };
 use dcpi_analyze::analysis::{analyze_procedure, procedure_samples, AnalysisOptions, ProcAnalysis};
 use dcpi_analyze::cfg::EdgeKind;
@@ -19,7 +20,7 @@ use dcpi_machine::os::MAIN_BASE;
 use dcpi_tools::dcpiprof::dcpiprof_rows;
 use dcpi_tools::{dcpicalc, dcpiprof, dcpistats, dcpisumm, ImageRegistry};
 use dcpi_workloads::programs::StreamKind;
-use dcpi_workloads::{run_indexed, run_workload, ProfConfig, RunOptions, RunResult, Workload};
+use dcpi_workloads::{ProfConfig, RunResult, Workload};
 
 /// Analyzes the procedure `symbol` (or the image's first) of the first
 /// image of `r` whose name contains `image`.
@@ -51,15 +52,11 @@ fn analyze_named(
 
 /// Figure 1: the dcpiprof per-procedure listing for an x11perf run,
 /// including kernel (`/vmunix`) and shared-library time.
-pub fn figure1(opts: &ExpOptions) -> Outcome {
+pub fn figure1(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
-    let ro = RunOptions {
-        seed: opts.seed,
-        scale: 40 * opts.scale,
-        period: (20_000, 21_600), // denser than production for sample volume
-        ..RunOptions::default()
-    };
-    let r = run_workload(Workload::X11Perf, ProfConfig::Default, &ro);
+    // Denser than production for sample volume.
+    let ro = opts.run_options(40, (20_000, 21_600));
+    let r = runs.one((Workload::X11Perf, ProfConfig::Default, ro));
     let registry: ImageRegistry = r.images.iter().cloned().collect();
     writeln!(o, "Figure 1: dcpiprof of the x11perf-like workload");
     writeln!(o);
@@ -98,19 +95,10 @@ pub fn figure1(opts: &ExpOptions) -> Outcome {
 
 /// Figure 2: dcpicalc analysis of the McCalpin copy loop — per-instruction
 /// samples, CPI, dual-issue annotations, and stall bubbles with culprits.
-pub fn figure2(opts: &ExpOptions) -> Outcome {
+pub fn figure2(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
-    let ro = RunOptions {
-        seed: opts.seed,
-        scale: 30 * opts.scale,
-        period: (20_000, 21_600),
-        ..RunOptions::default()
-    };
-    let r = run_workload(
-        Workload::McCalpin(StreamKind::Copy),
-        ProfConfig::Cycles,
-        &ro,
-    );
+    let ro = opts.run_options(30, (20_000, 21_600));
+    let r = runs.one((Workload::McCalpin(StreamKind::Copy), ProfConfig::Cycles, ro));
     let (_, _, pa) = analyze_named(&r, "mccalpin_copy", None);
     writeln!(
         o,
@@ -149,21 +137,11 @@ pub fn figure2(opts: &ExpOptions) -> Outcome {
 /// Figure 3: dcpistats across eight runs of the wave5 workload — the
 /// `smooth_` procedure's sample counts vary because its board-cache
 /// conflicts depend on the physical page mapping.
-pub fn figure3(opts: &ExpOptions) -> Outcome {
+pub fn figure3(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
-    let mut sets = Vec::new();
-    let mut registry = ImageRegistry::new();
-    for run in 0..opts.runs.max(2) {
-        let ro = RunOptions {
-            seed: opts.seed + run as u32 * 17,
-            scale: 8 * opts.scale,
-            period: (20_000, 21_600),
-            ..RunOptions::default()
-        };
-        let r = run_workload(Workload::Wave5, ProfConfig::Cycles, &ro);
-        registry.extend(r.images);
-        sets.push(r.profiles);
-    }
+    let results = runs.get(wave5_runs(opts, ProfConfig::Cycles, opts.runs.max(2)));
+    let registry: ImageRegistry = results.iter().flat_map(|r| r.images.clone()).collect();
+    let sets: Vec<_> = results.iter().map(|r| r.profiles.clone()).collect();
     writeln!(
         o,
         "Figure 3: dcpistats across {} wave5 runs (randomized page placement)",
@@ -184,26 +162,23 @@ pub fn figure3(opts: &ExpOptions) -> Outcome {
     o
 }
 
+/// `runs` wave5 runs under `config` for Figures 3 and 4, 17 seeds apart.
+fn wave5_runs(opts: &ExpOptions, config: ProfConfig, runs: usize) -> impl Iterator<Item = Cell> {
+    let ro = opts.run_options(8, (20_000, 21_600));
+    repeats((Workload::Wave5, config, ro), runs, 17)
+}
+
 /// Figure 4: the cycle-breakdown summary of wave5's `smooth_` procedure
 /// for the fastest of several runs.
-pub fn figure4(opts: &ExpOptions) -> Outcome {
+pub fn figure4(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     // Run several times; keep the fastest (the paper summarizes the run
     // with the fewest samples).
-    let mut best: Option<RunResult> = None;
-    for run in 0..opts.runs.max(1) {
-        let ro = RunOptions {
-            seed: opts.seed + run as u32 * 17,
-            scale: 8 * opts.scale,
-            period: (20_000, 21_600),
-            ..RunOptions::default()
-        };
-        let r = run_workload(Workload::Wave5, ProfConfig::Default, &ro);
-        if best.as_ref().is_none_or(|b| r.cycles < b.cycles) {
-            best = Some(r);
-        }
-    }
-    let r = best.expect("at least one run");
+    let r = runs
+        .get(wave5_runs(opts, ProfConfig::Default, opts.runs))
+        .into_iter()
+        .min_by_key(|r| r.cycles)
+        .expect("at least one run");
     let (id, sym, pa) = analyze_named(&r, "wave5", Some("smooth_"));
     writeln!(
         o,
@@ -258,7 +233,7 @@ pub fn figure4(opts: &ExpOptions) -> Outcome {
 
 /// Figure 6: distributions of running times for AltaVista, gcc, and
 /// wave5 under all four configurations (scatter data plus 95% CIs).
-pub fn figure6(opts: &ExpOptions) -> Outcome {
+pub fn figure6(opts: &ExpOptions, runs: &Runs) -> Outcome {
     const WORKLOADS: [Workload; 3] = [Workload::AltaVista, Workload::Gcc, Workload::Wave5];
     let mut o = Outcome::default();
     writeln!(
@@ -266,31 +241,25 @@ pub fn figure6(opts: &ExpOptions) -> Outcome {
         "Figure 6: running-time distributions ({} runs per configuration)",
         opts.runs
     );
-    // Fan the whole (workload, config, run) grid out through the pool;
-    // index-ordered results keep the printed figure identical for any
-    // thread count.
-    let runs = opts.runs.max(1);
-    let per_w = ProfConfig::ALL.len() * runs;
-    let cycles = run_indexed(WORKLOADS.len() * per_w, opts.threads, |i| {
-        let w = WORKLOADS[i / per_w];
-        let p = ProfConfig::ALL[(i % per_w) / runs];
-        let ro = RunOptions {
-            seed: opts.seed + (i % runs) as u32 * 13,
-            scale: opts.scale * w.default_scale(),
-            ..RunOptions::default()
-        };
-        run_workload(w, p, &ro).cycles as f64
+    let cells = WORKLOADS.into_iter().flat_map(|w| {
+        ProfConfig::ALL
+            .into_iter()
+            .flat_map(move |p| repeats((w, p, grid_options(opts, w)), opts.runs, 13))
     });
+    let cycles: Vec<f64> = runs.get(cells).iter().map(|r| r.cycles as f64).collect();
+    let per_config = opts.runs.max(1);
     // Per workload (in `WORKLOADS` order: altavista, gcc, wave5) and
     // config: the mean and every point, in % of base.
     let mut shapes = Vec::new();
-    for (wi, w) in WORKLOADS.iter().enumerate() {
+    for (w, times) in WORKLOADS
+        .iter()
+        .zip(cycles.chunks(ProfConfig::ALL.len() * per_config))
+    {
         writeln!(o);
         writeln!(o, "== {} ==", w.name());
         let mut base_mean = 0.0;
         let mut shape = Vec::new();
-        for (pi, p) in ProfConfig::ALL.iter().enumerate() {
-            let times = &cycles[wi * per_w + pi * runs..wi * per_w + (pi + 1) * runs];
+        for (p, times) in ProfConfig::ALL.iter().zip(times.chunks(per_config)) {
             let (mean, ci) = mean_ci(times);
             if *p == ProfConfig::Base {
                 base_mean = mean;
@@ -359,19 +328,10 @@ pub fn figure6(opts: &ExpOptions) -> Outcome {
 /// instruction's samples `S_i`, static head time `M_i`, the issue-point
 /// ratios `S_i/M_i`, the chosen estimate, and the true frequency from the
 /// simulator's exact execution counts.
-pub fn figure7(opts: &ExpOptions) -> Outcome {
+pub fn figure7(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
-    let ro = RunOptions {
-        seed: opts.seed,
-        scale: 60 * opts.scale,
-        period: ACCURACY_PERIOD,
-        ..RunOptions::default()
-    };
-    let r = run_workload(
-        Workload::McCalpin(StreamKind::Copy),
-        ProfConfig::Cycles,
-        &ro,
-    );
+    let ro = opts.run_options(60, ACCURACY_PERIOD);
+    let r = runs.one((Workload::McCalpin(StreamKind::Copy), ProfConfig::Cycles, ro));
     let (id, _, pa) = analyze_named(&r, "mccalpin_copy", None);
     writeln!(o, "Figure 7: estimating the copy-loop frequency");
     writeln!(o);
@@ -433,7 +393,7 @@ pub fn figure7(opts: &ExpOptions) -> Outcome {
 /// counts, 87% within 10%, 92% within 15%, with nearly all >15% errors
 /// flagged low-confidence. `--runs N` merges N runs before analyzing
 /// (§6.2 compares 1 vs 80 runs).
-pub fn figure8(opts: &ExpOptions) -> Outcome {
+pub fn figure8(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     let p = mean_period(ACCURACY_PERIOD);
     let mut histograms = [
@@ -443,7 +403,7 @@ pub fn figure8(opts: &ExpOptions) -> Outcome {
     ];
     let mut bad_low_conf = 0.0;
     let mut bad_total = 0.0;
-    for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
+    for r in accuracy_runs(opts, runs, ProfConfig::Cycles, ACCURACY_PERIOD) {
         for (id, _, pa) in analyze_run(&r, 50, &AnalysisOptions::default()) {
             // Sampling-adequacy filter; see figure9 and EXPERIMENTS.md.
             if pa.total_samples() < 2 * pa.insns.len() as u64 {
@@ -532,11 +492,11 @@ pub fn figure8(opts: &ExpOptions) -> Outcome {
 /// their estimates come from flow-constraint propagation and are less
 /// accurate than block estimates (paper: 58% of edge executions within
 /// 10%).
-pub fn figure9(opts: &ExpOptions) -> Outcome {
+pub fn figure9(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     let p = mean_period(ACCURACY_PERIOD);
     let mut hist = ErrorHistogram::new();
-    for r in accuracy_runs(opts, ProfConfig::Cycles, ACCURACY_PERIOD) {
+    for r in accuracy_runs(opts, runs, ProfConfig::Cycles, ACCURACY_PERIOD) {
         for (id, _, pa) in analyze_run(&r, 50, &AnalysisOptions::default()) {
             add_edge_errors(&mut hist, &r, id, &pa, p);
         }
@@ -613,7 +573,7 @@ pub(crate) fn add_edge_errors(
 /// attributed by the culprit analysis and the IMISS event counts, per
 /// procedure. The paper reports correlation coefficients of 0.91 / 0.86 /
 /// 0.90 for the top, bottom, and midpoint of the attributed ranges.
-pub fn figure10(opts: &ExpOptions) -> Outcome {
+pub fn figure10(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     // Dense period: IMISS overflows need enough I-cache misses per
     // period, and our runs are short.
@@ -623,7 +583,7 @@ pub fn figure10(opts: &ExpOptions) -> Outcome {
     let mut y_bot = Vec::new();
     let mut rows = Vec::new();
     // `default` config so IMISS profiles exist.
-    for mut r in accuracy_runs(opts, ProfConfig::Default, period) {
+    for mut r in accuracy_runs(opts, runs, ProfConfig::Default, period) {
         // IMISS was monitored, so an image with no IMISS samples has a
         // *zero* profile, not an unknown one: materialize empty profiles
         // so the culprit analysis can rule I-cache out (§6.3).

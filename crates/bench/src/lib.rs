@@ -5,14 +5,18 @@
 //! `experiments <name>|--all` runs them ([`EXPERIMENTS`]); each returns
 //! its text and the claims that text must back ([`Outcome`]), and
 //! `--check` holds the text to one golden ([`check_golden`]). This file
-//! keeps what several experiments share: the accuracy suite, merged
-//! multi-run results, and the statistics they print.
+//! keeps what several experiments share: the run table every entry takes
+//! its simulations from ([`Runs`]), the accuracy suite, and the
+//! statistics they print.
 
 use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions, ProcAnalysis};
 use dcpi_core::ImageId;
 use dcpi_isa::image::Symbol;
 use dcpi_workloads::programs::StreamKind;
-use dcpi_workloads::{ProfConfig, RunOptions, RunResult, Workload};
+use dcpi_workloads::{run_indexed, run_workload, ProfConfig, RunOptions, RunResult, Workload};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 mod ablations;
 mod figures;
@@ -186,7 +190,7 @@ pub fn mean_period(period: (u64, u64)) -> f64 {
 /// The workload suite used for the estimate-accuracy experiments
 /// (Figures 8–10): a mix of integer, FP, memory-bound, call-heavy, and
 /// multi-process programs, each with a scale that yields a few thousand
-/// samples at the 20K-cycle experiment period.
+/// samples at [`ACCURACY_PERIOD`].
 const ACCURACY_SUITE: [(Workload, u32); 5] = [
     (Workload::McCalpin(StreamKind::Copy), 24),
     (Workload::McCalpin(StreamKind::Sum), 16),
@@ -196,21 +200,17 @@ const ACCURACY_SUITE: [(Workload, u32); 5] = [
 ];
 
 /// The accuracy suite under `config` at `period`, each workload merged
-/// over `opts.runs` runs ([`run_merged`]), in suite order.
+/// over `opts.runs` runs ([`Runs::merged`]), in suite order.
 pub fn accuracy_runs(
     opts: &ExpOptions,
+    runs: &Runs,
     config: ProfConfig,
     period: (u64, u64),
-) -> impl Iterator<Item = RunResult> + '_ {
-    ACCURACY_SUITE.into_iter().map(move |(w, wscale)| {
-        let ro = RunOptions {
-            seed: opts.seed,
-            scale: wscale * opts.scale,
-            period,
-            ..RunOptions::default()
-        };
-        run_merged(w, config, &ro, opts.runs, opts.threads)
-    })
+) -> Vec<RunResult> {
+    ACCURACY_SUITE
+        .into_iter()
+        .map(|(w, scale)| runs.merged((w, config, opts.run_options(scale, period)), opts.runs))
+        .collect()
 }
 
 /// Sampling period for the estimate-accuracy experiments: sparse enough
@@ -218,84 +218,123 @@ pub fn accuracy_runs(
 /// every sample count by the overhead fraction and bias the estimates).
 pub const ACCURACY_PERIOD: (u64, u64) = (40_000, 43_200);
 
-/// Runs `w` `runs` times under `config`, merging profiles and ground
-/// truth across runs (the paper's 1-run vs 80-run comparison, §6.2).
+/// One simulation: the full input of [`run_workload`].
+pub type Cell = (Workload, ProfConfig, RunOptions);
+
+/// `runs` copies of a cell (at least one), copy `k` at seed
+/// `base.seed + k*step`.
+pub fn repeats((w, config, base): Cell, runs: usize, step: u32) -> impl Iterator<Item = Cell> {
+    (0..runs.max(1) as u32).map(move |k| {
+        let ro = RunOptions {
+            seed: base.seed + k * step,
+            ..base.clone()
+        };
+        (w, config, ro)
+    })
+}
+
+/// The run table of one `experiments` invocation: every entry asks it
+/// for cells, each distinct cell is simulated once on its one pool of
+/// `threads` workers, and the result is shared by every entry that asks
+/// for it until the invocation ends.
 ///
-/// The runs execute on up to `threads` workers; each run's seed is fixed
-/// by its index (`base.seed + k*97`) and the merge always proceeds in
-/// index order, so the merged result is bit-identical for any thread
-/// count (`threads == 1` runs serially on the caller's thread).
-///
-/// Every accumulator of the result is merged, not just the profiles:
-/// driver and daemon statistics, cycles, retired instructions, and the
-/// sample/overhead ledgers all sum across runs, so per-run rates and the
-/// conservation law stay meaningful for the merged result. (Earlier
-/// versions kept run 0's statistics, silently under-reporting drops and
-/// overhead in the grid experiments.)
-///
-/// # Panics
-///
-/// Panics if the merged sample ledger fails conservation — that means a
-/// run lost samples without a line item, which is a collection bug.
-#[must_use]
-pub fn run_merged(
-    w: dcpi_workloads::Workload,
-    config: dcpi_workloads::ProfConfig,
-    base: &dcpi_workloads::RunOptions,
-    runs: usize,
+/// A cell's result depends on the cell alone, so what an entry reads is
+/// the same for any thread count and whichever entry ran the cell first.
+#[derive(Debug)]
+pub struct Runs {
     threads: usize,
-) -> RunResult {
-    let results = dcpi_workloads::run_indexed(runs.max(1), threads, |k| {
-        let mut ro = base.clone();
-        ro.seed = base.seed + k as u32 * 97;
-        dcpi_workloads::run_workload(w, config, &ro)
-    });
-    let mut it = results.into_iter();
-    let mut acc = it.next().expect("at least one run");
-    for r in it {
-        acc.profiles.merge(&r.profiles);
-        acc.edge_profiles.merge(&r.edge_profiles);
-        acc.stacks.merge(&r.stacks);
-        acc.gt.merge(&r.gt);
-        acc.samples += r.samples;
-        acc.cycles += r.cycles;
-        acc.retired += r.retired;
-        acc.disk_bytes += r.disk_bytes;
-        acc.driver_kernel_bytes = acc.driver_kernel_bytes.max(r.driver_kernel_bytes);
-        match (&mut acc.driver, &r.driver) {
-            (Some(a), Some(b)) => a.merge(b),
-            (slot @ None, Some(b)) => *slot = Some(*b),
-            _ => {}
-        }
-        match (&mut acc.daemon, &r.daemon) {
-            (Some(a), Some(b)) => a.merge(b),
-            (slot @ None, Some(b)) => *slot = Some(*b),
-            _ => {}
-        }
-        match (&mut acc.ledger, &r.ledger) {
-            (Some(a), Some(b)) => a.merge(b),
-            (slot @ None, Some(b)) => *slot = Some(*b),
-            _ => {}
-        }
-        match (&mut acc.overhead, &r.overhead) {
-            (Some(a), Some(b)) => a.merge(b),
-            (slot @ None, Some(b)) => *slot = Some(*b),
-            _ => {}
-        }
-        match (&mut acc.obs, r.obs) {
-            (Some(a), Some(b)) => a.merge(&b),
-            (slot @ None, Some(b)) => *slot = Some(b),
-            _ => {}
+    done: RefCell<HashMap<Cell, Arc<RunResult>>>,
+}
+
+impl Runs {
+    /// An empty table whose runs go onto `threads` workers (`1` runs
+    /// them serially on the caller's thread).
+    #[must_use]
+    pub fn new(threads: usize) -> Runs {
+        Runs {
+            threads,
+            done: RefCell::default(),
         }
     }
-    if let Some(ledger) = &acc.ledger {
-        assert!(
-            ledger.conserves(),
-            "merged ledger violates conservation: {}",
-            ledger.render()
-        );
+
+    /// The results of `cells`, in request order; the cells not run yet
+    /// are run first, each once however often it is asked for.
+    pub fn get(&self, cells: impl IntoIterator<Item = Cell>) -> Vec<Arc<RunResult>> {
+        let cells: Vec<Cell> = cells.into_iter().collect();
+        let mut missing: Vec<&Cell> = Vec::new();
+        for c in &cells {
+            if !self.done.borrow().contains_key(c) && !missing.contains(&c) {
+                missing.push(c);
+            }
+        }
+        let ran = run_indexed(missing.len(), self.threads, |i| {
+            let (w, config, ro) = missing[i];
+            run_workload(*w, *config, ro)
+        });
+        let mut done = self.done.borrow_mut();
+        for (c, r) in missing.into_iter().zip(ran) {
+            done.insert(c.clone(), Arc::new(r));
+        }
+        cells.iter().map(|c| Arc::clone(&done[c])).collect()
     }
-    acc
+
+    /// The result of one cell.
+    pub fn one(&self, cell: Cell) -> Arc<RunResult> {
+        self.get([cell]).swap_remove(0)
+    }
+
+    /// A cell run `runs` times and merged (the paper's 1-run vs 80-run
+    /// comparison, §6.2). Run `k` is the cell at seed `seed + k*97`, so
+    /// a longer merge reuses a shorter one's runs.
+    ///
+    /// Every accumulator of the result is merged, not just the profiles:
+    /// driver and daemon statistics, cycles, retired instructions, and the
+    /// sample/overhead ledgers all sum across runs, so per-run rates and
+    /// the conservation law stay meaningful for the merged result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the merged sample ledger fails conservation — that means
+    /// a run lost samples without a line item, which is a collection bug.
+    #[must_use]
+    pub fn merged(&self, cell: Cell, runs: usize) -> RunResult {
+        let results = self.get(repeats(cell, runs, 97));
+        let (first, rest) = results.split_first().expect("at least one run");
+        let mut acc = RunResult::clone(first);
+        for r in rest {
+            acc.profiles.merge(&r.profiles);
+            acc.edge_profiles.merge(&r.edge_profiles);
+            acc.stacks.merge(&r.stacks);
+            acc.gt.merge(&r.gt);
+            acc.samples += r.samples;
+            acc.cycles += r.cycles;
+            acc.retired += r.retired;
+            acc.disk_bytes += r.disk_bytes;
+            acc.driver_kernel_bytes = acc.driver_kernel_bytes.max(r.driver_kernel_bytes);
+            merge_present(&mut acc.driver, r.driver.as_ref(), |a, b| a.merge(b));
+            merge_present(&mut acc.daemon, r.daemon.as_ref(), |a, b| a.merge(b));
+            merge_present(&mut acc.ledger, r.ledger.as_ref(), |a, b| a.merge(b));
+            merge_present(&mut acc.overhead, r.overhead.as_ref(), |a, b| a.merge(b));
+            merge_present(&mut acc.obs, r.obs.as_ref(), |a, b| a.merge(b));
+        }
+        if let Some(ledger) = &acc.ledger {
+            assert!(
+                ledger.conserves(),
+                "merged ledger violates conservation: {}",
+                ledger.render()
+            );
+        }
+        acc
+    }
+}
+
+/// Merges `other` into `slot`, or copies it there if `slot` is empty.
+fn merge_present<T: Clone>(slot: &mut Option<T>, other: Option<&T>, merge: fn(&mut T, &T)) {
+    match (slot, other) {
+        (Some(a), Some(b)) => merge(a, b),
+        (slot @ None, Some(b)) => *slot = Some(b.clone()),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -346,8 +385,6 @@ mod tests {
 
     #[test]
     fn run_merged_sums_stats_and_ledgers() {
-        use dcpi_workloads::programs::StreamKind;
-        use dcpi_workloads::{ProfConfig, RunOptions, Workload};
         let w = Workload::McCalpin(StreamKind::Copy);
         let base = RunOptions {
             period: (6_000, 6_400),
@@ -355,14 +392,22 @@ mod tests {
             obs: true,
             ..RunOptions::default()
         };
-        let merged = run_merged(w, ProfConfig::Cycles, &base, 2, 2);
-        let single = |seed: u32| {
-            let mut ro = base.clone();
-            ro.seed = seed;
-            dcpi_workloads::run_workload(w, ProfConfig::Cycles, &ro)
+        let runs = Runs::new(2);
+        let merged = runs.merged((w, ProfConfig::Cycles, base.clone()), 2);
+        let single = |seed| {
+            let ro = RunOptions {
+                seed,
+                ..base.clone()
+            };
+            runs.one((w, ProfConfig::Cycles, ro))
         };
         let a = single(base.seed);
         let b = single(base.seed + 97);
+        assert_eq!(
+            runs.done.borrow().len(),
+            2,
+            "the merge ran exactly these two"
+        );
         assert_eq!(merged.samples, a.samples + b.samples);
         assert_eq!(merged.cycles, a.cycles + b.cycles);
         assert_eq!(merged.retired, a.retired + b.retired);
@@ -391,22 +436,40 @@ mod tests {
     }
 
     #[test]
-    fn merged_stacks_identical_across_thread_counts() {
-        use dcpi_workloads::{ProfConfig, RunOptions, Workload};
+    fn a_repeated_cell_is_simulated_once() {
+        let w = Workload::McCalpin(StreamKind::Copy);
         let base = RunOptions {
-            stack_walk: true,
-            period: (5_000, 5_400),
-            limit: 200_000_000,
+            period: (6_000, 6_400),
+            limit: 1_000_000,
             ..RunOptions::default()
         };
-        let w = Workload::MutualRecursion;
-        let serial = run_merged(w, ProfConfig::Cycles, &base, 4, 1);
-        let threaded = run_merged(w, ProfConfig::Cycles, &base, 4, 4);
-        assert!(!serial.stacks.is_empty());
-        assert_eq!(serial.stacks.total(), serial.samples);
-        // Per-machine stack tables merge in index order, so the combined
-        // profile is byte-identical no matter how runs were scheduled.
-        assert_eq!(serial.stacks.to_bytes(), threaded.stacks.to_bytes());
+        let cell = |config| (w, config, base.clone());
+        let same = |a: &[Arc<RunResult>], b: &[Arc<RunResult>]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        let runs = Runs::new(2);
+        // The same cells twice, and a cell twice within one request.
+        let first = runs.get([cell(ProfConfig::Base), cell(ProfConfig::Cycles)]);
+        let again = runs.get([cell(ProfConfig::Base), cell(ProfConfig::Cycles)]);
+        assert!(same(&first, &again));
+        let twice = runs.get([cell(ProfConfig::Mux), cell(ProfConfig::Mux)]);
+        assert!(Arc::ptr_eq(&twice[0], &twice[1]));
+        assert_eq!(runs.done.borrow().len(), 3);
+        // Two requests that overlap in one cell.
+        let overlap = runs.get([cell(ProfConfig::Cycles), cell(ProfConfig::Default)]);
+        assert!(same(&first[1..], &overlap[..1]));
+        assert_eq!(runs.done.borrow().len(), 4);
+        // A 3-run merge after a 2-run merge with the same base.
+        let runs = Runs::new(2);
+        let two = runs.merged(cell(ProfConfig::Cycles), 2);
+        let cells = |n| repeats(cell(ProfConfig::Cycles), n, 97);
+        let two_runs = runs.get(cells(2));
+        assert_eq!(runs.done.borrow().len(), 2);
+        let three = runs.merged(cell(ProfConfig::Cycles), 3);
+        let three_runs = runs.get(cells(3));
+        assert_eq!(runs.done.borrow().len(), 3);
+        assert!(same(&two_runs, &three_runs[..2]));
+        assert_eq!(three.samples, two.samples + three_runs[2].samples);
     }
 
     fn options(argv: &[&str]) -> ExpOptions {
@@ -431,8 +494,9 @@ mod tests {
         assert_eq!(o.runs, 7);
         assert_eq!(o.scale, 3);
         assert_eq!(o.seed, 42);
-        assert_eq!(o.threads, 2);
         assert!(!o.quick);
+        let inv = Invocation::parse(Args::new(argv)).unwrap();
+        assert_eq!(inv.table.threads, 2, "the run table's pool");
     }
 
     #[test]
@@ -441,7 +505,8 @@ mod tests {
         assert_eq!(o.runs, 8, "figure3's own default");
         assert_eq!(o.scale, 1);
         assert_eq!(o.seed, 1);
-        assert!(o.threads >= 1, "defaults to available parallelism");
+        let inv = Invocation::parse(Args::new(["figure3"])).unwrap();
+        assert!(inv.table.threads >= 1, "defaults to available parallelism");
         assert_eq!(options(&["table4"]).runs, 1, "an experiment that runs once");
         let all = Invocation::parse(Args::new(["--all"])).unwrap();
         assert_eq!(all.selected.len(), EXPERIMENTS.len());

@@ -2,15 +2,17 @@
 //! by name, the claims each makes about its own output, and the one
 //! golden their text is held to.
 //!
-//! An experiment is a `fn(&ExpOptions) -> Outcome`. Its [`Outcome`] is
+//! An experiment is a `fn(&ExpOptions, &Runs) -> Outcome`: it asks the
+//! invocation's run table for its simulations. Its [`Outcome`] is
 //! the text it prints plus its [`Claim`]s, each of which also prints as
 //! one `claim <name>: …` line of that text. `experiments --check` then
 //! compares the text with the experiment's section of
 //! `tests/golden/experiments.txt` (recorded with `DCPI_BLESS=1`), so a
 //! claim is asserted twice: by its own comparison, and by the golden.
 
-use crate::{ablations, figures, report, tables};
+use crate::{ablations, figures, report, tables, Runs};
 use dcpi_core::cli::{Args, Stop};
+use dcpi_workloads::RunOptions;
 use std::fmt::{self, Display};
 use std::path::{Path, PathBuf};
 
@@ -25,10 +27,20 @@ pub struct ExpOptions {
     pub seed: u32,
     /// Reduced-cost mode.
     pub quick: bool,
-    /// Worker threads for independent runs (`--threads N`; defaults to
-    /// the machine's available parallelism, `1` reproduces the serial
-    /// path exactly). No experiment's text depends on it.
-    pub threads: usize,
+}
+
+impl ExpOptions {
+    /// A run at `scale` times `--scale` and the base seed, sampling every
+    /// `period` cycles; the rest default.
+    #[must_use]
+    pub fn run_options(&self, scale: u32, period: (u64, u64)) -> RunOptions {
+        RunOptions {
+            seed: self.seed,
+            scale: scale * self.scale,
+            period,
+            ..RunOptions::default()
+        }
+    }
 }
 
 /// One statement an experiment makes about its own result.
@@ -101,13 +113,13 @@ pub struct Experiment {
     /// that runs once and refuses `--runs`.
     pub runs: Option<usize>,
     /// Runs it.
-    pub run: fn(&ExpOptions) -> Outcome,
+    pub run: fn(&ExpOptions, &Runs) -> Outcome,
 }
 
 const fn entry(
     name: &'static str,
     runs: Option<usize>,
-    run: fn(&ExpOptions) -> Outcome,
+    run: fn(&ExpOptions, &Runs) -> Outcome,
 ) -> Experiment {
     Experiment { name, runs, run }
 }
@@ -148,6 +160,8 @@ pub struct Invocation {
     pub selected: Vec<&'static Experiment>,
     /// Compare the text with the golden.
     pub check: bool,
+    /// The run table the selected experiments share, on `--threads` workers.
+    pub(crate) table: Runs,
     runs: Option<usize>,
     base: ExpOptions,
 }
@@ -199,13 +213,13 @@ impl Invocation {
         Ok(Invocation {
             selected,
             check,
+            table: Runs::new(threads),
             runs,
             base: ExpOptions {
                 runs: 1,
                 scale: scale.unwrap_or(1),
                 seed: seed.unwrap_or(1),
                 quick,
-                threads,
             },
         })
     }
@@ -219,6 +233,11 @@ impl Invocation {
             runs: if self.base.quick { runs.min(2) } else { runs },
             ..self.base.clone()
         }
+    }
+
+    /// Runs `e` with its options on this invocation's run table.
+    pub fn run(&self, e: &Experiment) -> Outcome {
+        (e.run)(&self.options(e), &self.table)
     }
 }
 

@@ -4,17 +4,17 @@
 //! the dispatch accounting. Every number here is simulated, so the golden
 //! holds each one exactly; host time is `benchmark/`'s to measure.
 
-use crate::{run_merged, ExpOptions, Outcome, ACCURACY_PERIOD};
+use crate::{ExpOptions, Outcome, Runs, ACCURACY_PERIOD};
 use dcpi_check::tv::{validate_with, TvOptions};
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::uop::{chain_length_histogram, compile_uops};
 use dcpi_workloads::programs::StreamKind;
-use dcpi_workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
+use dcpi_workloads::{pgo_workload, ProfConfig, RunOptions, Workload};
 use std::collections::BTreeMap;
 
 /// Runs the report; `--runs` sets the merged-run row's run count.
-pub fn report(opts: &ExpOptions) -> Outcome {
+pub fn report(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     // `--quick` divides the speed suite's scales.
     let div = if opts.quick { 4 } else { 1 };
@@ -22,22 +22,25 @@ pub fn report(opts: &ExpOptions) -> Outcome {
         (Workload::McCalpin(StreamKind::Copy), "mccalpin-copy", 8),
         (Workload::Gcc, "gcc", 8),
         (Workload::Wave5, "wave5", 4),
-    ];
+    ]
+    .map(|(w, name, scale)| (w, name, (scale / div).max(1)));
+    let speed = runs.get(suite.map(|(w, _, scale)| {
+        (
+            w,
+            ProfConfig::Cycles,
+            opts.run_options(scale, (20_000, 21_600)),
+        )
+    }));
     let mut totals = [0u64; 3];
     let mut dispatch = Vec::new();
-    for (w, name, scale) in suite {
-        let scale = (scale / div).max(1) * opts.scale;
-        let ro = RunOptions {
-            scale,
-            period: (20_000, 21_600),
-            seed: opts.seed,
-            ..RunOptions::default()
-        };
-        let r = run_workload(w, ProfConfig::Cycles, &ro);
+    for ((_, name, scale), r) in suite.iter().zip(&speed) {
         writeln!(
             o,
-            "{name:<18} scale {scale}: {} cycles, {} samples, {} retired",
-            r.cycles, r.samples, r.retired
+            "{name:<18} scale {}: {} cycles, {} samples, {} retired",
+            scale * opts.scale,
+            r.cycles,
+            r.samples,
+            r.retired
         );
         for (t, x) in totals.iter_mut().zip([r.cycles, r.samples, r.retired]) {
             *t += x;
@@ -67,17 +70,18 @@ pub fn report(opts: &ExpOptions) -> Outcome {
     // Collection overhead — interrupt handlers plus daemon processing —
     // reconciled against total simulated cycles must land in the paper's
     // 1-3% band per workload.
-    let mut ledgers = Vec::new();
-    for (w, name, scale) in suite {
+    let ledger_cells = suite.map(|(w, _, scale)| {
         let ro = RunOptions {
-            scale: (scale / div).max(1) * opts.scale,
-            seed: opts.seed,
             obs: true,
-            ..RunOptions::default()
+            ..opts.run_options(scale, RunOptions::default().period)
         };
-        let r = run_workload(w, ProfConfig::Cycles, &ro);
-        ledgers.push((name, r.overhead.expect("profiled run has a ledger")));
-    }
+        (w, ProfConfig::Cycles, ro)
+    });
+    let mut ledgers: Vec<_> = suite
+        .iter()
+        .zip(runs.get(ledger_cells))
+        .map(|((_, name, _), r)| (*name, r.overhead.expect("profiled run has a ledger")))
+        .collect();
     // The calling-context extension's ledger: a call-heavy workload at
     // the same default period with stack walking on. The walk charges
     // real handler cycles per delivered sample (metered separately as
@@ -89,13 +93,14 @@ pub fn report(opts: &ExpOptions) -> Outcome {
     // `--quick`: at tiny scales the daemon's fixed per-flush cost
     // dominates the fraction and drowns the walk signal.
     let ro = RunOptions {
-        scale: Workload::X11Perf.default_scale() * 4 * opts.scale,
-        seed: opts.seed,
         obs: true,
         stack_walk: true,
-        ..RunOptions::default()
+        ..opts.run_options(
+            Workload::X11Perf.default_scale() * 4,
+            RunOptions::default().period,
+        )
     };
-    let r = run_workload(Workload::X11Perf, ProfConfig::Cycles, &ro);
+    let r = runs.one((Workload::X11Perf, ProfConfig::Cycles, ro));
     assert_eq!(
         r.stacks.total(),
         r.samples,
@@ -128,13 +133,7 @@ pub fn report(opts: &ExpOptions) -> Outcome {
         (Workload::AltaVista, "altavista"),
         (Workload::Dss, "dss"),
     ] {
-        let ro = RunOptions {
-            scale: opts.scale,
-            period: (2_000, 2_200),
-            seed: opts.seed,
-            ..RunOptions::default()
-        };
-        match pgo_workload(w, &ro, 25) {
+        match pgo_workload(w, &opts.run_options(1, (2_000, 2_200)), 25) {
             Ok(out) => {
                 writeln!(
                     o,
@@ -169,17 +168,10 @@ pub fn report(opts: &ExpOptions) -> Outcome {
     // One representative multi-run experiment: the accuracy suite's
     // McCalpin copy cell, merged across `opts.runs` runs — the shape every
     // figure-8/9/10 experiment fans out.
-    let (ew, escale) = (
-        Workload::McCalpin(StreamKind::Copy),
-        if opts.quick { 6 } else { 24 } * opts.scale,
-    );
-    let ro = RunOptions {
-        scale: escale,
-        period: ACCURACY_PERIOD,
-        seed: opts.seed,
-        ..RunOptions::default()
-    };
-    let merged = run_merged(ew, ProfConfig::Cycles, &ro, opts.runs, opts.threads);
+    let ew = Workload::McCalpin(StreamKind::Copy);
+    let ro = opts.run_options(if opts.quick { 6 } else { 24 }, ACCURACY_PERIOD);
+    let escale = ro.scale;
+    let merged = runs.merged((ew, ProfConfig::Cycles, ro), opts.runs);
     writeln!(
         o,
         "run_merged {}-scale{escale} x{}: {} samples",

@@ -2,11 +2,11 @@
 //! Table 4 (time overhead components), Table 5 (space overhead), and the
 //! §5.4 hash-table design sweep.
 
-use crate::{mean_ci, ExpOptions, Outcome};
+use crate::{mean_ci, repeats, ExpOptions, Outcome, Runs};
 use dcpi_collect::driver::{CostModel, DriverConfig, EvictPolicy};
 use dcpi_collect::htsim::{default_sweep, sweep};
 use dcpi_workloads::programs::StreamKind;
-use dcpi_workloads::{run_indexed, run_workload, ProfConfig, RunOptions, Workload};
+use dcpi_workloads::{ProfConfig, RunOptions, Workload};
 
 const PROFILED: [ProfConfig; 3] = [ProfConfig::Cycles, ProfConfig::Default, ProfConfig::Mux];
 
@@ -15,7 +15,7 @@ const PROFILED: [ProfConfig; 3] = [ProfConfig::Cycles, ProfConfig::Default, Prof
 /// The paper reports mean base runtimes with 95% confidence intervals
 /// over ≥10 runs; we do the same in simulated cycles (the simulated clock
 /// is 333 MHz nominal, so seconds = cycles / 333e6).
-pub fn table2(opts: &ExpOptions) -> Outcome {
+pub fn table2(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     writeln!(
         o,
@@ -28,21 +28,13 @@ pub fn table2(opts: &ExpOptions) -> Outcome {
         "{:<18} {:>4} {:>16} {:>12}  description",
         "workload", "cpus", "mean cycles", "95% CI"
     );
-    // Every (workload, run) cell is independent; results land in index
-    // order, so the table is identical for any thread count.
-    let runs = opts.runs.max(1);
-    let cycles = run_indexed(Workload::ALL.len() * runs, opts.threads, |i| {
-        let w = Workload::ALL[i / runs];
-        let ro = RunOptions {
-            seed: opts.seed + (i % runs) as u32,
-            scale: opts.scale * w.default_scale(),
-            ..RunOptions::default()
-        };
-        run_workload(w, ProfConfig::Base, &ro).cycles as f64
-    });
+    let cells = Workload::ALL
+        .into_iter()
+        .flat_map(|w| repeats((w, ProfConfig::Base, grid_options(opts, w)), opts.runs, 1));
+    let cycles: Vec<f64> = runs.get(cells).iter().map(|r| r.cycles as f64).collect();
     let mut varying = Vec::new();
-    for (wi, w) in Workload::ALL.iter().enumerate() {
-        let (mean, ci) = mean_ci(&cycles[wi * runs..(wi + 1) * runs]);
+    for (w, times) in Workload::ALL.iter().zip(cycles.chunks(opts.runs.max(1))) {
+        let (mean, ci) = mean_ci(times);
         if ci > 0.0 {
             varying.push(w.name());
         }
@@ -65,6 +57,12 @@ pub fn table2(opts: &ExpOptions) -> Outcome {
     o
 }
 
+/// The options of a grid cell of Tables 2, 3 and 5 and Figure 6: `w` at
+/// its default scale and the default period.
+pub(crate) fn grid_options(opts: &ExpOptions, w: Workload) -> RunOptions {
+    opts.run_options(w.default_scale(), RunOptions::default().period)
+}
+
 fn description(w: Workload) -> &'static str {
     match w {
         Workload::McCalpin(_) => "McCalpin STREAMS memory-bandwidth loop",
@@ -83,7 +81,7 @@ fn description(w: Workload) -> &'static str {
 
 /// Table 3: overall slowdown (percent) per workload under the `cycles`,
 /// `default`, and `mux` configurations relative to `base`.
-pub fn table3(opts: &ExpOptions) -> Outcome {
+pub fn table3(opts: &ExpOptions, runs: &Runs) -> Outcome {
     const CONFIGS: [ProfConfig; 4] = [
         ProfConfig::Base,
         ProfConfig::Cycles,
@@ -102,31 +100,23 @@ pub fn table3(opts: &ExpOptions) -> Outcome {
         "{:<18} {:>16} {:>16} {:>16}",
         "workload", "cycles (%)", "default (%)", "mux (%)"
     );
-    // Every (workload, config, run) cell is independent, so the whole grid
-    // fans out through one pool; results land in index order so the table
-    // is identical for any thread count.
-    let runs = opts.runs.max(1);
-    let per_w = CONFIGS.len() * runs;
-    let cycles = run_indexed(Workload::ALL.len() * per_w, opts.threads, |i| {
-        let w = Workload::ALL[i / per_w];
-        let p = CONFIGS[(i % per_w) / runs];
-        let ro = RunOptions {
-            seed: opts.seed + (i % runs) as u32,
-            scale: opts.scale * w.default_scale(),
-            ..RunOptions::default()
-        };
-        run_workload(w, p, &ro).cycles as f64
+    let cells = Workload::ALL.into_iter().flat_map(|w| {
+        CONFIGS
+            .into_iter()
+            .flat_map(move |p| repeats((w, p, grid_options(opts, w)), opts.runs, 1))
     });
+    let cycles: Vec<f64> = runs.get(cells).iter().map(|r| r.cycles as f64).collect();
+    let per_config = opts.runs.max(1);
     // (workload, [(slowdown %, its 95% error)] per profiled config)
     let mut rows = Vec::new();
-    for (wi, w) in Workload::ALL.iter().enumerate() {
-        let times = |ci: usize| &cycles[wi * per_w + ci * runs..wi * per_w + (ci + 1) * runs];
-        let (base, base_ci) = mean_ci(times(0));
-        let cells: Vec<(f64, f64)> = (1..CONFIGS.len())
-            .map(|ci| {
-                let (t, ci95) = mean_ci(times(ci));
-                ((t / base - 1.0) * 100.0, (ci95 + base_ci) / base * 100.0)
-            })
+    for (w, times) in Workload::ALL
+        .iter()
+        .zip(cycles.chunks(CONFIGS.len() * per_config))
+    {
+        let mut times = times.chunks(per_config).map(mean_ci);
+        let (base, base_ci) = times.next().expect("the base configuration");
+        let cells: Vec<(f64, f64)> = times
+            .map(|(t, ci95)| ((t / base - 1.0) * 100.0, (ci95 + base_ci) / base * 100.0))
             .collect();
         let cell = |c: usize| format!("{:>6.1} ±{:>4.1}", cells[c].0, cells[c].1);
         writeln!(
@@ -187,44 +177,43 @@ pub fn table3(opts: &ExpOptions) -> Outcome {
 /// Table 4: time overhead components per workload and configuration —
 /// hash-table miss rate, average interrupt (handler) cost with hit/miss
 /// breakdown, and the daemon's per-sample processing cost.
-pub fn table4(opts: &ExpOptions) -> Outcome {
+pub fn table4(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     let cost = CostModel::default();
-    // All (config, workload) cells are independent; fan the grid out and
-    // print from the index-ordered results.
     let n_w = Workload::ALL.len();
-    let results = run_indexed(PROFILED.len() * n_w, opts.threads, |i| {
-        let w = Workload::ALL[i % n_w];
-        // Sampling density is scaled with our shortened workloads
-        // (paper: 5-minute runs at 60K-cycle periods; ours: ~30M-cycle
-        // runs at 6K), so per-process sample counts relate to hot-key
-        // footprints the way they did in the paper — the regime where
-        // hash-table behaviour differentiates workloads.
-        let ro = RunOptions {
-            seed: opts.seed,
-            scale: opts.scale * w.default_scale(),
-            period: (6_000, 6_400),
-            ..RunOptions::default()
-        };
-        let r = run_workload(w, PROFILED[i / n_w], &ro);
-        let d = r.driver.expect("profiled run has driver stats");
-        let day = r.daemon.expect("profiled run has daemon stats");
-        let row = [
-            d.miss_rate(),
-            d.avg_cost(),
-            day.cost_per_sample(),
-            day.aggregation_factor(),
-        ];
-        (w, row)
+    let cells = PROFILED.into_iter().flat_map(|p| {
+        Workload::ALL.into_iter().map(move |w| {
+            // Sampling density is scaled with our shortened workloads
+            // (paper: 5-minute runs at 60K-cycle periods; ours: ~30M-cycle
+            // runs at 6K), so per-process sample counts relate to hot-key
+            // footprints the way they did in the paper — the regime where
+            // hash-table behaviour differentiates workloads.
+            (w, p, opts.run_options(w.default_scale(), (6_000, 6_400)))
+        })
     });
-    for (pi, prof) in PROFILED.iter().enumerate() {
+    let results: Vec<(Workload, [f64; 4])> = runs
+        .get(cells)
+        .iter()
+        .map(|r| {
+            let d = r.driver.expect("profiled run has driver stats");
+            let day = r.daemon.expect("profiled run has daemon stats");
+            let row = [
+                d.miss_rate(),
+                d.avg_cost(),
+                day.cost_per_sample(),
+                day.aggregation_factor(),
+            ];
+            (r.workload, row)
+        })
+        .collect();
+    for (prof, rows) in PROFILED.iter().zip(results.chunks(n_w)) {
         writeln!(o, "Table 4 — configuration `{}`:", prof.name());
         writeln!(
             o,
             "{:<18} {:>9} {:>20} {:>12} {:>8}",
             "workload", "miss rate", "intr cost (hit/miss)", "daemon/sample", "agg"
         );
-        for (w, [miss, intr, daemon, agg]) in &results[pi * n_w..(pi + 1) * n_w] {
+        for (w, [miss, intr, daemon, agg]) in rows {
             writeln!(
                 o,
                 "{:<18} {:>8.1}% {:>9.0} ({:.0}/{:.0}) {:>12.0} {:>8.1}",
@@ -311,41 +300,43 @@ pub fn table4(opts: &ExpOptions) -> Outcome {
 
 /// Table 5: daemon space overhead — uptime, average/peak daemon memory,
 /// and on-disk profile database size — per workload and configuration.
-pub fn table5(opts: &ExpOptions) -> Outcome {
+pub fn table5(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
-    // Each cell writes its own uniquely-named temp database, so the grid is
-    // safe to fan out; results come back in index order.
     let n_w = Workload::ALL.len();
-    let results = run_indexed(PROFILED.len() * n_w, opts.threads, |i| {
-        let w = Workload::ALL[i % n_w];
-        let prof = PROFILED[i / n_w];
-        let db = std::env::temp_dir().join(format!(
-            "dcpi-table5-{}-{}-{}",
-            std::process::id(),
-            w.name(),
-            prof.name()
-        ));
-        let _ = std::fs::remove_dir_all(&db);
-        let ro = RunOptions {
-            seed: opts.seed,
-            scale: opts.scale * w.default_scale(),
-            db_path: Some(db.clone()),
-            ..RunOptions::default()
-        };
-        let r = run_workload(w, prof, &ro);
-        let _ = std::fs::remove_dir_all(&db);
-        r
-    });
+    // Each cell writes its own uniquely-named temp database.
+    let cells: Vec<_> = PROFILED
+        .into_iter()
+        .flat_map(|prof| {
+            Workload::ALL.into_iter().map(move |w| {
+                let db = std::env::temp_dir().join(format!(
+                    "dcpi-table5-{}-{}-{}",
+                    std::process::id(),
+                    w.name(),
+                    prof.name()
+                ));
+                let _ = std::fs::remove_dir_all(&db);
+                let ro = RunOptions {
+                    db_path: Some(db),
+                    ..grid_options(opts, w)
+                };
+                (w, prof, ro)
+            })
+        })
+        .collect();
+    let results = runs.get(cells.iter().cloned());
+    for db in cells.iter().filter_map(|(_, _, ro)| ro.db_path.as_ref()) {
+        let _ = std::fs::remove_dir_all(db);
+    }
     let mut per_cpu = true;
-    for (pi, prof) in PROFILED.iter().enumerate() {
+    for (prof, rows) in PROFILED.iter().zip(results.chunks(n_w)) {
         writeln!(o, "Table 5 — configuration `{}`:", prof.name());
         writeln!(
             o,
             "{:<18} {:>14} {:>12} {:>12} {:>12} {:>12}",
             "workload", "uptime (cyc)", "mem (KB)", "peak (KB)", "disk (B)", "drv kern KB"
         );
-        for (wi, w) in Workload::ALL.iter().enumerate() {
-            let r = &results[pi * n_w + wi];
+        for r in rows {
+            let w = r.workload;
             let day = r.daemon.as_ref().expect("daemon stats");
             per_cpu &= r.driver_kernel_bytes == 512 * 1024 * w.cpus() as u64;
             writeln!(
@@ -390,28 +381,33 @@ pub fn table5(opts: &ExpOptions) -> Outcome {
 /// mod-counter vs swap-to-front replacement, table sizes, and hash
 /// functions. The paper found 6-way + swap-to-front reduces overall
 /// collection cost by 10–20%.
-pub fn table_htsweep(opts: &ExpOptions) -> Outcome {
+pub fn table_htsweep(opts: &ExpOptions, runs: &Runs) -> Outcome {
     let mut o = Outcome::default();
     // Log sample traces from workloads with contrasting locality; gcc's
     // distinct PIDs and large text generate the key diversity that makes
     // table design matter (§5.1).
-    let mut trace = Vec::new();
-    for (w, scale) in [
+    let cells = [
         (Workload::Gcc, 40),
         (Workload::X11Perf, 40),
         (Workload::Timesharing, 4),
         (Workload::McCalpin(StreamKind::Copy), 8),
-    ] {
+    ]
+    .map(|(w, scale)| {
         let ro = RunOptions {
-            seed: opts.seed,
-            scale: scale * opts.scale,
-            period: (2_000, 2_200),
             trace_limit: 400_000,
-            ..RunOptions::default()
+            ..opts.run_options(scale, (2_000, 2_200))
         };
-        let r = run_workload(w, ProfConfig::Cycles, &ro);
-        writeln!(o, "logged {} samples from {}", r.trace.len(), w.name());
-        trace.extend(r.trace);
+        (w, ProfConfig::Cycles, ro)
+    });
+    let mut trace = Vec::new();
+    for r in runs.get(cells) {
+        writeln!(
+            o,
+            "logged {} samples from {}",
+            r.trace.len(),
+            r.workload.name()
+        );
+        trace.extend_from_slice(&r.trace);
     }
     writeln!(o);
     // Our traces are orders of magnitude shorter than a production day,

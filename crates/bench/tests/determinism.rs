@@ -3,12 +3,12 @@
 //! 1. The simulator's outputs at fixed seeds are golden — the decoded
 //!    side table, translation caches, and any future hot-loop work must
 //!    not shift a single cycle, sample, or retire count.
-//! 2. A merged multi-run experiment is bit-identical for any worker
-//!    thread count (the pool's index-ordered merge contract).
+//! 2. A merged multi-run experiment is bit-identical for any size of
+//!    the run table's pool.
 //!
 //! Set `DCPI_QUICK` to trim the heavier cases for CI wall-time budgets.
 
-use dcpi_bench::run_merged;
+use dcpi_bench::Runs;
 use dcpi_workloads::fingerprint::fingerprint;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{ProfConfig, RunOptions, Workload};
@@ -50,22 +50,41 @@ fn simulator_outputs_match_golden_values() {
     }
 }
 
-/// `run_merged` returns a bit-identical result whether the runs execute
-/// serially or on four workers.
+/// A merged result is bit-identical whether the run table runs its cells
+/// serially or on four workers: for gcc, and for a stack-walking
+/// recursion whose per-machine stack tables merge too.
 #[test]
 fn merged_runs_are_identical_across_thread_counts() {
     let runs = if quick() { 2 } else { 4 };
-    let ro = RunOptions {
+    let gcc = RunOptions {
         scale: 4,
         period: (20_000, 21_600),
         ..RunOptions::default()
     };
-    let serial = run_merged(Workload::Gcc, ProfConfig::Cycles, &ro, runs, 1);
-    let parallel = run_merged(Workload::Gcc, ProfConfig::Cycles, &ro, runs, 4);
-    assert!(serial.samples > 0, "experiment produced no samples");
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&parallel),
-        "thread count changed the merged result"
-    );
+    let stacks = RunOptions {
+        stack_walk: true,
+        period: (5_000, 5_400),
+        limit: 200_000_000,
+        ..RunOptions::default()
+    };
+    for (w, ro) in [(Workload::Gcc, gcc), (Workload::MutualRecursion, stacks)] {
+        let cell = (w, ProfConfig::Cycles, ro);
+        let serial = Runs::new(1).merged(cell.clone(), runs);
+        let parallel = Runs::new(4).merged(cell.clone(), runs);
+        assert!(serial.samples > 0, "{}: no samples", w.name());
+        if cell.2.stack_walk {
+            assert!(!serial.stacks.is_empty());
+            assert_eq!(
+                serial.stacks.total(),
+                serial.samples,
+                "one stack per sample"
+            );
+        }
+        assert_eq!(
+            fingerprint(&serial),
+            fingerprint(&parallel),
+            "{}: thread count changed the merged result",
+            w.name()
+        );
+    }
 }

@@ -6,7 +6,7 @@ use dcpi_isa::pipeline::PipelineModel;
 /// How far the execution core walks a handler chain before handing
 /// control back to the machine loop. Both modes run the same walker
 /// (`dispatch.rs`) over the same precompiled micro-ops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum DispatchMode {
     /// One issue group per walk: every memo starts cold, so every cache
     /// and TLB access is the full probe. The slow, plain reading of the

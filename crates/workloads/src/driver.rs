@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The paper's workloads (Table 2), as synthetic equivalents.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Workload {
     /// One of the four McCalpin STREAM loops.
     McCalpin(StreamKind),
@@ -118,7 +118,7 @@ impl Workload {
 }
 
 /// Profiling configuration (§5).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ProfConfig {
     /// No monitoring.
     Base,
@@ -161,7 +161,7 @@ impl ProfConfig {
 }
 
 /// Options for one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RunOptions {
     /// Master seed (sampling periods, page placement, index layout).
     pub seed: u32,
@@ -215,7 +215,7 @@ impl Default for RunOptions {
 }
 
 /// Everything a run produced.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// The workload.
     pub workload: Workload,

@@ -26,7 +26,7 @@ pub struct KernelAddrs {
 }
 
 /// Which STREAM kernel to build.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StreamKind {
     /// `c[i] = a[i]` — the integer copy loop of Figure 2, verbatim.
     Copy,

@@ -27,8 +27,7 @@ fn the_fast_experiments_hold_their_claims_and_match_the_golden() {
                 s.spawn(move || {
                     let inv = Invocation::parse(Args::new([name, "--quick", "--check"]))
                         .expect("a command line the golden was recorded with");
-                    let e = inv.selected[0];
-                    let out = (e.run)(&inv.options(e));
+                    let out = inv.run(inv.selected[0]);
                     if let Some(c) = out.claims.iter().find(|c| !c.holds) {
                         panic!("{name}: {c}");
                     }
