@@ -12,8 +12,7 @@
 
 use dcpi_core::Error;
 use dcpi_isa::image::{Image, Symbol};
-use dcpi_isa::insn::Instruction;
-use dcpi_isa::reg::Reg;
+use dcpi_isa::insn::{Flow, Instruction};
 
 /// Index of a basic block within its [`Cfg`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -148,12 +147,9 @@ impl Cfg {
         let n = (sym.size / 4) as usize;
         for i in 0..n {
             let off = sym.offset + (i as u64) * 4;
-            let Some(Instruction::Jmp { ra, rb }) = image.insn_at(off) else {
-                continue;
-            };
-            if !ra.is_zero() || rb == Reg::RA {
+            let Some(Flow::IndirectJump { .. }) = image.insn_at(off).map(|i| i.flow()) else {
                 continue; // calls and returns are not CFG-internal
-            }
+            };
             let targets: Vec<usize> = paths
                 .successors(image_id, off)
                 .into_iter()
@@ -210,37 +206,19 @@ impl Cfg {
             }
         }
         let mut missing_edges = false;
+        // A direct target as an index into the procedure, if it is inside.
+        let in_proc = |t: Option<i64>| t.and_then(|t| usize::try_from(t).ok()).filter(|&t| t < n);
         for (i, insn) in insns.iter().enumerate() {
-            match *insn {
-                Instruction::CondBr { disp, .. } => {
-                    if let Some(t) = local_target(i, disp, n) {
-                        leader[t] = true;
-                    }
-                    if i + 1 < n {
-                        leader[i + 1] = true;
-                    }
+            let flow = insn.flow();
+            if let Flow::CondBranch { .. } | Flow::Jump { .. } = flow {
+                if let Some(t) = in_proc(flow.target(i as u32)) {
+                    leader[t] = true;
                 }
-                Instruction::Br { ra, disp } if ra.is_zero() => {
-                    if let Some(t) = local_target(i, disp, n) {
-                        leader[t] = true;
-                    }
-                    if i + 1 < n {
-                        leader[i + 1] = true;
-                    }
-                }
-                Instruction::Jmp { ra, .. }
-                    if ra.is_zero()
-                    // Return or indirect tail jump: block ends here.
-                    && i + 1 < n =>
-                {
-                    leader[i + 1] = true;
-                }
-                Instruction::CallPal {
-                    func: dcpi_isa::insn::PalFunc::Halt,
-                } if i + 1 < n => {
-                    leader[i + 1] = true;
-                }
-                _ => {}
+            } else if flow.falls_through() {
+                continue; // calls return here, so they do not end a block
+            }
+            if i + 1 < n {
+                leader[i + 1] = true;
             }
         }
 
@@ -265,7 +243,6 @@ impl Cfg {
         let mut edges = Vec::with_capacity(2 * nb);
         for (b, block) in blocks.iter_mut().enumerate() {
             let last_idx = (block.end_word() - start_word - 1) as usize;
-            let last = &insns[last_idx];
             let push = |edges: &mut Vec<Edge>, to: usize, kind: EdgeKind| {
                 edges.push(Edge {
                     from: BlockId(b),
@@ -273,58 +250,39 @@ impl Cfg {
                     kind,
                 })
             };
-            match *last {
-                Instruction::CondBr { disp, .. } => {
-                    match local_target(last_idx, disp, n) {
+            let flow = insns[last_idx].flow();
+            match flow {
+                Flow::CondBranch { .. } | Flow::Jump { .. } => {
+                    match in_proc(flow.target(last_idx as u32)) {
                         Some(t) => push(&mut edges, block_of_idx[t], EdgeKind::Taken),
                         None => block.is_exit = true, // branches out of the procedure
                     }
-                    if b + 1 < nb {
-                        push(&mut edges, b + 1, EdgeKind::FallThrough);
-                    } else {
-                        block.is_exit = true;
-                    }
                 }
-                Instruction::Br { ra, disp } if ra.is_zero() => {
-                    match local_target(last_idx, disp, n) {
-                        Some(t) => push(&mut edges, block_of_idx[t], EdgeKind::Taken),
-                        None => block.is_exit = true,
-                    }
-                }
-                Instruction::Jmp { ra, rb } if ra.is_zero() => {
-                    if rb == Reg::RA {
-                        block.is_exit = true;
-                    } else if let Some((_, targets)) =
-                        indirect_targets.iter().find(|(at, _)| *at == last_idx)
-                    {
-                        // Indirect jump resolved by path samples (§7):
-                        // one Indirect edge per observed target. Unseen
-                        // targets may exist, so the block stays an exit.
-                        for &t in targets {
-                            push(&mut edges, block_of_idx[t], EdgeKind::Indirect);
-                        }
-                        block.is_exit = true;
-                    } else {
-                        // Indirect jump with statically unknown targets:
-                        // our jump-table analysis handles only returns, so
-                        // note the missing edges (§6.1.1).
-                        block.is_exit = true;
-                        missing_edges = true;
-                    }
-                }
-                Instruction::CallPal {
-                    func: dcpi_isa::insn::PalFunc::Halt,
-                } => {
+                Flow::IndirectJump { .. } => {
+                    // Unseen targets may always exist, so the block is an exit.
                     block.is_exit = true;
-                }
-                _ => {
-                    // Non-terminator last instruction: sequential flow (or
-                    // falling off the end of the procedure).
-                    if b + 1 < nb {
-                        push(&mut edges, b + 1, EdgeKind::FallThrough);
-                    } else {
-                        block.is_exit = true;
+                    match indirect_targets.iter().find(|(at, _)| *at == last_idx) {
+                        // Resolved by path samples (§7): one Indirect edge
+                        // per observed target.
+                        Some((_, targets)) => {
+                            for &t in targets {
+                                push(&mut edges, block_of_idx[t], EdgeKind::Indirect);
+                            }
+                        }
+                        // Statically unknown targets: note the missing
+                        // edges (§6.1.1).
+                        None => missing_edges = true,
                     }
+                }
+                // Returns and halts leave the procedure.
+                _ => block.is_exit |= !flow.falls_through(),
+            }
+            if flow.falls_through() {
+                // Sequential flow, or falling off the end of the procedure.
+                if b + 1 < nb {
+                    push(&mut edges, b + 1, EdgeKind::FallThrough);
+                } else {
+                    block.is_exit = true;
                 }
             }
         }
@@ -384,11 +342,6 @@ impl Cfg {
     pub fn exit_blocks(&self) -> &[BlockId] {
         &self.exits
     }
-}
-
-fn local_target(at: usize, disp: i32, n: usize) -> Option<usize> {
-    let t = at as i64 + 1 + i64::from(disp);
-    (t >= 0 && (t as usize) < n).then_some(t as usize)
 }
 
 #[cfg(test)]

@@ -71,10 +71,7 @@ pub fn report(opts: &ExpOptions, runs: &Runs) -> Outcome {
     // reconciled against total simulated cycles must land in the paper's
     // 1-3% band per workload.
     let ledger_cells = suite.map(|(w, _, scale)| {
-        let ro = RunOptions {
-            obs: true,
-            ..opts.run_options(scale, RunOptions::default().period)
-        };
+        let ro = opts.run_options(scale, RunOptions::default().period);
         (w, ProfConfig::Cycles, ro)
     });
     let mut ledgers: Vec<_> = suite
@@ -93,7 +90,6 @@ pub fn report(opts: &ExpOptions, runs: &Runs) -> Outcome {
     // `--quick`: at tiny scales the daemon's fixed per-flush cost
     // dominates the fraction and drowns the walk signal.
     let ro = RunOptions {
-        obs: true,
         stack_walk: true,
         ..opts.run_options(
             Workload::X11Perf.default_scale() * 4,

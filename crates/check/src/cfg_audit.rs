@@ -21,8 +21,7 @@ use crate::diag::{Category, Loc, Report};
 use dcpi_analyze::cfg::{BlockId, Cfg, EdgeKind};
 use dcpi_analyze::equiv::frequency_classes;
 use dcpi_isa::image::Symbol;
-use dcpi_isa::insn::{Instruction, PalFunc};
-use dcpi_isa::reg::Reg;
+use dcpi_isa::insn::Flow;
 
 /// Brute-force equivalence re-derivation is cubic in split-graph edges;
 /// procedures with more blocks than this skip it.
@@ -90,7 +89,7 @@ fn check_block_partition(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
 fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
     let name = &sym.name;
     let nb = cfg.blocks.len();
-    let n = cfg.insns.len() as i64;
+    let end = i64::from(cfg.start_word) + cfg.insns.len() as i64;
     for (idx, e) in cfg.edges.iter().enumerate() {
         if e.from.0 >= nb || e.to.0 >= nb {
             report.flag(
@@ -102,16 +101,15 @@ fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
         }
         let from = &cfg.blocks[e.from.0];
         let last_idx = (from.end_word() - cfg.start_word - 1) as usize;
-        let last = &cfg.insns[last_idx];
+        let flow = cfg.insns[last_idx].flow();
         let at = Loc::at(name)
             .pc(sym.offset + (last_idx as u64) * 4)
             .block(e.from.0);
         let to_head = cfg.blocks[e.to.0].start_word;
         match e.kind {
             EdgeKind::Taken => {
-                let target = match *last {
-                    Instruction::CondBr { disp, .. } => Some(i64::from(disp)),
-                    Instruction::Br { ra, disp } if ra.is_zero() => Some(i64::from(disp)),
+                let target = match flow {
+                    Flow::CondBranch { .. } | Flow::Jump { .. } => flow.target(from.end_word() - 1),
                     _ => None,
                 };
                 match target {
@@ -120,16 +118,15 @@ fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                         at,
                         "taken edge from a block whose terminator is not a branch",
                     ),
-                    Some(disp) => {
-                        let t = last_idx as i64 + 1 + disp;
-                        if !(0..n).contains(&t) || cfg.start_word + t as u32 != to_head {
+                    Some(t) => {
+                        if !(i64::from(cfg.start_word)..end).contains(&t) || t != i64::from(to_head)
+                        {
                             report.flag(
                                 Category::EdgeTarget,
                                 at,
                                 format!(
-                                    "taken edge lands on block {} (word {to_head}) but the branch targets word {}",
-                                    e.to.0,
-                                    i64::from(cfg.start_word) + t
+                                    "taken edge lands on block {} (word {to_head}) but the branch targets word {t}",
+                                    e.to.0
                                 ),
                             );
                         }
@@ -144,17 +141,7 @@ fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                         format!("fall-through edge skips to block {}", e.to.0),
                     );
                 }
-                let can_fall = !matches!(
-                    *last,
-                    Instruction::Br { ra, .. } if ra.is_zero()
-                ) && !matches!(*last, Instruction::Jmp { ra, .. } if ra.is_zero())
-                    && !matches!(
-                        *last,
-                        Instruction::CallPal {
-                            func: PalFunc::Halt
-                        }
-                    );
-                if !can_fall {
+                if !flow.falls_through() {
                     report.flag(
                         Category::FallThrough,
                         at,
@@ -163,11 +150,7 @@ fn check_edges(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
                 }
             }
             EdgeKind::Indirect => {
-                let is_indirect_jmp = matches!(
-                    *last,
-                    Instruction::Jmp { ra, rb } if ra.is_zero() && rb != Reg::RA
-                );
-                if !is_indirect_jmp {
+                if !matches!(flow, Flow::IndirectJump { .. }) {
                     report.flag(
                         Category::EdgeTarget,
                         at,

@@ -30,8 +30,6 @@ use crate::diag::Report;
 use dcpi_analyze::cfg::Cfg;
 use dcpi_isa::encode::decode;
 use dcpi_isa::image::{Image, Symbol};
-use dcpi_isa::insn::{Instruction, PalFunc};
-use dcpi_isa::rewrite::branch_target;
 
 pub use solver::{solve, Direction, Pass, Solution};
 pub use values::AbsVal;
@@ -69,28 +67,9 @@ pub fn word_reachable(image: &Image) -> Vec<bool> {
         let Ok(insn) = decode(words[w]) else {
             continue;
         };
-        let mut succ: [Option<i64>; 2] = [None, None];
-        match insn {
-            Instruction::CondBr { disp, .. } => {
-                succ = [Some(w as i64 + 1), Some(branch_target(w as u32, disp))];
-            }
-            Instruction::Br { ra, disp } => {
-                succ[0] = Some(branch_target(w as u32, disp));
-                if !ra.is_zero() {
-                    succ[1] = Some(w as i64 + 1); // call: returns here
-                }
-            }
-            Instruction::Jmp { ra, .. } => {
-                if !ra.is_zero() {
-                    succ[0] = Some(w as i64 + 1); // call: returns here
-                }
-            }
-            Instruction::CallPal {
-                func: PalFunc::Halt,
-            } => {}
-            _ => succ[0] = Some(w as i64 + 1),
-        }
-        for t in succ.into_iter().flatten() {
+        let flow = insn.flow();
+        let next = flow.falls_through().then_some(w as i64 + 1);
+        for t in [flow.target(w as u32), next].into_iter().flatten() {
             if (0..n as i64).contains(&t) && !reachable[t as usize] {
                 reachable[t as usize] = true;
                 stack.push(t as usize);

@@ -13,7 +13,7 @@ use super::solver::{solve, Direction, Pass, Solution};
 use crate::diag::{Category, Loc, Report};
 use dcpi_analyze::cfg::{BlockId, Cfg};
 use dcpi_isa::image::Symbol;
-use dcpi_isa::insn::Instruction;
+use dcpi_isa::insn::{Flow, Instruction};
 use dcpi_isa::reg::Reg;
 
 /// Frames deeper than this draw a warning (generous: the workloads use
@@ -140,10 +140,6 @@ impl Pass for StackDiscipline {
     }
 }
 
-fn is_ret(insn: &Instruction) -> bool {
-    matches!(insn, Instruction::Jmp { ra, rb } if ra.is_zero() && *rb == Reg::RA)
-}
-
 /// Solves the pass and reports `stack-discipline` warnings: unbalanced
 /// or unknown SP deltas at returns, SP above the caller frame, frames
 /// deeper than [`MAX_FRAME_BYTES`], and (in procedures that return)
@@ -151,7 +147,7 @@ fn is_ret(insn: &Instruction) -> bool {
 pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
     let reachable = crate::image_lints::reachable_blocks(cfg);
     let sol: Solution<StackFact> = solve(cfg, &StackDiscipline);
-    let returns = cfg.insns.iter().any(is_ret);
+    let returns = cfg.insns.iter().any(|i| i.flow() == Flow::Return);
     let callee = callee_saved_mask();
     let mut deepest = 0i64;
     let mut rose_above = false;
@@ -164,7 +160,7 @@ pub fn check_stack_discipline(sym: &Symbol, cfg: &Cfg, report: &mut Report) {
         let base = (cfg.blocks[b].start_word - cfg.start_word) as usize;
         for (i, insn) in cfg.block_insns(BlockId(b)).iter().enumerate() {
             let pc = sym.offset + ((base + i) as u64) * 4;
-            if is_ret(insn) {
+            if insn.flow() == Flow::Return {
                 match fact.sp {
                     SpDelta::Known(d) if d != 0 => report.flag(
                         Category::StackDiscipline,

@@ -17,7 +17,7 @@ use crate::diag::{Category, Loc, Report, Severity};
 use dcpi_analyze::cfg::Cfg;
 use dcpi_isa::encode::{decode, encode};
 use dcpi_isa::image::{Image, Symbol};
-use dcpi_isa::insn::Instruction;
+use dcpi_isa::insn::Flow;
 use dcpi_isa::reg::Reg;
 
 /// Registers assumed live on procedure entry by the calling convention:
@@ -118,12 +118,11 @@ fn check_branch_targets(image: &Image, sym: &Symbol, cfg: &Cfg, report: &mut Rep
     let text_words = image.words().len() as i64;
     for (i, insn) in cfg.insns.iter().enumerate() {
         let pc = sym.offset + (i as u64) * 4;
-        let (disp, is_call) = match *insn {
-            Instruction::CondBr { disp, .. } => (disp, false),
-            Instruction::Br { ra, disp } => (disp, !ra.is_zero()),
-            _ => continue,
+        let flow = insn.flow();
+        let Some(local) = flow.target(i as u32) else {
+            continue;
         };
-        let local = i as i64 + 1 + i64::from(disp);
+        let is_call = matches!(flow, Flow::Call { .. });
         if !is_call && (0..n).contains(&local) {
             continue; // ordinary in-procedure branch
         }

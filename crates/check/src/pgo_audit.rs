@@ -222,13 +222,7 @@ pub fn check_rewrite(old: &Image, new: &Image, map: &AddressMap) -> Report {
             }
             continue;
         };
-        let target = match insn {
-            Instruction::CondBr { disp, .. } | Instruction::Br { disp, .. } => {
-                Some(branch_target(p as u32, disp))
-            }
-            _ => None,
-        };
-        if let Some(t) = target {
+        if let Some(t) = insn.flow().target(p as u32) {
             let ok = usize::try_from(t).is_ok_and(|t| t < new_n && live[t].is_some());
             if !ok {
                 report.flag(

@@ -29,7 +29,7 @@
 
 use crate::diag::{Category, Loc, Report};
 use dcpi_isa::image::Image;
-use dcpi_isa::insn::{Instruction, IntOp, PalFunc, RegOrLit};
+use dcpi_isa::insn::{Flow, Instruction, IntOp, PalFunc, RegOrLit};
 use dcpi_isa::reg::Reg;
 use dcpi_isa::rewrite::{branch_target, invert_cond, li_value_at, AddressMap};
 use std::fmt::Write as _;
@@ -123,14 +123,11 @@ impl Ctx<'_> {
             if self.origin[q as usize].is_some() {
                 return Some(q);
             }
-            let insn = &self.new_i[q as usize];
-            if *insn == Instruction::NOP {
+            let insn = self.new_i[q as usize];
+            if insn == Instruction::NOP {
                 q += 1;
-            } else if let Instruction::Br { ra, disp } = insn {
-                if !ra.is_zero() {
-                    return None;
-                }
-                let t = branch_target(q, *disp);
+            } else if let flow @ Flow::Jump { .. } = insn.flow() {
+                let t = flow.target(q)?;
                 if t < 0 || t >= i64::from(n) {
                     return None;
                 }
@@ -434,37 +431,28 @@ pub fn validate_with(old: &Image, new: &Image, map: &AddressMap, opts: &TvOption
         }
     }
     for (w, insn) in old_i.iter().enumerate() {
-        match *insn {
-            Instruction::CondBr { disp, .. } | Instruction::Br { disp, .. } => {
-                let t = branch_target(w as u32, disp);
-                if (0..on as i64).contains(&t) {
-                    leader[t as usize] = true;
-                }
-                if w + 1 < on {
-                    leader[w + 1] = true;
-                }
+        let flow = insn.flow();
+        if flow != Flow::Next && w + 1 < on {
+            leader[w + 1] = true;
+        }
+        if let Some(t) = flow.target(w as u32) {
+            if (0..on as i64).contains(&t) {
+                leader[t as usize] = true;
             }
-            Instruction::Jmp { ra, rb } => {
-                if w + 1 < on {
-                    leader[w + 1] = true;
-                }
-                if !(ra.is_zero() && rb == Reg::RA) {
-                    // A materialized call target is enterable by address.
-                    let unit = (w > 0).then(|| li_value_at(&old_i, w - 1, rb)).flatten();
-                    if let Some((_, v)) = unit {
-                        if let Some(off) = u64::try_from(v)
-                            .ok()
-                            .and_then(|v| v.checked_sub(opts.code_base))
-                        {
-                            if off % 4 == 0 && off / 4 < on as u64 {
-                                leader[(off / 4) as usize] = true;
-                            }
-                        }
+        }
+        if let Flow::IndirectJump { rb } | Flow::IndirectCall { rb } = flow {
+            // A materialized call target is enterable by address.
+            let unit = (w > 0).then(|| li_value_at(&old_i, w - 1, rb)).flatten();
+            if let Some((_, v)) = unit {
+                if let Some(off) = u64::try_from(v)
+                    .ok()
+                    .and_then(|v| v.checked_sub(opts.code_base))
+                {
+                    if off % 4 == 0 && off / 4 < on as u64 {
+                        leader[(off / 4) as usize] = true;
                     }
                 }
             }
-            Instruction::CallPal { .. } if w + 1 < on => leader[w + 1] = true,
-            _ => {}
         }
     }
     let mut bounds = Vec::new();
@@ -524,8 +512,7 @@ pub fn validate_with(old: &Image, new: &Image, map: &AddressMap, opts: &TvOption
             continue;
         }
         let ok = *insn == Instruction::NOP
-            || (matches!(insn, Instruction::Br { ra, .. } if ra.is_zero())
-                && ctx.resolve(q as u32).is_some());
+            || (matches!(insn.flow(), Flow::Jump { .. }) && ctx.resolve(q as u32).is_some());
         if !ok {
             report.flag(
                 Category::TvStructure,

@@ -8,6 +8,7 @@
 //! operand; three-register operators write their *third*.
 
 use crate::reg::Reg;
+use crate::rewrite::branch_target;
 use std::fmt;
 
 /// Integer operate-format opcodes.
@@ -511,16 +512,28 @@ impl Instruction {
         (!w.is_zero()).then_some(w)
     }
 
-    /// True if this instruction ends a basic block (any control transfer).
+    /// The control transfer this instruction makes, read through the
+    /// linkage convention: a `br`/`jmp` that links `zero` jumps, one that
+    /// links any other register calls, and `jmp zero,(ra)` returns.
+    #[must_use]
+    pub fn flow(&self) -> Flow {
+        match *self {
+            Instruction::CondBr { disp, .. } => Flow::CondBranch { disp },
+            Instruction::Br { ra, disp } if ra.is_zero() => Flow::Jump { disp },
+            Instruction::Br { disp, .. } => Flow::Call { disp },
+            Instruction::Jmp { ra, rb } if ra.is_zero() && rb == Reg::RA => Flow::Return,
+            Instruction::Jmp { ra, rb } if ra.is_zero() => Flow::IndirectJump { rb },
+            Instruction::Jmp { rb, .. } => Flow::IndirectCall { rb },
+            Instruction::CallPal { func } => Flow::Pal(func),
+            _ => Flow::Next,
+        }
+    }
+
+    /// True for any control transfer, calls and PAL calls included:
+    /// everything whose [`Instruction::flow`] is not [`Flow::Next`].
     #[must_use]
     pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instruction::CondBr { .. }
-                | Instruction::Br { .. }
-                | Instruction::Jmp { .. }
-                | Instruction::CallPal { .. }
-        )
+        self.flow() != Flow::Next
     }
 
     /// True for loads (memory reads into a register).
@@ -546,6 +559,71 @@ impl Instruction {
     #[must_use]
     pub fn is_memory(&self) -> bool {
         self.is_load() || self.is_store()
+    }
+}
+
+/// What an instruction does to control flow: the one static reading of
+/// branches, jumps, calls, returns and PAL calls that the CFG builder,
+/// the optimizer, the checkers and the stack walker share. The simulator
+/// executes the same words from their operands and is held to agree.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Flow {
+    /// No transfer: control goes on to the next word.
+    Next,
+    /// A conditional branch: to its target, or on to the next word.
+    CondBranch {
+        /// Word displacement.
+        disp: i32,
+    },
+    /// `br` linking `zero`: to its target only.
+    Jump {
+        /// Word displacement.
+        disp: i32,
+    },
+    /// `bsr` (a `br` linking a register): to its target, returning to the
+    /// next word.
+    Call {
+        /// Word displacement.
+        disp: i32,
+    },
+    /// `ret`, that is `jmp zero,(ra)`: back to the caller.
+    Return,
+    /// `jmp zero,(rb)` through any register but `ra`.
+    IndirectJump {
+        /// Target register.
+        rb: Reg,
+    },
+    /// `jsr` (a `jmp` linking a register): through `rb`, returning to the
+    /// next word.
+    IndirectCall {
+        /// Target register.
+        rb: Reg,
+    },
+    /// `call_pal`: every function but `halt` returns to the next word.
+    Pal(PalFunc),
+}
+
+impl Flow {
+    /// The word a direct transfer (branch, jump or call) at word `at`
+    /// goes to; `None` for every other kind.
+    #[must_use]
+    pub fn target(self, at: u32) -> Option<i64> {
+        match self {
+            Flow::CondBranch { disp } | Flow::Jump { disp } | Flow::Call { disp } => {
+                Some(branch_target(at, disp))
+            }
+            _ => None,
+        }
+    }
+
+    /// True when execution can go on at the next word: no transfer, an
+    /// untaken branch, or a return from a call or a PAL call.
+    #[must_use]
+    pub fn falls_through(self) -> bool {
+        !matches!(
+            self,
+            Flow::Jump { .. } | Flow::Return | Flow::IndirectJump { .. } | Flow::Pal(PalFunc::Halt)
+        )
     }
 }
 
@@ -713,32 +791,72 @@ mod tests {
 
     #[test]
     fn control_classification() {
-        assert!(Instruction::Br {
-            ra: Reg::ZERO,
-            disp: -3
+        use Instruction::{Br, CallPal, CondBr, Jmp};
+        let (z, at) = (Reg::ZERO, 10u32);
+        // (instruction, flow, direct target, falls through)
+        let mut table = vec![
+            (Instruction::NOP, Flow::Next, None, true),
+            (
+                CondBr {
+                    cond: BrCond::Beq,
+                    ra: T0,
+                    disp: -3,
+                },
+                Flow::CondBranch { disp: -3 },
+                Some(8),
+                true,
+            ),
+            (
+                Br { ra: z, disp: 4 },
+                Flow::Jump { disp: 4 },
+                Some(15),
+                false,
+            ),
+            (
+                Br {
+                    ra: Reg::RA,
+                    disp: -11,
+                },
+                Flow::Call { disp: -11 },
+                Some(0),
+                true,
+            ),
+            (
+                Br { ra: T0, disp: 0 },
+                Flow::Call { disp: 0 },
+                Some(11),
+                true,
+            ),
+            (Jmp { ra: z, rb: Reg::RA }, Flow::Return, None, false),
+            (
+                Jmp {
+                    ra: z,
+                    rb: Reg::T12,
+                },
+                Flow::IndirectJump { rb: Reg::T12 },
+                None,
+                false,
+            ),
+            (
+                Jmp {
+                    ra: Reg::RA,
+                    rb: Reg::T12,
+                },
+                Flow::IndirectCall { rb: Reg::T12 },
+                None,
+                true,
+            ),
+        ];
+        for func in PalFunc::ALL {
+            let halts = func == PalFunc::Halt;
+            table.push((CallPal { func }, Flow::Pal(func), None, !halts));
         }
-        .is_control());
-        assert!(Instruction::CondBr {
-            cond: BrCond::Bne,
-            ra: T0,
-            disp: 2
+        for (insn, flow, target, falls) in table {
+            assert_eq!(insn.flow(), flow, "{insn}");
+            assert_eq!(insn.is_control(), flow != Flow::Next, "{insn}");
+            assert_eq!(flow.target(at), target, "{insn}");
+            assert_eq!(flow.falls_through(), falls, "{insn}");
         }
-        .is_control());
-        assert!(Instruction::Jmp {
-            ra: Reg::ZERO,
-            rb: Reg::RA
-        }
-        .is_control());
-        assert!(Instruction::CallPal {
-            func: PalFunc::Halt
-        }
-        .is_control());
-        assert!(!Instruction::Lda {
-            ra: T0,
-            rb: T1,
-            disp: 0
-        }
-        .is_control());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::config::MachineConfig;
 use crate::os::{Os, STACK_TOP};
 use crate::proc::Process;
 use dcpi_core::{Addr, ImageId};
-use dcpi_isa::insn::Instruction;
+use dcpi_isa::insn::{Flow, Instruction};
 use dcpi_isa::reg::Reg;
 
 /// Fixed cost of taking a stack walk (register reads, setup).
@@ -80,10 +80,10 @@ fn is_return_addr(proc: &Process, os: &Os, v: u64) -> bool {
     if !v.is_multiple_of(4) || v < 4 {
         return false;
     }
-    match insn_at(proc, os, v - 4) {
-        Some(Instruction::Br { ra, .. } | Instruction::Jmp { ra, .. }) => !ra.is_zero(),
-        _ => false,
-    }
+    matches!(
+        insn_at(proc, os, v - 4).map(|i| i.flow()),
+        Some(Flow::Call { .. } | Flow::IndirectCall { .. })
+    )
 }
 
 /// Walks the call stack of `proc` at sampled PC `pc`, appending frames
@@ -99,14 +99,16 @@ pub fn walk(proc: &Process, os: &Os, pc: Addr, cfg: &MachineConfig, out: &mut Ve
     let ra_val = proc.reg(Reg::RA);
     let mut accepted_ra = None;
     if out.len() < cfg.stack_max_frames && is_return_addr(proc, os, ra_val) {
-        let accept = match insn_at(proc, os, ra_val - 4) {
-            Some(Instruction::Br { disp, .. }) => {
+        let call = ra_val - 4;
+        let accept = match insn_at(proc, os, call).map(|i| i.flow()) {
+            Some(flow @ Flow::Call { .. }) => {
                 // Direct call: live iff its static target is the sampled
                 // procedure (covers straight calls and direct recursion).
-                let target = (ra_val as i64 + 4 * i64::from(disp)) as u64;
-                here.is_some() && proc_key(proc, os, target) == here
+                let target = u32::try_from(call / 4).ok().and_then(|w| flow.target(w));
+                let target = target.and_then(|t| u64::try_from(t).ok());
+                here.is_some() && target.is_some_and(|t| proc_key(proc, os, t * 4) == here)
             }
-            Some(Instruction::Jmp { .. }) => {
+            Some(Flow::IndirectCall { .. }) => {
                 // Indirect call: the target is dynamic, so fall back to
                 // "the return address lies outside the sampled
                 // procedure" — stale values point back into it.

@@ -18,10 +18,9 @@ use crate::sched;
 use dcpi_analyze::cfg::Cfg;
 use dcpi_analyze::export::ExportedProc;
 use dcpi_isa::encode::encode;
-use dcpi_isa::insn::PalFunc;
 use dcpi_isa::pipeline::PipelineModel;
-use dcpi_isa::rewrite::{branch_target, disp_for, invert_cond, li_split, li_value_at};
-use dcpi_isa::{AddressMap, Image, Instruction, Reg, Symbol};
+use dcpi_isa::rewrite::{disp_for, invert_cond, li_split, li_value_at, retarget};
+use dcpi_isa::{AddressMap, Flow, Image, Instruction, Reg, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Suffix appended to the pathname of a rewritten image, so the OS
@@ -181,27 +180,16 @@ struct UnitPlan {
     blocks: Vec<BlockPlan>,
 }
 
-/// True when control cannot fall past this instruction.
-fn hard_terminator(insn: &Instruction) -> bool {
-    match *insn {
-        Instruction::Jmp { ra, .. } | Instruction::Br { ra, .. } => ra.is_zero(),
-        Instruction::CallPal { func } => func == PalFunc::Halt,
-        _ => false,
-    }
-}
-
 /// Finds every indirect jump's address unit, classifying targets as
 /// external (left alone) or in-text (re-pointed).
 fn scan_calls(insns: &[Instruction], opts: &PgoOptions) -> Result<Vec<Patch>, Skip> {
     let text_end = opts.code_base + 4 * insns.len() as u64;
     let mut patches = Vec::new();
     for (i, insn) in insns.iter().enumerate() {
-        let Instruction::Jmp { ra, rb } = *insn else {
+        // A return's target is a runtime value by design.
+        let (Flow::IndirectJump { rb } | Flow::IndirectCall { rb }) = insn.flow() else {
             continue;
         };
-        if ra.is_zero() && rb == Reg::RA {
-            continue; // return: target is a runtime value by design
-        }
         let unit = (i > 0).then(|| li_value_at(insns, i - 1, rb)).flatten();
         let Some((first, v)) = unit else {
             return Err(Skip::UnresolvedIndirect { word: i as u32 });
@@ -229,12 +217,9 @@ fn control_targets(insns: &[Instruction], patches: &[Patch]) -> Result<BTreeSet<
     let n = insns.len() as i64;
     let mut targets = BTreeSet::new();
     for (i, insn) in insns.iter().enumerate() {
-        let disp = match *insn {
-            Instruction::CondBr { disp, .. } => disp,
-            Instruction::Br { disp, .. } => disp,
-            _ => continue,
+        let Some(t) = insn.flow().target(i as u32) else {
+            continue;
         };
-        let t = branch_target(i as u32, disp);
         if t < 0 || t >= n {
             return Err(Skip::BranchOutOfText { word: i as u32 });
         }
@@ -353,7 +338,7 @@ fn plan_procedure(
         (sym.offset / 4) as u32,
         ((sym.offset + sym.size) / 4) as u32,
     );
-    if !hard_terminator(&insns[(ew - 1) as usize]) {
+    if insns[(ew - 1) as usize].flow().falls_through() {
         return None; // could fall off its own end into whatever follows
     }
     let cfg = Cfg::build(image, sym).ok()?;
@@ -406,11 +391,12 @@ fn plan_procedure(
         let blk = &cfg.blocks[b];
         let mut items = walk_items(blk.start_word, blk.end_word(), patch_at, patches).ok()?;
         let next_new_start = order.get(k + 1).map(|&nb| start_of(nb));
-        let last = insns[(blk.end_word() - 1) as usize];
+        let last = blk.end_word() - 1;
+        let flow = insns[last as usize].flow();
         let mut falls_through = false;
-        match last {
-            Instruction::CondBr { disp, .. } => {
-                let t_abs = branch_target(blk.end_word() - 1, disp) as u32;
+        match flow {
+            Flow::CondBranch { .. } => {
+                let t_abs = flow.target(last).expect("a branch has a target") as u32;
                 let f_abs = blk.end_word(); // in-proc: last insn of the proc is hard
                 if next_new_start == Some(f_abs) {
                     falls_through = true;
@@ -430,7 +416,7 @@ fn plan_procedure(
                     report.branches_added += 1;
                 }
             }
-            _ if hard_terminator(&last) => {}
+            _ if !flow.falls_through() => {}
             _ => {
                 // Plain fallthrough, or a call that returns to the next
                 // word: preserve the successor.
@@ -544,7 +530,7 @@ pub fn optimize(
                     report.procs_identity += 1;
                 }
                 let items = walk_items(start, end, &patch_at, &patches)?;
-                let falls_through = !hard_terminator(&insns[(end - 1) as usize]);
+                let falls_through = insns[(end - 1) as usize].flow().falls_through();
                 vec![BlockPlan {
                     items,
                     freq: -1.0,
@@ -683,24 +669,14 @@ pub fn optimize(
             for (k, item) in blk.items.iter().enumerate() {
                 let p = blk.start_pos + k as u32;
                 let insn = match *item {
-                    Item::Old(w) => match insns[w as usize] {
-                        Instruction::CondBr { cond, ra, disp } => {
-                            let t = branch_target(w, disp) as u32;
-                            Instruction::CondBr {
-                                cond,
-                                ra,
-                                disp: disp_for(p, mapped(t)),
-                            }
+                    Item::Old(w) => {
+                        let old = insns[w as usize];
+                        match old.flow().target(w) {
+                            Some(t) => retarget(old, p, mapped(t as u32))
+                                .expect("a direct transfer is a branch"),
+                            None => old,
                         }
-                        Instruction::Br { ra, disp } => {
-                            let t = branch_target(w, disp) as u32;
-                            Instruction::Br {
-                                ra,
-                                disp: disp_for(p, mapped(t)),
-                            }
-                        }
-                        other => other,
-                    },
+                    }
                     Item::PatchHi { patch, .. } => {
                         let p = &patches[patch];
                         let v = opts.code_base + 4 * u64::from(mapped(p.target_word));

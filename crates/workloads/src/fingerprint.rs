@@ -102,8 +102,12 @@ pub fn golden_path() -> PathBuf {
 }
 
 /// One recorded scenario: its golden-file label, and a run of it under a
-/// chosen dispatch mode returning its fingerprint and accounting.
-pub type Case = (String, Box<dyn Fn(DispatchMode) -> (String, DispatchStats)>);
+/// chosen dispatch mode returning its fingerprint, its accounting and,
+/// for a Table 2 workload, the run itself.
+pub type Case = (
+    String,
+    Box<dyn Fn(DispatchMode) -> (String, DispatchStats, Option<RunResult>)>,
+);
 
 /// The recorded matrix, in golden-file order: every workload × seeds 1–3
 /// under `cycles`, the other three configurations at seed 1, and the
@@ -144,13 +148,13 @@ pub fn recorded_cases(quick: bool) -> Vec<Case> {
 }
 
 /// One run of a Table 2 workload as the matrix records it; returns its
-/// fingerprint and accounting.
+/// fingerprint, its accounting and the run.
 fn recorded_run(
     w: Workload,
     seed: u32,
     prof: ProfConfig,
     dispatch: DispatchMode,
-) -> (String, DispatchStats) {
+) -> (String, DispatchStats, Option<RunResult>) {
     let opts = RunOptions {
         seed,
         scale: 1,
@@ -164,7 +168,7 @@ fn recorded_run(
     };
     let r = run_workload(w, prof, &opts);
     assert!(r.retired > 0, "{} seed {seed} ran nothing", w.name());
-    (fingerprint(&r), r.dispatch)
+    (fingerprint(&r), r.dispatch, Some(r))
 }
 
 /// Two interpreter processes sharing one CPU with §7 double sampling on:
@@ -176,7 +180,7 @@ fn double_sampling_run(
     every: u32,
     timeslice: u64,
     dispatch: DispatchMode,
-) -> (String, DispatchStats) {
+) -> (String, DispatchStats, Option<RunResult>) {
     let mut cfg = SessionConfig::default();
     cfg.machine.counters = CounterConfig::default_config((3_000, 3_300));
     cfg.machine.double_sample_every = every;
@@ -202,5 +206,5 @@ fn double_sampling_run(
         run.machine.total_samples(),
         run.ledger()
     );
-    (text, run.machine.dispatch_stats())
+    (text, run.machine.dispatch_stats(), None)
 }

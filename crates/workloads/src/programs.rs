@@ -311,34 +311,10 @@ pub fn x11_image(kernel: &KernelAddrs, scale: u32) -> Image {
 /// multiplier.
 #[must_use]
 pub fn compile_image(scale: u32) -> Image {
-    compile_image_ordered(scale, None)
-}
-
-/// Like [`compile_image`], with an explicit procedure *emission order* —
-/// the knob a profile-guided code-layout optimizer turns (the paper's
-/// Spike/OM consumers, §1): reordering procedures changes their I-cache
-/// footprint without changing the work performed.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of `0..40`.
-#[must_use]
-pub fn compile_image_ordered(scale: u32, order: Option<&[usize]>) -> Image {
     let mut a = Asm::new("/usr/lib/cmplrs/cc1");
     let nprocs = 40usize;
-    let default_order: Vec<usize> = (0..nprocs).collect();
-    let order = order.unwrap_or(&default_order);
-    assert_eq!(order.len(), nprocs, "order must cover every pass");
-    {
-        let mut seen = vec![false; nprocs];
-        for &p in order {
-            assert!(!seen[p], "order must be a permutation");
-            seen[p] = true;
-        }
-    }
-    // Pass procedures: each ~120 instructions of distinct branchy work,
-    // emitted in the requested layout order.
-    for &p in order {
+    // Pass procedures: each ~120 instructions of distinct branchy work.
+    for p in 0..nprocs {
         a.proc(format!("pass_{p:02}"));
         let done = a.label();
         a.beq(Reg::A0, done);
@@ -373,7 +349,8 @@ pub fn compile_image_ordered(scale: u32, order: Option<&[usize]>) -> Image {
     // samples revisiting hot keys (gcc's profile shape, §5.1). The hot
     // passes sit ~8KB apart in the default layout — the same
     // direct-mapped I-cache sets — which is exactly what profile-guided
-    // procedure placement fixes (see `examples/pgo_layout.rs`).
+    // procedure placement fixes (`dcpi_pgo::optimize` packs procedures
+    // hot-first; see `examples/pgo_layout.rs`).
     for _ in 0..6 {
         for &p in &HOT_PASSES {
             call_local(&mut a, &offsets, &format!("pass_{p:02}"), 6);
@@ -983,10 +960,10 @@ mod tests {
     }
 
     #[test]
-    fn hot_passes_conflict_in_default_layout_only() {
+    fn hot_passes_conflict_in_default_layout() {
         // The premise of examples/pgo_layout.rs: in the default layout
-        // the hot passes overlap mod the 8KB I-cache; packed hot-first
-        // they do not.
+        // the hot passes overlap mod the 8KB I-cache, which packing them
+        // hot-first removes.
         // Overlap of the 8KB-direct-mapped cache sets two byte ranges
         // occupy (with wrap-around at the 8192 boundary).
         let overlap = |a: (u64, u64), b: (u64, u64)| {
@@ -1012,58 +989,6 @@ mod tests {
             }
         }
         assert!(conflicts >= 2, "default layout must conflict: {conflicts}");
-        let order: Vec<usize> = HOT_PASSES
-            .iter()
-            .copied()
-            .chain((0..40).filter(|p| !HOT_PASSES.contains(p)))
-            .collect();
-        let packed = compile_image_ordered(1, Some(&order));
-        for (i, &a) in HOT_PASSES.iter().enumerate() {
-            for &b in &HOT_PASSES[i + 1..] {
-                assert!(
-                    !overlap(span(&packed, a), span(&packed, b)),
-                    "packed layout must not conflict"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_image_runs_identically() {
-        // Reordering procedure emission must not change program
-        // semantics: both images retire the same per-pass counts.
-        use dcpi_machine::counters::CounterConfig;
-        use dcpi_machine::machine::{Machine, NullSink};
-        use dcpi_machine::MachineConfig;
-        let run = |img: Image| {
-            let cfg = MachineConfig::with_counters(CounterConfig::off());
-            let mut m = Machine::new(cfg, NullSink);
-            let id = m.register_image(img.clone());
-            m.spawn(0, id, &[], |_| {});
-            m.run_to_completion(500_000, 2_000_000_000);
-            let mut counts = Vec::new();
-            for p in 0..40 {
-                let s = img.symbol_named(&format!("pass_{p:02}")).unwrap();
-                counts.push(
-                    (s.offset / 4..(s.offset + s.size) / 4)
-                        .map(|w| m.gt.insn_count(id, w * 4))
-                        .sum::<u64>(),
-                );
-            }
-            counts
-        };
-        let order: Vec<usize> = (0..40).rev().collect();
-        assert_eq!(
-            run(compile_image(1)),
-            run(compile_image_ordered(1, Some(&order)))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn ordered_image_rejects_bad_order() {
-        let order = vec![0usize; 40];
-        let _ = compile_image_ordered(1, Some(&order));
     }
 
     #[test]

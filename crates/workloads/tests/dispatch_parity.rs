@@ -45,8 +45,8 @@ fn all_workloads_are_bit_identical_across_dispatch_modes() {
     };
     let mut blessed = String::new();
     for (label, run) in recorded_cases(quick) {
-        let (classic, cstats) = run(DispatchMode::Classic);
-        let (superblock, sstats) = run(DispatchMode::Superblock);
+        let (classic, cstats, _) = run(DispatchMode::Classic);
+        let (superblock, sstats, _) = run(DispatchMode::Superblock);
         // The two modes really are different walks of the same program:
         // one group per walk against runs of them, nothing in between.
         assert_eq!(cstats.chain_groups, 0, "{label}: classic walked chains");

@@ -5,84 +5,43 @@
 //! programmers; it can also be fed into compilers, linkers, post-linkers,
 //! and run-time optimization tools" — DIGITAL fed DCPI profiles into the
 //! Spike/OM post-linker, whose signature optimization is procedure
-//! placement. This example closes that loop on our substrate:
+//! placement. This example closes that loop on our substrate through the
+//! harness `dcpipgo` drives:
 //!
-//! 1. profile a compiler-like workload whose five hot passes are
-//!    scattered through an image larger than the 8KB I-cache,
-//! 2. rank procedures by sampled heat,
-//! 3. re-link the image with hot procedures packed together,
-//! 4. rerun and measure the I-cache miss and cycle reduction.
+//! 1. profile a compiler-like workload whose hot passes are scattered
+//!    through an image larger than the 8KB I-cache,
+//! 2. analyze its hottest image and export the per-instruction estimates,
+//! 3. rewrite the binary from them (`dcpi_pgo::optimize`): hot/cold block
+//!    layout, procedures packed hot-first, the rewrite proved equivalent
+//!    segment by segment,
+//! 4. rerun the old and the new image unprofiled and compare cycles.
 //!
 //! Run with: `cargo run --release --example pgo_layout`
 
-use dcpi::collect::session::{ProfiledRun, SessionConfig};
-use dcpi::core::Event;
-use dcpi::machine::counters::CounterConfig;
-use dcpi::machine::machine::{Machine, NullSink};
-use dcpi::machine::MachineConfig;
-use dcpi::workloads::programs::{compile_image, compile_image_ordered};
-
-const SCALE: u32 = 60;
-
-/// Runs one image unprofiled and reports (cycles, icache misses).
-fn measure(image: dcpi::isa::image::Image) -> (u64, u64) {
-    let cfg = MachineConfig::with_counters(CounterConfig::off());
-    let mut m = Machine::new(cfg, NullSink);
-    let id = m.register_image(image);
-    m.spawn(0, id, &[], |_| {});
-    m.run_to_completion(1_000_000, u64::MAX / 2);
-    (m.last_exit, m.cpus[0].icache.misses())
-}
+use dcpi::workloads::{pgo_workload, RunOptions, Workload};
 
 fn main() {
-    // 1. Profile the default layout.
-    let mut cfg = SessionConfig::default();
-    cfg.machine.counters = CounterConfig::default_config((8_000, 8_600));
-    let mut run = ProfiledRun::new(cfg).expect("session");
-    let image = compile_image(SCALE);
-    let id = run.register_image(image.clone());
-    run.spawn(0, id, &[], |_| {});
-    run.run_to_completion(u64::MAX / 2);
+    // `dcpipgo gcc`'s defaults: a dense period, for estimate quality on
+    // a short run, and a 25-sample gate per procedure.
+    let opts = RunOptions {
+        period: (2_000, 2_200),
+        ..RunOptions::default()
+    };
+    let out = pgo_workload(Workload::Gcc, &opts, 25).expect("the gcc PGO loop");
     println!(
-        "profiled default layout: {} samples over {} procedures",
-        run.machine.total_samples(),
-        image.symbols().len()
+        "{}: {} procedures above the sample gate analyzed",
+        out.image_name, out.procs_analyzed
     );
-
-    // 2. Rank the pass procedures by sampled heat.
-    let profile = run
-        .profiles()
-        .get(id, Event::Cycles)
-        .expect("cycles profile");
-    let mut heat: Vec<(usize, u64)> = image
-        .symbols()
-        .iter()
-        .filter_map(|s| {
-            let idx: usize = s.name.strip_prefix("pass_")?.parse().ok()?;
-            Some((idx, profile.range_total(s.offset, s.offset + s.size)))
-        })
-        .collect();
-    heat.sort_by_key(|&(_, h)| std::cmp::Reverse(h));
-    println!("\nhottest passes:");
-    for (idx, h) in heat.iter().take(6) {
-        println!("  pass_{idx:02}: {h} samples");
-    }
-    let order: Vec<usize> = heat.iter().map(|&(idx, _)| idx).collect();
-
-    // 3. Re-link hot-first and measure both layouts unprofiled.
-    let optimized = compile_image_ordered(SCALE, Some(&order));
-    let (t0, m0) = measure(compile_image(SCALE));
-    let (t1, m1) = measure(optimized);
+    print!("{}", out.report.render());
     println!(
-        "\n{:<18} {:>14} {:>14}",
-        "layout", "cycles", "icache misses"
+        "cycles: {} -> {} ({:.2}% fewer)",
+        out.base_cycles,
+        out.opt_cycles,
+        out.speedup_pct()
     );
-    println!("{:<18} {t0:>14} {m0:>14}", "default");
-    println!("{:<18} {t1:>14} {m1:>14}", "profile-guided");
     println!(
-        "\nspeedup: {:.2}%   icache miss reduction: {:.1}%",
-        (t0 as f64 / t1 as f64 - 1.0) * 100.0,
-        (1.0 - m1 as f64 / m0 as f64) * 100.0
+        "equivalent: {}; proved {}/{} segments",
+        out.equivalent, out.report.tv_proved, out.report.tv_segments
     );
     println!("\nthe paper's Spike post-linker performed exactly this class of");
     println!("optimization from DCPI profiles (§1, [5, 6]).");

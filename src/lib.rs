@@ -17,7 +17,9 @@
 //!   analysis estimates and measure the speedup (`dcpipgo`).
 //! * [`server`] — the fleet ingestion server: checkpointed WAL, sessions,
 //!   and the fleet-wide database (`dcpifleet`).
-//! * [`tools`] — dcpiprof / dcpicalc / dcpistats / dcpidiff / dcpisumm.
+//! * [`tools`] — dcpiprof / dcpicalc / dcpistats / dcpisumm / dcpidiff /
+//!   dcpicfg / dcpicheck / dcpistat / dcpitop / dcpitrace / dcpipgo /
+//!   dcpifleet.
 //! * [`workloads`] — synthetic workloads and the experiment driver.
 
 pub use dcpi_analyze as analyze;

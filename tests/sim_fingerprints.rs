@@ -9,13 +9,15 @@
 //!
 //! Also here, because only this crate sees both the ISA and the
 //! workloads: every workload image compiles the static pairing rule into
-//! its micro-ops exactly.
+//! its micro-ops exactly, and every edge those runs took leaves a word
+//! whose static [`Flow`] permits it.
 
 use dcpi::isa::pipeline::may_pair;
+use dcpi::isa::Flow;
 use dcpi::machine::{DispatchMode, Machine, MachineConfig, NullSink};
 use dcpi::workloads::driver::spawn_with;
 use dcpi::workloads::fingerprint::{fnv64, recorded_cases, recorded_hashes};
-use dcpi::workloads::{RunOptions, Workload};
+use dcpi::workloads::{RunOptions, RunResult, Workload};
 
 /// The recorded labels this test reproduces.
 fn in_subset(label: &str) -> bool {
@@ -32,13 +34,16 @@ fn a_subset_of_the_recorded_fingerprints_reproduces() {
         if !in_subset(&label) {
             continue;
         }
-        let (text, _) = run(DispatchMode::Superblock);
+        let (text, _, result) = run(DispatchMode::Superblock);
         let hash = format!("{:016x}", fnv64(&text));
         assert_eq!(
             golden.get(&label),
             Some(&hash),
             "{label}: the simulator no longer reproduces the recorded fingerprint"
         );
+        if let Some(r) = result {
+            edges_follow_flow(&label, &r);
+        }
         ran.push(label);
     }
     assert_eq!(ran.len(), Workload::ALL.len() + 2, "{ran:?}");
@@ -65,6 +70,32 @@ fn every_workload_image_compiles_the_static_pairing_rule() {
                     pair[1]
                 );
             }
+        }
+    }
+}
+
+/// Every edge the simulator recorded in `r`'s ground truth leaves a word
+/// whose static reading permits it: a conditional branch goes to its
+/// target or the next word, a jump or a direct call to its target, an
+/// indirect transfer anywhere, and nothing else leaves by an edge.
+fn edges_follow_flow(label: &str, r: &RunResult) {
+    for (id, image) in &r.images {
+        for (from, to, _) in r.gt.edges_of(*id) {
+            let insn = image.insn_at(from).expect("an executed word decodes");
+            let flow = insn.flow();
+            let (at, to) = ((from / 4) as u32, (to / 4) as i64);
+            let permitted = match flow {
+                Flow::CondBranch { .. } => flow.target(at) == Some(to) || to == i64::from(at) + 1,
+                Flow::Jump { .. } | Flow::Call { .. } => flow.target(at) == Some(to),
+                Flow::Return | Flow::IndirectJump { .. } | Flow::IndirectCall { .. } => true,
+                Flow::Next | Flow::Pal(_) => false,
+            };
+            assert!(
+                permitted,
+                "{label} {}: edge {from:#x} -> {:#x} leaves `{insn}`, read as {flow:?}",
+                image.name(),
+                to * 4
+            );
         }
     }
 }
