@@ -27,8 +27,7 @@ fn sampled_copy_loop(fixed: Option<u64>, seed: u32, scale: u32) -> Cell {
     let ro = RunOptions {
         seed,
         scale,
-        period: (fixed.unwrap_or(4_096), fixed.unwrap_or(4_352).max(4_352)),
-        fixed_period: fixed.is_some(),
+        period: fixed.map_or((4_096, 4_352), |p| (p, p)),
         ..RunOptions::default()
     };
     (COPY_LOOP, ProfConfig::Cycles, ro)

@@ -5,7 +5,6 @@
 //! holds each one exactly; host time is `benchmark/`'s to measure.
 
 use crate::{ExpOptions, Outcome, Runs, ACCURACY_PERIOD};
-use dcpi_check::tv::{validate_with, TvOptions};
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::uop::{chain_length_histogram, compile_uops};
@@ -140,22 +139,15 @@ pub fn report(opts: &ExpOptions, runs: &Runs) -> Outcome {
                     out.equivalent
                 );
                 pgo.push((name, out.speedup_pct(), out.equivalent));
-                let v = validate_with(
-                    &out.old_image,
-                    &out.new_image,
-                    &out.map,
-                    &TvOptions {
-                        code_base: dcpi_machine::os::MAIN_BASE.0,
-                    },
-                );
+                // `optimize` proved the rewrite already: a TV error would
+                // have been its `Err`, so `validated` means clean.
+                let r = &out.report;
                 writeln!(
                     o,
                     "tv  {name:<14} proved {}/{} segments, clean: {}",
-                    v.proved,
-                    v.segments,
-                    v.report.is_clean()
+                    r.tv_proved, r.tv_segments, r.validated
                 );
-                tv.push((name, v.proved, v.segments, v.report.is_clean()));
+                tv.push((name, r.tv_proved, r.tv_segments, r.validated));
             }
             Err(e) => writeln!(o, "pgo {name:<14} skipped: {e}"),
         }

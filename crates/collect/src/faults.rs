@@ -18,9 +18,9 @@ use dcpi_core::codec;
 use dcpi_core::db::{self, Entry};
 use dcpi_core::prng::CartaRng;
 use dcpi_machine::os::OsEvent;
-/// The one sample ledger and its overflow rule live in `dcpi-obs`, the
-/// crate the collector and the offline tools both depend on.
-pub use dcpi_obs::ledger::{ledger_add, ledger_sum, LossLedger};
+/// The sample and fleet ledgers and their overflow rule live in
+/// `dcpi-obs`, the crate the collector and the offline tools both depend on.
+pub use dcpi_obs::ledger::{ledger_add, FleetLedger, LossLedger};
 use dcpi_obs::{Component, Obs, Published};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -179,87 +179,6 @@ pub struct CrashRecord {
     /// Cycles since the last successful disk flush: the recovery window
     /// the paper's epoch scheme promises to bound (§4.3.3).
     pub since_flush: u64,
-}
-
-/// End-to-end fleet accounting: the [`LossLedger`] identity extended
-/// through upload, retry, server journal, and fleet merge. Every
-/// generated sample is, at any instant, in exactly one place:
-///
-/// ```text
-/// generated = merged (attributed + unknown)     -- in the fleet db
-///           + server_journal                    -- journaled, unmerged
-///           + in_flight                         -- sealed, unacked
-///           + driver_dropped + crash_lost + quarantined
-/// ```
-///
-/// At quiesce `in_flight == 0` and `server_journal == 0`, so the base
-/// conservation law holds exactly fleet-wide.
-/// `retrans_duplicates_discarded` counts samples in duplicate uploads
-/// the server discarded; duplicates are *copies*, so the count sits
-/// outside the identity (informational — proof the dedup path ran).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetLedger {
-    /// The per-sample buckets. `attributed`/`unknown` here mean *merged
-    /// into the fleet database* (split by unknown-image).
-    pub base: LossLedger,
-    /// Samples in epochs sealed by agents but not yet acked by the
-    /// server (spool, in transit, or awaiting retransmission).
-    pub in_flight: u64,
-    /// Samples journaled in the server WAL but not yet merged into the
-    /// fleet database.
-    pub server_journal: u64,
-    /// Samples merged into the fleet database
-    /// (`== base.attributed + base.unknown`; kept as a cross-check).
-    pub fleet_merged: u64,
-    /// Samples inside duplicate uploads the server discarded (retries
-    /// after a lost ack). Outside the identity by construction.
-    pub retrans_duplicates_discarded: u64,
-}
-
-impl FleetLedger {
-    /// Samples accounted for, including the two transit buckets.
-    #[must_use]
-    pub fn accounted(&self) -> u64 {
-        ledger_sum(&[self.base.accounted(), self.in_flight, self.server_journal])
-    }
-
-    /// The fleet-wide conservation law plus the merged cross-check.
-    #[must_use]
-    pub fn conserves(&self) -> bool {
-        self.base.generated == self.accounted()
-            && self.fleet_merged == ledger_sum(&[self.base.attributed, self.base.unknown])
-    }
-
-    /// A two-line summary for fleet reports.
-    #[must_use]
-    pub fn render(&self) -> String {
-        format!(
-            "fleet: generated {} = merged {} (attributed {} + unknown {}) + journal {} + in-flight {} + dropped {} + crash-lost {} + quarantined {}{}\nfleet: duplicate samples discarded {}",
-            self.base.generated,
-            self.fleet_merged,
-            self.base.attributed,
-            self.base.unknown,
-            self.server_journal,
-            self.in_flight,
-            self.base.driver_dropped,
-            self.base.crash_lost,
-            self.base.quarantined,
-            if self.conserves() { "" } else { "  ** NOT CONSERVED **" },
-            self.retrans_duplicates_discarded,
-        )
-    }
-
-    /// Merges another fleet's ledger (plain checked sums per bucket).
-    pub fn merge(&mut self, other: &FleetLedger) {
-        self.base.merge(&other.base);
-        ledger_add(&mut self.in_flight, other.in_flight);
-        ledger_add(&mut self.server_journal, other.server_journal);
-        ledger_add(&mut self.fleet_merged, other.fleet_merged);
-        ledger_add(
-            &mut self.retrans_duplicates_discarded,
-            other.retrans_duplicates_discarded,
-        );
-    }
 }
 
 /// Driver backpressure (the tentpole's recovery knob): when the drop
@@ -714,36 +633,6 @@ mod tests {
         let truncate = CorruptKind::Truncate { keep: 3 };
         inj.apply_corruption(&dir, &crash(Some(truncate), true));
         assert_eq!(inj.quarantined_samples, 0);
-    }
-
-    #[test]
-    fn fleet_ledger_conserves_through_transit_buckets() {
-        let mut f = FleetLedger {
-            base: LossLedger {
-                generated: 1000,
-                attributed: 700,
-                unknown: 100,
-                driver_dropped: 50,
-                crash_lost: 30,
-                quarantined: 20,
-            },
-            in_flight: 60,
-            server_journal: 40,
-            fleet_merged: 800,
-            retrans_duplicates_discarded: 999, // outside the identity
-        };
-        assert!(f.conserves(), "{}", f.render());
-        f.in_flight = 0;
-        assert!(!f.conserves(), "in-flight samples must be accounted");
-        f.in_flight = 60;
-        f.fleet_merged = 799;
-        assert!(!f.conserves(), "merged cross-check must hold");
-        f.fleet_merged = 800;
-        let mut sum = f;
-        sum.merge(&f);
-        assert!(sum.conserves());
-        assert_eq!(sum.base.generated, 2000);
-        assert_eq!(sum.retrans_duplicates_discarded, 1998);
     }
 
     #[test]

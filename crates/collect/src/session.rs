@@ -87,13 +87,11 @@ pub struct ProfiledRun {
     /// The stats of every daemon a crash replaced, oldest first.
     retired_daemons: Vec<DaemonStats>,
     daemon_cfg: DaemonConfig,
-    daemon_cycles: u64,
     backpressure: Option<Backpressure>,
     cfg_poll: u64,
     cfg_flush: u64,
     next_flush: u64,
     last_disk_flush: u64,
-    crash_lost: u64,
     mid_flush: bool,
     bp_last_dropped: u64,
     bp_last_interrupts: u64,
@@ -127,13 +125,11 @@ impl ProfiledRun {
             obs,
             retired_daemons: Vec::new(),
             daemon_cfg: cfg.daemon,
-            daemon_cycles: 0,
             backpressure: cfg.backpressure,
             cfg_poll: cfg.poll_quantum.max(1),
             cfg_flush: cfg.flush_interval.max(1),
             next_flush: cfg.flush_interval.max(1),
             last_disk_flush: 0,
-            crash_lost: 0,
             mid_flush: false,
             bp_last_dropped: 0,
             bp_last_interrupts: 0,
@@ -243,7 +239,6 @@ impl ProfiledRun {
     /// Charges the daemon's modeled processing cycles to CPU 0 (§5.2).
     fn charge_daemon_cost(&mut self) {
         let cost = self.daemon.take_accrued_cycles();
-        self.daemon_cycles += cost;
         if cost > 0 {
             self.machine.charge_cycles(0, cost);
         }
@@ -284,7 +279,6 @@ impl ProfiledRun {
     /// buffers are kernel state and survive the daemon.
     fn crash(&mut self, now: u64, crash: &CrashFault) {
         let lost = self.daemon.profiles().total_samples();
-        self.crash_lost += lost;
         self.injector
             .record_crash(now, lost, now - self.last_disk_flush);
         if let Some(root) = &self.daemon_cfg.db_path {
@@ -376,7 +370,9 @@ impl ProfiledRun {
     /// (which `run_to_completion`/`run_for` do): the driver must be
     /// drained so no sample is in flight between kernel and daemon.
     /// Conservation — `generated = attributed + unknown + dropped +
-    /// crash-lost + quarantined` — holds under every fault plan.
+    /// crash-lost + quarantined` — holds under every fault plan. Each
+    /// bucket is read from the component that counts it; crash-lost and
+    /// quarantined samples are the injector's.
     #[must_use]
     pub fn ledger(&self) -> LossLedger {
         // [attributed, unknown]
@@ -401,21 +397,22 @@ impl ProfiledRun {
             attributed,
             unknown,
             driver_dropped: self.machine.sink.total_stats().dropped,
-            crash_lost: self.crash_lost,
+            crash_lost: self.injector.crashes.iter().map(|c| c.lost).sum(),
             quarantined: self.injector.quarantined_samples,
         }
     }
 
     /// The overhead ledger: cycles charged to collection (interrupt
-    /// handlers plus modeled daemon processing) reconciled against the
-    /// total simulated cycles. At the paper's default sampling period
-    /// the fraction lands in the 1–3% band of its Table 3.
+    /// handlers plus modeled daemon processing, the daemons' own count
+    /// over every incarnation) reconciled against the total simulated
+    /// cycles. At the paper's default sampling period the fraction lands
+    /// in the 1–3% band of its Table 3.
     #[must_use]
     pub fn overhead_ledger(&self) -> OverheadLedger {
         OverheadLedger {
             total_cycles: self.machine.time(),
             handler_cycles: self.machine.total_handler_cycles(),
-            daemon_cycles: self.daemon_cycles,
+            daemon_cycles: self.daemon_stats().cycles,
             walk_cycles: self.machine.total_walk_cycles(),
             samples: self.machine.total_samples(),
         }

@@ -200,12 +200,6 @@ impl Uploader {
         self.features = features;
     }
 
-    /// Capability bits this agent advertises.
-    #[must_use]
-    pub fn features(&self) -> u64 {
-        self.features
-    }
-
     /// This agent's id.
     #[must_use]
     pub fn agent(&self) -> u32 {

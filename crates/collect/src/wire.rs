@@ -197,15 +197,13 @@ impl Msg {
     }
 }
 
-/// Appends a ledger as six varints (the `Upload` payload's encoding; the
+/// Appends a ledger as one varint per bucket, in
+/// [`LossLedger::BUCKETS`] order (the `Upload` payload's encoding; the
 /// server's WAL checkpoint reuses it).
 pub fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
-    put_varint(buf, l.generated);
-    put_varint(buf, l.attributed);
-    put_varint(buf, l.unknown);
-    put_varint(buf, l.driver_dropped);
-    put_varint(buf, l.crash_lost);
-    put_varint(buf, l.quarantined);
+    for b in &LossLedger::BUCKETS {
+        put_varint(buf, (b.get)(l));
+    }
 }
 
 /// Takes a ledger written by [`put_ledger`].
@@ -215,14 +213,11 @@ pub fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
 /// Returns [`Error::Corrupt`](dcpi_core::Error::Corrupt) on a truncated
 /// or overlong varint.
 pub fn get_ledger(r: &mut Reader) -> Result<LossLedger> {
-    Ok(LossLedger {
-        generated: r.varint()?,
-        attributed: r.varint()?,
-        unknown: r.varint()?,
-        driver_dropped: r.varint()?,
-        crash_lost: r.varint()?,
-        quarantined: r.varint()?,
-    })
+    let mut l = LossLedger::default();
+    for b in &LossLedger::BUCKETS {
+        *(b.slot)(&mut l) = r.varint()?;
+    }
+    Ok(l)
 }
 
 fn put_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {

@@ -8,7 +8,7 @@
 //! map must not hold a space, which is its separator).
 //! `dcpistat`, `dcpitrace`, and `dcpicheck obs` all consume this format.
 
-use crate::ledger::{LossLedger, OverheadLedger};
+use crate::ledger::{bucket_members, read_buckets, LossLedger, OverheadLedger};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::timeseries::{SeriesSnapshot, TimePoint};
 use crate::trace::{EventKind, EventRecord, RingSnapshot};
@@ -141,27 +141,14 @@ impl Snapshot {
         match &self.overhead {
             Some(o) => doc.field(
                 "overhead",
-                Value::Obj(&[
-                    ("total_cycles", o.total_cycles.into()),
-                    ("handler_cycles", o.handler_cycles.into()),
-                    ("daemon_cycles", o.daemon_cycles.into()),
-                    ("walk_cycles", o.walk_cycles.into()),
-                    ("samples", o.samples.into()),
-                ]),
+                Value::Obj(&bucket_members(&OverheadLedger::BUCKETS, o)),
             ),
             None => doc.field("overhead", Value::Null),
         };
         match &self.samples {
             Some(s) => doc.field(
                 "samples",
-                Value::Obj(&[
-                    ("generated", s.generated.into()),
-                    ("attributed", s.attributed.into()),
-                    ("unknown", s.unknown.into()),
-                    ("driver_dropped", s.driver_dropped.into()),
-                    ("crash_lost", s.crash_lost.into()),
-                    ("quarantined", s.quarantined.into()),
-                ]),
+                Value::Obj(&bucket_members(&LossLedger::BUCKETS, s)),
             ),
             None => doc.field("samples", Value::Null),
         };
@@ -243,28 +230,10 @@ impl Snapshot {
             Ok(())
         })?;
         if let Some(o) = doc.get("overhead").filter(|o| **o != Json::Null) {
-            snap.overhead = Some(OverheadLedger {
-                total_cycles: o.int("total_cycles")?,
-                handler_cycles: o.int("handler_cycles")?,
-                daemon_cycles: o.int("daemon_cycles")?,
-                // Absent in exports written before the stack-walk
-                // extension: default to zero rather than reject.
-                walk_cycles: match o.get("walk_cycles") {
-                    Some(_) => o.int("walk_cycles")?,
-                    None => 0,
-                },
-                samples: o.int("samples")?,
-            });
+            snap.overhead = Some(read_buckets(&OverheadLedger::BUCKETS, o)?);
         }
         if let Some(s) = doc.get("samples").filter(|s| **s != Json::Null) {
-            snap.samples = Some(LossLedger {
-                generated: s.int("generated")?,
-                attributed: s.int("attributed")?,
-                unknown: s.int("unknown")?,
-                driver_dropped: s.int("driver_dropped")?,
-                crash_lost: s.int("crash_lost")?,
-                quarantined: s.int("quarantined")?,
-            });
+            snap.samples = Some(read_buckets(&LossLedger::BUCKETS, s)?);
         }
         Ok(snap)
     }

@@ -1,4 +1,4 @@
-//! Overhead and sample-loss ledgers.
+//! Overhead, sample-loss and fleet ledgers.
 //!
 //! The paper's Table 3 claims 1–3% total slowdown from continuous
 //! profiling: roughly 1% for the interrupt handler (≈ 634 cycles per
@@ -10,7 +10,62 @@
 //! crash-lost + quarantined`): the collector fills it, the wire and the
 //! server's checkpoint carry it, and the tools read it back from an obs
 //! export — it lives here, in the crate all of them already depend on.
-//! [`ledger_add`] is its one overflow rule.
+//! [`FleetLedger`] extends it through upload, server journal and fleet
+//! merge. [`ledger_add`] is their one overflow rule. Each ledger names its
+//! buckets once, in a `BUCKETS` table that merging and every codec read.
+
+use dcpi_core::json::{Json, Value};
+
+/// One row of a ledger's bucket table: the bucket's name, which is its
+/// field's name and its JSON key, and the field it reads and writes.
+#[derive(Debug)]
+pub struct Bucket<L> {
+    /// The field's name and JSON key.
+    pub name: &'static str,
+    /// Reads the bucket.
+    pub get: fn(&L) -> u64,
+    /// The bucket's slot, for decoding and merging.
+    pub slot: fn(&mut L) -> &mut u64,
+    /// Exports written before the bucket existed lack it; it reads as 0.
+    pub optional: bool,
+}
+
+/// The table row for field `$f`, named after it.
+macro_rules! bucket {
+    ($f:ident) => {
+        Bucket {
+            name: stringify!($f),
+            get: |l| l.$f,
+            slot: |l| &mut l.$f,
+            optional: false,
+        }
+    };
+}
+
+/// Adds every bucket of `from` into `into` under [`ledger_add`].
+pub fn merge_buckets<L>(table: &[Bucket<L>], into: &mut L, from: &L) {
+    for b in table {
+        ledger_add((b.slot)(into), (b.get)(from));
+    }
+}
+
+/// `l`'s buckets as JSON members, in table order.
+pub fn bucket_members<L>(table: &[Bucket<L>], l: &L) -> Vec<(&'static str, Value<'static>)> {
+    table.iter().map(|b| (b.name, (b.get)(l).into())).collect()
+}
+
+/// Reads a ledger from the members of object `o`; a bucket that is
+/// absent (and not optional) or not an integer is [`Json::int`]'s error.
+pub fn read_buckets<L: Default>(table: &[Bucket<L>], o: &Json) -> Result<L, String> {
+    let mut l = L::default();
+    for b in table {
+        *(b.slot)(&mut l) = match o.get(b.name) {
+            None if b.optional => 0,
+            _ => o.int(b.name)?,
+        };
+    }
+    Ok(l)
+}
 
 /// Cycles charged to profiling, reconciled against total simulated time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,6 +86,19 @@ pub struct OverheadLedger {
 }
 
 impl OverheadLedger {
+    /// The five buckets in export order. `walk_cycles` came with the
+    /// stack-walk extension, so an export written before it reads as 0.
+    pub const BUCKETS: [Bucket<OverheadLedger>; 5] = [
+        bucket!(total_cycles),
+        bucket!(handler_cycles),
+        bucket!(daemon_cycles),
+        Bucket {
+            optional: true,
+            ..bucket!(walk_cycles)
+        },
+        bucket!(samples),
+    ];
+
     /// Cycles attributable to collection: handler + daemon. Saturates,
     /// because a ledger read from an export may hold any two integers.
     pub fn collection_cycles(&self) -> u64 {
@@ -69,11 +137,7 @@ impl OverheadLedger {
 
     /// Merge another run's ledger (checked sums; fractions re-derive).
     pub fn merge(&mut self, other: &OverheadLedger) {
-        ledger_add(&mut self.total_cycles, other.total_cycles);
-        ledger_add(&mut self.handler_cycles, other.handler_cycles);
-        ledger_add(&mut self.daemon_cycles, other.daemon_cycles);
-        ledger_add(&mut self.walk_cycles, other.walk_cycles);
-        ledger_add(&mut self.samples, other.samples);
+        merge_buckets(&Self::BUCKETS, self, other);
     }
 
     /// One-line human rendering.
@@ -134,29 +198,35 @@ pub fn ledger_add(slot: &mut u64, add: u64) {
 /// [`ledger_add`].
 #[inline]
 #[must_use]
-pub fn ledger_sum(parts: &[u64]) -> u64 {
+pub fn ledger_sum(parts: impl IntoIterator<Item = u64>) -> u64 {
     let mut total = 0u64;
-    for &p in parts {
+    for p in parts {
         ledger_add(&mut total, p);
     }
     total
 }
 
 impl LossLedger {
-    fn buckets(&self) -> [u64; 5] {
-        [
-            self.attributed,
-            self.unknown,
-            self.driver_dropped,
-            self.crash_lost,
-            self.quarantined,
-        ]
+    /// The six buckets in wire and JSON order: `generated` first, then
+    /// the five that partition it.
+    pub const BUCKETS: [Bucket<LossLedger>; 6] = [
+        bucket!(generated),
+        bucket!(attributed),
+        bucket!(unknown),
+        bucket!(driver_dropped),
+        bucket!(crash_lost),
+        bucket!(quarantined),
+    ];
+
+    /// The buckets that partition `generated`: every row after the first.
+    fn buckets(&self) -> impl Iterator<Item = u64> + '_ {
+        Self::BUCKETS[1..].iter().map(|b| (b.get)(self))
     }
 
     /// Samples accounted for across all loss and retention buckets.
     #[must_use]
     pub fn accounted(&self) -> u64 {
-        ledger_sum(&self.buckets())
+        ledger_sum(self.buckets())
     }
 
     /// The conservation law: nothing vanished without a line item.
@@ -165,10 +235,7 @@ impl LossLedger {
     /// integers.
     #[must_use]
     pub fn conserves(&self) -> bool {
-        let sum = self
-            .buckets()
-            .iter()
-            .try_fold(0u64, |t, &b| t.checked_add(b));
+        let sum = self.buckets().try_fold(0u64, |t, b| t.checked_add(b));
         sum == Some(self.generated)
     }
 
@@ -192,12 +259,90 @@ impl LossLedger {
     /// This is the one correct way to combine ledgers from independent
     /// `Machine` runs in the grid experiments.
     pub fn merge(&mut self, other: &LossLedger) {
-        ledger_add(&mut self.generated, other.generated);
-        ledger_add(&mut self.attributed, other.attributed);
-        ledger_add(&mut self.unknown, other.unknown);
-        ledger_add(&mut self.driver_dropped, other.driver_dropped);
-        ledger_add(&mut self.crash_lost, other.crash_lost);
-        ledger_add(&mut self.quarantined, other.quarantined);
+        merge_buckets(&Self::BUCKETS, self, other);
+    }
+}
+
+/// End-to-end fleet accounting: the [`LossLedger`] identity extended
+/// through upload, retry, server journal, and fleet merge. Every
+/// generated sample is, at any instant, in exactly one place:
+///
+/// ```text
+/// generated = merged (attributed + unknown)     -- in the fleet db
+///           + server_journal                    -- journaled, unmerged
+///           + in_flight                         -- sealed, unacked
+///           + driver_dropped + crash_lost + quarantined
+/// ```
+///
+/// At quiesce `in_flight == 0` and `server_journal == 0`, so the base
+/// conservation law holds exactly fleet-wide.
+/// `retrans_duplicates_discarded` counts samples in duplicate uploads
+/// the server discarded; duplicates are *copies*, so the count sits
+/// outside the identity (informational — proof the dedup path ran).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FleetLedger {
+    /// The per-sample buckets. `attributed`/`unknown` here mean *merged
+    /// into the fleet database* (split by unknown-image).
+    pub base: LossLedger,
+    /// Samples in epochs sealed by agents but not yet acked by the
+    /// server (spool, in transit, or awaiting retransmission).
+    pub in_flight: u64,
+    /// Samples journaled in the server WAL but not yet merged into the
+    /// fleet database.
+    pub server_journal: u64,
+    /// Samples merged into the fleet database
+    /// (`== base.attributed + base.unknown`; kept as a cross-check).
+    pub fleet_merged: u64,
+    /// Samples inside duplicate uploads the server discarded (retries
+    /// after a lost ack). Outside the identity by construction.
+    pub retrans_duplicates_discarded: u64,
+}
+
+impl FleetLedger {
+    /// The four transit buckets, in `fleet.json` order after `base`'s.
+    pub const BUCKETS: [Bucket<FleetLedger>; 4] = [
+        bucket!(in_flight),
+        bucket!(server_journal),
+        bucket!(fleet_merged),
+        bucket!(retrans_duplicates_discarded),
+    ];
+
+    /// Samples accounted for, including the two transit buckets.
+    #[must_use]
+    pub fn accounted(&self) -> u64 {
+        ledger_sum([self.base.accounted(), self.in_flight, self.server_journal])
+    }
+
+    /// The fleet-wide conservation law plus the merged cross-check.
+    #[must_use]
+    pub fn conserves(&self) -> bool {
+        self.base.generated == self.accounted()
+            && self.fleet_merged == ledger_sum([self.base.attributed, self.base.unknown])
+    }
+
+    /// A two-line summary for fleet reports.
+    #[must_use]
+    pub fn render(&self) -> String {
+        format!(
+            "fleet: generated {} = merged {} (attributed {} + unknown {}) + journal {} + in-flight {} + dropped {} + crash-lost {} + quarantined {}{}\nfleet: duplicate samples discarded {}",
+            self.base.generated,
+            self.fleet_merged,
+            self.base.attributed,
+            self.base.unknown,
+            self.server_journal,
+            self.in_flight,
+            self.base.driver_dropped,
+            self.base.crash_lost,
+            self.base.quarantined,
+            if self.conserves() { "" } else { "  ** NOT CONSERVED **" },
+            self.retrans_duplicates_discarded,
+        )
+    }
+
+    /// Merges another fleet's ledger (plain checked sums per bucket).
+    pub fn merge(&mut self, other: &FleetLedger) {
+        self.base.merge(&other.base);
+        merge_buckets(&Self::BUCKETS, self, other);
     }
 }
 
@@ -305,11 +450,41 @@ mod tests {
     }
 
     #[test]
+    fn fleet_ledger_conserves_through_transit_buckets() {
+        let mut f = FleetLedger {
+            base: LossLedger {
+                generated: 1000,
+                attributed: 700,
+                unknown: 100,
+                driver_dropped: 50,
+                crash_lost: 30,
+                quarantined: 20,
+            },
+            in_flight: 60,
+            server_journal: 40,
+            fleet_merged: 800,
+            retrans_duplicates_discarded: 999, // outside the identity
+        };
+        assert!(f.conserves(), "{}", f.render());
+        f.in_flight = 0;
+        assert!(!f.conserves(), "in-flight samples must be accounted");
+        f.in_flight = 60;
+        f.fleet_merged = 799;
+        assert!(!f.conserves(), "merged cross-check must hold");
+        f.fleet_merged = 800;
+        let mut sum = f;
+        sum.merge(&f);
+        assert!(sum.conserves());
+        assert_eq!(sum.base.generated, 2000);
+        assert_eq!(sum.retrans_duplicates_discarded, 1998);
+    }
+
+    #[test]
     fn ledger_add_saturates_and_asserts_in_debug() {
         let mut x = 40u64;
         ledger_add(&mut x, 2);
         assert_eq!(x, 42);
-        assert_eq!(ledger_sum(&[1, 2, 3]), 6);
+        assert_eq!(ledger_sum([1, 2, 3]), 6);
         let saturating = std::panic::catch_unwind(|| {
             let mut x = u64::MAX - 1;
             ledger_add(&mut x, 5);

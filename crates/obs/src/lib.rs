@@ -15,8 +15,8 @@
 //!   wall time;
 //! * an [`ledger::OverheadLedger`] reconciling cycles charged to
 //!   collection (interrupt handler + daemon) against total simulated
-//!   cycles, and the [`ledger::LossLedger`] every layer accounts its
-//!   samples in;
+//!   cycles, the [`ledger::LossLedger`] every layer accounts its
+//!   samples in, and the [`ledger::FleetLedger`] a fleet carries it in;
 //! * a JSON [`export`] (written and read through `dcpi_core::json`)
 //!   consumed by `dcpistat`, `dcpitrace`, and `dcpicheck obs`;
 //! * a [`report::Reporter`] giving `profile`'s status output one
@@ -38,7 +38,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use export::Snapshot;
-pub use ledger::{LossLedger, OverheadLedger};
+pub use ledger::{FleetLedger, LossLedger, OverheadLedger};
 pub use metrics::{HistogramSnapshot, Metric, MetricsSnapshot, Published};
 pub use report::Reporter;
 pub use timeseries::{SeriesRing, SeriesSnapshot, TimePoint};

@@ -33,6 +33,7 @@ use dcpi_core::json::{Doc, Value};
 use dcpi_core::prng::CartaRng;
 use dcpi_core::profile::Profile;
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
+use dcpi_obs::ledger::bucket_members;
 use dcpi_obs::{HistogramSnapshot, MetricsSnapshot, Obs, SeriesRing, Snapshot};
 use std::collections::BTreeMap;
 use std::io;
@@ -134,15 +135,11 @@ pub struct FleetConfig {
     pub seed: u32,
     /// The fault plan.
     pub faults: FleetFaultPlan,
-    /// Server ingest queue bound.
-    pub queue_cap: usize,
-    /// Queue depth where acks start carrying backpressure.
-    pub backpressure_at: usize,
 }
 
 impl FleetConfig {
     /// Defaults for `agents` agents rooted at `root`: faults drawn from
-    /// the seed over [`HORIZON`], queue bounds sized to the fleet.
+    /// the seed over [`HORIZON`].
     #[must_use]
     pub fn new(root: impl Into<PathBuf>, agents: u32, seed: u32) -> FleetConfig {
         let agents = agents.max(1);
@@ -151,16 +148,16 @@ impl FleetConfig {
             agents,
             seed,
             faults: FleetFaultPlan::random(seed, HORIZON, agents),
-            queue_cap: usize::try_from(u64::from(agents) * 2).unwrap_or(usize::MAX),
-            backpressure_at: usize::try_from(u64::from(agents) * 3 / 2).unwrap_or(usize::MAX),
         }
     }
 
+    /// The server, its queue bounds sized to the fleet.
     fn server_config(&self) -> ServerConfig {
+        let agents = u64::from(self.agents);
         ServerConfig {
             root: self.root.clone(),
-            queue_cap: self.queue_cap,
-            backpressure_at: self.backpressure_at,
+            queue_cap: usize::try_from(agents * 2).unwrap_or(usize::MAX),
+            backpressure_at: usize::try_from(agents * 3 / 2).unwrap_or(usize::MAX),
             merge_every: MERGE_EVERY,
         }
     }
@@ -216,7 +213,8 @@ pub struct FleetReport {
     pub uploader_stats: UploaderStats,
     /// Agents simulated.
     pub agents: u32,
-    /// Epochs sealed (including loss-carrying tombstones).
+    /// Epochs sealed (including loss-carrying tombstones): the
+    /// uploaders' `sealed` count.
     pub epochs_sealed: u64,
     /// Empty tombstone batches sealed to carry residual losses.
     pub tombstones: u64,
@@ -259,6 +257,8 @@ impl FleetReport {
             &self.uploader_stats,
             &self.lag,
         );
+        let mut ledger = bucket_members(&LossLedger::BUCKETS, &l.base);
+        ledger.extend(bucket_members(&FleetLedger::BUCKETS, l));
         let mut doc = Doc::new();
         doc.field("agents", self.agents)
             .field("ticks", self.ticks)
@@ -268,24 +268,7 @@ impl FleetReport {
             .field("server_crashes", self.server_crashes)
             .field("expected_generated", self.expected_generated)
             .field("conserves", self.conserves())
-            .field(
-                "ledger",
-                Value::Obj(&[
-                    ("generated", l.base.generated.into()),
-                    ("attributed", l.base.attributed.into()),
-                    ("unknown", l.base.unknown.into()),
-                    ("driver_dropped", l.base.driver_dropped.into()),
-                    ("crash_lost", l.base.crash_lost.into()),
-                    ("quarantined", l.base.quarantined.into()),
-                    ("in_flight", l.in_flight.into()),
-                    ("server_journal", l.server_journal.into()),
-                    ("fleet_merged", l.fleet_merged.into()),
-                    (
-                        "retrans_duplicates_discarded",
-                        l.retrans_duplicates_discarded.into(),
-                    ),
-                ]),
-            )
+            .field("ledger", Value::Obj(&ledger))
             .field(
                 "server",
                 Value::Obj(&[
@@ -484,15 +467,40 @@ impl AgentSim {
     }
 }
 
+/// What the run keeps of every server incarnation an outage killed or
+/// quiesce retired.
+#[derive(Default)]
+struct Retired {
+    stats: ServerStats,
+    duplicates: u64,
+    lags: Vec<u64>,
+    visible: BTreeMap<u32, u64>,
+}
+
+impl Retired {
+    /// Folds in an incarnation's counts, duplicate samples, ingest lags
+    /// and agent visibility ticks (which only move forward, so a plain
+    /// overwrite is correct).
+    fn retire(&mut self, s: &IngestServer) {
+        self.stats.merge(&s.stats);
+        ledger_add(
+            &mut self.duplicates,
+            s.ledger().retrans_duplicates_discarded,
+        );
+        self.lags.extend_from_slice(s.ingest_lags());
+        self.visible.extend(s.agent_visibility());
+    }
+}
+
 /// Sums the fleet's counts — the server's over every incarnation (the
-/// killed ones' `harvested` plus the live one's), the uploaders' over the
-/// agents — and publishes them with the live server's levels.
+/// retired ones' plus the live one's), the uploaders' over the agents —
+/// and publishes them with the live server's levels.
 fn publish(
-    harvested: &ServerStats,
+    retired: &Retired,
     server: Option<&IngestServer>,
     agents: &[AgentSim],
-) -> (ServerStats, UploaderStats, MetricsSnapshot) {
-    let mut server_stats = *harvested;
+) -> (UploaderStats, MetricsSnapshot) {
+    let mut server_stats = retired.stats;
     let mut uploader_stats = UploaderStats::default();
     for sim in agents {
         uploader_stats.merge(&sim.uploader.stats);
@@ -504,7 +512,7 @@ fn publish(
     }
     m.publish(&ServerStats::PUBLISHED, &server_stats);
     m.publish(&UploaderStats::PUBLISHED, &uploader_stats);
-    (server_stats, uploader_stats, m)
+    (uploader_stats, m)
 }
 
 /// The metrics of a fleet export, kept by the run while obs is on: each
@@ -605,12 +613,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     let (mut next_crash, mut next_corrupt, mut next_window) = (0usize, 0usize, 0usize);
     let mut in_window = false;
 
-    // Stats harvested from server incarnations that were killed.
-    let mut harvested_stats = ServerStats::default();
-    let mut harvested_dups = 0u64;
-    let mut harvested_lags: Vec<u64> = Vec::new();
-    let mut agent_visible: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut epochs_sealed = 0u64;
+    let mut retired = Retired::default();
     let mut tombstones = 0u64;
     let mut agent_crash_count = 0u64;
     let mut server_crash_count = 0u64;
@@ -625,15 +628,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         // Server outage schedule.
         if !in_window && next_window < server_windows.len() && t == server_windows[next_window].0 {
             if let Some(s) = server.take() {
-                harvested_dups += s.ledger().retrans_duplicates_discarded;
-                // Lags of batches that reached the database before the
-                // crash survive the incarnation; visibility ticks only
-                // move forward, so a plain overwrite merge is correct.
-                harvested_lags.extend_from_slice(s.ingest_lags());
-                for (&a, &v) in s.agent_visibility() {
-                    agent_visible.insert(a, v);
-                }
-                harvested_stats.merge(&s.stats);
+                retired.retire(&s);
                 server_crash_count += 1;
                 in_window = true;
                 // Dropping the server mid-everything IS the crash: no
@@ -696,7 +691,6 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
                 sim.next_epoch += 1;
                 sim.seal_at = t + SEAL_PERIOD;
                 sim.uploader.push_epoch(batch);
-                epochs_sealed += 1;
             } else if sim.script_done() && !sim.tombstoned && sim.pending != LossLedger::default() {
                 // The script ran out but losses are still unreported
                 // (a crash took the final epoch): seal an empty batch
@@ -709,7 +703,6 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
                 };
                 sim.uploader.push_epoch(batch);
                 sim.tombstoned = true;
-                epochs_sealed += 1;
                 tombstones += 1;
             }
             for frame in sim.uploader.tick(t) {
@@ -752,7 +745,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         // as they stand.
         if t % MERGE_EVERY == 0 {
             if let Some(series) = series.as_mut() {
-                series.record(t, publish(&harvested_stats, server.as_ref(), &agents).2);
+                series.record(t, publish(&retired, server.as_ref(), &agents).1);
             }
         }
     }
@@ -766,25 +759,23 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         )));
     };
     srv.finish(ticks)?;
-    let (server_stats, uploader_stats, published) = publish(&harvested_stats, Some(&srv), &agents);
+    let (uploader_stats, published) = publish(&retired, Some(&srv), &agents);
     if let Some(series) = series.as_mut() {
         series.record(ticks, published);
     }
+    retired.retire(&srv);
 
-    harvested_lags.extend_from_slice(srv.ingest_lags());
-    for (&a, &v) in srv.agent_visibility() {
-        agent_visible.insert(a, v);
-    }
-    harvested_lags.sort_unstable();
+    let lags = &mut retired.lags;
+    lags.sort_unstable();
     let mut lag = FleetLag {
-        samples: harvested_lags.len() as u64,
-        p50: nearest_rank(&harvested_lags, 50),
-        p95: nearest_rank(&harvested_lags, 95),
-        p99: nearest_rank(&harvested_lags, 99),
-        max: harvested_lags.last().copied().unwrap_or(0),
+        samples: lags.len() as u64,
+        p50: nearest_rank(lags, 50),
+        p95: nearest_rank(lags, 95),
+        p99: nearest_rank(lags, 99),
+        max: lags.last().copied().unwrap_or(0),
         ..FleetLag::default()
     };
-    for (&a, &v) in &agent_visible {
+    for (&a, &v) in &retired.visible {
         let stale = ticks.saturating_sub(v);
         if stale > lag.stalest_staleness {
             lag.stalest_staleness = stale;
@@ -793,7 +784,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     }
 
     let mut ledger = srv.ledger();
-    ledger_add(&mut ledger.retrans_duplicates_discarded, harvested_dups);
+    ledger.retrans_duplicates_discarded = retired.duplicates;
     for sim in &agents {
         ledger_add(&mut ledger.in_flight, sim.uploader.in_flight_samples());
     }
@@ -801,18 +792,18 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
     let report = FleetReport {
         ledger,
         expected_generated,
-        server_stats,
+        server_stats: retired.stats,
         net_stats: net.stats(),
+        epochs_sealed: uploader_stats.sealed,
         uploader_stats,
         agents: cfg.agents,
-        epochs_sealed,
         tombstones,
         agent_crashes: agent_crash_count,
         server_crashes: server_crash_count,
         ticks,
         lag,
         root: cfg.root.clone(),
-        obs: series.map(|s| s.export(obs, &harvested_lags)),
+        obs: series.map(|s| s.export(obs, &retired.lags)),
     };
     std::fs::write(cfg.root.join("fleet.json"), report.to_json())?;
     Ok(report)

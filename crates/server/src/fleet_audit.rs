@@ -272,14 +272,8 @@ fn check_fleet_json(report: &mut Report, root: &Path, ctx: &str, wal_total: &Los
             )
         }
     };
-    for (field, want) in [
-        ("generated", wal_total.generated),
-        ("attributed", wal_total.attributed),
-        ("unknown", wal_total.unknown),
-        ("driver_dropped", wal_total.driver_dropped),
-        ("crash_lost", wal_total.crash_lost),
-        ("quarantined", wal_total.quarantined),
-    ] {
+    for b in &LossLedger::BUCKETS {
+        let (field, want) = (b.name, (b.get)(wal_total));
         match ledger.int::<u64>(field) {
             Ok(got) if got == want => {}
             Ok(got) => report.flag(
@@ -377,6 +371,121 @@ mod tests {
             .diags
             .iter()
             .any(|d| d.category == Category::WalStructure));
+    }
+
+    /// Every bucket of every ledger table, each holding a value of its
+    /// own, survives every codec: the DCPF ledger varints (which the WAL
+    /// checkpoint reuses), the obs export, and `fleet.json` as its audit
+    /// reads it. The values are spelled here field by field, apart from
+    /// the tables, so a row missing from a table fails.
+    #[test]
+    fn every_bucket_survives_every_codec() {
+        use crate::fleet::{FleetLag, FleetReport};
+        use dcpi_collect::faults::FleetLedger;
+        use dcpi_collect::wire::{get_ledger, put_ledger};
+        use dcpi_core::codec::Reader;
+        use dcpi_obs::{OverheadLedger, Snapshot};
+
+        let base = LossLedger {
+            generated: 101,
+            attributed: 102,
+            unknown: 103,
+            driver_dropped: 104,
+            crash_lost: 105,
+            quarantined: 106,
+        };
+        let overhead = OverheadLedger {
+            total_cycles: 201,
+            handler_cycles: 202,
+            daemon_cycles: 203,
+            walk_cycles: 204,
+            samples: 205,
+        };
+        let fleet = FleetLedger {
+            base,
+            in_flight: 301,
+            server_journal: 302,
+            fleet_merged: 303,
+            retrans_duplicates_discarded: 304,
+        };
+
+        let mut buf = Vec::new();
+        put_ledger(&mut buf, &base);
+        let mut r = Reader::new(&buf);
+        assert_eq!(get_ledger(&mut r).unwrap(), base);
+        assert!(r.is_empty());
+
+        let snap = Snapshot {
+            overhead: Some(overhead),
+            samples: Some(base),
+            ..Snapshot::default()
+        };
+        let back = Snapshot::parse(&snap.to_json()).unwrap();
+        assert_eq!((back.overhead, back.samples), (Some(overhead), Some(base)));
+
+        let root = TempRoot::new("fleet-audit-buckets");
+        let report = FleetReport {
+            ledger: fleet,
+            expected_generated: 0,
+            server_stats: Default::default(),
+            net_stats: Default::default(),
+            uploader_stats: Default::default(),
+            agents: 0,
+            epochs_sealed: 0,
+            tombstones: 0,
+            agent_crashes: 0,
+            server_crashes: 0,
+            ticks: 0,
+            lag: FleetLag::default(),
+            root: root.to_path_buf(),
+            obs: None,
+        };
+        std::fs::write(root.join("fleet.json"), report.to_json()).unwrap();
+        let doc = json::parse(&std::fs::read_to_string(root.join("fleet.json")).unwrap()).unwrap();
+        let ledger = doc.member("ledger").unwrap();
+        for (key, want) in [
+            ("generated", 101),
+            ("attributed", 102),
+            ("unknown", 103),
+            ("driver_dropped", 104),
+            ("crash_lost", 105),
+            ("quarantined", 106),
+            ("in_flight", 301),
+            ("server_journal", 302),
+            ("fleet_merged", 303),
+            ("retrans_duplicates_discarded", 304),
+        ] {
+            assert_eq!(ledger.int::<u64>(key), Ok(want), "ledger.{key}");
+        }
+
+        // The audit compares every sample bucket: the file's own totals
+        // pass, and a WAL total off in any one bucket is named.
+        let mismatches = |wal_total: &LossLedger| -> Vec<String> {
+            let mut report = Report::new();
+            check_fleet_json(&mut report, &root, "fleet", wal_total);
+            let says = report.diags.into_iter().map(|d| d.message);
+            says.filter(|m| m.starts_with("fleet.json says")).collect()
+        };
+        assert_eq!(mismatches(&base), Vec::<String>::new());
+        type Slot = fn(&mut LossLedger) -> &mut u64;
+        let buckets: [(&str, Slot); 6] = [
+            ("generated", |l| &mut l.generated),
+            ("attributed", |l| &mut l.attributed),
+            ("unknown", |l| &mut l.unknown),
+            ("driver_dropped", |l| &mut l.driver_dropped),
+            ("crash_lost", |l| &mut l.crash_lost),
+            ("quarantined", |l| &mut l.quarantined),
+        ];
+        for (key, slot) in buckets {
+            let mut off = base;
+            *slot(&mut off) += 1000;
+            let hits = mismatches(&off);
+            assert_eq!(hits.len(), 1, "{key}: {hits:?}");
+            assert!(
+                hits[0].starts_with(&format!("fleet.json says {key} = ")),
+                "{hits:?}"
+            );
+        }
     }
 
     /// `reopen` must refuse the root and the audit must flag the database

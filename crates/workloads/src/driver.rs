@@ -167,7 +167,8 @@ pub struct RunOptions {
     pub seed: u32,
     /// Work multiplier.
     pub scale: u32,
-    /// Sampling period range (the paper's default is 60K–64K cycles).
+    /// Sampling period range (the paper's default is 60K–64K cycles);
+    /// `(p, p)` samples at the fixed period `p`.
     pub period: (u64, u64),
     /// Collect up to this many raw samples for trace-driven analysis.
     pub trace_limit: usize,
@@ -178,10 +179,6 @@ pub struct RunOptions {
     /// Override the interrupt skid (cycles between counter overflow and
     /// delivery); `None` keeps the model's default of 6.
     pub skid: Option<u64>,
-    /// Use a fixed sampling period equal to `period.0` instead of
-    /// randomizing over the range (for the period-randomization
-    /// ablation).
-    pub fixed_period: bool,
     /// Enable self-observability: metrics, trace rings, and the
     /// overhead/sample ledgers ([`RunResult::obs`]). No effect on
     /// `base` runs (nothing to observe).
@@ -206,7 +203,6 @@ impl Default for RunOptions {
             db_path: None,
             limit: 4_000_000_000,
             skid: None,
-            fixed_period: false,
             obs: false,
             dispatch: DispatchMode::default(),
             stack_walk: false,
@@ -374,11 +370,6 @@ pub(crate) fn run_with(
     opts: &RunOptions,
     image_override: Option<&Image>,
 ) -> (RunResult, bool) {
-    let period = if opts.fixed_period {
-        (opts.period.0, opts.period.0)
-    } else {
-        opts.period
-    };
     // The run's seed and dispatch mode, and random physical page
     // placement for wave5 alone (the board-cache conflicts of §3.3).
     let mut mc = MachineConfig {
@@ -386,7 +377,7 @@ pub(crate) fn run_with(
         seed: opts.seed,
         page_alloc_random: w == Workload::Wave5,
         dispatch: opts.dispatch,
-        counters: prof.counters(period),
+        counters: prof.counters(opts.period),
         stack_walk: opts.stack_walk,
         ..MachineConfig::default()
     };
