@@ -12,7 +12,7 @@
 //! *Hash while hot, sort when cold.* Nearly every entry bumps an offset
 //! that is already there, so the accumulator is a hash map and nothing is
 //! ordered until somebody asks for a [`ProfileSet`]: the flush, the memory
-//! model and [`Daemon::profiles`] share one sorted view ([`Tally`]), built
+//! model and [`Daemon::profiles`] share one sorted view (`Tally`), built
 //! on demand and dropped by the next mutation.
 //!
 //! Processing costs are modeled in cycles and reported so experiment
@@ -403,7 +403,7 @@ impl Daemon {
     }
 
     /// The accumulated in-memory profiles (sorted on first use after a
-    /// change; see [`Tally`]).
+    /// change; see `Tally`).
     #[must_use]
     pub fn profiles(&self) -> &ProfileSet {
         self.totals.view()

@@ -210,7 +210,7 @@ pub fn put_ledger(buf: &mut Vec<u8>, l: &LossLedger) {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Corrupt`](dcpi_core::Error::Corrupt) on a truncated
+/// Returns [`Error::Corrupt`] on a truncated
 /// or overlong varint.
 pub fn get_ledger(r: &mut Reader) -> Result<LossLedger> {
     let mut l = LossLedger::default();

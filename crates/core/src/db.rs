@@ -90,7 +90,7 @@ fn sync_together(files: &[fs::File]) -> io::Result<()> {
     })
 }
 
-/// The name a file is written under until [`land`] renames it to `path`.
+/// The name a file is written under until `land` renames it to `path`.
 #[must_use]
 pub fn tmp_path(path: &Path) -> PathBuf {
     path.with_extension("tmp")
@@ -347,7 +347,7 @@ impl ProfileDb {
 
     /// Merges a set of in-memory profiles into the current epoch,
     /// read-modify-writing each affected file. Writes are crash-safe
-    /// (temporary, sync, rename), [`SYNC_BATCH`] files at a time: a
+    /// (temporary, sync, rename), `SYNC_BATCH` files at a time: a
     /// batch's temporaries are all written, synced together, then renamed,
     /// so no file is renamed before its bytes are durable. An existing file
     /// that fails validation is quarantined and the merge proceeds from

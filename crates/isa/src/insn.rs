@@ -299,10 +299,7 @@ pub enum RegOrLit {
 
 impl fmt::Display for RegOrLit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegOrLit::Reg(r) => write!(f, "{r}"),
-            RegOrLit::Lit(v) => write!(f, "0x{v:x}"),
-        }
+        Operand::from(*self).write(f)
     }
 }
 
@@ -451,43 +448,31 @@ impl Instruction {
         rc: Reg::ZERO,
     };
 
-    /// Registers this instruction reads.
+    /// Registers this instruction reads, in operand order.
     ///
     /// Note stores read both their data register and their base; the zero
     /// registers are omitted (they are always ready).
     #[must_use]
-    pub fn reads(&self) -> Vec<Reg> {
-        let mut rs = Vec::with_capacity(2);
-        match *self {
-            Instruction::Lda { rb, .. } | Instruction::Ldah { rb, .. } => rs.push(rb),
-            Instruction::Ldq { rb, .. }
+    pub fn reads(&self) -> Reads {
+        let z = Reg::ZERO;
+        let (a, b) = match *self {
+            Instruction::Lda { rb, .. }
+            | Instruction::Ldah { rb, .. }
+            | Instruction::Ldq { rb, .. }
             | Instruction::Ldl { rb, .. }
-            | Instruction::Ldt { rb, .. } => rs.push(rb),
-            Instruction::Stq { ra, rb, .. } | Instruction::Stl { ra, rb, .. } => {
-                rs.push(ra);
-                rs.push(rb);
-            }
-            Instruction::Stt { fa, rb, .. } => {
-                rs.push(fa);
-                rs.push(rb);
-            }
-            Instruction::IntOp { ra, rb, .. } => {
-                rs.push(ra);
-                if let RegOrLit::Reg(r) = rb {
-                    rs.push(r);
-                }
-            }
-            Instruction::FpOp { fa, fb, .. } => {
-                rs.push(fa);
-                rs.push(fb);
-            }
-            Instruction::CondBr { ra, .. } => rs.push(ra),
-            Instruction::Br { .. } => {}
-            Instruction::Jmp { rb, .. } => rs.push(rb),
-            Instruction::CallPal { .. } => {}
-        }
-        rs.retain(|r| !r.is_zero());
-        rs
+            | Instruction::Ldt { rb, .. }
+            | Instruction::Jmp { rb, .. } => (rb, z),
+            Instruction::Stq { ra, rb, .. } | Instruction::Stl { ra, rb, .. } => (ra, rb),
+            Instruction::Stt { fa, rb, .. } => (fa, rb),
+            Instruction::IntOp { ra, rb, .. } => match rb {
+                RegOrLit::Reg(r) => (ra, r),
+                RegOrLit::Lit(_) => (ra, z),
+            },
+            Instruction::FpOp { fa, fb, .. } => (fa, fb),
+            Instruction::CondBr { ra, .. } => (ra, z),
+            Instruction::Br { .. } | Instruction::CallPal { .. } => (z, z),
+        };
+        Reads::of(a, b)
     }
 
     /// The register this instruction writes, if any (zero registers are
@@ -627,44 +612,180 @@ impl Flow {
     }
 }
 
+impl Instruction {
+    /// Writes the instruction's assembler text, as the paper's listings
+    /// spell it (`ldq t4, 0(t1)`, `bne t4, -13`, `ret (ra)`). This is the
+    /// one disassembler: [`Display`](fmt::Display) calls it, and a listing
+    /// writing into a `String` calls it directly.
+    ///
+    /// # Errors
+    ///
+    /// Only those of `out`.
+    pub fn write_asm<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        use Operand::{Disp, Ind, Mem, Word};
+        match *self {
+            Instruction::Lda { ra, rb, disp } => asm(out, "lda", &[Word(ra.name()), Mem(disp, rb)]),
+            Instruction::Ldah { ra, rb, disp } => {
+                asm(out, "ldah", &[Word(ra.name()), Mem(disp, rb)])
+            }
+            Instruction::Ldq { ra, rb, disp } => asm(out, "ldq", &[Word(ra.name()), Mem(disp, rb)]),
+            Instruction::Ldl { ra, rb, disp } => asm(out, "ldl", &[Word(ra.name()), Mem(disp, rb)]),
+            Instruction::Ldt { fa, rb, disp } => asm(out, "ldt", &[Word(fa.name()), Mem(disp, rb)]),
+            Instruction::Stq { ra, rb, disp } => asm(out, "stq", &[Word(ra.name()), Mem(disp, rb)]),
+            Instruction::Stl { ra, rb, disp } => asm(out, "stl", &[Word(ra.name()), Mem(disp, rb)]),
+            Instruction::Stt { fa, rb, disp } => asm(out, "stt", &[Word(fa.name()), Mem(disp, rb)]),
+            Instruction::IntOp { op, ra, rb, rc } => asm(
+                out,
+                op.mnemonic(),
+                &[Word(ra.name()), rb.into(), Word(rc.name())],
+            ),
+            Instruction::FpOp { op, fa, fb, fc } => asm(
+                out,
+                op.mnemonic(),
+                &[Word(fa.name()), Word(fb.name()), Word(fc.name())],
+            ),
+            Instruction::CondBr { cond, ra, disp } => {
+                asm(out, cond.mnemonic(), &[Word(ra.name()), Disp(disp)])
+            }
+            Instruction::Br { ra, disp } if ra.is_zero() => asm(out, "br", &[Disp(disp)]),
+            Instruction::Br { ra, disp } => asm(out, "bsr", &[Word(ra.name()), Disp(disp)]),
+            Instruction::Jmp { ra, rb } if ra.is_zero() && rb == Reg::RA => {
+                asm(out, "ret", &[Ind(rb)])
+            }
+            Instruction::Jmp { ra, rb } if ra.is_zero() => asm(out, "jmp", &[Ind(rb)]),
+            Instruction::Jmp { ra, rb } => asm(out, "jsr", &[Word(ra.name()), Ind(rb)]),
+            Instruction::CallPal { func } => asm(out, "call_pal", &[Word(func.mnemonic())]),
+        }
+    }
+}
+
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Instruction::Lda { ra, rb, disp } => write!(f, "lda {ra}, {disp}({rb})"),
-            Instruction::Ldah { ra, rb, disp } => write!(f, "ldah {ra}, {disp}({rb})"),
-            Instruction::Ldq { ra, rb, disp } => write!(f, "ldq {ra}, {disp}({rb})"),
-            Instruction::Ldl { ra, rb, disp } => write!(f, "ldl {ra}, {disp}({rb})"),
-            Instruction::Ldt { fa, rb, disp } => write!(f, "ldt {fa}, {disp}({rb})"),
-            Instruction::Stq { ra, rb, disp } => write!(f, "stq {ra}, {disp}({rb})"),
-            Instruction::Stl { ra, rb, disp } => write!(f, "stl {ra}, {disp}({rb})"),
-            Instruction::Stt { fa, rb, disp } => write!(f, "stt {fa}, {disp}({rb})"),
-            Instruction::IntOp { op, ra, rb, rc } => {
-                write!(f, "{} {ra}, {rb}, {rc}", op.mnemonic())
-            }
-            Instruction::FpOp { op, fa, fb, fc } => {
-                write!(f, "{} {fa}, {fb}, {fc}", op.mnemonic())
-            }
-            Instruction::CondBr { cond, ra, disp } => {
-                write!(f, "{} {ra}, {disp:+}", cond.mnemonic())
-            }
-            Instruction::Br { ra, disp } => {
-                if ra.is_zero() {
-                    write!(f, "br {disp:+}")
-                } else {
-                    write!(f, "bsr {ra}, {disp:+}")
-                }
-            }
-            Instruction::Jmp { ra, rb } => {
-                if ra.is_zero() && rb == Reg::RA {
-                    write!(f, "ret ({rb})")
-                } else if ra.is_zero() {
-                    write!(f, "jmp ({rb})")
-                } else {
-                    write!(f, "jsr {ra}, ({rb})")
-                }
-            }
-            Instruction::CallPal { func } => write!(f, "call_pal {}", func.mnemonic()),
+        self.write_asm(f)
+    }
+}
+
+/// Writes `mnemonic`, a space, and `operands` separated by `", "`.
+fn asm<W: fmt::Write>(out: &mut W, mnemonic: &str, operands: &[Operand]) -> fmt::Result {
+    out.write_str(mnemonic)?;
+    let mut separator = " ";
+    for operand in operands {
+        out.write_str(separator)?;
+        operand.write(out)?;
+        separator = ", ";
+    }
+    Ok(())
+}
+
+/// One operand as the disassembler spells it.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// A register or PAL function name.
+    Word(&'static str),
+    /// An 8-bit literal, in hex: `0x7`.
+    Lit(u8),
+    /// A branch displacement, always signed: `+3`, `-13`.
+    Disp(i32),
+    /// A memory operand: `-8(sp)`.
+    Mem(i16, Reg),
+    /// An indirect-jump target: `(ra)`.
+    Ind(Reg),
+}
+
+impl From<RegOrLit> for Operand {
+    fn from(rb: RegOrLit) -> Operand {
+        match rb {
+            RegOrLit::Reg(r) => Operand::Word(r.name()),
+            RegOrLit::Lit(v) => Operand::Lit(v),
         }
+    }
+}
+
+impl Operand {
+    fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self {
+            Operand::Word(name) => out.write_str(name),
+            Operand::Lit(v) => {
+                out.write_str("0x")?;
+                write_digits(out, v.into(), 16)
+            }
+            Operand::Disp(d) => {
+                out.write_char(if d < 0 { '-' } else { '+' })?;
+                write_digits(out, d.unsigned_abs(), 10)
+            }
+            Operand::Mem(d, rb) => {
+                if d < 0 {
+                    out.write_char('-')?;
+                }
+                write_digits(out, d.unsigned_abs().into(), 10)?;
+                Operand::Ind(rb).write(out)
+            }
+            Operand::Ind(rb) => {
+                out.write_char('(')?;
+                out.write_str(rb.name())?;
+                out.write_char(')')
+            }
+        }
+    }
+}
+
+/// Writes `value` in base `radix` (10 or 16), lower-case.
+fn write_digits<W: fmt::Write>(out: &mut W, mut value: u32, radix: u32) -> fmt::Result {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789abcdef"[(value % radix) as usize];
+        value /= radix;
+        if value == 0 {
+            break;
+        }
+    }
+    digits[at..]
+        .iter()
+        .try_for_each(|&digit| out.write_char(char::from(digit)))
+}
+
+/// The registers one instruction reads ([`Instruction::reads`]), held
+/// inline: at most two, in operand order, the zero registers omitted.
+/// Derefs to `[Reg]` and iterates `Reg` by value.
+#[derive(Clone, Copy, Debug)]
+pub struct Reads {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Reads {
+    /// The non-zero ones of `a` and `b`, in that order.
+    fn of(a: Reg, b: Reg) -> Reads {
+        let mut reads = Reads {
+            regs: [Reg::ZERO; 2],
+            len: 0,
+        };
+        for r in [a, b] {
+            if !r.is_zero() {
+                reads.regs[reads.len as usize] = r;
+                reads.len += 1;
+            }
+        }
+        reads
+    }
+}
+
+impl std::ops::Deref for Reads {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Reads {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
     }
 }
 
@@ -739,7 +860,7 @@ mod tests {
             rb: T1,
             disp: 8,
         };
-        assert_eq!(i.reads(), vec![T1]);
+        assert_eq!(i.reads()[..], [T1]);
         assert_eq!(i.writes(), Some(T0));
         assert!(i.is_load() && i.is_memory() && !i.is_store());
     }
@@ -751,7 +872,7 @@ mod tests {
             rb: T1,
             disp: 0,
         };
-        assert_eq!(i.reads(), vec![T0, T1]);
+        assert_eq!(i.reads()[..], [T0, T1]);
         assert_eq!(i.writes(), None);
         assert!(i.is_store() && i.is_memory());
     }
@@ -785,7 +906,7 @@ mod tests {
             rb: RegOrLit::Lit(4),
             rc: T0,
         };
-        assert_eq!(i.reads(), vec![T0]);
+        assert_eq!(i.reads()[..], [T0]);
         assert_eq!(i.writes(), Some(T0));
     }
 
@@ -860,32 +981,52 @@ mod tests {
     }
 
     #[test]
-    fn display_matches_paper_style() {
-        let i = Instruction::Ldq {
-            ra: Reg::T4,
-            rb: Reg::T1,
-            disp: 0,
-        };
-        assert_eq!(i.to_string(), "ldq t4, 0(t1)");
-        let i = Instruction::IntOp {
-            op: IntOp::Cmpult,
-            ra: Reg::T0,
-            rb: RegOrLit::Reg(Reg::V0),
-            rc: Reg::T4,
-        };
-        assert_eq!(i.to_string(), "cmpult t0, v0, t4");
-        let i = Instruction::Jmp {
-            ra: Reg::ZERO,
-            rb: Reg::RA,
-        };
-        assert_eq!(i.to_string(), "ret (ra)");
-        let i = Instruction::IntOp {
-            op: IntOp::Addq,
-            ra: Reg::T0,
-            rb: RegOrLit::Lit(4),
-            rc: Reg::T0,
-        };
-        assert_eq!(i.to_string(), "addq t0, 0x4, t0");
+    fn disassembly_spells_every_operand_form() {
+        use Instruction::{Br, CallPal, CondBr, Jmp, Lda, Ldah, Ldl, Ldq, Ldt, Stl, Stq, Stt};
+        let (z, sp, ra, pv) = (Reg::ZERO, Reg::SP, Reg::RA, Reg::T12);
+        let int = |op, ra, rb, rc| Instruction::IntOp { op, ra, rb, rc };
+        let (lit, reg) = (RegOrLit::Lit, RegOrLit::Reg);
+        let fp = Reg::fp;
+        #[rustfmt::skip]
+        let cases = [
+            (Lda { ra: T0, rb: sp, disp: -8 }, "lda t0, -8(sp)"),
+            (Ldah { ra: Reg::GP, rb: pv, disp: 0 }, "ldah gp, 0(pv)"),
+            (Ldq { ra: Reg::T4, rb: T1, disp: 16 }, "ldq t4, 16(t1)"),
+            (Ldl { ra: Reg::V0, rb: Reg::A0, disp: i16::MIN }, "ldl v0, -32768(a0)"),
+            (Ldt { fa: fp(2), rb: sp, disp: i16::MAX }, "ldt f2, 32767(sp)"),
+            (Stq { ra: z, rb: T2, disp: 8 }, "stq zero, 8(t2)"),
+            (Stl { ra: Reg::S0, rb: sp, disp: -4 }, "stl s0, -4(sp)"),
+            (Stt { fa: Reg::FZERO, rb: Reg::int(15), disp: 0 }, "stt f31, 0(fp)"),
+            (int(IntOp::Cmpult, T0, reg(Reg::V0), Reg::T4), "cmpult t0, v0, t4"),
+            (int(IntOp::Bis, z, reg(z), z), "bis zero, zero, zero"),
+            (int(IntOp::Addq, T0, lit(4), T0), "addq t0, 0x4, t0"),
+            (int(IntOp::Sll, Reg::S2, lit(0), Reg::T11), "sll s2, 0x0, t11"),
+            (int(IntOp::S8Addq, Reg::A3, lit(0xff), Reg::int(21)), "s8addq a3, 0xff, a5"),
+            (
+                Instruction::FpOp { op: FpOp::Mult, fa: fp(1), fb: fp(30), fc: Reg::FZERO },
+                "mult f1, f30, f31",
+            ),
+            (CondBr { cond: BrCond::Bne, ra: Reg::T4, disp: -13 }, "bne t4, -13"),
+            (CondBr { cond: BrCond::Beq, ra: Reg::T8, disp: 0 }, "beq t8, +0"),
+            (CondBr { cond: BrCond::Blbs, ra: Reg::int(28), disp: 7 }, "blbs at, +7"),
+            (Br { ra: z, disp: -1 }, "br -1"),
+            (Br { ra: z, disp: i32::MAX }, "br +2147483647"),
+            (Br { ra, disp: i32::MIN }, "bsr ra, -2147483648"),
+            (Br { ra: T0, disp: 12 }, "bsr t0, +12"),
+            (Jmp { ra: z, rb: ra }, "ret (ra)"),
+            (Jmp { ra: z, rb: pv }, "jmp (pv)"),
+            (Jmp { ra, rb: pv }, "jsr ra, (pv)"),
+            (CallPal { func: PalFunc::Halt }, "call_pal halt"),
+            (CallPal { func: PalFunc::Yield }, "call_pal yield"),
+            (CallPal { func: PalFunc::Syscall }, "call_pal syscall"),
+            (CallPal { func: PalFunc::Noop }, "call_pal noop"),
+        ];
+        for (insn, text) in cases {
+            assert_eq!(insn.to_string(), text);
+            let mut direct = String::from(">");
+            insn.write_asm(&mut direct).unwrap();
+            assert_eq!(direct, format!(">{text}"));
+        }
     }
 
     #[test]
@@ -895,7 +1036,7 @@ mod tests {
             rb: T2,
             disp: 16,
         };
-        assert_eq!(i.reads(), vec![Reg::fp(2), T2]);
+        assert_eq!(i.reads()[..], [Reg::fp(2), T2]);
         assert_eq!(i.writes(), None);
         let i = Instruction::FpOp {
             op: FpOp::Mult,
@@ -903,7 +1044,7 @@ mod tests {
             fb: Reg::fp(2),
             fc: Reg::fp(3),
         };
-        assert_eq!(i.reads(), vec![Reg::fp(1), Reg::fp(2)]);
+        assert_eq!(i.reads()[..], [Reg::fp(1), Reg::fp(2)]);
         assert_eq!(i.writes(), Some(Reg::fp(3)));
     }
 }

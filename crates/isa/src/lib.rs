@@ -21,7 +21,7 @@ pub mod uop;
 
 pub use asm::Asm;
 pub use image::{Image, Symbol};
-pub use insn::{BrCond, Flow, FpOp, Instruction, IntOp, PalFunc, RegOrLit};
+pub use insn::{BrCond, Flow, FpOp, Instruction, IntOp, PalFunc, Reads, RegOrLit};
 pub use meta::InsnMeta;
 pub use pipeline::{BlockSchedule, InsnClass, Pipe, PipelineModel, StaticCause};
 pub use reg::Reg;

@@ -3,10 +3,9 @@
 //!
 //! The simulator's issue logic needs an instruction's issue class, read
 //! and write register sets, and memory/control flags on every issue group.
-//! Deriving those from the [`Instruction`] enum there would be wasteful —
-//! [`Instruction::reads`] in particular allocates a `Vec` per call.
-//! [`InsnMeta`] packs them into a small `Copy` record computed **once per
-//! image at load time** (alongside the decoded text);
+//! Deriving those from the [`Instruction`] enum there would match on it
+//! once per query. [`InsnMeta`] packs them into a small `Copy` record
+//! computed **once per image at load time** (alongside the decoded text);
 //! [`compile_uops`](crate::uop::compile_uops) copies each row into the
 //! [`Uop`](crate::uop::Uop) the simulator executes, so the table itself is
 //! not kept.
@@ -22,7 +21,7 @@
 //! below, so the executable form cannot drift from the canonical
 //! derivations.
 
-use crate::insn::Instruction;
+use crate::insn::{Instruction, Reads};
 use crate::pipeline::{classify, InsnClass, PipelineModel};
 use crate::reg::Reg;
 
@@ -41,9 +40,8 @@ mod flag {
 pub struct InsnMeta {
     /// The issue class ([`classify`]).
     pub class: InsnClass,
-    /// Source registers, `reads[..nreads]` valid (zero registers omitted).
-    reads: [Reg; 2],
-    nreads: u8,
+    /// Source registers (zero registers omitted).
+    reads: Reads,
     /// Unified index of the destination register, [`NO_WRITE`] if none.
     write: u8,
     flags: u8,
@@ -57,12 +55,6 @@ impl InsnMeta {
     #[must_use]
     pub fn new(insn: &Instruction, model: &PipelineModel) -> InsnMeta {
         let class = classify(insn);
-        let rv = insn.reads();
-        debug_assert!(rv.len() <= 2, "no instruction reads more than 2 regs");
-        let mut reads = [Reg::ZERO; 2];
-        for (slot, r) in reads.iter_mut().zip(&rv) {
-            *slot = *r;
-        }
         let mut flags = 0;
         if insn.is_load() {
             flags |= flag::LOAD;
@@ -75,8 +67,7 @@ impl InsnMeta {
         }
         InsnMeta {
             class,
-            reads,
-            nreads: rv.len() as u8,
+            reads: insn.reads(),
             write: insn.writes().map_or(NO_WRITE, |w| w.index() as u8),
             flags,
             result_latency: model.result_latency(class).unwrap_or(1),
@@ -87,7 +78,7 @@ impl InsnMeta {
     #[inline]
     #[must_use]
     pub fn reads(&self) -> &[Reg] {
-        &self.reads[..self.nreads as usize]
+        &self.reads
     }
 
     /// The register this instruction writes (matches
@@ -211,7 +202,7 @@ pub(crate) mod tests {
         for insn in samples() {
             let m = InsnMeta::new(&insn, &model);
             assert_eq!(m.class, classify(&insn), "{insn}");
-            assert_eq!(m.reads(), insn.reads().as_slice(), "{insn}");
+            assert_eq!(m.reads(), &insn.reads()[..], "{insn}");
             assert_eq!(m.writes(), insn.writes(), "{insn}");
             assert_eq!(m.write_index(), insn.writes().map(Reg::index), "{insn}");
             assert_eq!(m.is_load(), insn.is_load(), "{insn}");

@@ -129,31 +129,31 @@ impl Reg {
     pub const fn num(self) -> u8 {
         self.0 % 32
     }
+
+    /// The register's assembler name (`t4`, `sp`, `zero`, `f7`), read
+    /// from one table.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        NAMES[self.0 as usize]
+    }
 }
+
+/// Every register's name, by unified index: the conventional Alpha names
+/// the paper's listings use for the integer file, `fN` for the FP file.
+const NAMES: [&str; Reg::COUNT] = [
+    "v0", "t0", "t1", "t2", "t3", "t4", "t5", "t6", //
+    "t7", "s0", "s1", "s2", "s3", "s4", "s5", "fp", //
+    "a0", "a1", "a2", "a3", "a4", "a5", "t8", "t9", //
+    "t10", "t11", "ra", "pv", "at", "gp", "sp", "zero", //
+    "f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", //
+    "f8", "f9", "f10", "f11", "f12", "f13", "f14", "f15", //
+    "f16", "f17", "f18", "f19", "f20", "f21", "f22", "f23", //
+    "f24", "f25", "f26", "f27", "f28", "f29", "f30", "f31",
+];
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Use the conventional Alpha names the paper's listings use for the
-        // common integer registers, falling back to rN/fN.
-        if self.is_fp() {
-            return write!(f, "f{}", self.num());
-        }
-        let name = match self.0 {
-            0 => "v0",
-            1..=8 => return write!(f, "t{}", self.0 - 1),
-            9..=14 => return write!(f, "s{}", self.0 - 9),
-            15 => "fp",
-            16..=21 => return write!(f, "a{}", self.0 - 16),
-            22..=25 => return write!(f, "t{}", self.0 - 22 + 8),
-            26 => "ra",
-            27 => "pv",
-            28 => "at",
-            29 => "gp",
-            30 => "sp",
-            31 => "zero",
-            _ => unreachable!(),
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 
@@ -203,17 +203,28 @@ mod tests {
     }
 
     #[test]
-    fn display_uses_alpha_names() {
-        assert_eq!(Reg::V0.to_string(), "v0");
-        assert_eq!(Reg::T0.to_string(), "t0");
-        assert_eq!(Reg::T4.to_string(), "t4");
-        assert_eq!(Reg::int(22).to_string(), "t8");
-        assert_eq!(Reg::A0.to_string(), "a0");
-        assert_eq!(Reg::RA.to_string(), "ra");
-        assert_eq!(Reg::SP.to_string(), "sp");
-        assert_eq!(Reg::ZERO.to_string(), "zero");
-        assert_eq!(Reg::fp(7).to_string(), "f7");
-        assert_eq!(Reg::S0.to_string(), "s0");
+    fn every_name_follows_the_alpha_convention() {
+        let rule = |i: u8| match i {
+            0 => "v0".to_string(),
+            1..=8 => format!("t{}", i - 1),
+            9..=14 => format!("s{}", i - 9),
+            15 => "fp".to_string(),
+            16..=21 => format!("a{}", i - 16),
+            22..=25 => format!("t{}", i - 14),
+            26 => "ra".to_string(),
+            27 => "pv".to_string(),
+            28 => "at".to_string(),
+            29 => "gp".to_string(),
+            30 => "sp".to_string(),
+            31 => "zero".to_string(),
+            _ => format!("f{}", i - 32),
+        };
+        for i in 0..Reg::COUNT as u8 {
+            let r = Reg::from_index(i);
+            assert_eq!(r.name(), rule(i), "register {i}");
+            assert_eq!(r.to_string(), rule(i), "register {i}");
+            assert_eq!(format!("{r:?}"), rule(i), "register {i}");
+        }
     }
 
     #[test]

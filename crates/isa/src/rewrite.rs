@@ -8,7 +8,7 @@
 //! conditional-branch senses when a layout pass makes the old taken target
 //! the new fall-through ([`invert_cond`]); and (d) recognize and re-encode
 //! the `ldah`/`lda` pairs that materialize absolute code addresses for
-//! indirect calls ([`li_value`], [`li_pair`]). Everything here is purely
+//! indirect calls ([`li_value_at`], [`li_pair`]). Everything here is purely
 //! mechanical — policy (which block goes where) lives in `dcpi-pgo`.
 
 use crate::insn::{BrCond, Instruction};

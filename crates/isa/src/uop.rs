@@ -17,7 +17,7 @@
 //!   result latency copied from the side table,
 //! * whether the next instruction passes the static half of dual issue
 //!   with this one as senior (flag [`uflag::PAIRS`], from
-//!   [`may_pair`](crate::pipeline::may_pair)) — fixed per instruction
+//!   [`may_pair`]) — fixed per instruction
 //!   pair, so the simulator tests only the dynamic half per group.
 //!
 //! `call_pal` compiles to [`UopKind::Pal`] carrying its function: the

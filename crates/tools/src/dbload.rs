@@ -102,7 +102,7 @@ pub fn find_procedure(
 /// # Errors
 ///
 /// As [`load_db`], [`find_procedure`] and
-/// [`analyze_procedure`](dcpi_analyze::analysis::analyze_procedure).
+/// [`analyze_procedure`].
 pub fn analyze_named(dir: impl AsRef<Path>, name: &str) -> Result<ProcAnalysis> {
     let db = load_db(dir)?;
     let (id, image, sym) = find_procedure(&db.registry, name)?;

@@ -6,10 +6,10 @@
 //! instructions naming the possible culprits (e.g. `dwD`) and the
 //! instructions that may have caused them.
 
+use crate::text::{column, push_fixed, push_int, SPACES};
 use dcpi_analyze::analysis::ProcAnalysis;
 use dcpi_analyze::culprit::DynamicCause;
 use dcpi_isa::pipeline::StaticCause;
-use std::fmt::Write as _;
 
 fn legend(cause: DynamicCause) -> &'static str {
     match cause {
@@ -26,76 +26,27 @@ fn legend(cause: DynamicCause) -> &'static str {
     }
 }
 
-/// The widest padding a row needs: the instruction column.
-const SPACES: &str = "                              ";
-
-/// One column of a row: the ASCII that `text` appends, padded to `width`
-/// with a prefix of `fill` put before it (`{:>width$}`) or after it
-/// (`{:<width$}`).
-fn column(
-    out: &mut String,
-    width: usize,
-    fill: &str,
-    before: bool,
-    text: impl FnOnce(&mut String),
-) {
-    let from = out.len();
-    text(out);
-    let fill = &fill[..width.saturating_sub(out.len() - from)];
-    out.insert_str(if before { from } else { out.len() }, fill);
-}
-
-/// Appends `value` in base `RADIX` (10 or 16) without the formatter.
-fn push_int<const RADIX: u64>(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b"0123456789abcdef"[(value % RADIX) as usize];
-        value /= RADIX;
-        if value == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
-/// Appends `x` as `{:.1}` prints it — one decimal, the exact binary value
-/// rounded half to even — in integer arithmetic; values outside
-/// `[0, 2^52)` go through the formatter.
-fn push_tenths(out: &mut String, x: f64) {
-    // x = mantissa × 2^-shift, so 10x = mantissa × 10 / 2^shift exactly.
-    let shift = 1075 - (x.to_bits() >> 52) as i64;
-    if x.is_sign_negative() || shift < 1 {
-        let _ = write!(out, "{x:.1}");
-        return;
-    }
-    let m10 = (x.to_bits() & ((1 << 52) - 1) | 1 << 52) * 10;
-    // Below 2^-7 (zero and subnormals included) the value rounds to 0.0.
-    let shift = shift.min(60);
-    let (quotient, rest, half) = (m10 >> shift, m10 & ((1 << shift) - 1), 1 << (shift - 1));
-    let tenths = quotient + u64::from(rest > half || (rest == half && quotient % 2 == 1));
-    push_int::<10>(out, tenths / 10);
-    out.push('.');
-    push_int::<10>(out, tenths % 10);
-}
-
 /// The three `***` lines dcpicalc and dcpisumm both open with; dcpisumm
 /// ends the best-case line with a comma (`best_case_end`), as Figure 4 does.
 pub(crate) fn write_cpi_header(out: &mut String, pa: &ProcAnalysis, best_case_end: &str) {
     let freq_sum = pa.insns.iter().map(|i| i.freq).sum::<f64>().max(1.0);
-    let (best, actual) = (pa.best_case_cpi(), pa.actual_cpi());
-    let _ = writeln!(out, "*** Procedure {}", pa.name);
-    let _ = writeln!(
-        out,
-        "*** Best-case {:.0}/{freq_sum:.0} = {best:.2}CPI{best_case_end}",
-        best * freq_sum
-    );
-    let _ = writeln!(
-        out,
-        "*** Actual    {:.0}/{freq_sum:.0} = {actual:.2}CPI",
-        actual * freq_sum
-    );
+    out.push_str("*** Procedure ");
+    out.push_str(&pa.name);
+    out.push('\n');
+    for (label, cpi, end) in [
+        ("*** Best-case ", pa.best_case_cpi(), best_case_end),
+        ("*** Actual    ", pa.actual_cpi(), ""),
+    ] {
+        out.push_str(label);
+        push_fixed(out, cpi * freq_sum, 0);
+        out.push('/');
+        push_fixed(out, freq_sum, 0);
+        out.push_str(" = ");
+        push_fixed(out, cpi, 2);
+        out.push_str("CPI");
+        out.push_str(end);
+        out.push('\n');
+    }
 }
 
 /// Renders the Figure 2 style listing for a procedure. `image_base` is
@@ -106,12 +57,7 @@ pub fn dcpicalc(pa: &ProcAnalysis, image_base: u64) -> String {
     // A row is about 70 bytes; stalled instructions add bubble lines.
     let mut out = String::with_capacity(256 + 96 * pa.insns.len());
     write_cpi_header(&mut out, pa, "");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:>8}  {:<30} {:>9} {:>10}  Culprit",
-        "Addr", "Instruction", "Samples", "CPI"
-    );
+    out.push_str("\n    Addr  Instruction                      Samples        CPI  Culprit\n");
     // Causes whose legend line has been printed, one bit per cause.
     let mut seen_legend = 0u16;
     let mut letters = String::new();
@@ -124,24 +70,27 @@ pub fn dcpicalc(pa: &ProcAnalysis, image_base: u64) -> String {
                 let bit = 1u16 << c.cause as u16;
                 if seen_legend & bit == 0 {
                     seen_legend |= bit;
-                    let _ = writeln!(
-                        out,
-                        "{:>51}  ({} = {})",
-                        letters,
-                        c.cause.letter(),
-                        legend(c.cause)
-                    );
+                    bubble(&mut out, &letters);
+                    out.push_str("  (");
+                    out.push(c.cause.letter());
+                    out.push_str(" = ");
+                    out.push_str(legend(c.cause));
+                    out.push_str(")\n");
                 }
             }
             let stall = ia.dynamic_stall();
             if stall >= 0.05 {
-                let _ = writeln!(out, "{:>51}  ... {:.1}cy", letters, stall);
+                bubble(&mut out, &letters);
+                out.push_str("  ... ");
+                push_fixed(&mut out, stall, 1);
+                out.push_str("cy\n");
             }
         }
         // Bubble lines for static slotting stalls.
         for st in &ia.static_stalls {
             if st.cause == StaticCause::Slotting {
-                let _ = writeln!(out, "{:>51}  (s = slotting hazard)", "s");
+                bubble(&mut out, "s");
+                out.push_str("  (s = slotting hazard)\n");
             }
         }
         // The instruction row: address, instruction padded to 30 columns,
@@ -151,7 +100,7 @@ pub fn dcpicalc(pa: &ProcAnalysis, image_base: u64) -> String {
         });
         out.push_str("  ");
         column(&mut out, 30, SPACES, false, |o| {
-            let _ = write!(o, "{}", ia.insn);
+            let _ = ia.insn.write_asm(o);
         });
         out.push(' ');
         column(&mut out, 9, SPACES, true, |o| push_int::<10>(o, ia.samples));
@@ -160,7 +109,7 @@ pub fn dcpicalc(pa: &ProcAnalysis, image_base: u64) -> String {
             if ia.dual_with_prev && ia.samples == 0 {
                 o.push_str("(dual issue)");
             } else if ia.freq > 0.0 {
-                push_tenths(o, ia.cpi);
+                push_fixed(o, ia.cpi, 1);
                 o.push_str("cy");
             } else if ia.samples != 0 {
                 o.push('?');
@@ -176,6 +125,12 @@ pub fn dcpicalc(pa: &ProcAnalysis, image_base: u64) -> String {
         out.push('\n');
     }
     out
+}
+
+/// The left part of a bubble line: its culprit letters, right-aligned
+/// under the end of the instruction column (`{:>51}`).
+fn bubble(out: &mut String, letters: &str) {
+    column(out, 51, SPACES, true, |o| o.push_str(letters));
 }
 
 #[cfg(test)]
@@ -272,32 +227,6 @@ mod tests {
         let slotting = text.find("(s = slotting hazard)").expect("slotting legend");
         let unexplained = text.find("(? = unexplained)").expect("unexplained legend");
         assert!(slotting < unexplained, "{text}");
-    }
-
-    #[test]
-    fn push_tenths_matches_the_formatter() {
-        let mut state = 0x7e57u64;
-        let mut cases = vec![0.0, -0.0, -1.25, 0.05, 0.25, 0.75, 99.95, 1e15, 5e15, 1e300];
-        cases.extend([
-            f64::MIN_POSITIVE,
-            5e-324,
-            f64::INFINITY,
-            f64::NAN,
-            0.0078125,
-        ]);
-        for i in 0..60_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Sixteenths hit exact ties; raw bit patterns cover every exponent.
-            cases.push((state >> 40) as f64 / 16.0);
-            cases.push(f64::from_bits(state >> (i % 3)));
-        }
-        for x in cases {
-            let mut fast = String::new();
-            push_tenths(&mut fast, x);
-            assert_eq!(fast, format!("{x:.1}"), "{x:e}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! dcpicfg: annotated control-flow graphs.
 //!
-//! The paper's tool suite "produce[s] formatted Postscript output of
+//! The paper's tool suite "produce\[s\] formatted Postscript output of
 //! annotated control-flow graphs" (§3). This is that tool with a modern
 //! output format: Graphviz DOT. Each basic block node shows its
 //! instructions with per-instruction samples and CPI; node fill encodes

@@ -1,8 +1,10 @@
 //! dcpisumm: the procedure cycle-breakdown summary (§3.3, Figure 4).
 
 use dcpi_analyze::analysis::ProcAnalysis;
+use dcpi_analyze::culprit::DynamicCause;
 use dcpi_analyze::summary::{ProcSummary, DYNAMIC_ORDER, STATIC_ORDER};
-use std::fmt::Write as _;
+
+use crate::text::{column, push_fixed, push_int, SPACES};
 
 /// Renders the Figure 4 summary for an analyzed procedure.
 #[must_use]
@@ -13,76 +15,71 @@ pub fn dcpisumm(pa: &ProcAnalysis) -> String {
     out
 }
 
+/// A `***` line with nothing after it, between groups of rows.
+const GAP: &str = "***\n";
+
+/// The dashed rule above each subtotal (`*** {:-^44}`).
+const RULE: &str = "*** --------------------------------------------\n";
+
 /// Appends the category table of a [`ProcSummary`].
 fn write_summary(out: &mut String, s: &ProcSummary) {
-    let _ = writeln!(out, "***");
+    out.push_str(GAP);
     for &cause in &DYNAMIC_ORDER {
-        if cause == dcpi_analyze::culprit::DynamicCause::Unexplained {
+        if cause == DynamicCause::Unexplained {
             continue;
         }
         let r = s.dynamic_range(cause);
-        let _ = writeln!(
-            out,
-            "***  {:<22} {:>5.1}% to {:>5.1}%",
-            cause.label(),
-            r.min,
-            r.max
-        );
+        range_row(out, cause.label(), r.min, r.max);
     }
-    let _ = writeln!(out, "***");
-    let u = s.dynamic_range(dcpi_analyze::culprit::DynamicCause::Unexplained);
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>5.1}% to {:>5.1}%",
-        "Unexplained stall", u.min, u.max
-    );
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>5.1}% to {:>5.1}%",
-        "Unexplained gain", s.unexplained_gain_pct, s.unexplained_gain_pct
-    );
-    let _ = writeln!(out, "*** {:-^44}", "");
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>14.1}%",
-        "Subtotal dynamic", s.subtotal_dynamic_pct
-    );
-    let _ = writeln!(out, "***");
+    out.push_str(GAP);
+    let u = s.dynamic_range(DynamicCause::Unexplained);
+    range_row(out, "Unexplained stall", u.min, u.max);
+    let gain = s.unexplained_gain_pct;
+    range_row(out, "Unexplained gain", gain, gain);
+    out.push_str(RULE);
+    row(out, "Subtotal dynamic", s.subtotal_dynamic_pct);
+    out.push_str(GAP);
     for (cause, pct) in s.static_.iter().filter(|(c, _)| STATIC_ORDER.contains(c)) {
-        let _ = writeln!(out, "***  {:<22} {:>14.1}%", cause.label(), pct);
+        row(out, cause.label(), *pct);
     }
-    let _ = writeln!(out, "*** {:-^44}", "");
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>14.1}%",
-        "Subtotal static", s.subtotal_static_pct
-    );
-    let _ = writeln!(out, "*** {:-^44}", "");
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>14.1}%",
-        "Total stall",
-        s.subtotal_dynamic_pct + s.subtotal_static_pct
-    );
-    let _ = writeln!(out, "***  {:<22} {:>14.1}%", "Execution", s.execution_pct);
-    let _ = writeln!(
-        out,
-        "***  {:<22} {:>14.1}%",
-        "Net sampling error", s.net_error_pct
-    );
-    let _ = writeln!(out, "*** {:-^44}", "");
-    let total = s.subtotal_dynamic_pct
-        + s.subtotal_static_pct
-        + s.execution_pct
-        + s.net_error_pct
-        + s.unexplained_gain_pct;
-    let _ = writeln!(out, "***  {:<22} {:>14.1}%", "Total tallied", total);
-    let _ = writeln!(
-        out,
-        "***  ({}, {:.1}% of all samples)",
-        s.tallied_samples,
-        s.tallied_fraction() * 100.0
-    );
+    out.push_str(RULE);
+    row(out, "Subtotal static", s.subtotal_static_pct);
+    out.push_str(RULE);
+    let stall = s.subtotal_dynamic_pct + s.subtotal_static_pct;
+    row(out, "Total stall", stall);
+    row(out, "Execution", s.execution_pct);
+    row(out, "Net sampling error", s.net_error_pct);
+    out.push_str(RULE);
+    let total = stall + s.execution_pct + s.net_error_pct + s.unexplained_gain_pct;
+    row(out, "Total tallied", total);
+    out.push_str("***  (");
+    push_int::<10>(out, s.tallied_samples);
+    out.push_str(", ");
+    push_fixed(out, s.tallied_fraction() * 100.0, 1);
+    out.push_str("% of all samples)\n");
+}
+
+/// A range row: `***  {label:<22} {min:>5.1}% to {max:>5.1}%`.
+fn range_row(out: &mut String, label: &str, min: f64, max: f64) {
+    label_cell(out, label);
+    column(out, 5, SPACES, true, |o| push_fixed(o, min, 1));
+    out.push_str("% to ");
+    column(out, 5, SPACES, true, |o| push_fixed(o, max, 1));
+    out.push_str("%\n");
+}
+
+/// A one-figure row: `***  {label:<22} {pct:>14.1}%`.
+fn row(out: &mut String, label: &str, pct: f64) {
+    label_cell(out, label);
+    column(out, 14, SPACES, true, |o| push_fixed(o, pct, 1));
+    out.push_str("%\n");
+}
+
+/// The start of every row: `***  {label:<22} `.
+fn label_cell(out: &mut String, label: &str) {
+    out.push_str("***  ");
+    column(out, 22, SPACES, false, |o| o.push_str(label));
+    out.push(' ');
 }
 
 #[cfg(test)]

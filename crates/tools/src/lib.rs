@@ -23,7 +23,7 @@
 //! * [`dcpitrace()`](dcpitrace::dcpitrace) — cycle-ordered dump of the
 //!   trace rings of one export, or of agent- and server-side exports
 //!   interleaved into one pipeline timeline, under one
-//!   [`Filter`](dcpitrace::Filter) (component, epoch span),
+//!   [`Filter`] (component, epoch span),
 //! * [`dcpitop()`](dcpitop::dcpitop) — fleet-at-a-glance ingestion
 //!   dashboard (agents up, backlog, ingest-lag percentiles, rates)
 //!   from a server-side observability export, with
@@ -62,6 +62,7 @@ pub mod dcpisumm;
 pub mod dcpitop;
 pub mod dcpitrace;
 pub mod registry;
+mod text;
 
 pub use dbload::{
     analyze_named, find_procedure, load_db, load_snapshot, load_stacks, stack_frame_name, LoadedDb,
