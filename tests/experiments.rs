@@ -79,3 +79,39 @@ fn experiments_md_cites_exactly_the_golden_claims() {
         );
     }
 }
+
+/// `ablation_freq`'s `clustered` row is Figure 8's estimator over Figure
+/// 8's runs, scored by the same rows, so the golden must print the same
+/// within-5/10/15 % shares for both.
+#[test]
+fn the_clustered_ablation_row_is_figure8() {
+    let golden = std::fs::read_to_string(golden_path()).expect("committed golden");
+    let section = |name: &str| {
+        golden
+            .split("# experiment ")
+            .find(|s| s.starts_with(&format!("{name}\n")))
+            .unwrap_or_else(|| panic!("no {name} section in the golden"))
+    };
+    fn share(s: &str) -> &str {
+        let (_, rest) = s.split_once(':').expect("a share after its threshold");
+        rest.split('%').next().unwrap_or_default().trim()
+    }
+    let figure8: Vec<&str> = section("figure8")
+        .lines()
+        .filter(|l| l.starts_with("within "))
+        .map(share)
+        .collect();
+    let clustered: Vec<&str> = section("ablation_freq")
+        .lines()
+        .find(|l| l.starts_with("clustered "))
+        .expect("the clustered row")
+        .split("within")
+        .skip(1)
+        .map(share)
+        .collect();
+    assert_eq!(figure8.len(), 3, "{figure8:?}");
+    assert_eq!(
+        clustered, figure8,
+        "ablation_freq's clustered row vs figure8"
+    );
+}
