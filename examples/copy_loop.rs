@@ -14,6 +14,7 @@ use dcpi::machine::os::MAIN_BASE;
 use dcpi::tools::{dcpicalc, dcpisumm};
 use dcpi::workloads::programs::StreamKind;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
+use dcpi_bench::program_cycles_per_sample;
 
 fn main() {
     let opts = RunOptions {
@@ -49,13 +50,14 @@ fn main() {
     println!();
     println!("{}", dcpisumm(&pa));
 
-    // Compare the frequency estimate with the simulator's ground truth.
+    // Convert the frequency estimate by the program cycles per sample the
+    // run measured, and compare it with the simulator's ground truth.
     let hot = pa
         .insns
         .iter()
         .find(|ia| ia.insn.is_store())
         .expect("store in loop");
-    let p = (opts.period.0 + opts.period.1) as f64 / 2.0;
+    let p = program_cycles_per_sample(r.overhead.as_ref().expect("profiled"));
     let est = hot.freq * p;
     let truth = r.gt.insn_count(*id, hot.offset);
     println!(

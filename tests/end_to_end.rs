@@ -15,6 +15,7 @@ use dcpi::server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi::tools::{dcpicalc, dcpiprof, dcpistats, dcpisumm, ImageRegistry};
 use dcpi::workloads::programs::StreamKind;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
+use dcpi_bench::program_cycles_per_sample;
 use dcpi_testkit::{copy_tree, snapshot, TempRoot};
 use std::path::Path;
 
@@ -73,7 +74,7 @@ fn copy_loop_full_pipeline() {
     assert!(causes.contains(&DynamicCause::DtbMiss), "{causes:?}");
 
     // Frequency estimates within 25% of exact counts at this density.
-    let p = (opts.period.0 + opts.period.1) as f64 / 2.0;
+    let p = program_cycles_per_sample(r.overhead.as_ref().expect("profiled"));
     let hot = pa
         .insns
         .iter()
