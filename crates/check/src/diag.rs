@@ -39,9 +39,6 @@ pub enum Layer {
     Database,
     /// Observability-export audits: metrics, trace rings, ledgers.
     Obs,
-    /// PGO rewrite audits: address maps, branch retargeting, block-head
-    /// alignment of control flow in rewritten images.
-    Pgo,
     /// Translation validation: symbolic old-vs-new equivalence proofs.
     Tv,
     /// Fleet ingestion audits: server WAL structure, per-agent sequence
@@ -61,7 +58,6 @@ impl fmt::Display for Layer {
             Layer::Estimate => write!(f, "estimate"),
             Layer::Database => write!(f, "db"),
             Layer::Obs => write!(f, "obs"),
-            Layer::Pgo => write!(f, "pgo"),
             Layer::Tv => write!(f, "tv"),
             Layer::Fleet => write!(f, "fleet"),
             Layer::Stacks => write!(f, "stacks"),
@@ -139,18 +135,10 @@ pub enum Category {
     /// Time-series violations: point ticks run backwards or the point
     /// count disagrees with the ring's overwrite accounting.
     ObsSeries,
-    /// Old→new address-map violations: not a bijection over live words,
-    /// schema/shape problems, or maps that escape either image.
-    PgoMap,
-    /// A rewritten branch whose target does not land where the map says
-    /// the old target moved, or lands off a block head.
-    PgoTarget,
-    /// Rewritten-image structure violations: undecodable words, mapped
-    /// words whose instruction changed beyond the allowed rewrites, or
-    /// unmapped words that are not inert padding/glue.
-    PgoRewrite,
-    /// Translation-validation structure: old/new segments interleave,
-    /// glue does not resolve, or the map breaks segment contiguity.
+    /// Translation-validation structure: an artifact does not load, the
+    /// map does not fit its images or is not injective, old/new segments
+    /// interleave, glue does not resolve, or the map breaks segment
+    /// contiguity.
     TvStructure,
     /// Translation-validation control flow: a branch, continuation, or
     /// fallthrough does not reach the corresponding rewritten segment.
@@ -195,7 +183,7 @@ pub enum Category {
 /// errors. The few checks with a finding of each kind under one category
 /// use [`Report::flag_as`] for the minority one.
 #[rustfmt::skip]
-const TABLE: [(Category, Layer, &str, Severity); 44] = {
+const TABLE: [(Category, Layer, &str, Severity); 41] = {
     use Severity::{Error, Warning};
     [
         (Category::Undecodable,         Layer::Image,    "undecodable",          Error),
@@ -228,9 +216,6 @@ const TABLE: [(Category, Layer, &str, Severity); 44] = {
         (Category::ObsLedger,           Layer::Obs,      "obs-ledger",           Error),
         (Category::ObsTrace,            Layer::Obs,      "obs-trace",            Error),
         (Category::ObsSeries,           Layer::Obs,      "obs-series",           Error),
-        (Category::PgoMap,              Layer::Pgo,      "pgo-map",              Error),
-        (Category::PgoTarget,           Layer::Pgo,      "pgo-target",           Error),
-        (Category::PgoRewrite,          Layer::Pgo,      "pgo-rewrite",          Error),
         (Category::TvStructure,         Layer::Tv,       "tv-structure",         Error),
         (Category::TvControl,           Layer::Tv,       "tv-control",           Error),
         (Category::TvState,             Layer::Tv,       "tv-state",             Error),
@@ -551,7 +536,6 @@ mod tests {
             Layer::Estimate,
             Layer::Database,
             Layer::Obs,
-            Layer::Pgo,
             Layer::Tv,
             Layer::Fleet,
             Layer::Stacks,

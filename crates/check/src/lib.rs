@@ -5,7 +5,7 @@
 //! decoded text, control-flow graphs, cycle-equivalence classes,
 //! frequency estimates, culprits, and the Figure 4 summary. Each step
 //! has invariants the next step silently assumes. This crate re-verifies
-//! them from the outside. Every finding belongs to one of nine
+//! them from the outside. Every finding belongs to one of eight
 //! [`Layer`]s:
 //!
 //! 1. **image** ([`image_lints`], [`dataflow`]) — decode/encode
@@ -29,18 +29,13 @@
 //!    monotonic cycle stamps, ring overwrite accounting, span pairing,
 //!    histogram totals, sample-ledger conservation, pipeline span chains,
 //!    and the overhead fraction against the paper's band.
-//! 6. **pgo** ([`pgo_audit`]) — a rewritten image against its original
-//!    and address map: the map is a bijection over live words, every
-//!    mapped instruction is an allowed variant of its original, branch
-//!    targets follow the map and land on live instructions, and unmapped
-//!    words are inert padding or glue.
-//! 7. **tv** ([`tv`]) — a symbolic, per-segment equivalence proof that a
+//! 6. **tv** ([`tv`]) — a symbolic, per-segment equivalence proof that a
 //!    PGO rewrite preserves the old image's observable behaviour, with no
-//!    simulator in the loop.
-//! 8. **fleet** — a fleet server root: WAL structure, per-agent sequence
+//!    simulator in the loop. It is the one static check of a rewrite.
+//! 7. **fleet** — a fleet server root: WAL structure, per-agent sequence
 //!    contiguity, merge intents, database agreement and sample
 //!    conservation (audited by `dcpi-server`'s `check_fleet`).
-//! 9. **stacks** — calling-context sidecars: decoding, interning-table
+//! 8. **stacks** — calling-context sidecars: decoding, interning-table
 //!    bijectivity, call-tree conservation and the flamegraph export
 //!    (audited by `dcpi-tools`' `dcpicheck stacks`).
 //!
@@ -57,12 +52,10 @@ pub mod diag;
 pub mod estimate_audit;
 pub mod image_lints;
 pub mod obs_audit;
-pub mod pgo_audit;
 pub mod tv;
 
 pub use diag::{Category, Diagnostic, Layer, Loc, Report, Severity};
 pub use obs_audit::{check_obs_export, check_snapshot, AUDIT_BAND};
-pub use pgo_audit::check_rewrite;
 pub use tv::{validate, validate_with, TvOptions, TvResult};
 
 use dcpi_analyze::analysis::ProcAnalysis;

@@ -912,36 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_branch_with_glue_is_proved() {
-        // Swap the successor blocks, invert the branch, glue back.
-        let img = small();
-        let new = Image::new(
-            "/t/small.pgo".into(),
-            vec![
-                encode(Instruction::CondBr {
-                    cond: BrCond::Beq,
-                    ra: Reg::T0,
-                    disp: 1, // -> new word 2 (the old fallthrough)
-                }),
-                img.words()[2], // halt
-                img.words()[1], // add
-                encode(Instruction::Br {
-                    ra: Reg::ZERO,
-                    disp: -3, // glue back to the halt
-                }),
-            ],
-            vec![sym("main", 0, 4)],
-        );
-        let mut map = AddressMap::identity(img.name(), "/t/small.pgo", 3);
-        map.new_words = 4;
-        map.set(1, 2);
-        map.set(2, 1);
-        let res = validate_with(&img, &new, &map, &TvOptions::default());
-        assert!(res.report.is_clean(), "{}", res.report.render());
-        assert_eq!(res.proved, res.segments);
-    }
-
-    #[test]
     fn flipped_branch_sense_without_retarget_is_rejected() {
         let img = small();
         let mut words = img.words().to_vec();
@@ -986,20 +956,22 @@ mod tests {
     }
 
     #[test]
-    fn dropped_instruction_is_rejected() {
+    fn dropped_or_changed_instruction_is_rejected() {
         let img = small();
-        let mut words = img.words().to_vec();
-        words[1] = encode(Instruction::IntOp {
-            op: IntOp::Bis,
-            ra: Reg::ZERO,
-            rb: RegOrLit::Reg(Reg::ZERO),
-            rc: Reg::ZERO,
-        });
-        let bad = Image::new(img.name().into(), words, img.symbols().to_vec());
-        let map = AddressMap::identity(img.name(), img.name(), img.words().len());
-        let r = validate(&img, &bad, &map);
-        assert!(!r.is_clean());
-        assert!(r.render().contains("tv-state"), "{}", r.render());
+        let subq = Instruction::IntOp {
+            op: IntOp::Subq,
+            ra: Reg::T1,
+            rb: RegOrLit::Reg(Reg::T1),
+            rc: Reg::T1,
+        };
+        for insn in [Instruction::NOP, subq] {
+            let mut words = img.words().to_vec();
+            words[1] = encode(insn); // was addq t1, t1, t1
+            let bad = Image::new(img.name().into(), words, img.symbols().to_vec());
+            let map = AddressMap::identity(img.name(), img.name(), img.words().len());
+            let r = validate(&img, &bad, &map);
+            assert!(r.render().contains("tv-state"), "{insn}: {}", r.render());
+        }
     }
 
     #[test]
@@ -1014,7 +986,187 @@ mod tests {
         let bad = Image::new(img.name().into(), words, img.symbols().to_vec());
         let map = AddressMap::identity(img.name(), img.name(), img.words().len());
         let r = validate(&img, &bad, &map);
-        assert!(!r.is_clean());
+        assert!(r.render().contains("tv-control"), "{}", r.render());
+    }
+
+    #[test]
+    fn non_bijective_map_is_rejected() {
+        let img = small();
+        let mut map = AddressMap::identity(img.name(), img.name(), img.words().len());
+        map.set(1, 0); // two old words land on new word 0
+        let r = validate(&img, &img, &map);
+        assert!(r.render().contains("tv-structure"), "{}", r.render());
+    }
+
+    /// `small()` with its successor blocks swapped and the branch
+    /// inverted (`beq` aimed at new word `1 + disp`), glued back to the
+    /// halt.
+    fn swapped(disp: i32) -> (Image, Image, AddressMap) {
+        let img = small();
+        let new = Image::new(
+            "/t/small.pgo".into(),
+            vec![
+                encode(Instruction::CondBr {
+                    cond: BrCond::Beq,
+                    ra: Reg::T0,
+                    disp,
+                }),
+                img.words()[2], // halt
+                img.words()[1], // add
+                encode(Instruction::Br {
+                    ra: Reg::ZERO,
+                    disp: -3, // glue back to the halt
+                }),
+            ],
+            vec![sym("main", 0, 4)],
+        );
+        let mut map = AddressMap::identity(img.name(), "/t/small.pgo", 3);
+        map.new_words = 4;
+        map.set(1, 2);
+        map.set(2, 1);
+        (img, new, map)
+    }
+
+    #[test]
+    fn inverted_branch_with_glue_is_proved_only_at_the_old_fallthrough() {
+        let (old, new, map) = swapped(1); // the add: the old fallthrough
+        let res = validate_with(&old, &new, &map, &TvOptions::default());
+        assert!(res.report.is_clean(), "{}", res.report.render());
+        assert_eq!(res.proved, res.segments);
+        let (old, new, map) = swapped(0); // the halt: the old taken target
+        let r = validate(&old, &new, &map);
+        assert!(r.render().contains("tv-control"), "{}", r.render());
+    }
+
+    #[test]
+    fn reachable_nop_padding_is_proved() {
+        // A nop on the branch's fallthrough path changes no state, so the
+        // rewrite is equivalent however often the pad runs.
+        let img = small();
+        let new = Image::new(
+            "/t/small.pgo".into(),
+            vec![
+                encode(Instruction::CondBr {
+                    cond: BrCond::Bne,
+                    ra: Reg::T0,
+                    disp: 2, // -> new word 3 (the halt)
+                }),
+                encode(Instruction::NOP),
+                img.words()[1], // add
+                img.words()[2], // halt
+            ],
+            vec![sym("main", 0, 4)],
+        );
+        let mut map = AddressMap::identity(img.name(), "/t/small.pgo", 3);
+        map.new_words = 4;
+        map.set(1, 2);
+        map.set(2, 3);
+        let res = validate_with(&img, &new, &map, &TvOptions::default());
+        assert!(res.report.is_clean(), "{}", res.report.render());
+        assert_eq!(res.proved, res.segments);
+    }
+
+    #[test]
+    fn an_inserted_word_that_is_not_padding_is_rejected() {
+        // br +1 skips the add; the new text puts a word on the dead path.
+        let old = image(
+            "/t/pad",
+            vec![
+                Instruction::Br {
+                    ra: Reg::ZERO,
+                    disp: 1,
+                },
+                Instruction::IntOp {
+                    op: IntOp::Addq,
+                    ra: Reg::T1,
+                    rb: RegOrLit::Reg(Reg::T1),
+                    rc: Reg::T1,
+                },
+                Instruction::CallPal {
+                    func: PalFunc::Halt,
+                },
+            ],
+            vec![sym("main", 0, 3)],
+        );
+        let with_pad = |pad: Instruction| {
+            let words = vec![
+                encode(Instruction::Br {
+                    ra: Reg::ZERO,
+                    disp: 2, // -> new word 3 (the halt)
+                }),
+                old.words()[1],
+                encode(pad),
+                old.words()[2],
+            ];
+            Image::new("/t/pad.pgo".into(), words, vec![sym("main", 0, 4)])
+        };
+        let mut map = AddressMap::identity(old.name(), "/t/pad.pgo", 3);
+        map.new_words = 4;
+        map.set(2, 3);
+        let r = validate(&old, &with_pad(Instruction::NOP), &map);
+        assert!(r.is_clean(), "{}", r.render());
+        // An `lda` with no `ldah` before it writes t0.
+        let stray = Instruction::Lda {
+            ra: Reg::T0,
+            rb: Reg::T0,
+            disp: 8,
+        };
+        let r = validate(&old, &with_pad(stray), &map);
+        assert!(r.render().contains("tv-structure"), "{}", r.render());
+    }
+
+    #[test]
+    fn an_inserted_lda_is_proved_by_the_address_it_builds() {
+        // f: ret. main: ldah t12, 1(zero) (f's address); jsr; halt. The
+        // rewrite moves f after main, so the call unit gains an unmapped
+        // `lda` that must finish f's new address, and nothing else.
+        let old = image(
+            "/t/unit",
+            vec![
+                Instruction::Jmp {
+                    ra: Reg::ZERO,
+                    rb: Reg::RA,
+                },
+                Instruction::Ldah {
+                    ra: Reg::T12,
+                    rb: Reg::ZERO,
+                    disp: 1,
+                },
+                Instruction::Jmp {
+                    ra: Reg::RA,
+                    rb: Reg::T12,
+                },
+                Instruction::CallPal {
+                    func: PalFunc::Halt,
+                },
+            ],
+            vec![sym("f", 0, 1), sym("main", 4, 3)],
+        );
+        let with_lda = |disp: i16| {
+            let w = old.words();
+            let lda = encode(Instruction::Lda {
+                ra: Reg::T12,
+                rb: Reg::T12,
+                disp,
+            });
+            let words = vec![w[1], lda, w[2], w[3], w[0]];
+            Image::new(
+                "/t/unit.pgo".into(),
+                words,
+                vec![sym("main", 0, 4), sym("f", 16, 1)],
+            )
+        };
+        let mut map = AddressMap::identity(old.name(), "/t/unit.pgo", 4);
+        map.new_words = 5;
+        for (w, q) in [(0, 4), (1, 0), (2, 2), (3, 3)] {
+            map.set(w, q);
+        }
+        let res = validate_with(&old, &with_lda(16), &map, &TvOptions::default());
+        assert!(res.report.is_clean(), "{}", res.report.render());
+        assert_eq!(res.proved, res.segments);
+        // Aimed at the `jsr` instead of f: the call goes elsewhere.
+        let r = validate(&old, &with_lda(8), &map);
+        assert!(r.render().contains("tv-control"), "{}", r.render());
     }
 
     #[test]

@@ -10,19 +10,14 @@
 //! pairing, histogram totals, sample-ledger conservation, and the
 //! overhead fraction against the paper's band.
 //!
-//! `dcpicheck pgo <old.img> <new.img> <map.json>` — audit a PGO rewrite:
-//! the address map must be a bijection over live instructions, every
-//! rewritten instruction an allowed variant of its original, branch
-//! targets must follow the map onto live words, and unmapped words must
-//! be inert padding or glue.
-//!
 //! `dcpicheck dataflow <image>` — run only the dataflow lint family over
 //! one serialized image: dead stores, uninitialized reads, constant
 //! branches, and stack-discipline violations.
 //!
 //! `dcpicheck tv <old.img> <new.img> <map.json>` — translation
-//! validation: symbolically prove the rewrite equivalent to the
-//! original, segment by segment, without executing either image.
+//! validation, the static check of a PGO rewrite: symbolically prove
+//! the rewrite equivalent to the original, segment by segment, without
+//! executing either image.
 //!
 //! `dcpicheck fleet <server-root>` — audit a fleet server root: WAL
 //! record structure, per-agent upload-sequence contiguity, merge-intent
@@ -42,16 +37,15 @@
 use dcpi_check::Report;
 use dcpi_core::cli::{run, Stop};
 use dcpi_tools::{
-    dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
-    dcpicheck_stacks, dcpicheck_tv, load_db,
+    dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_report, dcpicheck_stacks,
+    dcpicheck_tv, load_db,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dcpicheck <db-dir> | dcpicheck db <db-dir> | dcpicheck obs <obs.json> \
-     | dcpicheck pgo <old.img> <new.img> <map.json> | dcpicheck dataflow <image> \
-     | dcpicheck tv <old.img> <new.img> <map.json> | dcpicheck fleet <server-root> \
-     | dcpicheck stacks <db-dir>  [--json]";
+     | dcpicheck dataflow <image> | dcpicheck tv <old.img> <new.img> <map.json> \
+     | dcpicheck fleet <server-root> | dcpicheck stacks <db-dir>  [--json]";
 
 fn main() -> ExitCode {
     run("dcpicheck", USAGE, |mut args| {
@@ -64,7 +58,7 @@ fn main() -> ExitCode {
             "fleet" => &["<server-root>"],
             "obs" => &["<obs.json>"],
             "dataflow" => &["<image>"],
-            "pgo" | "tv" => &["<old.img>", "<new.img>", "<map.json>"],
+            "tv" => &["<old.img>", "<new.img>", "<map.json>"],
             _ => &[],
         };
         let mut paths = Vec::new();
@@ -85,7 +79,6 @@ fn main() -> ExitCode {
             ("fleet", [root]) => dcpi_server::check_fleet(root),
             ("obs", [path]) => dcpicheck_obs(path),
             ("dataflow", [image]) => dcpicheck_dataflow(image),
-            ("pgo", [old, new, map]) => dcpicheck_pgo(old, new, map),
             (dir, _) => {
                 let db = load_db(dir)?;
                 dcpicheck_report(&db.profiles, &db.registry)

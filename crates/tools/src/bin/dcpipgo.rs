@@ -1,8 +1,9 @@
 //! `dcpipgo <workload> <workdir> [options]` — run the full PGO loop on a
 //! Table 2 workload: profile it, rewrite its hottest image from the
-//! exported estimates, re-measure, audit the rewrite, and write every
-//! artifact (`old.img`, `new.img`, `map.json`, `estimates.json`,
-//! `delta.json`) into the working directory.
+//! exported estimates, prove the rewrite by translation validation,
+//! re-measure, and write every artifact (`old.img`, `new.img`,
+//! `map.json`, `estimates.json`, `delta.json`) into the working
+//! directory.
 //!
 //! Options:
 //! * `--seed N` — master seed (default 1).
@@ -14,8 +15,8 @@
 //! * `--json` — print the delta JSON instead of the report.
 //!
 //! Exits nonzero when the rewrite is not architecturally equivalent,
-//! translation validation did not prove it, the audit finds errors, or
-//! the speedup misses the floor.
+//! translation validation did not prove it, or the speedup misses the
+//! floor.
 
 use dcpi_core::cli::{run, Stop};
 use dcpi_tools::dcpipgo::{delta_json, parse_workload, render, write_artifacts};
@@ -46,22 +47,17 @@ fn main() -> ExitCode {
             .ok_or_else(|| Stop::Usage(format!("unknown workload `{wname}`")))?;
 
         let out = pgo_workload(w, &opts, min_samples)?;
-        let audit = dcpi_check::check_rewrite(&out.old_image, &out.new_image, &out.map);
         write_artifacts(Path::new(&workdir), &out)?;
         if json {
             print!("{}", delta_json(&out));
         } else {
-            print!("{}", render(&out, &audit));
+            print!("{}", render(&out));
         }
         if !out.equivalent {
             return Err("rewritten image is NOT architecturally equivalent".into());
         }
         if !out.report.validated {
             return Err("translation validation did NOT prove the rewrite".into());
-        }
-        if !audit.is_clean() {
-            eprint!("{}", audit.render());
-            return Err(Stop::Found);
         }
         if out.speedup_pct() < min_speedup {
             let got = out.speedup_pct();

@@ -145,12 +145,10 @@ fn load_image(path: &Path, category: Category, report: &mut Report) -> Option<Im
 /// All three are attempted, so one report names every unreadable one.
 fn load_rewrite(
     [old, new, map]: [&Path; 3],
-    image_category: Category,
-    map_category: Category,
     report: &mut Report,
 ) -> Option<(Image, Image, AddressMap)> {
-    let old = load_image(old, image_category, report);
-    let new = load_image(new, image_category, report);
+    let old = load_image(old, Category::TvStructure, report);
+    let new = load_image(new, Category::TvStructure, report);
     let parsed = std::fs::read_to_string(map)
         .map_err(|e| e.to_string())
         .and_then(|text| AddressMap::parse(&text));
@@ -158,26 +156,13 @@ fn load_rewrite(
         Ok(parsed) => Some((old?, new?, parsed)),
         Err(e) => {
             let ctx = map.display().to_string();
-            report.flag(map_category, &ctx, format!("cannot load address map: {e}"));
+            report.flag(
+                Category::TvStructure,
+                &ctx,
+                format!("cannot load address map: {e}"),
+            );
             None
         }
-    }
-}
-
-/// Audits a PGO rewrite from its on-disk artifacts (`dcpicheck pgo
-/// <old.img> <new.img> <map.json>`): both images must deserialize, the
-/// map must parse, and the rewrite must pass every `dcpi-check`
-/// [`pgo_audit`](dcpi_check::pgo_audit) invariant — the map is a
-/// bijection over live words, every rewritten instruction is an allowed
-/// variant of its original, branch targets follow the map onto live
-/// instructions, and unmapped words are inert padding or glue.
-#[must_use]
-pub fn dcpicheck_pgo(old_path: &Path, new_path: &Path, map_path: &Path) -> Report {
-    let mut report = Report::new();
-    let paths = [old_path, new_path, map_path];
-    match load_rewrite(paths, Category::PgoRewrite, Category::PgoMap, &mut report) {
-        Some((old, new, map)) => dcpi_check::check_rewrite(&old, &new, &map),
-        None => report,
     }
 }
 
@@ -203,12 +188,7 @@ pub fn dcpicheck_dataflow(path: &Path) -> Report {
 pub fn dcpicheck_tv(old_path: &Path, new_path: &Path, map_path: &Path) -> dcpi_check::TvResult {
     let mut report = Report::new();
     let paths = [old_path, new_path, map_path];
-    match load_rewrite(
-        paths,
-        Category::TvStructure,
-        Category::TvStructure,
-        &mut report,
-    ) {
+    match load_rewrite(paths, &mut report) {
         Some((old, new, map)) => {
             dcpi_check::validate_with(&old, &new, &map, &dcpi_check::TvOptions::default())
         }

@@ -1,13 +1,13 @@
 //! dcpipgo: the profile → optimize → re-profile driver.
 //!
 //! Runs a Table 2 workload through `dcpi-workloads`' PGO harness,
-//! writes every artifact of the loop to a working directory, audits the
-//! rewrite with `dcpi-check`, and renders (or JSON-encodes) the delta.
+//! writes every artifact of the loop to a working directory, and renders
+//! (or JSON-encodes) the delta with the translation validator's tally:
+//! the harness's `optimize` has already proved the rewrite.
 //! This is the tool form of the paper's stated goal — "the ultimate
 //! goal is to use the profiles to improve performance" — turned into a
 //! single reproducible command.
 
-use dcpi_check::Report;
 use dcpi_core::json::{Doc, Value};
 use dcpi_workloads::{PgoOutcome, Workload};
 use std::fmt::Write as _;
@@ -69,10 +69,10 @@ pub fn write_artifacts(dir: &Path, out: &PgoOutcome) -> Result<(), String> {
     Ok(())
 }
 
-/// The human-readable report: what moved, what it bought, and whether
-/// the rewrite audits clean.
+/// The human-readable report: what moved, what it bought, and how many
+/// segments translation validation proved.
 #[must_use]
-pub fn render(out: &PgoOutcome, audit: &Report) -> String {
+pub fn render(out: &PgoOutcome) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -91,13 +91,8 @@ pub fn render(out: &PgoOutcome, audit: &Report) -> String {
     );
     let _ = writeln!(
         s,
-        "equivalent: {}; statically valid: {} ({}/{} segments); audit: {} error(s), {} warning(s)",
-        out.equivalent,
-        out.report.validated,
-        out.report.tv_proved,
-        out.report.tv_segments,
-        audit.errors(),
-        audit.warnings(),
+        "equivalent: {}; statically valid: {} (tv proved {}/{} segments)",
+        out.equivalent, out.report.validated, out.report.tv_proved, out.report.tv_segments,
     );
     s
 }
@@ -179,10 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_cycles_and_audit() {
-        let s = render(&fake_outcome(), &Report::new());
+    fn render_mentions_cycles_and_the_tv_tally() {
+        let s = render(&fake_outcome());
         assert!(s.contains("1000 -> 950"));
-        assert!(s.contains("equivalent: true"));
-        assert!(s.contains("0 error(s)"));
+        assert!(s.contains("equivalent: true; statically valid: true (tv proved 4/4 segments)"));
+        assert!(!s.contains("audit"));
     }
 }

@@ -70,8 +70,8 @@ pub use dbload::{
 pub use dcpicalc::dcpicalc;
 pub use dcpicfg::dcpicfg;
 pub use dcpicheck::{
-    dcpicheck, dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
-    dcpicheck_stacks, dcpicheck_tv,
+    dcpicheck, dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_report, dcpicheck_stacks,
+    dcpicheck_tv,
 };
 pub use dcpidiff::{dcpidiff, dcpidiff_pgo, pgo_side, PgoSide};
 pub use dcpifleet::{dcpifleet_agents, dcpifleet_image, dcpifleet_top};

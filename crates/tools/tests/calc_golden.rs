@@ -15,15 +15,10 @@ use dcpi_core::Event;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_machine::os::MAIN_BASE;
 use dcpi_tools::{dcpicalc, dcpisumm};
+use dcpi_workloads::fingerprint::fnv64;
 use dcpi_workloads::{run_workload, ProfConfig, RunOptions, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-fn fnv64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// Every sampled procedure of one fixed-seed run: a header, the three
 /// phase fingerprints, then the two listings.
@@ -62,8 +57,8 @@ fn listings(w: Workload, out: &mut String) -> usize {
                 out,
                 "=== classes {:016x} frequencies {:016x} culprits {:016x}",
                 fnv64(&classes),
-                fnv64(&format!("{:?}", pa.frequencies)),
-                fnv64(&format!("{culprits:?}")),
+                fnv64(format!("{:?}", pa.frequencies)),
+                fnv64(format!("{culprits:?}")),
             );
             out.push_str(&dcpicalc(&pa, MAIN_BASE.0));
             out.push_str(&dcpisumm(&pa));

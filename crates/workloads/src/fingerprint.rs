@@ -24,10 +24,10 @@ use std::path::PathBuf;
 /// matrix is trimmed: single- and multi-CPU, process churn, deep stacks.
 const QUICK_EXTRA: [Workload; 3] = [Workload::Gcc, Workload::Dss, Workload::DeepRecursion];
 
-/// FNV-1a, 64-bit, of `text`: the hash the golden file records.
+/// FNV-1a, 64-bit, of `bytes`: the hash the golden files record.
 #[must_use]
-pub fn fnv64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+pub fn fnv64(bytes: impl AsRef<[u8]>) -> u64 {
+    bytes.as_ref().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }

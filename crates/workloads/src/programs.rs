@@ -11,8 +11,8 @@ use dcpi_isa::asm::{Asm, Label};
 use dcpi_isa::image::Image;
 use dcpi_isa::reg::Reg;
 
-/// Base of the data segment (mirrors `dcpi_machine::os::DATA_BASE`).
-pub const DATA_BASE: i64 = 0x1000_0000;
+/// Base of the data segment: the machine's, signed for `Asm::li`.
+pub const DATA_BASE: i64 = dcpi_machine::os::DATA_BASE as i64;
 
 /// Addresses of kernel procedures that user workloads call.
 #[derive(Clone, Copy, Debug)]

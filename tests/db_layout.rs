@@ -24,19 +24,13 @@ use dcpi::machine::os::default_kernel;
 use dcpi::machine::Os;
 use dcpi::server::{run_fleet, FleetConfig, IngestServer, ServerConfig};
 use dcpi::tools::{dcpicheck_db, dcpifleet_top, load_db};
+use dcpi::workloads::fingerprint::fnv64;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
 use dcpi_obs::Obs;
 use dcpi_stacks::{Frame, StackProfile};
 use dcpi_testkit::{snapshot, TempRoot};
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// The hash `classic-fingerprints.txt` uses, over a file's bytes.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Every file under `dir`, depth first in name order, as
 /// `label/relative/path length hash` lines (an empty directory is a

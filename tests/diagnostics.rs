@@ -2,8 +2,8 @@
 //! recorded.
 //!
 //! `tests/golden/diagnostics.txt` holds the rendered text and the
-//! `--json` document of damaged fixtures for all nine layers — image,
-//! cfg, estimate, db, obs, pgo, tv, fleet and stacks — then one
+//! `--json` document of damaged fixtures for all eight layers — image,
+//! cfg, estimate, db, obs, tv, fleet and stacks — then one
 //! `dcpicheck tv --json` document as the binary prints it, then every
 //! category no fixture reaches, with the reason. The damage is the kind
 //! the per-crate tests already do: a corrupted text word, a retargeted
@@ -24,8 +24,7 @@ use dcpi::analyze::cfg::{BlockId, Cfg, EdgeKind};
 use dcpi::analyze::equiv::frequency_classes;
 use dcpi::analyze::frequency::{Confidence, EstimateSource};
 use dcpi::check::{
-    cfg_audit, check_image, check_obs_export, check_procedure, check_rewrite, check_snapshot, tv,
-    Category, Report,
+    cfg_audit, check_image, check_obs_export, check_procedure, check_snapshot, tv, Category, Report,
 };
 use dcpi::collect::daemon::write_epoch_stacks;
 use dcpi::collect::faults::LossLedger;
@@ -43,8 +42,8 @@ use dcpi::isa::{AddressMap, Asm};
 use dcpi::machine::os::MAIN_BASE;
 use dcpi::server::{check_fleet, IngestServer, Journal, ServerConfig, WAL_FILE};
 use dcpi::tools::{
-    dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_pgo, dcpicheck_report,
-    dcpicheck_stacks, dcpicheck_tv, ImageRegistry,
+    dcpicheck_dataflow, dcpicheck_db, dcpicheck_obs, dcpicheck_report, dcpicheck_stacks,
+    dcpicheck_tv, ImageRegistry,
 };
 use dcpi::workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
 use dcpi_obs::{
@@ -581,7 +580,7 @@ fn obs_layer(g: &mut Golden, dir: &Path) {
     g.report("obs: no export", &dcpicheck_obs(&dir.join("absent.json")));
 }
 
-/// Writes an (old, new, map) triple where `dcpicheck pgo|tv` read it.
+/// Writes an (old, new, map) triple where `dcpicheck tv` reads it.
 fn put_rewrite(
     dir: &TempRoot,
     tag: &str,
@@ -614,7 +613,6 @@ fn pgo_and_tv_layers(g: &mut Golden, dir: &TempRoot) -> String {
     };
     let paths = put_rewrite(dir, "clean-rewrite", &old, &new, &map);
     let [o, n, m] = paths.each_ref().map(PathBuf::as_path);
-    g.report("pgo: altavista's rewrite", &dcpicheck_pgo(o, n, m));
     let res = dcpicheck_tv(o, n, m);
     assert!(res.report.is_clean() && res.proved == res.segments);
     g.report("tv: altavista's rewrite", &res.report);
@@ -653,7 +651,6 @@ fn pgo_and_tv_layers(g: &mut Golden, dir: &TempRoot) -> String {
         ("a dropped store", &dropped),
         ("a skewed branch displacement", &skewed),
     ] {
-        g.report(&format!("pgo: {what}"), &check_rewrite(&old, bad, &map));
         let res = tv::validate_with(&old, bad, &map, &tv_opts);
         g.report(
             &format!("tv: {what} ({}/{} proved)", res.proved, res.segments),
@@ -669,20 +666,16 @@ fn pgo_and_tv_layers(g: &mut Golden, dir: &TempRoot) -> String {
     let words = old.words().len();
     let mut renamed = AddressMap::identity("/elsewhere/old", "/elsewhere/new", words);
     renamed.new_words += 1;
+    let res = tv::validate_with(&old, &old, &renamed, &tv_opts);
     g.report(
-        "pgo: an identity map with the wrong names and new length",
-        &check_rewrite(&old, &old, &renamed),
+        "tv: an identity map with the wrong names and new length",
+        &res.report,
     );
     let short = AddressMap::identity(old.name(), new.name(), words - 1);
-    g.report("pgo: a short map", &check_rewrite(&old, &new, &short));
     let res = tv::validate_with(&old, &new, &short, &tv_opts);
     g.report("tv: a short map", &res.report);
     let mut shared = map.clone();
     shared.set(1, map.get(0).expect("mapped"));
-    g.report(
-        "pgo: two old words on one new word",
-        &check_rewrite(&old, &new, &shared),
-    );
     let res = tv::validate_with(&old, &new, &shared, &tv_opts);
     g.report("tv: two old words on one new word", &res.report);
     let absent = dir.join("absent");
@@ -692,7 +685,6 @@ fn pgo_and_tv_layers(g: &mut Golden, dir: &TempRoot) -> String {
         absent.join("map.json"),
     ];
     let [o, n, m] = missing.each_ref().map(PathBuf::as_path);
-    g.report("pgo: no artifacts", &dcpicheck_pgo(o, n, m));
     g.report("tv: no artifacts", &dcpicheck_tv(o, n, m).report);
     tv_doc
 }
