@@ -12,7 +12,7 @@
 use dcpi_analyze::analysis::{analyze_sampled, AnalysisOptions, ProcAnalysis};
 use dcpi_analyze::cfg::EdgeKind;
 use dcpi_analyze::frequency::Confidence;
-use dcpi_core::ImageId;
+use dcpi_core::{ImageId, ProfileSet};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::insn::Instruction;
 use dcpi_obs::OverheadLedger;
@@ -378,8 +378,9 @@ impl Runs {
         let results = self.get(repeats(cell, runs, 97));
         let (first, rest) = results.split_first().expect("at least one run");
         let mut acc = RunResult::clone(first);
+        let parts = results.iter().flat_map(|r| r.profiles.iter());
+        acc.profiles = ProfileSet::sum(parts.map(|(key, profile)| (*key, profile)));
         for r in rest {
-            acc.profiles.merge(&r.profiles);
             acc.edge_profiles.merge(&r.edge_profiles);
             acc.stacks.merge(&r.stacks);
             acc.gt.merge(&r.gt);

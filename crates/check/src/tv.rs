@@ -28,7 +28,7 @@
 //! stays strict and is conservatively rejected.
 
 use crate::diag::{Category, Loc, Report};
-use dcpi_isa::image::Image;
+use dcpi_isa::image::{Image, TEXT_BASE};
 use dcpi_isa::insn::{Flow, Instruction, IntOp, PalFunc, RegOrLit};
 use dcpi_isa::reg::Reg;
 use dcpi_isa::rewrite::{branch_target, invert_cond, li_value_at, AddressMap};
@@ -45,7 +45,7 @@ pub struct TvOptions {
 impl Default for TvOptions {
     fn default() -> Self {
         TvOptions {
-            code_base: 0x1_0000,
+            code_base: TEXT_BASE,
         }
     }
 }

@@ -9,8 +9,11 @@
 //!
 //! A file holds one sorted run and decodes straight into a
 //! [`Profile`], which is the same run in memory. Reads therefore move
-//! whole decoded profiles into the [`ProfileSet`] and merges are
-//! merge-joins of two runs; nothing here works entry by entry.
+//! whole decoded profiles into the [`ProfileSet`], and merging into a
+//! file that exists is one merge-join of two runs. A writer holding many
+//! runs of one key (the fleet server's merge group) sums them first
+//! ([`ProfileSet::sum`]), so each file is read and written once per
+//! merge. Nothing here works entry by entry.
 //!
 //! One file per (image, event) per epoch exists so that a tool opens only
 //! the profiles it is asked about: [`ProfileDb::scan`] is the one

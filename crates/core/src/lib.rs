@@ -35,3 +35,7 @@ pub use error::{Error, Result};
 pub use hash::{FastMap, FastSet};
 pub use profile::{EdgeProfiles, PathProfiles, Profile, ProfileKey, ProfileSet};
 pub use types::{Addr, CpuId, Event, ImageId, Pid, Sample, SampleEntry, UNKNOWN_IMAGE};
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: dcpi_testkit::Probe = dcpi_testkit::Probe;

@@ -27,8 +27,8 @@ pub struct ProfileKey {
 /// shape the on-disk codec delta-encodes (most executables have large
 /// never-executed regions, so profiles are much smaller than their
 /// images, §4.3.3), so decode, merge and encode are each one linear pass.
-/// [`Profile::add`], [`Profile::merge`], `FromIterator` and the decoder
-/// establish the invariant; everything else assumes it.
+/// [`Profile::add`], [`Profile::merge`], [`Profile::sum`], `FromIterator`
+/// and the decoder establish the invariant; everything else assumes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
     run: Vec<(u64, u64)>,
@@ -108,6 +108,75 @@ impl Profile {
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
         self.run = out;
+    }
+
+    /// Sums many profiles pointwise: the left fold of [`Profile::merge`]
+    /// over `runs`, visiting each input entry once instead of one
+    /// merge-join per run.
+    ///
+    /// Each entry is added into a slot array indexed by
+    /// `(offset − lo) >> shift`, where `[lo, hi]` spans every input offset
+    /// and `shift` is the least that fits the span into at most
+    /// `2^⌈log2 N⌉` slots for `N` input entries. So memory is bounded by
+    /// the input and slot order is offset order. A slot keeps the first
+    /// offset that reaches it; another offset that maps there goes to a
+    /// side list, sorted and merge-joined in at the end. Many runs over
+    /// one image's text hold more entries than their span has
+    /// instructions, so each offset gets a slot of its own; a raw-PC span
+    /// (the unknown image) collides and pays for sorting its side list.
+    #[must_use]
+    pub fn sum(runs: &[&Profile]) -> Profile {
+        let mut nonempty = runs.iter().filter(|p| !p.is_empty());
+        match (nonempty.next(), nonempty.next()) {
+            (None, _) => return Profile::new(),
+            (Some(only), None) => return Profile::clone(only),
+            _ => {}
+        }
+        let ends = runs
+            .iter()
+            .filter_map(|p| Some((p.run.first()?.0, p.run.last()?.0)));
+        let (lo, hi) = ends.fold((u64::MAX, 0), |(lo, hi), (a, z)| (lo.min(a), hi.max(z)));
+        let span_bits = u64::BITS - (hi - lo).leading_zeros();
+        let n: usize = runs.iter().map(|p| p.len()).sum();
+        // `n >= 2`, so a span of one bit or more gets a slot bit and
+        // `shift < 64`.
+        let slot_bits = n.next_power_of_two().trailing_zeros().min(span_bits);
+        let shift = span_bits - slot_bits;
+        // A zero count marks a vacant slot: no entry has one.
+        let mut slots = vec![(0u64, 0u64); 1 << slot_bits];
+        let mut side = Vec::new();
+        let mut filled = 0;
+        for &(offset, count) in runs.iter().flat_map(|p| &p.run) {
+            let slot = &mut slots[((offset - lo) >> shift) as usize];
+            if slot.1 == 0 {
+                *slot = (offset, count);
+                filled += 1;
+            } else if slot.0 == offset {
+                slot.1 += count;
+            } else {
+                side.push((offset, count));
+            }
+        }
+        // A slot's offset never changes once set, so no side offset
+        // equals a slot's: the two lists merge without an equal case.
+        side.sort_unstable_by_key(|&(o, _)| o);
+        side.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        let mut run = Vec::with_capacity(filled + side.len());
+        let mut side = side.into_iter().peekable();
+        for &slot in slots.iter().filter(|s| s.1 != 0) {
+            while let Some(e) = side.next_if(|e| e.0 < slot.0) {
+                run.push(e);
+            }
+            run.push(slot);
+        }
+        run.extend(side);
+        Profile::from_sorted_run(run)
     }
 
     /// Total samples across all offsets.
@@ -314,16 +383,25 @@ impl ProfileSet {
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &ProfileSet) {
         for (key, prof) in &other.profiles {
-            self.merge_profile(key.image, key.event, prof);
+            self.profiles.entry(*key).or_default().merge(prof);
         }
     }
 
-    /// Merges one whole profile into the one held for `(image, event)`.
-    pub fn merge_profile(&mut self, image: ImageId, event: Event, profile: &Profile) {
-        self.profiles
-            .entry(ProfileKey { image, event })
-            .or_default()
-            .merge(profile);
+    /// Sums `(key, profile)` parts into one set: the parts are grouped by
+    /// key and each group summed once with [`Profile::sum`]. A key whose
+    /// parts are all empty still gets an (empty) profile, as merging
+    /// them one by one would give it.
+    #[must_use]
+    pub fn sum<'a>(parts: impl IntoIterator<Item = (ProfileKey, &'a Profile)>) -> ProfileSet {
+        let mut groups: HashMap<ProfileKey, Vec<&Profile>> = HashMap::new();
+        for (key, profile) in parts {
+            groups.entry(key).or_default().push(profile);
+        }
+        let profiles = groups
+            .into_iter()
+            .map(|(key, runs)| (key, Profile::sum(&runs)))
+            .collect();
+        ProfileSet { profiles }
     }
 
     /// Inserts or merges a whole profile under `key`; a profile for a
@@ -388,6 +466,7 @@ impl ProfileSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prng::CartaRng;
     use crate::types::{Event, ImageId};
 
     #[test]
@@ -420,6 +499,96 @@ mod tests {
         assert_eq!(m.get(8), 5);
         assert_eq!(m.get(12), 4);
         assert_eq!(m.total(), a.total() + b.total());
+    }
+
+    /// The left fold [`Profile::sum`] must equal.
+    fn fold(runs: &[&Profile]) -> Profile {
+        runs.iter().fold(Profile::new(), |mut acc, p| {
+            acc.merge(p);
+            acc
+        })
+    }
+
+    /// Draws one offset for [`random_profile`].
+    type Draw = fn(&mut CartaRng) -> u64;
+
+    /// Up to `max_len` entries with counts 1..=9 at offsets `offset` draws.
+    fn random_profile(rng: &mut CartaRng, max_len: u32, offset: Draw) -> Profile {
+        let len = rng.next_u31() % (max_len + 1);
+        (0..len)
+            .map(|_| (offset(rng), u64::from(rng.next_u31() % 9 + 1)))
+            .collect()
+    }
+
+    #[test]
+    fn sum_equals_the_left_fold_of_merge() {
+        let shapes: [(&str, Draw); 5] = [
+            ("aligned text", |r| 4 * u64::from(r.next_u31() % 4096)),
+            ("unaligned", |r| 3 + u64::from(r.next_u31() % 5000)),
+            ("lo == hi", |_| 0x4_0000),
+            // Raw PCs: user text low, kernel-like PCs just under u64::MAX.
+            ("raw pcs", |r| match r.next_u31() % 3 {
+                0 => 0x1_0000 + 4 * u64::from(r.next_u31() % 300),
+                1 => u64::MAX - u64::from(r.next_u31() % 300),
+                _ => (u64::from(r.next_u31()) << 33) | u64::from(r.next_u31()),
+            }),
+            // With `u64::MAX` in the span, every small offset shares slot 0.
+            ("one slot", |r| match r.next_u31() % 50 {
+                0 => u64::MAX,
+                _ => u64::from(r.next_u31() % 64),
+            }),
+        ];
+        let mut rng = CartaRng::new(0x5_0a7);
+        for (name, offset) in shapes {
+            for trial in 0..40 {
+                let n = match trial {
+                    0 => 0,
+                    1 => 1,
+                    _ => 2 + rng.next_u31() % 14,
+                };
+                let max_len = [0, 1, 8, 300][trial % 4];
+                let runs: Vec<Profile> = (0..n)
+                    .map(|_| random_profile(&mut rng, max_len, offset))
+                    .collect();
+                let refs: Vec<&Profile> = runs.iter().collect();
+                assert_eq!(Profile::sum(&refs), fold(&refs), "{name}, trial {trial}");
+            }
+        }
+    }
+
+    #[test]
+    fn sum_allocates_its_slots_within_two_per_entry() {
+        let mut rng = CartaRng::new(7);
+        // Dense text fills distinct slots. With `u64::MAX` in the span,
+        // every other offset maps to slot 0, so most go to the side list.
+        let cases: [(bool, Draw); 2] = [
+            (false, |r| 4 * u64::from(r.next_u31() % 2000)),
+            (true, |r| u64::from(r.next_u31() % 100_000)),
+        ];
+        for (collide, offset) in cases {
+            let mut runs: Vec<Profile> = (0..12)
+                .map(|_| random_profile(&mut rng, 2000, offset))
+                .collect();
+            if collide {
+                runs.push([(u64::MAX, 1)].into_iter().collect());
+            }
+            let refs: Vec<&Profile> = runs.iter().collect();
+            let n: u64 = runs.iter().map(|p| p.len() as u64).sum();
+            let (sum, allocs) = dcpi_testkit::measure(|| Profile::sum(&refs));
+            assert_eq!(sum, fold(&refs));
+            let (entry, out) = (16, 16 * sum.len() as u64);
+            if collide {
+                // The side list grows by doubling: at most two entries
+                // per input entry on top of the slots.
+                let bound = entry * (2 * n + 2 * n);
+                assert!(allocs.peak - out <= bound, "{allocs:?} for {n} entries");
+            } else {
+                // The slot array and the exact-size result, nothing else.
+                assert_eq!(allocs.calls, 2, "{allocs:?}");
+                let bound = entry * 2 * n;
+                assert!(allocs.peak - out <= bound, "{allocs:?} for {n} entries");
+            }
+        }
     }
 
     #[test]

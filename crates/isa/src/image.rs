@@ -10,6 +10,11 @@ use crate::insn::Instruction;
 use dcpi_core::codec::Reader;
 use std::sync::Arc;
 
+/// Virtual address at which a process's main image text is loaded, so
+/// word 0 of the text sits here. The machine maps images at it, and the
+/// rewriter and the translation validator read code pointers against it.
+pub const TEXT_BASE: u64 = 0x1_0000;
+
 /// A procedure symbol: name and the half-open text range it covers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Symbol {

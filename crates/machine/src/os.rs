@@ -12,7 +12,7 @@ use crate::proc::{Mapping, ProcState, Process};
 use dcpi_core::prng::CartaRng;
 use dcpi_core::{Addr, ImageId, Pid};
 use dcpi_isa::asm::Asm;
-use dcpi_isa::image::Image;
+use dcpi_isa::image::{Image, TEXT_BASE};
 use dcpi_isa::insn::Instruction;
 use dcpi_isa::meta::side_table;
 use dcpi_isa::pipeline::PipelineModel;
@@ -26,7 +26,7 @@ use std::sync::Arc;
 pub const KERNEL_BASE: Addr = Addr(0x7000_0000);
 
 /// Base address where the main image of each process is mapped.
-pub const MAIN_BASE: Addr = Addr(0x1_0000);
+pub const MAIN_BASE: Addr = Addr(TEXT_BASE);
 
 /// Base of the data segment (heap) of each process.
 pub const DATA_BASE: u64 = 0x1000_0000;

@@ -18,6 +18,7 @@ use crate::sched;
 use dcpi_analyze::cfg::Cfg;
 use dcpi_analyze::export::ExportedProc;
 use dcpi_isa::encode::encode;
+use dcpi_isa::image::TEXT_BASE;
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_isa::rewrite::{disp_for, invert_cond, li_split, li_value_at, retarget};
 use dcpi_isa::{AddressMap, Flow, Image, Instruction, Reg, Symbol};
@@ -41,9 +42,9 @@ const HOT_FREQ: f64 = 0.05;
 /// intra-block rescheduling against the default pipeline model.
 #[derive(Clone, Debug)]
 pub struct PgoOptions {
-    /// Virtual address the image text is mapped at (the machine's
-    /// `MAIN_BASE`); needed to recognize and re-point absolute call
-    /// addresses materialized by `ldah`/`lda` units.
+    /// Virtual address the image text is mapped at ([`TEXT_BASE`]);
+    /// needed to recognize and re-point absolute call addresses
+    /// materialized by `ldah`/`lda` units.
     pub code_base: u64,
     /// Addresses at or above this are external (kernel) and never
     /// re-pointed (the machine's `KERNEL_BASE`).
@@ -57,7 +58,7 @@ pub struct PgoOptions {
 impl Default for PgoOptions {
     fn default() -> PgoOptions {
         PgoOptions {
-            code_base: 0x1_0000,
+            code_base: TEXT_BASE,
             external_floor: 0x7000_0000,
             validate: false,
         }

@@ -30,7 +30,7 @@ use dcpi_collect::faults::{ledger_add, FleetLedger};
 use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg};
 use dcpi_core::codec::Format;
 use dcpi_core::db::ProfileDb;
-use dcpi_core::profile::ProfileSet;
+use dcpi_core::profile::{ProfileKey, ProfileSet};
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
 use dcpi_obs::{span_id, Component, Obs, Published};
 use dcpi_stacks::StackProfile;
@@ -697,23 +697,28 @@ impl IngestServer {
     }
 }
 
-/// Applies one merge group to the fleet database: opens `epoch`, merges
-/// the batches' profiles into it profile by profile, writes the epoch's
-/// calling-context sidecar and records first-seen image names. Live
-/// ingest and WAL replay both land here, so one merge intent always
-/// produces the same bytes. Stack-less (v1) agents contribute empty
-/// sections and cost nothing.
+/// Applies one merge group to the fleet database: opens `epoch`, sums
+/// each `(image, event)` key's uploaded profiles once ([`ProfileSet::sum`])
+/// and merges the sums into it, writes the epoch's calling-context
+/// sidecar and records first-seen image names. Live ingest and WAL
+/// replay both land here, so one merge intent always produces the same
+/// bytes. Stack-less (v1) agents contribute empty sections and cost
+/// nothing.
 fn apply_merge_group(db: &mut ProfileDb, epoch: u32, batches: &[&EpochBatch]) -> io::Result<()> {
     // Epoch 0 exists from create; later merges open a new one.
     while db.current_epoch().0 < epoch {
         db.new_epoch().map_err(db_err)?;
     }
-    let mut set = ProfileSet::new();
+    let parts = batches.iter().flat_map(|b| &b.profiles);
+    let set = ProfileSet::sum(parts.map(|(image, event, profile)| {
+        let key = ProfileKey {
+            image: *image,
+            event: *event,
+        };
+        (key, profile)
+    }));
     let mut stacks = StackProfile::new();
     for batch in batches {
-        for (image, event, profile) in &batch.profiles {
-            set.merge_profile(*image, *event, profile);
-        }
         if !batch.stacks.is_empty() {
             stacks.merge(&batch.stacks);
         }

@@ -18,8 +18,10 @@
 //! nor the rotation's rename is synced.
 
 use dcpi_collect::faults::FleetLedger;
-use dcpi_collect::wire::{decode_msg, encode_msg, Msg};
-use dcpi_core::{Event, ImageId, Pid};
+use dcpi_collect::wire::{decode_msg, encode_msg, EpochBatch, Msg};
+use dcpi_core::codec::Format;
+use dcpi_core::db::{EpochId, ProfileDb};
+use dcpi_core::{Event, ImageId, Pid, Profile, ProfileKey, UNKNOWN_IMAGE};
 use dcpi_server::journal::{self, Journal, WAL_FILE, WAL_TMP_FILE};
 use dcpi_server::{check_fleet, AgentScript, IngestServer, ServerConfig};
 use dcpi_stacks::Frame;
@@ -352,4 +354,86 @@ fn reopen_cost_is_flat_in_history() {
         bytes_32 * 20 < uploaded_32,
         "{bytes_32} B vs {uploaded_32} B"
     );
+}
+
+#[test]
+fn a_raw_pc_profile_and_an_empty_one_land_the_same_by_ingest_and_by_replay() {
+    // Unknown-image profiles carry raw PCs: user text low, kernel-like
+    // PCs just under `u64::MAX`, so one key's span is nearly all of u64.
+    let user = |i: u64| 0x1_0000 + 4 * i;
+    let kernel = |i: u64| u64::MAX - 3 - 4 * i;
+    let raw_pcs = |lo: u64, hi: u64| -> Profile {
+        (lo..hi)
+            .flat_map(|i| [(user(i), i + 1), (kernel(i), 2 * i + 1)])
+            .collect()
+    };
+    let batch = |profiles: Vec<(ImageId, Event, Profile)>| EpochBatch {
+        profiles,
+        ..EpochBatch::default()
+    };
+    let hot = |i: u64| {
+        (
+            ImageId(1),
+            Event::Cycles,
+            [(4 * i, 3)].into_iter().collect(),
+        )
+    };
+    let uploads = [
+        batch(vec![
+            hot(1),
+            (ImageId(7), Event::Cycles, Profile::new()),
+            (UNKNOWN_IMAGE, Event::Cycles, raw_pcs(0, 40)),
+        ]),
+        batch(vec![
+            hot(2),
+            (UNKNOWN_IMAGE, Event::Cycles, raw_pcs(20, 70)),
+        ]),
+        batch(vec![(UNKNOWN_IMAGE, Event::Cycles, raw_pcs(65, 66))]),
+    ];
+    let expected = Profile::sum(&[&raw_pcs(0, 40), &raw_pcs(20, 70), &raw_pcs(65, 66)]);
+    assert_eq!(expected.len(), 140);
+
+    let base = TempRoot::new("crash-raw-pcs");
+    let live = base.join("live");
+    let mut server = IngestServer::create(ServerConfig::new(&live)).unwrap();
+    let mut keys = Vec::new();
+    for (agent, batch) in uploads.into_iter().enumerate() {
+        let agent = agent as u32;
+        let frame = encode_msg(&Msg::Upload {
+            agent,
+            incarnation: 1,
+            seq: 1,
+            batch,
+        });
+        send(&mut server, 1, &frame, false);
+        keys.push((agent, 1));
+    }
+    let crashed = base.join("crashed");
+    copy_tree(&live, &crashed);
+    server.merge_queue(2).unwrap();
+    drop(server);
+
+    // The crash: the intent is journaled, no file has landed.
+    Journal::open(&crashed)
+        .unwrap()
+        .append_intent(0, &keys)
+        .unwrap();
+    let replayed = IngestServer::reopen(ServerConfig::new(&crashed), 2).unwrap();
+    assert_eq!(replayed.stats.replayed_batches, 3);
+    drop(replayed);
+    assert!(snapshot(&crashed) == snapshot(&live), "replay differs");
+
+    let db = ProfileDb::open(live.join("db"), Format::V2).unwrap();
+    let key = |image| ProfileKey {
+        image,
+        event: Event::Cycles,
+    };
+    assert_eq!(
+        db.read_profile(EpochId(0), key(UNKNOWN_IMAGE)).unwrap(),
+        expected
+    );
+    assert!(db
+        .read_profile(EpochId(0), key(ImageId(7)))
+        .unwrap()
+        .is_empty());
 }
