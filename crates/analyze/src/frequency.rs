@@ -199,7 +199,7 @@ pub fn estimate_frequencies_with_edges(
     }
 
     if let Some(dirs) = directions {
-        apply_branch_directions(cfg, classes, schedules, dirs, &mut class_freq, cfg_est);
+        apply_branch_directions(cfg, classes, dirs, &mut class_freq);
     }
     propagate(cfg, classes, &mut class_freq);
 
@@ -294,14 +294,11 @@ fn cluster_estimate(
 fn apply_branch_directions(
     cfg: &Cfg,
     classes: &EquivClasses,
-    schedules: &[BlockSchedule],
     dirs: &BranchDirections,
     class_freq: &mut [Option<FrequencyEstimate>],
-    _cfg_est: &EstimatorConfig,
 ) {
     /// Direction samples below this are too noisy to split with.
     const MIN_DIRECTION_SAMPLES: u64 = 8;
-    let _ = schedules;
     for (b, blk) in cfg.blocks.iter().enumerate() {
         let last_idx = (blk.end_word() - cfg.start_word - 1) as usize;
         if !matches!(

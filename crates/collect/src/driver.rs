@@ -165,10 +165,32 @@ impl DriverStats {
     };
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    sample: Sample,
+/// One host slot of the hash table, in plain words: the key's PC, a tag
+/// packing its PID (bits 32–63), event code (bits 8–15) and an occupied
+/// bit (bit 0), and the count. A tag of 0 is an empty slot, so the
+/// all-zero key `(PID 0, PC 0, CYCLES)` still reads as occupied.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    pc: u64,
+    tag: u64,
     count: u64,
+}
+
+impl Slot {
+    fn tag_of(s: &Sample) -> u64 {
+        u64::from(s.pid.0) << 32 | u64::from(s.event.code()) << 8 | 1
+    }
+
+    fn entry(&self) -> SampleEntry {
+        SampleEntry {
+            sample: Sample {
+                pid: Pid((self.tag >> 32) as u32),
+                pc: Addr(self.pc),
+                event: Event::ALL[usize::from((self.tag >> 8) as u8)],
+            },
+            count: self.count,
+        }
+    }
 }
 
 /// The per-CPU driver state.
@@ -176,8 +198,9 @@ struct Entry {
 pub struct CpuDriver {
     cfg: DriverConfig,
     cost: CostModel,
-    table: Vec<Option<Entry>>,
-    evict_counter: usize,
+    table: Vec<Slot>,
+    /// ModCounter's next victim within a line; wraps at `associativity`.
+    evict_next: usize,
     buffers: [Vec<SampleEntry>; 2],
     active: usize,
     flushing: bool,
@@ -213,8 +236,8 @@ impl CpuDriver {
         assert!(cfg.buckets.is_power_of_two(), "buckets must be 2^k");
         assert!(cfg.associativity >= 1);
         CpuDriver {
-            table: vec![None; cfg.buckets * cfg.associativity],
-            evict_counter: 0,
+            table: vec![Slot::default(); cfg.buckets * cfg.associativity],
+            evict_next: 0,
             buffers: [
                 Vec::with_capacity(cfg.overflow_entries.min(65_536)),
                 Vec::with_capacity(cfg.overflow_entries.min(65_536)),
@@ -346,32 +369,34 @@ impl CpuDriver {
         }
         let assoc = self.cfg.associativity;
         let base = self.bucket_of(&sample) * assoc;
+        let (pc, tag) = (sample.pc.0, Slot::tag_of(&sample));
         let line = &mut self.table[base..base + assoc];
-        if let Some(pos) = line
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.sample == sample))
-        {
-            match self.cfg.policy {
-                EvictPolicy::ModCounter => {
-                    line[pos].as_mut().expect("matched entry").count += 1;
-                }
-                EvictPolicy::SwapToFront => {
-                    line[pos].as_mut().expect("matched entry").count += 1;
-                    line.swap(0, pos);
-                }
+        // One pass over the whole line with no early exit: it records the
+        // first matching slot and the first empty one (`assoc` = none),
+        // and only then does the handler choose hit, insert or eviction.
+        let (mut hit, mut free) = (assoc, assoc);
+        for (i, s) in line.iter().enumerate().rev() {
+            hit = if (s.pc == pc) & (s.tag == tag) {
+                i
+            } else {
+                hit
+            };
+            free = if s.tag == 0 { i } else { free };
+        }
+        let new = Slot { pc, tag, count: 1 };
+        if hit < assoc {
+            line[hit].count += 1;
+            if self.cfg.policy == EvictPolicy::SwapToFront {
+                line.swap(0, hit);
             }
             self.stats.hits += 1;
             cost = self.cost.setup + self.cost.hit;
-        } else if let Some(pos) = line.iter().position(Option::is_none) {
+        } else if free < assoc {
             // Free slot: no eviction needed (still a miss path, minus the
             // overflow append; charge the hit cost plus a little).
-            let entry = Entry { sample, count: 1 };
-            match self.cfg.policy {
-                EvictPolicy::ModCounter => line[pos] = Some(entry),
-                EvictPolicy::SwapToFront => {
-                    line[pos] = Some(entry);
-                    line.swap(0, pos);
-                }
+            line[free] = new;
+            if self.cfg.policy == EvictPolicy::SwapToFront {
+                line.swap(0, free);
             }
             self.stats.misses += 1;
             self.obs.event_at(
@@ -379,47 +404,40 @@ impl CpuDriver {
                 "driver.ht_insert",
                 at_cycle,
                 0, // no eviction
-                sample.pc.0,
+                pc,
             );
             cost = self.cost.setup + (self.cost.hit + self.cost.miss) / 2;
         } else {
             // Eviction.
             let victim_pos = match self.cfg.policy {
                 EvictPolicy::ModCounter => {
-                    let p = self.evict_counter % assoc;
-                    self.evict_counter = self.evict_counter.wrapping_add(1);
+                    let p = self.evict_next;
+                    self.evict_next = if p + 1 == assoc { 0 } else { p + 1 };
                     p
                 }
                 EvictPolicy::SwapToFront => assoc - 1,
             };
-            let victim = self.table[base + victim_pos].take().expect("full line");
+            let victim = line[victim_pos];
+            line[victim_pos] = new;
+            if self.cfg.policy == EvictPolicy::SwapToFront {
+                line.rotate_right(1);
+            }
             self.stats.spilled += victim.count;
-            let (count, pc) = (victim.count, victim.sample.pc.0);
-            self.obs
-                .event_at(Component::Driver, "driver.spill", at_cycle, count, pc);
+            self.obs.event_at(
+                Component::Driver,
+                "driver.spill",
+                at_cycle,
+                victim.count,
+                victim.pc,
+            );
             self.obs.event_at(
                 Component::Driver,
                 "driver.ht_insert",
                 at_cycle,
                 1, // evicted a victim
-                sample.pc.0,
+                pc,
             );
-            self.push_overflow(
-                SampleEntry {
-                    sample: victim.sample,
-                    count: victim.count,
-                },
-                at_cycle,
-            );
-            let entry = Entry { sample, count: 1 };
-            let line = &mut self.table[base..base + assoc];
-            match self.cfg.policy {
-                EvictPolicy::ModCounter => line[victim_pos] = Some(entry),
-                EvictPolicy::SwapToFront => {
-                    line[victim_pos] = Some(entry);
-                    line.rotate_right(1);
-                }
-            }
+            self.push_overflow(victim.entry(), at_cycle);
             self.stats.misses += 1;
             cost = self.cost.setup + self.cost.miss;
         }
@@ -438,16 +456,11 @@ impl CpuDriver {
     /// to verify no samples are lost however long the daemon dawdles.
     pub fn begin_flush(&mut self) -> Vec<SampleEntry> {
         self.flushing = true;
-        let mut out = Vec::new();
-        for e in self.table.iter_mut() {
-            if let Some(e) = e.take() {
-                out.push(SampleEntry {
-                    sample: e.sample,
-                    count: e.count,
-                });
-            }
-        }
-        out
+        self.table
+            .iter_mut()
+            .filter(|s| s.tag != 0)
+            .map(|s| std::mem::take(s).entry())
+            .collect()
     }
 
     /// Closes the flush window: drains both overflow buffers (catching
@@ -490,9 +503,10 @@ impl CpuDriver {
         out
     }
 
-    /// Approximate non-pageable kernel memory consumed (bytes): table +
-    /// two overflow buffers at 16 bytes per entry, as in §5.3's 512KB per
-    /// processor for 16K+16K entries... (table entries are 16 bytes).
+    /// Non-pageable kernel memory the paper's driver holds for this
+    /// configuration (bytes): the table and both overflow buffers at the
+    /// paper's 16 B per entry (§5.3: 16K table entries + 2 × 8K buffer
+    /// entries = 512 KB per processor), whatever size a host slot has.
     #[must_use]
     pub fn kernel_memory_bytes(&self) -> u64 {
         ((self.table.len() + 2 * self.cfg.overflow_entries) * 16) as u64
@@ -567,7 +581,9 @@ impl SampleSink for Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcpi_core::prng::CartaRng;
     use dcpi_core::{Addr, Event, Pid};
+    use dcpi_obs::ObsConfig;
 
     fn sample(pid: u32, pc: u64) -> Sample {
         Sample {
@@ -856,5 +872,180 @@ mod tests {
             d.stats.miss_rate()
         };
         assert!(run(HashKind::Multiplicative) <= run(HashKind::XorFold));
+    }
+
+    #[test]
+    fn the_all_zero_key_is_not_an_empty_slot() {
+        let mut d = tiny(EvictPolicy::ModCounter);
+        for _ in 0..3 {
+            let _ = d.record(sample(0, 0));
+        }
+        assert_eq!((d.stats.hits, d.stats.misses), (2, 1));
+        assert_eq!(
+            d.flush(),
+            vec![SampleEntry {
+                sample: sample(0, 0),
+                count: 3
+            }]
+        );
+    }
+
+    /// FNV-1a, 64-bit, continued over `bytes`.
+    fn fnv(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes
+            .into_iter()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    fn le(words: &[u64]) -> impl Iterator<Item = u8> + '_ {
+        words.iter().flat_map(|w| w.to_le_bytes())
+    }
+
+    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn batch_digest(batch: &[SampleEntry]) -> u64 {
+        batch.iter().fold(FNV_BASIS, |h, e| {
+            let s = e.sample;
+            let key = [u64::from(s.pid.0), s.pc.0, u64::from(s.event.code())];
+            fnv(h, le(&key).chain(e.count.to_le_bytes()))
+        })
+    }
+
+    /// The replay's key stream: every third sample is `(PID 0, PC 0,
+    /// CYCLES)`, the all-zero key an empty slot must not be mistaken for;
+    /// the rest draw PIDs 0, 1, 16, 32, 48 and `u32::MAX`, PCs at 0, near
+    /// `u64::MAX` and in a small text range, and all six events.
+    fn replay_key(rng: &mut CartaRng, i: u64) -> Sample {
+        const PIDS: [u32; 6] = [0, 1, 16, 32, 48, u32::MAX];
+        const EDGE_PCS: [u64; 4] = [0, u64::MAX, u64::MAX - 3, u64::MAX - 0x40];
+        if i.is_multiple_of(3) {
+            return sample(0, 0);
+        }
+        let r = u64::from(rng.next_u31());
+        let pc = if r & 1 == 0 {
+            EDGE_PCS[((r >> 1) % 4) as usize]
+        } else {
+            0x1_0000 + ((r >> 1) % 24) * 4
+        };
+        Sample {
+            pid: Pid(PIDS[((r >> 8) % 6) as usize]),
+            pc: Addr(pc),
+            event: Event::ALL[((r >> 16) % 6) as usize],
+        }
+    }
+
+    /// One configuration's replay: what it leaves in `DriverStats`, an FNV
+    /// digest of each drained batch in drain order, and one over the
+    /// driver's obs events with their cycles and arguments.
+    fn replay(
+        policy: EvictPolicy,
+        hash: HashKind,
+        associativity: usize,
+    ) -> ([u64; 7], [u64; 5], u64) {
+        let mut d = CpuDriver::new(
+            DriverConfig {
+                buckets: 4,
+                associativity,
+                overflow_entries: 64,
+                policy,
+                hash,
+            },
+            CostModel::default(),
+        );
+        d.obs = Obs::new(&ObsConfig {
+            enabled: true,
+            ring_capacity: 1 << 14,
+        });
+        let mut rng = CartaRng::new(7);
+        let mut batches = Vec::new();
+        let mut cycle = 0u64;
+        let mut feed = |d: &mut CpuDriver, n: u64| {
+            for _ in 0..n {
+                let _ = d.record_at(replay_key(&mut rng, cycle), cycle);
+                cycle += 1;
+            }
+        };
+        // Both overflow buffers fill and samples drop before the first
+        // drain; the split window's bypassed samples overrun the buffers.
+        feed(&mut d, 600);
+        batches.push(d.drain_overflow());
+        feed(&mut d, 600);
+        batches.push(d.drain_overflow());
+        batches.push(d.begin_flush());
+        feed(&mut d, 150);
+        batches.push(d.end_flush());
+        feed(&mut d, 1050);
+        batches.push(d.flush());
+        let s = d.stats;
+        let drained: u64 = batches.iter().flatten().map(|e| e.count).sum();
+        assert_eq!(drained + s.dropped, 2400, "samples in = drained + dropped");
+        assert_eq!(s.interrupts, 2400);
+        assert_eq!(s.flush_bypass, 150);
+        let ring = &d.obs.snapshot().rings[Component::Driver.index()];
+        assert_eq!(ring.overwritten, 0);
+        let events = ring.events.iter().fold(FNV_BASIS, |h, e| {
+            fnv(h, e.name.bytes().chain(le(&[e.cycle, e.a, e.b])))
+        });
+        let digests: Vec<u64> = batches.iter().map(|b| batch_digest(b)).collect();
+        (
+            [
+                s.interrupts,
+                s.hits,
+                s.misses,
+                s.spilled,
+                s.flush_bypass,
+                s.dropped,
+                s.handler_cycles,
+            ],
+            digests.try_into().expect("five batches"),
+            events,
+        )
+    }
+
+    /// A configuration, then its `DriverStats` fields in declaration
+    /// order, its batch digests and its obs digest.
+    type PinnedReplay = (EvictPolicy, HashKind, usize, [u64; 7], [u64; 5], u64);
+
+    #[test]
+    fn replay_is_pinned_across_policies_hashes_and_associativities() {
+        use EvictPolicy::{ModCounter, SwapToFront};
+        use HashKind::{Multiplicative, XorFold};
+        #[rustfmt::skip]
+        let pinned: &[PinnedReplay] = &[
+            (ModCounter, Multiplicative, 1, [2400, 447, 1803, 2242, 150, 1794, 2025320],
+             [0x4242fae7dc11878e, 0x575d663268a3947e, 0xc3731671b063f10b, 0xa0a0e863f67830f1, 0x8ad206778eedc3d7], 0xe0915255bfdb7139),
+            (ModCounter, Multiplicative, 4, [2400, 697, 1553, 2218, 150, 1693, 1951960],
+             [0x1439ad56fa7579a5, 0x5d479a01788cb31d, 0xba34f8c6973fd14f, 0xa0a0e863f67830f1, 0xc87cfabae1c57516], 0xa42e9b976ab72e4c),
+            (ModCounter, Multiplicative, 6, [2400, 743, 1507, 2198, 150, 1644, 1936840],
+             [0xf98576197f46fa47, 0x666ed10c07220527, 0xc2fd78be9e63680e, 0xa0a0e863f67830f1, 0xd975d07ace316bb3], 0xb2ce5bd0e20f09ee),
+            (ModCounter, XorFold, 1, [2400, 133, 2117, 2242, 150, 1861, 2113240],
+             [0x8b86ff0a7114e071, 0x30c4564d9eb7516c, 0x0eeecd883b02c247, 0xa0a0e863f67830f1, 0x884f718863c956a6], 0x8a4c02887ce40b09),
+            (ModCounter, XorFold, 4, [2400, 566, 1684, 2215, 150, 1713, 1988640],
+             [0xc62f9aca99b27f92, 0x1644a948ee24b9e7, 0x01ff36133a6dd47c, 0xa0a0e863f67830f1, 0xa885b93f4752f6b1], 0x1d62fed9eac91d21),
+            (ModCounter, XorFold, 6, [2400, 647, 1603, 2193, 150, 1665, 1963720],
+             [0x72a4b36db3f737c7, 0x865370b5d10ff6f1, 0xe50afbc18976348a, 0xa0a0e863f67830f1, 0xefab976ef3064f78], 0xd9ea3f8a61149735),
+            (SwapToFront, Multiplicative, 1, [2400, 447, 1803, 2242, 150, 1794, 2025320],
+             [0x4242fae7dc11878e, 0x575d663268a3947e, 0xc3731671b063f10b, 0xa0a0e863f67830f1, 0x8ad206778eedc3d7], 0xe0915255bfdb7139),
+            (SwapToFront, Multiplicative, 4, [2400, 784, 1466, 1854, 150, 1478, 1927600],
+             [0xfa5e5ec1da0e1b34, 0x4a2dbced26cce822, 0x4ece6f9c0b2adb8d, 0xa0a0e863f67830f1, 0xb6fe160d7f96c3cd], 0xfbf29e3e80de0b07),
+            (SwapToFront, Multiplicative, 6, [2400, 806, 1444, 1445, 150, 1074, 1919200],
+             [0x52ddaf40f0abd2f3, 0x20eb7e3ae3920ccf, 0xf0db2de9b962e62f, 0xa0a0e863f67830f1, 0xcbaf37bd78cb7e47], 0xa3080eb37faeab36),
+            (SwapToFront, XorFold, 1, [2400, 133, 2117, 2242, 150, 1861, 2113240],
+             [0x8b86ff0a7114e071, 0x30c4564d9eb7516c, 0x0eeecd883b02c247, 0xa0a0e863f67830f1, 0x884f718863c956a6], 0x8a4c02887ce40b09),
+            (SwapToFront, XorFold, 4, [2400, 768, 1482, 1751, 150, 1373, 1932080],
+             [0xb761381e40cbf2c2, 0x1af5f33755fbb839, 0x07f1d6b855719736, 0xa0a0e863f67830f1, 0xbd2a05985d9e976a], 0x976152a661aeec05),
+            (SwapToFront, XorFold, 6, [2400, 786, 1464, 1784, 150, 1414, 1924800],
+             [0xd43695b457ee20c1, 0x5cfa564e6f36b0a2, 0xf99fa9c90882dbed, 0xa0a0e863f67830f1, 0xfc7e54dfa851f592], 0x5fdaa822253edd97),
+        ];
+        let mut got = Vec::new();
+        for policy in [ModCounter, SwapToFront] {
+            for hash in [Multiplicative, XorFold] {
+                for assoc in [1, 4, 6] {
+                    let (stats, digests, events) = replay(policy, hash, assoc);
+                    got.push((policy, hash, assoc, stats, digests, events));
+                }
+            }
+        }
+        assert_eq!(got.as_slice(), pinned);
     }
 }
