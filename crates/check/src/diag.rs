@@ -123,8 +123,6 @@ pub enum Category {
     /// Trace-ring invariant violations: non-monotonic cycle stamps,
     /// overwrite accounting, unbalanced spans.
     ObsRing,
-    /// Metric invariant violations (e.g. histogram count vs buckets).
-    ObsMetrics,
     /// Ledger violations: sample conservation, overhead consistency,
     /// or an overhead fraction outside the configured band.
     ObsLedger,
@@ -183,7 +181,7 @@ pub enum Category {
 /// errors. The few checks with a finding of each kind under one category
 /// use [`Report::flag_as`] for the minority one.
 #[rustfmt::skip]
-const TABLE: [(Category, Layer, &str, Severity); 41] = {
+const TABLE: [(Category, Layer, &str, Severity); 40] = {
     use Severity::{Error, Warning};
     [
         (Category::Undecodable,         Layer::Image,    "undecodable",          Error),
@@ -212,7 +210,6 @@ const TABLE: [(Category, Layer, &str, Severity); 41] = {
         (Category::QuarantinedFile,     Layer::Database, "quarantined-file",     Warning),
         (Category::ObsExport,           Layer::Obs,      "obs-export",           Error),
         (Category::ObsRing,             Layer::Obs,      "obs-ring",             Error),
-        (Category::ObsMetrics,          Layer::Obs,      "obs-metrics",          Error),
         (Category::ObsLedger,           Layer::Obs,      "obs-ledger",           Error),
         (Category::ObsTrace,            Layer::Obs,      "obs-trace",            Error),
         (Category::ObsSeries,           Layer::Obs,      "obs-series",           Error),

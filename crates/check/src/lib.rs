@@ -27,8 +27,8 @@
 //!    by `dcpi-tools`' `dcpicheck db`).
 //! 5. **obs** ([`obs_audit`]) — the profiler's own metrics/trace exports:
 //!    monotonic cycle stamps, ring overwrite accounting, span pairing,
-//!    histogram totals, sample-ledger conservation, pipeline span chains,
-//!    and the overhead fraction against the paper's band.
+//!    sample-ledger conservation, pipeline span chains, and the overhead
+//!    fraction against the paper's band.
 //! 6. **tv** ([`tv`]) — a symbolic, per-segment equivalence proof that a
 //!    PGO rewrite preserves the old image's observable behaviour, with no
 //!    simulator in the loop. It is the one static check of a rewrite.

@@ -4,10 +4,10 @@
 //! JSON snapshot a profiled run exports ([`dcpi_obs::Snapshot`]). This
 //! module re-verifies the invariants those consumers silently assume:
 //! cycle stamps within a ring never run backwards, ring overwrite
-//! accounting balances, begin/end spans pair up, histogram counts match
-//! their buckets, the sample ledger conserves, and the overhead ledger is
-//! internally consistent and lands inside [`AUDIT_BAND`] (the paper's
-//! 1–3% of total cycles at the default sampling period, with slack).
+//! accounting balances, begin/end spans pair up, the sample ledger
+//! conserves, and the overhead ledger is internally consistent and lands
+//! inside [`AUDIT_BAND`] (the paper's 1–3% of total cycles at the
+//! default sampling period, with slack).
 
 use crate::diag::{Category, Report, Severity};
 use dcpi_obs::{span_agent, span_seq, EventKind, RingSnapshot, Snapshot};
@@ -48,7 +48,6 @@ pub fn check_snapshot(snap: &Snapshot) -> Report {
     for ring in &snap.rings {
         check_ring(ring, &mut report);
     }
-    check_metrics(snap, &mut report);
     check_ledgers(snap, &mut report);
     check_trace_chains(snap, &mut report);
     check_timeseries(snap, &mut report);
@@ -387,25 +386,6 @@ fn check_ring(ring: &RingSnapshot, report: &mut Report) {
     }
 }
 
-fn check_metrics(snap: &Snapshot, report: &mut Report) {
-    for (name, h) in &snap.metrics.histograms {
-        let bucket_total = h
-            .buckets
-            .iter()
-            .fold(0u64, |t, &(_, n)| t.saturating_add(n));
-        if bucket_total != h.count {
-            report.flag(
-                Category::ObsMetrics,
-                &format!("histogram/{name}"),
-                format!(
-                    "bucket counts sum to {bucket_total} but count is {}",
-                    h.count
-                ),
-            );
-        }
-    }
-}
-
 fn check_ledgers(snap: &Snapshot, report: &mut Report) {
     if let Some(samples) = &snap.samples {
         if !samples.conserves() {
@@ -452,7 +432,7 @@ fn check_ledgers(snap: &Snapshot, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, HistogramSnapshot, LossLedger, Obs, ObsConfig, OverheadLedger};
+    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger};
 
     fn sample_snapshot() -> Snapshot {
         let obs = Obs::new(&ObsConfig::on());
@@ -461,9 +441,6 @@ mod tests {
         obs.advance_cycle(200);
         obs.end(Component::Daemon, "daemon.flush", 5, 0);
         let mut snap = obs.snapshot();
-        snap.metrics
-            .histograms
-            .insert("daemon.flush_ns".into(), HistogramSnapshot::of(&[1000]));
         snap.metrics.counters.insert("driver.interrupts".into(), 42);
         snap.overhead = Some(OverheadLedger {
             total_cycles: 1_000_000,
@@ -545,21 +522,6 @@ mod tests {
         ring.recorded -= 1;
         let report = check_snapshot(&snap);
         assert!(report.diags.iter().any(|d| d.message.contains("unclosed")));
-    }
-
-    #[test]
-    fn histogram_mismatch_flagged() {
-        let mut snap = sample_snapshot();
-        snap.metrics
-            .histograms
-            .get_mut("daemon.flush_ns")
-            .unwrap()
-            .count += 1;
-        let report = check_snapshot(&snap);
-        assert!(report
-            .diags
-            .iter()
-            .any(|d| d.category == Category::ObsMetrics));
     }
 
     fn fleet_snapshot(quiesced: bool) -> Snapshot {

@@ -9,15 +9,16 @@
 //! `dcpistat`, `dcpitrace`, and `dcpicheck obs` all consume this format.
 
 use crate::ledger::{bucket_members, read_buckets, LossLedger, OverheadLedger};
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::timeseries::{SeriesSnapshot, TimePoint};
 use crate::trace::{EventKind, EventRecord, RingSnapshot};
 use dcpi_core::json::{self, Doc, Json, Value};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-/// Schema version stamped into every export.
-pub const SCHEMA: u32 = 1;
+/// Schema version stamped into every export. Version 2 dropped the
+/// `histograms` member; a version-1 export is refused, not half read.
+pub const SCHEMA: u32 = 2;
 
 /// A complete observability export: metadata, metrics, trace rings, and
 /// (when the producing layer owns them) the overhead and sample ledgers.
@@ -25,8 +26,8 @@ pub const SCHEMA: u32 = 1;
 pub struct Snapshot {
     /// Free-form metadata (seed, workload, …).
     pub meta: BTreeMap<String, String>,
-    /// Counters, gauges and histograms, published by the layer that owns
-    /// the run from its components' own stats and values.
+    /// Counters and gauges, published by the layer that owns the run
+    /// from its components' own stats and values.
     pub metrics: MetricsSnapshot,
     /// One entry per component ring.
     pub rings: Vec<RingSnapshot>,
@@ -86,19 +87,6 @@ impl Snapshot {
             .rows("gauges", |rows| {
                 for (k, &v) in &m.gauges {
                     rows.row(&[("name", k.into()), ("value", v.into())]);
-                }
-            })
-            .rows("histograms", |rows| {
-                for (k, h) in &m.histograms {
-                    rows.row(&[
-                        ("name", k.into()),
-                        ("count", h.count.into()),
-                        ("sum", h.sum.into()),
-                        (
-                            "buckets",
-                            (&pack(h.buckets.iter().map(|(i, n)| (i, n)))).into(),
-                        ),
-                    ]);
                 }
             })
             // Each ring's header row, then its events.
@@ -176,17 +164,6 @@ impl Snapshot {
             snap.metrics
                 .gauges
                 .insert(row.string("name")?.into(), row.int("value")?);
-            Ok(())
-        })?;
-        section(&doc, "histograms", |row| {
-            snap.metrics.histograms.insert(
-                row.string("name")?.into(),
-                HistogramSnapshot {
-                    count: row.int("count")?,
-                    sum: row.int("sum")?,
-                    buckets: unpack(row, "buckets")?,
-                },
-            );
             Ok(())
         })?;
         section(&doc, "rings", |row| {
@@ -295,14 +272,6 @@ mod tests {
         s.metrics.counters.insert("driver.interrupts".into(), 1234);
         s.metrics.counters.insert("machine.samples".into(), 1200);
         s.metrics.gauges.insert("daemon.memory_bytes".into(), 65536);
-        s.metrics.histograms.insert(
-            "daemon.flush_ns".into(),
-            HistogramSnapshot {
-                count: 3,
-                sum: 7000,
-                buckets: vec![(11, 2), (12, 1)],
-            },
-        );
         s.rings.push(RingSnapshot {
             component: "driver".into(),
             capacity: 4,
@@ -407,29 +376,40 @@ mod tests {
         assert!(Snapshot::parse("hello world").is_err());
         assert!(Snapshot::parse("{}").unwrap_err().contains("schema"));
         assert!(Snapshot::parse("{\n  \"schema\": 99\n}\n").is_err());
-        let truncated = "{\n  \"schema\": 1,\n  \"rings\": [\n    {\"event\": \"x\", \"kind\": \"instant\", \"cycle\": 1, \"wall_ns\": 0, \"a\": 0, \"b\": 0}\n  ]\n}\n";
+        let truncated = "{\n  \"schema\": 2,\n  \"rings\": [\n    {\"event\": \"x\", \"kind\": \"instant\", \"cycle\": 1, \"wall_ns\": 0, \"a\": 0, \"b\": 0}\n  ]\n}\n";
         let err = Snapshot::parse(truncated).unwrap_err();
         assert!(err.contains("ring header"), "{err}");
         // A present section must be well-formed, and the error names the member.
         let err =
-            Snapshot::parse("{\"schema\": 1, \"counters\": [{\"name\": \"c\"}]}").unwrap_err();
+            Snapshot::parse("{\"schema\": 2, \"counters\": [{\"name\": \"c\"}]}").unwrap_err();
         assert_eq!(err, "counters[0]: missing \"value\"");
-        assert!(Snapshot::parse("{\"schema\": 1, \"counters\": 3}").is_err());
-        assert!(Snapshot::parse("{\"schema\": 1, \"samples\": {\"generated\": -1}}").is_err());
+        assert!(Snapshot::parse("{\"schema\": 2, \"counters\": 3}").is_err());
+        assert!(Snapshot::parse("{\"schema\": 2, \"samples\": {\"generated\": -1}}").is_err());
     }
 
     #[test]
     fn absent_sections_are_empty_and_old_overhead_rows_load() {
         assert_eq!(
-            Snapshot::parse("{\"schema\": 1}").unwrap(),
+            Snapshot::parse("{\"schema\": 2}").unwrap(),
             Snapshot::default()
         );
-        let old = "{\"schema\": 1, \"overhead\": {\"total_cycles\": 9, \"handler_cycles\": 2, \
+        let old = "{\"schema\": 2, \"overhead\": {\"total_cycles\": 9, \"handler_cycles\": 2, \
                    \"daemon_cycles\": 1, \"samples\": 4}, \"samples\": null}";
         let snap = Snapshot::parse(old).unwrap();
         assert_eq!(snap.overhead.unwrap().walk_cycles, 0);
         assert_eq!(snap.overhead.unwrap().total_cycles, 9);
         assert_eq!(snap.samples, None);
+    }
+
+    #[test]
+    fn a_schema_1_export_with_histograms_is_refused() {
+        let old = "{\"schema\": 1, \"counters\": [], \"histograms\": [{\"name\": \
+                   \"server.ingest_lag_cycles\", \"count\": 1, \"sum\": 8, \"buckets\": \"4:1\"}]}";
+        assert_eq!(
+            Snapshot::parse(old).unwrap_err(),
+            format!("unsupported obs export schema 1 (expected {SCHEMA})"),
+            "the schema error, not a silently dropped member"
+        );
     }
 
     #[test]
@@ -439,8 +419,6 @@ mod tests {
         s.meta.insert(hostile.into(), hostile.into());
         s.metrics.counters.insert(hostile.into(), u64::MAX);
         s.metrics.gauges.insert(hostile.into(), (1 << 53) + 1);
-        let h = s.metrics.histograms["daemon.flush_ns"].clone();
-        s.metrics.histograms.insert(hostile.into(), h);
         s.rings[0].component = hostile.into();
         s.rings[0].events[0].name = hostile.into();
         s.rings[0].events[0].wall_ns = u64::MAX;

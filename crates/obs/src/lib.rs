@@ -4,10 +4,10 @@
 //! overhead, §2 of the paper) and trustworthy (bounded sample loss). This
 //! crate lets the reproduction *watch itself* make good on that claim:
 //!
-//! * [`metrics`]: the counters, gauges and log2 histograms an export
-//!   carries. Each component publishes them from its own stats
-//!   ([`Published`] lists, read at export time), so nothing is counted
-//!   twice and [`Obs`] itself holds no metric;
+//! * [`metrics`]: the counters and gauges an export carries. Each
+//!   component publishes them from its own stats ([`Published`] lists,
+//!   read at export time), so nothing is counted twice and [`Obs`]
+//!   itself holds no metric;
 //! * a [`timeseries`] ring of counter deltas and gauge levels, owned by
 //!   the run that samples it (the fleet harness);
 //! * [`trace`] spans and instant events in fixed-size per-component ring
@@ -25,7 +25,7 @@
 //! The central handle is [`Obs`]: a cheap clone (one `Arc`) that every
 //! instrumented component holds. It is the switch, the simulated-cycle
 //! clock, the wall-clock epoch and the trace rings, and nothing else:
-//! every count, level, distribution and series in an export is put there
+//! every count, level and series in an export is put there
 //! by the component that owns the run. A **disabled** probe costs
 //! exactly one relaxed `AtomicBool` load and a branch — no locks, no
 //! allocation — so the simulator hot path can keep a handle permanently.
@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use export::Snapshot;
 pub use ledger::{FleetLedger, LossLedger, OverheadLedger};
-pub use metrics::{HistogramSnapshot, Metric, MetricsSnapshot, Published};
+pub use metrics::{Metric, MetricsSnapshot, Published};
 pub use report::Reporter;
 pub use timeseries::{SeriesRing, SeriesSnapshot, TimePoint};
 pub use trace::{span_agent, span_id, span_seq};

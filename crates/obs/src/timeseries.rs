@@ -140,7 +140,6 @@ mod tests {
         MetricsSnapshot {
             counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: BTreeMap::new(),
         }
     }
 

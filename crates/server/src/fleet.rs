@@ -34,7 +34,7 @@ use dcpi_core::prng::CartaRng;
 use dcpi_core::profile::Profile;
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
 use dcpi_obs::ledger::bucket_members;
-use dcpi_obs::{HistogramSnapshot, MetricsSnapshot, Obs, SeriesRing, Snapshot};
+use dcpi_obs::{MetricsSnapshot, Obs, Published, SeriesRing, Snapshot};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
@@ -164,11 +164,12 @@ impl FleetConfig {
 }
 
 /// Seal→database-visible ingest-lag distribution for one run, in
-/// ticks, plus per-agent freshness at quiesce. Lags are harvested from
-/// every server incarnation (a batch merged before a server crash keeps
-/// its measurement), and because the seal tick rides the wire frame
-/// into the WAL, batches replayed after an outage report their *true*
-/// lag — outage included.
+/// ticks, plus per-agent freshness at quiesce: the one summary of ingest
+/// lag, behind `fleet.json`, `dcpifleet run` and the obs export's lag
+/// gauges. Lags are harvested from every server incarnation (a batch
+/// merged before a server crash keeps its measurement), and because the
+/// seal tick rides the wire frame into the WAL, batches replayed after
+/// an outage report their *true* lag — outage included.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetLag {
     /// Merged epochs measured (sealed batches and tombstones).
@@ -196,6 +197,23 @@ fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     let n = sorted.len() as u64;
     let rank = (n * pct).div_ceil(100).clamp(1, n);
     sorted[usize::try_from(rank - 1).unwrap_or(0)]
+}
+
+impl FleetLag {
+    /// The summary as the obs export's gauges, in ticks, published once
+    /// when the export is made.
+    pub const PUBLISHED: Published<FleetLag> = Published {
+        gauges: &[
+            ("fleet.lag_p50", |l| l.p50),
+            ("fleet.lag_p95", |l| l.p95),
+            ("fleet.lag_p99", |l| l.p99),
+            ("fleet.lag_max", |l| l.max),
+            ("fleet.lag_epochs", |l| l.samples),
+            ("fleet.stalest_agent", |l| u64::from(l.stalest_agent)),
+            ("fleet.stalest_staleness", |l| l.stalest_staleness),
+        ],
+        ..Published::NONE
+    };
 }
 
 /// What one fleet run did.
@@ -229,8 +247,8 @@ pub struct FleetReport {
     /// Where the run's WAL, database, and `fleet.json` live.
     pub root: PathBuf,
     /// The run's observability export when the handle was enabled: the
-    /// trace rings, the final counters and gauges, the ingest-lag
-    /// histogram, the time series and the `fleet_quiesced` mark. A
+    /// trace rings, the final counters and gauges (the lag summary's
+    /// among them), the time series and the `fleet_quiesced` mark. A
     /// caller adds only its own meta.
     pub obs: Option<Snapshot>,
 }
@@ -541,18 +559,11 @@ impl FleetSeries {
     }
 
     /// The finished export: the handle's rings, the held values, the
-    /// histogram of `lags` (every incarnation's lag list, the one tally
-    /// of ingest lag) and the series.
-    fn export(self, obs: &Obs, lags: &[u64]) -> Snapshot {
+    /// run's lag summary as gauges, and the series.
+    fn export(self, obs: &Obs, lag: &FleetLag) -> Snapshot {
         let mut snap = obs.snapshot();
-        snap.metrics = MetricsSnapshot {
-            histograms: [(
-                "server.ingest_lag_cycles".to_owned(),
-                HistogramSnapshot::of(lags),
-            )]
-            .into(),
-            ..self.held
-        };
+        snap.metrics = self.held;
+        snap.metrics.publish(&FleetLag::PUBLISHED, lag);
         snap.timeseries = self.ring.snapshot();
         // The run drained to quiesce, so the trace audit may demand that
         // every sealed epoch reached database visibility.
@@ -789,6 +800,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         ledger_add(&mut ledger.in_flight, sim.uploader.in_flight_samples());
     }
 
+    let export = series.map(|s| s.export(obs, &lag));
     let report = FleetReport {
         ledger,
         expected_generated,
@@ -803,7 +815,7 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
         ticks,
         lag,
         root: cfg.root.clone(),
-        obs: series.map(|s| s.export(obs, &retired.lags)),
+        obs: export,
     };
     std::fs::write(cfg.root.join("fleet.json"), report.to_json())?;
     Ok(report)
@@ -875,12 +887,21 @@ mod tests {
         assert_eq!(s.points[1].counters["server.accepted"], 4);
         // A gauge left out of a point keeps its last published level.
         assert_eq!(s.points[1].gauges["server.queue_depth"], 2);
-        let snap = series.export(&Obs::new(&dcpi_obs::ObsConfig::on()), &[8, 16, 64]);
+        let lag = FleetLag {
+            samples: 3,
+            p50: 16,
+            max: 64,
+            stalest_agent: 2,
+            ..FleetLag::default()
+        };
+        let snap = series.export(&Obs::new(&dcpi_obs::ObsConfig::on()), &lag);
         assert_eq!(snap.metrics.counters["server.accepted"], 7);
         assert_eq!(snap.metrics.gauges["server.queue_depth"], 2);
         assert_eq!(snap.timeseries.recorded, 2);
-        let lag = &snap.metrics.histograms["server.ingest_lag_cycles"];
-        assert_eq!((lag.count, lag.sum), (3, 88));
+        let g = &snap.metrics.gauges;
+        assert_eq!((g["fleet.lag_epochs"], g["fleet.lag_p50"]), (3, 16));
+        assert_eq!((g["fleet.lag_max"], g["fleet.stalest_agent"]), (64, 2));
+        assert_eq!(s.points[1].gauges.get("fleet.lag_max"), None, "set once");
         assert_eq!(snap.meta["fleet_quiesced"], "true");
     }
 }

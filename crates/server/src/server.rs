@@ -363,8 +363,9 @@ impl IngestServer {
         self.ledger
     }
 
-    /// Largest per-agent backlog of unmerged journaled batches — the
-    /// per-agent lag gauge.
+    /// Largest number of one agent's journaled batches still waiting to
+    /// merge: a backlog count in batches, not a time (published as
+    /// `server.agent_lag_max`; ingest lag in ticks is `FleetLag`'s).
     #[must_use]
     pub fn max_agent_lag(&self) -> u64 {
         let mut lag: BTreeMap<u32, u64> = BTreeMap::new();

@@ -86,14 +86,12 @@ fn hundred_agent_fleet_conserves_under_full_chaos() {
             "seed {seed}: server did no work"
         );
 
-        // The exported lag histogram is built from the lag list the
-        // report reads, so the two describe the same epochs.
+        // The export's lag gauges are the report's one lag summary.
         let export = report.obs.as_ref().expect("an enabled handle exports");
-        let lag = &export.metrics.histograms["server.ingest_lag_cycles"];
-        assert_eq!(lag.count, report.lag.samples, "seed {seed}");
-        let top = lag.buckets.last().expect("epochs were merged").0;
-        let top_bound = if top >= 64 { u64::MAX } else { (1 << top) - 1 };
-        assert!(top_bound >= report.lag.max, "seed {seed}: {lag:?}");
+        let g = &export.metrics.gauges;
+        assert_eq!(g["fleet.lag_epochs"], report.lag.samples, "seed {seed}");
+        assert_eq!(g["fleet.lag_p99"], report.lag.p99, "seed {seed}");
+        assert_eq!(g["fleet.lag_max"], report.lag.max, "seed {seed}");
 
         // The independent offline audit agrees.
         let audit = check_fleet(&root);

@@ -117,7 +117,7 @@ pub fn analyze_named(dir: impl AsRef<Path>, name: &str) -> Result<ProcAnalysis> 
 }
 
 /// Reads the observability export at `path` (`profile --obs`,
-/// `dcpifleet run --obs`) for `dcpistat`, `dcpitop` and `dcpitrace`.
+/// `dcpifleet run --obs`) for `dcpistat` and `dcpitrace`.
 ///
 /// # Errors
 ///

@@ -1,6 +1,8 @@
-//! dcpistat: one-shot profiler status from an exported observability
-//! snapshot — sample and drop rates, hash-table behavior, flush
-//! latencies, and both ledgers.
+//! dcpistat: profiler status from an exported observability snapshot —
+//! sample and drop rates, hash-table behavior, flush latencies, both
+//! ledgers, and for a fleet server's export the ingestion pipeline:
+//! epochs, backlog, uploader I/O, per-tick rates and the run's ingest
+//! lag. It is the one renderer of an export's counters and gauges.
 
 use dcpi_obs::{EventKind, Snapshot};
 use std::fmt::Write as _;
@@ -50,7 +52,6 @@ pub fn dcpistat(snap: &Snapshot) -> String {
     // of zeros that reads like a dead profiler.
     if snap.metrics.counters.is_empty()
         && snap.metrics.gauges.is_empty()
-        && snap.metrics.histograms.is_empty()
         && snap.rings.iter().all(|r| r.capacity == 0)
     {
         let _ = writeln!(
@@ -110,10 +111,11 @@ pub fn dcpistat(snap: &Snapshot) -> String {
         let _ = writeln!(out, "-- server --");
         let _ = writeln!(
             out,
-            "accepted {}  deduped {}  merges {}  journaled samples {}",
+            "accepted {}  deduped {}  merges {}  merged batches {}  journaled samples {}",
             c("server.accepted"),
             c("server.deduped"),
             c("server.merges"),
+            c("server.merged_batches"),
             c("server.journaled_samples"),
         );
         let _ = writeln!(
@@ -126,10 +128,9 @@ pub fn dcpistat(snap: &Snapshot) -> String {
         );
         let _ = writeln!(
             out,
-            "queue depth {}  max agent lag {}  uploader frames sent {}",
+            "queue depth {}  largest agent backlog {} unmerged batch(es)",
             g("server.queue_depth"),
             g("server.agent_lag_max"),
-            c("uploader.sent"),
         );
         // The log is rotated down to one checkpoint record by every
         // merge, so this is the unmerged tail, not the upload history.
@@ -139,40 +140,42 @@ pub fn dcpistat(snap: &Snapshot) -> String {
             g("server.wal_bytes"),
             c("server.checkpoints"),
         );
-        if let Some(h) = snap.metrics.histograms.get("server.ingest_lag_cycles") {
-            if h.count > 0 {
-                let _ = writeln!(
-                    out,
-                    "ingest lag p50 {}  p95 {}  p99 {} cycles over {} epoch(s)",
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.count,
-                );
-            }
-        }
-        // Per-agent freshness: each agent's latest database-visible
-        // epoch, from the server ring's merge-visibility events.
-        let mut visible: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        let mut newest = 0u64;
-        for ring in snap.rings.iter().filter(|r| r.component == "server") {
-            for ev in ring.events.iter().filter(|e| e.name == "server.visible") {
-                visible.insert(dcpi_obs::span_agent(ev.a), ev.cycle);
-                newest = newest.max(ev.cycle);
-            }
-        }
-        if !visible.is_empty() {
-            let stale = visible
-                .iter()
-                .map(|(&a, &v)| (newest - v, a))
-                .max()
-                .unwrap_or((0, 0));
+        let _ = writeln!(
+            out,
+            "io sent {}  retransmits {}  acked {}  agent backpressure {}",
+            c("uploader.sent"),
+            c("uploader.retransmits"),
+            c("uploader.acked"),
+            c("uploader.backpressure"),
+        );
+        let ts = &snap.timeseries;
+        if ts.points.len() >= 2 {
             let _ = writeln!(
                 out,
-                "freshness {} agent(s) visible; stalest agent {} ({} cycles behind)",
-                visible.len(),
-                stale.1,
-                stale.0,
+                "rates accepted {:.3}/tick  merges {:.3}/tick  sent {:.3}/tick \
+                 ({} points, {} overwritten)",
+                ts.rate("server.accepted"),
+                ts.rate("server.merges"),
+                ts.rate("uploader.sent"),
+                ts.points.len(),
+                ts.overwritten,
+            );
+        }
+        // The run's one lag summary (`FleetLag`), exported as gauges.
+        if let Some(epochs) = snap.metrics.gauges.get("fleet.lag_epochs") {
+            let _ = writeln!(
+                out,
+                "ingest lag p50 {}  p95 {}  p99 {}  max {} tick(s) over {epochs} epoch(s)",
+                g("fleet.lag_p50"),
+                g("fleet.lag_p95"),
+                g("fleet.lag_p99"),
+                g("fleet.lag_max"),
+            );
+            let _ = writeln!(
+                out,
+                "stalest agent {} ({} tick(s) behind at quiesce)",
+                g("fleet.stalest_agent"),
+                g("fleet.stalest_staleness"),
             );
         }
     }
@@ -210,7 +213,7 @@ pub fn dcpistat(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcpi_obs::{Component, HistogramSnapshot, LossLedger, Obs, ObsConfig, OverheadLedger};
+    use dcpi_obs::{Component, LossLedger, Obs, ObsConfig, OverheadLedger, SeriesRing};
 
     #[test]
     fn status_renders_rates_and_ledgers() {
@@ -298,35 +301,55 @@ mod tests {
     }
 
     #[test]
-    fn server_section_reports_lag_and_freshness() {
-        let obs = Obs::new(&ObsConfig::on());
-        obs.event_at(
-            Component::Server,
-            "server.visible",
-            100,
-            dcpi_obs::span_id(1, 1),
-            8,
-        );
-        obs.event_at(
-            Component::Server,
-            "server.visible",
-            140,
-            dcpi_obs::span_id(2, 1),
-            16,
-        );
-        let mut snap = obs.snapshot();
-        snap.metrics.histograms.insert(
-            "server.ingest_lag_cycles".into(),
-            HistogramSnapshot::of(&[8, 16, 64]),
-        );
-        snap.metrics.counters.insert("server.accepted".into(), 3);
-        snap.metrics.gauges.insert("server.wal_bytes".into(), 512);
+    fn server_section_reads_the_lag_gauges_and_the_series() {
+        let mut m = dcpi_obs::MetricsSnapshot::default();
+        for (name, v) in [
+            ("server.accepted", 40),
+            ("server.merges", 4),
+            ("uploader.sent", 44),
+        ] {
+            m.counters.insert(name.into(), v);
+        }
+        m.gauges.insert("server.wal_bytes".into(), 512);
+        m.gauges.insert("server.agent_lag_max".into(), 2);
+        let mut series = SeriesRing::new(8);
+        series.record(0, &m);
+        m.counters.insert("server.accepted".into(), 50);
+        series.record(100, &m);
+        for (name, v) in [
+            ("fleet.lag_p50", 16),
+            ("fleet.lag_p95", 60),
+            ("fleet.lag_p99", 64),
+            ("fleet.lag_max", 64),
+            ("fleet.lag_epochs", 3),
+            ("fleet.stalest_agent", 1),
+            ("fleet.stalest_staleness", 40),
+        ] {
+            m.gauges.insert(name.into(), v);
+        }
+        let snap = Snapshot {
+            metrics: m,
+            timeseries: series.snapshot(),
+            ..Snapshot::default()
+        };
         let text = dcpistat(&snap);
         assert!(text.contains("wal 512 bytes"), "{text}");
-        assert!(text.contains("ingest lag p50 31"), "{text}");
-        assert!(text.contains("p99 127"), "{text}");
+        assert!(text.contains("backlog 2 unmerged batch(es)"), "{text}");
+        assert!(text.contains("accepted 0.100/tick"), "{text}");
         assert!(
-            text.contains("stalest agent 1 (40 cycles behind)"),
+            text.contains("ingest lag p50 16  p95 60  p99 64  max 64 tick(s) over 3 epoch(s)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("stalest agent 1 (40 tick(s) behind at quiesce)"),
+            "{text}"
+        );
+        // An export without the lag summary prints no lag line.
+        let mut snap = snap;
+        snap.metrics.gauges.retain(|k, _| !k.starts_with("fleet."));
+        let text = dcpistat(&snap);
+        assert!(
+            !text.contains("ingest lag") && !text.contains("stalest"),
             "{text}"
         );
     }

@@ -18,17 +18,17 @@
 //! * [`dcpicheck()`](dcpicheck::dcpicheck) — static analysis and
 //!   invariant verification of images, CFGs, and estimates (the
 //!   `dcpi-check` crate driven over a whole database),
-//! * [`dcpistat()`](dcpistat::dcpistat) — one-shot profiler status from
-//!   an observability export (rates, drops, flush latencies, ledgers),
+//! * [`dcpistat()`](dcpistat::dcpistat) — the one renderer of an
+//!   observability export: profiler status (rates, drops, flush
+//!   latencies, ledgers) and, for a fleet server's export, the ingestion
+//!   pipeline (epochs, backlog, I/O, rates, the run's ingest lag); the
+//!   binary repaints it with `--watch`,
 //! * [`dcpitrace()`](dcpitrace::dcpitrace) — cycle-ordered dump of the
 //!   trace rings of one export, or of agent- and server-side exports
 //!   interleaved into one pipeline timeline, under one
 //!   [`Filter`] (component, epoch span),
-//! * [`dcpitop()`](dcpitop::dcpitop) — fleet-at-a-glance ingestion
-//!   dashboard (agents up, backlog, ingest-lag percentiles, rates)
-//!   from a server-side observability export, with
-//!   [`dcpitop_flame()`](dcpitop::dcpitop_flame) exporting the
-//!   calling-context profile as a speedscope flamegraph document,
+//! * [`dcpitop_flame()`](dcpitop::dcpitop_flame) — the calling-context
+//!   profile as a speedscope flamegraph document (`dcpitop --flame`),
 //! * [`dcpiprof_tree()`](dcpiprof::dcpiprof_tree) — the call tree of a
 //!   calling-context profile, inclusive counts down the indentation,
 //!   audited by [`dcpicheck_stacks()`](dcpicheck::dcpicheck_stacks),
@@ -79,6 +79,6 @@ pub use dcpiprof::{dcpiprof, dcpiprof_images, dcpiprof_tree, ProfRow};
 pub use dcpistat::dcpistat;
 pub use dcpistats::{dcpistats, StatsRow};
 pub use dcpisumm::dcpisumm;
-pub use dcpitop::{dcpitop, dcpitop_flame};
+pub use dcpitop::dcpitop_flame;
 pub use dcpitrace::{dcpitrace, dcpitrace_json, timeline, Filter, TraceLine};
 pub use registry::{ImageRegistry, TOOL_NAMES};

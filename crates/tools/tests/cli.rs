@@ -99,13 +99,14 @@ fn every_tool_rejects_what_it_does_not_read() {
     for tool in dcpi_tools::TOOL_NAMES {
         // A well-formed command line, and one valued flag if there is any.
         // (`dcpistats` takes any number of directories, so no positional
-        // is surplus to it; `dcpitop --watch`'s value is optional.)
+        // is surplus to it; `dcpistat --watch`'s value is optional.)
         let (good, valued): (Vec<&str>, Option<&str>) = match *tool {
             "dcpiprof" => (vec![p], Some("--limit")),
             "dcpicalc" | "dcpisumm" | "dcpicfg" => (vec![p, "proc"], None),
             "dcpistats" | "dcpidiff" => (vec![p, p], None),
             "dcpicheck" => (vec!["db", p], None),
-            "dcpistat" | "dcpitop" => (vec![p], None),
+            "dcpistat" => (vec![p], None),
+            "dcpitop" => (vec!["--flame", p, "title"], None),
             "dcpitrace" => (vec![p], Some("--epoch")),
             "dcpipgo" => (vec!["altavista", p], Some("--seed")),
             "dcpifleet" => (vec!["run", p], Some("--agents")),
@@ -129,6 +130,97 @@ fn every_tool_rejects_what_it_does_not_read() {
             assert!(out.stdout.is_empty(), "{what}");
             assert!(!nowhere.exists(), "{what}");
         }
+    }
+}
+
+/// An obs export is `dcpistat`'s, with or without `--watch`; `dcpitop`
+/// reads only `--flame`. (The repaint loop itself never returns, so it
+/// is not run here.)
+#[test]
+fn an_obs_export_is_read_by_dcpistat_alone() {
+    let root = TempRoot::new("cli-modes");
+    let nowhere = root.join("fleet-obs.json");
+    let p = nowhere.to_str().unwrap();
+    // A surplus word without `--watch` is the contract test's.
+    let cases: [(&str, Vec<&str>, &str); 3] = [
+        ("dcpitop", vec![p], "dcpistat"),
+        ("dcpistat", vec![p, "--watch", "x"], "`x`"),
+        ("dcpistat", vec![p, "--watch", "3", "extra"], "extra"),
+    ];
+    for (tool, args, word) in cases {
+        let out = bin(tool).args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{tool} {args:?}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert!(err.contains(word), "{what}");
+        assert!(err.contains("usage: "), "{what}");
+        assert!(out.stdout.is_empty(), "{what}");
+    }
+}
+
+/// The integers of `text` in order, words such as `p50` skipped.
+fn integers(text: &str) -> Vec<u64> {
+    text.split(|c: char| c.is_whitespace() || "/();".contains(c))
+        .filter_map(|w| w.parse().ok())
+        .collect()
+}
+
+/// One seeded fleet with a server outage, obs on: `dcpistat`'s lag
+/// lines, `dcpifleet run`'s `lag:` line and `fleet.json`'s `lag` object
+/// carry the same p50/p95/p99/max, epoch count, stalest agent and
+/// staleness, all in ticks.
+#[test]
+fn the_one_lag_summary_reaches_every_output() {
+    let root = TempRoot::new("one-lag");
+    let fleet = root.join("fleet");
+    let obs = root.join("fleet-obs.json");
+    let (fleet_arg, obs_arg) = (fleet.to_str().unwrap(), obs.to_str().unwrap());
+    let out = bin("dcpifleet")
+        .args([
+            "run", fleet_arg, "--agents", "6", "--seed", "5", "--obs", obs_arg,
+        ])
+        .output()
+        .unwrap();
+    let run = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{run}");
+    assert!(
+        !run.contains(" 0 server crash(es)"),
+        "the fleet is faulted: {run}"
+    );
+    let lag_line = run
+        .lines()
+        .find(|l| l.starts_with("lag: "))
+        .expect("lag line");
+
+    let out = bin("dcpistat").arg(obs_arg).output().unwrap();
+    let stat = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stat}");
+    let stat_lines: Vec<&str> = stat
+        .lines()
+        .filter(|l| l.contains("ingest lag ") || l.contains("stalest agent "))
+        .collect();
+    assert_eq!(stat_lines.len(), 2, "{stat}");
+
+    let json = std::fs::read_to_string(fleet.join("fleet.json")).unwrap();
+    let doc = dcpi_core::json::parse(&json).unwrap();
+    let lag = doc.get("lag").expect("a lag object");
+    let keys = [
+        "p50",
+        "p95",
+        "p99",
+        "max",
+        "samples",
+        "stalest_agent",
+        "stalest_staleness",
+    ];
+    let report: Vec<u64> = keys.iter().map(|k| lag.int(k).unwrap()).collect();
+    assert!(report[4] > 0, "epochs were merged: {json}");
+
+    assert_eq!(integers(lag_line), report, "dcpifleet: {lag_line}");
+    assert_eq!(integers(&stat_lines.join("\n")), report, "dcpistat: {stat}");
+    for line in std::iter::once(lag_line).chain(stat_lines) {
+        assert!(line.contains("tick(s)"), "{line}");
+        assert!(!line.contains("cycle"), "{line}");
     }
 }
 

@@ -46,9 +46,7 @@ use dcpi::tools::{
     dcpicheck_tv, ImageRegistry,
 };
 use dcpi::workloads::{pgo_workload, run_workload, ProfConfig, RunOptions, Workload};
-use dcpi_obs::{
-    span_id, Component, HistogramSnapshot, Obs, ObsConfig, OverheadLedger, Snapshot, TimePoint,
-};
+use dcpi_obs::{span_id, Component, Obs, ObsConfig, OverheadLedger, Snapshot, TimePoint};
 use dcpi_stacks::{Frame, StackProfile};
 use dcpi_testkit::TempRoot;
 use std::collections::BTreeSet;
@@ -455,9 +453,6 @@ fn sample_snapshot(more: impl FnOnce(&Obs)) -> Snapshot {
     more(&obs);
     let mut snap = obs.snapshot();
     snap.mask_wall();
-    snap.metrics
-        .histograms
-        .insert("daemon.flush_ns".into(), HistogramSnapshot::of(&[1000]));
     snap.metrics.counters.insert("driver.interrupts".into(), 42);
     snap.overhead = Some(OverheadLedger {
         total_cycles: 1_000_000,
@@ -533,11 +528,6 @@ fn obs_layer(g: &mut Golden, dir: &Path) {
     let machine = ring(&mut snap, "machine");
     machine.capacity = 0;
     machine.overwritten = 3;
-    snap.metrics
-        .histograms
-        .get_mut("daemon.flush_ns")
-        .expect("histogram")
-        .count += 1;
     snap.samples.as_mut().expect("ledger").generated += 5;
     snap.timeseries.capacity = 1;
     snap.timeseries.recorded = 1;

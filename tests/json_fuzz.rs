@@ -22,10 +22,9 @@ use dcpi::core::prng::CartaRng;
 use dcpi::core::{Event, ImageId, Pid};
 use dcpi::isa::AddressMap;
 use dcpi::server::{FleetLag, FleetReport};
-use dcpi::tools::{dcpistat, dcpitop, dcpitrace, Filter};
+use dcpi::tools::{dcpistat, dcpitrace, Filter};
 use dcpi_obs::{
-    EventKind, EventRecord, HistogramSnapshot, OverheadLedger, RingSnapshot, SeriesSnapshot,
-    Snapshot, TimePoint,
+    EventKind, EventRecord, OverheadLedger, RingSnapshot, SeriesSnapshot, Snapshot, TimePoint,
 };
 use dcpi_stacks::{speedscope, Frame, StackProfile};
 use dcpi_testkit::{measure, Allocs};
@@ -215,7 +214,7 @@ const OBS_NAMES: &[&str] = &[
     "daemon.flushes",
     "server.accepted",
     "uploader.sent",
-    "server.ingest_lag_cycles",
+    "fleet.lag_epochs",
     "fleet_quiesced",
     "true",
 ];
@@ -230,17 +229,6 @@ impl Format for ObsExport {
             s.meta.insert(g.known(OBS_NAMES), g.known(OBS_NAMES));
             s.metrics.counters.insert(g.known(OBS_NAMES), g.stamp());
             s.metrics.gauges.insert(g.known(OBS_NAMES), g.stamp());
-            let buckets = (0..g.below(4))
-                .map(|_| (g.below(64) as u32, g.stamp()))
-                .collect();
-            s.metrics.histograms.insert(
-                g.known(OBS_NAMES),
-                HistogramSnapshot {
-                    count: g.stamp(),
-                    sum: g.stamp(),
-                    buckets,
-                },
-            );
         }
         for _ in 0..g.below(4) {
             let events = (0..g.below(6))
@@ -310,11 +298,10 @@ impl Format for ObsExport {
         value.to_json()
     }
 
-    /// `dcpicheck obs`, `dcpistat`, `dcpitop` and `dcpitrace`.
+    /// `dcpicheck obs`, `dcpistat` and `dcpitrace`.
     fn consume(snap: &Snapshot) {
         let _ = check_snapshot(snap);
         let _ = dcpistat(snap);
-        let _ = dcpitop(snap);
         let _ = dcpitrace(&[("", snap)], Filter::default());
     }
 }
@@ -615,7 +602,7 @@ fn obs_export_survives_mutation() {
 }
 
 /// One export whose every integer a reader does arithmetic on sits at
-/// the edge of `u64`: both ledgers, the lag histogram's bucket counts,
+/// the edge of `u64`: both ledgers, the lag summary's gauges,
 /// the series' deltas, a flush span stamped backwards, a span chain whose
 /// stages sum past `u64`, and rings claiming `u64::MAX` overwrites.
 /// `Snapshot::parse` accepts it, so no reader may panic on it.
@@ -642,14 +629,9 @@ fn edge_integers_reach_every_obs_reader_without_a_panic() {
     s.meta.insert("fleet_quiesced".into(), "true".into());
     s.metrics.counters.insert("server.accepted".into(), MAX);
     s.metrics.counters.insert("daemon.flushes".into(), MAX);
-    s.metrics.histograms.insert(
-        "server.ingest_lag_cycles".into(),
-        HistogramSnapshot {
-            count: MAX,
-            sum: MAX,
-            buckets: vec![(1, 1 << 62), (2, MAX)],
-        },
-    );
+    for (name, _) in FleetLag::PUBLISHED.gauges {
+        s.metrics.gauges.insert((*name).into(), MAX);
+    }
     s.rings = vec![
         ring(
             "session",

@@ -24,8 +24,8 @@ use dcpi::tools::dcpipgo::delta_json;
 use dcpi::tools::{dcpitrace_json, Filter};
 use dcpi::workloads::{PgoOutcome, Workload};
 use dcpi_obs::{
-    Component, EventKind, EventRecord, HistogramSnapshot, Obs, ObsConfig, OverheadLedger, Reporter,
-    RingSnapshot, SeriesSnapshot, Snapshot, TimePoint,
+    Component, EventKind, EventRecord, Obs, ObsConfig, OverheadLedger, Reporter, RingSnapshot,
+    SeriesSnapshot, Snapshot, TimePoint,
 };
 use dcpi_stacks::{speedscope, Frame, StackProfile};
 use std::fmt::Write as _;
@@ -63,14 +63,6 @@ fn snapshot() -> Snapshot {
     s.metrics.counters.insert("driver.interrupts".into(), 1234);
     s.metrics.counters.insert(HOSTILE.into(), u64::MAX);
     s.metrics.gauges.insert("daemon.memory_bytes".into(), 65536);
-    s.metrics.histograms.insert(
-        "daemon.flush_ns".into(),
-        HistogramSnapshot {
-            count: 3,
-            sum: 7000,
-            buckets: vec![(11, 2), (12, 1)],
-        },
-    );
     s.rings.push(RingSnapshot {
         component: "driver".into(),
         capacity: 4,

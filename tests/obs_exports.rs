@@ -2,9 +2,8 @@
 //!
 //! `tests/golden/obs-exports.txt` holds, for three fixed-seed runs, the
 //! counter, gauge and time-series rows of the masked `obs.json` export
-//! verbatim, the `dcpistat` text (and `dcpitop` for the fleet), and one
-//! FNV-64 line over the rest of the export: meta, histograms, trace
-//! rings and both ledgers. The runs:
+//! verbatim, the `dcpistat` text, and one FNV-64 line over the rest of
+//! the export: meta, trace rings and both ledgers. The runs:
 //!
 //! - `profile x11perf <db> --seed 42 --obs` (the observability CI job's
 //!   run): one workload under profiling with a database;
@@ -24,7 +23,7 @@ use dcpi::isa::image::Image;
 use dcpi::isa::reg::Reg;
 use dcpi::machine::counters::CounterConfig;
 use dcpi::server::fleet::{run_fleet, FleetConfig};
-use dcpi::tools::{dcpistat, dcpitop};
+use dcpi::tools::dcpistat;
 use dcpi::workloads::fingerprint::fnv64;
 use dcpi::workloads::{run_workload, ProfConfig, RunOptions, Workload};
 use dcpi_obs::{Obs, ObsConfig, Snapshot};
@@ -67,7 +66,7 @@ fn record(g: &mut String, run: &str, snap: &Snapshot, tools: &[(&str, String)]) 
         let _ = writeln!(g, "== {run}: {tool}");
         g.push_str(text);
     }
-    let _ = writeln!(g, "== {run}: fnv64 of meta, histograms, rings, ledgers");
+    let _ = writeln!(g, "== {run}: fnv64 of meta, rings, ledgers");
     let _ = writeln!(g, "{:016x}", fnv64(&rest));
 }
 
@@ -197,8 +196,8 @@ fn three_runs_export_what_they_exported_when_recorded() {
 
     let mut snap = fleet(&dir.subdir("fleet"));
     snap.mask_wall();
-    let tools = [("dcpistat", dcpistat(&snap)), ("dcpitop", dcpitop(&snap))];
-    record(&mut g, "fleet", &snap, &tools);
+    let stat = dcpistat(&snap);
+    record(&mut g, "fleet", &snap, &[("dcpistat", stat)]);
 
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs-exports.txt");
     if std::env::var("DCPI_BLESS").is_ok() {
