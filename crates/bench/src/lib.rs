@@ -16,6 +16,7 @@ use dcpi_core::{ImageId, ProfileSet};
 use dcpi_isa::image::Symbol;
 use dcpi_isa::insn::Instruction;
 use dcpi_obs::OverheadLedger;
+use dcpi_stacks::StackProfile;
 use dcpi_workloads::programs::StreamKind;
 use dcpi_workloads::{run_indexed, run_workload, ProfConfig, RunOptions, RunResult, Workload};
 use std::cell::RefCell;
@@ -380,9 +381,10 @@ impl Runs {
         let mut acc = RunResult::clone(first);
         let parts = results.iter().flat_map(|r| r.profiles.iter());
         acc.profiles = ProfileSet::sum(parts.map(|(key, profile)| (*key, profile)));
+        let stacks: Vec<&StackProfile> = results.iter().map(|r| &r.stacks).collect();
+        acc.stacks = StackProfile::sum(&stacks);
         for r in rest {
             acc.edge_profiles.merge(&r.edge_profiles);
-            acc.stacks.merge(&r.stacks);
             acc.gt.merge(&r.gt);
             acc.samples += r.samples;
             acc.cycles += r.cycles;

@@ -26,7 +26,7 @@
 //!   [`crate::faults::Backpressure`]); clean acks narrow it again.
 
 use crate::faults::ledger_add;
-use crate::wire::{decode_msg, encode_msg, EpochBatch, Msg};
+use crate::wire::{decode_msg, encode_msg, encode_upload, EpochBatch, Msg};
 use dcpi_core::prng::CartaRng;
 use dcpi_obs::{span_id, Component, Obs, Published};
 use std::collections::VecDeque;
@@ -373,7 +373,7 @@ impl Uploader {
             }
             State::Idle => {
                 if !self.spool.is_empty() && now.saturating_sub(self.last_send) >= self.gap {
-                    let (seq, batch) = self.spool.front().cloned().expect("spool non-empty");
+                    let seq = self.spool.front().expect("spool non-empty").0;
                     self.stats.uploads_sent += 1;
                     let wait = self.wait_for(0);
                     self.state = State::AwaitAck {
@@ -389,12 +389,7 @@ impl Uploader {
                         span_id(self.agent, seq),
                         0,
                     );
-                    vec![encode_msg(&Msg::Upload {
-                        agent: self.agent,
-                        incarnation: self.incarnation,
-                        seq,
-                        batch,
-                    })]
+                    vec![self.head_upload(seq)]
                 } else if now.saturating_sub(self.last_activity.max(self.last_send))
                     >= self.cfg.heartbeat_every
                 {
@@ -423,7 +418,6 @@ impl Uploader {
                         attempt: attempt + 1,
                     };
                     self.last_send = now;
-                    let (_, batch) = self.spool.front().cloned().expect("awaiting spool head");
                     self.obs.event_at(
                         Component::Session,
                         "upload.retry",
@@ -431,17 +425,19 @@ impl Uploader {
                         span_id(self.agent, seq),
                         u64::from(attempt),
                     );
-                    vec![encode_msg(&Msg::Upload {
-                        agent: self.agent,
-                        incarnation: self.incarnation,
-                        seq,
-                        batch,
-                    })]
+                    vec![self.head_upload(seq)]
                 } else {
                     Vec::new()
                 }
             }
         }
+    }
+
+    /// The upload frame of the spool head, numbered `seq`, encoded from
+    /// the spool in place: a send or a resend copies no batch.
+    fn head_upload(&self, seq: u64) -> Vec<u8> {
+        let (_, batch) = self.spool.front().expect("awaiting spool head");
+        encode_upload(self.agent, self.incarnation, seq, batch)
     }
 
     /// Consumes one delivered frame. Corrupt frames, frames for other
@@ -664,6 +660,48 @@ mod tests {
         assert!(up.idle());
         assert_eq!(up.stats.dup_acks, 1);
         assert_eq!(up.spooled(), 0);
+    }
+
+    #[test]
+    fn a_dropped_ack_resends_the_same_bytes_and_the_ack_advances_the_spool() {
+        let cfg = UploaderConfig {
+            ack_timeout: 8,
+            jitter: 0,
+            upload_gap: 0,
+            ..UploaderConfig::default()
+        };
+        let mut up = registered(4, 2, cfg);
+        let first = up.push_epoch(batch(5));
+        let second = up.push_epoch(batch(9));
+        let (_, sent) = next_frame(&mut up, 2, 4);
+        // The spooled epoch is encoded in place into the frame a `Msg`
+        // of the same batch encodes to.
+        let incarnation = up.incarnation;
+        let upload = |seq, samples| Msg::Upload {
+            agent: 4,
+            incarnation,
+            seq,
+            batch: batch(samples),
+        };
+        assert_eq!(sent, encode_msg(&upload(first, 5)));
+        // The ack of `sent` is dropped: the retry is the same bytes, and
+        // nothing leaves the spool until an ack arrives.
+        let (at, retry) = next_frame(&mut up, 3, 100);
+        assert_eq!(retry, sent, "retransmit is byte-identical");
+        assert_eq!(up.spooled(), 2);
+        up.on_frame(
+            at + 1,
+            &encode_msg(&Msg::Ack {
+                agent: 4,
+                seq: first,
+                duplicate: false,
+                backpressure: false,
+            }),
+        );
+        assert_eq!(up.spooled(), 1);
+        let (_, next) = next_frame(&mut up, at + 2, 100);
+        assert_eq!(decode_msg(&next).unwrap(), upload(second, 9));
+        assert_eq!((up.stats.retransmits, up.stats.acks), (1, 1));
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl Msg {
         match self {
             Msg::Register { .. } => 1,
             Msg::RegisterAck { .. } => 2,
-            Msg::Upload { .. } => 3,
+            Msg::Upload { .. } => UPLOAD,
             Msg::Ack { .. } => 4,
             Msg::Nack { .. } => 5,
             Msg::Heartbeat { .. } => 6,
@@ -252,8 +252,9 @@ fn get_batch(r: &mut Reader) -> Result<EpochBatch> {
     let seal_cycle = r.varint()?;
     let ledger = get_ledger(r)?;
     // An entry is at least an image id and a length, a byte each.
-    let mut profiles = Vec::new();
-    for _ in 0..r.count(2)? {
+    let n = r.count(2)?;
+    let mut profiles = Vec::with_capacity(n);
+    for _ in 0..n {
         let image = ImageId(r.var("image id")?);
         let (profile, event) = codec::decode_profile(r.prefixed()?)?;
         profiles.push((image, event, profile));
@@ -286,6 +287,26 @@ fn get_batch(r: &mut Reader) -> Result<EpochBatch> {
     })
 }
 
+/// The type byte of [`Msg::Upload`].
+const UPLOAD: u8 = 3;
+
+/// Encodes an [`Msg::Upload`] of a batch the caller keeps (an agent's
+/// spooled epoch), so sending it copies nothing: the frame
+/// [`encode_msg`] writes for the same message.
+#[must_use]
+pub fn encode_upload(agent: u32, incarnation: u32, seq: u64, batch: &EpochBatch) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_varint(&mut payload, u64::from(agent));
+    put_upload(&mut payload, incarnation, seq, batch);
+    FRAME.seal(&[WIRE_VERSION, UPLOAD], &payload)
+}
+
+fn put_upload(buf: &mut Vec<u8>, incarnation: u32, seq: u64, batch: &EpochBatch) {
+    put_varint(buf, u64::from(incarnation));
+    put_varint(buf, seq);
+    put_batch(buf, batch);
+}
+
 /// Encodes a message into one CRC-framed wire record.
 #[must_use]
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
@@ -312,11 +333,7 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             seq,
             batch,
             ..
-        } => {
-            put_varint(p, u64::from(*incarnation));
-            put_varint(p, *seq);
-            put_batch(p, batch);
-        }
+        } => put_upload(p, *incarnation, *seq, batch),
         Msg::Ack {
             seq,
             duplicate,
@@ -388,7 +405,7 @@ pub fn decode_msg(data: &[u8]) -> Result<Msg> {
             agent,
             last_seq: r.varint()?,
         },
-        3 => Msg::Upload {
+        UPLOAD => Msg::Upload {
             agent,
             incarnation: r.var("incarnation")?,
             seq: r.varint()?,

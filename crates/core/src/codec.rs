@@ -42,10 +42,10 @@ use crate::types::Event;
 
 const CRC32_POLY: u32 = 0xedb8_8320;
 
-/// Slicing-by-8 tables: `[0]` is the classic bytewise table and
+/// Slicing-by-16 tables: `[0]` is the classic bytewise table and
 /// `[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -62,7 +62,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -74,7 +74,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 fn crc32_bytewise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
@@ -83,23 +83,32 @@ fn crc32_bytewise(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
-/// Feeds `data` into a running CRC-32 state (start from `!0`), eight
-/// bytes per step.
+/// Feeds `data` into a running CRC-32 state (start from `!0`), sixteen
+/// bytes per step: byte `j` of a step is looked up in table `15 - j`,
+/// the first four after the state is folded into them.
 fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
+    let (steps, tail) = data.as_chunks::<16>();
+    for c in steps {
         let lo = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        state = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+        state = t[15][(lo & 0xff) as usize]
+            ^ t[14][((lo >> 8) & 0xff) as usize]
+            ^ t[13][((lo >> 16) & 0xff) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][c[4] as usize]
+            ^ t[10][c[5] as usize]
+            ^ t[9][c[6] as usize]
+            ^ t[8][c[7] as usize]
+            ^ t[7][c[8] as usize]
+            ^ t[6][c[9] as usize]
+            ^ t[5][c[10] as usize]
+            ^ t[4][c[11] as usize]
+            ^ t[3][c[12] as usize]
+            ^ t[2][c[13] as usize]
+            ^ t[1][c[14] as usize]
+            ^ t[0][c[15] as usize];
     }
-    crc32_bytewise(state, chunks.remainder())
+    crc32_bytewise(state, tail)
 }
 
 /// CRC-32 (IEEE) of `data`.
@@ -199,8 +208,25 @@ impl<'a> Reader<'a> {
     /// byte after a continuation byte spells a value [`put_varint`]
     /// writes shorter (`80 00` for 0), and accepting it would let two
     /// byte strings decode to one value: it is refused.
+    ///
+    /// Nearly every varint of a profile record is one byte long, so that
+    /// case is a compare and a take; anything longer, and every refusal,
+    /// goes through a cold loop.
     #[inline]
     pub fn varint(&mut self) -> Result<u64> {
+        match self.buf.split_first() {
+            Some((&byte, rest)) if byte < 0x80 => {
+                self.buf = rest;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_long(),
+        }
+    }
+
+    /// [`Reader::varint`] past its one-byte case: a varint of two or
+    /// more bytes, or none at all.
+    #[cold]
+    fn varint_long(&mut self) -> Result<u64> {
         let mut value: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -419,44 +445,67 @@ pub fn decode_profile(data: &[u8]) -> Result<(Profile, Event)> {
         return corrupt(format!("unknown event code {}", tags[1]));
     };
     let mut r = Reader::new(payload);
-    // A record is 8 bytes in V1 and at least 2 in V2.
-    let n = r.count(match format {
-        Format::V1 => 8,
-        Format::V2 => 2,
-    })?;
+    let run = match format {
+        Format::V1 => v1_records(&mut r)?,
+        Format::V2 => v2_records(&mut r)?,
+    };
+    r.finish("the profile records")?;
+    Ok((Profile::from_sorted_run(run), event))
+}
+
+/// The V1 records: a `u32` offset and a `u32` count, 8 bytes each.
+fn v1_records(r: &mut Reader) -> Result<Vec<(u64, u64)>> {
+    let n = r.count(8)?;
     let mut run = Vec::with_capacity(n);
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let (off, cnt) = match format {
-            Format::V1 => (Some(u64::from(r.u32_le()?)), u64::from(r.u32_le()?)),
-            Format::V2 => {
-                let tag = r.varint()?;
-                let delta = match (tag & 1, tag >> 1) {
-                    (0, words) => words.checked_mul(4),
-                    // The encoder spells a word-aligned delta in words.
-                    (_, bytes) if bytes.is_multiple_of(4) => {
-                        return corrupt("aligned delta spelt in bytes");
-                    }
-                    (_, bytes) => Some(bytes),
-                };
-                let off = delta.and_then(|d| prev.unwrap_or(0).checked_add(d));
-                (off, r.varint()?)
-            }
-        };
-        let Some(off) = off else {
-            return corrupt("offset overflows u64");
-        };
-        if prev.is_some_and(|p| off <= p) {
+    let mut prev = 0;
+    for i in 0..n {
+        let off = u64::from(r.u32_le()?);
+        let cnt = u64::from(r.u32_le()?);
+        if i > 0 && off <= prev {
             return corrupt("offsets not strictly increasing");
         }
         if cnt == 0 {
             return corrupt("zero count record");
         }
         run.push((off, cnt));
-        prev = Some(off);
+        prev = off;
     }
-    r.finish("the profile records")?;
-    Ok((Profile::from_sorted_run(run), event))
+    Ok(run)
+}
+
+/// The V2 records: a delta tag and a count, varints of at least a byte
+/// each. Every check refuses what V1's does, in the same order, plus the
+/// spellings [`encode_profile`] never writes.
+fn v2_records(r: &mut Reader) -> Result<Vec<(u64, u64)>> {
+    let n = r.count(2)?;
+    let mut run = Vec::with_capacity(n);
+    let mut prev = 0u64;
+    for i in 0..n {
+        let tag = r.varint()?;
+        let (delta, too_far) = if tag & 1 == 0 {
+            (tag >> 1).overflowing_mul(4)
+        } else if (tag >> 1).is_multiple_of(4) {
+            // The encoder spells a word-aligned delta in words.
+            return corrupt("aligned delta spelt in bytes");
+        } else {
+            (tag >> 1, false)
+        };
+        let cnt = r.varint()?;
+        // The first record's delta is from offset 0 and may be 0.
+        let (off, wrapped) = prev.overflowing_add(delta);
+        if too_far || wrapped {
+            return corrupt("offset overflows u64");
+        }
+        if i > 0 && off <= prev {
+            return corrupt("offsets not strictly increasing");
+        }
+        if cnt == 0 {
+            return corrupt("zero count record");
+        }
+        run.push((off, cnt));
+        prev = off;
+    }
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -672,7 +721,7 @@ mod tests {
     #[test]
     fn crc32_slicing_matches_the_bytewise_loop() {
         let mut rng = crate::prng::CartaRng::new(0xc4c32);
-        for len in 0..=64usize {
+        for len in 0..=100usize {
             let data: Vec<u8> = (0..len).map(|_| rng.uniform(0, 255) as u8).collect();
             let seed = rng.next_u31();
             let want = crc32_bytewise(seed, &data);
@@ -706,6 +755,57 @@ mod tests {
         match decode_profile(bytes) {
             Err(Error::Corrupt(msg)) => assert!(msg.contains(what), "{msg:?} lacks {what:?}"),
             other => panic!("expected Corrupt({what}), got {other:?}"),
+        }
+    }
+
+    fn varint_len(value: u64) -> usize {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, value);
+        buf.len()
+    }
+
+    #[test]
+    fn v2_records_of_every_varint_length_roundtrip() {
+        // A first record at offset 0 (tag 0), then deltas and counts whose
+        // varints take 2, 5 and 10 bytes: past the one-byte fast path.
+        let records = [
+            (0u64, 1u64, 1usize),
+            (256, 300, 2),
+            (256 + (1 << 30), 1 << 30, 5),
+            (256 + (1 << 30) + (1 << 62) + 1, u64::MAX, 10),
+        ];
+        let mut prev = 0;
+        for &(off, cnt, len) in &records {
+            let delta = off - prev;
+            let tag = if delta.is_multiple_of(4) {
+                (delta / 4) << 1
+            } else {
+                (delta << 1) | 1
+            };
+            assert_eq!((varint_len(tag), varint_len(cnt)), (len, len), "{off}");
+            prev = off;
+        }
+        let p: Profile = records.iter().map(|&(off, cnt, _)| (off, cnt)).collect();
+        let (q, _) = decode_profile(&encode_profile(&p, Event::Cycles, Format::V2)).unwrap();
+        assert_eq!(q, p);
+    }
+
+    #[test]
+    fn a_misspelt_varint_inside_a_record_is_refused_as_before() {
+        let mut padded_count = vec![1, 0];
+        padded_count.extend_from_slice(&[0x80, 0x00]);
+        let mut long_tag = vec![1];
+        long_tag.extend_from_slice(&[0x80; 10]);
+        long_tag.extend_from_slice(&[0x01, 0x01]);
+        for (payload, want) in [
+            (padded_count, "varint is not in its shortest form"),
+            (long_tag, "varint overflows u64"),
+            (vec![1, 0, 0x80], "truncated varint"),
+        ] {
+            match decode_profile(&framed(Format::V2, &payload)) {
+                Err(Error::Corrupt(msg)) => assert_eq!(msg, want),
+                other => panic!("expected Corrupt({want}), got {other:?}"),
+            }
         }
     }
 

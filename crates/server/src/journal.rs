@@ -69,12 +69,13 @@ pub struct AgentTotals {
 }
 
 impl AgentTotals {
-    /// Folds in one journaled upload.
-    pub fn add(&mut self, seq: u64, batch: &EpochBatch) {
-        let l = &batch.ledger;
+    /// Folds in one journaled upload: its sequence number, the samples
+    /// its profiles carry ([`EpochBatch::sample_total`], counted once by
+    /// the caller) and its ledger delta.
+    pub fn add(&mut self, seq: u64, samples: u64, l: &LossLedger) {
         self.last_seq = self.last_seq.max(seq);
         self.uploads += 1;
-        ledger_add(&mut self.samples, batch.sample_total());
+        ledger_add(&mut self.samples, samples);
         ledger_add(&mut self.generated, l.generated);
         for loss in [l.driver_dropped, l.crash_lost, l.quarantined] {
             ledger_add(&mut self.losses, loss);

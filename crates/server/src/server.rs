@@ -168,6 +168,16 @@ impl ServerStats {
     };
 }
 
+/// A journaled, unmerged upload with its sample total, counted once
+/// when the upload was accepted or replayed.
+#[derive(Debug)]
+struct Queued {
+    agent: u32,
+    seq: u64,
+    samples: u64,
+    batch: EpochBatch,
+}
+
 /// The fleet ingestion server.
 #[derive(Debug)]
 pub struct IngestServer {
@@ -176,7 +186,7 @@ pub struct IngestServer {
     db: ProfileDb,
     sessions: BTreeMap<u32, AgentSession>,
     /// Journaled, unmerged batches in arrival order.
-    queue: VecDeque<(u32, u64, EpochBatch)>,
+    queue: VecDeque<Queued>,
     /// Fleet ledger as the server knows it: `base` covers merged
     /// batches, `server_journal` the queue. `in_flight` is agent-side
     /// and stays zero here — the fleet harness fills it in.
@@ -263,9 +273,15 @@ impl IngestServer {
                     s.journaled.last_seq
                 )));
             }
-            s.journaled.add(seq, &batch);
-            ledger_add(&mut ledger.server_journal, batch.sample_total());
-            queue.push_back((agent, seq, batch));
+            let samples = batch.sample_total();
+            s.journaled.add(seq, samples, &batch.ledger);
+            ledger_add(&mut ledger.server_journal, samples);
+            queue.push_back(Queued {
+                agent,
+                seq,
+                samples,
+                batch,
+            });
         }
         let merged = ckpt.epochs_merged();
         if let Some((epoch, entries)) = tail.intent {
@@ -369,8 +385,8 @@ impl IngestServer {
     #[must_use]
     pub fn max_agent_lag(&self) -> u64 {
         let mut lag: BTreeMap<u32, u64> = BTreeMap::new();
-        for (agent, _, _) in &self.queue {
-            *lag.entry(*agent).or_default() += 1;
+        for q in &self.queue {
+            *lag.entry(q.agent).or_default() += 1;
         }
         lag.values().copied().max().unwrap_or(0)
     }
@@ -547,10 +563,15 @@ impl IngestServer {
             debug_assert!(false, "WAL append failed: {e}");
             return Vec::new();
         }
-        s.journaled.add(seq, &batch);
         let (samples, seal_cycle) = (batch.sample_total(), batch.seal_cycle);
+        s.journaled.add(seq, samples, &batch.ledger);
         ledger_add(&mut self.ledger.server_journal, samples);
-        self.queue.push_back((agent, seq, batch));
+        self.queue.push_back(Queued {
+            agent,
+            seq,
+            samples,
+            batch,
+        });
         self.stats.accepted += 1;
         ledger_add(&mut self.stats.journaled_samples, samples);
         let backpressure = self.backpressure();
@@ -627,29 +648,29 @@ impl IngestServer {
     /// bucket to the merged ones, and — the queue being empty and every
     /// file of the epoch durable — replaces the log with one checkpoint.
     fn land_merge(&mut self, now: u64) -> io::Result<()> {
-        let group: Vec<(u32, u64, EpochBatch)> = self.queue.drain(..).collect();
+        let group: Vec<Queued> = self.queue.drain(..).collect();
         let epoch = self.epoch_totals.len() as u32;
-        let batches: Vec<&EpochBatch> = group.iter().map(|(_, _, b)| b).collect();
+        let batches: Vec<&EpochBatch> = group.iter().map(|q| &q.batch).collect();
         apply_merge_group(&mut self.db, epoch, &batches)?;
         let mut epoch_total = 0;
-        for (agent, seq, batch) in &group {
-            let total = batch.sample_total();
+        for q in &group {
+            let total = q.samples;
             let j = &mut self.ledger.server_journal;
             debug_assert!(*j >= total, "journal bucket underflow");
             *j = j.saturating_sub(total);
-            self.ledger.base.merge(&batch.ledger);
+            self.ledger.base.merge(&q.batch.ledger);
             ledger_add(&mut self.ledger.fleet_merged, total);
             ledger_add(&mut epoch_total, total);
             // The batch is now visible in the fleet database: close its
             // span and record seal→visible as this epoch's ingest lag.
-            let lag = now.saturating_sub(batch.seal_cycle);
+            let lag = now.saturating_sub(q.batch.seal_cycle);
             self.lags.push(lag);
-            self.agent_visible.insert(*agent, now);
+            self.agent_visible.insert(q.agent, now);
             self.obs.event_at(
                 Component::Server,
                 "server.visible",
                 now,
-                span_id(*agent, *seq),
+                span_id(q.agent, q.seq),
                 lag,
             );
         }
@@ -701,7 +722,8 @@ impl IngestServer {
 /// Applies one merge group to the fleet database: opens `epoch`, sums
 /// each `(image, event)` key's uploaded profiles once ([`ProfileSet::sum`])
 /// and merges the sums into it, writes the epoch's calling-context
-/// sidecar and records first-seen image names. Live ingest and WAL
+/// sidecar (the group's sections summed once, [`StackProfile::sum`]) and
+/// records first-seen image names. Live ingest and WAL
 /// replay both land here, so one merge intent always produces the same
 /// bytes. Stack-less (v1) agents contribute empty sections and cost
 /// nothing.
@@ -718,12 +740,8 @@ fn apply_merge_group(db: &mut ProfileDb, epoch: u32, batches: &[&EpochBatch]) ->
         };
         (key, profile)
     }));
-    let mut stacks = StackProfile::new();
-    for batch in batches {
-        if !batch.stacks.is_empty() {
-            stacks.merge(&batch.stacks);
-        }
-    }
+    let sections: Vec<&StackProfile> = batches.iter().map(|b| &b.stacks).collect();
+    let stacks = StackProfile::sum(&sections);
     db.merge(&set).map_err(db_err)?;
     if !stacks.is_empty() {
         write_epoch_stacks(db, db.current_epoch(), &stacks).map_err(db_err)?;
@@ -735,8 +753,8 @@ fn apply_merge_group(db: &mut ProfileDb, epoch: u32, batches: &[&EpochBatch]) ->
 
 /// `(agent, seq)` of every queued batch, sorted: what a merge intent
 /// for the queue names.
-fn queued_keys(queue: &VecDeque<(u32, u64, EpochBatch)>) -> Vec<(u32, u64)> {
-    let mut keys: Vec<(u32, u64)> = queue.iter().map(|(a, s, _)| (*a, *s)).collect();
+fn queued_keys(queue: &VecDeque<Queued>) -> Vec<(u32, u64)> {
+    let mut keys: Vec<(u32, u64)> = queue.iter().map(|q| (q.agent, q.seq)).collect();
     keys.sort_unstable();
     keys
 }

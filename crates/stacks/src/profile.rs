@@ -96,6 +96,21 @@ impl StackProfile {
         }
     }
 
+    /// The sum of a merge group: equal to folding [`StackProfile::merge`]
+    /// over `parts` from an empty profile, byte for byte, with room for
+    /// every part's nodes reserved once instead of grown part by part.
+    /// The reservation is the sum of the parts' node counts, an upper
+    /// bound that parts sharing prefixes do not reach.
+    #[must_use]
+    pub fn sum(parts: &[&StackProfile]) -> StackProfile {
+        let mut acc = StackProfile::new();
+        acc.table.reserve(parts.iter().map(|p| p.table.len()).sum());
+        for part in parts {
+            acc.merge(part);
+        }
+        acc
+    }
+
     /// Drops all counts but keeps the intern table (the daemon's
     /// per-epoch flush discipline: IDs stay stable across epochs).
     pub fn clear_counts(&mut self) {
@@ -318,6 +333,30 @@ mod tests {
         fresh.merge(&p);
         assert_eq!(fresh.to_bytes(), p.to_bytes());
         assert_eq!(fresh, p);
+    }
+
+    #[test]
+    fn sum_is_the_left_fold_of_merge() {
+        let mut shares = StackProfile::new();
+        shares.record(0, Pid(1), &[f(0, 0), f(0, 16), f(0, 48)], 4);
+        shares.record(1, Pid(3), &[f(0, 0), f(2, 8)], 1);
+        let empty = StackProfile::new();
+        let groups: [&[&StackProfile]; 5] = [
+            &[],
+            &[&shares],
+            &[&sample_profile(), &shares],
+            &[&shares, &empty, &sample_profile(), &shares],
+            &[&empty],
+        ];
+        for parts in groups {
+            let mut fold = StackProfile::new();
+            for part in parts {
+                fold.merge(part);
+            }
+            let sum = StackProfile::sum(parts);
+            assert_eq!(sum.to_bytes(), fold.to_bytes(), "{} parts", parts.len());
+            sum.table.check_bijective().unwrap();
+        }
     }
 
     #[test]

@@ -185,25 +185,37 @@ impl<F: Copy + Eq + Hash + Ord> StackTable<F> {
     }
 
     /// Rebuilds a table from `(parent, frame)` pairs in ID order (the
-    /// on-disk/wire form).
+    /// on-disk/wire form). The pairs become the node list as they are,
+    /// and the index is sized for them once: a decoder's count has
+    /// already bounded their number by the length of its input.
     ///
     /// # Errors
     ///
     /// Rejects any node whose parent ID is not strictly smaller than its
     /// own — the acyclicity invariant.
-    pub fn from_nodes(pairs: Vec<(u32, F)>) -> Result<StackTable<F>, String> {
-        let mut t = StackTable::new();
-        for (i, (parent, frame)) in pairs.iter().enumerate() {
+    pub fn from_nodes(nodes: Vec<(u32, F)>) -> Result<StackTable<F>, String> {
+        let mut index = HashMap::with_capacity(nodes.len());
+        for (i, &(parent, frame)) in nodes.iter().enumerate() {
             let id = i as u32 + 1;
-            if *parent >= id {
+            if parent >= id {
                 return Err(format!("node {id} has parent {parent} >= its own id"));
             }
-            if t.index.insert((*parent, *frame), id).is_some() {
+            if index.insert((parent, frame), id).is_some() {
                 return Err(format!("duplicate (parent, frame) pair at node {id}"));
             }
-            t.nodes.push((*parent, *frame));
         }
-        Ok(t)
+        Ok(StackTable {
+            nodes,
+            index,
+            last: Vec::new(),
+        })
+    }
+
+    /// Makes room for `additional` more nodes in the node list and the
+    /// index, so interning that many grows neither.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.index.reserve(additional);
     }
 
     /// Audits the intern invariants: the `(parent, frame) → id` index and

@@ -121,7 +121,8 @@ pub fn dcpifleet_agents(root: &Path) -> Result<String, String> {
         .iter()
         .filter_map(|f| journal::decode_upload(f).ok())
     {
-        rows.entry(agent).or_default().add(seq, &batch);
+        let row = rows.entry(agent).or_default();
+        row.add(seq, batch.sample_total(), &batch.ledger);
     }
     let mut out = String::new();
     let _ = writeln!(
