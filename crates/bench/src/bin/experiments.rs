@@ -25,7 +25,6 @@ fn main() -> ExitCode {
             ran.push((e.name, out.text));
         }
         if inv.check {
-            let ran: Vec<(&str, &str)> = ran.iter().map(|(n, t)| (*n, t.as_str())).collect();
             for moved in check_golden(&golden_path(), &ran)? {
                 eprintln!("experiments: {moved}");
                 failed = true;

@@ -12,6 +12,7 @@
 
 use crate::{ablations, figures, report, tables, Runs};
 use dcpi_core::cli::{Args, Stop};
+use dcpi_core::golden;
 use dcpi_workloads::RunOptions;
 use std::fmt::{self, Display};
 use std::path::{Path, PathBuf};
@@ -244,11 +245,11 @@ impl Invocation {
 /// The golden that `experiments --all --quick --check` output equals.
 #[must_use]
 pub fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
-        .join("tests/golden/experiments.txt")
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/experiments.txt"
+    )
+    .into()
 }
 
 /// The line that opens an experiment's section of the output and of the
@@ -258,70 +259,25 @@ pub fn header(name: &str) -> String {
     format!("# experiment {name}\n")
 }
 
-/// Holds each `(name, text)` to its section of the golden at `golden`;
-/// with `DCPI_BLESS` set, rewrites those sections instead. Returns one
-/// message per experiment whose text moved, naming it, the golden's line
-/// and the expected and actual text there.
+/// Holds each `(name, text)` to its section of the golden at `path` by
+/// [`golden::check`]; under `DCPI_BLESS` only those sections are
+/// re-recorded, and every other entry's is kept.
 ///
 /// # Errors
 ///
-/// The golden cannot be written (a missing golden is an empty one).
-pub fn check_golden(golden: &Path, ran: &[(&str, &str)]) -> std::io::Result<Vec<String>> {
-    let recorded = std::fs::read_to_string(golden).unwrap_or_default();
-    // (name, first line number of its text, text)
-    let mut sections: Vec<(&str, usize, String)> = Vec::new();
-    for (i, line) in recorded.lines().enumerate() {
-        match (line.strip_prefix("# experiment "), sections.last_mut()) {
-            (Some(name), _) => sections.push((name, i + 2, String::new())),
-            (None, Some((_, _, text))) => {
-                text.push_str(line);
-                text.push('\n');
-            }
-            (None, None) => {}
+/// The golden cannot be written.
+pub fn check_golden(path: &Path, ran: &[(&str, String)]) -> std::io::Result<Vec<String>> {
+    let recorded = std::fs::read_to_string(path).unwrap_or_default();
+    let mut now = String::new();
+    for e in EXPERIMENTS {
+        let head = header(e.name);
+        let ran = ran.iter().find(|r| r.0 == e.name).map(|r| r.1.as_str());
+        let kept = recorded.split_once(&head).map(|(_, rest)| rest);
+        let kept = kept.map(|s| s.find("\n# experiment ").map_or(s, |end| &s[..=end]));
+        if let Some(text) = ran.or(kept) {
+            now.push_str(&head);
+            now.push_str(text);
         }
     }
-    if std::env::var("DCPI_BLESS").is_ok() {
-        let mut out = String::new();
-        for e in EXPERIMENTS {
-            let text = ran.iter().find(|(n, _)| *n == e.name).map(|(_, t)| *t);
-            let old = sections.iter().find(|(n, ..)| *n == e.name);
-            if let Some(text) = text.or(old.map(|(_, _, t)| t.as_str())) {
-                out.push_str(&header(e.name));
-                out.push_str(text);
-            }
-        }
-        std::fs::write(golden, out)?;
-        return Ok(Vec::new());
-    }
-    let mut moved = Vec::new();
-    for (name, text) in ran {
-        let Some((_, first, want)) = sections.iter().find(|(n, ..)| n == name) else {
-            moved.push(format!(
-                "{name}: no section in {}; record one with DCPI_BLESS=1",
-                golden.display()
-            ));
-            continue;
-        };
-        if want == text {
-            continue;
-        }
-        let at = want
-            .lines()
-            .zip(text.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| want.lines().count().min(text.lines().count()));
-        let line = |s: &str| {
-            s.lines()
-                .nth(at)
-                .map_or("<none>".into(), |l| format!("{l:?}"))
-        };
-        moved.push(format!(
-            "{name}: line {} of {} moved\n  expected {}\n  actual   {}",
-            first + at,
-            golden.display(),
-            line(want),
-            line(text)
-        ));
-    }
-    Ok(moved)
+    golden::check(path, &now, Some("# experiment "))
 }

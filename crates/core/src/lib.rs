@@ -14,6 +14,7 @@
 //!   shares ([`json`]),
 //! * the one command-line reader and exit-code rule every binary shares
 //!   ([`cli`]),
+//! * the one golden-file comparison and bless switch ([`golden`]),
 //! * the Carta minimal-standard pseudo-random number generator used by the
 //!   paper to randomize sampling periods ([`prng::CartaRng`]).
 //!
@@ -25,6 +26,7 @@ pub mod cli;
 pub mod codec;
 pub mod db;
 pub mod error;
+pub mod golden;
 pub mod hash;
 pub mod json;
 pub mod prng;

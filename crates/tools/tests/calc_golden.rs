@@ -11,7 +11,7 @@
 
 use dcpi_analyze::analysis::{analyze_procedure, AnalysisOptions};
 use dcpi_analyze::equiv::frequency_classes;
-use dcpi_core::Event;
+use dcpi_core::{golden, Event};
 use dcpi_isa::pipeline::PipelineModel;
 use dcpi_machine::os::MAIN_BASE;
 use dcpi_tools::{dcpicalc, dcpisumm};
@@ -78,26 +78,10 @@ fn fixed_seed_listings_match_the_committed_golden() {
     let gcc = listings(Workload::Gcc, &mut text);
     let x11 = listings(Workload::X11Perf, &mut text);
     assert!(gcc >= 10 && x11 >= 5, "gcc {gcc} procs, x11perf {x11}");
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::write(golden_path(), &text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path()).expect("committed golden file");
-    if let Some((n, (got, want))) = text
-        .lines()
-        .zip(golden.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-    {
-        panic!(
-            "listing drifted from the golden at line {}:\n  got  {got}\n  want {want}\n\
-             if the change is intentional, regenerate with DCPI_BLESS=1",
-            n + 1
-        );
-    }
-    assert_eq!(
-        text.len(),
-        golden.len(),
-        "listing and golden differ in length"
+    let moved = golden::check(&golden_path(), &text, Some("=== ")).expect("write the golden file");
+    assert!(
+        moved.is_empty(),
+        "the listings moved:\n{}",
+        moved.join("\n")
     );
 }

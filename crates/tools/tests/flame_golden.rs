@@ -7,7 +7,7 @@
 //! Regenerate the golden after an intentional format change with
 //! `DCPI_BLESS=1 cargo test -p dcpi-tools --test flame_golden`.
 
-use dcpi_core::Event;
+use dcpi_core::{golden, Event};
 use dcpi_stacks::speedscope;
 use dcpi_tools::{dcpitop_flame, stack_frame_name, ImageRegistry};
 use dcpi_workloads::{run_indexed, run_workload, ProfConfig, RunOptions, Workload};
@@ -45,16 +45,8 @@ fn fixed_seed_flamegraph_matches_the_committed_golden() {
     assert_eq!(r.stacks.total(), r.samples, "one stack per sample");
     let doc = export(&r);
     speedscope::check_schema(&doc).unwrap();
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::write(golden_path(), &doc).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path()).expect("committed golden file");
-    assert_eq!(
-        doc, golden,
-        "fixed-seed export drifted from the committed golden; if the \
-         change is intentional, regenerate with DCPI_BLESS=1"
-    );
+    let moved = golden::check(&golden_path(), &doc, None).expect("write the golden file");
+    assert!(moved.is_empty(), "the export moved:\n{}", moved.join("\n"));
 }
 
 #[test]

@@ -36,7 +36,7 @@ fn first_difference(a: &str, b: &str) -> String {
 
 #[test]
 fn all_workloads_are_bit_identical_across_dispatch_modes() {
-    let bless = std::env::var("DCPI_BLESS").is_ok();
+    let bless = dcpi_core::golden::blessing();
     let quick = std::env::var("DCPI_QUICK").is_ok() && !bless;
     let golden: BTreeMap<String, String> = if bless {
         BTreeMap::new()

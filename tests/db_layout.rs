@@ -16,7 +16,7 @@ use dcpi::collect::faults::LossLedger;
 use dcpi::collect::wire::{encode_msg, EpochBatch, Msg};
 use dcpi::core::codec::Format;
 use dcpi::core::db::{Entry, EpochId, ProfileDb};
-use dcpi::core::{Event, ImageId, Pid, ProfileKey, ProfileSet};
+use dcpi::core::{golden, Event, ImageId, Pid, ProfileKey, ProfileSet};
 use dcpi::isa::asm::Asm;
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::isa::reg::Reg;
@@ -91,21 +91,11 @@ fn the_trees_on_disk_are_the_recorded_ones() {
     tree_lines("fleet6-db", &fleet.join("db"), &mut now);
 
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/db-tree.txt");
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::write(&golden, &now).expect("write the golden file");
-    }
-    let recorded = std::fs::read_to_string(&golden).expect("committed golden file");
-    let first = recorded
-        .lines()
-        .zip(now.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| recorded.lines().count().min(now.lines().count()));
+    let moved = golden::check(&golden, &now, None).expect("write the golden file");
     assert!(
-        recorded == now,
-        "the database tree moved at line {}:\n  recorded {:?}\n  on disk  {:?}",
-        first + 1,
-        recorded.lines().nth(first),
-        now.lines().nth(first)
+        moved.is_empty(),
+        "the database tree moved:\n{}",
+        moved.join("\n")
     );
 }
 

@@ -31,7 +31,7 @@ use dcpi::collect::faults::LossLedger;
 use dcpi::collect::wire::{encode_msg, EpochBatch, Msg};
 use dcpi::core::codec::Format;
 use dcpi::core::db::{ProfileDb, STACKS_FILE};
-use dcpi::core::{Event, ImageId, Pid, ProfileSet};
+use dcpi::core::{golden, Event, ImageId, Pid, ProfileSet};
 use dcpi::isa::encode::{decode, encode};
 use dcpi::isa::image::{Image, Symbol};
 use dcpi::isa::insn::Instruction;
@@ -816,26 +816,10 @@ fn every_layer_says_what_it_said_when_recorded() {
 
     let now = g.out.replace(&dir.display().to_string(), "<tmp>");
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/diagnostics.txt");
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::write(&golden, &now).expect("write the golden file");
-    }
-    let recorded = std::fs::read_to_string(&golden).expect("committed golden file");
-    let first = recorded
-        .lines()
-        .zip(now.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| recorded.lines().count().min(now.lines().count()));
-    let section = now
-        .lines()
-        .take(first + 1)
-        .filter(|l| l.starts_with("== "))
-        .last()
-        .unwrap_or("(before any section)");
+    let moved = golden::check(&golden, &now, Some("== ")).expect("write the golden file");
     assert!(
-        recorded == now,
-        "the diagnostics moved at line {} in `{section}`:\n  recorded {:?}\n  now      {:?}",
-        first + 1,
-        recorded.lines().nth(first),
-        now.lines().nth(first)
+        moved.is_empty(),
+        "the diagnostics moved:\n{}",
+        moved.join("\n")
     );
 }

@@ -7,7 +7,7 @@ use dcpi::check::{check_analysis, check_image};
 use dcpi::collect::session::{ProfiledRun, SessionConfig};
 use dcpi::collect::wire::{encode_msg, Msg};
 use dcpi::core::db::ProfileDb;
-use dcpi::core::{codec, Event};
+use dcpi::core::{codec, golden, Event};
 use dcpi::isa::pipeline::PipelineModel;
 use dcpi::machine::counters::CounterConfig;
 use dcpi::server::journal::{Journal, WAL_FILE, WAL_TMP_FILE};
@@ -352,15 +352,10 @@ fn three_procedure_listings_match_the_committed_golden() {
         text.push_str(&dcpisumm(&pa));
     }
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/calc-x11perf-top3.txt");
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("committed golden file");
+    let moved = golden::check(&path, &text, Some("=== ")).expect("write the golden file");
     assert!(
-        text == golden,
-        "listings drifted from {}; if intentional, regenerate with DCPI_BLESS=1",
-        path.display()
+        moved.is_empty(),
+        "the listings moved:\n{}",
+        moved.join("\n")
     );
 }

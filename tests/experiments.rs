@@ -39,7 +39,6 @@ fn the_fast_experiments_hold_their_claims_and_match_the_golden() {
             .map(|h| h.join().expect("experiment thread"))
             .collect()
     });
-    let ran: Vec<(&str, &str)> = ran.iter().map(|(n, t)| (*n, t.as_str())).collect();
     let moved = check_golden(&golden_path(), &ran).expect("golden readable");
     assert!(moved.is_empty(), "{}", moved.join("\n"));
 }

@@ -12,12 +12,14 @@
 //! - a 6-agent fleet whose fault plan kills and reopens the server.
 //!
 //! A change to what any layer counts, or to how its count reaches the
-//! export, fails here naming the run, the section and the line.
+//! export, fails here naming the section, the line and `old → new` of
+//! every moved line.
 //! Regenerate with `DCPI_BLESS=1` only when moving an exported figure is
 //! the point of the change.
 
 use dcpi::collect::faults::{CorruptKind, CrashFault, FaultPlan, StallWindow};
 use dcpi::collect::{DriverConfig, ProfiledRun, SessionConfig};
+use dcpi::core::golden;
 use dcpi::isa::asm::Asm;
 use dcpi::isa::image::Image;
 use dcpi::isa::reg::Reg;
@@ -200,26 +202,10 @@ fn three_runs_export_what_they_exported_when_recorded() {
     record(&mut g, "fleet", &snap, &[("dcpistat", stat)]);
 
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs-exports.txt");
-    if std::env::var("DCPI_BLESS").is_ok() {
-        std::fs::write(&golden, &g).expect("write the golden file");
-    }
-    let recorded = std::fs::read_to_string(&golden).expect("committed golden file");
-    let first = recorded
-        .lines()
-        .zip(g.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| recorded.lines().count().min(g.lines().count()));
-    let section = g
-        .lines()
-        .take(first + 1)
-        .filter(|l| l.starts_with("== "))
-        .last()
-        .unwrap_or("(before any section)");
+    let moved = golden::check(&golden, &g, Some("== ")).expect("write the golden file");
     assert!(
-        recorded == g,
-        "an exported figure moved at line {} in `{section}`:\n  recorded {:?}\n  now      {:?}",
-        first + 1,
-        recorded.lines().nth(first),
-        g.lines().nth(first)
+        moved.is_empty(),
+        "an exported figure moved:\n{}",
+        moved.join("\n")
     );
 }

@@ -13,7 +13,7 @@
 use dcpi::collect::faults::LossLedger;
 use dcpi::collect::wire::{decode_msg, encode_msg, EpochBatch, Msg, FEATURE_STACKS};
 use dcpi::core::codec::{crc32, decode_profile, encode_profile, Format};
-use dcpi::core::{Event, ImageId, Pid, Profile, UNKNOWN_IMAGE};
+use dcpi::core::{golden, Event, ImageId, Pid, Profile, UNKNOWN_IMAGE};
 use dcpi::isa::{Image, Symbol};
 use dcpi::server::journal::{AgentTotals, Checkpoint};
 use dcpi::server::{scan, Journal, WalRecord, WAL_FILE};
@@ -45,7 +45,7 @@ fn unhex(text: &str) -> Vec<u8> {
 impl Golden {
     fn load() -> Golden {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire-bytes.txt");
-        let bless = std::env::var("DCPI_BLESS").is_ok();
+        let bless = golden::blessing();
         let mut lines = BTreeMap::new();
         if !bless {
             let text = std::fs::read_to_string(&path).expect("committed golden file");
