@@ -35,7 +35,6 @@ use dcpi_core::profile::Profile;
 use dcpi_core::{Event, ImageId, UNKNOWN_IMAGE};
 use dcpi_obs::ledger::bucket_members;
 use dcpi_obs::{MetricsSnapshot, Obs, Published, SeriesRing, Snapshot};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 
@@ -163,13 +162,11 @@ impl FleetConfig {
     }
 }
 
-/// Seal→database-visible ingest-lag distribution for one run, in
-/// ticks, plus per-agent freshness at quiesce: the one summary of ingest
-/// lag, behind `fleet.json`, `dcpifleet run` and the obs export's lag
-/// gauges. Lags are harvested from every server incarnation (a batch
-/// merged before a server crash keeps its measurement), and because the
-/// seal tick rides the wire frame into the WAL, batches replayed after
-/// an outage report their *true* lag — outage included.
+/// Seal→visible ingest lag for one run, in ticks: the one summary of
+/// ingest lag, behind `fleet.json`, `dcpifleet run` and the export's lag
+/// gauges. Lags come from every server incarnation, and the seal tick
+/// rides the wire frame into the WAL, so a batch replayed after an
+/// outage reports its *true* lag, outage included.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetLag {
     /// Merged epochs measured (sealed batches and tombstones).
@@ -182,10 +179,6 @@ pub struct FleetLag {
     pub p99: u64,
     /// Worst single epoch.
     pub max: u64,
-    /// Agent whose newest database-visible batch is oldest at quiesce.
-    pub stalest_agent: u32,
-    /// Quiesce tick minus that agent's last visible tick.
-    pub stalest_staleness: u64,
 }
 
 /// Nearest-rank percentile of a sorted slice: the smallest element with
@@ -209,8 +202,6 @@ impl FleetLag {
             ("fleet.lag_p99", |l| l.p99),
             ("fleet.lag_max", |l| l.max),
             ("fleet.lag_epochs", |l| l.samples),
-            ("fleet.stalest_agent", |l| u64::from(l.stalest_agent)),
-            ("fleet.stalest_staleness", |l| l.stalest_staleness),
         ],
         ..Published::NONE
     };
@@ -333,8 +324,6 @@ impl FleetReport {
                     ("p95", lag.p95.into()),
                     ("p99", lag.p99.into()),
                     ("max", lag.max.into()),
-                    ("stalest_agent", lag.stalest_agent.into()),
-                    ("stalest_staleness", lag.stalest_staleness.into()),
                 ]),
             );
         doc.finish()
@@ -492,13 +481,10 @@ struct Retired {
     stats: ServerStats,
     duplicates: u64,
     lags: Vec<u64>,
-    visible: BTreeMap<u32, u64>,
 }
 
 impl Retired {
-    /// Folds in an incarnation's counts, duplicate samples, ingest lags
-    /// and agent visibility ticks (which only move forward, so a plain
-    /// overwrite is correct).
+    /// Folds in an incarnation's counts, duplicate samples and lags.
     fn retire(&mut self, s: &IngestServer) {
         self.stats.merge(&s.stats);
         ledger_add(
@@ -506,7 +492,6 @@ impl Retired {
             s.ledger().retrans_duplicates_discarded,
         );
         self.lags.extend_from_slice(s.ingest_lags());
-        self.visible.extend(s.agent_visibility());
     }
 }
 
@@ -778,21 +763,13 @@ pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> io::Result<FleetReport> {
 
     let lags = &mut retired.lags;
     lags.sort_unstable();
-    let mut lag = FleetLag {
+    let lag = FleetLag {
         samples: lags.len() as u64,
         p50: nearest_rank(lags, 50),
         p95: nearest_rank(lags, 95),
         p99: nearest_rank(lags, 99),
         max: lags.last().copied().unwrap_or(0),
-        ..FleetLag::default()
     };
-    for (&a, &v) in &retired.visible {
-        let stale = ticks.saturating_sub(v);
-        if stale > lag.stalest_staleness {
-            lag.stalest_staleness = stale;
-            lag.stalest_agent = a;
-        }
-    }
 
     let mut ledger = srv.ledger();
     ledger.retrans_duplicates_discarded = retired.duplicates;
@@ -891,7 +868,6 @@ mod tests {
             samples: 3,
             p50: 16,
             max: 64,
-            stalest_agent: 2,
             ..FleetLag::default()
         };
         let snap = series.export(&Obs::new(&dcpi_obs::ObsConfig::on()), &lag);
@@ -900,7 +876,8 @@ mod tests {
         assert_eq!(snap.timeseries.recorded, 2);
         let g = &snap.metrics.gauges;
         assert_eq!((g["fleet.lag_epochs"], g["fleet.lag_p50"]), (3, 16));
-        assert_eq!((g["fleet.lag_max"], g["fleet.stalest_agent"]), (64, 2));
+        assert_eq!(g["fleet.lag_max"], 64);
+        assert!(!g.keys().any(|k| k.starts_with("fleet.stalest")), "{g:?}");
         assert_eq!(s.points[1].gauges.get("fleet.lag_max"), None, "set once");
         assert_eq!(snap.meta["fleet_quiesced"], "true");
     }

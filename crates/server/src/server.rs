@@ -196,15 +196,11 @@ pub struct IngestServer {
     epoch_totals: Vec<u64>,
     next_merge: u64,
     /// Ingest lag (seal tick → fleet-db visibility tick) of every batch
-    /// merged by this server incarnation, in merge order. The seal tick
-    /// rides the wire frame ([`EpochBatch::seal_cycle`]) through the
-    /// WAL, so replayed batches report their true lag including the
-    /// outage. Deterministic, and the one tally of lag: the SLO
-    /// percentiles in `fleet.json`, `experiments report` and the fleet
-    /// export's lag histogram all come from here.
+    /// merged by this incarnation, in merge order; the seal tick rides the
+    /// wire frame ([`EpochBatch::seal_cycle`]) through the WAL, so a
+    /// replayed batch's lag includes the outage. The one tally of lag:
+    /// `fleet.json`, `experiments report` and the export's lag gauges.
     lags: Vec<u64>,
-    /// Last tick each agent had a batch become visible (freshness SLO).
-    agent_visible: BTreeMap<u32, u64>,
     /// Counters.
     pub stats: ServerStats,
     obs: Obs,
@@ -303,7 +299,6 @@ impl IngestServer {
             epoch_totals: ckpt.epoch_totals,
             next_merge: now + cfg.merge_every,
             lags: Vec::new(),
-            agent_visible: BTreeMap::new(),
             stats: ServerStats {
                 replayed_batches: queue.len() as u64,
                 ..ServerStats::default()
@@ -396,13 +391,6 @@ impl IngestServer {
     #[must_use]
     pub fn ingest_lags(&self) -> &[u64] {
         &self.lags
-    }
-
-    /// Last tick each agent had a batch become visible in the fleet
-    /// database (the freshness side of the SLO).
-    #[must_use]
-    pub fn agent_visibility(&self) -> &BTreeMap<u32, u64> {
-        &self.agent_visible
     }
 
     /// WAL bytes on disk (tracked by the journal handle).
@@ -665,7 +653,6 @@ impl IngestServer {
             // span and record seal→visible as this epoch's ingest lag.
             let lag = now.saturating_sub(q.batch.seal_cycle);
             self.lags.push(lag);
-            self.agent_visible.insert(q.agent, now);
             self.obs.event_at(
                 Component::Server,
                 "server.visible",

@@ -7,8 +7,8 @@
 //!
 //! `dcpicheck obs <obs.json>` — audit an exported observability
 //! snapshot: monotonic cycle stamps, ring overwrite accounting, span
-//! pairing, histogram totals, sample-ledger conservation, and the
-//! overhead fraction against the paper's band.
+//! pairing, epoch trace chains and lags, time-series ticks, sample-ledger
+//! conservation, and the overhead fraction against the paper's band.
 //!
 //! `dcpicheck dataflow <image>` — run only the dataflow lint family over
 //! one serialized image: dead stores, uninitialized reads, constant

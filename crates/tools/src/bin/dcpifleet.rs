@@ -70,15 +70,8 @@ fn run_cmd(mut args: Args) -> Result<(), Stop> {
         report.net_stats.partitioned,
     );
     println!(
-        "lag: p50/p95/p99/max = {}/{}/{}/{} tick(s) over {} epoch(s); \
-         stalest agent {} ({} tick(s) behind)",
-        report.lag.p50,
-        report.lag.p95,
-        report.lag.p99,
-        report.lag.max,
-        report.lag.samples,
-        report.lag.stalest_agent,
-        report.lag.stalest_staleness,
+        "lag: p50/p95/p99/max = {}/{}/{}/{} tick(s) over {} epoch(s)",
+        report.lag.p50, report.lag.p95, report.lag.p99, report.lag.max, report.lag.samples,
     );
     println!("{}", report.ledger.render());
     println!("report: {}", Path::new(&root).join("fleet.json").display());

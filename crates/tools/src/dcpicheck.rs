@@ -105,11 +105,10 @@ pub fn dcpicheck_db(root: &Path) -> Report {
 }
 
 /// Audits an exported observability snapshot (`dcpicheck obs <path>`):
-/// the JSON must parse, cycle stamps within each ring must be monotonic,
-/// ring overwrite accounting must balance, begin/end spans must pair,
-/// histogram counts must match their buckets, the sample ledger must
-/// conserve, and the overhead fraction must sit within the audit band
-/// ([`dcpi_check::AUDIT_BAND`]).
+/// the JSON must parse, ring stamps must be monotonic, ring overwrites
+/// must balance, spans must pair, trace chains must match their lags,
+/// series ticks must rise, the sample ledger must conserve, and the
+/// overhead fraction must sit within [`dcpi_check::AUDIT_BAND`].
 #[must_use]
 pub fn dcpicheck_obs(path: &Path) -> Report {
     match std::fs::read_to_string(path) {

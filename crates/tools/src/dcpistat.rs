@@ -171,12 +171,6 @@ pub fn dcpistat(snap: &Snapshot) -> String {
                 g("fleet.lag_p99"),
                 g("fleet.lag_max"),
             );
-            let _ = writeln!(
-                out,
-                "stalest agent {} ({} tick(s) behind at quiesce)",
-                g("fleet.stalest_agent"),
-                g("fleet.stalest_staleness"),
-            );
         }
     }
     let _ = writeln!(out, "-- ledgers --");
@@ -322,8 +316,6 @@ mod tests {
             ("fleet.lag_p99", 64),
             ("fleet.lag_max", 64),
             ("fleet.lag_epochs", 3),
-            ("fleet.stalest_agent", 1),
-            ("fleet.stalest_staleness", 40),
         ] {
             m.gauges.insert(name.into(), v);
         }
@@ -340,17 +332,10 @@ mod tests {
             text.contains("ingest lag p50 16  p95 60  p99 64  max 64 tick(s) over 3 epoch(s)"),
             "{text}"
         );
-        assert!(
-            text.contains("stalest agent 1 (40 tick(s) behind at quiesce)"),
-            "{text}"
-        );
         // An export without the lag summary prints no lag line.
         let mut snap = snap;
         snap.metrics.gauges.retain(|k, _| !k.starts_with("fleet."));
         let text = dcpistat(&snap);
-        assert!(
-            !text.contains("ingest lag") && !text.contains("stalest"),
-            "{text}"
-        );
+        assert!(!text.contains("ingest lag"), "{text}");
     }
 }
